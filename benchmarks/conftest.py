@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.image.engine import compute_image
+from repro.mc.config import CheckerConfig
 
 
 @pytest.fixture
@@ -15,19 +16,18 @@ def image_bench(benchmark):
     ``benchmark.extra_info`` so a single run reports both columns.
     """
 
-    def run(builder, method, rounds: int = 1, **params):
+    def run(builder, config: CheckerConfig, rounds: int = 1):
         results = {}
 
         def target():
-            qts = builder()
-            results["last"] = compute_image(qts, method=method, **params)
+            results["last"] = compute_image(builder(), config=config)
             return results["last"]
 
         benchmark.pedantic(target, rounds=rounds, iterations=1)
         result = results["last"]
         benchmark.extra_info["max_nodes"] = result.stats.max_nodes
         benchmark.extra_info["dimension"] = result.dimension
-        benchmark.extra_info["method"] = method
+        benchmark.extra_info["method"] = config.method
         return result
 
     return run

@@ -10,6 +10,7 @@ block-cache effect on repeated images (reachability's workhorse).
 import pytest
 
 from repro.image.engine import make_computer
+from repro.mc.config import CheckerConfig
 from repro.systems import models
 from repro.utils.stats import StatsRecorder
 
@@ -21,15 +22,17 @@ def grover():
 class TestOrderPolicy:
     @pytest.mark.parametrize("policy", ["sequential", "greedy"])
     def test_fold_order(self, image_bench, policy):
-        result = image_bench(grover, "contraction", k1=4, k2=4,
-                             order_policy=policy)
+        result = image_bench(grover, CheckerConfig(
+            method="contraction",
+            method_params={"k1": 4, "k2": 4, "order_policy": policy}))
         assert result.dimension >= 1
 
 
 class TestAdditionK:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_slice_count(self, image_bench, k):
-        result = image_bench(grover, "addition", k=k)
+        result = image_bench(grover, CheckerConfig(
+            method="addition", method_params={"k": k}))
         assert result.dimension >= 1
 
 

@@ -13,7 +13,14 @@ contraction to stay flat as qubits grow.
 
 import pytest
 
+from repro.mc.config import CheckerConfig
 from repro.systems import models
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
+#: the contraction method at the paper's Table I setting
+CONTRACTION_K4 = CheckerConfig(method="contraction",
+                               method_params={"k1": 4, "k2": 4})
 
 
 def grover(n):
@@ -26,13 +33,14 @@ def grover(n):
     ("contraction", {"k1": 4, "k2": 4}),
 ])
 def test_grover8(image_bench, method, params):
-    result = image_bench(lambda: grover(8), method, **params)
+    result = image_bench(lambda: grover(8),
+                         CheckerConfig(method=method, method_params=params))
     assert result.dimension >= 1
 
 
 def test_grover9_contraction_only(image_bench):
     """The 'beyond basic' row: contraction keeps scaling."""
-    result = image_bench(lambda: grover(9), "contraction", k1=4, k2=4)
+    result = image_bench(lambda: grover(9), CONTRACTION_K4)
     assert result.dimension >= 1
 
 
@@ -40,9 +48,10 @@ def test_grover_method_ordering():
     """The Table I shape: contraction's peak nodes are far below
     basic's on the same instance."""
     from repro.image.engine import compute_image
-    basic = compute_image(grover(8), method="basic")
-    contraction = compute_image(grover(8), method="contraction",
-                                k1=4, k2=4)
-    addition = compute_image(grover(8), method="addition", k=1)
+    basic = compute_image(grover(8), config=BASIC)
+    contraction = compute_image(grover(8), config=CONTRACTION_K4)
+    addition = compute_image(grover(8),
+                             config=CheckerConfig(method="addition",
+                                                  method_params={"k": 1}))
     assert contraction.stats.max_nodes * 2 < basic.stats.max_nodes
     assert addition.stats.max_nodes <= basic.stats.max_nodes

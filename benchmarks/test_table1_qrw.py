@@ -9,7 +9,14 @@ flat contraction node counts as the walk widens.
 
 import pytest
 
+from repro.mc.config import CheckerConfig
 from repro.systems import models
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
+#: the contraction method at the paper's Table I setting
+CONTRACTION_K4 = CheckerConfig(method="contraction",
+                               method_params={"k1": 4, "k2": 4})
 
 
 def qrw(n, steps=4):
@@ -22,20 +29,20 @@ def qrw(n, steps=4):
     ("contraction", {"k1": 4, "k2": 4}),
 ])
 def test_qrw6(image_bench, method, params):
-    result = image_bench(lambda: qrw(6), method, **params)
+    result = image_bench(lambda: qrw(6),
+                         CheckerConfig(method=method, method_params=params))
     assert result.dimension >= 1
 
 
 @pytest.mark.parametrize("n", [8, 10])
 def test_qrw_wide_contraction(image_bench, n):
-    result = image_bench(lambda: qrw(n), "contraction", k1=4, k2=4)
+    result = image_bench(lambda: qrw(n), CONTRACTION_K4)
     assert result.dimension >= 1
 
 
 def test_qrw_contraction_fastest():
     from repro.image.engine import compute_image
-    basic = compute_image(qrw(8, steps=6), method="basic")
-    contraction = compute_image(qrw(8, steps=6), method="contraction",
-                                k1=4, k2=4)
+    basic = compute_image(qrw(8, steps=6), config=BASIC)
+    contraction = compute_image(qrw(8, steps=6), config=CONTRACTION_K4)
     assert contraction.stats.seconds <= basic.stats.seconds * 1.5
     assert contraction.stats.max_nodes <= basic.stats.max_nodes

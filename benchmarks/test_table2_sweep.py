@@ -12,6 +12,7 @@ must not be dramatically worse than the best cell.
 
 import pytest
 
+from repro.mc.config import CheckerConfig
 from repro.systems import models
 
 
@@ -22,7 +23,8 @@ def grover():
 @pytest.mark.parametrize("k1", [1, 2, 4, 6])
 @pytest.mark.parametrize("k2", [1, 2, 4, 6])
 def test_sweep_cell(image_bench, k1, k2):
-    result = image_bench(grover, "contraction", k1=k1, k2=k2)
+    result = image_bench(grover, CheckerConfig(
+        method="contraction", method_params={"k1": k1, "k2": k2}))
     assert result.dimension >= 1
 
 
@@ -33,8 +35,9 @@ def test_plateau_property():
     times = {}
     for k1 in (1, 2, 4):
         for k2 in (1, 2, 4):
-            result = compute_image(grover(), method="contraction",
-                                   k1=k1, k2=k2)
+            config = CheckerConfig(method="contraction",
+                                   method_params={"k1": k1, "k2": k2})
+            result = compute_image(grover(), config=config)
             times[(k1, k2)] = result.stats.seconds
     best = min(times.values())
     assert max(times.values()) <= max(10 * best, best + 1.0), times

@@ -11,8 +11,13 @@ Run:  python examples/noise_channels.py
 
 from repro.circuits.library import qrw_step
 from repro.image.engine import compute_image
+from repro.mc.config import CheckerConfig
 from repro.systems import noise
 from repro.systems.qts import QuantumTransitionSystem
+
+#: the contraction method at the paper's Table I setting
+CONTRACTION_K4 = CheckerConfig(method="contraction",
+                               method_params={"k1": 4, "k2": 4})
 
 
 def build(channel: str, parameter: float) -> QuantumTransitionSystem:
@@ -30,17 +35,15 @@ def main() -> None:
           f"{'max#node':>8s}")
     for channel in sorted(noise.CHANNELS):
         qts = build(channel, 0.25)
-        result = compute_image(qts, method="contraction", k1=4, k2=4)
+        result = compute_image(qts, config=CONTRACTION_K4)
         kraus = qts.operations[0].num_kraus
         print(f"{channel:20s} {kraus:5d} {result.dimension:9d} "
               f"{result.stats.max_nodes:8d}")
 
     # the headline: amplitude damping is non-unital, so unlike the
     # paper's bit-flip it enlarges the image
-    flip = compute_image(build("bit_flip", 0.25),
-                         method="contraction").subspace
-    damp = compute_image(build("amplitude_damping", 0.25),
-                         method="contraction").subspace
+    flip = compute_image(build("bit_flip", 0.25)).subspace
+    damp = compute_image(build("amplitude_damping", 0.25)).subspace
     print(f"\nbit-flip image dim = {flip.dimension}, "
           f"amplitude-damping image dim = {damp.dimension}")
     assert damp.dimension > flip.dimension

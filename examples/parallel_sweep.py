@@ -43,7 +43,8 @@ def sliced_strategy_demo() -> None:
 
     # --- holding the engine (and its worker pool) across calls ------
     qts = models.qrw_qts(4, 0.1)
-    with ImageEngine(qts, "basic", strategy="sliced", jobs=2) as engine:
+    config = CheckerConfig(method="basic", strategy="sliced", jobs=2)
+    with ImageEngine(qts, config) as engine:
         first = engine.compute_image()
         second = engine.compute_image(first.subspace)
         print(f"engine reuse: dim(T(S0))={first.dimension}, "
@@ -59,7 +60,8 @@ def fixpoint_driver_demo() -> None:
     print("reachability of the noisy walk under each fixpoint driver:")
     dims = set()
     for driver in ("sequential", "opsharded", "frontier"):
-        trace = reachable_space(qts, method="basic", driver=driver)
+        trace = reachable_space(qts,
+                                CheckerConfig(method="basic", driver=driver))
         print(f"  {driver:10s} {trace} "
               f"growth per round {trace.dimensions_delta}")
         dims.add(trace.dimension)

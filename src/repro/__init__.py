@@ -45,9 +45,10 @@ Quickstart::
     # subproblems fanned out over a process pool (identical results)
     parallel = ModelChecker(qts, CheckerConfig(strategy="sliced", jobs=4))
 
-The pre-config keyword spelling
-(``ModelChecker(qts, method="contraction", k1=4)``) still works but
-emits a :class:`DeprecationWarning`.
+``CheckerConfig`` is the only configuration spelling: every engine
+surface (``ModelChecker``, ``make_backend``, ``compute_image``,
+``reachable_space``, the sweep ``RunSpec``) takes one, and one
+fixpoint loop serves both backends.
 """
 
 from repro.circuits.circuit import QuantumCircuit

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.image.engine import compute_image
+from repro.mc.config import CheckerConfig
 from repro.systems.qts import QuantumTransitionSystem
 
 
@@ -74,11 +75,9 @@ class BenchRow:
 
 
 def run_image_benchmark(builder: Callable[[], QuantumTransitionSystem],
-                        label: str, method: str,
-                        timeout_seconds: Optional[float] = None,
-                        strategy: str = "monolithic",
-                        jobs: Optional[int] = None,
-                        **params) -> BenchRow:
+                        label: str, config: CheckerConfig,
+                        timeout_seconds: Optional[float] = None
+                        ) -> BenchRow:
     """Run one image computation and collect the Table I columns.
 
     The escape hatch for ad-hoc builders (tests, custom systems);
@@ -88,16 +87,15 @@ def run_image_benchmark(builder: Callable[[], QuantumTransitionSystem],
     pre-sized workloads instead of relying on it.
     """
     qts = builder()
-    result = compute_image(qts, method=method, strategy=strategy,
-                           jobs=jobs, **params)
-    row = BenchRow(benchmark=label, method=method,
+    result = compute_image(qts, config=config)
+    row = BenchRow(benchmark=label, method=config.method,
                    seconds=result.stats.seconds,
                    max_nodes=result.stats.max_nodes,
                    dimension=result.dimension,
                    cache_hit_rate=result.stats.cache_hit_rate,
                    peak_live_nodes=result.stats.peak_live_nodes,
                    live_nodes=result.stats.live_nodes,
-                   strategy=strategy)
+                   strategy=config.strategy)
     if timeout_seconds is not None and row.seconds > timeout_seconds:
         row.timed_out = True
     return row

@@ -24,6 +24,7 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.bench.runner import run_image_benchmark
+from repro.mc.config import CheckerConfig
 from repro.mc.reachability import reachable_space
 from repro.systems import models
 
@@ -57,8 +58,10 @@ def smoke_rows(model: str = "grover", size: int = 6,
                jobs: Optional[int] = None) -> List:
     builder = _BUILDERS[model]
     label = f"{model}{size}"
-    return [run_image_benchmark(lambda: builder(size), label, method,
-                                strategy=strategy, jobs=jobs, **params)
+    return [run_image_benchmark(
+                lambda: builder(size), label,
+                CheckerConfig(method=method, strategy=strategy, jobs=jobs,
+                              method_params=params))
             for method, params in SMOKE_METHODS.items()]
 
 
@@ -67,11 +70,13 @@ def stress_times(strategy: str = "sliced",
     """Sequential-vs-strategy wall clocks on the QRW stress case."""
     name, size, params = STRESS_MODEL
     out: Dict[str, float] = {}
-    for label, kwargs in (("monolithic", {}),
-                          (strategy, {"strategy": strategy, "jobs": jobs})):
+    for label, config in (
+            ("monolithic", CheckerConfig(method="basic")),
+            (strategy, CheckerConfig(method="basic", strategy=strategy,
+                                     jobs=jobs))):
         qts = models.build_model(name, size, **params)
-        trace = reachable_space(qts, "basic",
-                                max_iterations=STRESS_ITERATIONS, **kwargs)
+        trace = reachable_space(qts, config,
+                                max_iterations=STRESS_ITERATIONS)
         out[label] = trace.stats.seconds
     return out
 

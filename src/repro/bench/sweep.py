@@ -20,10 +20,7 @@ executed by :func:`run_sweep`:
 
 ``table1``/``table2`` are thin wrappers over this module (their grids
 are just sweep specs), and the CLI exposes it as ``python -m repro
-sweep`` — see :func:`main` for the spec-file format.  The legacy flat
-keyword spelling of :class:`RunSpec` (``method=``/``backend=``/...)
-still works — and old artifacts still resume — but new code should
-pass a ``config``.
+sweep`` — see :func:`main` for the spec-file format.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 from repro.errors import ReproError
 from repro.image.sliced import DEFAULT_SLICE_DEPTH
 from repro.mc.checker import ModelChecker
-from repro.mc.config import CheckerConfig, _warn_legacy
+from repro.mc.config import CheckerConfig
 from repro.mc.reachability import ReachabilityCache
 from repro.store import ResultStore
 from repro.systems import models
@@ -62,11 +59,6 @@ CSV_COLUMNS = (
     "peak_live_nodes", "live_nodes", "failed", "error",
 )
 
-#: RunSpec keyword arguments that predate CheckerConfig
-_LEGACY_FIELDS = ("method", "backend", "strategy", "jobs", "slice_depth",
-                  "method_params")
-
-
 # ----------------------------------------------------------------------
 # specs
 # ----------------------------------------------------------------------
@@ -78,29 +70,14 @@ class RunSpec:
     property to check (text, e.g. ``"AG inv"`` — without one the run
     benchmarks a single image computation); ``model_params`` go to the
     circuit builder (``iterations``, ``steps``, ``noise_probability``,
-    ...).  The old flat keywords (``method=``/``backend=``/
-    ``strategy=``/``jobs=``/``slice_depth=``/``method_params=``) are
-    accepted with a :class:`DeprecationWarning`.
+    ...).
     """
 
     def __init__(self, model: str, size: int,
                  config: Optional[CheckerConfig] = None,
                  spec: Optional[str] = None,
                  model_params: Optional[Mapping] = None,
-                 label: Optional[str] = None,
-                 **legacy) -> None:
-        unknown = set(legacy) - set(_LEGACY_FIELDS)
-        if unknown:
-            raise ReproError(f"unknown RunSpec arguments "
-                             f"{sorted(unknown)}")
-        if legacy:
-            if config is not None:
-                raise ReproError("RunSpec takes either config= or the "
-                                 "legacy method/backend keywords, "
-                                 "not both")
-            _warn_legacy(f"RunSpec with keyword arguments "
-                         f"{sorted(legacy)}")
-            config = CheckerConfig.from_kwargs(**legacy)
+                 label: Optional[str] = None) -> None:
         if model not in models.MODEL_BUILDERS:
             raise ReproError(f"unknown model {model!r}; choose from "
                              f"{sorted(models.MODEL_BUILDERS)}")
@@ -111,68 +88,29 @@ class RunSpec:
         self.model_params = dict(model_params or {})
         self.label = label if label is not None else f"{model}{size}"
 
-    # legacy attribute echoes -----------------------------------------
-    @property
-    def method(self) -> str:
-        return self.config.method
-
-    @property
-    def backend(self) -> str:
-        return self.config.backend
-
-    @property
-    def strategy(self) -> str:
-        return self.config.strategy
-
-    @property
-    def jobs(self) -> int:
-        return self.config.jobs or 1
-
-    @property
-    def slice_depth(self) -> int:
-        return self.config.slice_depth
-
-    @property
-    def method_params(self) -> dict:
-        return dict(self.config.method_params)
-
-    @property
-    def direction(self) -> str:
-        return self.config.direction
-
-    @property
-    def bound(self) -> int:
-        return self.config.bound
-
-    @property
-    def driver(self) -> str:
-        return self.config.driver
-
     # ------------------------------------------------------------------
     @property
     def run_id(self) -> str:
         """Deterministic identity of this configuration (resume key).
 
-        Kept format-compatible with pre-config artifacts so existing
-        sweeps resume across the API change.  (Exception: dense rows —
-        their configs no longer carry the method/strategy knobs the
-        dense backend never honoured, so legacy dense cells recompute
-        once instead of resuming.)
+        The format is stable, so existing artifacts resume.
         """
-        def fmt(params: dict) -> str:
+        def fmt(params: Mapping) -> str:
             return ",".join(f"{k}={params[k]}" for k in sorted(params))
-        parts = [f"{self.model}{self.size}", self.method, self.backend,
-                 self.strategy]
-        if self.strategy != "monolithic":
-            parts.append(f"jobs={self.jobs},depth={self.slice_depth}")
-        if self.driver != "sequential":
-            parts.append(f"driver={self.driver}")
-        if self.direction != "forward":
-            parts.append(f"dir={self.direction}")
-        if self.bound:
-            parts.append(f"bound={self.bound}")
-        if self.method_params:
-            parts.append(fmt(self.method_params))
+        config = self.config
+        parts = [f"{self.model}{self.size}", config.method, config.backend,
+                 config.strategy]
+        if config.strategy != "monolithic":
+            parts.append(f"jobs={config.jobs or 1},"
+                         f"depth={config.slice_depth}")
+        if config.driver != "sequential":
+            parts.append(f"driver={config.driver}")
+        if config.direction != "forward":
+            parts.append(f"dir={config.direction}")
+        if config.bound:
+            parts.append(f"bound={config.bound}")
+        if config.method_params:
+            parts.append(fmt(config.method_params))
         if self.model_params:
             parts.append(fmt(self.model_params))
         if self.spec is not None:
@@ -188,20 +126,25 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunSpec":
-        """Parse either the config form or the legacy flat form.
+        """Parse the :meth:`as_dict` form.
 
-        Legacy flat dicts (``{"model": ..., "method": ..., "jobs": 1,
-        ...}`` — the pre-config artifact/spec-file schema) convert
-        silently so existing spec files keep working.
+        Engine settings live under ``"config"`` (a
+        :meth:`CheckerConfig.as_dict <repro.mc.config.CheckerConfig.
+        as_dict>` mapping); a flat run dict carrying them at the top
+        level is rejected.
         """
         data = dict(data)
+        known = {"model", "size", "config", "spec", "model_params",
+                 "label"}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ReproError(
+                f"unknown run fields {unknown}; engine settings go under "
+                f"\"config\", e.g. {{\"model\": \"ghz\", \"size\": 3, "
+                f"\"config\": {{\"method\": \"basic\"}}}}")
         if "config" in data:
-            config = CheckerConfig.from_dict(data.pop("config"))
-            return cls(config=config, **data)
-        legacy = {name: data.pop(name) for name in _LEGACY_FIELDS
-                  if name in data}
-        config = CheckerConfig.from_kwargs(**legacy)
-        return cls(config=config, **data)
+            data["config"] = CheckerConfig.from_dict(data["config"])
+        return cls(**data)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RunSpec)
@@ -297,8 +240,7 @@ class SweepSpec:
             {"name": "mine", "runs": [{"model": "ghz", "size": 4,
              "config": {"method": "basic"}, "spec": "AG init"}]}
 
-        (legacy flat run dicts remain accepted) or axes to take the
-        product of::
+        or axes to take the product of::
 
             {"name": "tiny", "models": ["ghz", "bv"], "sizes": [3, 4],
              "methods": ["basic"], "strategies": ["monolithic", "sliced"],
@@ -364,12 +306,13 @@ def execute_run(spec: RunSpec,
     ``store_dir``) additionally carry ``store_hit=True`` — a re-run
     over an already-populated store recomputes no fixpoint at all.
     """
+    config = spec.config
     record = {"model": spec.model, "size": spec.size,
-              "method": spec.method, "backend": spec.backend,
-              "strategy": spec.strategy, "jobs": spec.jobs,
-              "slice_depth": spec.slice_depth, "label": spec.label,
-              "driver": spec.driver, "direction": spec.direction,
-              "bound": spec.bound, "spec": spec.spec or "",
+              "method": config.method, "backend": config.backend,
+              "strategy": config.strategy, "jobs": config.jobs or 1,
+              "slice_depth": config.slice_depth, "label": spec.label,
+              "driver": config.driver, "direction": config.direction,
+              "bound": config.bound, "spec": spec.spec or "",
               "verdict": "", "cache_warm": False, "store_hit": False,
               "run_id": spec.run_id, "failed": False, "error": ""}
     try:

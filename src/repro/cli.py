@@ -44,8 +44,7 @@ store never changes a verdict, it only collapses repeat runs to one
 confirming iteration.
 ``reach``/``check`` additionally take ``--driver
 {sequential,opsharded,frontier}`` — the fixpoint schedule of
-``repro.mc.drivers`` (``--frontier`` remains as shorthand for the
-frontier driver).  A failed ``AG`` / satisfied ``EF`` check also
+``repro.mc.drivers``.  A failed ``AG`` / satisfied ``EF`` check also
 prints the counterexample witness trace — the operation path whose
 forward replay reproduces the event.
 
@@ -53,7 +52,7 @@ Examples::
 
     python -m repro image grover --size 4 --method contraction
     python -m repro image qrw --size 5 --strategy sliced --jobs 4
-    python -m repro reach qrw --size 4 --frontier
+    python -m repro reach qrw --size 4 --driver frontier
     python -m repro reach qrw --size 4 --driver opsharded
     python -m repro check grover --size 4 --spec "AG inv"
     python -m repro check grover --size 3 --spec "EF marked" --backend dense
@@ -86,6 +85,7 @@ from repro.mc.backends import cross_validate, make_backend
 from repro.mc.checker import ModelChecker
 from repro.mc.config import BACKENDS, CheckerConfig
 from repro.mc.drivers import DEFAULT_DRIVER, DRIVERS
+from repro.mc.reachability import cached_reachable
 from repro.systems import models
 
 #: model name -> builder(size, args); argparse options map onto the
@@ -216,20 +216,22 @@ def _print_kernel_stats(stats) -> None:
               f"({stats.parallel_tasks} on the worker pool)")
 
 
-def _engine_label(config: CheckerConfig, frontier: bool = False) -> str:
-    # the dense reference ignores method/strategy/frontier — the config
-    # echo only prints what actually took effect
-    label = config.describe()
-    if frontier and config.backend == "tdd":
-        label += " frontier=True"
-    return label
+def _store_line(stats) -> Optional[str]:
+    """How the ``--store`` treated this run (None: not consulted)."""
+    extra = stats.extra
+    if "cache_warm" not in extra:
+        return None
+    if extra["cache_warm"]:
+        return "hit"
+    return "miss (recorded)" if extra["cache_stored"] else \
+        "miss (not recorded)"
 
 
 def _cmd_image(args) -> int:
     config = _config(args)
     result = make_backend(config).compute_image(
         _build(args), direction=config.direction)
-    print(f"model={args.model}{args.size} {_engine_label(config)}")
+    print(f"model={args.model}{args.size} {config.describe()}")
     label = "T(S0)" if config.direction == "forward" else "T~(S0)"
     print(f"dim({label}) = {result.dimension}")
     print(f"time       = {result.stats.seconds:.3f} s")
@@ -253,33 +255,21 @@ def _open_store(args):
 def _cmd_reach(args) -> int:
     config = _config(args)
     qts = _build(args)
+    backend = make_backend(config)
     store = _open_store(args)
-    store_line = None
     try:
-        # same admission rule as the checker: only unbounded fixpoints
-        # are warm-started or recorded (a bounded reachable set is not
-        # closed, so it must never seed — or be seeded by — the store)
-        warm = (store.lookup(qts, qts.initial, config.direction, 0)
-                if store is not None and config.bound == 0 else None)
-        trace = make_backend(config).reachable(qts,
-                                               frontier=args.frontier,
-                                               direction=config.direction,
-                                               bound=config.bound,
-                                               warm_start=warm)
-        if store is not None and config.bound == 0:
-            if warm is not None:
-                store_line = f"hit (seed dim {warm.dimension})"
-            else:
-                stored = store.store(qts, qts.initial, config.direction,
-                                     0, trace)
-                store_line = ("miss (recorded)" if stored
-                              else "miss (not recorded)")
+        trace = cached_reachable(
+            store, qts, qts.initial, config.direction,
+            lambda warm: backend.reachable(qts, warm_start=warm),
+            bound=config.bound)
     finally:
         if store is not None:
             store.close()
-    print(f"model={args.model}{args.size} "
-          f"{_engine_label(config, frontier=args.frontier)}")
+    print(f"model={args.model}{args.size} {config.describe()}")
+    store_line = _store_line(trace.stats)
     if store_line is not None:
+        if trace.stats.extra["cache_warm"]:
+            store_line += f" (seed dim {trace.dimensions[0]})"
         print(f"store      = {store_line}")
     print(f"dimensions = {trace.dimensions}")
     print(f"converged  = {trace.converged} "
@@ -301,11 +291,10 @@ def _cmd_check(args) -> int:
     finally:
         if store is not None:
             store.close()
-    print(f"model={args.model}{args.size} {_engine_label(config)}")
-    if store is not None and "cache_warm" in result.stats.extra:
-        print("store      = "
-              + ("hit" if result.stats.extra["cache_warm"] else
-                 "miss (recorded)"))
+    print(f"model={args.model}{args.size} {config.describe()}")
+    store_line = _store_line(result.stats)
+    if store_line is not None:
+        print(f"store      = {store_line}")
     print(f"spec       = {result.spec}")
     print(f"verdict    = {result.verdict}")
     print(f"reachable  = dim {result.reachable_dimension} "
@@ -361,7 +350,7 @@ def _cmd_invariant(args) -> int:
     holds = checker.check_invariant(strict=args.strict)
     relation = "=" if args.strict else "<="
     print(f"T(S0) {relation} S0 for {args.model}{args.size} "
-          f"({_engine_label(config)}): {holds}")
+          f"({config.describe()}): {holds}")
     return 0 if holds else 1
 
 
@@ -385,8 +374,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_direction_arguments(reach)
     _add_driver_argument(reach)
     _add_store_argument(reach)
-    reach.add_argument("--frontier", action="store_true",
-                       help="shorthand for --driver frontier")
     reach.set_defaults(func=_cmd_reach)
 
     check = sub.add_parser(

@@ -23,6 +23,9 @@ decomposition over a process pool).
 Use :func:`~repro.image.engine.compute_image` for a one-shot entry
 point, or :class:`~repro.image.engine.ImageEngine` to hold the method
 computer and strategy pool across calls.
+:func:`~repro.image.engine.make_engine` picks between that engine and
+the dense reference (:class:`~repro.image.dense.DenseImageEngine`) by
+``CheckerConfig.backend``.
 """
 
 from repro.image.base import ImageResult
@@ -30,8 +33,9 @@ from repro.image.basic import BasicImageComputer
 from repro.image.addition import AdditionImageComputer
 from repro.image.contraction import ContractionImageComputer
 from repro.image.hybrid import HybridImageComputer
+from repro.image.dense import DenseImageEngine
 from repro.image.engine import (ImageEngine, ImageTask, compute_image,
-                                make_computer, METHODS)
+                                make_computer, make_engine, METHODS)
 from repro.image.sliced import (MonolithicExecutor, SlicedExecutor,
                                 STRATEGIES, make_executor)
 
@@ -39,6 +43,6 @@ __all__ = [
     "ImageResult", "BasicImageComputer", "AdditionImageComputer",
     "ContractionImageComputer", "HybridImageComputer",
     "ImageEngine", "ImageTask", "compute_image", "make_computer",
-    "METHODS",
+    "make_engine", "DenseImageEngine", "METHODS",
     "MonolithicExecutor", "SlicedExecutor", "STRATEGIES", "make_executor",
 ]

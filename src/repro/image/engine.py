@@ -11,23 +11,27 @@ Two orthogonal choices select how an image ``T(S)`` is computed:
   over a process pool — see :mod:`repro.image.sliced`).
 
 :class:`ImageEngine` bundles a method computer with an execution
-strategy and owns the strategy's worker-pool lifecycle; the
-module-level :func:`compute_image` remains the one-shot convenience
+strategy and owns the strategy's worker-pool lifecycle.  Both choices
+come from one :class:`~repro.mc.config.CheckerConfig`; its ``backend``
+picks between this symbolic engine and the dense reference
+(:class:`~repro.image.dense.DenseImageEngine`) in :func:`make_engine`.
+The module-level :func:`compute_image` is the one-shot convenience
 wrapper used throughout the benchmarks and the CLI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.image.addition import AdditionImageComputer
 from repro.image.base import ImageComputerBase, ImageResult
 from repro.image.basic import BasicImageComputer
 from repro.image.contraction import ContractionImageComputer
+from repro.image.dense import DenseImageEngine
 from repro.image.hybrid import HybridImageComputer
-from repro.image.sliced import DEFAULT_SLICE_DEPTH, make_executor
+from repro.image.sliced import make_executor
 from repro.subspace.subspace import Subspace
 from repro.systems.qts import QuantumTransitionSystem
 from repro.utils.stats import StatsRecorder
@@ -38,20 +42,6 @@ METHODS = ("basic", "addition", "contraction", "hybrid")
 #: image orientations: forward computes ``T(S)``, backward the
 #: preimage ``T^dagger(S)`` (images of the adjoint system)
 DIRECTIONS = ("forward", "backward")
-
-
-def validate_direction(direction: str) -> str:
-    """The single point of direction validation.
-
-    Every layer that takes a ``direction`` — the engine, the backends,
-    ``reachable_space`` — funnels through this check, so the error
-    message is spelled once and callers simply propagate the
-    :class:`~repro.errors.ReproError`.
-    """
-    if direction not in DIRECTIONS:
-        raise ReproError(f"unknown direction {direction!r}; "
-                         f"choose from {DIRECTIONS}")
-    return direction
 
 
 def make_computer(qts: QuantumTransitionSystem, method: str = "basic",
@@ -107,9 +97,10 @@ class ImageTask:
 class ImageEngine:
     """An image computer bound to an execution strategy.
 
-    The engine wires a :class:`~repro.image.sliced` executor into the
-    chosen method's computer and owns the executor's process pool; use
-    it as a context manager (or call :meth:`close`) when
+    Built from a tdd :class:`~repro.mc.config.CheckerConfig`: the
+    engine wires a :class:`~repro.image.sliced` executor into the
+    configured method's computer and owns the executor's process pool;
+    use it as a context manager (or call :meth:`close`) when
     ``strategy="sliced"`` with ``jobs > 1`` so workers are reaped
     deterministically.  Reusing one engine across calls reuses the
     computer's cached operator diagrams *and* the executor's cofactor
@@ -121,52 +112,28 @@ class ImageEngine:
     every method partitions — and every strategy executes — the
     Kraus-dagger transition relation, with the adjoint operator TDDs
     cached across calls exactly like the forward ones.
+
+    The engine implements the fixpoint-engine protocol of
+    :mod:`repro.mc.drivers` over TDD :class:`Subspace` values.
     """
 
-    def __init__(self, qts: QuantumTransitionSystem,
-                 method: str = "basic",
-                 strategy: str = "monolithic",
-                 jobs: Optional[int] = None,
-                 slice_depth: int = DEFAULT_SLICE_DEPTH,
-                 direction: str = "forward",
-                 batched: bool = True,
-                 config=None,
-                 **params) -> None:
-        if config is not None:
-            # a repro.mc.config.CheckerConfig: the validated single
-            # source of truth — it overrides the loose kwargs entirely
-            if params or method != "basic" or strategy != "monolithic" \
-                    or jobs is not None or slice_depth != DEFAULT_SLICE_DEPTH \
-                    or direction != "forward" or batched is not True:
-                raise ReproError("pass either config= or the individual "
-                                 "method/strategy keyword arguments, "
-                                 "not both")
-            if config.backend != "tdd":
-                raise ReproError(
-                    f"ImageEngine runs the symbolic tdd engine; got a "
-                    f"config for backend={config.backend!r}")
-            method = config.method
-            strategy = config.strategy
-            jobs = config.jobs
-            slice_depth = config.slice_depth
-            direction = config.direction
-            batched = config.batched
-            params = dict(config.method_params)
-        validate_direction(direction)
+    def __init__(self, qts: QuantumTransitionSystem, config) -> None:
+        if config.backend != "tdd":
+            raise ReproError(
+                f"ImageEngine runs the symbolic tdd engine; got a "
+                f"config for backend={config.backend!r}")
         self.qts = qts
-        self.method = method
-        self.strategy = strategy
-        self.jobs = jobs
-        self.slice_depth = slice_depth
-        self.direction = direction
-        self.batched = batched
+        self.config = config
         #: the system whose transition relation is contracted — the
         #: adjoint one in preimage mode (same manager, same space)
-        self.system = qts if direction == "forward" else qts.adjoint()
-        self.computer = make_computer(self.system, method, **params)
-        self.computer.batched = batched
+        self.system = (qts if config.direction == "forward"
+                       else qts.adjoint())
+        self.computer = make_computer(self.system, config.method,
+                                      **config.method_params)
+        self.computer.batched = config.batched
         self.computer.executor = make_executor(
-            strategy, qts.manager, jobs=jobs, slice_depth=slice_depth)
+            config.strategy, qts.manager, jobs=config.jobs,
+            slice_depth=config.slice_depth)
 
     @property
     def executor(self):
@@ -191,8 +158,7 @@ class ImageEngine:
 
         With batching on, running this task stacks all circuits of the
         system into a single vector-weight operator, so a whole
-        fixpoint iteration costs one kernel invocation per basis state
-        (the opsharded driver's batched fast path).
+        fixpoint iteration costs one kernel invocation per basis state.
         """
         circuits = []
         for op in self.system.operations:
@@ -201,12 +167,45 @@ class ImageEngine:
                          source=source, computer=self.computer)
 
     # ------------------------------------------------------------------
+    # the fixpoint-engine protocol (see repro.mc.drivers)
+    # ------------------------------------------------------------------
+    def lower(self, subspace: Subspace) -> Subspace:
+        """The engine's own representation of ``subspace`` (itself)."""
+        return subspace
+
+    def lift(self, subspace: Subspace, stats: StatsRecorder) -> Subspace:
+        """Back from the engine's representation (the identity here)."""
+        return subspace
+
+    def image(self, source: Subspace,
+              stats: Optional[StatsRecorder] = None) -> Subspace:
+        return self.computer.image(source, stats).subspace
+
+    def partial_images(self, source: Subspace,
+                       stats: Optional[StatsRecorder] = None
+                       ) -> List[Subspace]:
+        """Per-operation partial images; with the batched kernel on,
+        one image over every operation's stacked Kraus family."""
+        tasks = ([self.combined_image_task(source)]
+                 if self.config.batched else self.image_tasks(source))
+        return [task.run(stats).subspace for task in tasks]
+
+    def new_directions(self, previous: Subspace,
+                       grown: Subspace) -> Subspace:
+        # basis vectors Gram-Schmidt added beyond the previous space
+        # (orthogonal to it by construction of Subspace.join)
+        return self.qts.space.span(grown.basis[previous.dimension:])
+
+    def collect(self) -> None:
+        self.qts.manager.collect()
+
+    # ------------------------------------------------------------------
     def compute_image(self, subspace: Optional[Subspace] = None,
                       gc: bool = True) -> ImageResult:
         """Compute ``T(S)`` and record the full kernel cost profile."""
         stats = StatsRecorder()
-        if self.strategy != "monolithic":
-            stats.extra["strategy"] = self.strategy
+        if self.config.strategy != "monolithic":
+            stats.extra["strategy"] = self.config.strategy
         manager = self.qts.manager
         baseline = manager.cache_counters()
         watch = Stopwatch().start()
@@ -229,36 +228,45 @@ class ImageEngine:
         self.close()
 
     def __repr__(self) -> str:
-        return (f"ImageEngine(method={self.method!r}, "
-                f"strategy={self.strategy!r}, jobs={self.jobs}, "
-                f"direction={self.direction!r})")
+        return f"ImageEngine({self.config.describe()})"
+
+
+def make_engine(qts: QuantumTransitionSystem, config=None):
+    """The engine for ``config.backend``: symbolic or dense.
+
+    ``config`` is a :class:`~repro.mc.config.CheckerConfig` (default:
+    ``CheckerConfig()``).  Both engines implement the fixpoint-engine
+    protocol of :mod:`repro.mc.drivers` and a one-shot
+    ``compute_image``, and both are context managers.
+    """
+    # imported here: the config validates against this module's names
+    from repro.mc.config import CheckerConfig
+    if config is None:
+        config = CheckerConfig()
+    elif not isinstance(config, CheckerConfig):
+        raise ConfigError(f"expected a CheckerConfig, got "
+                          f"{type(config).__name__}")
+    if config.backend == "dense":
+        return DenseImageEngine(qts, config)
+    return ImageEngine(qts, config)
 
 
 def compute_image(qts: QuantumTransitionSystem,
                   subspace: Optional[Subspace] = None,
-                  method: str = "basic", gc: bool = True,
-                  strategy: str = "monolithic",
-                  jobs: Optional[int] = None,
-                  slice_depth: int = DEFAULT_SLICE_DEPTH,
-                  direction: str = "forward",
-                  batched: bool = True,
-                  config=None,
-                  **params) -> ImageResult:
+                  config=None, gc: bool = True) -> ImageResult:
     """One-shot ``T(S)`` — or preimage ``T^dagger(S)`` — with run stats.
 
-    Engine configuration comes either from a validated
-    :class:`repro.mc.config.CheckerConfig` (``config=...``, the
-    preferred spelling) or from the individual keyword arguments;
+    ``config`` is a :class:`~repro.mc.config.CheckerConfig` (default:
+    ``CheckerConfig()``) and may select either backend;
     ``direction="backward"`` computes the preimage (the image under
     the adjoint Kraus family).
 
-    The returned :class:`ImageResult` stats carry wall time, peak TDD
-    node count, operation-cache hit/miss counts for this run, sliced
-    strategy counters (cofactors executed / shipped to the pool) and —
-    after the post-run garbage collection (skipped with ``gc=False``) —
-    the peak and surviving live-node populations of the manager.
+    On the tdd backend the returned :class:`ImageResult` stats carry
+    wall time, peak TDD node count, operation-cache hit/miss counts for
+    this run, sliced strategy counters (cofactors executed / shipped to
+    the pool) and — after the post-run garbage collection (skipped with
+    ``gc=False``) — the peak and surviving live-node populations of the
+    manager.
     """
-    with ImageEngine(qts, method, strategy=strategy, jobs=jobs,
-                     slice_depth=slice_depth, direction=direction,
-                     batched=batched, config=config, **params) as engine:
+    with make_engine(qts, config) as engine:
         return engine.compute_image(subspace, gc=gc)

@@ -15,23 +15,19 @@ single source of truth instead:
   spec and an artifact without defensive copying;
 * it **round-trips**: :meth:`to_json` / :meth:`from_json` and
   :meth:`as_dict` / :meth:`from_dict` for sweep artifacts,
-  :meth:`from_cli_args` for the argparse namespaces of the CLI;
-* the legacy keyword spellings remain available through
-  :meth:`from_kwargs`, which reproduces the old tolerant behaviour
-  (dropping mismatched knobs) so that deprecated call sites keep
-  working while new code gets strict validation.
+  :meth:`from_cli_args` for the argparse namespaces of the CLI.
 
-Threaded through :class:`~repro.mc.checker.ModelChecker`,
-:func:`~repro.mc.backends.make_backend`,
+It is the only configuration spelling: :class:`~repro.mc.checker.
+ModelChecker`, :func:`~repro.mc.backends.make_backend`,
 :class:`~repro.image.engine.ImageEngine`,
-:func:`~repro.image.engine.compute_image`, the CLI and
-:class:`~repro.bench.sweep.RunSpec`.
+:func:`~repro.image.engine.compute_image`,
+:func:`~repro.mc.reachability.reachable_space`, the CLI and
+:class:`~repro.bench.sweep.RunSpec` all take one.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Mapping, Optional
 
@@ -56,20 +52,13 @@ METHOD_PARAMS = {
 _TDD_ONLY_FIELDS = ("method", "strategy", "jobs", "slice_depth",
                     "method_params", "batched")
 
-#: CLI / legacy defaults for the per-method parameters (Table I values)
+#: CLI defaults for the per-method parameters (Table I values)
 _CLI_METHOD_DEFAULTS = {
     "basic": {},
     "addition": {"k": 1},
     "contraction": {"k1": 4, "k2": 4},
     "hybrid": {"k": 1, "k1": 4, "k2": 4},
 }
-
-
-def _warn_legacy(old: str, stacklevel: int = 3) -> None:
-    warnings.warn(
-        f"{old} is deprecated; build a repro.mc.config.CheckerConfig and "
-        f"pass it as `config` instead",
-        DeprecationWarning, stacklevel=stacklevel)
 
 
 @dataclass(frozen=True)
@@ -185,39 +174,6 @@ class CheckerConfig:
     # construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def from_kwargs(cls, backend: str = "tdd",
-                    method: str = "contraction",
-                    strategy: str = "monolithic",
-                    jobs: Optional[int] = None,
-                    slice_depth: int = DEFAULT_SLICE_DEPTH,
-                    max_qubits: Optional[int] = None,
-                    method_params: Optional[Mapping] = None,
-                    direction: str = "forward",
-                    bound: int = 0,
-                    driver: str = DEFAULT_DRIVER,
-                    **params) -> "CheckerConfig":
-        """The legacy keyword spelling, with the legacy tolerance.
-
-        Old call sites passed tdd knobs alongside ``backend="dense"``
-        (or ``jobs`` without the sliced strategy) and relied on them
-        being dropped; this shim reproduces that so deprecated
-        constructors keep working.  New code should construct
-        :class:`CheckerConfig` directly and get strict validation.
-        """
-        merged = dict(method_params or {})
-        merged.update(params)
-        if strategy != "sliced":
-            jobs = None
-            slice_depth = DEFAULT_SLICE_DEPTH
-        if backend == "dense":
-            return cls(backend="dense", max_qubits=max_qubits,
-                       direction=direction, bound=bound, driver=driver)
-        return cls(backend=backend, method=method, strategy=strategy,
-                   jobs=jobs, slice_depth=slice_depth,
-                   method_params=merged, direction=direction, bound=bound,
-                   driver=driver)
-
-    @classmethod
     def from_cli_args(cls, args) -> "CheckerConfig":
         """Build a config from an argparse namespace (strictly).
 
@@ -325,27 +281,3 @@ _DEFAULTS = {f.name: (f.default_factory() if f.default is MISSING
                       else f.default)
              for f in fields(CheckerConfig)
              if f.name in _TDD_ONLY_FIELDS}
-
-
-def coerce_config(config, legacy_kwargs: dict, *,
-                  owner: str) -> CheckerConfig:
-    """Resolve the ``config``-or-legacy-kwargs calling convention.
-
-    Shared by the constructors that accept both the new ``config``
-    object and the deprecated keyword spelling.  Passing both is an
-    error; the legacy spelling emits a :class:`DeprecationWarning`.
-    """
-    if config is not None and legacy_kwargs:
-        raise ConfigError(f"{owner} takes either a CheckerConfig or the "
-                          f"legacy keyword arguments "
-                          f"{sorted(legacy_kwargs)}, not both")
-    if config is not None:
-        if not isinstance(config, CheckerConfig):
-            raise ConfigError(f"{owner} config must be a CheckerConfig, "
-                              f"got {type(config).__name__}")
-        return config
-    if legacy_kwargs:
-        _warn_legacy(f"{owner} with engine keyword arguments "
-                     f"{sorted(legacy_kwargs)}", stacklevel=4)
-        return CheckerConfig.from_kwargs(**legacy_kwargs)
-    return CheckerConfig()

@@ -1,39 +1,49 @@
 """Fixpoint drivers: pluggable schedules for ``S_{k+1} = S_k v T(S_k)``.
 
 The reachability fixpoint has two independent halves: the image
-*kernel* (how one ``T(S)`` is computed — method × execution strategy,
-see :mod:`repro.image`) and the fixpoint *schedule* (what work each
-round issues and how partial results recombine).  A
+*engine* (how one ``T(S)`` is computed) and the fixpoint *schedule*
+(what work each round issues and how partial results recombine).  A
 :class:`FixpointDriver` owns the schedule; :func:`~repro.mc.
-reachability.reachable_space` is a thin façade that builds the engine,
-picks a driver and delegates the loop.  Three drivers ship:
+reachability.reachable_space` is a thin façade that builds the engine
+for the configured backend, picks a driver and delegates the loop.
+
+One loop serves both backends because a driver touches its engine only
+through this protocol (the symbolic
+:class:`~repro.image.engine.ImageEngine` and the dense
+:class:`~repro.image.dense.DenseImageEngine` both implement it, each
+over its own subspace type — anything with ``join`` and
+``dimension``):
+
+* ``image(source, stats)`` — ``T(source)``;
+* ``partial_images(source, stats)`` — partial images whose join is
+  ``T(source)`` (one per operation, Proposition 1);
+* ``new_directions(previous, grown)`` — the span of what a growing
+  round added beyond ``previous``;
+* ``collect()`` — reclaim the finished round's intermediates.
+
+Three drivers ship:
 
 * ``sequential`` — one monolithic ``T(S_k)`` per round joined onto the
-  accumulator; exactly the pre-driver behaviour, bit-for-bit.
-* ``opsharded`` — each round fans out one
-  :class:`~repro.image.engine.ImageTask` per operation (the engine's
-  per-operation task API) and recombines the accumulator with the
-  partial images through a balanced *tree-reduce of joins*.  Task
-  contractions run through the engine's executor, so the sliced
-  strategy's cofactor decomposition — and its worker pool — are shared
-  between slicing and sharding rather than duplicated per shard.
-* ``frontier`` — the classic frontier-set refinement as a proper
-  driver: each round images only the basis vectors added by the
-  previous round (sound because the image distributes over joins,
-  Proposition 1).
+  accumulator.
+* ``opsharded`` — each round takes the engine's partial images and
+  recombines the accumulator with them through a balanced *tree-reduce
+  of joins*.  On the symbolic engine the partial images run through the
+  engine's executor, so the sliced strategy's cofactor decomposition —
+  and its worker pool — are shared between slicing and sharding.
+* ``frontier`` — the classic frontier-set refinement: each round images
+  only the directions added by the previous round (sound because the
+  image distributes over joins, Proposition 1).
 
 Every driver computes the same reachable subspace (same dimension,
 mutual containment); they differ in work granularity and combine
-order, so Gram-Schmidt bases — not the spanned spaces — may differ.
+order, so bases — not the spanned spaces — may differ.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import ReproError
-from repro.image.engine import ImageEngine
-from repro.subspace.subspace import Subspace
 from repro.utils.stats import StatsRecorder
 
 #: the available fixpoint schedules
@@ -43,7 +53,7 @@ DRIVERS = ("sequential", "opsharded", "frontier")
 DEFAULT_DRIVER = "sequential"
 
 
-def tree_join(subspaces: Sequence[Subspace]) -> Subspace:
+def tree_join(subspaces: Sequence):
     """Join subspaces pairwise, halving the list each pass.
 
     The balanced combine keeps each intermediate join small (the
@@ -51,7 +61,7 @@ def tree_join(subspaces: Sequence[Subspace]) -> Subspace:
     the accumulated projector of ``a``) instead of funnelling every
     partial image through one ever-growing accumulator.
     """
-    items: List[Subspace] = list(subspaces)
+    items: List = list(subspaces)
     if not items:
         raise ReproError("tree_join needs at least one subspace")
     while len(items) > 1:
@@ -70,7 +80,9 @@ class FixpointDriver:
     The shared :meth:`run` loop owns iteration accounting, convergence
     detection and between-round garbage collection; it mutates the
     :class:`~repro.mc.reachability.ReachabilityTrace` handed in by the
-    façade (subspace, dimensions, iterations, converged).
+    façade (subspace, dimensions, iterations, converged).  The trace's
+    subspace is in the engine's own representation for the length of
+    the run.
     """
 
     name = "abstract"
@@ -78,24 +90,20 @@ class FixpointDriver:
     # ------------------------------------------------------------------
     # schedule hooks
     # ------------------------------------------------------------------
-    def begin(self, engine: ImageEngine, initial: Subspace) -> None:
+    def begin(self, engine, initial) -> None:
         """Reset per-run state (frontier bookkeeping etc.)."""
 
-    def advance(self, engine: ImageEngine, current: Subspace,
-                stats: StatsRecorder) -> Subspace:
+    def advance(self, engine, current, stats: StatsRecorder):
         """One fixpoint round: return ``current v T(source)``."""
         raise NotImplementedError
 
-    def observe(self, engine: ImageEngine, previous: Subspace,
-                grown: Subspace) -> None:
+    def observe(self, engine, previous, grown) -> None:
         """Called after a growing round, before the next one."""
 
     # ------------------------------------------------------------------
-    def run(self, engine: ImageEngine, trace, limit: int,
-            gc: bool = True) -> None:
+    def run(self, engine, trace, limit: int, gc: bool = True) -> None:
         """Drive ``trace.subspace`` to the fixpoint (or the limit)."""
         current = trace.subspace
-        manager = engine.qts.manager
         self.begin(engine, current)
         for _ in range(limit):
             grown = self.advance(engine, current, trace.stats)
@@ -108,7 +116,7 @@ class FixpointDriver:
             current = grown
             trace.subspace = grown
             if gc:
-                manager.collect()
+                engine.collect()
         else:
             trace.converged = False
 
@@ -121,35 +129,23 @@ class SequentialDriver(FixpointDriver):
 
     name = "sequential"
 
-    def advance(self, engine: ImageEngine, current: Subspace,
-                stats: StatsRecorder) -> Subspace:
-        step = engine.computer.image(current, stats)
-        return current.join(step.subspace)
+    def advance(self, engine, current, stats: StatsRecorder):
+        return current.join(engine.image(current, stats))
 
 
 class OpShardedDriver(FixpointDriver):
-    """Per-operation sharding with a tree-reduce of joins.
+    """Partial images per round, recombined by a tree-reduce of joins.
 
-    Each round asks the engine for its per-operation
-    :class:`~repro.image.engine.ImageTask` list, runs every task (its
-    contractions go through the one shared executor, so the sliced
-    strategy's pool serves the shards too), and tree-reduces
-    ``[S_k, T_sigma1(S_k), T_sigma2(S_k), ...]`` into ``S_{k+1}``.
+    Tree-reduces ``[S_k, T_1(S_k), T_2(S_k), ...]`` into ``S_{k+1}``,
+    where the ``T_i`` are the engine's partial images (one per
+    operation; the symbolic engine stacks them into one when its
+    batched kernel is on).
     """
 
     name = "opsharded"
 
-    def advance(self, engine: ImageEngine, current: Subspace,
-                stats: StatsRecorder) -> Subspace:
-        if getattr(engine, "batched", False):
-            # all operations' Kraus families stacked into one
-            # vector-weight operator: the whole iteration is a single
-            # batched kernel invocation per basis state
-            partial = engine.combined_image_task(current).run(stats)
-            stats.extra["shards"] = stats.extra.get("shards", 0) + 1
-            return tree_join([current, partial.subspace])
-        partials = [task.run(stats).subspace
-                    for task in engine.image_tasks(current)]
+    def advance(self, engine, current, stats: StatsRecorder):
+        partials = engine.partial_images(current, stats)
         stats.extra["shards"] = (stats.extra.get("shards", 0)
                                  + len(partials))
         return tree_join([current] + partials)
@@ -161,23 +157,16 @@ class FrontierDriver(FixpointDriver):
     name = "frontier"
 
     def __init__(self) -> None:
-        self._frontier: Optional[Subspace] = None
+        self._frontier = None
 
-    def begin(self, engine: ImageEngine, initial: Subspace) -> None:
+    def begin(self, engine, initial) -> None:
         self._frontier = initial
 
-    def advance(self, engine: ImageEngine, current: Subspace,
-                stats: StatsRecorder) -> Subspace:
-        step = engine.computer.image(self._frontier, stats)
-        return current.join(step.subspace)
+    def advance(self, engine, current, stats: StatsRecorder):
+        return current.join(engine.image(self._frontier, stats))
 
-    def observe(self, engine: ImageEngine, previous: Subspace,
-                grown: Subspace) -> None:
-        # the new frontier: basis vectors Gram-Schmidt added beyond the
-        # previous space (orthogonal to it by construction of
-        # Subspace.join)
-        new_vectors = grown.basis[previous.dimension:]
-        self._frontier = engine.qts.space.span(new_vectors)
+    def observe(self, engine, previous, grown) -> None:
+        self._frontier = engine.new_directions(previous, grown)
 
 
 _DRIVER_CLASSES = {cls.name: cls for cls in
@@ -192,18 +181,3 @@ def make_driver(name: str) -> FixpointDriver:
         raise ReproError(f"unknown driver {name!r}; "
                          f"choose from {DRIVERS}") from None
 
-
-def resolve_driver(driver: Optional[str], frontier: bool) -> str:
-    """Fold the legacy ``frontier`` flag into a driver name.
-
-    ``frontier=True`` is shorthand for the frontier driver; it
-    upgrades an unset (or default-``sequential``) driver and is
-    rejected as contradictory next to an explicit different one.
-    """
-    if driver is None or (frontier and driver == DEFAULT_DRIVER):
-        return "frontier" if frontier else DEFAULT_DRIVER
-    if frontier and driver != "frontier":
-        raise ReproError(
-            f"frontier=True is the frontier driver; it cannot be "
-            f"combined with driver={driver!r}")
-    return driver

@@ -17,8 +17,9 @@ from repro.systems.qts import QuantumTransitionSystem
 
 def image_of(qts: QuantumTransitionSystem,
              subspace: Optional[Subspace] = None,
-             method: str = "basic", **params) -> Subspace:
-    return compute_image(qts, subspace, method, **params).subspace
+             config=None) -> Subspace:
+    """``T(S)`` under a :class:`~repro.mc.config.CheckerConfig`."""
+    return compute_image(qts, subspace, config).subspace
 
 
 def invariant_holds(image: Subspace, subspace: Subspace,
@@ -36,26 +37,25 @@ def invariant_holds(image: Subspace, subspace: Subspace,
 
 def is_invariant(qts: QuantumTransitionSystem,
                  subspace: Optional[Subspace] = None,
-                 method: str = "basic", strict: bool = False,
-                 **params) -> bool:
+                 config=None, strict: bool = False) -> bool:
     """``T(S) <= S`` (or ``T(S) = S`` when ``strict``)."""
     if subspace is None:
         subspace = qts.initial
-    image = image_of(qts, subspace, method, **params)
+    image = image_of(qts, subspace, config)
     return invariant_holds(image, subspace, strict)
 
 
 def image_equals(qts: QuantumTransitionSystem, expected: Subspace,
                  subspace: Optional[Subspace] = None,
-                 method: str = "basic", **params) -> bool:
+                 config=None) -> bool:
     """``T(S) = expected``."""
-    image = image_of(qts, subspace, method, **params)
+    image = image_of(qts, subspace, config)
     return image.equals(expected)
 
 
 def image_contained_in(qts: QuantumTransitionSystem, bound: Subspace,
                        subspace: Optional[Subspace] = None,
-                       method: str = "basic", **params) -> bool:
+                       config=None) -> bool:
     """``T(S) <= bound`` (safety: one step never leaves ``bound``)."""
-    image = image_of(qts, subspace, method, **params)
+    image = image_of(qts, subspace, config)
     return bound.contains(image)

@@ -239,46 +239,39 @@ def satisfies(state: TDD, prop: Proposition, space: StateSpace,
     return prop.denote(space).contains_state(state, tol)
 
 
-def _temporal_check(qts: QuantumTransitionSystem, spec, method: str,
-                    params: dict) -> bool:
-    # split the reachability kwargs the pre-config helpers forwarded
-    # to reachable_space from the engine configuration proper
+def _temporal_check(qts: QuantumTransitionSystem, spec, config,
+                    initial, max_iterations: int) -> bool:
     from repro.mc.checker import ModelChecker
-    from repro.mc.config import CheckerConfig
-    reach_kwargs = {name: params.pop(name)
-                    for name in ("initial", "max_iterations", "frontier")
-                    if name in params}
-    # ``gc`` was a reachable_space perf knob; check() always collects,
-    # so it is accepted for compatibility and has no effect
-    params.pop("gc", None)
-    config = CheckerConfig.from_kwargs(method=method, **params)
-    return ModelChecker(qts, config).check(spec, **reach_kwargs).holds
+    return ModelChecker(qts, config).check(
+        spec, initial=initial, max_iterations=max_iterations).holds
 
 
 def check_always(qts: QuantumTransitionSystem, prop: Proposition,
-                 method: str = "contraction", **params) -> bool:
+                 config=None, initial=None,
+                 max_iterations: int = 0) -> bool:
     """AG φ: the reachable space is contained in [[φ]].
 
     A convenience wrapper over
-    :meth:`~repro.mc.checker.ModelChecker.check` — use ``check``
-    directly for the full :class:`~repro.mc.checker.CheckResult`
-    (witness subspace, trace, kernel stats).  ``params`` may mix
-    engine parameters with the reachability options ``initial`` /
-    ``max_iterations`` / ``frontier`` (``gc`` is accepted for
-    compatibility; collection is always on).
+    :meth:`~repro.mc.checker.ModelChecker.check` with a
+    :class:`~repro.mc.config.CheckerConfig` (default
+    ``CheckerConfig()``) — use ``check`` directly for the full
+    :class:`~repro.mc.checker.CheckResult` (witness subspace, trace,
+    kernel stats).
     """
-    return _temporal_check(qts, Always(prop), method, dict(params))
+    return _temporal_check(qts, Always(prop), config, initial,
+                           max_iterations)
 
 
 def check_eventually_overlaps(qts: QuantumTransitionSystem,
-                              prop: Proposition,
-                              method: str = "contraction",
-                              **params) -> bool:
+                              prop: Proposition, config=None,
+                              initial=None,
+                              max_iterations: int = 0) -> bool:
     """Can the system ever produce a state with a component in [[φ]]?
 
     True iff the reachable space is not orthogonal to the denoted
     subspace.  A convenience wrapper over
     :meth:`~repro.mc.checker.ModelChecker.check` with an
-    :class:`Eventually` spec; ``params`` as in :func:`check_always`.
+    :class:`Eventually` spec; arguments as in :func:`check_always`.
     """
-    return _temporal_check(qts, Eventually(prop), method, dict(params))
+    return _temporal_check(qts, Eventually(prop), config, initial,
+                           max_iterations)

@@ -7,15 +7,19 @@ and closed under every operation:  ``R = lub_k S_k`` with
 growing — the standard symbolic-model-checking fixpoint with joins in
 place of unions (paper, Sections I and III).
 
-:func:`reachable_space` is a thin façade: it builds the
-:class:`~repro.image.engine.ImageEngine`, picks a fixpoint *driver*
-(:mod:`repro.mc.drivers` — ``sequential`` / ``opsharded`` /
-``frontier``) and delegates the loop, keeping only the bookkeeping
-(trace, stopwatch, GC baseline, engine teardown) here.
-:class:`ReachabilityCache` lets batch runners warm-start a fixpoint
-from a previously computed reachable space when only the image method
-or execution strategy changed — the reachable subspace itself is
-method-independent.
+:func:`reachable_space` is a thin façade over both backends: it
+builds the engine for ``config.backend`` (:func:`~repro.image.engine.
+make_engine`), picks a fixpoint *driver* (:mod:`repro.mc.drivers` —
+``sequential`` / ``opsharded`` / ``frontier``) and delegates the loop,
+keeping only the bookkeeping (trace, stopwatch, GC baseline, engine
+teardown) here.  :class:`ReachabilityCache` lets batch runners
+warm-start a fixpoint from a previously computed reachable space when
+only the image method or execution strategy changed — the reachable
+subspace itself is method-independent.  :func:`fixpoint_key`,
+:func:`admissible` and :func:`cached_reachable` are the one key, the
+one admission rule and the one lookup-run-store sequence shared by
+that cache, the disk-backed :class:`~repro.store.ResultStore`, the
+checker and the CLI.
 """
 
 from __future__ import annotations
@@ -23,14 +27,13 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.image.engine import ImageEngine
-from repro.image.sliced import DEFAULT_SLICE_DEPTH
-from repro.mc.drivers import make_driver, resolve_driver
+from repro.image.engine import make_engine
+from repro.mc.drivers import make_driver
 from repro.subspace.subspace import Subspace
 from repro.systems.qts import QuantumTransitionSystem
 from repro.tdd.io import from_dict, payload_digest, to_dict
@@ -67,37 +70,21 @@ class ReachabilityTrace:
                 f"direction={self.direction!r})")
 
 
-def reachable_space(qts: QuantumTransitionSystem,
-                    method: str = "contraction",
-                    initial: Optional[Subspace] = None,
+def reachable_space(qts: QuantumTransitionSystem, config,
+                    *, initial: Optional[Subspace] = None,
                     max_iterations: int = 0,
-                    frontier: bool = False,
-                    gc: bool = True,
-                    strategy: str = "monolithic",
-                    jobs: Optional[int] = None,
-                    slice_depth: int = DEFAULT_SLICE_DEPTH,
-                    direction: str = "forward",
-                    bound: int = 0,
-                    driver: Optional[str] = None,
                     warm_start: Optional[Subspace] = None,
-                    batched: bool = True,
-                    **params) -> ReachabilityTrace:
-    """Compute the reachable subspace of ``qts``.
+                    gc: bool = True) -> ReachabilityTrace:
+    """Compute the reachable subspace of ``qts`` under ``config``.
 
-    ``max_iterations`` bounds the fixpoint loop (0 = until the
-    dimension saturates, which needs at most ``2^n`` rounds).  The
-    image computer (and therefore its cached transition TDDs) is
-    reused across iterations, as is the execution strategy's worker
-    pool and cofactor-slice cache when ``strategy="sliced"`` (see
-    :mod:`repro.image.sliced`; ``jobs`` sets the pool width,
-    ``slice_depth`` the number of top summed levels to fix).
-
-    ``driver`` selects the fixpoint schedule (see
-    :mod:`repro.mc.drivers`): ``sequential`` (the default; one
-    monolithic ``T(S_k)`` per round, bit-for-bit the pre-driver
-    behaviour), ``opsharded`` (per-operation image tasks tree-reduced
-    with joins) or ``frontier``.  The legacy ``frontier=True`` flag is
-    shorthand for ``driver="frontier"``.
+    ``config`` is a :class:`~repro.mc.config.CheckerConfig` for either
+    backend.  Its ``driver`` selects the fixpoint schedule (see
+    :mod:`repro.mc.drivers`): ``sequential`` (one monolithic
+    ``T(S_k)`` per round), ``opsharded`` (per-operation partial images
+    tree-reduced with joins) or ``frontier``.  On the tdd backend the
+    image computer (and therefore its cached transition TDDs) is reused
+    across iterations, as is the execution strategy's worker pool and
+    cofactor-slice cache when ``strategy="sliced"``.
 
     ``direction="backward"`` runs the same fixpoint against the
     *adjoint* transition relation (cached Kraus-dagger operator TDDs,
@@ -105,22 +92,20 @@ def reachable_space(qts: QuantumTransitionSystem,
     the result is the space of states that can *reach* ``initial``,
     the standard symbolic-model-checking complement of forward
     reachability.  All four methods, both execution strategies and all
-    three drivers apply unchanged.  Direction validation happens once,
-    in the :class:`~repro.image.engine.ImageEngine`; an unknown
-    direction propagates from there as a :class:`ReproError`.
+    three drivers apply unchanged.
 
     ``bound`` is the depth limit of bounded analysis: a positive value
     stops after at most ``bound`` image steps (so the result is the
     space reachable within ``bound`` transitions) and takes precedence
-    over ``max_iterations``.
+    over ``max_iterations`` (0 = until the dimension saturates, which
+    needs at most ``2^n`` rounds).
 
     ``warm_start`` seeds the fixpoint with an extra subspace joined
-    onto ``initial`` before the first round.  Seeding with a
-    previously computed reachable space of the *same* fixpoint (see
-    :class:`ReachabilityCache`) collapses the iteration ladder to a
+    onto ``initial`` (default ``S0``) before the first round.  Seeding
+    with a previously computed reachable space of the *same* fixpoint
+    (see :func:`cached_reachable`) collapses the iteration ladder to a
     single confirming round; soundness requires the seed to lie inside
-    the true reachable space, which the cache's exact keying
-    guarantees.
+    the true reachable space, which the exact keying guarantees.
 
     ``gc=True`` (the default) runs the manager's mark-and-sweep between
     iterations: the accumulated subspace, the frontier and the
@@ -130,11 +115,7 @@ def reachable_space(qts: QuantumTransitionSystem,
     long fixpoints.  The trace stats report the cache hit/miss deltas
     and GC activity of the whole run.
     """
-    driver_name = resolve_driver(driver, frontier)
-    fixpoint = make_driver(driver_name)
-    engine = ImageEngine(qts, method, strategy=strategy, jobs=jobs,
-                         slice_depth=slice_depth, direction=direction,
-                         batched=batched, **params)
+    engine = make_engine(qts, config)
     current = initial if initial is not None else qts.initial
     if current.dimension == 0:
         engine.close()
@@ -142,23 +123,28 @@ def reachable_space(qts: QuantumTransitionSystem,
                          "set an initial space first")
     if warm_start is not None:
         current = current.join(warm_start)
-    trace = ReachabilityTrace(subspace=current,
+    trace = ReachabilityTrace(subspace=engine.lower(current),
                               dimensions=[current.dimension],
-                              direction=direction, bound=bound)
-    if strategy != "monolithic":
-        trace.stats.extra["strategy"] = strategy
-    if direction != "forward":
-        trace.stats.extra["direction"] = direction
-    if driver_name != "sequential":
-        trace.stats.extra["driver"] = driver_name
+                              direction=config.direction,
+                              bound=config.bound)
+    extra = trace.stats.extra
+    if config.backend != "tdd":
+        extra["backend"] = config.backend
+    if config.strategy != "monolithic":
+        extra["strategy"] = config.strategy
+    if config.direction != "forward":
+        extra["direction"] = config.direction
+    if config.driver != "sequential":
+        extra["driver"] = config.driver
     limit = max_iterations if max_iterations > 0 else 2 ** qts.num_qubits
-    if bound > 0:
-        limit = min(limit, bound)
+    if config.bound > 0:
+        limit = min(limit, config.bound)
     manager = qts.manager
     baseline = manager.cache_counters()
     watch = Stopwatch().start()
     try:
-        fixpoint.run(engine, trace, limit, gc=gc)
+        make_driver(config.driver).run(engine, trace, limit, gc=gc)
+        trace.subspace = engine.lift(trace.subspace, trace.stats)
     finally:
         # stop the clock before releasing the engine: the sliced
         # strategy's pool shutdown (ProcessPoolExecutor.shutdown with
@@ -215,44 +201,100 @@ def subspace_fingerprint(subspace: Subspace) -> str:
     return payload_digest([to_dict(vector) for vector in subspace.basis])
 
 
+def entry_key(system: str, initial: str, direction: str,
+              bound: int) -> str:
+    """The content address of one fixpoint result."""
+    text = f"{system}/{initial}/{direction}/{int(bound)}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fixpoint_key(qts: QuantumTransitionSystem, initial: Subspace,
+                 direction: str, bound: int) -> Tuple[str, str, str]:
+    """``(content address, system fingerprint, seed fingerprint)``.
+
+    The one key of every fixpoint cache: the fixpoint result depends on
+    the transition relation, the initial subspace, the analysis
+    direction and the depth bound — not on the image method, the
+    execution strategy, the driver or the backend.
+    """
+    system = system_fingerprint(qts)
+    seed = subspace_fingerprint(initial)
+    return entry_key(system, seed, direction, bound), system, seed
+
+
+def admissible(trace: ReachabilityTrace, bound: int) -> bool:
+    """May ``trace`` be cached under a key with depth ``bound``?
+
+    The one admission rule: only *converged*, *unbounded* fixpoints are
+    sound warm-start seeds.  It judges the trace itself
+    (``trace.bound``/``trace.converged``), not just the caller's
+    ``bound``: a bounded reachable set is not closed under the
+    transition relation, so storing one under an unbounded key would
+    later seed an unbounded fixpoint with unreachable directions — a
+    wrong answer, not just a slow one.
+    """
+    return trace.converged and bound == 0 and trace.bound == 0
+
+
+def cached_reachable(cache, qts: QuantumTransitionSystem, seed: Subspace,
+                     direction: str,
+                     run: Callable[[Optional[Subspace]], ReachabilityTrace],
+                     *, bound: int = 0,
+                     max_iterations: int = 0) -> ReachabilityTrace:
+    """One fixpoint from ``seed``, warm-started through ``cache``.
+
+    ``run(warm)`` computes the fixpoint, joining ``warm`` (a cached
+    reachable space, or ``None``) into its seed.  ``cache`` is a
+    :class:`ReachabilityCache`, a :class:`~repro.store.ResultStore` or
+    ``None``.  Only unbounded, untruncated fixpoints consult it: a
+    bounded query must never be served the saturated space (it would
+    overshoot).  The trace records ``cache_warm``, plus
+    ``cache_source`` on a hit or ``cache_stored`` on a miss.
+    """
+    if cache is None or bound != 0 or max_iterations != 0:
+        return run(None)
+    warm = cache.lookup(qts, seed, direction, 0)
+    trace = run(warm)
+    extra = trace.stats.extra
+    extra["cache_warm"] = warm is not None
+    if warm is not None:
+        # "memory" (ReachabilityCache) or "disk" (ResultStore) — the
+        # sweep runner's store_hit column keys on this
+        extra["cache_source"] = cache.source
+    else:
+        extra["cache_stored"] = cache.store(qts, seed, direction, 0, trace)
+    return trace
+
+
 class ReachabilityCache:
     """Reachable subspaces keyed by what actually determines them.
 
-    The fixpoint result depends on the transition relation, the
-    initial subspace, the analysis direction and the depth bound — not
-    on the image method, the execution strategy or the driver.  The
-    cache stores basis vectors through the :mod:`repro.tdd.io` dict
-    codec, so an entry computed in one manager warm-starts a run whose
-    QTS was rebuilt from scratch (the batch-sweep shape: every run
-    constructs its own system).
+    Keyed by :func:`fixpoint_key`, so the result of one image method,
+    execution strategy or driver warm-starts every other.  The cache
+    stores basis vectors through the :mod:`repro.tdd.io` dict codec, so
+    an entry computed in one manager warm-starts a run whose QTS was
+    rebuilt from scratch (the batch-sweep shape: every run constructs
+    its own system).
 
-    Entries are only stored for *converged* unbounded runs — judged
-    from the trace itself (``trace.bound``/``trace.converged``), not
-    just the ``bound`` argument, so a depth-limited trace can never be
-    laundered into the unbounded key space by a caller passing
-    ``bound=0`` — and served only on an exact key match (the key
-    includes the bound, so a bounded query never consumes an unbounded
-    entry either).  A warm hit is a subspace that the caller joins
-    into the fixpoint seed (see :func:`reachable_space`), so a cold
-    cache is merely slow, never wrong.
+    Entries are only stored when :func:`admissible` and served only on
+    an exact key match (the key includes the bound, so a bounded query
+    never consumes an unbounded entry either).  A warm hit is a
+    subspace that the caller joins into the fixpoint seed (see
+    :func:`cached_reachable`), so a cold cache is merely slow, never
+    wrong.
 
     The disk-backed :class:`~repro.store.ResultStore` implements the
-    same ``lookup``/``store`` protocol with the same admission rule;
-    ``source`` tells warm rows apart (``"memory"`` vs ``"disk"``).
+    same ``lookup``/``store`` protocol with the same key and admission
+    rule; ``source`` tells warm rows apart (``"memory"`` vs
+    ``"disk"``).
     """
 
     source = "memory"
 
     def __init__(self) -> None:
-        self._entries: Dict[tuple, List[dict]] = {}
+        self._entries: Dict[str, List[dict]] = {}
         self.hits = 0
         self.misses = 0
-
-    @staticmethod
-    def key(qts: QuantumTransitionSystem, initial: Subspace,
-            direction: str, bound: int) -> tuple:
-        return (system_fingerprint(qts), subspace_fingerprint(initial),
-                direction, bound)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -262,8 +304,8 @@ class ReachabilityCache:
                direction: str = "forward",
                bound: int = 0) -> Optional[Subspace]:
         """The cached reachable space, re-interned into ``qts``'s manager."""
-        payloads = self._entries.get(self.key(qts, initial, direction,
-                                              bound))
+        key, _, _ = fixpoint_key(qts, initial, direction, bound)
+        payloads = self._entries.get(key)
         if payloads is None:
             self.misses += 1
             return None
@@ -272,19 +314,14 @@ class ReachabilityCache:
         return qts.space.span(vectors)
 
     def store(self, qts: QuantumTransitionSystem, initial: Subspace,
-              direction: str, bound: int, trace: ReachabilityTrace) -> None:
-        """Record a finished fixpoint (converged, unbounded runs only).
-
-        The guard inspects ``trace.bound`` as well as the caller's
-        ``bound``: a bounded reachable set is not closed under the
-        transition relation, so storing one under an unbounded key
-        would later seed an unbounded fixpoint with unreachable
-        directions — a wrong answer, not just a slow one.
-        """
-        if not trace.converged or bound != 0 or trace.bound != 0:
-            return
-        self._entries[self.key(qts, initial, direction, bound)] = \
-            [to_dict(vector) for vector in trace.subspace.basis]
+              direction: str, bound: int, trace: ReachabilityTrace) -> bool:
+        """Record a finished fixpoint; True when it was admitted."""
+        if not admissible(trace, bound):
+            return False
+        key, _, _ = fixpoint_key(qts, initial, direction, bound)
+        self._entries[key] = [to_dict(vector)
+                              for vector in trace.subspace.basis]
+        return True
 
     def __repr__(self) -> str:
         return (f"ReachabilityCache(entries={len(self._entries)}, "

@@ -10,8 +10,8 @@ On-disk layout (one directory per store)::
 An entry is a converged, unbounded reachable-space fixpoint.  Its key
 is the sha256 over the four content fingerprints that determine the
 result — transition relation, initial subspace, analysis direction,
-depth bound (see :func:`~repro.mc.reachability.system_fingerprint` /
-:func:`~repro.mc.reachability.subspace_fingerprint`) — so the store is
+depth bound (see :func:`~repro.mc.reachability.fixpoint_key`) — so
+the store is
 *content-addressed*: the same physical system rebuilt in a different
 manager, process or machine maps to the same entry, and a changed gate
 matrix or seed state maps to a different one.
@@ -42,7 +42,6 @@ runner unchanged; ``source = "disk"`` is how warm rows are attributed
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sqlite3
@@ -51,6 +50,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import StoreError
+from repro.mc.reachability import admissible, entry_key, fixpoint_key
 from repro.store.migrate import SCHEMA_VERSION, ensure_schema
 from repro.subspace.subspace import Subspace
 from repro.systems.qts import QuantumTransitionSystem
@@ -65,13 +65,6 @@ _INDEX_NAME = "index.sqlite"
 _BLOB_DIR = "blobs"
 _QUARANTINE_DIR = "quarantine"
 _SQLITE_TIMEOUT = 30.0
-
-
-def entry_key(system: str, initial: str, direction: str,
-              bound: int) -> str:
-    """The content address of one fixpoint result."""
-    text = f"{system}/{initial}/{direction}/{int(bound)}"
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass
@@ -199,16 +192,6 @@ class ResultStore:
     # keys and payloads
     # ------------------------------------------------------------------
     @staticmethod
-    def key(qts: QuantumTransitionSystem, initial: Subspace,
-            direction: str, bound: int) -> Tuple[str, str, str]:
-        """``(entry key, system fp, initial fp)`` for one query."""
-        from repro.mc.reachability import (subspace_fingerprint,
-                                           system_fingerprint)
-        system = system_fingerprint(qts)
-        seed = subspace_fingerprint(initial)
-        return entry_key(system, seed, direction, bound), system, seed
-
-    @staticmethod
     def _payload(qts: QuantumTransitionSystem, system: str, seed: str,
                  direction: str, bound: int, trace) -> dict:
         return {"schema": SCHEMA_VERSION,
@@ -277,7 +260,7 @@ class ResultStore:
         row and a verified, decoded basis quarantines the entry and
         reports a miss.
         """
-        key, system, seed = self.key(qts, initial, direction, bound)
+        key, system, seed = fixpoint_key(qts, initial, direction, bound)
         row = self._conn.execute(
             "SELECT checksum, dimension FROM entries WHERE key=?",
             (key,)).fetchone()
@@ -338,15 +321,12 @@ class ResultStore:
               direction: str, bound: int, trace) -> bool:
         """Persist a finished fixpoint; returns True when written.
 
-        Same admission rule as the in-memory cache: only *converged*,
-        *unbounded* runs are sound warm-start seeds — judged from the
-        trace itself (``trace.bound``/``trace.converged``), not just
-        the caller's ``bound`` argument, so a bounded trace can never
-        be laundered into the unbounded key space.
+        Same key and admission rule as the in-memory cache
+        (:func:`~repro.mc.reachability.admissible`).
         """
-        if not trace.converged or bound != 0 or trace.bound != 0:
+        if not admissible(trace, bound):
             return False
-        key, system, seed = self.key(qts, initial, direction, bound)
+        key, system, seed = fixpoint_key(qts, initial, direction, bound)
         row = self._conn.execute("SELECT 1 FROM entries WHERE key=?",
                                  (key,)).fetchone()
         if row is not None:

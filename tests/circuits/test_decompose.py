@@ -171,7 +171,7 @@ class TestCircuits:
             qts.set_initial_basis_states([[0, 0, 0, 1]])
             return qts
 
-        original = compute_image(build(False), method="contraction")
-        lowered = compute_image(build(True), method="contraction")
+        original = compute_image(build(False))
+        lowered = compute_image(build(True))
         assert subspace_to_dense(original.subspace).equals(
             subspace_to_dense(lowered.subspace))

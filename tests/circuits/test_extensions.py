@@ -9,6 +9,7 @@ from repro.circuits.library.extensions import (cuccaro_adder,
                                                hidden_shift_circuit,
                                                qpe_circuit, w_state_circuit)
 from repro.errors import CircuitError
+from repro.mc.config import CheckerConfig
 from repro.sim.statevector import basis_state_vector, circuit_unitary
 
 
@@ -113,7 +114,7 @@ class TestModels:
         from repro.image.engine import compute_image
         from repro.systems import models
         qts = models.qpe_qts(3, 5 / 8)
-        image = compute_image(qts, method="contraction").subspace
+        image = compute_image(qts).subspace
         assert image.dimension == 1
         expected = qts.space.basis_state([1, 0, 1, 1])  # |5>|1>
         assert image.contains_state(expected)
@@ -126,16 +127,18 @@ class TestModels:
         expected = dense_image_oracle(models.w_state_qts(4))
         for method, params in (("basic", {}),
                                ("contraction", {"k1": 2, "k2": 2})):
-            result = compute_image(models.w_state_qts(4), method=method,
-                                   **params)
+            result = compute_image(models.w_state_qts(4),
+                                   config=CheckerConfig(method=method,
+                                                        method_params=params))
             assert_subspace_matches_dense(result.subspace, expected)
 
     def test_adder_image_is_sum_state(self):
         from repro.image.engine import compute_image
         from repro.systems import models
         qts = models.adder_qts(2, a_value=2, b_value=3)
-        image = compute_image(qts, method="contraction",
-                              k1=3, k2=3).subspace
+        config = CheckerConfig(method="contraction",
+                               method_params={"k1": 3, "k2": 3})
+        image = compute_image(qts, config=config).subspace
         assert image.dimension == 1
         bits = [0] * 6
         total = 5
@@ -150,6 +153,6 @@ class TestModels:
         from repro.systems import models
         shift = [1, 0, 1, 0]
         qts = models.hidden_shift_qts(4, shift)
-        image = compute_image(qts, method="contraction").subspace
+        image = compute_image(qts).subspace
         assert image.dimension == 1
         assert image.contains_state(qts.space.basis_state(shift))

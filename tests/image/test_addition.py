@@ -7,6 +7,7 @@ from repro.image.addition import (AdditionImageComputer,
 from repro.image.engine import compute_image
 from repro.circuits.network import circuit_to_tdd_network
 from repro.circuits.library import grover_iteration
+from repro.mc.config import CheckerConfig
 from repro.systems import models
 from repro.tdd.manager import TDDManager
 
@@ -27,14 +28,18 @@ MODELS = {
 def test_matches_dense_oracle(name, k):
     build = MODELS[name]
     expected = dense_image_oracle(build())
-    result = compute_image(build(), method="addition", k=k)
+    result = compute_image(build(),
+                           config=CheckerConfig(method="addition",
+                                                method_params={"k": k}))
     assert_subspace_matches_dense(result.subspace, expected)
 
 
 def test_k0_equals_basic():
     """k = 0 degrades to the basic algorithm (one unsliced part)."""
     expected = dense_image_oracle(models.grover_qts(4))
-    result = compute_image(models.grover_qts(4), method="addition", k=0)
+    result = compute_image(models.grover_qts(4),
+                           config=CheckerConfig(method="addition",
+                                                method_params={"k": 0}))
     assert_subspace_matches_dense(result.subspace, expected)
 
 

@@ -4,7 +4,11 @@ import pytest
 
 from repro.image.base import input_sum_indices, rename_outputs_to_kets
 from repro.indices.index import wire
+from repro.mc.config import CheckerConfig
 from repro.systems import models
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
 
 
 class TestInputSumIndices:
@@ -49,5 +53,5 @@ class TestImageComputerContract:
 
     def test_result_dimension_property(self):
         from repro.image.engine import compute_image
-        result = compute_image(models.ghz_qts(3), method="basic")
+        result = compute_image(models.ghz_qts(3), config=BASIC)
         assert result.dimension == result.subspace.dimension

@@ -5,9 +5,13 @@ import pytest
 
 from repro.image.basic import BasicImageComputer
 from repro.image.engine import compute_image
+from repro.mc.config import CheckerConfig
 from repro.systems import models
 
 from tests.helpers import assert_subspace_matches_dense, dense_image_oracle
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
 
 
 MODELS = {
@@ -25,7 +29,7 @@ MODELS = {
 def test_matches_dense_oracle(name):
     build = MODELS[name]
     expected = dense_image_oracle(build())
-    result = compute_image(build(), method="basic")
+    result = compute_image(build(), config=BASIC)
     assert_subspace_matches_dense(result.subspace, expected)
 
 
@@ -42,7 +46,7 @@ def test_operator_cache_reused():
 
 
 def test_stats_populated():
-    result = compute_image(models.ghz_qts(4), method="basic")
+    result = compute_image(models.ghz_qts(4), config=BASIC)
     assert result.stats.max_nodes > 0
     assert result.stats.contractions >= 1
     assert result.stats.seconds >= 0
@@ -51,14 +55,14 @@ def test_stats_populated():
 def test_image_of_zero_subspace_is_zero():
     qts = models.ghz_qts(3)
     zero = qts.space.zero_subspace()
-    result = compute_image(qts, subspace=zero, method="basic")
+    result = compute_image(qts, subspace=zero, config=BASIC)
     assert result.dimension == 0
 
 
 def test_image_of_custom_subspace():
     qts = models.ghz_qts(3)
     sub = qts.space.span([qts.space.basis_state([1, 1, 1])])
-    result = compute_image(qts, subspace=sub, method="basic")
+    result = compute_image(qts, subspace=sub, config=BASIC)
     # GHZ circuit on |111>: H(q0) gives (|0>-|1>)/sqrt2 (x) |11>, then
     # CX(0,1), CX(1,2) map it to (|010> - |101>)/sqrt2
     assert result.dimension == 1

@@ -4,9 +4,19 @@ import pytest
 
 from repro.image.contraction import ContractionImageComputer
 from repro.image.engine import compute_image
+from repro.mc.config import CheckerConfig
 from repro.systems import models
 
 from tests.helpers import assert_subspace_matches_dense, dense_image_oracle
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
+#: the contraction method with small partition blocks
+CONTRACTION_K2 = CheckerConfig(method="contraction",
+                               method_params={"k1": 2, "k2": 2})
+#: the contraction method at the paper's Table I setting
+CONTRACTION_K4 = CheckerConfig(method="contraction",
+                               method_params={"k1": 4, "k2": 4})
 
 MODELS = {
     "ghz4": lambda: models.ghz_qts(4),
@@ -24,7 +34,10 @@ MODELS = {
 def test_matches_dense_oracle(name, k1, k2):
     build = MODELS[name]
     expected = dense_image_oracle(build())
-    result = compute_image(build(), method="contraction", k1=k1, k2=k2)
+    result = compute_image(build(),
+                           config=CheckerConfig(method="contraction",
+                                                method_params={"k1": k1,
+                                                               "k2": k2}))
     assert_subspace_matches_dense(result.subspace, expected)
 
 
@@ -32,8 +45,10 @@ def test_matches_dense_oracle(name, k1, k2):
 def test_greedy_order_agrees(name):
     build = MODELS[name]
     expected = dense_image_oracle(build())
-    result = compute_image(build(), method="contraction", k1=2, k2=2,
-                           order_policy="greedy")
+    config = CheckerConfig(method="contraction",
+                           method_params={"k1": 2, "k2": 2,
+                                          "order_policy": "greedy"})
+    result = compute_image(build(), config=config)
     assert_subspace_matches_dense(result.subspace, expected)
 
 
@@ -54,8 +69,7 @@ def test_blocks_cached_across_calls():
 
 
 def test_block_count_recorded():
-    result = compute_image(models.grover_qts(5), method="contraction",
-                           k1=2, k2=2)
+    result = compute_image(models.grover_qts(5), config=CONTRACTION_K2)
     assert result.stats.extra.get("blocks", 0) >= 2
 
 
@@ -63,9 +77,8 @@ def test_qft_contraction_avoids_monolithic_blowup():
     """The Table I headline: for QFT the basic method's peak TDD is
     exponential while contraction partition stays linear."""
     n = 8
-    basic = compute_image(models.qft_qts(n), method="basic")
-    contraction = compute_image(models.qft_qts(n), method="contraction",
-                                k1=4, k2=4)
+    basic = compute_image(models.qft_qts(n), config=BASIC)
+    contraction = compute_image(models.qft_qts(n), config=CONTRACTION_K4)
     assert basic.stats.max_nodes >= 2 ** n - 1
     assert contraction.stats.max_nodes <= 8 * n
     # identical subspaces nonetheless

@@ -4,7 +4,11 @@ import pytest
 
 from repro.errors import ReproError
 from repro.image.engine import METHODS, compute_image, make_computer
+from repro.mc.config import CheckerConfig
 from repro.systems import models
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
 
 
 class TestRegistry:
@@ -30,14 +34,15 @@ class TestRegistry:
 
 class TestComputeImage:
     def test_records_time(self):
-        result = compute_image(models.ghz_qts(3), method="basic")
+        result = compute_image(models.ghz_qts(3), config=BASIC)
         assert result.stats.seconds > 0
 
     def test_all_methods_same_dimension(self):
         dims = set()
         for method, params in (("basic", {}), ("addition", {"k": 1}),
                                ("contraction", {"k1": 2, "k2": 2})):
-            result = compute_image(models.grover_qts(4), method=method,
-                                   **params)
+            result = compute_image(models.grover_qts(4),
+                                   config=CheckerConfig(method=method,
+                                                        method_params=params))
             dims.add(result.dimension)
         assert len(dims) == 1

@@ -4,9 +4,14 @@ import pytest
 
 from repro.image.engine import compute_image
 from repro.image.hybrid import HybridImageComputer
+from repro.mc.config import CheckerConfig
 from repro.systems import models
 
 from tests.helpers import assert_subspace_matches_dense, dense_image_oracle
+
+#: the contraction method with small partition blocks
+CONTRACTION_K2 = CheckerConfig(method="contraction",
+                               method_params={"k1": 2, "k2": 2})
 
 MODELS = {
     "ghz4": lambda: models.ghz_qts(4),
@@ -23,17 +28,22 @@ MODELS = {
 def test_matches_dense_oracle(name, k, k1, k2):
     build = MODELS[name]
     expected = dense_image_oracle(build())
-    result = compute_image(build(), method="hybrid", k=k, k1=k1, k2=k2)
+    result = compute_image(build(),
+                           config=CheckerConfig(method="hybrid",
+                                                method_params={"k": k,
+                                                               "k1": k1,
+                                                               "k2": k2}))
     assert_subspace_matches_dense(result.subspace, expected)
 
 
 def test_k0_equals_contraction():
     """hybrid(k=0) degrades to plain contraction partition."""
     from tests.helpers import subspace_to_dense
-    hybrid = compute_image(models.grover_qts(5), method="hybrid",
-                           k=0, k1=2, k2=2)
-    contraction = compute_image(models.grover_qts(5), method="contraction",
-                                k1=2, k2=2)
+    hybrid = compute_image(models.grover_qts(5),
+                           config=CheckerConfig(method="hybrid",
+                                                method_params={"k": 0, "k1": 2,
+                                                               "k2": 2}))
+    contraction = compute_image(models.grover_qts(5), config=CONTRACTION_K2)
     assert subspace_to_dense(hybrid.subspace).equals(
         subspace_to_dense(contraction.subspace))
 

@@ -16,9 +16,15 @@ from repro.image.sliced import (MonolithicExecutor, SlicedExecutor,
 from repro.image.base import input_sum_indices
 from repro.circuits.network import circuit_to_tdd
 from repro.mc.checker import ModelChecker
+from repro.mc.config import CheckerConfig
 from repro.mc.reachability import reachable_space
 from repro.systems import models
 from repro.tdd.io import order_payload, to_dict
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
+#: the basic method on the sliced strategy with a two-worker pool
+POOLED = BASIC.replace(strategy="sliced", jobs=2)
 
 #: (model, size, builder options) — the five library families
 LIBRARY = [
@@ -30,9 +36,9 @@ LIBRARY = [
 ]
 
 
-def dense_image(model, size, opts, **kwargs):
+def dense_image(model, size, opts, config=BASIC):
     qts = models.build_model(model, size, **opts)
-    result = compute_image(qts, **kwargs)
+    result = compute_image(qts, config=config)
     return result.dimension, result.subspace.to_dense()
 
 
@@ -53,8 +59,8 @@ class TestStrategyRegistry:
         with pytest.raises(ReproError):
             make_executor("quantum-magic", qts.manager)
         with pytest.raises(ReproError):
-            compute_image(models.ghz_qts(3), method="basic",
-                          strategy="quantum-magic")
+            compute_image(models.ghz_qts(3),
+                          config=BASIC.replace(strategy="quantum-magic"))
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ReproError):
@@ -67,38 +73,37 @@ class TestSlicedEqualsMonolithic:
     @pytest.mark.parametrize("model,size,opts", LIBRARY)
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     def test_basic_method(self, model, size, opts, depth):
-        dim_mono, dense_mono = dense_image(model, size, opts,
-                                           method="basic")
+        dim_mono, dense_mono = dense_image(model, size, opts)
         dim_sliced, dense_sliced = dense_image(
-            model, size, opts, method="basic", strategy="sliced",
-            slice_depth=depth)
+            model, size, opts,
+            BASIC.replace(strategy="sliced", slice_depth=depth))
         assert dim_sliced == dim_mono
         assert np.allclose(dense_sliced, dense_mono)
 
     @pytest.mark.parametrize("model,size,opts", LIBRARY)
     def test_partition_methods(self, model, size, opts):
-        dim_mono, dense_mono = dense_image(model, size, opts,
-                                           method="basic")
+        dim_mono, dense_mono = dense_image(model, size, opts)
         for method, params in (("addition", {"k": 1}),
                                ("contraction", {"k1": 2, "k2": 2}),
                                ("hybrid", {"k": 1, "k1": 2, "k2": 2})):
             dim_sliced, dense_sliced = dense_image(
-                model, size, opts, method=method, strategy="sliced",
-                slice_depth=2, **params)
+                model, size, opts,
+                CheckerConfig(method=method, strategy="sliced",
+                              slice_depth=2, method_params=params))
             assert dim_sliced == dim_mono, method
             assert np.allclose(dense_sliced, dense_mono), method
 
     def test_slices_counted(self):
         qts = models.build_model("qrw", 4, steps=2)
-        result = compute_image(qts, method="basic", strategy="sliced",
-                               slice_depth=2)
+        result = compute_image(
+            qts, config=BASIC.replace(strategy="sliced", slice_depth=2))
         assert result.stats.slices > 0
         assert result.stats.extra["strategy"] == "sliced"
 
     def test_depth_zero_degrades_to_monolithic(self):
         qts = models.build_model("ghz", 4)
-        result = compute_image(qts, method="basic", strategy="sliced",
-                               slice_depth=0)
+        result = compute_image(
+            qts, config=BASIC.replace(strategy="sliced", slice_depth=0))
         assert result.stats.slices == 0
 
 
@@ -169,11 +174,9 @@ class TestProcessPool:
     """The real IPC path: cofactors cross process boundaries."""
 
     def test_pool_matches_monolithic(self):
-        dim_mono, dense_mono = dense_image("grover", 3, {},
-                                           method="basic")
+        dim_mono, dense_mono = dense_image("grover", 3, {})
         qts = models.build_model("grover", 3)
-        with ImageEngine(qts, "basic", strategy="sliced", jobs=2,
-                         slice_depth=2) as engine:
+        with ImageEngine(qts, POOLED.replace(slice_depth=2)) as engine:
             engine.executor.pool_min_nodes = 0  # force IPC dispatch
             result = engine.compute_image()
         assert result.dimension == dim_mono
@@ -182,7 +185,7 @@ class TestProcessPool:
 
     def test_pool_reuse_across_calls(self):
         qts = models.build_model("qrw", 3)
-        with ImageEngine(qts, "basic", strategy="sliced", jobs=2) as engine:
+        with ImageEngine(qts, POOLED) as engine:
             engine.executor.pool_min_nodes = 0
             first = engine.compute_image()
             second = engine.compute_image()
@@ -198,10 +201,9 @@ class TestProcessPool:
             def shutdown(self, wait=True):
                 pass
 
-        dim_mono, dense_mono = dense_image("grover", 3, {},
-                                           method="basic")
+        dim_mono, dense_mono = dense_image("grover", 3, {})
         qts = models.build_model("grover", 3)
-        with ImageEngine(qts, "basic", strategy="sliced", jobs=2) as engine:
+        with ImageEngine(qts, POOLED) as engine:
             engine.executor.pool_min_nodes = 0
             engine.executor._pool = ExplodingPool()
             result = engine.compute_image()
@@ -211,9 +213,9 @@ class TestProcessPool:
         assert result.stats.parallel_tasks == 0
 
     def test_broken_pool_falls_back_inline(self):
-        dim_mono, dense_mono = dense_image("ghz", 3, {}, method="basic")
+        dim_mono, dense_mono = dense_image("ghz", 3, {})
         qts = models.build_model("ghz", 3)
-        with ImageEngine(qts, "basic", strategy="sliced", jobs=2) as engine:
+        with ImageEngine(qts, POOLED) as engine:
             engine.executor.pool_min_nodes = 0
             engine.executor._pool_broken = True  # simulate no-pool host
             result = engine.compute_image()
@@ -233,7 +235,7 @@ class TestProcessPool:
                 pass
 
         qts = models.build_model("grover", 3)
-        with ImageEngine(qts, "basic", strategy="sliced", jobs=2) as engine:
+        with ImageEngine(qts, POOLED) as engine:
             engine.executor.pool_min_nodes = 0
             engine.executor._pool = ExplodingPool()
             result = engine.compute_image()
@@ -242,7 +244,7 @@ class TestProcessPool:
 
     def test_pool_fallbacks_counted_on_unavailable_pool(self):
         qts = models.build_model("grover", 3)
-        with ImageEngine(qts, "basic", strategy="sliced", jobs=2) as engine:
+        with ImageEngine(qts, POOLED) as engine:
             engine.executor.pool_min_nodes = 0
             engine.executor._pool_broken = True
             result = engine.compute_image()
@@ -251,7 +253,7 @@ class TestProcessPool:
 
     def test_healthy_pool_records_no_fallbacks(self):
         qts = models.build_model("grover", 3)
-        with ImageEngine(qts, "basic", strategy="sliced", jobs=2) as engine:
+        with ImageEngine(qts, POOLED) as engine:
             engine.executor.pool_min_nodes = 0
             result = engine.compute_image()
         assert result.stats.parallel_tasks > 0
@@ -284,22 +286,23 @@ class TestProcessPool:
 
 class TestTopLevelPlumbing:
     def test_reachable_space_sliced(self):
-        mono = reachable_space(models.build_model("qrw", 3), "basic",
+        mono = reachable_space(models.build_model("qrw", 3), BASIC,
                                max_iterations=4)
-        sliced = reachable_space(models.build_model("qrw", 3), "basic",
-                                 max_iterations=4, strategy="sliced")
+        sliced = reachable_space(models.build_model("qrw", 3),
+                                 BASIC.replace(strategy="sliced"),
+                                 max_iterations=4)
         assert sliced.dimensions == mono.dimensions
         assert np.allclose(sliced.subspace.to_dense(),
                            mono.subspace.to_dense())
 
     def test_model_checker_strategy(self):
         qts = models.grover_qts(4, initial="invariant")
-        checker = ModelChecker(qts, method="basic", strategy="sliced")
+        checker = ModelChecker(qts, BASIC.replace(strategy="sliced"))
         assert checker.check_invariant(strict=True)
 
     def test_engine_context_manager_closes_pool(self):
         qts = models.build_model("ghz", 3)
-        engine = ImageEngine(qts, "basic", strategy="sliced", jobs=2)
+        engine = ImageEngine(qts, POOLED)
         executor = engine.executor
         executor.pool_min_nodes = 0
         engine.compute_image()

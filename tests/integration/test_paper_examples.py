@@ -5,9 +5,13 @@ import pytest
 
 from repro import ModelChecker, models
 from repro.image.engine import compute_image
+from repro.mc.config import CheckerConfig
 from repro.subspace.projector import basis_decompose
 
 from tests.helpers import MINUS, PLUS, make_space
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
 
 
 class TestFig1Projector:
@@ -52,12 +56,13 @@ class TestSectionIIIA1_Grover:
     ])
     def test_invariant_all_methods(self, method, params):
         qts = models.grover_qts(3, initial="invariant")
-        checker = ModelChecker(qts, method=method, **params)
+        checker = ModelChecker(
+            qts, CheckerConfig(method=method, method_params=params))
         assert checker.check_invariant(strict=True)
 
     def test_input_state_reaches_marked(self):
         qts = models.grover_qts(3)
-        image = compute_image(qts, method="basic").subspace
+        image = compute_image(qts, config=BASIC).subspace
         marked = qts.space.product_state(
             [np.array([0., 1.]), np.array([0., 1.]), MINUS])
         assert image.contains_state(marked)
@@ -74,7 +79,8 @@ class TestSectionIIIA2_Bitflip:
     def test_error_states_corrected(self, method, params):
         qts = models.bitflip_qts()
         expected = qts.space.span([qts.space.basis_state([0] * 6)])
-        checker = ModelChecker(qts, method=method, **params)
+        checker = ModelChecker(
+            qts, CheckerConfig(method=method, method_params=params))
         assert checker.check_image_equals(expected)
 
     def test_paper_partition_parameters(self):
@@ -92,7 +98,7 @@ class TestSectionIIIA3_NoisyWalk:
 
     def test_image_contained_in_paper_span(self):
         qts = models.qrw_qts(4, 0.25, start_position=3)
-        image = compute_image(qts, method="contraction").subspace
+        image = compute_image(qts).subspace
         bound = qts.space.span([
             qts.space.basis_state([0, 0, 1, 0]),  # |0>|2>
             qts.space.basis_state([1, 1, 0, 0]),  # |1>|4>
@@ -103,12 +109,11 @@ class TestSectionIIIA3_NoisyWalk:
         """The paper's observation: the bit-flip after the coin
         Hadamard leaves the reachable subspace unchanged (X fixes
         |+->)."""
-        noiseless = compute_image(models.qrw_qts(4, 0.0),
-                                  method="basic").subspace
-        noisy = compute_image(models.qrw_qts(4, 0.4),
-                              method="basic").subspace
+        noiseless = compute_image(models.qrw_qts(4, 0.0), config=BASIC)
+        noisy = compute_image(models.qrw_qts(4, 0.4), config=BASIC)
         from tests.helpers import subspace_to_dense
-        assert subspace_to_dense(noiseless).equals(subspace_to_dense(noisy))
+        assert subspace_to_dense(noiseless.subspace).equals(
+            subspace_to_dense(noisy.subspace))
 
 
 class TestExample1and2:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.circuits.qasm import parse_qasm
 from repro.image.engine import compute_image
+from repro.mc.config import CheckerConfig
 from repro.mc.reachability import reachable_space
 from repro.mc.simulation import validate_image
 from repro.systems.operations import QuantumOperation
@@ -18,6 +19,9 @@ from repro.systems.qts import QuantumTransitionSystem
 
 from tests.helpers import (assert_subspace_matches_dense,
                            dense_image_oracle, subspace_to_dense)
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
 
 GHZ_QASM = """
 OPENQASM 2.0;
@@ -35,7 +39,7 @@ class TestQasmToModelChecking:
         qts = QuantumTransitionSystem(
             3, [QuantumOperation.unitary("u", circuit)])
         qts.set_initial_basis_states([[0, 0, 0]])
-        image = compute_image(qts, method="contraction").subspace
+        image = compute_image(qts).subspace
         ghz = qts.space.from_amplitudes(
             np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2))
         assert image.dimension == 1
@@ -46,7 +50,9 @@ class TestQasmToModelChecking:
         qts = QuantumTransitionSystem(
             3, [QuantumOperation.unitary("u", circuit)])
         qts.set_initial_basis_states([[0, 0, 0]])
-        trace = reachable_space(qts, method="contraction", frontier=True)
+        trace = reachable_space(qts,
+                                CheckerConfig(method="contraction",
+                                              driver="frontier"))
         assert trace.converged
 
 
@@ -66,10 +72,12 @@ class TestLoweringPipeline:
             return qts
 
         expected = dense_image_oracle(build(True))
-        result = compute_image(build(True), method=method)
+        result = compute_image(build(True),
+                               config=CheckerConfig(method=method))
         assert_subspace_matches_dense(result.subspace, expected)
         # and lowering preserved the image of the original circuit
-        original = compute_image(build(False), method=method)
+        original = compute_image(build(False),
+                                 config=CheckerConfig(method=method))
         assert subspace_to_dense(original.subspace).equals(
             subspace_to_dense(result.subspace))
 
@@ -78,7 +86,7 @@ class TestValidationPipeline:
     def test_symbolic_image_survives_monte_carlo(self):
         from repro.systems import models
         qts = models.qrw_qts(4, 0.2, steps=2)
-        image = compute_image(qts, method="contraction").subspace
+        image = compute_image(qts).subspace
         report = validate_image(qts, image, samples=15, seed=3)
         assert report.ok, report.failures
 
@@ -88,7 +96,9 @@ class TestValidationPipeline:
         from repro.subspace.reduce import reduced_support
         from repro.systems import models
         qts = models.bitflip_qts()
-        trace = reachable_space(qts, method="contraction", k1=3, k2=2)
+        config = CheckerConfig(method="contraction",
+                               method_params={"k1": 3, "k2": 2})
+        trace = reachable_space(qts, config)
         support = reduced_support(trace.subspace, [0, 1, 2])
         # reachable data states: the three error states (initial) plus
         # the corrected codeword |000>
@@ -97,7 +107,7 @@ class TestValidationPipeline:
     def test_extension_model_reachability(self):
         from repro.systems import models
         qts = models.w_state_qts(3)
-        trace = reachable_space(qts, method="basic")
+        trace = reachable_space(qts, BASIC)
         assert trace.converged
         assert trace.subspace.contains(qts.initial)
 
@@ -115,7 +125,7 @@ class TestQuantumLogicPipeline:
         full = qts.space.span([
             qts.space.basis_state([int(b) for b in format(i, "03b")])
             for i in range(8)])
-        assert check_always(qts, Atomic(full, "true"), method="basic")
+        assert check_always(qts, Atomic(full, "true"), BASIC)
         ray = Atomic(qts.space.span([qts.space.basis_state([0, 0, 0])]),
                      "zero")
-        assert not check_always(qts, ray, method="basic")
+        assert not check_always(qts, ray, BASIC)

@@ -19,6 +19,12 @@ from repro.systems import models
 
 from tests.helpers import subspace_to_dense
 
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
+#: the contraction method with small partition blocks
+CONTRACTION_K2 = CheckerConfig(method="contraction",
+                               method_params={"k1": 2, "k2": 2})
+
 TDD = CheckerConfig(method="basic")
 DENSE = CheckerConfig(backend="dense")
 
@@ -57,10 +63,11 @@ class TestBackwardReachability:
     def test_unitary_preimage_roundtrip(self):
         # for a unitary op the backward space from T(S0) contains S0
         qts = models.ghz_qts(3)
-        forward = reachable_space(qts, method="basic")
-        backward = reachable_space(qts, method="basic",
-                                   initial=forward.subspace,
-                                   direction="backward")
+        forward = reachable_space(qts, BASIC)
+        backward = reachable_space(qts,
+                                   CheckerConfig(method="basic",
+                                                 direction="backward"),
+                                   initial=forward.subspace)
         assert backward.subspace.contains(qts.initial)
         assert backward.direction == "backward"
 
@@ -73,9 +80,11 @@ class TestBackwardReachability:
     def test_all_methods_agree_backward(self, method, params):
         def run(run_method, run_params):
             qts = models.qrw_qts(3, 0.2)
-            return reachable_space(qts, method=run_method,
-                                   initial=qts.named_subspace("start"),
-                                   direction="backward", **run_params)
+            return reachable_space(qts,
+                                   CheckerConfig(method=run_method,
+                                                 direction="backward",
+                                                 method_params=run_params),
+                                   initial=qts.named_subspace("start"))
         base = run("basic", {})
         trace = run(method, params)
         assert trace.dimensions == base.dimensions
@@ -83,10 +92,13 @@ class TestBackwardReachability:
             subspace_to_dense(base.subspace))
 
     def test_sliced_strategy_matches_monolithic_backward(self):
-        mono = reachable_space(models.qrw_qts(3, 0.2), method="basic",
-                               direction="backward")
-        sliced = reachable_space(models.qrw_qts(3, 0.2), method="basic",
-                                 direction="backward", strategy="sliced")
+        mono = reachable_space(models.qrw_qts(3, 0.2),
+                               CheckerConfig(method="basic",
+                                             direction="backward"))
+        sliced = reachable_space(models.qrw_qts(3, 0.2),
+                                 CheckerConfig(method="basic",
+                                               direction="backward",
+                                               strategy="sliced"))
         assert sliced.dimensions == mono.dimensions
         d1 = subspace_to_dense(mono.subspace)
         d2 = subspace_to_dense(sliced.subspace)
@@ -95,8 +107,10 @@ class TestBackwardReachability:
     def test_dense_backend_matches_tdd_backward(self):
         qts = models.qrw_qts(3, 0.2)
         start = qts.named_subspace("start")
-        symbolic = reachable_space(qts, method="basic", initial=start,
-                                   direction="backward")
+        symbolic = reachable_space(qts,
+                                   CheckerConfig(method="basic",
+                                                 direction="backward"),
+                                   initial=start)
         from repro.mc.backends import DenseStatevectorBackend
         dense = DenseStatevectorBackend().reachable(
             qts, initial=start, direction="backward")
@@ -106,16 +120,16 @@ class TestBackwardReachability:
 
     def test_bound_limits_image_steps(self):
         qts = models.qrw_qts(3, 0.2)
-        trace = reachable_space(qts, method="basic", bound=2)
+        trace = reachable_space(qts, CheckerConfig(method="basic", bound=2))
         assert trace.iterations <= 2
         assert trace.bound == 2
-        full = reachable_space(models.qrw_qts(3, 0.2), method="basic")
+        full = reachable_space(models.qrw_qts(3, 0.2), BASIC)
         assert trace.dimension <= full.dimension
 
     def test_bound_tighter_than_max_iterations_wins(self):
         qts = models.qrw_qts(3, 0.2)
-        trace = reachable_space(qts, method="basic", max_iterations=5,
-                                bound=1)
+        trace = reachable_space(qts, CheckerConfig(method="basic", bound=1),
+                                max_iterations=5)
         assert trace.iterations == 1
 
 
@@ -300,8 +314,7 @@ class TestWitnessTraces:
 class TestCrossValidationWithTraces:
     def test_cross_validate_compares_trace_lengths(self):
         qts = models.grover_qts(3)
-        checker = ModelChecker(qts, CheckerConfig(
-            method="contraction", method_params={"k1": 2, "k2": 2}))
+        checker = ModelChecker(qts, CONTRACTION_K2)
         report = checker.cross_validate(spec="AG plus")
         assert report.ok
         assert report.tdd_trace_length == report.dense_trace_length == 1

@@ -9,12 +9,18 @@ from repro.mc.logic import Always, Atomic
 from repro.mc.specs import parse_spec
 from repro.systems import models
 
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
+#: the contraction method with small partition blocks
+CONTRACTION_K2 = CheckerConfig(method="contraction",
+                               method_params={"k1": 2, "k2": 2})
+
 #: every symbolic configuration of the acceptance matrix: the four
 #: image methods, monolithic and sliced
 TDD_CONFIGS = [
     CheckerConfig(method="basic"),
     CheckerConfig(method="addition", method_params={"k": 1}),
-    CheckerConfig(method="contraction", method_params={"k1": 2, "k2": 2}),
+    CONTRACTION_K2,
     CheckerConfig(method="hybrid",
                   method_params={"k": 1, "k1": 2, "k2": 2}),
     CheckerConfig(method="basic", strategy="sliced"),
@@ -121,8 +127,7 @@ class TestBareProposition:
 
 class TestCheckResultShape:
     def test_config_echo_and_as_dict(self):
-        config = CheckerConfig(method="contraction",
-                               method_params={"k1": 2, "k2": 2})
+        config = CONTRACTION_K2
         result = ModelChecker(models.grover_qts(3), config).check("AG inv")
         assert result.config is config
         flat = result.as_dict()
@@ -166,8 +171,7 @@ class TestChecksOnTopOfCheck:
 
     def test_cross_validate_spec_agreement(self):
         qts = models.grover_qts(3)
-        checker = ModelChecker(qts, CheckerConfig(
-            method="contraction", method_params={"k1": 2, "k2": 2}))
+        checker = ModelChecker(qts, CONTRACTION_K2)
         report = checker.cross_validate(spec="AG inv")
         assert report.ok
         assert report.tdd_verdict == report.dense_verdict == "holds"
@@ -180,24 +184,18 @@ class TestChecksOnTopOfCheck:
         qts = models.grover_qts(3)
         from repro.mc.logic import check_always, check_eventually_overlaps
         assert check_always(qts, Atomic(qts.named_subspace("inv"), "inv"),
-                            method="basic")
+                            BASIC)
         assert check_eventually_overlaps(
-            qts, Atomic(qts.named_subspace("marked"), "marked"),
-            method="basic")
+            qts, Atomic(qts.named_subspace("marked"), "marked"), BASIC)
 
     def test_temporal_helpers_keep_reachability_kwargs(self):
-        # regression: the pre-config helpers forwarded these to
-        # reachable_space; the config shim must not eat them
+        # the helpers forward the reachability options to check()
         qts = models.qrw_qts(3, 0.2)
         from repro.mc.logic import check_always, check_eventually_overlaps
         start = Atomic(qts.named_subspace("start"), "start")
-        assert not check_always(qts, start, method="basic",
-                                max_iterations=2)
-        assert check_eventually_overlaps(qts, start, method="basic",
-                                         frontier=True)
-        # the old gc knob is tolerated (collection is always on)
-        assert check_eventually_overlaps(qts, start, method="basic",
-                                         gc=False)
+        assert not check_always(qts, start, BASIC, max_iterations=2)
+        assert check_eventually_overlaps(
+            qts, start, BASIC.replace(driver="frontier"))
 
     def test_invariant_uses_one_fixpoint_round(self):
         # T(S) <= S is decided by a single join step — a non-invariant

@@ -1,4 +1,4 @@
-"""CheckerConfig: validation, round-trips, CLI wiring, legacy shims."""
+"""CheckerConfig: validation, round-trips, CLI wiring, no legacy shims."""
 
 import argparse
 import dataclasses
@@ -183,28 +183,16 @@ class TestFromCliArgs:
 
 
 class TestLegacyShims:
-    def test_from_kwargs_drops_mismatches_like_the_old_api(self):
-        config = CheckerConfig.from_kwargs(backend="dense",
-                                           method="contraction",
-                                           k1=2, k2=2, max_qubits=8)
-        assert config.backend == "dense"
-        assert config.max_qubits == 8
-        assert config.method_params == {}
-        inline = CheckerConfig.from_kwargs(jobs=4)  # monolithic: dropped
-        assert inline.jobs is None
+    """The pre-config keyword spellings are gone, not tolerated."""
 
-    def test_model_checker_legacy_kwargs_warn_but_work(self):
-        qts = models.grover_qts(3, initial="invariant")
-        with pytest.warns(DeprecationWarning):
-            checker = ModelChecker(qts, method="contraction", k1=2, k2=2)
-        assert checker.method == "contraction"
-        assert checker.params == {"k1": 2, "k2": 2}
-        assert checker.check_invariant(strict=True)
+    def test_model_checker_legacy_kwargs_rejected(self):
+        with pytest.raises(TypeError):
+            ModelChecker(models.grover_qts(3), method="contraction",
+                         k1=2, k2=2)
 
-    def test_model_checker_positional_method_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            checker = ModelChecker(models.ghz_qts(3), "basic")
-        assert checker.method == "basic"
+    def test_model_checker_rejects_positional_method(self):
+        with pytest.raises(ConfigError, match="CheckerConfig"):
+            ModelChecker(models.ghz_qts(3), "basic")
 
     def test_model_checker_config_path_does_not_warn(self):
         with warnings.catch_warnings():
@@ -212,37 +200,36 @@ class TestLegacyShims:
             ModelChecker(models.ghz_qts(3), CheckerConfig(method="basic"))
 
     def test_model_checker_rejects_config_plus_kwargs(self):
-        with pytest.raises(ConfigError, match="not both"):
+        with pytest.raises(TypeError):
             ModelChecker(models.ghz_qts(3), CheckerConfig(),
                          method="basic")
 
-    def test_make_backend_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
-            backend = make_backend("tdd", method="basic")
-        assert backend.method == "basic"
+    def test_make_backend_legacy_name_rejected(self):
+        with pytest.raises(ConfigError, match="CheckerConfig"):
+            make_backend("tdd")
 
     def test_make_backend_config_path_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             backend = make_backend(CheckerConfig(method="basic"))
-        assert backend.method == "basic"
+        assert backend.config.method == "basic"
 
     def test_make_backend_from_config(self):
         assert set(BACKENDS) == {"tdd", "dense"}
         assert make_backend(CheckerConfig()).name == "tdd"
         dense = make_backend(CheckerConfig(backend="dense", max_qubits=9))
         assert dense.name == "dense"
-        assert dense.max_qubits == 9
+        assert dense.config.max_qubits == 9
 
     def test_make_backend_rejects_config_plus_kwargs(self):
-        with pytest.raises(ConfigError, match="not both"):
+        with pytest.raises(TypeError):
             make_backend(CheckerConfig(), method="basic")
 
     def test_tdd_backend_rejects_config_plus_kwargs(self):
         # a leftover legacy kwarg next to a config must not be
         # silently discarded
         from repro.mc.backends import TDDBackend
-        with pytest.raises(ConfigError, match="not both"):
+        with pytest.raises(TypeError):
             TDDBackend(CheckerConfig(method="basic"), jobs=4,
                        strategy="sliced")
 

@@ -6,16 +6,22 @@ from repro.errors import ConfigError, ReproError
 from repro.image.engine import ImageEngine
 from repro.mc.backends import DenseStatevectorBackend, make_backend
 from repro.mc.checker import ModelChecker
-from repro.mc.config import CheckerConfig
+from repro.mc.config import BACKENDS, CheckerConfig
 from repro.mc.drivers import (DEFAULT_DRIVER, DRIVERS, FrontierDriver,
                               OpShardedDriver, SequentialDriver,
-                              make_driver, resolve_driver, tree_join)
+                              make_driver, tree_join)
 from repro.mc.reachability import (ReachabilityCache, reachable_space,
                                    subspace_fingerprint,
                                    system_fingerprint)
 from repro.systems import models
 
 from tests.helpers import subspace_to_dense
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
+#: the contraction method with small partition blocks
+CONTRACTION_K2 = CheckerConfig(method="contraction",
+                               method_params={"k1": 2, "k2": 2})
 
 #: the tier-2 model families at driver-test sizes
 FAMILIES = [
@@ -36,7 +42,7 @@ def equal_spaces(a, b):
 class TestImageTasks:
     def test_one_task_per_operation(self):
         qts = models.bitflip_qts()
-        with ImageEngine(qts, "basic") as engine:
+        with ImageEngine(qts, BASIC) as engine:
             tasks = list(engine.image_tasks(qts.initial))
         assert [t.symbol for t in tasks] == qts.symbols
         assert all(len(t.circuits) == op.num_kraus
@@ -44,7 +50,7 @@ class TestImageTasks:
 
     def test_task_join_equals_monolithic_image(self):
         qts = models.qrw_qts(3, 0.2)
-        with ImageEngine(qts, "basic") as engine:
+        with ImageEngine(qts, BASIC) as engine:
             whole = engine.computer.image(qts.initial).subspace
             partials = [task.run().subspace
                         for task in engine.image_tasks(qts.initial)]
@@ -52,13 +58,13 @@ class TestImageTasks:
 
     def test_backward_tasks_use_adjoint_operations(self):
         qts = models.ghz_qts(3)
-        with ImageEngine(qts, "basic", direction="backward") as engine:
+        with ImageEngine(qts, BASIC.replace(direction="backward")) as engine:
             tasks = list(engine.image_tasks(qts.initial))
         assert [t.symbol for t in tasks] == qts.adjoint().symbols
 
     def test_partial_image_with_all_circuits_is_image(self):
         qts = models.grover_qts(3)
-        with ImageEngine(qts, "basic") as engine:
+        with ImageEngine(qts, BASIC) as engine:
             full = engine.computer.image(qts.initial).subspace
             partial = engine.computer.partial_image(
                 qts.initial, qts.all_kraus_circuits()).subspace
@@ -77,7 +83,7 @@ class TestTreeJoin:
     def test_matches_sequential_fold(self):
         qts = models.qrw_qts(3, 0.2)
         spans = [qts.space.span([v]) for v in
-                 reachable_space(qts, method="basic").subspace.basis]
+                 reachable_space(qts, BASIC).subspace.basis]
         folded = spans[0]
         for span in spans[1:]:
             folded = folded.join(span)
@@ -117,28 +123,13 @@ class TestDriverRegistry:
         config = CheckerConfig(backend="dense", driver="frontier")
         assert config.driver == "frontier"
 
-    def test_frontier_flag_resolves(self):
-        assert resolve_driver(None, True) == "frontier"
-        assert resolve_driver(None, False) == "sequential"
-        assert resolve_driver("sequential", True) == "frontier"
-        assert resolve_driver("opsharded", False) == "opsharded"
-
-    def test_frontier_flag_contradiction_rejected(self):
-        with pytest.raises(ReproError, match="frontier"):
-            resolve_driver("opsharded", True)
-
-    def test_reachable_space_rejects_contradiction(self):
-        with pytest.raises(ReproError, match="frontier"):
-            reachable_space(models.ghz_qts(2), method="basic",
-                            frontier=True, driver="opsharded")
-
 
 class TestDriverEquality:
     @pytest.mark.parametrize("family,builder", FAMILIES)
     def test_opsharded_matches_sequential(self, family, builder):
         qts = builder()
-        seq = reachable_space(qts, method="basic")
-        shard = reachable_space(qts, method="basic", driver="opsharded")
+        seq = reachable_space(qts, BASIC)
+        shard = reachable_space(qts, BASIC.replace(driver="opsharded"))
         assert shard.dimensions == seq.dimensions
         assert equal_spaces(shard.subspace, seq.subspace)
         assert subspace_to_dense(shard.subspace).equals(
@@ -149,44 +140,71 @@ class TestDriverEquality:
         qts = models.qrw_qts(3, 0.2)
 
         def run(name):
-            return reachable_space(qts, method="basic",
-                                   initial=qts.named_subspace("start"),
-                                   direction="backward", driver=name)
+            return reachable_space(
+                qts, BASIC.replace(direction="backward", driver=name),
+                initial=qts.named_subspace("start"))
         base = run("sequential")
         trace = run(driver)
         assert trace.dimensions == base.dimensions
         assert equal_spaces(trace.subspace, base.subspace)
 
-    def test_frontier_driver_equals_frontier_flag(self):
-        qts = models.qrw_qts(3, 0.2)
-        flag = reachable_space(qts, method="basic", frontier=True)
-        driver = reachable_space(qts, method="basic", driver="frontier")
-        assert driver.dimensions == flag.dimensions
-        assert driver.stats.contractions == flag.stats.contractions
-        assert equal_spaces(driver.subspace, flag.subspace)
-
     def test_opsharded_with_sliced_strategy_shares_executor(self):
         qts = models.qrw_qts(3, 0.2)
-        seq = reachable_space(qts, method="basic")
-        shard = reachable_space(qts, method="basic",
-                                driver="opsharded", strategy="sliced")
+        seq = reachable_space(qts, BASIC)
+        shard = reachable_space(qts, BASIC.replace(driver="opsharded",
+                                                   strategy="sliced"))
         assert equal_spaces(shard.subspace, seq.subspace)
         assert shard.stats.slices > 0          # the one shared executor
         assert shard.stats.extra["shards"] > 0
 
     def test_opsharded_records_driver_extra(self):
-        trace = reachable_space(models.ghz_qts(3), method="basic",
-                                driver="opsharded")
+        trace = reachable_space(models.ghz_qts(3),
+                                BASIC.replace(driver="opsharded"))
         assert trace.stats.extra["driver"] == "opsharded"
 
-    @pytest.mark.parametrize("driver", DRIVERS)
-    def test_dense_backend_honours_driver(self, driver):
-        symbolic = reachable_space(models.qrw_qts(3, 0.2), method="basic")
-        dense = DenseStatevectorBackend().reachable(
-            models.qrw_qts(3, 0.2), driver=driver)
+    @pytest.mark.parametrize("driver,direction,bound", [
+        # ids name only what differs from the forward, unbounded default
+        pytest.param(driver, direction, bound, id="-".join(
+            [driver] + ([direction] if direction != "forward" else [])
+            + ([f"bound{bound}"] if bound else [])))
+        for direction in ("forward", "backward")
+        for bound in (0, 2)
+        for driver in DRIVERS])
+    def test_dense_backend_honours_driver(self, driver, direction, bound):
+        # one fixpoint loop serves both backends: every schedule, in
+        # either direction, bounded or not, climbs the same dimension
+        # ladder to the same space
+        settings = {"direction": direction, "bound": bound,
+                    "driver": driver}
+        symbolic = reachable_space(models.qrw_qts(3, 0.2),
+                                   BASIC.replace(**settings))
+        dense = reachable_space(models.qrw_qts(3, 0.2),
+                                CheckerConfig(backend="dense", **settings))
         assert dense.dimensions == symbolic.dimensions
+        assert (dense.direction, dense.bound) == (direction, bound)
         assert subspace_to_dense(dense.subspace).equals(
             subspace_to_dense(symbolic.subspace))
+
+    @pytest.mark.parametrize("settings", [
+        {"direction": "backward", "bound": 1},
+        {"direction": "backward"},
+        {"bound": 2, "driver": "frontier"},
+    ])
+    def test_backends_honour_config_direction_and_bound(self, settings):
+        # regression: the dense backend used to ignore the config's
+        # direction and bound, running forward and unbounded
+        traces, images = {}, {}
+        for backend in BACKENDS:
+            config = CheckerConfig(backend=backend, **settings)
+            traces[backend] = make_backend(config).reachable(
+                models.qrw_qts(3, 0.2))
+            images[backend] = make_backend(config).compute_image(
+                models.qrw_qts(3, 0.2))
+        tdd, dense = traces["tdd"], traces["dense"]
+        assert (dense.direction, dense.bound) == (tdd.direction, tdd.bound)
+        assert dense.dimensions == tdd.dimensions
+        assert subspace_to_dense(images["dense"].subspace).equals(
+            subspace_to_dense(images["tdd"].subspace))
 
     def test_checker_config_driver_same_verdict(self):
         for driver in DRIVERS:
@@ -199,7 +217,7 @@ class TestDriverEquality:
     def test_make_backend_dense_picks_up_driver(self):
         backend = make_backend(CheckerConfig(backend="dense",
                                              driver="opsharded"))
-        assert backend.driver == "opsharded"
+        assert backend.config.driver == "opsharded"
 
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_witness_traces_work_under_every_driver(self, driver):
@@ -215,12 +233,12 @@ class TestDriverEquality:
 class TestDirectionValidationSinglePoint:
     def test_engine_rejects_unknown_direction(self):
         with pytest.raises(ReproError, match="unknown direction"):
-            ImageEngine(models.ghz_qts(2), "basic", direction="sideways")
+            ImageEngine(models.ghz_qts(2), BASIC.replace(direction="sideways"))
 
     def test_reachable_space_propagates_engine_error(self):
         with pytest.raises(ReproError, match="unknown direction"):
-            reachable_space(models.ghz_qts(2), method="basic",
-                            direction="sideways")
+            reachable_space(models.ghz_qts(2),
+                            BASIC.replace(direction="sideways"))
 
     def test_dense_backend_same_message(self):
         with pytest.raises(ReproError, match="unknown direction"):
@@ -230,7 +248,7 @@ class TestDirectionValidationSinglePoint:
 
 class TestReachabilityTraceRepr:
     def test_repr_fields(self):
-        trace = reachable_space(models.qrw_qts(3, 0.2), method="basic")
+        trace = reachable_space(models.qrw_qts(3, 0.2), BASIC)
         text = repr(trace)
         assert f"dim={trace.dimension}" in text
         assert f"iterations={trace.iterations}" in text
@@ -238,7 +256,7 @@ class TestReachabilityTraceRepr:
         assert "direction='forward'" in text
 
     def test_dimensions_delta(self):
-        trace = reachable_space(models.qrw_qts(3, 0.2), method="basic")
+        trace = reachable_space(models.qrw_qts(3, 0.2), BASIC)
         assert len(trace.dimensions_delta) == trace.iterations
         assert all(delta >= 0 for delta in trace.dimensions_delta)
         assert trace.dimensions[0] + sum(trace.dimensions_delta) == \
@@ -264,7 +282,7 @@ class TestReachabilityCache:
     def test_store_and_lookup_across_managers(self):
         cache = ReachabilityCache()
         first = models.qrw_qts(3, 0.2)
-        trace = reachable_space(first, method="basic")
+        trace = reachable_space(first, BASIC)
         cache.store(first, first.initial, "forward", 0, trace)
         rebuilt = models.qrw_qts(3, 0.2)
         warm = cache.lookup(rebuilt, rebuilt.initial)
@@ -276,7 +294,7 @@ class TestReachabilityCache:
     def test_lookup_misses_on_different_key(self):
         cache = ReachabilityCache()
         qts = models.qrw_qts(3, 0.2)
-        trace = reachable_space(qts, method="basic")
+        trace = reachable_space(qts, BASIC)
         cache.store(qts, qts.initial, "forward", 0, trace)
         assert cache.lookup(qts, qts.initial, direction="backward") is None
         assert cache.lookup(qts, qts.initial, bound=2) is None
@@ -286,21 +304,20 @@ class TestReachabilityCache:
     def test_bounded_and_unconverged_runs_not_stored(self):
         cache = ReachabilityCache()
         qts = models.qrw_qts(3, 0.2)
-        bounded = reachable_space(qts, method="basic", bound=1)
+        bounded = reachable_space(qts, BASIC.replace(bound=1))
         cache.store(qts, qts.initial, "forward", 1, bounded)
-        truncated = reachable_space(qts, method="basic", max_iterations=1)
+        truncated = reachable_space(qts, BASIC, max_iterations=1)
         cache.store(qts, qts.initial, "forward", 0, truncated)
         assert len(cache) == 0
 
     def test_warm_start_collapses_iterations(self):
-        cold = reachable_space(models.qrw_qts(3, 0.2), method="basic")
+        cold = reachable_space(models.qrw_qts(3, 0.2), BASIC)
         assert cold.iterations > 1
         qts = models.qrw_qts(3, 0.2)
         cache = ReachabilityCache()
         cache.store(qts, qts.initial, "forward", 0, cold)
         warm_space = cache.lookup(qts, qts.initial)
-        warm = reachable_space(qts, method="contraction", k1=2, k2=2,
-                               warm_start=warm_space)
+        warm = reachable_space(qts, CONTRACTION_K2, warm_start=warm_space)
         assert warm.iterations == 1
         assert warm.converged
         assert warm.dimension == cold.dimension
@@ -313,9 +330,7 @@ class TestReachabilityCache:
                             CheckerConfig(method="basic")).check(
             "AG inv", reach_cache=cache)
         warm = ModelChecker(models.grover_qts(3),
-                            CheckerConfig(method="contraction",
-                                          method_params={"k1": 2,
-                                                         "k2": 2})).check(
+                            CONTRACTION_K2).check(
             "AG inv", reach_cache=cache)
         assert cold.stats.extra["cache_warm"] is False
         assert warm.stats.extra["cache_warm"] is True
@@ -352,7 +367,7 @@ class TestReachabilityCache:
         # must judge the *trace* (trace.bound), not the caller.
         cache = ReachabilityCache()
         qts = models.qrw_qts(3, 0.2)
-        bounded = reachable_space(qts, method="basic", bound=1)
+        bounded = reachable_space(qts, BASIC.replace(bound=1))
         assert bounded.bound == 1
         cache.store(qts, qts.initial, "forward", 0, bounded)
         assert len(cache) == 0
@@ -363,7 +378,7 @@ class TestReachabilityCache:
         # be served the saturated reachable space (it would overshoot)
         cache = ReachabilityCache()
         qts = models.qrw_qts(3, 0.2)
-        trace = reachable_space(qts, method="basic")
+        trace = reachable_space(qts, BASIC)
         cache.store(qts, qts.initial, "forward", 0, trace)
         assert len(cache) == 1
         assert cache.lookup(qts, qts.initial, bound=1) is None

@@ -10,6 +10,13 @@ from repro.systems import models
 
 from tests.helpers import subspace_to_dense
 
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
+#: the contraction method with small partition blocks
+CONTRACTION_K2 = CheckerConfig(method="contraction",
+                               method_params={"k1": 2, "k2": 2})
+FRONTIER = BASIC.replace(driver="frontier")
+
 
 class TestFrontier:
     @pytest.mark.parametrize("builder", [
@@ -19,8 +26,8 @@ class TestFrontier:
         lambda: models.grover_qts(4),
     ])
     def test_agrees_with_full_iteration(self, builder):
-        full = reachable_space(builder(), method="basic")
-        fast = reachable_space(builder(), method="basic", frontier=True)
+        full = reachable_space(builder(), BASIC)
+        fast = reachable_space(builder(), FRONTIER)
         assert full.converged and fast.converged
         assert subspace_to_dense(full.subspace).equals(
             subspace_to_dense(fast.subspace))
@@ -28,17 +35,16 @@ class TestFrontier:
     def test_frontier_images_fewer_states(self):
         """In frontier mode the total contraction count across the run
         must be strictly lower once the space has grown."""
-        full = reachable_space(models.qrw_qts(3, 0.2), method="basic")
-        fast = reachable_space(models.qrw_qts(3, 0.2), method="basic",
-                               frontier=True)
+        full = reachable_space(models.qrw_qts(3, 0.2), BASIC)
+        fast = reachable_space(models.qrw_qts(3, 0.2), FRONTIER)
         assert fast.stats.contractions < full.stats.contractions
 
     def test_frontier_with_contraction_method(self):
-        full = reachable_space(models.qrw_qts(3, 0.3),
-                               method="contraction", k1=2, k2=2)
+        full = reachable_space(models.qrw_qts(3, 0.3), CONTRACTION_K2)
         fast = reachable_space(models.qrw_qts(3, 0.3),
-                               method="contraction", k1=2, k2=2,
-                               frontier=True)
+                               CheckerConfig(method="contraction",
+                                             driver="frontier",
+                                             method_params={"k1": 2, "k2": 2}))
         assert subspace_to_dense(full.subspace).equals(
             subspace_to_dense(fast.subspace))
 
@@ -50,23 +56,23 @@ class TestFrontierBackwardBounded:
     down the combination on both backends.
     """
 
-    def _tdd(self, frontier, bound):
+    def _tdd(self, driver, bound):
         qts = models.qrw_qts(3, 0.2)
-        return reachable_space(qts, method="basic",
-                               initial=qts.named_subspace("start"),
-                               direction="backward", bound=bound,
-                               frontier=frontier)
+        config = BASIC.replace(direction="backward", bound=bound,
+                               driver=driver)
+        return reachable_space(qts, config,
+                               initial=qts.named_subspace("start"))
 
-    def _dense(self, frontier, bound):
+    def _dense(self, driver, bound):
         qts = models.qrw_qts(3, 0.2)
         return DenseStatevectorBackend().reachable(
             qts, initial=qts.named_subspace("start"),
-            direction="backward", bound=bound, frontier=frontier)
+            direction="backward", bound=bound, driver=driver)
 
     @pytest.mark.parametrize("bound", [1, 2, 3])
     def test_tdd_frontier_backward_bounded_matches_full(self, bound):
-        full = self._tdd(frontier=False, bound=bound)
-        fast = self._tdd(frontier=True, bound=bound)
+        full = self._tdd("sequential", bound=bound)
+        fast = self._tdd("frontier", bound=bound)
         assert fast.dimensions == full.dimensions
         assert fast.bound == bound
         assert fast.iterations <= bound
@@ -75,29 +81,31 @@ class TestFrontierBackwardBounded:
 
     @pytest.mark.parametrize("bound", [1, 2, 3])
     def test_dense_frontier_backward_bounded_matches_tdd(self, bound):
-        symbolic = self._tdd(frontier=True, bound=bound)
-        dense = self._dense(frontier=True, bound=bound)
+        symbolic = self._tdd("frontier", bound=bound)
+        dense = self._dense("frontier", bound=bound)
         assert dense.dimensions == symbolic.dimensions
         assert dense.converged == symbolic.converged
         assert subspace_to_dense(dense.subspace).equals(
             subspace_to_dense(symbolic.subspace))
 
     def test_both_backends_frontier_backward_unbounded(self):
-        symbolic = self._tdd(frontier=True, bound=0)
-        dense = self._dense(frontier=True, bound=0)
+        symbolic = self._tdd("frontier", bound=0)
+        dense = self._dense("frontier", bound=0)
         assert symbolic.converged and dense.converged
         assert dense.dimensions == symbolic.dimensions
         assert subspace_to_dense(dense.subspace).equals(
             subspace_to_dense(symbolic.subspace))
 
     @pytest.mark.parametrize("backend_config", [
-        CheckerConfig(method="basic", direction="backward", bound=2),
-        CheckerConfig(backend="dense", direction="backward", bound=2),
+        CheckerConfig(method="basic", direction="backward", bound=2,
+                      driver="frontier"),
+        CheckerConfig(backend="dense", direction="backward", bound=2,
+                      driver="frontier"),
     ])
     def test_check_frontier_backward_bounded_verdicts_agree(
             self, backend_config):
         result = ModelChecker(models.grover_qts(3), backend_config).check(
-            "AG plus", frontier=True)
+            "AG plus")
         assert result.verdict == "violated"
         assert result.direction == "backward"
         assert result.bound == 2
@@ -130,13 +138,13 @@ class TestCombinators:
         base = QuantumOperation.unitary("g", ghz_circuit(3))
         qts1 = QuantumTransitionSystem(3, [base.power(2)])
         qts1.set_initial_basis_states([[0, 0, 0]])
-        twice = compute_image(qts1, method="basic").subspace
+        twice = compute_image(qts1, config=BASIC).subspace
 
         qts2 = QuantumTransitionSystem(
             3, [QuantumOperation.unitary("g", ghz_circuit(3))])
         qts2.set_initial_basis_states([[0, 0, 0]])
-        once = compute_image(qts2, method="basic").subspace
-        again = compute_image(qts2, subspace=once, method="basic").subspace
+        once = compute_image(qts2, config=BASIC).subspace
+        again = compute_image(qts2, subspace=once, config=BASIC).subspace
         assert subspace_to_dense(twice).equals(subspace_to_dense(again))
 
     def test_identity_operation(self):
@@ -146,5 +154,5 @@ class TestCombinators:
         qts = QuantumTransitionSystem(
             2, [QuantumOperation.identity("i", 2)])
         qts.set_initial_basis_states([[0, 1]])
-        image = compute_image(qts, method="basic").subspace
+        image = compute_image(qts, config=BASIC).subspace
         assert image.equals(qts.initial)

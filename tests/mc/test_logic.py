@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.mc.config import CheckerConfig
 from repro.mc.logic import (Atomic, check_always,
                             check_eventually_overlaps, satisfies)
 from repro.systems import models
 
 from tests.helpers import MINUS, PLUS
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
 
 
 def grover_props():
@@ -70,11 +74,11 @@ class TestSatisfaction:
 class TestTemporal:
     def test_always_invariant_plane(self):
         qts, space, marked, plane = grover_props()
-        assert check_always(qts, plane, method="basic")
+        assert check_always(qts, plane, BASIC)
 
     def test_always_marked_fails(self):
         qts, space, marked, plane = grover_props()
-        assert not check_always(qts, marked, method="basic")
+        assert not check_always(qts, marked, BASIC)
 
     def test_eventually_overlaps_marked(self):
         # from |++->, Grover reaches the marked state
@@ -83,7 +87,7 @@ class TestTemporal:
         one = np.array([0., 1.])
         marked = Atomic(space.span([space.product_state(
             [one, one, MINUS])]), "marked")
-        assert check_eventually_overlaps(qts, marked, method="basic")
+        assert check_eventually_overlaps(qts, marked, BASIC)
 
     def test_eventually_orthogonal_fails(self):
         # the Grover dynamics never leaves the |-> ancilla sector:
@@ -93,5 +97,4 @@ class TestTemporal:
         one = np.array([0., 1.])
         unreachable = Atomic(space.span([space.product_state(
             [one, one, PLUS])]), "ancilla_plus")
-        assert not check_eventually_overlaps(qts, unreachable,
-                                             method="basic")
+        assert not check_eventually_overlaps(qts, unreachable, BASIC)

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.image.engine import compute_image
+from repro.mc.config import CheckerConfig
 from repro.mc.reachability import reachable_space
 from repro.mc.simulation import (sample_state, validate_image,
                                  validate_reachability)
 from repro.systems import models
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
 
 
 class TestSampling:
@@ -36,7 +40,7 @@ class TestValidateImage:
     ])
     def test_correct_images_validate(self, builder):
         qts = builder()
-        image = compute_image(qts, method="contraction").subspace
+        image = compute_image(qts).subspace
         qts2 = builder()
         report = validate_image(qts2, _rebuild(qts2, image), samples=10)
         assert report.ok, report.failures
@@ -52,7 +56,7 @@ class TestValidateImage:
 class TestValidateReachability:
     def test_correct_reachable_validates(self):
         qts = models.qrw_qts(3, 0.3)
-        trace = reachable_space(qts, method="basic")
+        trace = reachable_space(qts, BASIC)
         qts2 = models.qrw_qts(3, 0.3)
         report = validate_reachability(
             qts2, _rebuild(qts2, trace.subspace), steps=4, samples=5)

@@ -11,11 +11,18 @@ from hypothesis import strategies as st
 
 from repro.circuits.library import random_circuit
 from repro.image.engine import compute_image
+from repro.mc.config import CheckerConfig
 from repro.systems.operations import QuantumOperation
 from repro.systems.qts import QuantumTransitionSystem
 
 from tests.helpers import (assert_subspace_matches_dense,
                            dense_image_oracle)
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
+#: the contraction method with small partition blocks
+CONTRACTION_K2 = CheckerConfig(method="contraction",
+                               method_params={"k1": 2, "k2": 2})
 
 N_QUBITS = 3
 
@@ -39,8 +46,9 @@ class TestMethodAgreement:
         expected = dense_image_oracle(random_qts(seed))
         for method, params in (("basic", {}), ("addition", {"k": 1}),
                                ("contraction", {"k1": 2, "k2": 2})):
-            result = compute_image(random_qts(seed), method=method,
-                                   **params)
+            result = compute_image(random_qts(seed),
+                                   config=CheckerConfig(method=method,
+                                                        method_params=params))
             assert_subspace_matches_dense(result.subspace, expected)
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -48,7 +56,7 @@ class TestMethodAgreement:
     def test_multi_state_subspaces(self, seed):
         expected = dense_image_oracle(random_qts(seed, num_states=2))
         result = compute_image(random_qts(seed, num_states=2),
-                               method="contraction", k1=2, k2=2)
+                               config=CONTRACTION_K2)
         assert_subspace_matches_dense(result.subspace, expected)
 
 
@@ -60,17 +68,16 @@ class TestImageLaws:
         qts = random_qts(seed, num_states=2)
         s1 = qts.space.span([qts.initial.basis[0]])
         s2 = qts.space.span([qts.initial.basis[1]])
-        joint = compute_image(qts, subspace=s1.join(s2),
-                              method="basic").subspace
-        separate = compute_image(qts, subspace=s1, method="basic").subspace \
-            .join(compute_image(qts, subspace=s2, method="basic").subspace)
+        joint = compute_image(qts, subspace=s1.join(s2), config=BASIC).subspace
+        separate = compute_image(qts, subspace=s1, config=BASIC).subspace \
+            .join(compute_image(qts, subspace=s2, config=BASIC).subspace)
         assert joint.equals(separate)
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=8)
     def test_unitary_preserves_dimension(self, seed):
         qts = random_qts(seed, num_states=2)
-        image = compute_image(qts, method="basic").subspace
+        image = compute_image(qts, config=BASIC).subspace
         assert image.dimension == qts.initial.dimension
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -80,8 +87,6 @@ class TestImageLaws:
         qts = random_qts(seed, num_states=2)
         small = qts.space.span([qts.initial.basis[0]])
         big = qts.initial
-        image_small = compute_image(qts, subspace=small,
-                                    method="basic").subspace
-        image_big = compute_image(qts, subspace=big,
-                                  method="basic").subspace
+        image_small = compute_image(qts, subspace=small, config=BASIC).subspace
+        image_big = compute_image(qts, subspace=big, config=BASIC).subspace
         assert image_big.contains(image_small)

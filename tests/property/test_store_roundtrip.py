@@ -33,7 +33,11 @@ from repro.tdd import construction as tc
 from repro.tdd.io import canonical_json, from_dict, payload_digest, \
     to_dict
 from repro.indices.index import Index
+from repro.mc.config import CheckerConfig
 from tests.helpers import fresh_manager, subspace_to_dense
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
 
 N_QUBITS = 2
 DIM = 2 ** N_QUBITS
@@ -133,7 +137,7 @@ FAMILIES = {
 class TestWarmEqualsCold:
     def _assert_warm_equals_cold(self, tmp_path, build):
         cold_qts = build()
-        cold = reachable_space(cold_qts, method="contraction")
+        cold = reachable_space(cold_qts, CheckerConfig(method="contraction"))
         assert cold.converged
         with ResultStore(tmp_path / "store") as store:
             assert store.store(cold_qts, cold_qts.initial, "forward", 0,
@@ -144,7 +148,7 @@ class TestWarmEqualsCold:
         with ResultStore(tmp_path / "store") as store:
             seed = store.lookup(rebuilt, rebuilt.initial)
         assert seed is not None
-        warm = reachable_space(rebuilt, method="basic", warm_start=seed)
+        warm = reachable_space(rebuilt, BASIC, warm_start=seed)
         assert warm.iterations == 1
         assert warm.converged
         assert warm.dimension == cold.dimension

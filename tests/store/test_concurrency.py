@@ -17,10 +17,14 @@ import random
 import sqlite3
 from concurrent.futures import ProcessPoolExecutor
 
+from repro.mc.config import CheckerConfig
 from repro.mc.reachability import reachable_space
 from repro.store import ResultStore
 from repro.systems import models
 from repro.tdd.io import payload_digest
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
 
 #: one key per initial basis state — all cheap 3-qubit ghz fixpoints
 VARIANTS = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
@@ -33,7 +37,7 @@ def _build(variant):
 
 
 def _expected_dimensions():
-    return {tuple(v): reachable_space(_build(v), method="basic").dimension
+    return {tuple(v): reachable_space(_build(v), BASIC).dimension
             for v in VARIANTS}
 
 
@@ -55,8 +59,7 @@ def _hammer(root: str, seed: int, rounds: int, vandal: bool) -> dict:
                 tally["hits"] += 1
             else:
                 tally["misses"] += 1
-                trace = reachable_space(qts, method="basic",
-                                        warm_start=warm)
+                trace = reachable_space(qts, BASIC, warm_start=warm)
                 if store.store(qts, qts.initial, "forward", 0, trace):
                     tally["stores"] += 1
             if vandal and rng.random() < 0.4:
@@ -125,7 +128,7 @@ def test_hammering_with_a_vandal(tmp_path):
             qts = _build(variant)
             warm = store.lookup(qts, qts.initial)
             if warm is None:  # vandalised away — a cold run restores it
-                trace = reachable_space(qts, method="basic")
+                trace = reachable_space(qts, BASIC)
                 store.store(qts, qts.initial, "forward", 0, trace)
                 warm = store.lookup(qts, qts.initial)
             assert warm is not None

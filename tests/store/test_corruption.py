@@ -17,10 +17,14 @@ import sqlite3
 
 import pytest
 
+from repro.mc.config import CheckerConfig
 from repro.mc.reachability import reachable_space
 from repro.store import ResultStore
 from repro.systems import models
 from tests.helpers import subspace_to_dense
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
 
 
 @pytest.fixture
@@ -28,7 +32,7 @@ def populated(tmp_path):
     """A store directory holding one qrw(3) fixpoint, plus its trace."""
     root = str(tmp_path / "store")
     qts = models.qrw_qts(3, 0.2)
-    trace = reachable_space(qts, method="basic")
+    trace = reachable_space(qts, BASIC)
     with ResultStore(root) as st:
         assert st.store(qts, qts.initial, "forward", 0, trace)
         (key,) = [row["key"] for row in st.ls()]
@@ -50,7 +54,7 @@ def _assert_miss_quarantine_recover(root, key, trace, reason):
                    for r in records)
         # the damaged entry is gone from the index, so a cold run can
         # repopulate the same key and serve it again
-        fresh = reachable_space(qts, method="basic")
+        fresh = reachable_space(qts, BASIC)
         assert st.store(qts, qts.initial, "forward", 0, fresh)
         warm = st.lookup(qts, qts.initial)
         assert warm is not None
@@ -99,7 +103,7 @@ class TestBlobDamage:
         ghz = models.ghz_qts(3)
         with ResultStore(other_root) as other:
             other.store(ghz, ghz.initial, "forward", 0,
-                        reachable_space(ghz, method="basic"))
+                        reachable_space(ghz, BASIC))
             (other_key,) = [row["key"] for row in other.ls()]
         os.replace(_blob_path(other_root, other_key),
                    _blob_path(root, key))
@@ -143,7 +147,7 @@ class TestIndexDamage:
                      if r["reason"] == "index-corrupt"]
             assert moved and os.path.exists(moved[0])
             # and the store works again immediately
-            fresh = reachable_space(qts, method="basic")
+            fresh = reachable_space(qts, BASIC)
             assert st.store(qts, qts.initial, "forward", 0, fresh)
             assert st.lookup(qts, qts.initial) is not None
 
@@ -158,7 +162,7 @@ class TestIndexDamage:
             assert st.lookup(qts, qts.initial) is None
             # repopulating reuses the key; the orphan blob is simply
             # overwritten by the atomic rename
-            fresh = reachable_space(qts, method="basic")
+            fresh = reachable_space(qts, BASIC)
             assert st.store(qts, qts.initial, "forward", 0, fresh)
             assert st.lookup(qts, qts.initial) is not None
 

@@ -23,6 +23,12 @@ from repro.store.migrate import ensure_schema
 from repro.systems import models
 from tests.helpers import subspace_to_dense
 
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
+#: the contraction method with small partition blocks
+CONTRACTION_K2 = CheckerConfig(method="contraction",
+                               method_params={"k1": 2, "k2": 2})
+
 
 @pytest.fixture
 def store(tmp_path):
@@ -32,7 +38,7 @@ def store(tmp_path):
 
 def _populated(store, build=lambda: models.qrw_qts(3, 0.2)):
     qts = build()
-    trace = reachable_space(qts, method="basic")
+    trace = reachable_space(qts, BASIC)
     assert store.store(qts, qts.initial, "forward", 0, trace)
     return qts, trace
 
@@ -66,9 +72,8 @@ class TestStoreBasics:
         # truncated trace must be refused even when the caller claims
         # bound=0
         qts = models.qrw_qts(3, 0.2)
-        bounded = reachable_space(qts, method="basic", bound=1)
-        truncated = reachable_space(qts, method="basic",
-                                    max_iterations=1)
+        bounded = reachable_space(qts, CheckerConfig(method="basic", bound=1))
+        truncated = reachable_space(qts, BASIC, max_iterations=1)
         assert store.store(qts, qts.initial, "forward", 0,
                            bounded) is False
         assert store.store(qts, qts.initial, "forward", 0,
@@ -87,8 +92,7 @@ class TestStoreBasics:
         assert cold.iterations > 1
         rebuilt = models.qrw_qts(3, 0.2)
         warm_space = store.lookup(rebuilt, rebuilt.initial)
-        warm = reachable_space(rebuilt, method="contraction", k1=2,
-                               k2=2, warm_start=warm_space)
+        warm = reachable_space(rebuilt, CONTRACTION_K2, warm_start=warm_space)
         assert warm.iterations == 1
         assert warm.converged
         assert warm.dimension == cold.dimension
@@ -133,11 +137,11 @@ class TestEvictionAndGC:
     def test_lru_eviction_respects_last_hit(self, tmp_path):
         with ResultStore(tmp_path / "store") as st:
             first = models.ghz_qts(3)
-            first_trace = reachable_space(first, method="basic")
+            first_trace = reachable_space(first, BASIC)
             st.store(first, first.initial, "forward", 0, first_trace)
             second = models.qrw_qts(3, 0.2)
             st.store(second, second.initial, "forward", 0,
-                     reachable_space(second, method="basic"))
+                     reachable_space(second, BASIC))
             # make `first` the more recently hit entry, then shrink the
             # budget so only one survives
             st._conn.execute("UPDATE entries SET last_hit = last_hit"
@@ -153,7 +157,7 @@ class TestEvictionAndGC:
         with ResultStore(tmp_path / "store", max_bytes=1) as st:
             qts = models.ghz_qts(3)
             st.store(qts, qts.initial, "forward", 0,
-                     reachable_space(qts, method="basic"))
+                     reachable_space(qts, BASIC))
             assert len(st) == 0
             assert st.stats().evictions == 1
 
@@ -269,7 +273,7 @@ class TestMigration:
     def test_v0_store_upgrades_and_serves(self, tmp_path):
         root = str(tmp_path / "legacy")
         qts = models.qrw_qts(3, 0.2)
-        trace = reachable_space(qts, method="basic")
+        trace = reachable_space(qts, BASIC)
         key = _make_v0_store(root, qts, trace)
         with ResultStore(root) as st:
             assert st.schema_version == SCHEMA_VERSION
@@ -295,7 +299,7 @@ class TestMigration:
     def test_migration_is_idempotent(self, tmp_path):
         root = str(tmp_path / "legacy")
         qts = models.ghz_qts(3)
-        _make_v0_store(root, qts, reachable_space(qts, method="basic"))
+        _make_v0_store(root, qts, reachable_space(qts, BASIC))
         for _ in range(3):
             with ResultStore(root) as st:
                 assert st.schema_version == SCHEMA_VERSION

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import SubspaceError
+from repro.mc.config import CheckerConfig
 from repro.subspace.reduce import (reduced_density, reduced_density_matrix,
                                    reduced_support)
 
 from tests.helpers import make_space, subspace_to_dense
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
 
 
 class TestReducedDensity:
@@ -64,7 +68,7 @@ class TestReducedSupport:
         from repro.image.engine import compute_image
         from repro.systems import models
         qts = models.bitflip_qts()
-        image = compute_image(qts, method="basic").subspace
+        image = compute_image(qts, config=BASIC).subspace
         support = reduced_support(image, [0, 1, 2])
         assert support.dimension == 1
         expect = np.zeros(8)

@@ -5,8 +5,12 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.errors import SystemError_
+from repro.mc.config import CheckerConfig
 from repro.systems import noise
 from repro.systems.qts import QuantumTransitionSystem
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
 
 
 class TestKrausSets:
@@ -94,7 +98,7 @@ class TestNoisyOperation:
             qts2 = QuantumTransitionSystem(1, [noise.noisy_operation(
                 "damp", QuantumCircuit(1), 0, 0, "amplitude_damping", 0.3)])
             qts2.set_initial_basis_states([[1]])
-            result = compute_image(qts2, method=method)
+            result = compute_image(qts2, config=CheckerConfig(method=method))
             assert result.dimension == 2
             assert_subspace_matches_dense(result.subspace, expected)
 
@@ -104,5 +108,5 @@ class TestNoisyOperation:
         op = noise.noisy_operation("pf", circuit, 0, 0, "phase_flip", 0.4)
         qts = QuantumTransitionSystem(1, [op])
         qts.set_initial_basis_states([[0]])
-        result = compute_image(qts, method="basic")
+        result = compute_image(qts, config=BASIC)
         assert result.dimension == 1  # Z|0> = |0>

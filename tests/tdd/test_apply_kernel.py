@@ -12,12 +12,17 @@ import numpy as np
 import pytest
 
 from repro.indices.index import Index
+from repro.mc.config import CheckerConfig
 from repro.systems import models
 from repro.tdd import construction as tc
 from repro.tdd.manager import TDDManager
 from repro.tdd.slicing import first_nonzero_assignment, slice_edge
 
 from tests.helpers import fresh_manager
+
+#: the contraction method at the paper's Table I setting
+CONTRACTION_K4 = CheckerConfig(method="contraction",
+                               method_params={"k1": 4, "k2": 4})
 
 #: enough levels that one frame per level would overflow the default
 #: interpreter stack several times over
@@ -124,7 +129,7 @@ class TestBenchmarkScale:
         """The ISSUE acceptance case: 64-qubit QRW contraction."""
         qts = models.qrw_qts(64, 0.1, steps=1)
         from repro.image.engine import compute_image
-        result = compute_image(qts, method="contraction", k1=4, k2=4)
+        result = compute_image(qts, config=CONTRACTION_K4)
         assert result.dimension == 1
         assert result.stats.max_nodes > 0
         # instrumentation flows through for the deep instance too
@@ -134,7 +139,7 @@ class TestBenchmarkScale:
     def test_ghz128_image_under_default_limit(self, default_recursion_limit):
         qts = models.ghz_qts(128)
         from repro.image.engine import compute_image
-        result = compute_image(qts, method="contraction", k1=4, k2=4)
+        result = compute_image(qts, config=CONTRACTION_K4)
         assert result.dimension == 1
 
 

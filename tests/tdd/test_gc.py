@@ -10,6 +10,7 @@ resurrect a stale memo.
 import numpy as np
 
 from repro.indices.index import Index
+from repro.mc.config import CheckerConfig
 from repro.systems import models
 from repro.tdd import construction as tc
 
@@ -131,9 +132,12 @@ class TestGCInPipelines:
     def test_reachability_dimensions_unchanged_by_gc(self):
         qts_gc = models.qrw_qts(3, 0.2)
         from repro.mc.reachability import reachable_space
-        with_gc = reachable_space(qts_gc, "contraction", gc=True)
+        with_gc = reachable_space(qts_gc, CheckerConfig(method="contraction"),
+                                  gc=True)
         qts_plain = models.qrw_qts(3, 0.2)
-        without_gc = reachable_space(qts_plain, "contraction", gc=False)
+        without_gc = reachable_space(qts_plain,
+                                     CheckerConfig(method="contraction"),
+                                     gc=False)
         assert with_gc.dimensions == without_gc.dimensions
         assert with_gc.stats.gc_runs > 0
         assert without_gc.stats.gc_runs == 0
@@ -144,7 +148,9 @@ class TestGCInPipelines:
                                ("contraction", {"k1": 2, "k2": 2}),
                                ("hybrid", {"k": 1, "k1": 2, "k2": 2})):
             qts = models.ghz_qts(4)
-            result = compute_image(qts, method=method, **params)
+            result = compute_image(qts,
+                                   config=CheckerConfig(method=method,
+                                                        method_params=params))
             stats = result.stats
             assert stats.cache_hits + stats.cache_misses > 0
             assert stats.gc_runs == 1

@@ -4,13 +4,20 @@ from repro.bench.runner import BenchRow, run_image_benchmark
 from repro.bench.table1 import (FAMILIES, TABLE1_METHODS, format_rows,
                                 table1_rows)
 from repro.bench.table2 import format_grid, sweep
+from repro.mc.config import CheckerConfig
 from repro.systems import models
+
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
+#: the contraction method with small partition blocks
+CONTRACTION_K2 = CheckerConfig(method="contraction",
+                               method_params={"k1": 2, "k2": 2})
 
 
 class TestRunner:
     def test_row_fields(self):
         row = run_image_benchmark(lambda: models.ghz_qts(4), "GHZ4",
-                                  "contraction", k1=2, k2=2)
+                                  CONTRACTION_K2)
         assert row.benchmark == "GHZ4"
         assert row.dimension == 1
         assert row.seconds > 0
@@ -18,8 +25,8 @@ class TestRunner:
         assert not row.timed_out
 
     def test_soft_timeout_marks_row(self):
-        row = run_image_benchmark(lambda: models.ghz_qts(6), "GHZ6",
-                                  "basic", timeout_seconds=0.0)
+        row = run_image_benchmark(lambda: models.ghz_qts(6), "GHZ6", BASIC,
+                                  timeout_seconds=0.0)
         assert row.timed_out
         assert row.cells() == ("GHZ6", "basic", "-", "-", "-", "-")
 
@@ -31,7 +38,7 @@ class TestRunner:
 
     def test_instrumentation_fields(self):
         row = run_image_benchmark(lambda: models.ghz_qts(4), "GHZ4",
-                                  "contraction", k1=2, k2=2)
+                                  CONTRACTION_K2)
         assert 0.0 <= row.cache_hit_rate <= 1.0
         assert 0 < row.live_nodes <= row.peak_live_nodes
 

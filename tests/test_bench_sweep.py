@@ -22,24 +22,28 @@ class TestRunSpec:
     def test_defaults_and_label(self):
         spec = RunSpec(model="ghz", size=4)
         assert spec.label == "ghz4"
-        assert spec.method == "contraction"
+        assert spec.config == CheckerConfig()
         assert spec.run_id == "ghz4/contraction/tdd/monolithic"
 
     def test_run_id_includes_params(self):
-        spec = RunSpec(model="grover", size=5, method="contraction",
-                       method_params={"k1": 2, "k2": 3},
+        spec = RunSpec(model="grover", size=5,
+                       config=CheckerConfig(method="contraction",
+                                            method_params={"k1": 2,
+                                                           "k2": 3}),
                        model_params={"iterations": 2})
         assert spec.run_id == ("grover5/contraction/tdd/monolithic/"
                                "k1=2,k2=3/iterations=2")
 
     def test_run_id_distinguishes_strategies(self):
         mono = RunSpec(model="ghz", size=3)
-        sliced = RunSpec(model="ghz", size=3, strategy="sliced", jobs=4)
+        sliced = RunSpec(model="ghz", size=3,
+                         config=CheckerConfig(strategy="sliced", jobs=4))
         assert mono.run_id != sliced.run_id
 
     def test_dict_round_trip(self):
-        spec = RunSpec(model="qrw", size=5, method="addition",
-                       method_params={"k": 2},
+        spec = RunSpec(model="qrw", size=5,
+                       config=CheckerConfig(method="addition",
+                                            method_params={"k": 2}),
                        model_params={"steps": 2})
         assert RunSpec.from_dict(spec.as_dict()) == spec
 
@@ -47,9 +51,12 @@ class TestRunSpec:
         ("model", "nonsense"), ("method", "nonsense"),
         ("backend", "nonsense"), ("strategy", "nonsense")])
     def test_validation(self, field, value):
-        kwargs = {"model": "ghz", "size": 3, field: value}
         with pytest.raises(ReproError):
-            RunSpec(**kwargs)
+            if field == "model":
+                RunSpec(model=value, size=3)
+            else:
+                RunSpec(model="ghz", size=3,
+                        config=CheckerConfig(**{field: value}))
 
 
 class TestRunSpecConfigForm:
@@ -59,15 +66,15 @@ class TestRunSpecConfigForm:
             warnings.simplefilter("error", DeprecationWarning)
             spec = RunSpec(model="ghz", size=4,
                            config=CheckerConfig(method="basic"))
-        assert spec.method == "basic"
+        assert spec.config.method == "basic"
         assert spec.run_id == "ghz4/basic/tdd/monolithic"
 
-    def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
+    def test_legacy_kwargs_rejected(self):
+        with pytest.raises(TypeError):
             RunSpec(model="ghz", size=4, method="basic")
 
     def test_config_plus_legacy_rejected(self):
-        with pytest.raises(ReproError, match="not both"):
+        with pytest.raises(TypeError):
             RunSpec(model="ghz", size=4, config=CheckerConfig(),
                     method="basic")
 
@@ -90,15 +97,15 @@ class TestRunSpecConfigForm:
         assert run.run_id.endswith("check[AG inv]")
         assert RunSpec.from_dict(run.as_dict()) == run
 
-    def test_from_dict_accepts_legacy_flat_schema(self):
-        # the pre-config artifact/spec-file schema still parses
-        run = RunSpec.from_dict({
-            "model": "ghz", "size": 4, "method": "basic",
-            "backend": "tdd", "strategy": "monolithic", "jobs": 1,
-            "slice_depth": 2, "method_params": {}, "model_params": {},
-            "label": "ghz4"})
-        assert run.method == "basic"
-        assert run.run_id == "ghz4/basic/tdd/monolithic"
+    def test_from_dict_rejects_legacy_flat_schema(self):
+        # engine settings at the top level: the error names the
+        # config form instead of guessing
+        with pytest.raises(ReproError, match='"config"'):
+            RunSpec.from_dict({
+                "model": "ghz", "size": 4, "method": "basic",
+                "backend": "tdd", "strategy": "monolithic", "jobs": 1,
+                "slice_depth": 2, "method_params": {}, "model_params": {},
+                "label": "ghz4"})
 
 
 class TestSweepSpec:
@@ -114,12 +121,13 @@ class TestSweepSpec:
             "name": "tiny", "models": ["ghz"], "sizes": [3],
             "methods": ["contraction"],
             "method_params": {"contraction": {"k1": 2, "k2": 2}}})
-        assert spec.runs[0].method_params == {"k1": 2, "k2": 2}
+        assert spec.runs[0].config.method_params == {"k1": 2, "k2": 2}
 
     def test_from_dict_explicit_runs(self):
         spec = SweepSpec.from_dict({
             "name": "mine",
-            "runs": [{"model": "ghz", "size": 3, "method": "basic"}]})
+            "runs": [{"model": "ghz", "size": 3,
+                      "config": {"method": "basic"}}]})
         assert spec.runs[0].model == "ghz"
 
     def test_from_dict_missing_axes(self):
@@ -147,9 +155,9 @@ class TestSweepSpec:
         spec = SweepSpec.from_axes("s", ["ghz"], [3],
                                    methods=["basic", "contraction"],
                                    backends=["tdd", "dense"])
-        dense = [r for r in spec.runs if r.backend == "dense"]
-        assert len(dense) == 1
-        assert len([r for r in spec.runs if r.backend == "tdd"]) == 2
+        backends = [r.config.backend for r in spec.runs]
+        assert backends.count("dense") == 1
+        assert backends.count("tdd") == 2
 
     def test_from_dict_specs_axis(self):
         spec = SweepSpec.from_dict({
@@ -160,23 +168,25 @@ class TestSweepSpec:
 
 class TestExecuteRun:
     def test_record_schema(self):
-        record = execute_run(RunSpec(model="ghz", size=3, method="basic"))
+        record = execute_run(RunSpec(model="ghz", size=3,
+                                     config=CheckerConfig(method="basic")))
         assert set(CSV_COLUMNS) <= set(record)
         assert record["dimension"] == 1
         assert record["seconds"] > 0
         assert not record["failed"]
 
     def test_sliced_strategy_record(self):
-        record = execute_run(RunSpec(model="qrw", size=4,
-                                     method="basic", strategy="sliced",
-                                     model_params={"steps": 2}))
+        record = execute_run(RunSpec(
+            model="qrw", size=4,
+            config=CheckerConfig(method="basic", strategy="sliced"),
+            model_params={"steps": 2}))
         assert record["slices"] > 0
 
     def test_failure_is_captured_not_raised(self):
         # the dense backend refuses large systems — a failed cell must
         # produce a record, not sink the sweep
         record = execute_run(RunSpec(model="ghz", size=20,
-                                     method="basic", backend="dense"))
+                                     config=CheckerConfig(backend="dense")))
         assert record["failed"]
         assert "ReproError" in record["error"]
 
@@ -220,7 +230,7 @@ class TestExecuteRun:
 
     def test_image_record_has_default_trace_columns(self):
         record = execute_run(RunSpec(model="ghz", size=3,
-                                     method="basic"))
+                                     config=CheckerConfig(method="basic")))
         assert record["direction"] == "forward"
         assert record["bound"] == 0
         assert record["trace_length"] == 0
@@ -251,8 +261,8 @@ class TestDirectionAxes:
             "name": "d", "models": ["ghz"], "sizes": [3],
             "methods": ["basic"], "directions": ["backward"],
             "bounds": [1], "specs": ["AG init"]})
-        assert spec.runs[0].direction == "backward"
-        assert spec.runs[0].bound == 1
+        assert spec.runs[0].config.direction == "backward"
+        assert spec.runs[0].config.bound == 1
 
     def test_bounds_axis_skipped_for_image_rows(self):
         # a plain image benchmark is one step: crossing the bounds axis
@@ -260,7 +270,7 @@ class TestDirectionAxes:
         spec = SweepSpec.from_axes("b", ["ghz"], [3], methods=("basic",),
                                    bounds=(0, 2, 4))
         assert len(spec.runs) == 1
-        assert spec.runs[0].bound == 0
+        assert spec.runs[0].config.bound == 0
 
 
 class TestRunSweep:
@@ -296,8 +306,8 @@ class TestRunSweep:
     def test_resume_retries_failed_runs(self, tmp_path):
         # a dense run over the size guard fails; the failure must be
         # recorded but retried (not resumed) on the next invocation
-        bad = RunSpec(model="ghz", size=20, method="basic",
-                      backend="dense")
+        bad = RunSpec(model="ghz", size=20,
+                      config=CheckerConfig(backend="dense"))
         spec = SweepSpec(name="redo", runs=[bad])
         first = run_sweep(spec, out_dir=str(tmp_path))
         assert first.records[0]["failed"]
@@ -384,7 +394,7 @@ class TestDriverAxisAndWarmStart:
             drivers=("sequential", "opsharded", "frontier"),
             specs=("AG inv",))
         assert len(spec.runs) == 3
-        assert {run.driver for run in spec.runs} == \
+        assert {run.config.driver for run in spec.runs} == \
             {"sequential", "opsharded", "frontier"}
         assert any("driver=opsharded" in run.run_id for run in spec.runs)
 
@@ -401,7 +411,7 @@ class TestDriverAxisAndWarmStart:
             "d", ["ghz"], [3], methods=("basic",),
             drivers=("sequential", "opsharded", "frontier"))
         assert len(spec.runs) == 1
-        assert spec.runs[0].driver == "sequential"
+        assert spec.runs[0].config.driver == "sequential"
 
     def test_execute_run_records_driver_and_cache_columns(self):
         record = execute_run(RunSpec(
@@ -533,7 +543,8 @@ class TestResultStoreSweep:
 
 class TestBenchRowAdapter:
     def test_from_record(self):
-        record = execute_run(RunSpec(model="ghz", size=3, method="basic",
+        record = execute_run(RunSpec(model="ghz", size=3,
+                                     config=CheckerConfig(method="basic"),
                                      label="GHZ3"))
         row = BenchRow.from_record(record)
         assert row.benchmark == "GHZ3"

@@ -28,8 +28,11 @@ class TestReach:
         assert "converged  = True" in out
 
     def test_frontier_flag(self, capsys):
-        assert main(["reach", "qrw", "--size", "3", "--frontier"]) == 0
-        assert "frontier=True" in capsys.readouterr().out
+        assert main(["reach", "qrw", "--size", "3",
+                     "--driver", "frontier"]) == 0
+        assert "driver=frontier" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["reach", "qrw", "--size", "3", "--frontier"])
 
 
 class TestCheck:
@@ -77,9 +80,11 @@ class TestCheck:
                      "--backend", "dense", "--driver", "opsharded"]) == 0
 
     def test_frontier_flag_with_conflicting_driver_errors(self, capsys):
-        assert main(["reach", "qrw", "--size", "3", "--frontier",
-                     "--driver", "opsharded"]) == 2
-        assert "frontier" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reach", "qrw", "--size", "3", "--frontier",
+                  "--driver", "opsharded"])
+        assert excinfo.value.code == 2
+        assert "--frontier" in capsys.readouterr().err
 
     def test_unknown_atom_reports_available(self, capsys):
         assert main(["check", "grover", "--size", "3",
