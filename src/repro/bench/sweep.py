@@ -59,6 +59,12 @@ CSV_COLUMNS = (
     "peak_live_nodes", "live_nodes", "failed", "error",
 )
 
+#: the fixpoint driver of a sweep run whose config names none, and the
+#: one driver its ``run_id`` leaves out.  Sweeps predate ``frontier``
+#: as the engine default, so this stays ``sequential``: every existing
+#: artifact id keeps naming the computation it recorded.
+SWEEP_DRIVER = "sequential"
+
 # ----------------------------------------------------------------------
 # specs
 # ----------------------------------------------------------------------
@@ -66,11 +72,12 @@ class RunSpec:
     """One fully-described configuration: model + size + config + spec.
 
     ``config`` is the validated engine configuration
-    (:class:`~repro.mc.config.CheckerConfig`); ``spec`` an optional
-    property to check (text, e.g. ``"AG inv"`` — without one the run
-    benchmarks a single image computation); ``model_params`` go to the
-    circuit builder (``iterations``, ``steps``, ``noise_probability``,
-    ...).
+    (:class:`~repro.mc.config.CheckerConfig`; without one, the defaults
+    under :data:`SWEEP_DRIVER`); ``spec`` an optional property to check
+    (text, e.g. ``"AG inv"`` — without one the run benchmarks a single
+    image computation, which runs no fixpoint, so its driver is set to
+    :data:`SWEEP_DRIVER`); ``model_params`` go to the circuit builder
+    (``iterations``, ``steps``, ``noise_probability``, ...).
     """
 
     def __init__(self, model: str, size: int,
@@ -83,7 +90,11 @@ class RunSpec:
                              f"{sorted(models.MODEL_BUILDERS)}")
         self.model = model
         self.size = size
-        self.config = config if config is not None else CheckerConfig()
+        if config is None:
+            config = CheckerConfig(driver=SWEEP_DRIVER)
+        if spec is None:
+            config = config.replace(driver=SWEEP_DRIVER)
+        self.config = config
         self.spec = spec
         self.model_params = dict(model_params or {})
         self.label = label if label is not None else f"{model}{size}"
@@ -103,7 +114,7 @@ class RunSpec:
         if config.strategy != "monolithic":
             parts.append(f"jobs={config.jobs or 1},"
                          f"depth={config.slice_depth}")
-        if config.driver != "sequential":
+        if config.driver != SWEEP_DRIVER:
             parts.append(f"driver={config.driver}")
         if config.direction != "forward":
             parts.append(f"dir={config.direction}")
@@ -130,7 +141,8 @@ class RunSpec:
 
         Engine settings live under ``"config"`` (a
         :meth:`CheckerConfig.as_dict <repro.mc.config.CheckerConfig.
-        as_dict>` mapping); a flat run dict carrying them at the top
+        as_dict>` mapping, whose missing ``driver`` means
+        :data:`SWEEP_DRIVER`); a flat run dict carrying them at the top
         level is rejected.
         """
         data = dict(data)
@@ -143,7 +155,8 @@ class RunSpec:
                 f"\"config\", e.g. {{\"model\": \"ghz\", \"size\": 3, "
                 f"\"config\": {{\"method\": \"basic\"}}}}")
         if "config" in data:
-            data["config"] = CheckerConfig.from_dict(data["config"])
+            data["config"] = CheckerConfig.from_dict(
+                {"driver": SWEEP_DRIVER, **data["config"]})
         return cls(**data)
 
     def __eq__(self, other) -> bool:
@@ -175,7 +188,7 @@ class SweepSpec:
                   specs: Sequence[Optional[str]] = (None,),
                   directions: Sequence[str] = ("forward",),
                   bounds: Sequence[int] = (0,),
-                  drivers: Sequence[str] = ("sequential",),
+                  drivers: Sequence[str] = (SWEEP_DRIVER,),
                   jobs_per_run: int = 1,
                   slice_depth: int = DEFAULT_SLICE_DEPTH,
                   method_params: Optional[Dict[str, dict]] = None,
@@ -204,10 +217,10 @@ class SweepSpec:
             if spec_text is None:
                 # a plain image benchmark is a single step — a fixpoint
                 # bound or schedule cannot affect it, so crossing those
-                # axes in would only duplicate the measurement (the
-                # run_id dedup below then collapses the copies)
+                # axes in would only duplicate the measurement (RunSpec
+                # pins the driver; the run_id dedup below then collapses
+                # the copies)
                 bound = 0
-                driver = "sequential"
             if backend == "dense":
                 config = CheckerConfig(backend="dense",
                                        direction=direction, bound=bound,
@@ -265,7 +278,7 @@ class SweepSpec:
             specs=data.get("specs", (None,)),
             directions=data.get("directions", ("forward",)),
             bounds=data.get("bounds", (0,)),
-            drivers=data.get("drivers", ("sequential",)),
+            drivers=data.get("drivers", (SWEEP_DRIVER,)),
             jobs_per_run=data.get("jobs_per_run", 1),
             slice_depth=data.get("slice_depth", DEFAULT_SLICE_DEPTH),
             method_params=data.get("method_params"),
@@ -588,7 +601,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="comma-separated fixpoint depth bounds "
                              "(0 = saturation)")
     parser.add_argument("--drivers", type=_csv_names,
-                        default=["sequential"],
+                        default=[SWEEP_DRIVER],
                         help="comma-separated fixpoint drivers "
                              "(sequential,opsharded,frontier)")
     parser.add_argument("--jobs", type=int, default=1,

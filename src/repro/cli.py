@@ -44,15 +44,15 @@ store never changes a verdict, it only collapses repeat runs to one
 confirming iteration.
 ``reach``/``check`` additionally take ``--driver
 {sequential,opsharded,frontier}`` — the fixpoint schedule of
-``repro.mc.drivers``.  A failed ``AG`` / satisfied ``EF`` check also
-prints the counterexample witness trace — the operation path whose
-forward replay reproduces the event.
+``repro.mc.drivers`` (default ``frontier``).  A failed ``AG`` /
+satisfied ``EF`` check also prints the counterexample witness trace —
+the operation path whose forward replay reproduces the event.
 
 Examples::
 
     python -m repro image grover --size 4 --method contraction
     python -m repro image qrw --size 5 --strategy sliced --jobs 4
-    python -m repro reach qrw --size 4 --driver frontier
+    python -m repro reach qrw --size 4 --driver sequential
     python -m repro reach qrw --size 4 --driver opsharded
     python -m repro check grover --size 4 --spec "AG inv"
     python -m repro check grover --size 3 --spec "EF marked" --backend dense
@@ -142,11 +142,11 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
 def _add_driver_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--driver", default=DEFAULT_DRIVER,
                         choices=list(DRIVERS),
-                        help="fixpoint schedule: sequential (one "
-                             "monolithic T(S) per round), opsharded "
-                             "(per-operation image tasks, tree-reduced "
-                             "joins), frontier (image only the newly "
-                             "added directions)")
+                        help="fixpoint schedule: frontier (the "
+                             "default; image only the newly added "
+                             "directions), sequential (one monolithic "
+                             "T(S) per round), opsharded (per-operation "
+                             "image tasks, tree-reduced joins)")
 
 
 def _add_store_argument(parser: argparse.ArgumentParser) -> None:

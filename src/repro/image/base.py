@@ -87,13 +87,22 @@ class ImageComputerBase:
 
     def image(self, subspace: Optional[Subspace] = None,
               stats: Optional[StatsRecorder] = None) -> ImageResult:
-        """Compute ``T(S)`` (defaults: ``S`` = the system's initial space)."""
-        return self.partial_image(subspace, self.qts.all_kraus_circuits(),
-                                  stats)
+        """Compute ``T(S)`` (defaults: ``S`` = the system's initial space).
+
+        The size of the image projector is observed into ``max_nodes``,
+        as Table I counts it.
+        """
+        if stats is None:
+            stats = StatsRecorder()
+        result = self.partial_image(subspace, self.qts.all_kraus_circuits(),
+                                    stats)
+        stats.observe_nodes(result.subspace.projector.size())
+        return result
 
     def partial_image(self, subspace: Optional[Subspace],
                       circuits: Sequence,
-                      stats: Optional[StatsRecorder] = None) -> ImageResult:
+                      stats: Optional[StatsRecorder] = None,
+                      into: Optional[Subspace] = None) -> ImageResult:
         """The image restricted to a subset of the Kraus circuits.
 
         ``T(S)`` is the join of per-circuit contributions (Proposition
@@ -101,33 +110,34 @@ class ImageComputerBase:
         yields that operation's partial image — the unit of work a
         fixpoint driver schedules (see :mod:`repro.mc.drivers`).  With
         every circuit of the system this *is* ``image``.
+
+        The image states are added straight into ``into`` (default: a
+        fresh subspace), which is mutated in place and returned as the
+        result: one Gram-Schmidt pass per image state, and no projector
+        is formed.
         """
         if subspace is None:
             subspace = self.qts.initial
         if stats is None:
             stats = StatsRecorder()
         circuits = list(circuits)
-        result = Subspace(self.qts.space)
+        result = into if into is not None else Subspace(self.qts.space)
+        sources = list(subspace.basis)
         if self.batched and len(circuits) > 1:
             family = self.family_for(circuits, stats)
-            for state in subspace.basis:
-                for image_state in family.images(state, self.executor,
-                                                 self.qts.space, stats):
-                    stats.observe_tdd(image_state)
-                    added = result.add_state(image_state)
-                    if added is not None:
-                        stats.observe_tdd(added)
-            stats.observe_nodes(result.projector.size())
-            return ImageResult(result, stats)
-        for state in subspace.basis:
-            for circuit in circuits:
-                for image_state in self._circuit_images(state, circuit,
-                                                        stats):
-                    stats.observe_tdd(image_state)
-                    added = result.add_state(image_state)
-                    if added is not None:
-                        stats.observe_tdd(added)
-        stats.observe_nodes(result.projector.size())
+            images = (image_state for state in sources
+                      for image_state in family.images(
+                          state, self.executor, self.qts.space, stats))
+        else:
+            images = (image_state for state in sources
+                      for circuit in circuits
+                      for image_state in self._circuit_images(
+                          state, circuit, stats))
+        for image_state in images:
+            stats.observe_tdd(image_state)
+            added = result.add_state(image_state)
+            if added is not None:
+                stats.observe_tdd(added)
         return ImageResult(result, stats)
 
     # ------------------------------------------------------------------

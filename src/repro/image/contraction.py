@@ -70,9 +70,8 @@ class ContractionImageComputer(ImageComputerBase):
                     observer=self.build_stats.observe_tdd)
                 block_tdds.append(block_tdd)
             self._blocks[key] = (block_tdds, inputs, outputs)
-            self.build_stats.extra["blocks"] = len(blocks)
         stats.merge(self.build_stats)
-        stats.extra.setdefault("blocks", self.build_stats.extra.get("blocks"))
+        stats.extra.setdefault("blocks", len(self._blocks[key][0]))
         return self._blocks[key]
 
     @staticmethod

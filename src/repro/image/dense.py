@@ -67,10 +67,13 @@ class DenseImageEngine:
         stats.observe_nodes(result.projector.size())
         return result
 
-    def image(self, source: DenseSubspace,
-              stats: Optional[StatsRecorder] = None) -> DenseSubspace:
+    def image(self, source: DenseSubspace) -> DenseSubspace:
         return self._apply(source, [matrix for group in self.groups
                                     for matrix in group])
+
+    def extend(self, current: DenseSubspace, source: DenseSubspace,
+               stats: Optional[StatsRecorder] = None) -> DenseSubspace:
+        return current.join(self.image(source))
 
     def partial_images(self, source: DenseSubspace,
                        stats: Optional[StatsRecorder] = None

@@ -177,9 +177,14 @@ class ImageEngine:
         """Back from the engine's representation (the identity here)."""
         return subspace
 
-    def image(self, source: Subspace,
-              stats: Optional[StatsRecorder] = None) -> Subspace:
-        return self.computer.image(source, stats).subspace
+    def extend(self, current: Subspace, source: Subspace,
+               stats: Optional[StatsRecorder] = None) -> Subspace:
+        """``current v T(source)``: the image states of ``source`` go
+        straight into a copy of ``current``, one Gram-Schmidt pass
+        each, with no intermediate image subspace or projector."""
+        return self.computer.partial_image(
+            source, self.system.all_kraus_circuits(), stats,
+            into=current.copy()).subspace
 
     def partial_images(self, source: Subspace,
                        stats: Optional[StatsRecorder] = None
@@ -192,9 +197,10 @@ class ImageEngine:
 
     def new_directions(self, previous: Subspace,
                        grown: Subspace) -> Subspace:
-        # basis vectors Gram-Schmidt added beyond the previous space
-        # (orthogonal to it by construction of Subspace.join)
-        return self.qts.space.span(grown.basis[previous.dimension:])
+        # the basis vectors Gram-Schmidt added beyond the previous
+        # space: extend() keeps the previous basis as the prefix, so
+        # the tail is orthonormal and orthogonal to it already
+        return grown.tail(previous.dimension)
 
     def collect(self) -> None:
         self.qts.manager.collect()

@@ -73,9 +73,9 @@ class CheckerConfig:
     (preimage, against the adjoint Kraus family) analysis and ``bound``
     depth-limits reachability fixpoints (0 = run to saturation);
     ``driver`` picks the fixpoint schedule
-    (:mod:`repro.mc.drivers`: ``sequential`` / ``opsharded`` /
-    ``frontier``) — all three are honoured by *both* backends.  Every
-    mismatch is rejected at construction time.
+    (:mod:`repro.mc.drivers`: ``frontier`` by default,
+    ``sequential`` or ``opsharded``) — all three are honoured by
+    *both* backends.  Every mismatch is rejected at construction time.
     """
 
     backend: str = "tdd"

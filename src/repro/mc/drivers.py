@@ -14,7 +14,10 @@ through this protocol (the symbolic
 over its own subspace type — anything with ``join`` and
 ``dimension``):
 
-* ``image(source, stats)`` — ``T(source)``;
+* ``extend(current, source, stats)`` — ``current v T(source)``; the
+  symbolic engine adds every image state straight into a copy of
+  ``current`` (one Gram-Schmidt pass per image state, no image
+  subspace or projector in between);
 * ``partial_images(source, stats)`` — partial images whose join is
   ``T(source)`` (one per operation, Proposition 1);
 * ``new_directions(previous, grown)`` — the span of what a growing
@@ -23,16 +26,18 @@ over its own subspace type — anything with ``join`` and
 
 Three drivers ship:
 
-* ``sequential`` — one monolithic ``T(S_k)`` per round joined onto the
+* ``sequential`` — one monolithic ``T(S_k)`` per round added onto the
   accumulator.
 * ``opsharded`` — each round takes the engine's partial images and
   recombines the accumulator with them through a balanced *tree-reduce
   of joins*.  On the symbolic engine the partial images run through the
   engine's executor, so the sliced strategy's cofactor decomposition —
   and its worker pool — are shared between slicing and sharding.
-* ``frontier`` — the classic frontier-set refinement: each round images
-  only the directions added by the previous round (sound because the
-  image distributes over joins, Proposition 1).
+* ``frontier`` (the default) — the classic frontier-set refinement:
+  each round images only the directions added by the previous round
+  (sound because the image distributes over joins, Proposition 1).
+  ``sequential`` re-images directions whose images are already in
+  ``S_k``; frontier skips that work.
 
 Every driver computes the same reachable subspace (same dimension,
 mutual containment); they differ in work granularity and combine
@@ -50,15 +55,16 @@ from repro.utils.stats import StatsRecorder
 DRIVERS = ("sequential", "opsharded", "frontier")
 
 #: the driver every config/CLI surface defaults to
-DEFAULT_DRIVER = "sequential"
+DEFAULT_DRIVER = "frontier"
 
 
 def tree_join(subspaces: Sequence):
     """Join subspaces pairwise, halving the list each pass.
 
-    The balanced combine keeps each intermediate join small (the
-    Gram-Schmidt cost of ``a.join(b)`` is linear in ``dim b`` against
-    the accumulated projector of ``a``) instead of funnelling every
+    The balanced combine keeps each intermediate join small (
+    ``a.join(b)`` runs one modified Gram-Schmidt pass over the basis
+    of ``a`` for each basis vector of ``b``, so it costs about
+    ``dim a * dim b`` inner products) instead of funnelling every
     partial image through one ever-growing accumulator.
     """
     items: List = list(subspaces)
@@ -130,7 +136,7 @@ class SequentialDriver(FixpointDriver):
     name = "sequential"
 
     def advance(self, engine, current, stats: StatsRecorder):
-        return current.join(engine.image(current, stats))
+        return engine.extend(current, current, stats)
 
 
 class OpShardedDriver(FixpointDriver):
@@ -163,7 +169,7 @@ class FrontierDriver(FixpointDriver):
         self._frontier = initial
 
     def advance(self, engine, current, stats: StatsRecorder):
-        return current.join(engine.image(self._frontier, stats))
+        return engine.extend(current, self._frontier, stats)
 
     def observe(self, engine, previous, grown) -> None:
         self._frontier = engine.new_directions(previous, grown)

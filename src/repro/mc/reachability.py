@@ -79,9 +79,10 @@ def reachable_space(qts: QuantumTransitionSystem, config,
 
     ``config`` is a :class:`~repro.mc.config.CheckerConfig` for either
     backend.  Its ``driver`` selects the fixpoint schedule (see
-    :mod:`repro.mc.drivers`): ``sequential`` (one monolithic
-    ``T(S_k)`` per round), ``opsharded`` (per-operation partial images
-    tree-reduced with joins) or ``frontier``.  On the tdd backend the
+    :mod:`repro.mc.drivers`): ``frontier`` (the default: image only
+    the directions the previous round added), ``sequential`` (one
+    monolithic ``T(S_k)`` per round) or ``opsharded`` (per-operation
+    partial images tree-reduced with joins).  On the tdd backend the
     image computer (and therefore its cached transition TDDs) is reused
     across iterations, as is the execution strategy's worker pool and
     cofactor-slice cache when ``strategy="sliced"``.

@@ -5,9 +5,9 @@ live on the *ket* indices ``x_i^0`` and projectors pair each ket with a
 *bra* index ``y_i^0`` that sorts immediately after it (the interleaved
 ``x1 y1 x2 y2 ...`` order of the paper's Fig. 1).
 
-``Subspace`` keeps an orthonormal basis of TDD states *and* the
-projector TDD, maintained incrementally by the Gram-Schmidt procedure
-of Section IV.B.
+``Subspace`` keeps an orthonormal basis of TDD states, maintained by
+the Gram-Schmidt procedure of Section IV.B; its projector TDD is built
+only when something asks for it.
 """
 
 from __future__ import annotations
@@ -89,14 +89,33 @@ class StateSpace:
 
 
 class Subspace:
-    """A subspace as an orthonormal TDD basis plus its projector TDD."""
+    """A subspace as an orthonormal TDD basis; the projector is lazy.
+
+    Only the basis (and the conjugate of each basis vector, the bra
+    side of every inner product) is kept up to date.  The projector
+    ``P = sum_i |v_i><v_i|`` is built on first use and extended
+    incrementally when vectors were added since the last build, so
+    Gram-Schmidt-heavy work such as a reachability fixpoint never
+    materialises it.
+    """
 
     def __init__(self, space: StateSpace) -> None:
         self.space = space
         self.basis: List[TDD] = []
-        #: Projector tensor P[bra, ket]; starts as the zero tensor.
-        self.projector: TDD = tc.zero(
-            space.manager, list(space.bras) + list(space.kets))
+        #: ``conj(v_i)`` for every basis vector, in basis order
+        self._conjugates: List[TDD] = []
+        #: the projector over the first ``_projected`` basis vectors,
+        #: or ``None`` before the first use of :attr:`projector`
+        self._projector: Optional[TDD] = None
+        self._projected = 0
+
+    @classmethod
+    def _from_orthonormal(cls, space: StateSpace, basis: List[TDD],
+                          conjugates: List[TDD]) -> "Subspace":
+        out = cls(space)
+        out.basis = basis
+        out._conjugates = conjugates
+        return out
 
     # ------------------------------------------------------------------
     @property
@@ -110,32 +129,64 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
+    @property
+    def projector(self) -> TDD:
+        """The projector tensor ``P[bra, ket]`` (built on first use)."""
+        if self._projector is None:
+            self._projector = tc.zero(
+                self.manager, list(self.space.bras) + list(self.space.kets))
+        if self._projected < len(self.basis):
+            to_bras = dict(zip(self.space.kets, self.space.bras))
+            projector = self._projector
+            for i in range(self._projected, len(self.basis)):
+                projector = projector + self.basis[i].rename(
+                    to_bras).product(self._conjugates[i])
+            self._projector = projector
+            self._projected = len(self.basis)
+        return self._projector
+
+    def _coefficient(self, i: int, state: TDD) -> complex:
+        """``<v_i|state>``."""
+        return self._conjugates[i].contract(state,
+                                           self.space.kets).root.weight
+
+    def _check_state(self, state: TDD) -> None:
+        if set(state.indices) != set(self.space.kets):
+            raise SubspaceError("state must live on the ket indices")
+
     # ------------------------------------------------------------------
     def project_state(self, state: TDD) -> TDD:
-        """``P |state>``: contract the projector with a ket state."""
-        result = self.projector.contract(state, self.space.kets)
-        # the result lives on the bras; bring it home to the kets
-        return result.rename(dict(zip(self.space.bras, self.space.kets)))
+        """``P |state>`` as ``sum_i <v_i|state> v_i``."""
+        self._check_state(state)
+        result = tc.zero(self.manager, list(self.space.kets))
+        for i, vector in enumerate(self.basis):
+            coefficient = self._coefficient(i, state)
+            if coefficient != 0:
+                result = result + vector.scaled(coefficient)
+        return result
 
     def add_state(self, state: TDD, tol: float = GS_EPS) -> Optional[TDD]:
         """One Gram-Schmidt step (paper, Section IV.B).
 
-        Subtracts the projection of ``state`` onto the subspace; if a
-        non-negligible residual remains it is normalised, appended to
-        the basis, and the projector is updated.  Returns the new basis
-        vector, or ``None`` when the state was already contained.
+        Modified Gram-Schmidt: ``r <- r - <v_i|r> v_i`` over the basis.
+        If the residual's norm exceeds ``tol`` it is normalised and
+        appended to the basis.  Returns the new basis vector, or
+        ``None`` when the state was already contained.
         """
-        if set(state.indices) - set(self.space.kets):
-            raise SubspaceError("state must live on the ket indices")
-        residual = state - self.project_state(state)
-        norm = residual.norm()
+        self._check_state(state)
+        residual = state
+        for i, vector in enumerate(self.basis):
+            coefficient = self._coefficient(i, residual)
+            if coefficient != 0:
+                residual = residual + vector.scaled(-coefficient)
+        conjugate = residual.conj()
+        norm = abs(conjugate.contract(residual,
+                                      self.space.kets).root.weight) ** 0.5
         if norm <= tol:
             return None
         vector = residual.scaled(1.0 / norm)
         self.basis.append(vector)
-        self.projector = self.projector + vector.rename(
-            dict(zip(self.space.kets, self.space.bras))).product(
-                vector.conj())
+        self._conjugates.append(conjugate.scaled(1.0 / norm))
         return vector
 
     # ------------------------------------------------------------------
@@ -149,10 +200,18 @@ class Subspace:
         return out
 
     def copy(self) -> "Subspace":
-        out = Subspace(self.space)
-        out.basis = list(self.basis)
-        out.projector = self.projector
+        """An independent copy sharing the projector built so far."""
+        out = Subspace._from_orthonormal(
+            self.space, list(self.basis), list(self._conjugates))
+        out._projector = self._projector
+        out._projected = self._projected
         return out
+
+    def tail(self, start: int) -> "Subspace":
+        """The span of ``basis[start:]`` (already orthonormal, so no
+        Gram-Schmidt runs)."""
+        return Subspace._from_orthonormal(
+            self.space, self.basis[start:], self._conjugates[start:])
 
     # ------------------------------------------------------------------
     def contains_state(self, state: TDD, tol: float = 1e-7) -> bool:

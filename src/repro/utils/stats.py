@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class StatsRecorder:
     """Mutable record of the cost of one image computation run."""
@@ -115,7 +119,11 @@ class StatsRecorder:
         self.live_nodes = manager.live_nodes
 
     def merge(self, other: "StatsRecorder") -> None:
-        """Fold another recorder (e.g. from a sub-computation) into this one."""
+        """Fold another recorder (e.g. from a sub-computation) into this one.
+
+        Numeric ``extra`` counters add up; any other ``extra`` key keeps
+        the value this recorder already has (first writer wins).
+        """
         self.max_nodes = max(self.max_nodes, other.max_nodes)
         self.contractions += other.contractions
         self.additions += other.additions
@@ -134,6 +142,11 @@ class StatsRecorder:
         self.peak_live_nodes = max(self.peak_live_nodes,
                                    other.peak_live_nodes)
         self.live_nodes = max(self.live_nodes, other.live_nodes)
+        for key, value in other.extra.items():
+            if key not in self.extra:
+                self.extra[key] = value
+            elif _is_count(self.extra[key]) and _is_count(value):
+                self.extra[key] += value
 
     def as_dict(self) -> dict:
         out = {

@@ -17,10 +17,11 @@ from repro.systems import models
 
 from tests.helpers import subspace_to_dense
 
-#: the basic image method (no partitioning)
-BASIC = CheckerConfig(method="basic")
-#: the contraction method with small partition blocks
-CONTRACTION_K2 = CheckerConfig(method="contraction",
+#: the basic image method (no partitioning) under the sequential
+#: schedule, the baseline the other drivers are compared against
+BASIC = CheckerConfig(method="basic", driver="sequential")
+#: the contraction method with small partition blocks, sequential
+CONTRACTION_K2 = CheckerConfig(method="contraction", driver="sequential",
                                method_params={"k1": 2, "k2": 2})
 
 #: the tier-2 model families at driver-test sizes
@@ -93,7 +94,7 @@ class TestTreeJoin:
 class TestDriverRegistry:
     def test_names(self):
         assert DRIVERS == ("sequential", "opsharded", "frontier")
-        assert DEFAULT_DRIVER == "sequential"
+        assert DEFAULT_DRIVER == "frontier"
 
     @pytest.mark.parametrize("name,cls", [
         ("sequential", SequentialDriver),

@@ -10,10 +10,11 @@ from repro.systems import models
 
 from tests.helpers import subspace_to_dense
 
-#: the basic image method (no partitioning)
-BASIC = CheckerConfig(method="basic")
-#: the contraction method with small partition blocks
-CONTRACTION_K2 = CheckerConfig(method="contraction",
+#: the basic image method (no partitioning) under the sequential
+#: schedule, the baseline the frontier driver is compared against
+BASIC = CheckerConfig(method="basic", driver="sequential")
+#: the contraction method with small partition blocks, sequential
+CONTRACTION_K2 = CheckerConfig(method="contraction", driver="sequential",
                                method_params={"k1": 2, "k2": 2})
 FRONTIER = BASIC.replace(driver="frontier")
 

@@ -22,7 +22,7 @@ class TestRunSpec:
     def test_defaults_and_label(self):
         spec = RunSpec(model="ghz", size=4)
         assert spec.label == "ghz4"
-        assert spec.config == CheckerConfig()
+        assert spec.config == CheckerConfig(driver="sequential")
         assert spec.run_id == "ghz4/contraction/tdd/monolithic"
 
     def test_run_id_includes_params(self):
@@ -403,6 +403,28 @@ class TestDriverAxisAndWarmStart:
         run = RunSpec(model="ghz", size=4,
                       config=CheckerConfig(method="basic"))
         assert run.run_id == "ghz4/basic/tdd/monolithic"
+
+    def test_runs_form_without_driver_keeps_run_id(self):
+        # a check row written before frontier became the engine default
+        # still names a sequential run, so its artifact still resumes
+        spec = SweepSpec.from_dict({"runs": [
+            {"model": "grover", "size": 3, "spec": "AG inv",
+             "config": {"method": "basic"}},
+            {"model": "grover", "size": 3, "spec": "AG inv"}]})
+        assert [run.config.driver for run in spec.runs] == \
+            ["sequential", "sequential"]
+        assert [run.run_id for run in spec.runs] == \
+            ["grover3/basic/tdd/monolithic/check[AG inv]",
+             "grover3/contraction/tdd/monolithic/check[AG inv]"]
+
+    def test_image_rows_run_id_ignores_driver(self):
+        # an image row runs no fixpoint, so its driver is pinned and
+        # the table benchmarks' run_ids do not move with the default
+        run = RunSpec(model="ghz", size=3,
+                      config=CheckerConfig(method="basic",
+                                           driver="frontier"))
+        assert run.config.driver == "sequential"
+        assert run.run_id == "ghz3/basic/tdd/monolithic"
 
     def test_drivers_collapse_for_image_rows(self):
         # a plain image benchmark runs no fixpoint: the driver axis

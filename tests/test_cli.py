@@ -30,7 +30,15 @@ class TestReach:
     def test_frontier_flag(self, capsys):
         assert main(["reach", "qrw", "--size", "3",
                      "--driver", "frontier"]) == 0
-        assert "driver=frontier" in capsys.readouterr().out
+        frontier = capsys.readouterr().out
+        # frontier is the default driver, so the echo leaves it out
+        assert "driver=" not in frontier
+        assert main(["reach", "qrw", "--size", "3",
+                     "--driver", "sequential"]) == 0
+        sequential = capsys.readouterr().out
+        assert "driver=sequential" in sequential
+        # same per-round dimensions under both schedules
+        assert frontier.splitlines()[1] == sequential.splitlines()[1]
         with pytest.raises(SystemExit):
             main(["reach", "qrw", "--size", "3", "--frontier"])
 

@@ -69,6 +69,18 @@ class TestStatsRecorder:
         assert a.max_nodes == 7
         assert a.contractions == 3
 
+    def test_merge_keeps_extra(self):
+        a = StatsRecorder()
+        a.extra.update(shards=2, strategy="sliced", cache_warm=False)
+        b = StatsRecorder()
+        b.extra.update(shards=3, strategy="monolithic", cache_warm=True,
+                       blocks=4)
+        a.merge(b)
+        # numeric counters add up; other keys keep the first value
+        assert a.extra == {"shards": 5, "strategy": "sliced",
+                           "cache_warm": False, "blocks": 4}
+        assert b.extra["shards"] == 3
+
     def test_as_dict(self):
         stats = StatsRecorder(max_nodes=4)
         stats.extra["blocks"] = 6
