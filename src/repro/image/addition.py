@@ -56,7 +56,6 @@ class AdditionImageComputer(ImageComputerBase):
         self.k = k
         self._parts: Dict[int, Tuple[List[TDD], List[Index],
                                      List[Index]]] = {}
-        self.build_stats = StatsRecorder()
 
     # ------------------------------------------------------------------
     def parts_for(self, circuit: QuantumCircuit, stats: StatsRecorder

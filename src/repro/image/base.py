@@ -60,15 +60,8 @@ class ImageComputerBase:
     ``self.executor`` (monolithic in-process by default; the engine
     swaps in a :class:`~repro.image.sliced.SlicedExecutor` when the
     sliced strategy is selected), so parallel sliced execution composes
-    with each algorithm without touching its partitioning logic.
-
-    Multi-circuit Kraus families are applied through the **batched**
-    weight kernel by default (``self.batched``): the family is stacked
-    into one vector-weight operator (:mod:`repro.image.batched`) and
-    every basis state takes a single contraction for the whole family
-    instead of one per branch.  ``batched=False`` restores the scalar
-    per-branch loop (the two produce canonically identical states; see
-    the property tests).
+    with each algorithm without touching its partitioning logic.  Every
+    Kraus circuit of a family runs through the method's own partition.
     """
 
     method: str = "abstract"
@@ -78,12 +71,8 @@ class ImageComputerBase:
         self.qts = qts
         #: pluggable contraction executor (see :mod:`repro.image.sliced`)
         self.executor = MonolithicExecutor()
-        #: apply multi-Kraus families through the batched kernel
-        self.batched = True
         #: peak nodes observed while building cached operator diagrams
         self.build_stats = StatsRecorder()
-        self._monolithic_ops = {}
-        self._families = {}
 
     def image(self, subspace: Optional[Subspace] = None,
               stats: Optional[StatsRecorder] = None) -> ImageResult:
@@ -115,6 +104,12 @@ class ImageComputerBase:
         fresh subspace), which is mutated in place and returned as the
         result: one Gram-Schmidt pass per image state, and no projector
         is formed.
+
+        The manager collects garbage after each source state's images:
+        what must survive — the accumulator, the sources, the cached
+        operators and the executor's slices — is held by live TDD
+        handles, and everything else that state's contractions built
+        is garbage by then.
         """
         if subspace is None:
             subspace = self.qts.initial
@@ -122,53 +117,16 @@ class ImageComputerBase:
             stats = StatsRecorder()
         circuits = list(circuits)
         result = into if into is not None else Subspace(self.qts.space)
-        sources = list(subspace.basis)
-        if self.batched and len(circuits) > 1:
-            family = self.family_for(circuits, stats)
-            images = (image_state for state in sources
-                      for image_state in family.images(
-                          state, self.executor, self.qts.space, stats))
-        else:
-            images = (image_state for state in sources
-                      for circuit in circuits
-                      for image_state in self._circuit_images(
-                          state, circuit, stats))
-        for image_state in images:
-            stats.observe_tdd(image_state)
-            added = result.add_state(image_state)
-            if added is not None:
-                stats.observe_tdd(added)
+        for state in list(subspace.basis):
+            for circuit in circuits:
+                for image_state in self._circuit_images(state, circuit,
+                                                        stats):
+                    stats.observe_tdd(image_state)
+                    added = result.add_state(image_state)
+                    if added is not None:
+                        stats.observe_tdd(added)
+            self.qts.manager.collect()
         return ImageResult(result, stats)
-
-    # ------------------------------------------------------------------
-    # batched-family machinery (shared by all four methods)
-    # ------------------------------------------------------------------
-    def monolithic_operator_for(self, circuit, stats: StatsRecorder):
-        """The cached monolithic ``(operator, inputs, outputs)`` triple.
-
-        Partition methods avoid monolithic operators for their *scalar*
-        per-circuit work; the batched family path reuses this shared
-        cache because stacking requires whole-circuit operators.
-        """
-        from repro.circuits.network import circuit_to_tdd
-        key = id(circuit)
-        entry = self._monolithic_ops.get(key)
-        if entry is None:
-            entry = circuit_to_tdd(circuit, self.qts.manager,
-                                   observer=self.build_stats.observe_tdd)
-            self._monolithic_ops[key] = entry
-        stats.merge(self.build_stats)
-        return entry
-
-    def family_for(self, circuits: Sequence, stats: StatsRecorder):
-        """The cached :class:`~repro.image.batched.BatchedFamily`."""
-        from repro.image.batched import build_family
-        key = tuple(id(c) for c in circuits)
-        family = self._families.get(key)
-        if family is None:
-            family = build_family(self, circuits, stats)
-            self._families[key] = family
-        return family
 
     # subclasses implement: all images of one basis state under the
     # Kraus circuit (one TDD for a plain circuit; partition methods may

@@ -9,12 +9,14 @@ pay the — potentially exponential — contraction only once.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.network import circuit_to_tdd
 from repro.image.base import (ImageComputerBase, input_sum_indices,
                               rename_outputs_to_kets)
 from repro.indices.index import Index
+from repro.systems.qts import QuantumTransitionSystem
 from repro.tdd.tdd import TDD
 from repro.utils.stats import StatsRecorder
 
@@ -24,12 +26,23 @@ class BasicImageComputer(ImageComputerBase):
 
     method = "basic"
 
+    def __init__(self, qts: QuantumTransitionSystem) -> None:
+        super().__init__(qts)
+        self._operators: Dict[int, Tuple[TDD, List[Index],
+                                         List[Index]]] = {}
+
     # ------------------------------------------------------------------
     def operator_for(self, circuit: QuantumCircuit,
                      stats: StatsRecorder
                      ) -> Tuple[TDD, List[Index], List[Index]]:
-        # one shared cache with the batched-family path (see base class)
-        return self.monolithic_operator_for(circuit, stats)
+        """The cached monolithic ``(operator, inputs, outputs)`` triple."""
+        key = id(circuit)
+        if key not in self._operators:
+            self._operators[key] = circuit_to_tdd(
+                circuit, self.qts.manager,
+                observer=self.build_stats.observe_tdd)
+        stats.merge(self.build_stats)
+        return self._operators[key]
 
     # ------------------------------------------------------------------
     def _circuit_images(self, state: TDD, circuit: QuantumCircuit,

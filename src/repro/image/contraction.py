@@ -44,7 +44,6 @@ class ContractionImageComputer(ImageComputerBase):
         self.order_policy = order_policy
         self._blocks: Dict[int, Tuple[List[TDD], List[Index],
                                       List[Index]]] = {}
-        self.build_stats = StatsRecorder()
 
     # ------------------------------------------------------------------
     def blocks_for(self, circuit: QuantumCircuit, stats: StatsRecorder

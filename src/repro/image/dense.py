@@ -87,12 +87,9 @@ class DenseImageEngine:
         residual = grown.basis - previous.projector() @ grown.basis
         return DenseSubspace.from_vectors(residual.T, grown.dim)
 
-    def collect(self) -> None:
-        """Nothing to reclaim: dense subspaces are plain arrays."""
-
     # ------------------------------------------------------------------
-    def compute_image(self, subspace: Optional[Subspace] = None,
-                      gc: bool = True) -> ImageResult:
+    def compute_image(self, subspace: Optional[Subspace] = None
+                      ) -> ImageResult:
         """``T(S)`` (default ``S0``) with wall time and result size."""
         stats = StatsRecorder()
         stats.extra["backend"] = "dense"

@@ -130,7 +130,6 @@ class ImageEngine:
                        else qts.adjoint())
         self.computer = make_computer(self.system, config.method,
                                       **config.method_params)
-        self.computer.batched = config.batched
         self.computer.executor = make_executor(
             config.strategy, qts.manager, jobs=config.jobs,
             slice_depth=config.slice_depth)
@@ -152,19 +151,6 @@ class ImageEngine:
         for op in self.system.operations:
             yield ImageTask(symbol=op.symbol, circuits=op.kraus_circuits,
                             source=source, computer=self.computer)
-
-    def combined_image_task(self, source: Subspace) -> ImageTask:
-        """One task spanning *every* operation's Kraus family.
-
-        With batching on, running this task stacks all circuits of the
-        system into a single vector-weight operator, so a whole
-        fixpoint iteration costs one kernel invocation per basis state.
-        """
-        circuits = []
-        for op in self.system.operations:
-            circuits.extend(op.kraus_circuits)
-        return ImageTask(symbol="*", circuits=circuits,
-                         source=source, computer=self.computer)
 
     # ------------------------------------------------------------------
     # the fixpoint-engine protocol (see repro.mc.drivers)
@@ -189,11 +175,9 @@ class ImageEngine:
     def partial_images(self, source: Subspace,
                        stats: Optional[StatsRecorder] = None
                        ) -> List[Subspace]:
-        """Per-operation partial images; with the batched kernel on,
-        one image over every operation's stacked Kraus family."""
-        tasks = ([self.combined_image_task(source)]
-                 if self.config.batched else self.image_tasks(source))
-        return [task.run(stats).subspace for task in tasks]
+        """Per-operation partial images (Proposition 1)."""
+        return [task.run(stats).subspace
+                for task in self.image_tasks(source)]
 
     def new_directions(self, previous: Subspace,
                        grown: Subspace) -> Subspace:
@@ -202,12 +186,9 @@ class ImageEngine:
         # the tail is orthonormal and orthogonal to it already
         return grown.tail(previous.dimension)
 
-    def collect(self) -> None:
-        self.qts.manager.collect()
-
     # ------------------------------------------------------------------
-    def compute_image(self, subspace: Optional[Subspace] = None,
-                      gc: bool = True) -> ImageResult:
+    def compute_image(self, subspace: Optional[Subspace] = None
+                      ) -> ImageResult:
         """Compute ``T(S)`` and record the full kernel cost profile."""
         stats = StatsRecorder()
         if self.config.strategy != "monolithic":
@@ -217,8 +198,7 @@ class ImageEngine:
         watch = Stopwatch().start()
         result = self.computer.image(subspace, stats)
         stats.seconds = watch.stop()
-        if gc:
-            manager.collect()
+        manager.collect()
         stats.record_manager(manager, baseline)
         return result
 
@@ -259,7 +239,7 @@ def make_engine(qts: QuantumTransitionSystem, config=None):
 
 def compute_image(qts: QuantumTransitionSystem,
                   subspace: Optional[Subspace] = None,
-                  config=None, gc: bool = True) -> ImageResult:
+                  config=None) -> ImageResult:
     """One-shot ``T(S)`` — or preimage ``T^dagger(S)`` — with run stats.
 
     ``config`` is a :class:`~repro.mc.config.CheckerConfig` (default:
@@ -270,9 +250,8 @@ def compute_image(qts: QuantumTransitionSystem,
     On the tdd backend the returned :class:`ImageResult` stats carry
     wall time, peak TDD node count, operation-cache hit/miss counts for
     this run, sliced strategy counters (cofactors executed / shipped to
-    the pool) and — after the post-run garbage collection (skipped with
-    ``gc=False``) — the peak and surviving live-node populations of the
-    manager.
+    the pool) and — after the post-run garbage collection — the peak
+    and surviving live-node populations of the manager.
     """
     with make_engine(qts, config) as engine:
-        return engine.compute_image(subspace, gc=gc)
+        return engine.compute_image(subspace)

@@ -53,7 +53,6 @@ class HybridImageComputer(ImageComputerBase):
         #: circuit id -> (per-slice block TDD lists, inputs, outputs)
         self._slices: Dict[int, Tuple[List[List[TDD]], List[Index],
                                       List[Index]]] = {}
-        self.build_stats = StatsRecorder()
 
     # ------------------------------------------------------------------
     def slices_for(self, circuit: QuantumCircuit, stats: StatsRecorder

@@ -50,7 +50,7 @@ METHOD_PARAMS = {
 
 #: settings that only the symbolic tdd backend interprets
 _TDD_ONLY_FIELDS = ("method", "strategy", "jobs", "slice_depth",
-                    "method_params", "batched")
+                    "method_params")
 
 #: CLI defaults for the per-method parameters (Table I values)
 _CLI_METHOD_DEFAULTS = {
@@ -88,10 +88,6 @@ class CheckerConfig:
     direction: str = "forward"
     bound: int = 0
     driver: str = DEFAULT_DRIVER
-    #: apply multi-Kraus families through the batched weight kernel
-    #: (one vector-weight contraction per basis state instead of one
-    #: per Kraus branch); False restores the scalar per-branch loop
-    batched: bool = True
 
     def __post_init__(self) -> None:
         # freeze a private copy so a caller-held dict cannot mutate us
@@ -121,9 +117,6 @@ class CheckerConfig:
         if not isinstance(self.bound, int) or self.bound < 0:
             raise ConfigError(f"bound must be a non-negative integer "
                               f"(0 = unbounded), got {self.bound!r}")
-        if not isinstance(self.batched, bool):
-            raise ConfigError(f"batched must be a bool, "
-                              f"got {self.batched!r}")
         allowed = METHOD_PARAMS[self.method]
         unknown = set(self.method_params) - allowed
         if unknown:
@@ -226,16 +219,27 @@ class CheckerConfig:
                 "method_params": dict(self.method_params),
                 "max_qubits": self.max_qubits,
                 "direction": self.direction, "bound": self.bound,
-                "driver": self.driver, "batched": self.batched}
+                "driver": self.driver}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CheckerConfig":
+        """The inverse of :meth:`as_dict`; unknown fields raise.
+
+        Configs written while the batched weight kernel existed carry a
+        boolean ``batched``.  Both values now name the same computation
+        (every method runs its own partition, and no ``run_id`` ever
+        included the flag), so a boolean ``batched`` is dropped; any
+        other value is still an unknown field.
+        """
+        data = dict(data)
+        if isinstance(data.get("batched"), bool):
+            del data["batched"]
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown CheckerConfig fields "
                               f"{sorted(unknown)}; known: {sorted(known)}")
-        return cls(**dict(data))
+        return cls(**data)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True)
@@ -260,8 +264,6 @@ class CheckerConfig:
             parts.append(f"driver={self.driver}")
         if self.backend == "tdd":
             parts.append(f"method={self.method}")
-            if not self.batched:
-                parts.append("batched=off")
             if self.strategy != "monolithic":
                 parts.append(f"strategy={self.strategy}")
                 if self.jobs:

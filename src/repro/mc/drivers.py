@@ -21,8 +21,12 @@ over its own subspace type — anything with ``join`` and
 * ``partial_images(source, stats)`` — partial images whose join is
   ``T(source)`` (one per operation, Proposition 1);
 * ``new_directions(previous, grown)`` — the span of what a growing
-  round added beyond ``previous``;
-* ``collect()`` — reclaim the finished round's intermediates.
+  round added beyond ``previous``.
+
+Garbage collection is not part of the protocol: the symbolic engine
+collects after each source state's images (see
+:meth:`~repro.image.base.ImageComputerBase.partial_image`), and the
+dense engine has nothing to reclaim.
 
 Three drivers ship:
 
@@ -83,8 +87,8 @@ def tree_join(subspaces: Sequence):
 class FixpointDriver:
     """One fixpoint schedule; subclasses implement :meth:`advance`.
 
-    The shared :meth:`run` loop owns iteration accounting, convergence
-    detection and between-round garbage collection; it mutates the
+    The shared :meth:`run` loop owns iteration accounting and
+    convergence detection; it mutates the
     :class:`~repro.mc.reachability.ReachabilityTrace` handed in by the
     façade (subspace, dimensions, iterations, converged).  The trace's
     subspace is in the engine's own representation for the length of
@@ -107,7 +111,7 @@ class FixpointDriver:
         """Called after a growing round, before the next one."""
 
     # ------------------------------------------------------------------
-    def run(self, engine, trace, limit: int, gc: bool = True) -> None:
+    def run(self, engine, trace, limit: int) -> None:
         """Drive ``trace.subspace`` to the fixpoint (or the limit)."""
         current = trace.subspace
         self.begin(engine, current)
@@ -121,8 +125,6 @@ class FixpointDriver:
             self.observe(engine, current, grown)
             current = grown
             trace.subspace = grown
-            if gc:
-                engine.collect()
         else:
             trace.converged = False
 
@@ -144,8 +146,7 @@ class OpShardedDriver(FixpointDriver):
 
     Tree-reduces ``[S_k, T_1(S_k), T_2(S_k), ...]`` into ``S_{k+1}``,
     where the ``T_i`` are the engine's partial images (one per
-    operation; the symbolic engine stacks them into one when its
-    batched kernel is on).
+    operation).
     """
 
     name = "opsharded"

@@ -73,8 +73,8 @@ class ReachabilityTrace:
 def reachable_space(qts: QuantumTransitionSystem, config,
                     *, initial: Optional[Subspace] = None,
                     max_iterations: int = 0,
-                    warm_start: Optional[Subspace] = None,
-                    gc: bool = True) -> ReachabilityTrace:
+                    warm_start: Optional[Subspace] = None
+                    ) -> ReachabilityTrace:
     """Compute the reachable subspace of ``qts`` under ``config``.
 
     ``config`` is a :class:`~repro.mc.config.CheckerConfig` for either
@@ -108,13 +108,16 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     single confirming round; soundness requires the seed to lie inside
     the true reachable space, which the exact keying guarantees.
 
-    ``gc=True`` (the default) runs the manager's mark-and-sweep between
-    iterations: the accumulated subspace, the frontier and the
-    computer's cached operator TDDs stay pinned (they are live
-    handles), while the intermediate diagrams of the finished round are
-    reclaimed — this is what keeps the live-node population flat over
-    long fixpoints.  The trace stats report the cache hit/miss deltas
-    and GC activity of the whole run.
+    On the tdd backend the manager's mark-and-sweep runs after each
+    source state's images (see
+    :meth:`~repro.image.base.ImageComputerBase.partial_image`): the
+    accumulated subspace, the frontier and the computer's cached
+    operator TDDs stay pinned (they are live handles), while the
+    intermediate diagrams of the finished state are reclaimed — this is
+    what keeps the live-node population flat over long fixpoints.  One
+    more collection runs after the fixpoint, so the trace's
+    ``live_nodes`` counts only what survives it.  The trace stats
+    report the cache hit/miss deltas and GC activity of the whole run.
     """
     engine = make_engine(qts, config)
     current = initial if initial is not None else qts.initial
@@ -144,7 +147,7 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     baseline = manager.cache_counters()
     watch = Stopwatch().start()
     try:
-        make_driver(config.driver).run(engine, trace, limit, gc=gc)
+        make_driver(config.driver).run(engine, trace, limit)
         trace.subspace = engine.lift(trace.subspace, trace.stats)
     finally:
         # stop the clock before releasing the engine: the sliced
@@ -153,8 +156,7 @@ def reachable_space(qts: QuantumTransitionSystem, config,
         # billed to the trace
         trace.stats.seconds = watch.stop()
         engine.close()
-    if gc:
-        manager.collect()
+    manager.collect()
     trace.stats.record_manager(manager, baseline)
     return trace
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TYPE_CHECKING, Tuple
 
-from repro.tdd import weights as wt
 from repro.tdd.node import Edge, Node
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -76,18 +75,10 @@ def add_apply(manager: "TDDManager", a: Edge, b: Edge) -> Edge:
                 continue
             # Raw (full-precision) keys: rounding here could alias two
             # different weights onto one cache entry and silently
-            # return a wrong sum.  Batched weights key on their exact
-            # bytes; a scalar/batched pair cannot compare its keys
-            # (float vs str tag), so the scalar operand goes first.
-            ka = wt.cache_key(a.weight, id(a.node))
-            kb = wt.cache_key(b.weight, id(b.node))
-            scalar_a = type(a.weight) is complex
-            if scalar_a == (type(b.weight) is complex):
-                key = (ka, kb) if ka <= kb else (kb, ka)
-            elif scalar_a:
-                key = (ka, kb)
-            else:
-                key = (kb, ka)
+            # return a wrong sum.
+            ka = (a.weight.real, a.weight.imag, id(a.node))
+            kb = (b.weight.real, b.weight.imag, id(b.node))
+            key = (ka, kb) if ka <= kb else (kb, ka)
             cached = cache.get(key)
             if cached is not None:
                 values.append(cached)
@@ -134,10 +125,8 @@ def contract_apply(manager: "TDDManager", a: Edge, b: Edge,
             weight = a.weight * b.weight
             na, nb = a.node, b.node
             if na.is_terminal and nb.is_terminal:
-                # make_edge, not scalar_edge: ``weight`` may be a
-                # batched vector
                 values.append(
-                    make_edge(weight * (2 ** len(levels)), manager.terminal))
+                    manager.scalar_edge(weight * (2 ** len(levels))))
                 continue
             ka, kb = id(na), id(nb)
             key = (ka, kb, levels) if ka <= kb else (kb, ka, levels)

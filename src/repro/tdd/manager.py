@@ -29,58 +29,13 @@ canonical for a fixed index order.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.indices.index import Index
 from repro.indices.order import IndexOrder
 from repro.tdd import weights as wt
-from repro.tdd import xp as _xp
 from repro.tdd.cache import OperationCache
 from repro.tdd.node import Edge, Node, TERMINAL_LEVEL
-
-
-class WeightTable:
-    """Interned canonical weight vectors: the managed array behind
-    batched edges.
-
-    Child-edge weight vectors of batched nodes are canonicalised and
-    interned here; the unique table keys nodes on the returned integer
-    *weight id* instead of hashing the vector again, and every edge
-    with the same canonical vector shares one read-only array row.
-    Scalar weights (``parallel_shape == ()``) bypass the table — they
-    are their own key.
-    """
-
-    __slots__ = ("_ids", "_rows")
-
-    def __init__(self) -> None:
-        self._ids: Dict[tuple, int] = {}
-        self._rows: List[np.ndarray] = []
-
-    def intern(self, values) -> int:
-        """The stable id of the canonical vector ``values``."""
-        key = wt.key_array(values)
-        wid = self._ids.get(key)
-        if wid is None:
-            row = np.asarray(values, dtype=_xp.COMPLEX_DTYPE)
-            row.setflags(write=False)
-            wid = len(self._rows)
-            self._rows.append(row)
-            self._ids[key] = wid
-        return wid
-
-    def array(self, wid: int) -> np.ndarray:
-        """The (read-only) vector stored under ``wid``."""
-        return self._rows[wid]
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def clear(self) -> None:
-        self._ids.clear()
-        self._rows.clear()
 
 
 def _add_cache_ids(key: tuple, value: Edge) -> Tuple[int, int, int]:
@@ -111,8 +66,6 @@ class TDDManager:
                                         key_ids=_add_cache_ids)
         self.cont_cache = OperationCache("cont", max_size=cache_size,
                                          key_ids=_cont_cache_ids)
-        #: interned canonical weight vectors of batched child edges
-        self.weights = WeightTable()
         #: live TDD handles; their roots pin nodes during :meth:`collect`
         self._handles: "weakref.WeakSet" = weakref.WeakSet()
         #: total number of distinct non-terminal nodes ever interned
@@ -157,11 +110,6 @@ class TDDManager:
         happens only on the normalised child weights in
         :meth:`make_node`.
         """
-        if wt.parallel_shape(weight):
-            array = _xp.asarray(weight)
-            if not array.any():
-                return self.zero_edge()
-            return Edge(array, node)
         if weight == 0:
             return self.zero_edge()
         return Edge(complex(weight), node)
@@ -176,14 +124,7 @@ class TDDManager:
         grid; children negligible *relative to their sibling* are
         clamped to zero, which is what keeps float cancellation noise
         out of the diagrams.
-
-        Batched edges (vector weights) take the same rules elementwise
-        per parallel slot in :meth:`_make_batched_node`; the scalar path
-        below is untouched and stays bit-identical to the pre-batching
-        kernel.
         """
-        if wt.parallel_shape(low.weight) or wt.parallel_shape(high.weight):
-            return self._make_batched_node(level, low, high)
         w0 = complex(low.weight)
         w1 = complex(high.weight)
         if w0 == 0 and w1 == 0:
@@ -209,53 +150,6 @@ class TDDManager:
                 self.peak_live_nodes = len(self._unique)
         return Edge(norm, node)
 
-    def _make_batched_node(self, level: int, low: Edge, high: Edge) -> Edge:
-        """Batched :meth:`make_node`: the scalar rules, per parallel slot.
-
-        Both child weights are broadcast to one common parallel shape,
-        each slot is normalised by its own larger-magnitude weight (tie
-        toward low, exactly the scalar rule), and the canonical child
-        vectors are interned in the :class:`WeightTable` so the unique
-        key hashes two small integers instead of two arrays.  Slots
-        where both children vanish normalise to 0/0 → guarded to 0.
-        """
-        ns = _xp.xp
-        w0 = _xp.asarray(low.weight)
-        w1 = _xp.asarray(high.weight)
-        if w0.shape != w1.shape:
-            w0, w1 = ns.broadcast_arrays(w0, w1)
-        if not (w0.any() or w1.any()):
-            return self.zero_edge()
-        if low.node is high.node and bool((w0 == w1).all()):
-            return Edge(+w0, low.node)
-        # elementwise normalisation: each slot divides by its own
-        # larger-magnitude weight, ties resolved toward the low edge
-        norm = ns.where(ns.abs(w0) >= ns.abs(w1), w0, w1)
-        safe = ns.where(norm == 0, 1.0, norm)
-        nw0 = wt.canonical_array(w0 / safe)
-        nw1 = wt.canonical_array(w1 / safe)
-        if not nw0.any():
-            n0, k0, low_child = self.terminal, (0.0, 0.0), self.zero_edge()
-        else:
-            wid0 = self.weights.intern(nw0)
-            n0, k0 = low.node, ("w", wid0)
-            low_child = Edge(self.weights.array(wid0), low.node)
-        if not nw1.any():
-            n1, k1, high_child = self.terminal, (0.0, 0.0), self.zero_edge()
-        else:
-            wid1 = self.weights.intern(nw1)
-            n1, k1 = high.node, ("w", wid1)
-            high_child = Edge(self.weights.array(wid1), high.node)
-        key = (level, k0, id(n0), k1, id(n1))
-        node = self._unique.get(key)
-        if node is None:
-            node = Node(level, low_child, high_child)
-            self._unique[key] = node
-            self.nodes_made += 1
-            if len(self._unique) > self.peak_live_nodes:
-                self.peak_live_nodes = len(self._unique)
-        return Edge(norm, node)
-
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
@@ -274,9 +168,8 @@ class TDDManager:
 
         The per-table ``add_*``/``cont_*`` counters feed the
         ``add_hit_rate``/``cont_hit_rate`` columns of the sweep CSV:
-        addition and contraction caches behave very differently under
-        batching, and a combined rate hides which one is earning its
-        memory.
+        addition and contraction caches behave very differently, and a
+        combined rate hides which one is earning its memory.
         """
         return {
             "hits": self.add_cache.hits + self.cont_cache.hits,
@@ -295,7 +188,6 @@ class TDDManager:
         """Drop all nodes and caches.  Outstanding TDDs become invalid."""
         self._unique.clear()
         self.clear_caches()
-        self.weights.clear()
         self.nodes_made = 0
         self.peak_live_nodes = 0
 

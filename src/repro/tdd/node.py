@@ -47,14 +47,6 @@ class Edge:
 
     The tensor denoted by an edge is ``weight`` times the tensor denoted
     by its node.  A weight of exactly 0 always points at the terminal.
-
-    ``weight`` is either a python ``complex`` (scalar diagrams, the
-    ``parallel_shape == ()`` degenerate case) or a numpy vector of
-    shape ``parallel_shape`` (batched diagrams — one slot per parallel
-    tensor slice; see :mod:`repro.tdd.weights`).  The manager never
-    constructs an edge whose weight vector is zero in *every* slot:
-    all-zero weights collapse to the scalar zero edge, so the
-    ``is_zero`` test stays one comparison on the scalar hot path.
     """
 
     __slots__ = ("weight", "node")
@@ -65,22 +57,11 @@ class Edge:
 
     @property
     def is_zero(self) -> bool:
-        w = self.weight
-        if type(w) is complex:
-            return w == 0
-        # batched weight vector; all-zero vectors are collapsed to the
-        # scalar zero edge on construction, but keep exact semantics
-        return not w.any()
+        return self.weight == 0
 
     def same_as(self, other: "Edge") -> bool:
         """Structural equality (valid because nodes are interned)."""
-        if self.node is not other.node:
-            return False
-        w, v = self.weight, other.weight
-        if type(w) is complex and type(v) is complex:
-            return w == v
-        from repro.tdd import weights as _wt
-        return _wt.equal(w, v)
+        return self.node is other.node and self.weight == other.weight
 
     def __repr__(self) -> str:
         return f"Edge({self.weight!r}, {self.node!r})"

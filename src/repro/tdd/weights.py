@@ -1,29 +1,14 @@
-"""Complex edge-weight canonicalisation — scalar and batched.
+"""Complex edge-weight canonicalisation.
 
 TDD canonicity requires weights to be usable as dictionary keys, so
 every weight stored in a node is first clamped to zero if negligible
 and then rounded to :data:`repro.config.WEIGHT_DECIMALS` digits.  All
 weight handling shared by the TDD algorithms lives here.
-
-Weights come in two shapes (see DESIGN.md and the TddPy exemplars):
-
-* a **scalar** python ``complex`` — the classic one-tensor diagram,
-  the ``parallel_shape == ()`` degenerate case;
-* a **batched** numpy vector of shape ``parallel_shape`` (one slot per
-  parallel tensor slice, e.g. one per Kraus operator of a family),
-  processed by the ``*_array`` counterparts below, which apply exactly
-  the scalar clamp-then-round rule elementwise.
-
-The array functions route through :mod:`repro.tdd.xp` (the
-array-namespace indirection that is the torch-accelerator seam).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.config import WEIGHT_DECIMALS, WEIGHT_EPS
-from repro.tdd import xp as _xp
 
 WeightKey = tuple
 
@@ -61,83 +46,3 @@ def key(value: complex) -> WeightKey:
 
 def is_zero(value: complex) -> bool:
     return value.real == 0.0 and value.imag == 0.0
-
-
-# ----------------------------------------------------------------------
-# batched (parallel_shape != ()) counterparts
-# ----------------------------------------------------------------------
-def canonical_array(values) -> np.ndarray:
-    """Elementwise :func:`canonical` over a weight vector.
-
-    Same clamp-before-round ordering, same -0.0 folding, applied to
-    every parallel slot at once through the active array namespace.
-    """
-    values = _xp.asarray(values)
-    ns = _xp.xp
-    re = values.real
-    im = values.imag
-    re = ns.where(ns.abs(re) < WEIGHT_EPS, 0.0, re)
-    im = ns.where(ns.abs(im) < WEIGHT_EPS, 0.0, im)
-    # ``+ 0.0`` folds -0.0 into +0.0, exactly like the scalar rule
-    re = ns.round(re, WEIGHT_DECIMALS) + 0.0
-    im = ns.round(im, WEIGHT_DECIMALS) + 0.0
-    return re + 1j * im
-
-
-def key_array(values) -> WeightKey:
-    """Hashable key of an (already canonical) weight vector.
-
-    Tagged with a leading marker so array keys and scalar ``(re, im)``
-    keys can never collide in one table, and tuple comparison between
-    the two kinds stays well-defined (marker first, bytes second).
-    """
-    return ("b", _xp.to_bytes(values))
-
-
-def is_zero_array(values) -> bool:
-    """True iff every parallel slot is exactly zero."""
-    return not values.any()
-
-
-def parallel_shape(value) -> tuple:
-    """The parallel shape of a weight: ``()`` for scalars."""
-    if isinstance(value, np.ndarray):
-        return value.shape
-    return ()
-
-
-# ----------------------------------------------------------------------
-# shape-polymorphic dispatch helpers (hot-path friendly: one type test)
-# ----------------------------------------------------------------------
-def any_key(value) -> WeightKey:
-    """:func:`key` or :func:`key_array`, by weight shape."""
-    if type(value) is complex:
-        return (value.real, value.imag)
-    return ("b", _xp.to_bytes(value))
-
-
-def cache_key(value, node_id: int) -> tuple:
-    """The memo-cache key triple of a raw (full-precision) weight.
-
-    Scalar weights key on their exact component floats, batched ones on
-    their exact bytes — never on rounded values, which could alias two
-    different weights onto one cache entry and return a wrong result.
-    The node id sits last so cache purges can read it off either form.
-    """
-    if type(value) is complex:
-        return (value.real, value.imag, node_id)
-    return ("b", _xp.to_bytes(value), node_id)
-
-
-def any_is_zero(value) -> bool:
-    """:func:`is_zero` or :func:`is_zero_array`, by weight shape."""
-    if type(value) is complex:
-        return value.real == 0.0 and value.imag == 0.0
-    return not value.any()
-
-
-def equal(a, b) -> bool:
-    """Exact weight equality across scalar/batched shapes."""
-    if type(a) is complex and type(b) is complex:
-        return a == b
-    return bool(np.array_equal(np.asarray(a), np.asarray(b)))

@@ -117,6 +117,18 @@ class TestRoundTrips:
         with pytest.raises(ConfigError, match="unknown"):
             CheckerConfig.from_dict({"backend": "tdd", "metod": "basic"})
 
+    @pytest.mark.parametrize("legacy", [True, False])
+    def test_from_dict_drops_legacy_batched_flag(self, legacy):
+        # configs written while the batched weight kernel existed
+        data = dict(CheckerConfig(method="basic").as_dict(),
+                    batched=legacy)
+        assert CheckerConfig.from_dict(data) == \
+            CheckerConfig(method="basic")
+
+    def test_from_dict_rejects_non_bool_batched(self):
+        with pytest.raises(ConfigError, match="unknown"):
+            CheckerConfig.from_dict({"method": "basic", "batched": "yes"})
+
     def test_from_json_rejects_non_object(self):
         with pytest.raises(ConfigError):
             CheckerConfig.from_json("[1, 2]")

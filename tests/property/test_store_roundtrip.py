@@ -2,10 +2,10 @@
 
 Three layers, from codec to fixpoint:
 
-* random scalar-weight TDDs and batched (vector-weight) stacks survive
-  the ``tdd/io`` dict codec that the store serialises payloads
-  through — including a detour through canonical JSON text, which is
-  exactly what lands on disk;
+* random TDDs survive the ``tdd/io`` dict codec that the store
+  serialises payloads through — including a detour through canonical
+  JSON text, which is exactly what lands on disk — while a blob
+  carrying the removed vector-weight form is a quarantined miss;
 * random small subspaces written to a :class:`ResultStore` come back
   dense-identical from a fresh instance with a fresh manager;
 * a warm start loaded from disk reproduces the cold fixpoint — same
@@ -16,6 +16,7 @@ Three layers, from codec to fixpoint:
 from __future__ import annotations
 
 import json
+import sqlite3
 import tempfile
 
 import numpy as np
@@ -28,7 +29,6 @@ from repro.store import ResultStore
 from repro.systems import models
 from repro.systems.noise import noisy_operation
 from repro.systems.qts import QuantumTransitionSystem
-from repro.tdd import batch
 from repro.tdd import construction as tc
 from repro.tdd.io import canonical_json, from_dict, payload_digest, \
     to_dict
@@ -66,25 +66,36 @@ class TestCodecRoundTrip:
         # content addressing depends on the codec being deterministic
         assert payload_digest(to_dict(back)) == payload_digest(to_dict(t))
 
-    @given(st.lists(arrays(np.complex128, (DIM,),
-                           elements=COMPLEX_GRID),
-                    min_size=2, max_size=4))
-    def test_batched_weights(self, slot_amplitudes):
-        # the batched kernel's vector edge weights must survive the
-        # codec slot-for-slot: stack -> dict -> JSON -> dict -> unstack
-        m = fresh_manager(["a0", "a1"])
-        slots = [tc.from_numpy(m, a.reshape(2, 2),
-                               [Index("a0"), Index("a1")])
-                 for a in slot_amplitudes]
-        stacked = batch.stack(slots)
-        m2 = fresh_manager(["a0", "a1"])
-        back = _roundtrip(m2, stacked)
-        for slot, original in enumerate(slots):
-            recovered = batch.unstack(back, len(slots))[slot]
-            assert np.allclose(recovered.to_numpy(),
-                               original.to_numpy())
-        assert payload_digest(to_dict(back)) == \
-            payload_digest(to_dict(stacked))
+    def test_vector_weight_blob_is_a_decode_miss(self, tmp_path):
+        # an entry written while the batched kernel existed may carry
+        # {"re": [...], "im": [...]} weight vectors under an honest
+        # checksum; the codec refuses them, so the lookup quarantines
+        # the entry as a decode failure and reports a miss
+        root = tmp_path / "store"
+        qts = models.qrw_qts(3, 0.2)
+        with ResultStore(root) as store:
+            assert store.store(qts, qts.initial, "forward", 0,
+                               reachable_space(qts, BASIC))
+            (key,) = [row["key"] for row in store.ls()]
+        blob = root / "blobs" / f"{key}.json"
+        payload = json.loads(blob.read_text(encoding="utf-8"))
+        re, im = payload["basis"][0]["root_weight"]
+        payload["basis"][0]["root_weight"] = {"re": [re, re],
+                                              "im": [im, im]}
+        blob.write_text(canonical_json(payload), encoding="utf-8")
+        conn = sqlite3.connect(root / "index.sqlite")
+        conn.execute("UPDATE entries SET checksum=? WHERE key=?",
+                     (payload_digest(payload), key))
+        conn.commit()
+        conn.close()
+        rebuilt = models.qrw_qts(3, 0.2)
+        with ResultStore(root) as store:
+            assert store.lookup(rebuilt, rebuilt.initial) is None
+            assert store.misses == 1
+            (record,) = store.quarantine_records()
+        assert record["key"] == key
+        assert record["reason"] == "decode"
+        assert "batched" in record["detail"]
 
 
 class TestSubspaceRoundTrip:

@@ -130,17 +130,16 @@ class TestCacheInvalidation:
 
 class TestGCInPipelines:
     def test_reachability_dimensions_unchanged_by_gc(self):
-        qts_gc = models.qrw_qts(3, 0.2)
+        # the tdd run collects after every source state; the dense
+        # oracle never touches the manager, so equal dimensions mean
+        # no collection reclaimed a node the fixpoint still needed
         from repro.mc.reachability import reachable_space
-        with_gc = reachable_space(qts_gc, CheckerConfig(method="contraction"),
-                                  gc=True)
-        qts_plain = models.qrw_qts(3, 0.2)
-        without_gc = reachable_space(qts_plain,
-                                     CheckerConfig(method="contraction"),
-                                     gc=False)
-        assert with_gc.dimensions == without_gc.dimensions
-        assert with_gc.stats.gc_runs > 0
-        assert without_gc.stats.gc_runs == 0
+        tdd = reachable_space(models.qrw_qts(3, 0.2),
+                              CheckerConfig(method="contraction"))
+        dense = reachable_space(models.qrw_qts(3, 0.2),
+                                CheckerConfig(backend="dense"))
+        assert tdd.dimensions == dense.dimensions
+        assert tdd.stats.gc_runs > 0
 
     def test_compute_image_reports_post_gc_live_nodes(self):
         from repro.image.engine import compute_image
@@ -153,7 +152,8 @@ class TestGCInPipelines:
                                                         method_params=params))
             stats = result.stats
             assert stats.cache_hits + stats.cache_misses > 0
-            assert stats.gc_runs == 1
+            # one collection per source state, one after the run
+            assert stats.gc_runs == qts.initial.dimension + 1
             assert 0 < stats.live_nodes <= stats.peak_live_nodes
             data = stats.as_dict()
             for field in ("cache_hits", "cache_misses", "cache_hit_rate",

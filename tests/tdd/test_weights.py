@@ -1,7 +1,6 @@
-"""Unit tests for weight canonicalisation — scalar and batched."""
+"""Unit tests for weight canonicalisation."""
 
 import numpy as np
-import pytest
 
 from repro.config import WEIGHT_DECIMALS, WEIGHT_EPS
 from repro.tdd import weights as wt
@@ -57,94 +56,7 @@ class TestKeyAndZero:
         assert not wt.is_zero(1 + 0j)
 
 
-class TestCanonicalArray:
-    def test_matches_scalar_canonical_elementwise(self):
-        values = np.array([1e-14 + 0.5j, 0.5 + 1e-14j, complex(-0.0, -0.0),
-                           1 + 0j, 0.1234567890123456 + 0.25j,
-                           complex(-1e-14, 0.5), complex(WEIGHT_EPS / 2, 1)])
-        result = wt.canonical_array(values)
-        for got, raw in zip(result, values):
-            assert complex(got) == wt.canonical(complex(raw))
-
-    def test_folds_negative_zero(self):
-        result = wt.canonical_array(np.array([complex(-0.0, -0.0)]))
-        assert not np.signbit(result[0].real)
-        assert not np.signbit(result[0].imag)
-
-    def test_clamp_runs_before_round(self):
-        result = wt.canonical_array(np.array([complex(WEIGHT_EPS / 2, 1.0)]))
-        assert complex(result[0]) == 1j
-
-    def test_key_array_tagged(self):
-        values = wt.canonical_array(np.array([0.5 + 0j, 0.25j]))
-        key = wt.key_array(values)
-        assert key[0] == "b"
-        hash(key)
-
-    def test_key_array_distinguishes_sign_of_zero(self):
-        # canonical_array folds -0.0; raw byte keys would not, which is
-        # why only canonical vectors may be interned
-        plus = wt.canonical_array(np.array([complex(0.0, 0.0)]))
-        minus = wt.canonical_array(np.array([complex(-0.0, -0.0)]))
-        assert wt.key_array(plus) == wt.key_array(minus)
-
-    def test_is_zero_array(self):
-        assert wt.is_zero_array(np.zeros(3, dtype=complex))
-        assert not wt.is_zero_array(np.array([0j, 1j, 0j]))
-
-
-class TestDispatchHelpers:
-    def test_parallel_shape(self):
-        assert wt.parallel_shape(1 + 0j) == ()
-        assert wt.parallel_shape(np.zeros(4, dtype=complex)) == (4,)
-
-    def test_any_key_matches_specialised(self):
-        assert wt.any_key(0.5 - 0.5j) == wt.key(0.5 - 0.5j)
-        values = np.array([1j, 2j])
-        assert wt.any_key(values) == wt.key_array(values)
-
-    def test_cache_key_node_id_position(self):
-        # cache purges read the node id at index 2 of either form
-        assert wt.cache_key(0.5 + 0.25j, 42)[2] == 42
-        assert wt.cache_key(np.array([1j]), 42)[2] == 42
-
-    def test_any_is_zero(self):
-        assert wt.any_is_zero(0j)
-        assert not wt.any_is_zero(1j)
-        assert wt.any_is_zero(np.zeros(2, dtype=complex))
-        assert not wt.any_is_zero(np.array([0j, 1e-30j]))
-
-    def test_equal(self):
-        assert wt.equal(1j, 1j)
-        assert not wt.equal(1j, -1j)
-        assert wt.equal(np.array([1j, 0j]), np.array([1j, 0j]))
-        assert not wt.equal(np.array([1j, 0j]), np.array([1j, 1j]))
-
+class TestRemovedApi:
     def test_approx_equal_is_gone(self):
         # removed dead API; kept here so a reintroduction is deliberate
         assert not hasattr(wt, "approx_equal")
-
-
-class TestRoundingParity:
-    @pytest.mark.parametrize("value", [
-        0.1234567890123456, 0.9999999999994999,
-        0.3333333333333333, 2 ** -40, 0.0000000000005,
-    ])
-    def test_np_round_matches_python_round(self, value):
-        # the batched kernel rounds through the array namespace; the
-        # scalar kernel through python round().  Both are IEEE
-        # round-half-even at WEIGHT_DECIMALS digits — this pins the
-        # assumption the canonical-parity guarantee rests on.
-        assert float(np.round(value, WEIGHT_DECIMALS)) == round(
-            value, WEIGHT_DECIMALS)
-
-    def test_known_half_way_divergence(self):
-        # np.round (scale, round, unscale) and python round (correctly
-        # rounded decimal) CAN disagree when a weight sits within one
-        # ulp of a half-way point at digit 13.  Documented limitation:
-        # canonical parity between the scalar and batched kernels is
-        # exact except on such adversarial values, which the property
-        # tests show do not arise in the table-1 families.
-        value = 1.0000000000005001
-        assert float(np.round(value, WEIGHT_DECIMALS)) != round(
-            value, WEIGHT_DECIMALS)

@@ -417,6 +417,34 @@ class TestDriverAxisAndWarmStart:
             ["grover3/basic/tdd/monolithic/check[AG inv]",
              "grover3/contraction/tdd/monolithic/check[AG inv]"]
 
+    def test_parent_format_spec_with_batched_key_keeps_run_ids(self):
+        # every artifact spec written while the batched weight kernel
+        # existed carries "batched": true in each run's config
+        def config(method, direction, driver):
+            return {"backend": "tdd", "batched": True, "bound": 0,
+                    "direction": direction, "driver": driver,
+                    "jobs": None, "max_qubits": None, "method": method,
+                    "method_params": {}, "slice_depth": 2,
+                    "strategy": "monolithic"}
+
+        def run(spec, **cfg):
+            return {"config": config(**cfg), "label": "grover3",
+                    "model": "grover", "model_params": {}, "size": 3,
+                    "spec": spec}
+
+        spec = SweepSpec.from_dict({"name": "p", "runs": [
+            run(None, method="basic", direction="forward",
+                driver="sequential"),
+            run("AG inv", method="contraction", direction="backward",
+                driver="frontier"),
+            run("AG inv", method="basic", direction="forward",
+                driver="sequential")]})
+        assert [r.run_id for r in spec.runs] == [
+            "grover3/basic/tdd/monolithic",
+            "grover3/contraction/tdd/monolithic/driver=frontier"
+            "/dir=backward/check[AG inv]",
+            "grover3/basic/tdd/monolithic/check[AG inv]"]
+
     def test_image_rows_run_id_ignores_driver(self):
         # an image row runs no fixpoint, so its driver is pinned and
         # the table benchmarks' run_ids do not move with the default
