@@ -80,14 +80,11 @@ class TestHybridMethod:
 
 
 class TestFrontierReachability:
-    @pytest.mark.parametrize("frontier", [False, True])
-    def test_qrw_reachability(self, benchmark, frontier):
+    def test_qrw_reachability(self, benchmark):
         from repro.mc.reachability import reachable_space
-        config = CONTRACTION_K4.replace(
-            driver="frontier" if frontier else "sequential")
 
         def run():
-            return reachable_space(models.qrw_qts(4, 0.2), config)
+            return reachable_space(models.qrw_qts(4, 0.2), CONTRACTION_K4)
 
         trace = benchmark.pedantic(run, rounds=1, iterations=1)
         benchmark.extra_info["iterations"] = trace.iterations

@@ -1,18 +1,17 @@
-"""Parallel sliced image computation and the batch sweep runner.
+"""Sliced image computation and the batch sweep runner.
 
 Walkthrough of the scaling layers added on top of the paper's
 algorithms:
 
 1. the *sliced execution strategy* — one big transition-relation
-   contraction decomposed into independent cofactor subproblems,
-   optionally fanned out over a process pool (identical results,
-   deterministic recombination),
-2. the *fixpoint driver layer* — pluggable schedules for the
-   reachability loop (sequential / opsharded / frontier, see
-   ``repro.mc.drivers``), and
+   contraction decomposed into independent cofactor subproblems
+   (identical results, deterministic recombination),
+2. the *fixpoint schedule* — the frontier-set refinement that images
+   only the directions each round adds (see ``repro.mc.drivers``),
+   run by one loop on both backends, and
 3. the *sweep runner* — a declarative grid of benchmark
-   configurations executed with per-run kernel statistics and
-   resumable JSON/CSV artifacts.
+   configurations fanned out over a process pool, with per-run kernel
+   statistics and resumable JSON/CSV artifacts.
 
 Run:  python examples/parallel_sweep.py
 """
@@ -30,42 +29,38 @@ def sliced_strategy_demo() -> None:
                         CheckerConfig(method="basic")).image()
     sliced = ModelChecker(models.qrw_qts(5, 0.1, steps=2),
                           CheckerConfig(method="basic",
-                                        strategy="sliced",
-                                        jobs=2)).image()
+                                        strategy="sliced")).image()
     print("one-step image of the noisy quantum walk (qrw5):")
     print(f"  monolithic: dim={mono.dimension} "
           f"time={mono.stats.seconds * 1000:.1f} ms")
     print(f"  sliced:     dim={sliced.dimension} "
           f"time={sliced.stats.seconds * 1000:.1f} ms "
-          f"({sliced.stats.slices} cofactors, "
-          f"{sliced.stats.parallel_tasks} on the pool)")
+          f"({sliced.stats.slices} cofactors)")
     assert sliced.dimension == mono.dimension
 
-    # --- holding the engine (and its worker pool) across calls ------
+    # --- holding the engine (and its caches) across calls -----------
     qts = models.qrw_qts(4, 0.1)
-    config = CheckerConfig(method="basic", strategy="sliced", jobs=2)
-    with ImageEngine(qts, config) as engine:
-        first = engine.compute_image()
-        second = engine.compute_image(first.subspace)
-        print(f"engine reuse: dim(T(S0))={first.dimension}, "
-              f"dim(T(T(S0)))={second.dimension}")
+    engine = ImageEngine(qts, CheckerConfig(method="basic",
+                                            strategy="sliced"))
+    first = engine.compute_image()
+    second = engine.compute_image(first.subspace)
+    print(f"engine reuse: dim(T(S0))={first.dimension}, "
+          f"dim(T(T(S0)))={second.dimension}")
 
 
-def fixpoint_driver_demo() -> None:
-    # --- the fixpoint driver layer: same space, three schedules -----
-    # (sequential = one monolithic T(S) per round, opsharded = one
-    # image task per operation tree-reduced with joins, frontier =
-    # image only the newly added directions)
-    qts = models.qrw_qts(4, 0.1)
-    print("reachability of the noisy walk under each fixpoint driver:")
+def fixpoint_schedule_demo() -> None:
+    # --- the frontier schedule on both backends ---------------------
+    # each round images only the basis vectors the previous round
+    # added; the dense backend runs the same loop on statevectors
+    print("reachability of the noisy walk (qrw4), frontier schedule:")
     dims = set()
-    for driver in ("sequential", "opsharded", "frontier"):
-        trace = reachable_space(qts,
-                                CheckerConfig(method="basic", driver=driver))
-        print(f"  {driver:10s} {trace} "
+    for config in (CheckerConfig(method="basic"),
+                   CheckerConfig(backend="dense")):
+        trace = reachable_space(models.qrw_qts(4, 0.1), config)
+        print(f"  {config.backend:5s} {trace} "
               f"growth per round {trace.dimensions_delta}")
         dims.add(trace.dimension)
-    assert len(dims) == 1  # every schedule reaches the same space
+    assert len(dims) == 1  # both backends reach the same space
 
 
 def sweep_runner_demo() -> None:
@@ -91,7 +86,7 @@ def sweep_runner_demo() -> None:
 
 def main() -> None:
     sliced_strategy_demo()
-    fixpoint_driver_demo()
+    fixpoint_schedule_demo()
     sweep_runner_demo()
 
 

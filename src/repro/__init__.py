@@ -13,8 +13,8 @@ The public API is organised around two first-class objects:
 
 * :class:`~repro.mc.config.CheckerConfig` — one validated, frozen,
   JSON-round-trippable description of the whole engine configuration
-  (backend, image method, execution strategy, worker pool, per-method
-  parameters), and
+  (backend, image method, execution strategy, per-method parameters,
+  analysis direction and depth bound), and
 * temporal **specifications** — Birkhoff-von Neumann propositions over
   named subspaces with ``AG``/``EF`` on top, written as text
   (``"AG (inv & ~bad)"``) or as ASTs (:mod:`repro.mc.logic`), checked
@@ -41,14 +41,16 @@ Quickstart::
     assert dense.check(parse_spec("AG inv")).holds == result.holds
     assert checker.cross_validate(spec="AG inv").ok
 
-    # parallel sliced execution: contractions decompose into cofactor
-    # subproblems fanned out over a process pool (identical results)
-    parallel = ModelChecker(qts, CheckerConfig(strategy="sliced", jobs=4))
+    # sliced execution: contractions decompose into cofactor
+    # subproblems along the top summed indices (identical results)
+    sliced = ModelChecker(qts, CheckerConfig(strategy="sliced"))
+    assert sliced.check("AG inv").holds == result.holds
 
 ``CheckerConfig`` is the only configuration spelling: every engine
 surface (``ModelChecker``, ``make_backend``, ``compute_image``,
 ``reachable_space``, the sweep ``RunSpec``) takes one, and one
-fixpoint loop serves both backends.
+fixpoint loop — the frontier schedule, which images only the
+directions each round adds — serves both backends.
 """
 
 from repro.circuits.circuit import QuantumCircuit
@@ -64,9 +66,7 @@ from repro.mc.backends import (Backend, DenseStatevectorBackend, TDDBackend,
                                cross_validate, make_backend)
 from repro.mc.checker import CheckResult, ModelChecker
 from repro.mc.config import CheckerConfig
-from repro.mc.drivers import (DRIVERS, FixpointDriver, FrontierDriver,
-                              OpShardedDriver, SequentialDriver,
-                              make_driver)
+from repro.mc.drivers import FrontierDriver
 from repro.mc.logic import (Always, Atomic, Eventually, Join, Meet, Name,
                             Not, Proposition)
 from repro.mc.reachability import (ReachabilityCache, ReachabilityTrace,
@@ -92,8 +92,7 @@ __all__ = [
     "Backend", "DenseStatevectorBackend", "TDDBackend",
     "cross_validate", "make_backend",
     "CheckerConfig", "CheckResult", "ModelChecker", "reachable_space",
-    "DRIVERS", "FixpointDriver", "SequentialDriver", "OpShardedDriver",
-    "FrontierDriver", "make_driver",
+    "FrontierDriver",
     "ReachabilityCache", "ReachabilityTrace",
     "Always", "Atomic", "Eventually", "Join", "Meet", "Name", "Not",
     "Proposition", "parse_spec", "to_text",

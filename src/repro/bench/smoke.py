@@ -6,15 +6,14 @@ I columns plus the kernel instrumentation — cache hit rate and the
 post-GC/peak live-node population.  CI runs this to catch perf or
 instrumentation regressions without paying for the full Table I grid.
 
-``--strategy sliced [--jobs N]`` runs every method through the sliced
-execution strategy (parallel cofactor contraction, see
-:mod:`repro.image.sliced`) and appends the *QRW stress case*: the
-noisy-walk reachability workload contraction-for-contraction under the
-sequential monolithic strategy and again under the requested sliced
-configuration, printing both wall clocks and the speedup.
+``--strategy sliced`` runs every method through the sliced execution
+strategy (cofactor contraction, see :mod:`repro.image.sliced`) and
+appends the *QRW stress case*: the noisy-walk reachability workload
+contraction-for-contraction under the monolithic strategy and again
+under the sliced one, printing both wall clocks and the speedup.
 
 Run:  ``python -m repro.bench.smoke [--model grover] [--size 6]
-[--strategy sliced --jobs 4]``
+[--strategy sliced]``
 """
 
 from __future__ import annotations
@@ -54,26 +53,23 @@ STRESS_ITERATIONS = 6
 
 
 def smoke_rows(model: str = "grover", size: int = 6,
-               strategy: str = "monolithic",
-               jobs: Optional[int] = None) -> List:
+               strategy: str = "monolithic") -> List:
     builder = _BUILDERS[model]
     label = f"{model}{size}"
     return [run_image_benchmark(
                 lambda: builder(size), label,
-                CheckerConfig(method=method, strategy=strategy, jobs=jobs,
+                CheckerConfig(method=method, strategy=strategy,
                               method_params=params))
             for method, params in SMOKE_METHODS.items()]
 
 
-def stress_times(strategy: str = "sliced",
-                 jobs: Optional[int] = None) -> Dict[str, float]:
-    """Sequential-vs-strategy wall clocks on the QRW stress case."""
+def stress_times(strategy: str = "sliced") -> Dict[str, float]:
+    """Monolithic-vs-strategy wall clocks on the QRW stress case."""
     name, size, params = STRESS_MODEL
     out: Dict[str, float] = {}
     for label, config in (
             ("monolithic", CheckerConfig(method="basic")),
-            (strategy, CheckerConfig(method="basic", strategy=strategy,
-                                     jobs=jobs))):
+            (strategy, CheckerConfig(method="basic", strategy=strategy))):
         qts = models.build_model(name, size, **params)
         trace = reachable_space(qts, config,
                                 max_iterations=STRESS_ITERATIONS)
@@ -88,11 +84,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--size", type=int, default=6)
     parser.add_argument("--strategy", default="monolithic",
                         choices=["monolithic", "sliced"])
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="sliced-strategy worker pool width")
     args = parser.parse_args(argv)
-    rows = smoke_rows(args.model, args.size, strategy=args.strategy,
-                      jobs=args.jobs)
+    rows = smoke_rows(args.model, args.size, strategy=args.strategy)
     headers = ["Benchmark", "method", "time [s]", "max#node", "dim",
                "cache hit%", "live/peak nodes"]
     table = [[row.benchmark, row.method, f"{row.seconds:.2f}",
@@ -110,14 +103,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     if args.strategy != "monolithic":
         name, size, _params = STRESS_MODEL
-        times = stress_times(args.strategy, args.jobs)
+        times = stress_times(args.strategy)
         speedup = times["monolithic"] / max(times[args.strategy], 1e-9)
         print(f"QRW stress case ({name}{size} reachability, "
               f"{STRESS_ITERATIONS} iterations):")
-        print(f"  monolithic      = {times['monolithic']:.2f} s")
-        print(f"  {args.strategy} jobs={args.jobs or 1}  "
-              f"= {times[args.strategy]:.2f} s  "
-              f"({speedup:.2f}x vs sequential)")
+        print(f"  monolithic = {times['monolithic']:.2f} s")
+        print(f"  {args.strategy:<10} = {times[args.strategy]:.2f} s  "
+              f"({speedup:.2f}x vs monolithic)")
     return 0
 
 

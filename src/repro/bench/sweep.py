@@ -45,7 +45,11 @@ from repro.store import ResultStore
 from repro.systems import models
 from repro.utils.tables import format_table
 
-#: the flat column schema of the CSV artifact (and of every record)
+#: the flat column schema of the CSV artifact (and of every record).
+#: It is a compatibility contract, so the columns of knobs that are gone
+#: stay and hold the one value the remaining code path has: ``jobs`` is
+#: 1, ``driver`` is ``frontier``, ``parallel_tasks`` and
+#: ``pool_fallbacks`` are 0.
 CSV_COLUMNS = (
     "run_id", "label", "model", "size", "method", "backend", "strategy",
     "jobs", "slice_depth", "driver", "direction", "bound", "spec",
@@ -59,12 +63,6 @@ CSV_COLUMNS = (
     "peak_live_nodes", "live_nodes", "failed", "error",
 )
 
-#: the fixpoint driver of a sweep run whose config names none, and the
-#: one driver its ``run_id`` leaves out.  Sweeps predate ``frontier``
-#: as the engine default, so this stays ``sequential``: every existing
-#: artifact id keeps naming the computation it recorded.
-SWEEP_DRIVER = "sequential"
-
 # ----------------------------------------------------------------------
 # specs
 # ----------------------------------------------------------------------
@@ -72,12 +70,11 @@ class RunSpec:
     """One fully-described configuration: model + size + config + spec.
 
     ``config`` is the validated engine configuration
-    (:class:`~repro.mc.config.CheckerConfig`; without one, the defaults
-    under :data:`SWEEP_DRIVER`); ``spec`` an optional property to check
-    (text, e.g. ``"AG inv"`` — without one the run benchmarks a single
-    image computation, which runs no fixpoint, so its driver is set to
-    :data:`SWEEP_DRIVER`); ``model_params`` go to the circuit builder
-    (``iterations``, ``steps``, ``noise_probability``, ...).
+    (:class:`~repro.mc.config.CheckerConfig`; default: its defaults);
+    ``spec`` an optional property to check (text, e.g. ``"AG inv"`` —
+    without one the run benchmarks a single image computation);
+    ``model_params`` go to the circuit builder (``iterations``,
+    ``steps``, ``noise_probability``, ...).
     """
 
     def __init__(self, model: str, size: int,
@@ -90,11 +87,7 @@ class RunSpec:
                              f"{sorted(models.MODEL_BUILDERS)}")
         self.model = model
         self.size = size
-        if config is None:
-            config = CheckerConfig(driver=SWEEP_DRIVER)
-        if spec is None:
-            config = config.replace(driver=SWEEP_DRIVER)
-        self.config = config
+        self.config = config if config is not None else CheckerConfig()
         self.spec = spec
         self.model_params = dict(model_params or {})
         self.label = label if label is not None else f"{model}{size}"
@@ -104,7 +97,9 @@ class RunSpec:
     def run_id(self) -> str:
         """Deterministic identity of this configuration (resume key).
 
-        The format is stable, so existing artifacts resume.
+        The format is stable, so existing artifacts resume: a sliced
+        run names ``jobs=1``, the id every inline sliced run has always
+        had, and no run names a fixpoint schedule.
         """
         def fmt(params: Mapping) -> str:
             return ",".join(f"{k}={params[k]}" for k in sorted(params))
@@ -112,10 +107,7 @@ class RunSpec:
         parts = [f"{self.model}{self.size}", config.method, config.backend,
                  config.strategy]
         if config.strategy != "monolithic":
-            parts.append(f"jobs={config.jobs or 1},"
-                         f"depth={config.slice_depth}")
-        if config.driver != SWEEP_DRIVER:
-            parts.append(f"driver={config.driver}")
+            parts.append(f"jobs=1,depth={config.slice_depth}")
         if config.direction != "forward":
             parts.append(f"dir={config.direction}")
         if config.bound:
@@ -141,9 +133,10 @@ class RunSpec:
 
         Engine settings live under ``"config"`` (a
         :meth:`CheckerConfig.as_dict <repro.mc.config.CheckerConfig.
-        as_dict>` mapping, whose missing ``driver`` means
-        :data:`SWEEP_DRIVER`); a flat run dict carrying them at the top
-        level is rejected.
+        as_dict>` mapping, parsed by :meth:`CheckerConfig.from_dict
+        <repro.mc.config.CheckerConfig.from_dict>`, which also reads
+        configs written by older versions); a flat run dict carrying
+        them at the top level is rejected.
         """
         data = dict(data)
         known = {"model", "size", "config", "spec", "model_params",
@@ -155,8 +148,7 @@ class RunSpec:
                 f"\"config\", e.g. {{\"model\": \"ghz\", \"size\": 3, "
                 f"\"config\": {{\"method\": \"basic\"}}}}")
         if "config" in data:
-            data["config"] = CheckerConfig.from_dict(
-                {"driver": SWEEP_DRIVER, **data["config"]})
+            data["config"] = CheckerConfig.from_dict(data["config"])
         return cls(**data)
 
     def __eq__(self, other) -> bool:
@@ -188,8 +180,6 @@ class SweepSpec:
                   specs: Sequence[Optional[str]] = (None,),
                   directions: Sequence[str] = ("forward",),
                   bounds: Sequence[int] = (0,),
-                  drivers: Sequence[str] = (SWEEP_DRIVER,),
-                  jobs_per_run: int = 1,
                   slice_depth: int = DEFAULT_SLICE_DEPTH,
                   method_params: Optional[Dict[str, dict]] = None,
                   model_params: Optional[dict] = None) -> "SweepSpec":
@@ -200,9 +190,8 @@ class SweepSpec:
         ``model_params`` applies to every run; ``specs`` adds
         property-check rows (``None`` = plain image benchmark);
         ``directions``/``bounds`` cross the grid with backward
-        (preimage) analysis and depth-limited fixpoints; ``drivers``
-        with the fixpoint schedules of :mod:`repro.mc.drivers`.  The
-        dense backend ignores methods and strategies, so crossing it
+        (preimage) analysis and depth-limited fixpoints.  The dense
+        backend ignores methods and strategies, so crossing it
         with those axes would duplicate work — duplicate
         configurations are dropped (by ``run_id``).
         """
@@ -210,31 +199,25 @@ class SweepSpec:
         runs: List[RunSpec] = []
         seen = set()
         cells = itertools.product(model_names, sizes, specs, backends,
-                                  methods, strategies, directions, bounds,
-                                  drivers)
+                                  methods, strategies, directions, bounds)
         for (model, size, spec_text, backend, method, strategy,
-             direction, bound, driver) in cells:
+             direction, bound) in cells:
             if spec_text is None:
                 # a plain image benchmark is a single step — a fixpoint
-                # bound or schedule cannot affect it, so crossing those
-                # axes in would only duplicate the measurement (RunSpec
-                # pins the driver; the run_id dedup below then collapses
-                # the copies)
+                # bound cannot affect it, so crossing that axis in
+                # would only duplicate the measurement (the run_id
+                # dedup below collapses the copies)
                 bound = 0
             if backend == "dense":
                 config = CheckerConfig(backend="dense",
-                                       direction=direction, bound=bound,
-                                       driver=driver)
+                                       direction=direction, bound=bound)
             else:
-                sliced = strategy == "sliced"
                 config = CheckerConfig(
                     method=method, strategy=strategy,
-                    jobs=(jobs_per_run if sliced and jobs_per_run > 1
-                          else None),
-                    slice_depth=(slice_depth if sliced
+                    slice_depth=(slice_depth if strategy == "sliced"
                                  else DEFAULT_SLICE_DEPTH),
                     method_params=dict(method_params.get(method, {})),
-                    direction=direction, bound=bound, driver=driver)
+                    direction=direction, bound=bound)
             run = RunSpec(model=model, size=size, config=config,
                           spec=spec_text,
                           model_params=dict(model_params or {}))
@@ -278,8 +261,6 @@ class SweepSpec:
             specs=data.get("specs", (None,)),
             directions=data.get("directions", ("forward",)),
             bounds=data.get("bounds", (0,)),
-            drivers=data.get("drivers", (SWEEP_DRIVER,)),
-            jobs_per_run=data.get("jobs_per_run", 1),
             slice_depth=data.get("slice_depth", DEFAULT_SLICE_DEPTH),
             method_params=data.get("method_params"),
             model_params=data.get("model_params"))
@@ -310,7 +291,7 @@ def execute_run(spec: RunSpec,
     ``reach_cache`` warm-starts the reachability fixpoint behind
     property-check rows: the reachable subspace depends only on the
     transition relation, the fixpoint seed, the direction and the
-    bound — not on the image method, execution strategy or driver — so
+    bound — not on the image method or execution strategy — so
     a sweep crossing those axes pays the iteration ladder once per
     (model, size, spec, direction) cell and replays it from the cache
     for every other configuration.  Warm rows carry
@@ -322,9 +303,9 @@ def execute_run(spec: RunSpec,
     config = spec.config
     record = {"model": spec.model, "size": spec.size,
               "method": config.method, "backend": config.backend,
-              "strategy": config.strategy, "jobs": config.jobs or 1,
+              "strategy": config.strategy, "jobs": 1,
               "slice_depth": config.slice_depth, "label": spec.label,
-              "driver": config.driver, "direction": config.direction,
+              "driver": "frontier", "direction": config.direction,
               "bound": config.bound, "spec": spec.spec or "",
               "verdict": "", "cache_warm": False, "store_hit": False,
               "run_id": spec.run_id, "failed": False, "error": ""}
@@ -455,8 +436,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1,
     already present in it — a killed sweep continues where it stopped.
 
     ``warm_start=True`` (the default) shares reachability fixpoints
-    between property-check rows that differ only in image method,
-    execution strategy or driver (see
+    between property-check rows that differ only in image method or
+    execution strategy (see
     :class:`~repro.mc.reachability.ReachabilityCache`); warm rows carry
     ``cache_warm=True``.  Pass ``warm_start=False`` (CLI:
     ``--no-warm-start``) when the sweep's purpose is to *benchmark* the
@@ -516,9 +497,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1,
                     record_done(future.result())
     else:
         # one warm-start cache per sweep — or, with store_dir, the
-        # persistent store: runs differing only in method/strategy/
-        # driver reuse each other's fixpoints, and with the store they
-        # also reuse every previous invocation's
+        # persistent store: runs differing only in method/strategy
+        # reuse each other's fixpoints, and with the store they also
+        # reuse every previous invocation's
         reach_cache = close_me = None
         if warm_start and store_dir is not None:
             reach_cache = close_me = ResultStore(store_dir)
@@ -600,10 +581,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--bounds", type=_csv_ints, default=[0],
                         help="comma-separated fixpoint depth bounds "
                              "(0 = saturation)")
-    parser.add_argument("--drivers", type=_csv_names,
-                        default=[SWEEP_DRIVER],
-                        help="comma-separated fixpoint drivers "
-                             "(sequential,opsharded,frontier)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="concurrent configurations (process pool)")
     parser.add_argument("--out", default=None,
@@ -633,7 +610,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             backends=args.backends, strategies=args.strategies,
             specs=(args.checks or [None]),
             directions=args.directions, bounds=args.bounds,
-            drivers=args.drivers,
             method_params={"contraction": {"k1": 4, "k2": 4},
                            "addition": {"k": 1},
                            "hybrid": {"k": 1, "k1": 4, "k2": 4}})

@@ -19,11 +19,11 @@ Subcommands:
 Engine flags build one validated
 :class:`~repro.mc.config.CheckerConfig`: ``--backend {tdd,dense}``
 (the dense statevector reference is exponential — small sizes only),
-``--strategy {monolithic,sliced}`` with ``--jobs N`` (parallel cofactor
+``--strategy {monolithic,sliced}`` with ``--slice-depth D`` (cofactor
 contraction, see ``repro.image.sliced``) and the per-method parameters.
 Mismatched combinations (tdd-only knobs with ``--backend dense``,
-``--jobs`` without the sliced strategy) are rejected with a clear
-error instead of being silently dropped.
+``--slice-depth`` without the sliced strategy) are rejected with a
+clear error instead of being silently dropped.
 
 Specs (``check``/``crosscheck --spec``) use the text language of
 ``repro.mc.specs``: ``AG``/``EF`` — optionally bounded, ``AG[<=k]`` /
@@ -41,19 +41,17 @@ run is warm-started from (and, on a miss, recorded into) the
 disk-backed content-addressed :class:`~repro.store.ResultStore` at
 ``DIR`` — only converged, unbounded fixpoints are admitted, so the
 store never changes a verdict, it only collapses repeat runs to one
-confirming iteration.
-``reach``/``check`` additionally take ``--driver
-{sequential,opsharded,frontier}`` — the fixpoint schedule of
-``repro.mc.drivers`` (default ``frontier``).  A failed ``AG`` /
-satisfied ``EF`` check also prints the counterexample witness trace —
-the operation path whose forward replay reproduces the event.
+confirming iteration.  Every fixpoint runs the frontier schedule of
+``repro.mc.drivers`` (each round images only the directions the
+previous round added).  A failed ``AG`` / satisfied ``EF`` check also
+prints the counterexample witness trace — the operation path whose
+forward replay reproduces the event.
 
 Examples::
 
     python -m repro image grover --size 4 --method contraction
-    python -m repro image qrw --size 5 --strategy sliced --jobs 4
-    python -m repro reach qrw --size 4 --driver sequential
-    python -m repro reach qrw --size 4 --driver opsharded
+    python -m repro image qrw --size 5 --strategy sliced --slice-depth 3
+    python -m repro reach qrw --size 4
     python -m repro check grover --size 4 --spec "AG inv"
     python -m repro check grover --size 3 --spec "EF marked" --backend dense
     python -m repro check grover --size 3 --spec "AG plus" --direction backward
@@ -84,7 +82,6 @@ from repro.image.sliced import DEFAULT_SLICE_DEPTH, STRATEGIES
 from repro.mc.backends import cross_validate, make_backend
 from repro.mc.checker import ModelChecker
 from repro.mc.config import BACKENDS, CheckerConfig
-from repro.mc.drivers import DEFAULT_DRIVER, DRIVERS
 from repro.mc.reachability import cached_reachable
 from repro.systems import models
 
@@ -139,16 +136,6 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
                              "statevector reference, small sizes only)")
 
 
-def _add_driver_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--driver", default=DEFAULT_DRIVER,
-                        choices=list(DRIVERS),
-                        help="fixpoint schedule: frontier (the "
-                             "default; image only the newly added "
-                             "directions), sequential (one monolithic "
-                             "T(S) per round), opsharded (per-operation "
-                             "image tasks, tree-reduced joins)")
-
-
 def _add_store_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="persistent result store: warm-start the "
@@ -171,10 +158,7 @@ def _add_strategy_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strategy", default="monolithic",
                         choices=list(STRATEGIES),
                         help="contraction execution strategy (sliced = "
-                             "parallel cofactor decomposition)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="sliced-strategy worker pool width "
-                             "(default: run cofactors inline)")
+                             "cofactor decomposition)")
     parser.add_argument("--slice-depth", type=int,
                         default=DEFAULT_SLICE_DEPTH, dest="slice_depth",
                         help="number of top summed index levels the "
@@ -212,8 +196,7 @@ def _print_kernel_stats(stats) -> None:
           f"(peak {stats.peak_live_nodes}, "
           f"reclaimed {stats.nodes_reclaimed})")
     if stats.slices:
-        print(f"slices     = {stats.slices} cofactors "
-              f"({stats.parallel_tasks} on the worker pool)")
+        print(f"slices     = {stats.slices} cofactors")
 
 
 def _store_line(stats) -> Optional[str]:
@@ -372,7 +355,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_backend_argument(reach)
     _add_strategy_arguments(reach)
     _add_direction_arguments(reach)
-    _add_driver_argument(reach)
     _add_store_argument(reach)
     reach.set_defaults(func=_cmd_reach)
 
@@ -384,7 +366,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_backend_argument(check)
     _add_strategy_arguments(check)
     _add_direction_arguments(check)
-    _add_driver_argument(check)
     _add_store_argument(check)
     check.add_argument("--spec", required=True,
                        help="specification text, e.g. \"AG inv\", "
@@ -449,12 +430,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     smoke.add_argument("--size", type=int, default=6)
     smoke.add_argument("--strategy", default="monolithic",
                        choices=list(STRATEGIES))
-    smoke.add_argument("--jobs", type=int, default=None)
     smoke.set_defaults(func=lambda args: __import__(
         "repro.bench.smoke", fromlist=["main"]).main(
             ["--model", args.model, "--size", str(args.size),
-             "--strategy", args.strategy]
-            + (["--jobs", str(args.jobs)] if args.jobs else [])))
+             "--strategy", args.strategy]))
 
     # ``sweep`` and ``cache`` forward their whole tails to their
     # modules' own parsers so the flags live in one place

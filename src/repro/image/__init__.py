@@ -17,12 +17,12 @@ Four interchangeable algorithms (the *method* axis):
 
 Orthogonal to the method, the execution *strategy*
 (:mod:`repro.image.sliced`) decides how the underlying contractions
-run: ``monolithic`` (sequential) or ``sliced`` (parallel cofactor
-decomposition over a process pool).
+run: ``monolithic`` (one kernel call) or ``sliced`` (cofactor
+decomposition along the top summed indices).
 
 Use :func:`~repro.image.engine.compute_image` for a one-shot entry
 point, or :class:`~repro.image.engine.ImageEngine` to hold the method
-computer and strategy pool across calls.
+computer and its caches across calls.
 :func:`~repro.image.engine.make_engine` picks between that engine and
 the dense reference (:class:`~repro.image.dense.DenseImageEngine`) by
 ``CheckerConfig.backend``.
@@ -34,15 +34,15 @@ from repro.image.addition import AdditionImageComputer
 from repro.image.contraction import ContractionImageComputer
 from repro.image.hybrid import HybridImageComputer
 from repro.image.dense import DenseImageEngine
-from repro.image.engine import (ImageEngine, ImageTask, compute_image,
-                                make_computer, make_engine, METHODS)
+from repro.image.engine import (ImageEngine, compute_image, make_computer,
+                                make_engine, METHODS)
 from repro.image.sliced import (MonolithicExecutor, SlicedExecutor,
                                 STRATEGIES, make_executor)
 
 __all__ = [
     "ImageResult", "BasicImageComputer", "AdditionImageComputer",
     "ContractionImageComputer", "HybridImageComputer",
-    "ImageEngine", "ImageTask", "compute_image", "make_computer",
+    "ImageEngine", "compute_image", "make_computer",
     "make_engine", "DenseImageEngine", "METHODS",
     "MonolithicExecutor", "SlicedExecutor", "STRATEGIES", "make_executor",
 ]

@@ -59,7 +59,7 @@ class ImageComputerBase:
     Every computer routes its transition-relation contractions through
     ``self.executor`` (monolithic in-process by default; the engine
     swaps in a :class:`~repro.image.sliced.SlicedExecutor` when the
-    sliced strategy is selected), so parallel sliced execution composes
+    sliced strategy is selected), so sliced execution composes
     with each algorithm without touching its partitioning logic.  Every
     Kraus circuit of a family runs through the method's own partition.
     """
@@ -96,9 +96,8 @@ class ImageComputerBase:
 
         ``T(S)`` is the join of per-circuit contributions (Proposition
         1), so restricting ``circuits`` to one operation's Kraus family
-        yields that operation's partial image — the unit of work a
-        fixpoint driver schedules (see :mod:`repro.mc.drivers`).  With
-        every circuit of the system this *is* ``image``.
+        yields that operation's partial image.  With every circuit of
+        the system this *is* ``image``.
 
         The image states are added straight into ``into`` (default: a
         fresh subspace), which is mutated in place and returned as the

@@ -12,7 +12,7 @@ Exponential in the qubit count — small instances only.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import ReproError
 from repro.image.base import ImageResult
@@ -43,13 +43,9 @@ class DenseImageEngine:
                 f"backend, or raise max_qubits explicitly")
         self.qts = qts
         self.config = config
-        #: the Kraus matrices grouped per operation
-        self.groups = [op.kraus_matrices() for op in qts.operations]
-
-    def _apply(self, source: DenseSubspace, kraus) -> DenseSubspace:
-        if self.config.direction == "backward":
-            return source.preimage(kraus)
-        return source.image(kraus)
+        #: every Kraus matrix of every operation
+        self.kraus = [matrix for op in qts.operations
+                      for matrix in op.kraus_matrices()]
 
     # ------------------------------------------------------------------
     # the fixpoint-engine protocol (see repro.mc.drivers)
@@ -68,17 +64,13 @@ class DenseImageEngine:
         return result
 
     def image(self, source: DenseSubspace) -> DenseSubspace:
-        return self._apply(source, [matrix for group in self.groups
-                                    for matrix in group])
+        if self.config.direction == "backward":
+            return source.preimage(self.kraus)
+        return source.image(self.kraus)
 
     def extend(self, current: DenseSubspace, source: DenseSubspace,
                stats: Optional[StatsRecorder] = None) -> DenseSubspace:
         return current.join(self.image(source))
-
-    def partial_images(self, source: DenseSubspace,
-                       stats: Optional[StatsRecorder] = None
-                       ) -> List[DenseSubspace]:
-        return [self._apply(source, group) for group in self.groups]
 
     def new_directions(self, previous: DenseSubspace,
                        grown: DenseSubspace) -> DenseSubspace:
@@ -99,15 +91,6 @@ class DenseImageEngine:
         result = self.lift(self.image(source), stats)
         stats.seconds = watch.stop()
         return ImageResult(result, stats)
-
-    def close(self) -> None:
-        """Nothing to release (no worker pool)."""
-
-    def __enter__(self) -> "DenseImageEngine":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return f"DenseImageEngine({self.config.describe()})"

@@ -6,12 +6,12 @@ Two orthogonal choices select how an image ``T(S)`` is computed:
   transition relation (``basic``, ``addition``, ``contraction``,
   ``hybrid``), and
 * the **strategy** — how the resulting contractions execute:
-  ``monolithic`` (sequential, in-process) or ``sliced`` (cofactor
-  decomposition along top summed index levels, optionally fanned out
-  over a process pool — see :mod:`repro.image.sliced`).
+  ``monolithic`` (one kernel call) or ``sliced`` (cofactor
+  decomposition along top summed index levels — see
+  :mod:`repro.image.sliced`).
 
 :class:`ImageEngine` bundles a method computer with an execution
-strategy and owns the strategy's worker-pool lifecycle.  Both choices
+strategy.  Both choices
 come from one :class:`~repro.mc.config.CheckerConfig`; its ``backend``
 picks between this symbolic engine and the dense reference
 (:class:`~repro.image.dense.DenseImageEngine`) in :func:`make_engine`.
@@ -21,8 +21,7 @@ wrapper used throughout the benchmarks and the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Optional
 
 from repro.errors import ConfigError, ReproError
 from repro.image.addition import AdditionImageComputer
@@ -66,45 +65,15 @@ def make_computer(qts: QuantumTransitionSystem, method: str = "basic",
                      f"choose from {METHODS}")
 
 
-@dataclass
-class ImageTask:
-    """One schedulable unit of image work.
-
-    The image operator distributes over operations (Proposition 1):
-    ``T(S) = v_sigma T_sigma(S)``, so one task carries the whole Kraus
-    family of one operation applied to one source subspace.  Drivers
-    (:mod:`repro.mc.drivers`) decide how the tasks of a fixpoint round
-    are scheduled and how their partial images recombine; running a
-    task routes every contraction through the engine's executor, so
-    sliced/pooled execution applies per task with no extra plumbing.
-    """
-
-    symbol: str
-    circuits: Sequence
-    source: Subspace
-    computer: ImageComputerBase
-
-    def run(self, stats: Optional[StatsRecorder] = None) -> ImageResult:
-        """The partial image ``T_sigma(source)`` with run stats."""
-        return self.computer.partial_image(self.source, self.circuits,
-                                           stats)
-
-    def __repr__(self) -> str:
-        return (f"ImageTask({self.symbol!r}, kraus={len(self.circuits)}, "
-                f"source_dim={self.source.dimension})")
-
-
 class ImageEngine:
     """An image computer bound to an execution strategy.
 
     Built from a tdd :class:`~repro.mc.config.CheckerConfig`: the
     engine wires a :class:`~repro.image.sliced` executor into the
-    configured method's computer and owns the executor's process pool;
-    use it as a context manager (or call :meth:`close`) when
-    ``strategy="sliced"`` with ``jobs > 1`` so workers are reaped
-    deterministically.  Reusing one engine across calls reuses the
-    computer's cached operator diagrams *and* the executor's cofactor
-    slices — the intended shape for reachability fixpoints and sweeps.
+    configured method's computer.  Reusing one engine across calls
+    reuses the computer's cached operator diagrams *and* the executor's
+    cofactor slices — the intended shape for reachability fixpoints and
+    sweeps.
 
     ``direction="backward"`` switches the engine to *preimage* mode:
     the computer is built against the adjoint system
@@ -131,26 +100,11 @@ class ImageEngine:
         self.computer = make_computer(self.system, config.method,
                                       **config.method_params)
         self.computer.executor = make_executor(
-            config.strategy, qts.manager, jobs=config.jobs,
-            slice_depth=config.slice_depth)
+            config.strategy, qts.manager, slice_depth=config.slice_depth)
 
     @property
     def executor(self):
         return self.computer.executor
-
-    # ------------------------------------------------------------------
-    def image_tasks(self, source: Subspace) -> Iterator[ImageTask]:
-        """One :class:`ImageTask` per operation of the system.
-
-        In backward mode the tasks are built against the adjoint
-        operations, so running them computes per-operation *preimages*.
-        The join of all task results equals ``computer.image(source)``
-        (same dimension and mutual containment; the Gram-Schmidt basis
-        may differ with the combine order).
-        """
-        for op in self.system.operations:
-            yield ImageTask(symbol=op.symbol, circuits=op.kraus_circuits,
-                            source=source, computer=self.computer)
 
     # ------------------------------------------------------------------
     # the fixpoint-engine protocol (see repro.mc.drivers)
@@ -171,13 +125,6 @@ class ImageEngine:
         return self.computer.partial_image(
             source, self.system.all_kraus_circuits(), stats,
             into=current.copy()).subspace
-
-    def partial_images(self, source: Subspace,
-                       stats: Optional[StatsRecorder] = None
-                       ) -> List[Subspace]:
-        """Per-operation partial images (Proposition 1)."""
-        return [task.run(stats).subspace
-                for task in self.image_tasks(source)]
 
     def new_directions(self, previous: Subspace,
                        grown: Subspace) -> Subspace:
@@ -202,17 +149,6 @@ class ImageEngine:
         stats.record_manager(manager, baseline)
         return result
 
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release the strategy's worker pool (idempotent)."""
-        self.computer.executor.close()
-
-    def __enter__(self) -> "ImageEngine":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         return f"ImageEngine({self.config.describe()})"
 
@@ -223,7 +159,7 @@ def make_engine(qts: QuantumTransitionSystem, config=None):
     ``config`` is a :class:`~repro.mc.config.CheckerConfig` (default:
     ``CheckerConfig()``).  Both engines implement the fixpoint-engine
     protocol of :mod:`repro.mc.drivers` and a one-shot
-    ``compute_image``, and both are context managers.
+    ``compute_image``.
     """
     # imported here: the config validates against this module's names
     from repro.mc.config import CheckerConfig
@@ -249,9 +185,8 @@ def compute_image(qts: QuantumTransitionSystem,
 
     On the tdd backend the returned :class:`ImageResult` stats carry
     wall time, peak TDD node count, operation-cache hit/miss counts for
-    this run, sliced strategy counters (cofactors executed / shipped to
-    the pool) and — after the post-run garbage collection — the peak
-    and surviving live-node populations of the manager.
+    this run, the sliced strategy's cofactor count and — after the
+    post-run garbage collection — the peak and surviving live-node
+    populations of the manager.
     """
-    with make_engine(qts, config) as engine:
-        return engine.compute_image(subspace)
+    return make_engine(qts, config).compute_image(subspace)

@@ -1,4 +1,4 @@
-"""Parallel sliced image computation (execution strategies).
+"""Sliced image computation (execution strategies).
 
 The image algorithms all bottom out in transition-relation
 contractions ``cont(a, b)`` summed over a set of closed indices.  A
@@ -9,46 +9,33 @@ contraction distributes over cofactors of its *summed* indices:
 for any subset ``L`` of ``S`` (slicing an operand that does not depend
 on an index is the identity).  The sliced strategy exploits this to
 decompose one large contraction along the top ``depth`` summed index
-levels into up to ``2^depth`` *independent* cofactor subproblems,
-optionally executes them on a :mod:`concurrent.futures` process pool,
-and recombines the partial images with TDD addition
-(:mod:`repro.tdd.arithmetic`).
-
-Because a :class:`~repro.tdd.manager.TDDManager` interns nodes by
-process-local object identity, diagrams cannot be shared across
-processes; cofactors travel through the :mod:`repro.tdd.io` dict codec
-and are re-interned inside each worker against the same global index
-order (shipped once per task, idempotently).
+levels into up to ``2^depth`` independent cofactor subproblems,
+contracts them in-process and recombines the partial images with TDD
+addition (:mod:`repro.tdd.arithmetic`).
 
 Two executors implement the strategy switch exposed to
 :class:`~repro.image.engine.ImageEngine`, the model checker and the
-CLI (``--strategy {monolithic,sliced} --jobs N``):
+CLI (``--strategy {monolithic,sliced} --slice-depth D``):
 
-* :class:`MonolithicExecutor` — the sequential baseline; every
-  contraction runs in-process as a single kernel call.
-* :class:`SlicedExecutor` — cofactor decomposition, inline when
-  ``jobs <= 1`` (still a work-reduction win on contractions whose cost
-  is superlinear in diagram size) and fanned out over a process pool
-  when ``jobs > 1``.
+* :class:`MonolithicExecutor` — every contraction is a single kernel
+  call.
+* :class:`SlicedExecutor` — cofactor decomposition.  Neither executor
+  is a safe default for every workload: slicing shrinks the peak
+  diagram on contractions whose cost is superlinear in diagram size,
+  but keeps more cofactor slices alive on others.
 
 Recombination order is deterministic (lexicographic cofactor order, see
-:func:`repro.tdd.slicing.cofactor_assignments`) so results are
-identical for every ``jobs`` setting.
+:func:`repro.tdd.slicing.cofactor_assignments`).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
 import weakref
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.indices.index import Index
 from repro.tdd import construction as tc
-from repro.tdd.io import from_dict, manager_from_order, order_payload, to_dict
 from repro.tdd.manager import TDDManager
 from repro.tdd.slicing import cofactor_assignments
 from repro.tdd.tdd import TDD
@@ -59,19 +46,9 @@ STRATEGIES = ("monolithic", "sliced")
 #: default number of top summed levels the sliced strategy fixes
 DEFAULT_SLICE_DEPTH = 2
 
-#: below this product of operand sizes a cofactor batch is not worth
-#: shipping to the pool — the subproblems run inline instead.
-#: Serialisation cost is linear in slice size while contraction cost is
-#: superlinear, so only genuinely large contractions amortise the IPC;
-#: small/medium ones are faster inline even on many cores.
-DEFAULT_POOL_MIN_NODES = 262_144
-
-#: a worker manager larger than this is swept before the next task
-_WORKER_GC_THRESHOLD = 200_000
-
 
 class MonolithicExecutor:
-    """Sequential baseline: one kernel call per contraction."""
+    """The baseline: one kernel call per contraction."""
 
     strategy = "monolithic"
 
@@ -79,66 +56,12 @@ class MonolithicExecutor:
                  stats: Optional[StatsRecorder] = None) -> TDD:
         return a.contract(b, sum_over)
 
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "MonolithicExecutor":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         return "MonolithicExecutor()"
 
 
-# ----------------------------------------------------------------------
-# worker side
-# ----------------------------------------------------------------------
-#: per-process state: the worker's manager, created from the first
-#: order payload and extended idempotently by later tasks
-_WORKER: dict = {}
-
-
-def _pool_initializer(payload) -> None:
-    _WORKER["manager"] = manager_from_order(payload)
-
-
-def _worker_manager(order: Optional[Sequence[Tuple[str, object, object]]]
-                    ) -> TDDManager:
-    manager = _WORKER.get("manager")
-    if manager is None:
-        manager = _WORKER["manager"] = manager_from_order(order or ())
-    elif order is not None:
-        # idempotent: new indices registered since pool start append in
-        # the parent's level order, so levels stay aligned
-        manager.register_all(Index(name, qubit=qubit, time=time)
-                             for name, qubit, time in order)
-    if manager.live_nodes > _WORKER_GC_THRESHOLD:
-        manager.collect()
-    return manager
-
-
-def _contract_task(task) -> dict:
-    """Pool entry point: rebuild two cofactors, contract, serialise.
-
-    ``order`` in the task is ``None`` unless the parent registered new
-    indices after pool start (the initializer delivered the base
-    order).
-    """
-    order, a_data, b_data, sum_names = task
-    manager = _worker_manager(order)
-    a = from_dict(manager, a_data)
-    b = from_dict(manager, b_data)
-    result = a.contract(b, sum_names)
-    return to_dict(result)
-
-
-# ----------------------------------------------------------------------
-# parent side
-# ----------------------------------------------------------------------
 class SlicedExecutor:
-    """Cofactor-decomposed contraction, optionally over a process pool.
+    """Cofactor-decomposed contraction.
 
     Parameters
     ----------
@@ -147,41 +70,21 @@ class SlicedExecutor:
     depth:
         Number of top summed index levels to fix (``2^depth``
         cofactors).  ``0`` degrades to the monolithic behaviour.
-    jobs:
-        Process-pool width.  ``None`` or ``1`` keeps everything
-        inline — the decomposition itself still applies.
-    pool_min_nodes:
-        Minimum ``size(a) * size(b)`` before a batch is shipped to the
-        pool; smaller contractions are not worth the serialisation.
     """
 
     strategy = "sliced"
 
     def __init__(self, manager: TDDManager,
-                 depth: int = DEFAULT_SLICE_DEPTH,
-                 jobs: Optional[int] = None,
-                 pool_min_nodes: int = DEFAULT_POOL_MIN_NODES) -> None:
+                 depth: int = DEFAULT_SLICE_DEPTH) -> None:
         if depth < 0:
             raise ReproError("slice depth must be non-negative")
         self.manager = manager
         self.depth = depth
-        self.jobs = 1 if jobs is None else max(1, int(jobs))
-        self.pool_min_nodes = pool_min_nodes
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_broken = False
-        #: index-order length the workers are known to have (set at pool
-        #: creation, advanced after every successful re-ship; growth
-        #: beyond it => re-ship the order)
-        self._pool_order_len = 0
-        #: how many times the index order was re-shipped after pool start
-        self._order_ships = 0
         #: operand -> {slice level tuple: [per-assignment slice TDD]};
         #: weak keys let dead states evaporate while the long-lived
-        #: operator TDDs keep their slices (and payloads) cached across
-        #: basis states and fixpoint iterations
+        #: operator TDDs keep their slices cached across basis states
+        #: and fixpoint iterations
         self._slice_cache: "weakref.WeakKeyDictionary[TDD, dict]" = \
-            weakref.WeakKeyDictionary()
-        self._payload_cache: "weakref.WeakKeyDictionary[TDD, dict]" = \
             weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
@@ -201,11 +104,7 @@ class SlicedExecutor:
                  if not (a_s.is_zero or b_s.is_zero)]
         if stats is not None:
             stats.slices += len(pairs)
-        if (self.jobs > 1 and len(pairs) > 1
-                and a.size() * b.size() >= self.pool_min_nodes):
-            parts = self._contract_pool(pairs, remaining, stats)
-        else:
-            parts = [a_s.contract(b_s, remaining) for a_s, b_s in pairs]
+        parts = [a_s.contract(b_s, remaining) for a_s, b_s in pairs]
         total: Optional[TDD] = None
         for part in parts:
             if stats is not None:
@@ -235,114 +134,16 @@ class SlicedExecutor:
             per_operand[levels] = slices
         return per_operand[levels]
 
-    def _payload_of(self, operand: TDD) -> dict:
-        payload = self._payload_cache.get(operand)
-        if payload is None:
-            payload = to_dict(operand)
-            self._payload_cache[operand] = payload
-        return payload
-
-    # ------------------------------------------------------------------
-    def _contract_pool(self, pairs: List[Tuple[TDD, TDD]],
-                       remaining: Sequence[Index],
-                       stats: Optional[StatsRecorder]) -> List[TDD]:
-        pool = self._ensure_pool()
-        if pool is None:  # pool unavailable (e.g. nested workers)
-            if stats is not None:
-                stats.pool_fallbacks += 1
-            return [a_s.contract(b_s, remaining) for a_s, b_s in pairs]
-        # workers got the order at pool start; re-ship it only if the
-        # parent registered indices since (idempotent on arrival)
-        order_len = len(self.manager.order)
-        order = (order_payload(self.manager.order)
-                 if order_len > self._pool_order_len
-                 else None)
-        sum_names = [i.name for i in remaining]
-        try:
-            futures = [pool.submit(_contract_task,
-                                   (order, self._payload_of(a_s),
-                                    self._payload_of(b_s), sum_names))
-                       for a_s, b_s in pairs]
-            # collect in submission order — recombination stays
-            # deterministic
-            results = [from_dict(self.manager, future.result())
-                       for future in futures]
-        except (BrokenProcessPool, OSError, RuntimeError):
-            # workers spawn lazily, so process-creation failure (or a
-            # worker dying mid-task) surfaces here, not in the
-            # constructor: retire the pool and degrade to inline
-            self._pool_broken = True
-            self.close()
-            if stats is not None:
-                stats.pool_fallbacks += 1
-            return [a_s.contract(b_s, remaining) for a_s, b_s in pairs]
-        if order is not None:
-            # the batch completed: its workers registered the shipped
-            # order (idempotently), and stragglers self-heal because
-            # from_dict registers a payload's own indices in level
-            # order — advance the watermark so later batches stop
-            # re-serialising the full order payload
-            self._pool_order_len = order_len
-            self._order_ships += 1
-        if stats is not None:
-            stats.parallel_tasks += len(futures)
-        return results
-
-    def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
-        if self._pool is None and not self._pool_broken:
-            try:
-                methods = multiprocessing.get_all_start_methods()
-                # prefer fork only where it is the safe platform
-                # default; macOS lists fork but made spawn the default
-                # because forking a threaded parent can deadlock
-                use_fork = (sys.platform.startswith("linux")
-                            and "fork" in methods)
-                ctx = multiprocessing.get_context(
-                    "fork" if use_fork else None)
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs, mp_context=ctx,
-                    initializer=_pool_initializer,
-                    initargs=(order_payload(self.manager.order),))
-                self._pool_order_len = len(self.manager.order)
-            except (OSError, ValueError, RuntimeError):
-                # no pool available here (sandbox, nested daemonic
-                # worker, resource limits): degrade to inline slicing
-                self._pool_broken = True
-        return self._pool
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "SlicedExecutor":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - interpreter shutdown path
-        try:
-            self.close()
-        except Exception:
-            pass
-
     def __repr__(self) -> str:
-        return (f"SlicedExecutor(depth={self.depth}, jobs={self.jobs}, "
-                f"pool={'up' if self._pool else 'down'})")
+        return f"SlicedExecutor(depth={self.depth})"
 
 
 def make_executor(strategy: str, manager: TDDManager,
-                  jobs: Optional[int] = None,
-                  slice_depth: int = DEFAULT_SLICE_DEPTH,
-                  pool_min_nodes: int = DEFAULT_POOL_MIN_NODES):
+                  slice_depth: int = DEFAULT_SLICE_DEPTH):
     """Instantiate a contraction executor by strategy name."""
     if strategy == "monolithic":
         return MonolithicExecutor()
     if strategy == "sliced":
-        return SlicedExecutor(manager, depth=slice_depth, jobs=jobs,
-                              pool_min_nodes=pool_min_nodes)
+        return SlicedExecutor(manager, depth=slice_depth)
     raise ReproError(f"unknown strategy {strategy!r}; "
                      f"choose from {STRATEGIES}")

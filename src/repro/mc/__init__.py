@@ -13,9 +13,7 @@ cross-validation ride on the same machinery.
 
 from repro.mc.reachability import (ReachabilityCache, ReachabilityTrace,
                                    reachable_space)
-from repro.mc.drivers import (DRIVERS, FixpointDriver, FrontierDriver,
-                              OpShardedDriver, SequentialDriver,
-                              make_driver, tree_join)
+from repro.mc.drivers import FrontierDriver
 from repro.mc.invariants import (is_invariant, image_equals, image_contained_in)
 from repro.mc.config import BACKENDS, CheckerConfig
 from repro.mc.backends import (Backend, CrossValidation,
@@ -31,8 +29,7 @@ from repro.mc.witness import WitnessTrace, extract_witness_trace
 
 __all__ = [
     "reachable_space", "ReachabilityCache", "ReachabilityTrace",
-    "DRIVERS", "FixpointDriver", "SequentialDriver", "OpShardedDriver",
-    "FrontierDriver", "make_driver", "tree_join",
+    "FrontierDriver",
     "is_invariant", "image_equals", "image_contained_in",
     "Backend", "BACKENDS", "CheckerConfig", "CrossValidation",
     "DenseStatevectorBackend", "TDDBackend",

@@ -40,7 +40,7 @@ class Backend:
     """One engine that can compute images and reachable spaces.
 
     Holds one :class:`~repro.mc.config.CheckerConfig` for its backend.
-    ``direction``/``bound``/``driver`` override the config per call —
+    ``direction``/``bound`` override the config per call —
     ``None`` means "use the config's".  ``warm_start`` seeds the
     fixpoint with a subspace known to lie inside the true reachable
     space — served by the in-memory
@@ -65,12 +65,10 @@ class Backend:
         self.config = config
 
     def resolve(self, direction: Optional[str] = None,
-                bound: Optional[int] = None,
-                driver: Optional[str] = None) -> CheckerConfig:
+                bound: Optional[int] = None) -> CheckerConfig:
         """The config with the given per-call overrides applied."""
         changes = {name: value for name, value in
-                   (("direction", direction), ("bound", bound),
-                    ("driver", driver))
+                   (("direction", direction), ("bound", bound))
                    if value is not None
                    and value != getattr(self.config, name)}
         return self.config.replace(**changes) if changes else self.config
@@ -87,11 +85,10 @@ class Backend:
                   max_iterations: int = 0,
                   direction: Optional[str] = None,
                   bound: Optional[int] = None,
-                  driver: Optional[str] = None,
                   warm_start: Optional[Subspace] = None
                   ) -> ReachabilityTrace:
         """The reachability fixpoint from ``initial`` (default ``S0``)."""
-        return reachable_space(qts, self.resolve(direction, bound, driver),
+        return reachable_space(qts, self.resolve(direction, bound),
                                initial=initial,
                                max_iterations=max_iterations,
                                warm_start=warm_start)
@@ -184,8 +181,8 @@ def cross_validate(qts: QuantumTransitionSystem,
     agreement means identical verdicts and reachable dimensions.
 
     ``config`` fixes the symbolic engine's configuration (default
-    ``CheckerConfig()``); the dense side mirrors its direction, bound
-    and driver, with ``max_qubits`` raising the dense size guard.
+    ``CheckerConfig()``); the dense side mirrors its direction and
+    bound, with ``max_qubits`` raising the dense size guard.
     """
     from repro.mc.checker import ModelChecker
     tdd_config = config if config is not None else CheckerConfig()
@@ -195,8 +192,7 @@ def cross_validate(qts: QuantumTransitionSystem,
     dense_config = CheckerConfig(backend="dense",
                                  max_qubits=max_qubits,
                                  direction=tdd_config.direction,
-                                 bound=tdd_config.bound,
-                                 driver=tdd_config.driver)
+                                 bound=tdd_config.bound)
 
     if spec is not None:
         symbolic = ModelChecker(qts, tdd_config).check(spec)

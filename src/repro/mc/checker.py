@@ -3,7 +3,7 @@
 A checker bundles a QTS with one validated
 :class:`~repro.mc.config.CheckerConfig` — the single source of truth
 for engine configuration (backend, image method, execution strategy,
-worker pool, per-method parameters) — and exposes **one verb for every
+per-method parameters) — and exposes **one verb for every
 specification**: :meth:`ModelChecker.check` takes a temporal spec
 (text like ``"AG (inv & ~bad)"`` or an AST from
 :mod:`repro.mc.logic`) and returns a :class:`CheckResult` carrying the
@@ -153,21 +153,19 @@ class ModelChecker:
     def reachable(self, max_iterations: int = 0,
                   direction: Optional[str] = None,
                   bound: Optional[int] = None,
-                  driver: Optional[str] = None,
                   warm_start: Optional[Subspace] = None
                   ) -> ReachabilityTrace:
         """The reachable subspace from the initial space.
 
-        ``direction``/``bound``/``driver`` default to the checker's
-        config: ``backward`` computes the space of states that can
-        *reach* ``S0`` (the preimage fixpoint), a positive ``bound``
-        stops after that many image steps, and ``driver`` picks the
-        fixpoint schedule (:mod:`repro.mc.drivers`).  ``warm_start``
-        seeds the fixpoint with a subspace known to be reachable.
+        ``direction``/``bound`` default to the checker's config:
+        ``backward`` computes the space of states that can *reach*
+        ``S0`` (the preimage fixpoint) and a positive ``bound`` stops
+        after that many image steps.  ``warm_start`` seeds the
+        fixpoint with a subspace known to be reachable.
         """
         return self.backend.reachable(
             self.qts, max_iterations=max_iterations, direction=direction,
-            bound=bound, driver=driver, warm_start=warm_start)
+            bound=bound, warm_start=warm_start)
 
     def cross_validate(self, subspace: Optional[Subspace] = None,
                        tol: float = 1e-7, spec=None) -> CrossValidation:

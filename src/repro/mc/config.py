@@ -1,8 +1,8 @@
 """Engine configuration as a first-class value: :class:`CheckerConfig`.
 
 Before this module existed, every layer re-spelled the same knobs —
-``backend`` / ``method`` / ``strategy`` / ``jobs`` / ``slice_depth``
-plus per-method parameters — as loose keyword arguments, and a knob
+``backend`` / ``method`` / ``strategy`` / ``slice_depth`` plus
+per-method parameters — as loose keyword arguments, and a knob
 that did not apply to the chosen backend was *silently dropped* (the
 old ``make_backend`` filtered them away).  ``CheckerConfig`` is the
 single source of truth instead:
@@ -34,7 +34,6 @@ from typing import Mapping, Optional
 from repro.errors import ConfigError
 from repro.image.engine import DIRECTIONS, METHODS
 from repro.image.sliced import DEFAULT_SLICE_DEPTH, STRATEGIES
-from repro.mc.drivers import DEFAULT_DRIVER, DRIVERS
 
 #: the available computation engines (the dense statevector reference
 #: is exponential — small sizes only)
@@ -49,8 +48,11 @@ METHOD_PARAMS = {
 }
 
 #: settings that only the symbolic tdd backend interprets
-_TDD_ONLY_FIELDS = ("method", "strategy", "jobs", "slice_depth",
-                    "method_params")
+_TDD_ONLY_FIELDS = ("method", "strategy", "slice_depth", "method_params")
+
+#: the fixpoint schedules a stored config may still name (see
+#: :meth:`CheckerConfig.from_dict`)
+_LEGACY_DRIVERS = ("sequential", "opsharded", "frontier")
 
 #: CLI defaults for the per-method parameters (Table I values)
 _CLI_METHOD_DEFAULTS = {
@@ -67,27 +69,23 @@ class CheckerConfig:
 
     ``method_params`` are the image-method parameters (``k`` for
     addition, ``k1``/``k2``/``order_policy`` for contraction, all of
-    them for hybrid); ``jobs``/``slice_depth`` configure the sliced
-    execution strategy; ``max_qubits`` raises the dense backend's size
-    guard.  ``direction`` selects forward (image) or backward
-    (preimage, against the adjoint Kraus family) analysis and ``bound``
-    depth-limits reachability fixpoints (0 = run to saturation);
-    ``driver`` picks the fixpoint schedule
-    (:mod:`repro.mc.drivers`: ``frontier`` by default,
-    ``sequential`` or ``opsharded``) — all three are honoured by
-    *both* backends.  Every mismatch is rejected at construction time.
+    them for hybrid); ``slice_depth`` configures the sliced execution
+    strategy; ``max_qubits`` raises the dense backend's size guard.
+    ``direction`` selects forward (image) or backward (preimage,
+    against the adjoint Kraus family) analysis and ``bound``
+    depth-limits reachability fixpoints (0 = run to saturation) — both
+    are honoured by *both* backends.  Every mismatch is rejected at
+    construction time.
     """
 
     backend: str = "tdd"
     method: str = "contraction"
     strategy: str = "monolithic"
-    jobs: Optional[int] = None
     slice_depth: int = DEFAULT_SLICE_DEPTH
     method_params: Mapping[str, object] = field(default_factory=dict)
     max_qubits: Optional[int] = None
     direction: str = "forward"
     bound: int = 0
-    driver: str = DEFAULT_DRIVER
 
     def __post_init__(self) -> None:
         # freeze a private copy so a caller-held dict cannot mutate us
@@ -111,9 +109,6 @@ class CheckerConfig:
         if self.direction not in DIRECTIONS:
             raise ConfigError(f"unknown direction {self.direction!r}; "
                               f"choose from {DIRECTIONS}")
-        if self.driver not in DRIVERS:
-            raise ConfigError(f"unknown driver {self.driver!r}; "
-                              f"choose from {DRIVERS}")
         if not isinstance(self.bound, int) or self.bound < 0:
             raise ConfigError(f"bound must be a non-negative integer "
                               f"(0 = unbounded), got {self.bound!r}")
@@ -130,14 +125,6 @@ class CheckerConfig:
             raise ConfigError(
                 f"method {self.method!r} does not take {', '.join(hints)}; "
                 f"it accepts {sorted(allowed) if allowed else 'no parameters'}")
-        if self.jobs is not None:
-            if not isinstance(self.jobs, int) or self.jobs < 1:
-                raise ConfigError(f"jobs must be a positive integer, "
-                                  f"got {self.jobs!r}")
-            if self.strategy != "sliced":
-                raise ConfigError(
-                    f"jobs={self.jobs} only applies to the sliced "
-                    f"strategy; got strategy={self.strategy!r}")
         if not isinstance(self.slice_depth, int) or self.slice_depth < 0:
             raise ConfigError(f"slice_depth must be a non-negative "
                               f"integer, got {self.slice_depth!r}")
@@ -178,11 +165,9 @@ class CheckerConfig:
         backend = getattr(args, "backend", "tdd")
         method = getattr(args, "method", "contraction")
         strategy = getattr(args, "strategy", "monolithic")
-        jobs = getattr(args, "jobs", None)
         slice_depth = getattr(args, "slice_depth", DEFAULT_SLICE_DEPTH)
         direction = getattr(args, "direction", "forward")
         bound = getattr(args, "bound", 0)
-        driver = getattr(args, "driver", DEFAULT_DRIVER)
         method_params = {}
         for name in sorted(METHOD_PARAMS[method]):
             if hasattr(args, name):
@@ -195,14 +180,12 @@ class CheckerConfig:
                 method = "contraction"
                 method_params = {}
             return cls(backend="dense", method=method,
-                       strategy=strategy, jobs=jobs,
-                       slice_depth=slice_depth,
+                       strategy=strategy, slice_depth=slice_depth,
                        method_params=method_params,
-                       direction=direction, bound=bound, driver=driver)
+                       direction=direction, bound=bound)
         return cls(backend=backend, method=method, strategy=strategy,
-                   jobs=jobs, slice_depth=slice_depth,
-                   method_params=method_params,
-                   direction=direction, bound=bound, driver=driver)
+                   slice_depth=slice_depth, method_params=method_params,
+                   direction=direction, bound=bound)
 
     def replace(self, **changes) -> "CheckerConfig":
         """A copy with the given fields replaced (re-validated)."""
@@ -214,26 +197,39 @@ class CheckerConfig:
     def as_dict(self) -> dict:
         """A JSON-able dict; defaults are included for explicitness."""
         return {"backend": self.backend, "method": self.method,
-                "strategy": self.strategy, "jobs": self.jobs,
+                "strategy": self.strategy,
                 "slice_depth": self.slice_depth,
                 "method_params": dict(self.method_params),
                 "max_qubits": self.max_qubits,
-                "direction": self.direction, "bound": self.bound,
-                "driver": self.driver}
+                "direction": self.direction, "bound": self.bound}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CheckerConfig":
         """The inverse of :meth:`as_dict`; unknown fields raise.
 
-        Configs written while the batched weight kernel existed carry a
-        boolean ``batched``.  Both values now name the same computation
-        (every method runs its own partition, and no ``run_id`` ever
-        included the flag), so a boolean ``batched`` is dropped; any
-        other value is still an unknown field.
+        Older configs carry keys for knobs that are gone, and each is
+        dropped when every value it may hold names today's computation:
+
+        * a boolean ``batched`` (the batched weight kernel; every
+          method now runs its own partition);
+        * a ``driver`` naming one of the old fixpoint schedules
+          (``sequential``, ``opsharded``, ``frontier``; all three
+          reach the same space, and frontier is the one that remains);
+        * a ``jobs`` that is ``null`` or a positive integer (the
+          sliced strategy's worker pool; results were identical for
+          every width).
+
+        Any other value of these keys is still an unknown field.
         """
         data = dict(data)
         if isinstance(data.get("batched"), bool):
             del data["batched"]
+        if data.get("driver") in _LEGACY_DRIVERS:
+            del data["driver"]
+        jobs = data.get("jobs")
+        if "jobs" in data and (jobs is None
+                               or (type(jobs) is int and jobs > 0)):
+            del data["jobs"]
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -260,14 +256,10 @@ class CheckerConfig:
             parts.append(f"direction={self.direction}")
         if self.bound:
             parts.append(f"bound={self.bound}")
-        if self.driver != DEFAULT_DRIVER:
-            parts.append(f"driver={self.driver}")
         if self.backend == "tdd":
             parts.append(f"method={self.method}")
             if self.strategy != "monolithic":
                 parts.append(f"strategy={self.strategy}")
-                if self.jobs:
-                    parts.append(f"jobs={self.jobs}")
                 if self.slice_depth != DEFAULT_SLICE_DEPTH:
                     parts.append(f"slice_depth={self.slice_depth}")
             for name in sorted(self.method_params):

@@ -9,13 +9,13 @@ place of unions (paper, Sections I and III).
 
 :func:`reachable_space` is a thin façade over both backends: it
 builds the engine for ``config.backend`` (:func:`~repro.image.engine.
-make_engine`), picks a fixpoint *driver* (:mod:`repro.mc.drivers` —
-``sequential`` / ``opsharded`` / ``frontier``) and delegates the loop,
-keeping only the bookkeeping (trace, stopwatch, GC baseline, engine
-teardown) here.  :class:`ReachabilityCache` lets batch runners
-warm-start a fixpoint from a previously computed reachable space when
-only the image method or execution strategy changed — the reachable
-subspace itself is method-independent.  :func:`fixpoint_key`,
+make_engine`) and delegates the loop to the frontier schedule
+(:class:`~repro.mc.drivers.FrontierDriver`), keeping only the
+bookkeeping (trace, stopwatch, GC baseline) here.
+:class:`ReachabilityCache` lets batch runners warm-start a fixpoint
+from a previously computed reachable space when only the image method
+or execution strategy changed — the reachable subspace itself is
+method-independent.  :func:`fixpoint_key`,
 :func:`admissible` and :func:`cached_reachable` are the one key, the
 one admission rule and the one lookup-run-store sequence shared by
 that cache, the disk-backed :class:`~repro.store.ResultStore`, the
@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.image.engine import make_engine
-from repro.mc.drivers import make_driver
+from repro.mc.drivers import FrontierDriver
 from repro.subspace.subspace import Subspace
 from repro.systems.qts import QuantumTransitionSystem
 from repro.tdd.io import from_dict, payload_digest, to_dict
@@ -78,22 +78,19 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     """Compute the reachable subspace of ``qts`` under ``config``.
 
     ``config`` is a :class:`~repro.mc.config.CheckerConfig` for either
-    backend.  Its ``driver`` selects the fixpoint schedule (see
-    :mod:`repro.mc.drivers`): ``frontier`` (the default: image only
-    the directions the previous round added), ``sequential`` (one
-    monolithic ``T(S_k)`` per round) or ``opsharded`` (per-operation
-    partial images tree-reduced with joins).  On the tdd backend the
-    image computer (and therefore its cached transition TDDs) is reused
-    across iterations, as is the execution strategy's worker pool and
-    cofactor-slice cache when ``strategy="sliced"``.
+    backend.  Each round images only the directions the previous round
+    added (see :mod:`repro.mc.drivers`).  On the tdd backend the image
+    computer (and therefore its cached transition TDDs) is reused
+    across iterations, as is the cofactor-slice cache when
+    ``strategy="sliced"``.
 
     ``direction="backward"`` runs the same fixpoint against the
     *adjoint* transition relation (cached Kraus-dagger operator TDDs,
     see :meth:`~repro.systems.qts.QuantumTransitionSystem.adjoint`):
     the result is the space of states that can *reach* ``initial``,
     the standard symbolic-model-checking complement of forward
-    reachability.  All four methods, both execution strategies and all
-    three drivers apply unchanged.
+    reachability.  All four methods and both execution strategies
+    apply unchanged.
 
     ``bound`` is the depth limit of bounded analysis: a positive value
     stops after at most ``bound`` image steps (so the result is the
@@ -122,7 +119,6 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     engine = make_engine(qts, config)
     current = initial if initial is not None else qts.initial
     if current.dimension == 0:
-        engine.close()
         raise ReproError("reachability from the zero subspace is trivial; "
                          "set an initial space first")
     if warm_start is not None:
@@ -138,24 +134,15 @@ def reachable_space(qts: QuantumTransitionSystem, config,
         extra["strategy"] = config.strategy
     if config.direction != "forward":
         extra["direction"] = config.direction
-    if config.driver != "sequential":
-        extra["driver"] = config.driver
     limit = max_iterations if max_iterations > 0 else 2 ** qts.num_qubits
     if config.bound > 0:
         limit = min(limit, config.bound)
     manager = qts.manager
     baseline = manager.cache_counters()
     watch = Stopwatch().start()
-    try:
-        make_driver(config.driver).run(engine, trace, limit)
-        trace.subspace = engine.lift(trace.subspace, trace.stats)
-    finally:
-        # stop the clock before releasing the engine: the sliced
-        # strategy's pool shutdown (ProcessPoolExecutor.shutdown with
-        # wait=True) is teardown, not fixpoint work, and must not be
-        # billed to the trace
-        trace.stats.seconds = watch.stop()
-        engine.close()
+    FrontierDriver().run(engine, trace, limit)
+    trace.subspace = engine.lift(trace.subspace, trace.stats)
+    trace.stats.seconds = watch.stop()
     manager.collect()
     trace.stats.record_manager(manager, baseline)
     return trace
@@ -218,7 +205,7 @@ def fixpoint_key(qts: QuantumTransitionSystem, initial: Subspace,
     The one key of every fixpoint cache: the fixpoint result depends on
     the transition relation, the initial subspace, the analysis
     direction and the depth bound — not on the image method, the
-    execution strategy, the driver or the backend.
+    execution strategy or the backend.
     """
     system = system_fingerprint(qts)
     seed = subspace_fingerprint(initial)
@@ -272,8 +259,8 @@ def cached_reachable(cache, qts: QuantumTransitionSystem, seed: Subspace,
 class ReachabilityCache:
     """Reachable subspaces keyed by what actually determines them.
 
-    Keyed by :func:`fixpoint_key`, so the result of one image method,
-    execution strategy or driver warm-starts every other.  The cache
+    Keyed by :func:`fixpoint_key`, so the result of one image method
+    or execution strategy warm-starts every other.  The cache
     stores basis vectors through the :mod:`repro.tdd.io` dict codec, so
     an entry computed in one manager warm-starts a run whose QTS was
     rebuilt from scratch (the batch-sweep shape: every run constructs

@@ -6,60 +6,23 @@ oval per node labelled with its index, solid (blue, value 0) and dashed
 weight 0 omitted.
 
 ``to_dict`` / ``from_dict`` are the JSON-serialisable diagram codec.
-Besides debugging, they are the *inter-process transport* of the sliced
-image strategy (:mod:`repro.image.sliced`): a :class:`TDDManager` holds
-process-local object identity (the unique table interns by ``id``) and
-cannot be pickled across workers, so cofactor sub-TDDs travel as dicts
-and are re-interned on arrival.  :func:`order_payload` /
-:func:`manager_from_order` ship the global index order the same way —
-every worker must intern against the *same* level order or the rebuilt
-diagrams would not be comparable.
+Besides debugging, they carry diagrams *between managers*: a
+:class:`TDDManager` holds process-local object identity (the unique
+table interns by ``id``), so the warm-start cache and the result store
+(:mod:`repro.mc.reachability`, :mod:`repro.store`) keep basis vectors
+as dicts and re-intern them into whichever manager reads them back.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 from repro.errors import TDDError
 from repro.indices.index import Index
-from repro.indices.order import IndexOrder
-from repro.tdd.manager import TDDManager
 from repro.tdd.node import Edge, Node
 from repro.tdd.tdd import TDD
-
-OrderPayload = List[Tuple[str, object, object]]
-
-
-def order_payload(order: IndexOrder) -> OrderPayload:
-    """The index order as a picklable list of ``(name, qubit, time)``.
-
-    Entries are in level order, so registering them one by one into a
-    fresh order reproduces the exact level assignment.
-    """
-    return [(idx.name, idx.qubit, idx.time)
-            for idx in (order.index_at(level)
-                        for level in range(len(order)))]
-
-
-def restore_order(payload: Sequence[Tuple[str, object, object]]
-                  ) -> IndexOrder:
-    """Rebuild an :class:`IndexOrder` from :func:`order_payload` output."""
-    return IndexOrder(Index(name, qubit=qubit, time=time)
-                      for name, qubit, time in payload)
-
-
-def manager_from_order(payload: Sequence[Tuple[str, object, object]]
-                       ) -> TDDManager:
-    """A fresh manager whose level order matches the serialised one.
-
-    This is the worker-side half of the IPC hand-off: the parent sends
-    ``order_payload(manager.order)`` once (pool initialiser), workers
-    build their manager from it, and every subsequent
-    :func:`from_dict` call re-interns nodes against compatible levels.
-    """
-    return TDDManager(restore_order(payload))
 
 
 def canonical_json(payload) -> str:
@@ -236,8 +199,6 @@ def from_dict(manager, data: dict) -> TDD:
     by name); the reconstruction re-interns every node, so the result
     is canonical in the target manager even across processes.
     """
-    from repro.indices.index import Index
-
     indices = [Index(name) for name in data["indices"]]
     for idx in indices:
         manager.register(idx)

@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass
 class StatsRecorder:
     """Mutable record of the cost of one image computation run."""
@@ -46,12 +42,6 @@ class StatsRecorder:
     cache_evictions: int = 0
     #: Cofactor subproblems executed by the sliced strategy.
     slices: int = 0
-    #: Cofactor subproblems shipped to the worker pool.
-    parallel_tasks: int = 0
-    #: Cofactor batches that were meant for the pool but ran inline
-    #: (pool unavailable or broken mid-batch) — nonzero means the run
-    #: quietly lost parallelism.
-    pool_fallbacks: int = 0
     #: Garbage collection: number of collect() runs and nodes freed.
     gc_runs: int = 0
     nodes_reclaimed: int = 0
@@ -121,8 +111,7 @@ class StatsRecorder:
     def merge(self, other: "StatsRecorder") -> None:
         """Fold another recorder (e.g. from a sub-computation) into this one.
 
-        Numeric ``extra`` counters add up; any other ``extra`` key keeps
-        the value this recorder already has (first writer wins).
+        An ``extra`` key this recorder already has keeps its value.
         """
         self.max_nodes = max(self.max_nodes, other.max_nodes)
         self.contractions += other.contractions
@@ -135,18 +124,13 @@ class StatsRecorder:
         self.cont_misses += other.cont_misses
         self.cache_evictions += other.cache_evictions
         self.slices += other.slices
-        self.parallel_tasks += other.parallel_tasks
-        self.pool_fallbacks += other.pool_fallbacks
         self.gc_runs += other.gc_runs
         self.nodes_reclaimed += other.nodes_reclaimed
         self.peak_live_nodes = max(self.peak_live_nodes,
                                    other.peak_live_nodes)
         self.live_nodes = max(self.live_nodes, other.live_nodes)
         for key, value in other.extra.items():
-            if key not in self.extra:
-                self.extra[key] = value
-            elif _is_count(self.extra[key]) and _is_count(value):
-                self.extra[key] += value
+            self.extra.setdefault(key, value)
 
     def as_dict(self) -> dict:
         out = {
@@ -165,8 +149,6 @@ class StatsRecorder:
             "cont_hit_rate": self.cont_hit_rate,
             "cache_evictions": self.cache_evictions,
             "slices": self.slices,
-            "parallel_tasks": self.parallel_tasks,
-            "pool_fallbacks": self.pool_fallbacks,
             "gc_runs": self.gc_runs,
             "nodes_reclaimed": self.nodes_reclaimed,
             "peak_live_nodes": self.peak_live_nodes,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,39 @@ def dense_image_oracle(qts: QuantumTransitionSystem,
     vectors = [v.to_numpy().reshape(-1) for v in subspace.basis]
     dense = DenseSubspace.from_vectors(vectors, 2 ** qts.num_qubits)
     return dense.image(kraus)
+
+
+def dense_reach_oracle(qts: QuantumTransitionSystem,
+                       direction: str = "forward", bound: int = 0,
+                       initial: Subspace = None
+                       ) -> Tuple[DenseSubspace, List[int]]:
+    """The reachable space by whole-space closure, with dense algebra.
+
+    Iterates ``S <- S v T(S)`` (``T`` the preimage when ``direction``
+    is ``"backward"``) from ``initial`` (default ``S0``) until the
+    dimension stops growing, or for at most ``bound`` rounds when
+    ``bound`` is positive.  Every round re-images the whole space, so
+    this reference shares neither the TDD engine nor the frontier
+    schedule with the code under test.  Returns the closure and the
+    dimension after each round, starting with ``dim S0`` — the same
+    ladder as ``ReachabilityTrace.dimensions``.
+    """
+    if initial is None:
+        initial = qts.initial
+    kraus = [matrix for op in qts.operations
+             for matrix in op.kraus_matrices()]
+    current = subspace_to_dense(initial)
+    dimensions = [current.dimension]
+    rounds = bound if bound > 0 else 2 ** qts.num_qubits
+    for _ in range(rounds):
+        step = (current.preimage(kraus) if direction == "backward"
+                else current.image(kraus))
+        grown = current.join(step)
+        dimensions.append(grown.dimension)
+        if grown.dimension == current.dimension:
+            break
+        current = grown
+    return current, dimensions
 
 
 def subspace_to_dense(subspace: Subspace) -> DenseSubspace:

@@ -1,30 +1,26 @@
-"""The sliced execution strategy: cofactor decomposition + process pool.
+"""The sliced execution strategy: cofactor decomposition.
 
 The acceptance bar for the strategy is *identical results*: for every
 library circuit and slice depth, the sliced strategy must produce the
-same image/reachable space as the monolithic baseline, whether the
-cofactors run inline or on the worker pool.
+same image/reachable space as the monolithic baseline.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.image.engine import ImageEngine, compute_image
+from repro.image.engine import compute_image
 from repro.image.sliced import (MonolithicExecutor, SlicedExecutor,
-                                STRATEGIES, _contract_task, make_executor)
+                                STRATEGIES, make_executor)
 from repro.image.base import input_sum_indices
 from repro.circuits.network import circuit_to_tdd
 from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig
 from repro.mc.reachability import reachable_space
 from repro.systems import models
-from repro.tdd.io import order_payload, to_dict
 
 #: the basic image method (no partitioning)
 BASIC = CheckerConfig(method="basic")
-#: the basic method on the sliced strategy with a two-worker pool
-POOLED = BASIC.replace(strategy="sliced", jobs=2)
 
 #: (model, size, builder options) — the five library families
 LIBRARY = [
@@ -50,9 +46,9 @@ class TestStrategyRegistry:
         qts = models.ghz_qts(3)
         assert isinstance(make_executor("monolithic", qts.manager),
                           MonolithicExecutor)
-        sliced = make_executor("sliced", qts.manager, jobs=2, slice_depth=3)
-        assert sliced.depth == 3 and sliced.jobs == 2
-        sliced.close()
+        sliced = make_executor("sliced", qts.manager, slice_depth=3)
+        assert isinstance(sliced, SlicedExecutor)
+        assert sliced.depth == 3
 
     def test_unknown_strategy(self):
         qts = models.ghz_qts(3)
@@ -158,131 +154,6 @@ class TestExecutorUnit:
         result = executor.contract(zero, operator, sum_over)
         assert result.is_zero
 
-    def test_worker_task_round_trip(self):
-        # the worker entry point, exercised in-process
-        qts, state, operator, sum_over = self._operator_setup()
-        expected = state.contract(operator, sum_over)
-        task = (order_payload(qts.manager.order), to_dict(state),
-                to_dict(operator), [idx.name for idx in sum_over])
-        result_data = _contract_task(task)
-        from repro.tdd.io import from_dict
-        rebuilt = from_dict(qts.manager, result_data)
-        assert np.allclose(rebuilt.to_numpy(), expected.to_numpy())
-
-
-class TestProcessPool:
-    """The real IPC path: cofactors cross process boundaries."""
-
-    def test_pool_matches_monolithic(self):
-        dim_mono, dense_mono = dense_image("grover", 3, {})
-        qts = models.build_model("grover", 3)
-        with ImageEngine(qts, POOLED.replace(slice_depth=2)) as engine:
-            engine.executor.pool_min_nodes = 0  # force IPC dispatch
-            result = engine.compute_image()
-        assert result.dimension == dim_mono
-        assert np.allclose(result.subspace.to_dense(), dense_mono)
-        assert result.stats.parallel_tasks > 0
-
-    def test_pool_reuse_across_calls(self):
-        qts = models.build_model("qrw", 3)
-        with ImageEngine(qts, POOLED) as engine:
-            engine.executor.pool_min_nodes = 0
-            first = engine.compute_image()
-            second = engine.compute_image()
-        assert first.dimension == second.dimension
-
-    def test_submit_failure_falls_back_inline(self):
-        # workers spawn lazily: a pool whose processes cannot start
-        # fails at submit time, and the executor must degrade inline
-        class ExplodingPool:
-            def submit(self, *_args, **_kwargs):
-                raise OSError("no processes on this host")
-
-            def shutdown(self, wait=True):
-                pass
-
-        dim_mono, dense_mono = dense_image("grover", 3, {})
-        qts = models.build_model("grover", 3)
-        with ImageEngine(qts, POOLED) as engine:
-            engine.executor.pool_min_nodes = 0
-            engine.executor._pool = ExplodingPool()
-            result = engine.compute_image()
-            assert engine.executor._pool_broken
-        assert result.dimension == dim_mono
-        assert np.allclose(result.subspace.to_dense(), dense_mono)
-        assert result.stats.parallel_tasks == 0
-
-    def test_broken_pool_falls_back_inline(self):
-        dim_mono, dense_mono = dense_image("ghz", 3, {})
-        qts = models.build_model("ghz", 3)
-        with ImageEngine(qts, POOLED) as engine:
-            engine.executor.pool_min_nodes = 0
-            engine.executor._pool_broken = True  # simulate no-pool host
-            result = engine.compute_image()
-        assert result.dimension == dim_mono
-        assert np.allclose(result.subspace.to_dense(), dense_mono)
-        assert result.stats.parallel_tasks == 0
-
-    def test_pool_fallbacks_counted_on_submit_failure(self):
-        # a degraded run must be distinguishable from a sliced one in
-        # the stats: every batch that was meant for the pool but ran
-        # inline increments pool_fallbacks
-        class ExplodingPool:
-            def submit(self, *_args, **_kwargs):
-                raise OSError("no processes on this host")
-
-            def shutdown(self, wait=True):
-                pass
-
-        qts = models.build_model("grover", 3)
-        with ImageEngine(qts, POOLED) as engine:
-            engine.executor.pool_min_nodes = 0
-            engine.executor._pool = ExplodingPool()
-            result = engine.compute_image()
-        assert result.stats.pool_fallbacks > 0
-        assert result.stats.parallel_tasks == 0
-
-    def test_pool_fallbacks_counted_on_unavailable_pool(self):
-        qts = models.build_model("grover", 3)
-        with ImageEngine(qts, POOLED) as engine:
-            engine.executor.pool_min_nodes = 0
-            engine.executor._pool_broken = True
-            result = engine.compute_image()
-        assert result.stats.pool_fallbacks > 0
-        assert "pool_fallbacks" in result.stats.as_dict()
-
-    def test_healthy_pool_records_no_fallbacks(self):
-        qts = models.build_model("grover", 3)
-        with ImageEngine(qts, POOLED) as engine:
-            engine.executor.pool_min_nodes = 0
-            result = engine.compute_image()
-        assert result.stats.parallel_tasks > 0
-        assert result.stats.pool_fallbacks == 0
-
-    def test_order_reshipped_once_after_growth(self):
-        # regression: the watermark never advanced after a re-ship, so
-        # every batch after an index registration re-serialised the
-        # full order payload
-        from repro.indices.index import Index
-        qts, state, operator, sum_over = TestExecutorUnit(
-        )._operator_setup("grover", 3)
-        executor = SlicedExecutor(qts.manager, depth=2, jobs=2,
-                                  pool_min_nodes=0)
-        try:
-            executor.contract(state, operator, sum_over)
-            assert executor._pool is not None
-            assert executor._order_ships == 0  # initializer covered it
-            baseline = executor._pool_order_len
-            qts.manager.register(Index("late_index"))
-            executor.contract(state, operator, sum_over)
-            assert executor._order_ships == 1
-            assert executor._pool_order_len == baseline + 1
-            executor.contract(state, operator, sum_over)
-            executor.contract(state, operator, sum_over)
-            assert executor._order_ships == 1  # not re-serialised again
-        finally:
-            executor.close()
-
 
 class TestTopLevelPlumbing:
     def test_reachable_space_sliced(self):
@@ -299,12 +170,3 @@ class TestTopLevelPlumbing:
         qts = models.grover_qts(4, initial="invariant")
         checker = ModelChecker(qts, BASIC.replace(strategy="sliced"))
         assert checker.check_invariant(strict=True)
-
-    def test_engine_context_manager_closes_pool(self):
-        qts = models.build_model("ghz", 3)
-        engine = ImageEngine(qts, POOLED)
-        executor = engine.executor
-        executor.pool_min_nodes = 0
-        engine.compute_image()
-        engine.close()
-        assert executor._pool is None

@@ -50,9 +50,7 @@ class TestQasmToModelChecking:
         qts = QuantumTransitionSystem(
             3, [QuantumOperation.unitary("u", circuit)])
         qts.set_initial_basis_states([[0, 0, 0]])
-        trace = reachable_space(qts,
-                                CheckerConfig(method="contraction",
-                                              driver="frontier"))
+        trace = reachable_space(qts, CheckerConfig(method="contraction"))
         assert trace.converged
 
 

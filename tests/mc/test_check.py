@@ -195,7 +195,7 @@ class TestChecksOnTopOfCheck:
         start = Atomic(qts.named_subspace("start"), "start")
         assert not check_always(qts, start, BASIC, max_iterations=2)
         assert check_eventually_overlaps(
-            qts, start, BASIC.replace(driver="frontier"))
+            qts, start, BASIC)
 
     def test_invariant_uses_one_fixpoint_round(self):
         # T(S) <= S is decided by a single join step — a non-invariant

@@ -45,19 +45,31 @@ class TestValidation:
                                method_params={"k": 1, "k1": 2, "k2": 2})
         assert config.method_params == {"k": 1, "k1": 2, "k2": 2}
 
-    def test_jobs_requires_sliced_strategy(self):
-        with pytest.raises(ConfigError, match="sliced"):
-            CheckerConfig(jobs=2)
-        assert CheckerConfig(strategy="sliced", jobs=2).jobs == 2
+    def test_eight_fields(self):
+        assert [f.name for f in dataclasses.fields(CheckerConfig)] == [
+            "backend", "method", "strategy", "slice_depth",
+            "method_params", "max_qubits", "direction", "bound"]
+
+    @pytest.mark.parametrize("knob,value", [("driver", "sequential"),
+                                            ("jobs", 2)])
+    def test_removed_knobs_are_not_fields(self, knob, value):
+        # one fixpoint schedule and in-process slicing: there is no
+        # schedule or worker-pool width left to configure
+        with pytest.raises(TypeError):
+            CheckerConfig(**{knob: value})
+
+    def test_bad_jobs_value_rejected(self):
+        # a stored jobs key loads only with a value the worker pool
+        # once accepted (see TestRoundTrips for the accepted ones)
+        for jobs in (0, -1, True, "2", 2.0):
+            with pytest.raises(ConfigError, match="unknown"):
+                CheckerConfig.from_dict({"strategy": "sliced",
+                                         "jobs": jobs})
 
     def test_slice_depth_requires_sliced_strategy(self):
         with pytest.raises(ConfigError, match="sliced"):
             CheckerConfig(slice_depth=1)
         assert CheckerConfig(strategy="sliced", slice_depth=1).slice_depth == 1
-
-    def test_bad_jobs_value_rejected(self):
-        with pytest.raises(ConfigError, match="positive"):
-            CheckerConfig(strategy="sliced", jobs=0)
 
     def test_dense_rejects_tdd_only_options(self):
         # the regression for the old silent-drop behaviour: tdd knobs
@@ -68,7 +80,7 @@ class TestValidation:
             CheckerConfig(backend="dense",
                           method_params={"k1": 4, "k2": 4})
         with pytest.raises(ConfigError, match="tdd-only"):
-            CheckerConfig(backend="dense", strategy="sliced", jobs=2)
+            CheckerConfig(backend="dense", strategy="sliced")
 
     def test_dense_accepts_max_qubits(self):
         assert CheckerConfig(backend="dense", max_qubits=8).max_qubits == 8
@@ -100,7 +112,7 @@ class TestRoundTrips:
     CONFIGS = [
         CheckerConfig(),
         CheckerConfig(method="addition", method_params={"k": 2}),
-        CheckerConfig(method="contraction", strategy="sliced", jobs=4,
+        CheckerConfig(method="contraction", strategy="sliced",
                       slice_depth=1, method_params={"k1": 2, "k2": 3}),
         CheckerConfig(backend="dense", max_qubits=10),
     ]
@@ -129,15 +141,37 @@ class TestRoundTrips:
         with pytest.raises(ConfigError, match="unknown"):
             CheckerConfig.from_dict({"method": "basic", "batched": "yes"})
 
+    @pytest.mark.parametrize("driver", ["sequential", "opsharded",
+                                        "frontier"])
+    def test_from_dict_drops_legacy_driver(self, driver):
+        # configs written while three fixpoint schedules existed; all
+        # three reach the same space, and frontier is the one left
+        data = dict(CheckerConfig(method="basic").as_dict(), driver=driver)
+        assert CheckerConfig.from_dict(data) == \
+            CheckerConfig(method="basic")
+
+    @pytest.mark.parametrize("driver", ["nonsense", None, 1])
+    def test_from_dict_rejects_other_driver(self, driver):
+        with pytest.raises(ConfigError, match="unknown"):
+            CheckerConfig.from_dict({"method": "basic", "driver": driver})
+
+    @pytest.mark.parametrize("jobs", [None, 1, 4])
+    def test_from_dict_drops_legacy_jobs(self, jobs):
+        # configs written while the sliced strategy had a worker pool;
+        # its results were identical for every width
+        data = dict(CheckerConfig(strategy="sliced").as_dict(), jobs=jobs)
+        assert CheckerConfig.from_dict(data) == \
+            CheckerConfig(strategy="sliced")
+
     def test_from_json_rejects_non_object(self):
         with pytest.raises(ConfigError):
             CheckerConfig.from_json("[1, 2]")
 
     def test_describe_mentions_the_knobs(self):
-        text = CheckerConfig(strategy="sliced", jobs=4,
+        text = CheckerConfig(strategy="sliced", slice_depth=3,
                              method_params={"k1": 2, "k2": 2}).describe()
         assert "strategy=sliced" in text
-        assert "jobs=4" in text
+        assert "slice_depth=3" in text
         assert "k1=2" in text
         dense = CheckerConfig(backend="dense").describe()
         assert "backend=dense" in dense
@@ -147,7 +181,7 @@ class TestRoundTrips:
 def _cli_args(**overrides) -> argparse.Namespace:
     """A namespace mirroring the CLI defaults for engine flags."""
     defaults = dict(backend="tdd", method="contraction", strategy="monolithic",
-                    jobs=None, slice_depth=DEFAULT_SLICE_DEPTH,
+                    slice_depth=DEFAULT_SLICE_DEPTH,
                     k=1, k1=4, k2=4)
     defaults.update(overrides)
     return argparse.Namespace(**defaults)
@@ -181,17 +215,16 @@ class TestFromCliArgs:
             CheckerConfig.from_cli_args(_cli_args(backend="dense", k1=6))
         with pytest.raises(ConfigError):
             CheckerConfig.from_cli_args(
-                _cli_args(backend="dense", jobs=2))
+                _cli_args(backend="dense", strategy="sliced"))
 
-    def test_jobs_without_sliced_raises(self):
+    def test_slice_depth_without_sliced_raises(self):
         with pytest.raises(ConfigError, match="sliced"):
-            CheckerConfig.from_cli_args(_cli_args(jobs=2))
+            CheckerConfig.from_cli_args(_cli_args(slice_depth=3))
 
     def test_sliced_flags_flow_through(self):
         config = CheckerConfig.from_cli_args(
-            _cli_args(strategy="sliced", jobs=3, slice_depth=1))
-        assert (config.strategy, config.jobs, config.slice_depth) == \
-            ("sliced", 3, 1)
+            _cli_args(strategy="sliced", slice_depth=1))
+        assert (config.strategy, config.slice_depth) == ("sliced", 1)
 
 
 class TestLegacyShims:

@@ -1,27 +1,24 @@
-"""The fixpoint driver layer: schedules, task API, warm-start cache."""
+"""The fixpoint driver layer: the frontier schedule, warm-start cache."""
 
 import pytest
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError
 from repro.image.engine import ImageEngine
 from repro.mc.backends import DenseStatevectorBackend, make_backend
 from repro.mc.checker import ModelChecker
 from repro.mc.config import BACKENDS, CheckerConfig
-from repro.mc.drivers import (DEFAULT_DRIVER, DRIVERS, FrontierDriver,
-                              OpShardedDriver, SequentialDriver,
-                              make_driver, tree_join)
-from repro.mc.reachability import (ReachabilityCache, reachable_space,
-                                   subspace_fingerprint,
+from repro.mc.drivers import FrontierDriver
+from repro.mc.reachability import (ReachabilityCache, ReachabilityTrace,
+                                   reachable_space, subspace_fingerprint,
                                    system_fingerprint)
 from repro.systems import models
 
-from tests.helpers import subspace_to_dense
+from tests.helpers import dense_reach_oracle, subspace_to_dense
 
-#: the basic image method (no partitioning) under the sequential
-#: schedule, the baseline the other drivers are compared against
-BASIC = CheckerConfig(method="basic", driver="sequential")
-#: the contraction method with small partition blocks, sequential
-CONTRACTION_K2 = CheckerConfig(method="contraction", driver="sequential",
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
+#: the contraction method with small partition blocks
+CONTRACTION_K2 = CheckerConfig(method="contraction",
                                method_params={"k1": 2, "k2": 2})
 
 #: the tier-2 model families at driver-test sizes
@@ -41,155 +38,73 @@ def equal_spaces(a, b):
 
 
 class TestImageTasks:
-    def test_one_task_per_operation(self):
-        qts = models.bitflip_qts()
-        with ImageEngine(qts, BASIC) as engine:
-            tasks = list(engine.image_tasks(qts.initial))
-        assert [t.symbol for t in tasks] == qts.symbols
-        assert all(len(t.circuits) == op.num_kraus
-                   for t, op in zip(tasks, qts.operations))
-
-    def test_task_join_equals_monolithic_image(self):
-        qts = models.qrw_qts(3, 0.2)
-        with ImageEngine(qts, BASIC) as engine:
-            whole = engine.computer.image(qts.initial).subspace
-            partials = [task.run().subspace
-                        for task in engine.image_tasks(qts.initial)]
-        assert equal_spaces(tree_join(partials), whole)
-
-    def test_backward_tasks_use_adjoint_operations(self):
-        qts = models.ghz_qts(3)
-        with ImageEngine(qts, BASIC.replace(direction="backward")) as engine:
-            tasks = list(engine.image_tasks(qts.initial))
-        assert [t.symbol for t in tasks] == qts.adjoint().symbols
-
     def test_partial_image_with_all_circuits_is_image(self):
         qts = models.grover_qts(3)
-        with ImageEngine(qts, BASIC) as engine:
-            full = engine.computer.image(qts.initial).subspace
-            partial = engine.computer.partial_image(
-                qts.initial, qts.all_kraus_circuits()).subspace
+        engine = ImageEngine(qts, BASIC)
+        full = engine.computer.image(qts.initial).subspace
+        partial = engine.computer.partial_image(
+            qts.initial, qts.all_kraus_circuits()).subspace
         assert equal_spaces(full, partial)
 
 
-class TestTreeJoin:
-    def test_single_item(self):
-        qts = models.ghz_qts(2)
-        assert tree_join([qts.initial]) is qts.initial
-
-    def test_empty_rejected(self):
-        with pytest.raises(ReproError):
-            tree_join([])
-
-    def test_matches_sequential_fold(self):
+class TestFrontierDriver:
+    def test_each_round_images_the_previous_rounds_directions(self):
+        # the first round images the seed, every later one exactly the
+        # directions the round before it added, so each reachable
+        # direction is imaged once
         qts = models.qrw_qts(3, 0.2)
-        spans = [qts.space.span([v]) for v in
-                 reachable_space(qts, BASIC).subspace.basis]
-        folded = spans[0]
-        for span in spans[1:]:
-            folded = folded.join(span)
-        assert equal_spaces(tree_join(spans), folded)
+        sources = []
 
+        class Recording(FrontierDriver):
+            def advance(self, engine, current, frontier, stats):
+                sources.append(frontier.dimension)
+                return super().advance(engine, current, frontier, stats)
 
-class TestDriverRegistry:
-    def test_names(self):
-        assert DRIVERS == ("sequential", "opsharded", "frontier")
-        assert DEFAULT_DRIVER == "frontier"
-
-    @pytest.mark.parametrize("name,cls", [
-        ("sequential", SequentialDriver),
-        ("opsharded", OpShardedDriver),
-        ("frontier", FrontierDriver),
-    ])
-    def test_make_driver(self, name, cls):
-        driver = make_driver(name)
-        assert isinstance(driver, cls)
-        assert driver.name == name
-
-    def test_unknown_driver_rejected(self):
-        with pytest.raises(ReproError, match="unknown driver"):
-            make_driver("nonsense")
-
-    def test_config_validates_driver(self):
-        with pytest.raises(ConfigError, match="unknown driver"):
-            CheckerConfig(driver="nonsense")
-
-    def test_config_driver_round_trip(self):
-        config = CheckerConfig(driver="opsharded")
-        assert CheckerConfig.from_json(config.to_json()) == config
-        assert "driver=opsharded" in config.describe()
-        assert "driver" not in CheckerConfig().describe()
-
-    def test_dense_config_accepts_driver(self):
-        config = CheckerConfig(backend="dense", driver="frontier")
-        assert config.driver == "frontier"
+        trace = reachable_space(qts, BASIC)
+        engine = ImageEngine(qts, BASIC)
+        replay = ReachabilityTrace(subspace=qts.initial,
+                                   dimensions=[qts.initial.dimension])
+        Recording().run(engine, replay, limit=2 ** qts.num_qubits)
+        assert replay.dimensions == trace.dimensions
+        assert sources[0] == qts.initial.dimension
+        assert sources[1:] == trace.dimensions_delta[:-1]
+        assert sum(sources) == trace.dimension
 
 
 class TestDriverEquality:
     @pytest.mark.parametrize("family,builder", FAMILIES)
-    def test_opsharded_matches_sequential(self, family, builder):
-        qts = builder()
-        seq = reachable_space(qts, BASIC)
-        shard = reachable_space(qts, BASIC.replace(driver="opsharded"))
-        assert shard.dimensions == seq.dimensions
-        assert equal_spaces(shard.subspace, seq.subspace)
-        assert subspace_to_dense(shard.subspace).equals(
-            subspace_to_dense(seq.subspace))
+    def test_matches_oracle(self, family, builder):
+        trace = reachable_space(builder(), BASIC)
+        expected, ladder = dense_reach_oracle(builder())
+        assert trace.converged
+        assert trace.dimensions == ladder
+        assert subspace_to_dense(trace.subspace).equals(expected)
 
-    @pytest.mark.parametrize("driver", DRIVERS)
-    def test_drivers_agree_backward(self, driver):
-        qts = models.qrw_qts(3, 0.2)
-
-        def run(name):
-            return reachable_space(
-                qts, BASIC.replace(direction="backward", driver=name),
-                initial=qts.named_subspace("start"))
-        base = run("sequential")
-        trace = run(driver)
-        assert trace.dimensions == base.dimensions
-        assert equal_spaces(trace.subspace, base.subspace)
-
-    def test_opsharded_with_sliced_strategy_shares_executor(self):
-        qts = models.qrw_qts(3, 0.2)
-        seq = reachable_space(qts, BASIC)
-        shard = reachable_space(qts, BASIC.replace(driver="opsharded",
-                                                   strategy="sliced"))
-        assert equal_spaces(shard.subspace, seq.subspace)
-        assert shard.stats.slices > 0          # the one shared executor
-        assert shard.stats.extra["shards"] > 0
-
-    def test_opsharded_records_driver_extra(self):
-        trace = reachable_space(models.ghz_qts(3),
-                                BASIC.replace(driver="opsharded"))
-        assert trace.stats.extra["driver"] == "opsharded"
-
-    @pytest.mark.parametrize("driver,direction,bound", [
-        # ids name only what differs from the forward, unbounded default
-        pytest.param(driver, direction, bound, id="-".join(
-            [driver] + ([direction] if direction != "forward" else [])
-            + ([f"bound{bound}"] if bound else [])))
+    @pytest.mark.parametrize("direction,bound", [
+        pytest.param(direction, bound,
+                     id=direction + (f"-bound{bound}" if bound else ""))
         for direction in ("forward", "backward")
-        for bound in (0, 2)
-        for driver in DRIVERS])
-    def test_dense_backend_honours_driver(self, driver, direction, bound):
-        # one fixpoint loop serves both backends: every schedule, in
-        # either direction, bounded or not, climbs the same dimension
-        # ladder to the same space
-        settings = {"direction": direction, "bound": bound,
-                    "driver": driver}
+        for bound in (0, 2)])
+    def test_dense_backend_matches_symbolic(self, direction, bound):
+        # one fixpoint loop serves both backends: in either direction,
+        # bounded or not, both climb the oracle's dimension ladder to
+        # the oracle's space
+        settings = {"direction": direction, "bound": bound}
         symbolic = reachable_space(models.qrw_qts(3, 0.2),
                                    BASIC.replace(**settings))
         dense = reachable_space(models.qrw_qts(3, 0.2),
                                 CheckerConfig(backend="dense", **settings))
-        assert dense.dimensions == symbolic.dimensions
+        expected, ladder = dense_reach_oracle(models.qrw_qts(3, 0.2),
+                                              direction, bound)
+        assert dense.dimensions == symbolic.dimensions == ladder
         assert (dense.direction, dense.bound) == (direction, bound)
-        assert subspace_to_dense(dense.subspace).equals(
-            subspace_to_dense(symbolic.subspace))
+        assert subspace_to_dense(dense.subspace).equals(expected)
+        assert subspace_to_dense(symbolic.subspace).equals(expected)
 
     @pytest.mark.parametrize("settings", [
         {"direction": "backward", "bound": 1},
         {"direction": "backward"},
-        {"bound": 2, "driver": "frontier"},
+        {"bound": 2},
     ])
     def test_backends_honour_config_direction_and_bound(self, settings):
         # regression: the dense backend used to ignore the config's
@@ -208,22 +123,19 @@ class TestDriverEquality:
             subspace_to_dense(images["tdd"].subspace))
 
     def test_checker_config_driver_same_verdict(self):
-        for driver in DRIVERS:
-            config = CheckerConfig(method="basic", driver=driver)
+        # a stored config naming any of the old fixpoint schedules
+        # loads as today's config and reaches the same verdict
+        for driver in ("sequential", "opsharded", "frontier"):
+            config = CheckerConfig.from_dict({"method": "basic",
+                                              "driver": driver})
+            assert config == CheckerConfig(method="basic")
             result = ModelChecker(models.grover_qts(3), config).check(
                 "AG inv")
             assert result.holds
             assert result.reachable_dimension == 2
 
-    def test_make_backend_dense_picks_up_driver(self):
-        backend = make_backend(CheckerConfig(backend="dense",
-                                             driver="opsharded"))
-        assert backend.config.driver == "opsharded"
-
-    @pytest.mark.parametrize("driver", DRIVERS)
-    def test_witness_traces_work_under_every_driver(self, driver):
-        config = CheckerConfig(method="basic", driver=driver)
-        result = ModelChecker(models.grover_qts(3), config).check(
+    def test_witness_trace_replays(self):
+        result = ModelChecker(models.grover_qts(3), BASIC).check(
             "AG plus")
         assert not result.holds
         assert result.witness_trace is not None

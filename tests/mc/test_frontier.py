@@ -1,4 +1,4 @@
-"""Frontier-set reachability refinement."""
+"""Frontier-set reachability refinement against the dense oracle."""
 
 import pytest
 
@@ -8,15 +8,13 @@ from repro.mc.config import CheckerConfig
 from repro.mc.reachability import reachable_space
 from repro.systems import models
 
-from tests.helpers import subspace_to_dense
+from tests.helpers import dense_reach_oracle, subspace_to_dense
 
-#: the basic image method (no partitioning) under the sequential
-#: schedule, the baseline the frontier driver is compared against
-BASIC = CheckerConfig(method="basic", driver="sequential")
-#: the contraction method with small partition blocks, sequential
-CONTRACTION_K2 = CheckerConfig(method="contraction", driver="sequential",
+#: the basic image method (no partitioning)
+BASIC = CheckerConfig(method="basic")
+#: the contraction method with small partition blocks
+CONTRACTION_K2 = CheckerConfig(method="contraction",
                                method_params={"k1": 2, "k2": 2})
-FRONTIER = BASIC.replace(driver="frontier")
 
 
 class TestFrontier:
@@ -27,27 +25,28 @@ class TestFrontier:
         lambda: models.grover_qts(4),
     ])
     def test_agrees_with_full_iteration(self, builder):
-        full = reachable_space(builder(), BASIC)
-        fast = reachable_space(builder(), FRONTIER)
-        assert full.converged and fast.converged
-        assert subspace_to_dense(full.subspace).equals(
-            subspace_to_dense(fast.subspace))
+        expected, ladder = dense_reach_oracle(builder())
+        fast = reachable_space(builder(), BASIC)
+        assert fast.converged
+        assert fast.dimensions == ladder
+        assert subspace_to_dense(fast.subspace).equals(expected)
 
     def test_frontier_images_fewer_states(self):
-        """In frontier mode the total contraction count across the run
-        must be strictly lower once the space has grown."""
-        full = reachable_space(models.qrw_qts(3, 0.2), BASIC)
-        fast = reachable_space(models.qrw_qts(3, 0.2), FRONTIER)
-        assert fast.stats.contractions < full.stats.contractions
+        """Frontier mode images each reachable direction once, strictly
+        fewer states than the full iteration, which re-images all of
+        ``S_k`` every round."""
+        qts = models.qrw_qts(3, 0.2)
+        kraus = len(qts.all_kraus_circuits())
+        fast = reachable_space(qts, BASIC)
+        _, ladder = dense_reach_oracle(models.qrw_qts(3, 0.2))
+        # the basic method runs one contraction per state and circuit
+        assert fast.stats.contractions == fast.dimension * kraus
+        assert fast.stats.contractions < sum(ladder[:-1]) * kraus
 
     def test_frontier_with_contraction_method(self):
-        full = reachable_space(models.qrw_qts(3, 0.3), CONTRACTION_K2)
-        fast = reachable_space(models.qrw_qts(3, 0.3),
-                               CheckerConfig(method="contraction",
-                                             driver="frontier",
-                                             method_params={"k1": 2, "k2": 2}))
-        assert subspace_to_dense(full.subspace).equals(
-            subspace_to_dense(fast.subspace))
+        expected, _ = dense_reach_oracle(models.qrw_qts(3, 0.3))
+        fast = reachable_space(models.qrw_qts(3, 0.3), CONTRACTION_K2)
+        assert subspace_to_dense(fast.subspace).equals(expected)
 
 
 class TestFrontierBackwardBounded:
@@ -57,51 +56,49 @@ class TestFrontierBackwardBounded:
     down the combination on both backends.
     """
 
-    def _tdd(self, driver, bound):
+    def _tdd(self, bound):
         qts = models.qrw_qts(3, 0.2)
-        config = BASIC.replace(direction="backward", bound=bound,
-                               driver=driver)
+        config = BASIC.replace(direction="backward", bound=bound)
         return reachable_space(qts, config,
                                initial=qts.named_subspace("start"))
 
-    def _dense(self, driver, bound):
+    def _dense(self, bound):
         qts = models.qrw_qts(3, 0.2)
         return DenseStatevectorBackend().reachable(
             qts, initial=qts.named_subspace("start"),
-            direction="backward", bound=bound, driver=driver)
+            direction="backward", bound=bound)
 
     @pytest.mark.parametrize("bound", [1, 2, 3])
     def test_tdd_frontier_backward_bounded_matches_full(self, bound):
-        full = self._tdd("sequential", bound=bound)
-        fast = self._tdd("frontier", bound=bound)
-        assert fast.dimensions == full.dimensions
+        qts = models.qrw_qts(3, 0.2)
+        expected, ladder = dense_reach_oracle(
+            qts, "backward", bound, initial=qts.named_subspace("start"))
+        fast = self._tdd(bound=bound)
+        assert fast.dimensions == ladder
         assert fast.bound == bound
         assert fast.iterations <= bound
-        assert subspace_to_dense(fast.subspace).equals(
-            subspace_to_dense(full.subspace))
+        assert subspace_to_dense(fast.subspace).equals(expected)
 
     @pytest.mark.parametrize("bound", [1, 2, 3])
     def test_dense_frontier_backward_bounded_matches_tdd(self, bound):
-        symbolic = self._tdd("frontier", bound=bound)
-        dense = self._dense("frontier", bound=bound)
+        symbolic = self._tdd(bound=bound)
+        dense = self._dense(bound=bound)
         assert dense.dimensions == symbolic.dimensions
         assert dense.converged == symbolic.converged
         assert subspace_to_dense(dense.subspace).equals(
             subspace_to_dense(symbolic.subspace))
 
     def test_both_backends_frontier_backward_unbounded(self):
-        symbolic = self._tdd("frontier", bound=0)
-        dense = self._dense("frontier", bound=0)
+        symbolic = self._tdd(bound=0)
+        dense = self._dense(bound=0)
         assert symbolic.converged and dense.converged
         assert dense.dimensions == symbolic.dimensions
         assert subspace_to_dense(dense.subspace).equals(
             subspace_to_dense(symbolic.subspace))
 
     @pytest.mark.parametrize("backend_config", [
-        CheckerConfig(method="basic", direction="backward", bound=2,
-                      driver="frontier"),
-        CheckerConfig(backend="dense", direction="backward", bound=2,
-                      driver="frontier"),
+        CheckerConfig(method="basic", direction="backward", bound=2),
+        CheckerConfig(backend="dense", direction="backward", bound=2),
     ])
     def test_check_frontier_backward_bounded_verdicts_agree(
             self, backend_config):

@@ -1,7 +1,5 @@
 """Reachability fixpoints."""
 
-import time
-
 import pytest
 
 from repro.errors import ReproError
@@ -53,26 +51,6 @@ class TestFixpoint:
         qts.initial = qts.space.zero_subspace()
         with pytest.raises(ReproError):
             reachable_space(qts, BASIC)
-
-    def test_engine_teardown_not_billed_to_trace(self, monkeypatch):
-        # regression: the stopwatch used to stop only after
-        # engine.close(), so the sliced strategy's pool shutdown
-        # (ProcessPoolExecutor.shutdown(wait=True)) inflated
-        # trace.stats.seconds
-        from repro.image.engine import ImageEngine
-        real_close = ImageEngine.close
-        delay = 0.25
-
-        def slow_close(self):
-            time.sleep(delay)
-            real_close(self)
-
-        monkeypatch.setattr(ImageEngine, "close", slow_close)
-        start = time.perf_counter()
-        trace = reachable_space(models.ghz_qts(3), BASIC)
-        total = time.perf_counter() - start
-        assert total >= delay
-        assert trace.stats.seconds <= total - delay * 0.8
 
     def test_methods_agree_on_reachable_space(self):
         traces = {}

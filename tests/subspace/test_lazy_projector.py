@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from repro.mc.config import CheckerConfig
-from repro.mc.drivers import DRIVERS
 from repro.mc.reachability import reachable_space
 from repro.subspace.subspace import Subspace
 from repro.systems import models
 from repro.systems.noise import noisy_operation
 from repro.systems.qts import QuantumTransitionSystem
 
-from tests.helpers import make_space, subspace_to_dense
+from tests.helpers import dense_reach_oracle, make_space, subspace_to_dense
 
 
 def noisy_ghz(num_qubits: int = 3) -> QuantumTransitionSystem:
@@ -33,18 +32,19 @@ FAMILIES = {
     "noisy_ghz": noisy_ghz,
 }
 DIRECTIONS = ("forward", "backward")
-CASES = [(family, driver, direction) for family in FAMILIES
-         for driver in DRIVERS for direction in DIRECTIONS]
+CASES = [(family, direction) for family in FAMILIES
+         for direction in DIRECTIONS]
 
 
 @functools.lru_cache(maxsize=None)
-def fixpoints(family: str, driver: str, direction: str):
+def fixpoints(family: str, direction: str):
     """The tdd and dense reachable spaces of one case (computed once)."""
-    settings = {"driver": driver, "direction": direction}
     tdd = reachable_space(FAMILIES[family](),
-                          CheckerConfig(method="basic", **settings))
+                          CheckerConfig(method="basic",
+                                        direction=direction))
     dense = reachable_space(FAMILIES[family](),
-                            CheckerConfig(backend="dense", **settings))
+                            CheckerConfig(backend="dense",
+                                          direction=direction))
     return tdd, dense
 
 
@@ -53,32 +53,33 @@ def basis_matrix(subspace: Subspace) -> np.ndarray:
                             for v in subspace.basis])
 
 
-@pytest.mark.parametrize("family,driver,direction", CASES)
-def test_basis_is_orthonormal(family, driver, direction):
-    tdd, _ = fixpoints(family, driver, direction)
+@pytest.mark.parametrize("family,direction", CASES)
+def test_basis_is_orthonormal(family, direction):
+    tdd, _ = fixpoints(family, direction)
     basis = basis_matrix(tdd.subspace)
     gram = basis.conj().T @ basis
     assert np.max(np.abs(gram - np.eye(tdd.dimension))) <= 1e-9
 
 
-@pytest.mark.parametrize("family,driver,direction", CASES)
-def test_projector_matches_dense_backend(family, driver, direction):
-    tdd, dense = fixpoints(family, driver, direction)
-    assert tdd.dimensions == dense.dimensions
-    expected = subspace_to_dense(dense.subspace).projector()
+@pytest.mark.parametrize("family,direction", CASES)
+def test_projector_matches_dense_backend(family, direction):
+    tdd, dense = fixpoints(family, direction)
+    oracle, ladder = dense_reach_oracle(FAMILIES[family](), direction)
+    assert tdd.dimensions == dense.dimensions == ladder
+    expected = oracle.projector()
     assert np.allclose(tdd.subspace.to_dense(), expected, atol=1e-8)
+    assert np.allclose(subspace_to_dense(dense.subspace).projector(),
+                       expected, atol=1e-8)
 
 
-@pytest.mark.parametrize("driver", DRIVERS)
 @pytest.mark.parametrize("direction", DIRECTIONS)
-def test_fixpoint_never_builds_a_projector(monkeypatch, driver,
-                                           direction):
+def test_fixpoint_never_builds_a_projector(monkeypatch, direction):
     def refuse(self):
         raise AssertionError("a fixpoint materialised a projector")
 
     monkeypatch.setattr(Subspace, "projector", property(refuse))
     trace = reachable_space(models.qrw_qts(4, 0.1),
-                            CheckerConfig(method="basic", driver=driver,
+                            CheckerConfig(method="basic",
                                           direction=direction))
     assert trace.dimension > 1
     assert trace.subspace._projector is None

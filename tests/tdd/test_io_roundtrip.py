@@ -72,57 +72,18 @@ class TestRoundTrip:
         assert rebuilt.allclose(sub.projector)
 
 
-class TestOrderPayload:
-    """The IPC half of the codec: shipping the index order itself."""
-
-    def test_payload_preserves_levels_and_coordinates(self):
-        from repro.indices.index import Index
-        from repro.indices.order import IndexOrder
-        from repro.tdd.io import manager_from_order, order_payload
-
-        order = IndexOrder([Index("x0_0", qubit=0, time=0),
-                            Index("y0_0", qubit=0, time=0),
-                            Index("x1_0", qubit=1, time=0)])
-        rebuilt = manager_from_order(order_payload(order))
-        for level in range(len(order)):
-            original = order.index_at(level)
-            copy = rebuilt.order.index_at(level)
-            assert copy == original
-            assert copy.qubit == original.qubit
-            assert copy.time == original.time
-
-    def test_payload_is_picklable(self):
-        import pickle
-
-        from repro.tdd.io import manager_from_order, order_payload
-
-        m = fresh_manager(NAMES)
-        payload = pickle.loads(pickle.dumps(order_payload(m.order)))
-        rebuilt = manager_from_order(payload)
-        assert len(rebuilt.order) == len(m.order)
-
-    def test_qts_order_round_trip(self):
-        from repro.systems import models
-        from repro.tdd.io import manager_from_order, order_payload
-
-        qts = models.build_model("grover", 3)
-        worker = manager_from_order(order_payload(qts.manager.order))
-        state = qts.initial.basis[0]
-        rebuilt = from_dict(worker, to_dict(state))
-        assert np.allclose(rebuilt.to_numpy(), state.to_numpy())
-
-
 class TestIPCRoundTripProperty:
-    """Property test for the worker hand-off: a random tensor survives
+    """Property test for the cross-manager hand-off: a random tensor
+    survives
 
-    parent --to_dict--> worker manager --contract/to_dict--> parent
+    parent --to_dict--> other manager --to_dict--> parent
+
     with exact (canonical-grid) fidelity.
     """
 
     def test_random_tensors_cross_manager(self, rng):
         from hypothesis import given, settings
         from hypothesis import strategies as st
-        from repro.tdd.io import manager_from_order, order_payload
 
         @settings(max_examples=25, deadline=None)
         @given(rank=st.integers(min_value=0, max_value=5),
@@ -133,9 +94,9 @@ class TestIPCRoundTripProperty:
             parent = fresh_manager(names)
             arr = random_tensor(local, rank)
             t = tc.from_numpy(parent, arr, idx(*names[:rank]))
-            worker = manager_from_order(order_payload(parent.order))
+            worker = fresh_manager(names)
             shipped = from_dict(worker, to_dict(t))
-            # worker -> parent: the return leg of the IPC path
+            # worker -> parent: the return leg
             returned = from_dict(parent, to_dict(shipped))
             assert np.allclose(shipped.to_numpy(), arr)
             assert returned.root.node is t.root.node  # re-interned
@@ -144,14 +105,13 @@ class TestIPCRoundTripProperty:
 
     def test_cofactor_sum_equals_whole(self, rng):
         """slice -> ship -> recombine reproduces the original tensor."""
-        from repro.tdd.io import manager_from_order, order_payload
         from repro.tdd.slicing import enumerate_cofactors
 
         names = ["a0", "a1", "a2", "a3"]
         parent = fresh_manager(names)
         arr = random_tensor(rng, 4)
         t = tc.from_numpy(parent, arr, idx(*names))
-        worker = manager_from_order(order_payload(parent.order))
+        worker = fresh_manager(names)
         total = None
         for _assignment, edge in enumerate_cofactors(parent, t.root,
                                                      [0, 1]):

@@ -22,7 +22,7 @@ class TestRunSpec:
     def test_defaults_and_label(self):
         spec = RunSpec(model="ghz", size=4)
         assert spec.label == "ghz4"
-        assert spec.config == CheckerConfig(driver="sequential")
+        assert spec.config == CheckerConfig()
         assert spec.run_id == "ghz4/contraction/tdd/monolithic"
 
     def test_run_id_includes_params(self):
@@ -37,7 +37,7 @@ class TestRunSpec:
     def test_run_id_distinguishes_strategies(self):
         mono = RunSpec(model="ghz", size=3)
         sliced = RunSpec(model="ghz", size=3,
-                         config=CheckerConfig(strategy="sliced", jobs=4))
+                         config=CheckerConfig(strategy="sliced"))
         assert mono.run_id != sliced.run_id
 
     def test_dict_round_trip(self):
@@ -79,15 +79,15 @@ class TestRunSpecConfigForm:
                     method="basic")
 
     def test_run_id_format_survives_the_api_change(self):
-        # resume keys must match pre-config artifacts
+        # resume keys must match pre-config artifacts; a sliced run
+        # keeps naming the inline width it always ran with
         legacy_style = RunSpec(
             model="grover", size=5,
             config=CheckerConfig(method="contraction", strategy="sliced",
-                                 jobs=4,
                                  method_params={"k1": 2, "k2": 3}),
             model_params={"iterations": 2})
         assert legacy_style.run_id == (
-            "grover5/contraction/tdd/sliced/jobs=4,depth=2/"
+            "grover5/contraction/tdd/sliced/jobs=1,depth=2/"
             "k1=2,k2=3/iterations=2")
 
     def test_spec_run_id_and_round_trip(self):
@@ -388,16 +388,6 @@ class TestDriverAxisAndWarmStart:
             "failed", "error",
         )
 
-    def test_driver_axis_crosses_check_rows(self):
-        spec = SweepSpec.from_axes(
-            "d", ["grover"], [3], methods=("basic",),
-            drivers=("sequential", "opsharded", "frontier"),
-            specs=("AG inv",))
-        assert len(spec.runs) == 3
-        assert {run.config.driver for run in spec.runs} == \
-            {"sequential", "opsharded", "frontier"}
-        assert any("driver=opsharded" in run.run_id for run in spec.runs)
-
     def test_default_driver_keeps_run_id_format(self):
         # legacy artifacts must still resume
         run = RunSpec(model="ghz", size=4,
@@ -406,13 +396,11 @@ class TestDriverAxisAndWarmStart:
 
     def test_runs_form_without_driver_keeps_run_id(self):
         # a check row written before frontier became the engine default
-        # still names a sequential run, so its artifact still resumes
+        # names no schedule, so its artifact still resumes
         spec = SweepSpec.from_dict({"runs": [
             {"model": "grover", "size": 3, "spec": "AG inv",
              "config": {"method": "basic"}},
             {"model": "grover", "size": 3, "spec": "AG inv"}]})
-        assert [run.config.driver for run in spec.runs] == \
-            ["sequential", "sequential"]
         assert [run.run_id for run in spec.runs] == \
             ["grover3/basic/tdd/monolithic/check[AG inv]",
              "grover3/contraction/tdd/monolithic/check[AG inv]"]
@@ -439,43 +427,79 @@ class TestDriverAxisAndWarmStart:
                 driver="frontier"),
             run("AG inv", method="basic", direction="forward",
                 driver="sequential")]})
+        # a row that named a schedule explicitly (here the frontier
+        # one) loses that segment: there is only one schedule left
         assert [r.run_id for r in spec.runs] == [
             "grover3/basic/tdd/monolithic",
-            "grover3/contraction/tdd/monolithic/driver=frontier"
-            "/dir=backward/check[AG inv]",
+            "grover3/contraction/tdd/monolithic/dir=backward/check[AG inv]",
             "grover3/basic/tdd/monolithic/check[AG inv]"]
 
     def test_image_rows_run_id_ignores_driver(self):
-        # an image row runs no fixpoint, so its driver is pinned and
-        # the table benchmarks' run_ids do not move with the default
-        run = RunSpec(model="ghz", size=3,
-                      config=CheckerConfig(method="basic",
-                                           driver="frontier"))
-        assert run.config.driver == "sequential"
+        # an image row written with a schedule in its config keeps the
+        # run_id the table benchmarks have always used
+        run = RunSpec.from_dict({
+            "model": "ghz", "size": 3,
+            "config": {"method": "basic", "driver": "frontier"}})
+        assert run.config == CheckerConfig(method="basic")
         assert run.run_id == "ghz3/basic/tdd/monolithic"
 
-    def test_drivers_collapse_for_image_rows(self):
-        # a plain image benchmark runs no fixpoint: the driver axis
-        # would only duplicate the measurement
-        spec = SweepSpec.from_axes(
-            "d", ["ghz"], [3], methods=("basic",),
-            drivers=("sequential", "opsharded", "frontier"))
-        assert len(spec.runs) == 1
-        assert spec.runs[0].config.driver == "sequential"
+    def test_parent_artifact_resumes_without_recomputing(
+            self, tmp_path, monkeypatch):
+        # an artifact written while the driver and jobs knobs existed:
+        # every config names driver "sequential" and jobs null, and the
+        # sliced rows' run_ids name jobs=1
+        def run(strategy, spec):
+            return {"model": "grover", "size": 3, "label": "grover3",
+                    "model_params": {}, "spec": spec,
+                    "config": {"backend": "tdd", "method": "basic",
+                               "strategy": strategy, "jobs": None,
+                               "slice_depth": 2, "method_params": {},
+                               "max_qubits": None, "direction": "forward",
+                               "bound": 0, "driver": "sequential"}}
+
+        runs = [run("monolithic", None), run("sliced", None),
+                run("monolithic", "AG inv"), run("sliced", "AG inv")]
+        run_ids = ["grover3/basic/tdd/monolithic",
+                   "grover3/basic/tdd/sliced/jobs=1,depth=2",
+                   "grover3/basic/tdd/monolithic/check[AG inv]",
+                   "grover3/basic/tdd/sliced/jobs=1,depth=2/check[AG inv]"]
+        records = [{"run_id": run_id, "failed": False, "dimension": 2,
+                    "seconds": 0.01, "verdict": "holds" if "check" in
+                    run_id else "", "jobs": 1, "driver": "sequential"}
+                   for run_id in run_ids]
+        artifact = {"name": "parent",
+                    "spec": {"name": "parent", "runs": runs},
+                    "records": records}
+        (tmp_path / "parent.json").write_text(json.dumps(artifact))
+
+        def recompute(*_args, **_kwargs):
+            raise AssertionError("a recorded row was recomputed")
+
+        monkeypatch.setattr("repro.bench.sweep.execute_run", recompute)
+        spec = SweepSpec.from_dict(artifact["spec"])
+        assert [r.run_id for r in spec.runs] == run_ids
+        result = run_sweep(spec, out_dir=str(tmp_path))
+        assert result.skipped == len(runs)
+        assert result.records == records
 
     def test_execute_run_records_driver_and_cache_columns(self):
+        # the columns of the removed knobs hold the one remaining path
         record = execute_run(RunSpec(
-            model="grover", size=3,
-            config=CheckerConfig(method="basic", driver="opsharded"),
+            model="grover", size=3, config=CheckerConfig(method="basic"),
             spec="AG inv"))
-        assert record["driver"] == "opsharded"
+        assert record["driver"] == "frontier"
+        assert record["jobs"] == 1
+        assert record["parallel_tasks"] == record["pool_fallbacks"] == 0
         assert record["cache_warm"] is False
         assert record["verdict"] == "holds"
 
     def test_image_record_driver_defaults(self):
-        record = execute_run(RunSpec(model="ghz", size=3,
-                                     config=CheckerConfig(method="basic")))
-        assert record["driver"] == "sequential"
+        record = execute_run(RunSpec(
+            model="qrw", size=3,
+            config=CheckerConfig(method="basic", strategy="sliced")))
+        assert record["driver"] == "frontier"
+        assert record["jobs"] == 1
+        assert record["parallel_tasks"] == record["pool_fallbacks"] == 0
         assert record["cache_warm"] is False
 
     def test_sweep_warm_starts_config_cells(self, tmp_path):
@@ -495,7 +519,7 @@ class TestDriverAxisAndWarmStart:
             rows = list(csv.DictReader(handle))
         assert [row["cache_warm"] for row in rows] == ["False", "True"]
         assert [row["driver"] for row in rows] == \
-            ["sequential", "sequential"]
+            ["frontier", "frontier"]
 
     def test_no_warm_start_keeps_rows_cold(self, tmp_path):
         # benchmarking sweeps must be able to opt out: every row then

@@ -28,19 +28,13 @@ class TestReach:
         assert "converged  = True" in out
 
     def test_frontier_flag(self, capsys):
-        assert main(["reach", "qrw", "--size", "3",
-                     "--driver", "frontier"]) == 0
-        frontier = capsys.readouterr().out
-        # frontier is the default driver, so the echo leaves it out
-        assert "driver=" not in frontier
-        assert main(["reach", "qrw", "--size", "3",
-                     "--driver", "sequential"]) == 0
-        sequential = capsys.readouterr().out
-        assert "driver=sequential" in sequential
-        # same per-round dimensions under both schedules
-        assert frontier.splitlines()[1] == sequential.splitlines()[1]
-        with pytest.raises(SystemExit):
-            main(["reach", "qrw", "--size", "3", "--frontier"])
+        # there is one fixpoint schedule, so there is nothing to pick
+        for flags in (["--driver", "frontier"], ["--driver", "sequential"],
+                      ["--frontier"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["reach", "qrw", "--size", "3"] + flags)
+            assert excinfo.value.code == 2
+            assert flags[0] in capsys.readouterr().err
 
 
 class TestCheck:
@@ -75,17 +69,6 @@ class TestCheck:
     def test_sliced_strategy(self, capsys):
         assert main(["check", "grover", "--size", "3",
                      "--spec", "AG inv", "--strategy", "sliced"]) == 0
-
-    def test_all_drivers_agree(self, capsys):
-        for driver in ("sequential", "opsharded", "frontier"):
-            assert main(["check", "grover", "--size", "3",
-                         "--spec", "AG inv", "--driver", driver]) == 0
-        out = capsys.readouterr().out
-        assert "driver=opsharded" in out   # non-default drivers echoed
-
-    def test_driver_on_dense_backend(self, capsys):
-        assert main(["check", "grover", "--size", "3", "--spec", "AG inv",
-                     "--backend", "dense", "--driver", "opsharded"]) == 0
 
     def test_frontier_flag_with_conflicting_driver_errors(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -152,13 +135,31 @@ class TestConfigValidation:
                      "--method", "basic"]) == 2
         assert "tdd-only" in capsys.readouterr().err
 
-    def test_dense_with_explicit_jobs_rejected(self, capsys):
+    def test_dense_with_explicit_strategy_rejected(self, capsys):
         assert main(["image", "ghz", "--size", "3", "--backend", "dense",
-                     "--strategy", "sliced", "--jobs", "2"]) == 2
+                     "--strategy", "sliced"]) == 2
         assert "tdd-only" in capsys.readouterr().err
 
+    def test_dense_with_explicit_jobs_rejected(self, capsys):
+        # contraction runs in-process: no worker pool width to set
+        with pytest.raises(SystemExit) as excinfo:
+            main(["image", "ghz", "--size", "3", "--backend", "dense",
+                  "--strategy", "sliced", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_jobs_without_sliced_rejected(self, capsys):
-        assert main(["image", "ghz", "--size", "3", "--jobs", "2"]) == 2
+        for command in (["image", "ghz"], ["reach", "qrw"],
+                        ["check", "grover", "--spec", "AG inv"],
+                        ["invariant", "grover"], ["smoke"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(command + ["--jobs", "2"])
+            assert excinfo.value.code == 2
+            assert "--jobs" in capsys.readouterr().err
+
+    def test_slice_depth_without_sliced_rejected(self, capsys):
+        assert main(["image", "ghz", "--size", "3",
+                     "--slice-depth", "3"]) == 2
         assert "sliced" in capsys.readouterr().err
 
     def test_dense_with_default_flags_still_works(self, capsys):
@@ -204,10 +205,10 @@ class TestStrategyFlags:
         assert "strategy=sliced" in out
         assert "cofactors" in out
 
-    def test_image_sliced_jobs(self, capsys):
+    def test_image_sliced_depth(self, capsys):
         assert main(["image", "ghz", "--size", "3", "--method", "basic",
-                     "--strategy", "sliced", "--jobs", "2"]) == 0
-        assert "jobs=2" in capsys.readouterr().out
+                     "--strategy", "sliced", "--slice-depth", "3"]) == 0
+        assert "slice_depth=3" in capsys.readouterr().out
 
     def test_reach_sliced_matches_monolithic(self, capsys):
         assert main(["reach", "qrw", "--size", "3",

@@ -53,7 +53,7 @@ class TestCliReferenceInSync:
     def test_image_flags_documented(self, capsys, readme):
         text = help_text(capsys, ["image", "--help"])
         for flag in ("--size", "--method", "--backend", "--strategy",
-                     "--jobs", "--slice-depth", "--k1", "--k2",
+                     "--slice-depth", "--k1", "--k2",
                      "--direction", "--bound"):
             assert flag in text
             assert flag.lstrip("-").replace("-", "") in \
@@ -63,7 +63,7 @@ class TestCliReferenceInSync:
     def test_check_flags_documented(self, capsys, readme):
         text = help_text(capsys, ["check", "--help"])
         for flag in ("--spec", "--max-iterations", "--backend",
-                     "--strategy", "--direction", "--bound", "--driver"):
+                     "--strategy", "--direction", "--bound"):
             assert flag in text
             assert flag.lstrip("-").replace("-", "") in \
                 readme.replace("-", ""), \
@@ -71,14 +71,17 @@ class TestCliReferenceInSync:
 
     def test_reach_flags_documented(self, capsys, readme):
         text = help_text(capsys, ["reach", "--help"])
-        for flag in ("--direction", "--bound", "--driver", "--store"):
+        for flag in ("--direction", "--bound", "--store"):
             assert flag in text
             assert flag.lstrip("-").replace("-", "") in \
                 readme.replace("-", ""), \
                 f"flag {flag} missing from README"
-        # --driver frontier is the one spelling of the frontier schedule
-        assert "--frontier" not in text
+        # one fixpoint schedule and in-process slicing: neither the
+        # schedule nor a worker-pool width is a flag any more
+        for gone in ("--frontier", "--driver", "--jobs"):
+            assert gone not in text
         assert "--frontier" not in readme
+        assert "--driver" not in readme
 
     def test_cache_subcommands_documented(self, capsys, readme):
         text = help_text(capsys, ["cache", "--help"])
@@ -94,14 +97,13 @@ class TestCliReferenceInSync:
         text = help_text(capsys, ["sweep", "--help"])
         for flag in ("--spec", "--models", "--sizes", "--methods",
                      "--backends", "--strategies", "--directions",
-                     "--bounds", "--drivers", "--check", "--jobs",
+                     "--bounds", "--check", "--jobs",
                      "--out", "--no-resume", "--no-warm-start"):
             assert flag in text
             assert flag in readme, f"flag {flag} missing from README"
 
     def test_choices_documented(self, readme):
         from repro.image.engine import DIRECTIONS
-        from repro.mc.drivers import DRIVERS
         for method in METHODS:
             assert method in readme
         for strategy in STRATEGIES:
@@ -110,8 +112,6 @@ class TestCliReferenceInSync:
             assert backend in readme
         for direction in DIRECTIONS:
             assert direction in readme
-        for driver in DRIVERS:
-            assert driver in readme
 
     def test_models_documented(self, readme):
         # every CLI-selectable model appears in the README

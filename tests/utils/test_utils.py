@@ -71,15 +71,16 @@ class TestStatsRecorder:
 
     def test_merge_keeps_extra(self):
         a = StatsRecorder()
-        a.extra.update(shards=2, strategy="sliced", cache_warm=False)
+        a.extra.update(blocks=2, strategy="sliced", cache_warm=False)
         b = StatsRecorder()
-        b.extra.update(shards=3, strategy="monolithic", cache_warm=True,
-                       blocks=4)
+        b.extra.update(blocks=3, strategy="monolithic", cache_warm=True,
+                       direction="backward")
         a.merge(b)
-        # numeric counters add up; other keys keep the first value
-        assert a.extra == {"shards": 5, "strategy": "sliced",
-                           "cache_warm": False, "blocks": 4}
-        assert b.extra["shards"] == 3
+        # every key keeps the first value, numeric or not; new keys
+        # are copied over
+        assert a.extra == {"blocks": 2, "strategy": "sliced",
+                           "cache_warm": False, "direction": "backward"}
+        assert b.extra["blocks"] == 3
 
     def test_as_dict(self):
         stats = StatsRecorder(max_nodes=4)
