@@ -101,6 +101,21 @@ class TestDriverEquality:
         assert subspace_to_dense(dense.subspace).equals(expected)
         assert subspace_to_dense(symbolic.subspace).equals(expected)
 
+    def test_backward_from_named_start_matches_oracle(self):
+        # a backward run seeded with a named subspace, not S0, climbs
+        # the oracle's ladder from that seed on both backends
+        qts = models.qrw_qts(3, 0.2)
+        start = qts.named_subspace("start")
+        expected, ladder = dense_reach_oracle(qts, "backward",
+                                              initial=start)
+        for backend in BACKENDS:
+            trace = reachable_space(
+                qts, CheckerConfig(backend=backend, direction="backward"),
+                initial=start)
+            assert trace.converged
+            assert trace.dimensions == ladder
+            assert subspace_to_dense(trace.subspace).equals(expected)
+
     @pytest.mark.parametrize("settings", [
         {"direction": "backward", "bound": 1},
         {"direction": "backward"},
