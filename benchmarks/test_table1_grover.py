@@ -6,9 +6,12 @@ Paper (C++ TDD, 3600 s timeout):
     Grover40  only contraction finishes (2953 s / 851973).
 
 Reproduction at pure-Python scale: two composed Grover iterations on
-8 qubits (the regime where the monolithic operator TDD mixes); expect
-contraction << addition <= basic on max_nodes and time, and only
-contraction to stay flat as qubits grow.
+8 qubits.  With edge weights interned (one node per sub-tensor) the
+monolithic operator stays compact at this depth, so basic does not
+blow up and contraction's peak is not below it; the paper's
+contraction << basic shape is asserted on the QFT rows instead
+(``test_table1_qft.py``).  Here basic must grow at most linearly with
+the qubit count, which guards against weights that split equal nodes.
 """
 
 import pytest
@@ -45,13 +48,20 @@ def test_grover9_contraction_only(image_bench):
 
 
 def test_grover_method_ordering():
-    """The Table I shape: contraction's peak nodes are far below
-    basic's on the same instance."""
+    """basic's peak nodes grow at most linearly over n = 6, 8, 10, and
+    addition's stay at or below basic's on the same instance.
+
+    Weights split by float noise used to duplicate nodes level by
+    level (500 / 2387 / 356260 at n = 6 / 8 / 10); interned weights
+    give 102 / 158 / 211.
+    """
     from repro.image.engine import compute_image
-    basic = compute_image(grover(8), config=BASIC)
-    contraction = compute_image(grover(8), config=CONTRACTION_K4)
+    basic = [compute_image(grover(n), config=BASIC).stats.max_nodes
+             for n in (6, 8, 10)]
+    first_step = basic[1] - basic[0]
+    second_step = basic[2] - basic[1]
+    assert 0 < second_step <= 1.25 * first_step
     addition = compute_image(grover(8),
                              config=CheckerConfig(method="addition",
                                                   method_params={"k": 1}))
-    assert contraction.stats.max_nodes * 2 < basic.stats.max_nodes
-    assert addition.stats.max_nodes <= basic.stats.max_nodes
+    assert addition.stats.max_nodes <= basic[1]

@@ -1,18 +1,21 @@
 """Global numeric configuration for the repro package.
 
-Tensor decision diagrams require *hashable* edge weights for the unique
-table, so complex amplitudes are rounded to a fixed number of decimal
-digits before being used as canonicalisation keys.  All tolerances used
-anywhere in the package live here so that they can be tuned in one place.
+Tensor decision diagrams use edge weights as unique-table keys, so equal
+amplitudes must be identical floats: each manager's weight table
+(:mod:`repro.tdd.weights`) snaps every normalised weight component to a
+representative within :data:`WEIGHT_TOL`.  All tolerances used anywhere
+in the package live here so that they can be tuned in one place.
 """
 
 from __future__ import annotations
 
-#: Number of decimal digits kept when rounding complex weights for the
-#: TDD unique table.  12 digits keeps double-precision round-off noise out
-#: of the canonical form while preserving every amplitude that occurs in
-#: the paper's benchmark circuits.
-WEIGHT_DECIMALS: int = 12
+#: Distance within which two normalised weight components share one
+#: representative in a manager's weight table (absolute).  1e-12 keeps
+#: double-precision round-off noise out of the canonical form while
+#: preserving every amplitude that occurs in the paper's benchmark
+#: circuits; node counts on the benchmark models are the same for any
+#: value from 1e-13 to 1e-10.
+WEIGHT_TOL: float = 1e-12
 
 #: Magnitude below which a complex weight is treated as exactly zero.
 WEIGHT_EPS: float = 1e-10

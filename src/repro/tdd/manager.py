@@ -7,6 +7,8 @@ manager owns
   canonical against,
 * the *unique table* interning nodes (structural equality becomes
   object identity),
+* the :class:`~repro.tdd.weights.WeightTable` interning the normalised
+  child weights those nodes are keyed by,
 * the instrumented :class:`~repro.tdd.cache.OperationCache` memo tables
   for addition and contraction (hit/miss counters, optional bounded
   size),
@@ -22,7 +24,9 @@ manager never touches the interpreter recursion limit.
 Normalisation rule (DESIGN.md Section 3): when a node is created, its two
 outgoing edge weights are divided by the weight of largest magnitude
 (ties resolved toward the low edge), which becomes the weight of the
-incoming edge.  Together with interning this makes the representation
+incoming edge.  The normalised weights are then snapped to the weight
+table's representatives, so children equal up to float noise get
+identical keys.  Together with interning this makes the representation
 canonical for a fixed index order.
 """
 
@@ -62,6 +66,7 @@ class TDDManager:
         self.order = order if order is not None else IndexOrder()
         self.terminal = Node(TERMINAL_LEVEL, None, None)
         self._unique: Dict[tuple, Node] = {}
+        self.weights = wt.WeightTable()
         self.add_cache = OperationCache("add", max_size=cache_size,
                                         key_ids=_add_cache_ids)
         self.cont_cache = OperationCache("cont", max_size=cache_size,
@@ -104,9 +109,9 @@ class TDDManager:
     def make_edge(self, weight: complex, node: Node) -> Edge:
         """Build an edge (exact-zero weight ⇒ the zero edge).
 
-        Outer weights are kept at full precision: clamping or rounding
+        Outer weights are kept at full precision: clamping or snapping
         here would be scale-dependent and destroy small amplitudes
-        (e.g. 2^-n/2 root weights of wide superpositions).  Rounding
+        (e.g. 2^-n/2 root weights of wide superpositions).  Interning
         happens only on the normalised child weights in
         :meth:`make_node`.
         """
@@ -117,13 +122,15 @@ class TDDManager:
     def make_node(self, level: int, low: Edge, high: Edge) -> Edge:
         """Intern a node branching on ``level``; returns a normalised edge.
 
-        Applies the two TDD reduction rules: a node whose outgoing edges
-        are identical is redundant (return the common edge), and edge
-        weights are normalised by the largest-magnitude weight.  The
-        normalised (relative) child weights are rounded to the canonical
-        grid; children negligible *relative to their sibling* are
+        Applies the two TDD reduction rules: edge weights are normalised
+        by the largest-magnitude weight, and a node whose outgoing edges
+        are identical is redundant (return the common edge).  The
+        normalised (relative) child weights are interned in the weight
+        table; children negligible *relative to their sibling* are
         clamped to zero, which is what keeps float cancellation noise
-        out of the diagrams.
+        out of the diagrams.  The redundancy test runs again on the
+        interned weights, so children that only become equal there are
+        not interned as a node either.
         """
         w0 = complex(low.weight)
         w1 = complex(high.weight)
@@ -136,10 +143,12 @@ class TDDManager:
             norm = w0
         else:
             norm = w1
-        nw0 = wt.canonical(w0 / norm)
-        nw1 = wt.canonical(w1 / norm)
+        nw0 = self.weights.canonical(w0 / norm)
+        nw1 = self.weights.canonical(w1 / norm)
         n0 = low.node if not wt.is_zero(nw0) else self.terminal
         n1 = high.node if not wt.is_zero(nw1) else self.terminal
+        if nw0 == nw1 and n0 is n1:
+            return Edge(norm * nw0, n0)
         key = (level, wt.key(nw0), id(n0), wt.key(nw1), id(n1))
         node = self._unique.get(key)
         if node is None:
@@ -185,8 +194,10 @@ class TDDManager:
         }
 
     def reset(self) -> None:
-        """Drop all nodes and caches.  Outstanding TDDs become invalid."""
+        """Drop all nodes, weights and caches.  Outstanding TDDs become
+        invalid."""
         self._unique.clear()
+        self.weights.clear()
         self.clear_caches()
         self.nodes_made = 0
         self.peak_live_nodes = 0

@@ -17,7 +17,7 @@ from repro.systems.models import build_model
 #: (model, size) -> max_nodes per method, in METHODS order
 PINNED = {
     ("bitflip", 3): (36, 36, 36, 36),
-    ("grover", 6): (51, 48, 57, 44),
+    ("grover", 6): (51, 42, 53, 44),
     ("qft", 6): (127, 127, 22, 22),
 }
 

@@ -1,5 +1,6 @@
 """The fixpoint driver layer: the frontier schedule, warm-start cache."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ReproError
@@ -206,6 +207,29 @@ class TestReachabilityCache:
         other.set_initial_basis_states([[1, 1, 1]])
         assert subspace_fingerprint(qts.initial) != \
             subspace_fingerprint(other.initial)
+
+    @pytest.mark.parametrize("name", ["qrw5", "grover8"])
+    def test_seed_fingerprint_independent_of_manager_history(self, name):
+        # interned weights snap to whatever the manager met first, so a
+        # seed rebuilt on a manager that already ran fixpoints must
+        # still hash like one built on a fresh manager
+        plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
+        minus = np.array([1, -1], dtype=complex) / np.sqrt(2)
+        build, reseed = {
+            "qrw5": (lambda: models.qrw_qts(5),
+                     lambda qts: qts.set_initial_basis_states([[0] * 5])),
+            "grover8": (lambda: models.grover_qts(8),
+                        lambda qts: qts.set_initial_states(
+                            [qts.space.product_state([plus] * 7
+                                                     + [minus])])),
+        }[name]
+        fresh = subspace_fingerprint(build().initial)
+        used = build()
+        for direction in ("forward", "backward"):
+            reachable_space(used, BASIC.replace(direction=direction))
+        assert subspace_fingerprint(used.initial) == fresh
+        reseed(used)
+        assert subspace_fingerprint(used.initial) == fresh
 
     def test_store_and_lookup_across_managers(self):
         cache = ReachabilityCache()

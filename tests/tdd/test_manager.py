@@ -38,6 +38,18 @@ class TestMakeNode:
         assert edge.node is m.terminal
         assert edge.weight == 0.5
 
+    def test_children_equal_only_after_interning_are_redundant(self):
+        # the raw weights differ by 1e-14, so only the test on the
+        # interned weights sees the node is redundant
+        m = fresh_manager(["a", "b"])
+        low = m.make_node(0, m.scalar_edge(1), m.scalar_edge(2))
+        before = m.live_nodes
+        edge = m.make_node(1, m.make_edge(1.0, low.node),
+                           m.make_edge(1.0 + 1e-14, low.node))
+        assert edge.node is low.node
+        assert edge.weight == pytest.approx(1.0, abs=1e-13)
+        assert m.live_nodes == before
+
     def test_both_zero_children(self):
         m = fresh_manager(["a"])
         edge = m.make_node(0, m.zero_edge(), m.zero_edge())
@@ -104,6 +116,7 @@ class TestBookkeeping:
         m.reset()
         assert m.live_nodes == 0
         assert m.nodes_made == 0
+        assert len(m.weights) == 0
 
     def test_clear_caches_keeps_nodes(self):
         m = fresh_manager(["a"])
