@@ -16,12 +16,15 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import GS_EPS
+from repro.config import CHECK_EPS, GS_EPS
 from repro.errors import SubspaceError
 from repro.indices.index import Index, wire
 from repro.tdd import construction as tc
 from repro.tdd.manager import TDDManager
 from repro.tdd.tdd import TDD
+
+#: machine epsilon of a double
+_EPS = float(np.finfo(float).eps)
 
 
 class StateSpace:
@@ -104,6 +107,8 @@ class Subspace:
         self.basis: List[TDD] = []
         #: ``conj(v_i)`` for every basis vector, in basis order
         self._conjugates: List[TDD] = []
+        #: estimated loss of orthogonality of the basis (see add_state)
+        self._drift = 0.0
         #: the projector over the first ``_projected`` basis vectors,
         #: or ``None`` before the first use of :attr:`projector`
         self._projector: Optional[TDD] = None
@@ -111,10 +116,12 @@ class Subspace:
 
     @classmethod
     def _from_orthonormal(cls, space: StateSpace, basis: List[TDD],
-                          conjugates: List[TDD]) -> "Subspace":
+                          conjugates: List[TDD], drift: float
+                          ) -> "Subspace":
         out = cls(space)
         out.basis = basis
         out._conjugates = conjugates
+        out._drift = drift
         return out
 
     # ------------------------------------------------------------------
@@ -165,25 +172,58 @@ class Subspace:
                 result = result + vector.scaled(coefficient)
         return result
 
-    def add_state(self, state: TDD, tol: float = GS_EPS) -> Optional[TDD]:
-        """One Gram-Schmidt step (paper, Section IV.B).
+    def _norm2(self, conjugate: TDD, state: TDD) -> float:
+        """``<state|state>`` given ``conjugate = conj(state)``."""
+        return abs(conjugate.contract(state, self.space.kets).root.weight)
 
-        Modified Gram-Schmidt: ``r <- r - <v_i|r> v_i`` over the basis.
-        If the residual's norm exceeds ``tol`` it is normalised and
-        appended to the basis.  Returns the new basis vector, or
-        ``None`` when the state was already contained.
-        """
-        self._check_state(state)
+    def _residual(self, state: TDD) -> TDD:
+        """Modified Gram-Schmidt: ``r <- r - <v_i|r> v_i`` over the basis."""
         residual = state
         for i, vector in enumerate(self.basis):
             coefficient = self._coefficient(i, residual)
             if coefficient != 0:
                 residual = residual + vector.scaled(-coefficient)
-        conjugate = residual.conj()
-        norm = abs(conjugate.contract(residual,
-                                      self.space.kets).root.weight) ** 0.5
-        if norm <= tol:
-            return None
+        return residual
+
+    def add_state(self, state: TDD, tol: float = GS_EPS) -> Optional[TDD]:
+        """One Gram-Schmidt step (paper, Section IV.B).
+
+        A state ``s`` is dependent when its residual against the basis
+        has ``|r| <= tol * max(1, |s|)``: absolute for image states
+        (``|s| <= 1``), relative for larger inputs.  The step first
+        screens with contractions alone: the Pythagorean estimate
+        ``|s|^2 - sum_i |<v_i|s>|^2`` of ``|r|^2`` rejects a dependent
+        state without building any residual TDD.  A state that passes
+        the screen gets the full modified Gram-Schmidt residual
+        (:meth:`_residual`), which is normalised and appended to the
+        basis unless the same rule rejects it.  Returns the new basis
+        vector, or ``None`` when the state was already contained.
+
+        The estimate assumes an orthonormal basis, and a vector
+        normalised from a residual much shorter than its state is off
+        by about ``eps * |s| / |r|`` (Bjorck 1994).  The screen is
+        used only while that drift stays within ``tol**2``, the
+        resolution of the rule itself; after that, every step on a
+        non-empty basis takes the full path.
+        """
+        self._check_state(state)
+        conjugate = state.conj()
+        norm2 = self._norm2(conjugate, state)
+        floor = tol * tol * max(1.0, norm2)
+        if not self.basis or self._drift <= tol * tol:
+            estimate = norm2 - sum(abs(self._coefficient(i, state)) ** 2
+                                   for i in range(len(self.basis)))
+            if estimate <= floor:
+                return None
+        residual, residual_norm2 = state, norm2
+        if self.basis:
+            residual = self._residual(state)
+            conjugate = residual.conj()
+            residual_norm2 = self._norm2(conjugate, residual)
+            if residual_norm2 <= floor:
+                return None
+        self._drift = max(self._drift, _EPS * (norm2 / residual_norm2) ** 0.5)
+        norm = residual_norm2 ** 0.5
         vector = residual.scaled(1.0 / norm)
         self.basis.append(vector)
         self._conjugates.append(conjugate.scaled(1.0 / norm))
@@ -202,7 +242,8 @@ class Subspace:
     def copy(self) -> "Subspace":
         """An independent copy sharing the projector built so far."""
         out = Subspace._from_orthonormal(
-            self.space, list(self.basis), list(self._conjugates))
+            self.space, list(self.basis), list(self._conjugates),
+            self._drift)
         out._projector = self._projector
         out._projected = self._projected
         return out
@@ -211,20 +252,21 @@ class Subspace:
         """The span of ``basis[start:]`` (already orthonormal, so no
         Gram-Schmidt runs)."""
         return Subspace._from_orthonormal(
-            self.space, self.basis[start:], self._conjugates[start:])
+            self.space, self.basis[start:], self._conjugates[start:],
+            self._drift)
 
     # ------------------------------------------------------------------
-    def contains_state(self, state: TDD, tol: float = 1e-7) -> bool:
+    def contains_state(self, state: TDD, tol: float = CHECK_EPS) -> bool:
         norm = state.norm()
         if norm <= tol:
             return True
         residual = state - self.project_state(state)
         return residual.norm() <= tol * norm
 
-    def contains(self, other: "Subspace", tol: float = 1e-7) -> bool:
+    def contains(self, other: "Subspace", tol: float = CHECK_EPS) -> bool:
         return all(self.contains_state(v, tol) for v in other.basis)
 
-    def equals(self, other: "Subspace", tol: float = 1e-7) -> bool:
+    def equals(self, other: "Subspace", tol: float = CHECK_EPS) -> bool:
         return (self.dimension == other.dimension
                 and self.contains(other, tol))
 

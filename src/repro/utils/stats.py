@@ -32,8 +32,8 @@ class StatsRecorder:
     cache_hits: int = 0
     cache_misses: int = 0
     #: Per-table breakdown of the same lookups: the addition and
-    #: contraction caches behave very differently under batching, so
-    #: the combined rate hides which table earns its memory.
+    #: contraction caches serve different operand streams, so the
+    #: combined rate hides which table earns its memory.
     add_hits: int = 0
     add_misses: int = 0
     cont_hits: int = 0
