@@ -22,7 +22,8 @@ decomposition along the top summed indices).
 
 Use :func:`~repro.image.engine.compute_image` for a one-shot entry
 point, or :class:`~repro.image.engine.ImageEngine` to hold the method
-computer and its caches across calls.
+computer and its executor across calls (operator diagrams are cached on
+the system itself).
 :func:`~repro.image.engine.make_engine` picks between that engine and
 the dense reference (:class:`~repro.image.dense.DenseImageEngine`) by
 ``CheckerConfig.backend``.

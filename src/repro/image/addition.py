@@ -11,7 +11,7 @@ the monolithic operator diagram of the basic algorithm is never built.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.network import circuit_to_tdd_network
@@ -54,14 +54,16 @@ class AdditionImageComputer(ImageComputerBase):
         if k < 0:
             raise ValueError("k must be non-negative")
         self.k = k
-        self._parts: Dict[int, Tuple[List[TDD], List[Index],
-                                     List[Index]]] = {}
+
+    def shape(self) -> tuple:
+        return (self.method, self.k)
 
     # ------------------------------------------------------------------
     def parts_for(self, circuit: QuantumCircuit, stats: StatsRecorder
                   ) -> Tuple[List[TDD], List[Index], List[Index]]:
-        key = id(circuit)
-        if key not in self._parts:
+        """The cached ``(parts, inputs, outputs)``: one operator part
+        per assignment of the ``k`` sliced indices."""
+        def build(observer):
             network, inputs, outputs = circuit_to_tdd_network(
                 circuit, self.qts.manager)
             sliced = select_slice_indices(network, self.k)
@@ -69,16 +71,13 @@ class AdditionImageComputer(ImageComputerBase):
             for bits in itertools.product((0, 1), repeat=len(sliced)):
                 assignment = dict(zip(sliced, bits))
                 part_network = slice_network(network, assignment)
-                part = part_network.contract_all(
-                    observer=self.build_stats.observe_tdd)
-                parts.append(part)
-            self._parts[key] = (parts, inputs, outputs)
-        stats.merge(self.build_stats)
-        return self._parts[key]
+                parts.append(part_network.contract_all(observer=observer))
+            return parts, inputs, outputs
+        return self._cached(circuit, build, stats)
 
     # ------------------------------------------------------------------
-    def _circuit_images(self, state: TDD, circuit: QuantumCircuit,
-                        stats: StatsRecorder) -> Iterator[TDD]:
+    def circuit_image(self, state: TDD, circuit: QuantumCircuit,
+                      stats: StatsRecorder) -> TDD:
         parts, inputs, outputs = self.parts_for(circuit, stats)
         sum_over = input_sum_indices(inputs, outputs)
         total = None
@@ -92,4 +91,4 @@ class AdditionImageComputer(ImageComputerBase):
             stats.observe_tdd(total)
         if len(parts) > 1:
             stats.additions += len(parts) - 1
-        yield rename_outputs_to_kets(self.qts.space, total, outputs)
+        return rename_outputs_to_kets(self.qts.space, total, outputs)

@@ -54,12 +54,17 @@ def input_sum_indices(inputs: Sequence[Index],
 
 
 class ImageComputerBase:
-    """Common state for the four algorithms: system + per-circuit caches.
+    """Common state for the four algorithms: the system and its operators.
 
-    Every computer routes its transition-relation contractions through
-    ``self.executor`` (monolithic in-process by default; the engine
-    swaps in a :class:`~repro.image.sliced.SlicedExecutor` when the
-    sliced strategy is selected), so sliced execution composes
+    Every computer keeps the diagrams it cuts from a Kraus circuit in
+    the system's one operator cache
+    (:meth:`~repro.systems.qts.QuantumTransitionSystem.operator`),
+    keyed by :meth:`shape`, so every computer, check and witness of one
+    system — and of its adjoint — builds a circuit's diagrams once per
+    shape.  Every computer routes its transition-relation contractions
+    through ``self.executor`` (monolithic in-process by default; the
+    engine swaps in a :class:`~repro.image.sliced.SlicedExecutor` when
+    the sliced strategy is selected), so sliced execution composes
     with each algorithm without touching its partitioning logic.  Every
     Kraus circuit of a family runs through the method's own partition.
     """
@@ -71,8 +76,18 @@ class ImageComputerBase:
         self.qts = qts
         #: pluggable contraction executor (see :mod:`repro.image.sliced`)
         self.executor = MonolithicExecutor()
-        #: peak nodes observed while building cached operator diagrams
-        self.build_stats = StatsRecorder()
+
+    def shape(self) -> tuple:
+        """How this computer cuts a circuit: the method and its sizes."""
+        return (self.method,)
+
+    def _cached(self, circuit, build, stats: StatsRecorder):
+        """``circuit``'s diagrams in this computer's shape (built once
+        per system); the build's peak node count is folded into
+        ``stats``, whichever computer built it."""
+        diagrams, peak = self.qts.operator(self.shape(), circuit, build)
+        stats.observe_nodes(peak)
+        return diagrams
 
     def image(self, subspace: Optional[Subspace] = None,
               stats: Optional[StatsRecorder] = None) -> ImageResult:
@@ -102,7 +117,8 @@ class ImageComputerBase:
         The image states are added straight into ``into`` (default: a
         fresh subspace), which is mutated in place and returned as the
         result: one Gram-Schmidt pass per image state, and no projector
-        is formed.
+        is formed.  Once ``into`` spans the whole space no further
+        image can add to it, so no further source state is imaged.
 
         The manager collects garbage after each source state's images:
         what must survive — the accumulator, the sources, the cached
@@ -117,19 +133,25 @@ class ImageComputerBase:
         circuits = list(circuits)
         result = into if into is not None else Subspace(self.qts.space)
         for state in list(subspace.basis):
+            if result.is_full():
+                break
             for circuit in circuits:
-                for image_state in self._circuit_images(state, circuit,
-                                                        stats):
-                    stats.observe_tdd(image_state)
-                    added = result.add_state(image_state)
-                    if added is not None:
-                        stats.observe_tdd(added)
+                if result.is_full():
+                    break
+                image_state = self.circuit_image(state, circuit, stats)
+                stats.observe_tdd(image_state)
+                added = result.add_state(image_state)
+                if added is not None:
+                    stats.observe_tdd(added)
             self.qts.manager.collect()
         return ImageResult(result, stats)
 
-    # subclasses implement: all images of one basis state under the
-    # Kraus circuit (one TDD for a plain circuit; partition methods may
-    # fold several contributions before yielding)
-    def _circuit_images(self, state: TDD, circuit,
-                        stats: StatsRecorder):
+    def circuit_image(self, state: TDD, circuit,
+                      stats: StatsRecorder) -> TDD:
+        """``E |state>`` for the Kraus circuit ``E``, over the kets.
+
+        Subclasses implement it through their own partition of the
+        circuit; the witness extractor applies single circuits through
+        it too.
+        """
         raise NotImplementedError

@@ -12,7 +12,7 @@ paper's Table I).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.network import register_circuit_indices
@@ -42,15 +42,16 @@ class ContractionImageComputer(ImageComputerBase):
         self.k1 = k1
         self.k2 = k2
         self.order_policy = order_policy
-        self._blocks: Dict[int, Tuple[List[TDD], List[Index],
-                                      List[Index]]] = {}
+
+    def shape(self) -> tuple:
+        # the fold order does not change the blocks
+        return (self.method, self.k1, self.k2)
 
     # ------------------------------------------------------------------
     def blocks_for(self, circuit: QuantumCircuit, stats: StatsRecorder
                    ) -> Tuple[List[TDD], List[Index], List[Index]]:
         """Contract each block of the circuit into one TDD (cached)."""
-        key = id(circuit)
-        if key not in self._blocks:
+        def build(observer):
             register_circuit_indices(circuit, self.qts.manager)
             wirings, inputs, outputs = circuit.wirings()
             blocks = partition_circuit(circuit, self.k1, self.k2)
@@ -65,13 +66,11 @@ class ContractionImageComputer(ImageComputerBase):
                 for tensor in tensors:
                     open_set.update(set(tensor.indices) & boundary[block.key])
                 network = TensorNetwork(tensors, open_set)
-                block_tdd = network.contract_all(
-                    observer=self.build_stats.observe_tdd)
-                block_tdds.append(block_tdd)
-            self._blocks[key] = (block_tdds, inputs, outputs)
-        stats.merge(self.build_stats)
-        stats.extra.setdefault("blocks", len(self._blocks[key][0]))
-        return self._blocks[key]
+                block_tdds.append(network.contract_all(observer=observer))
+            return block_tdds, inputs, outputs
+        entry = self._cached(circuit, build, stats)
+        stats.extra.setdefault("blocks", len(entry[0]))
+        return entry
 
     @staticmethod
     def _boundary_indices(blocks: List[Block], inputs, outputs
@@ -93,8 +92,8 @@ class ContractionImageComputer(ImageComputerBase):
         return out
 
     # ------------------------------------------------------------------
-    def _circuit_images(self, state: TDD, circuit: QuantumCircuit,
-                        stats: StatsRecorder) -> Iterator[TDD]:
+    def circuit_image(self, state: TDD, circuit: QuantumCircuit,
+                      stats: StatsRecorder) -> TDD:
         block_tdds, inputs, outputs = self.blocks_for(circuit, stats)
         tensors = [state] + list(block_tdds)
         network = TensorNetwork(tensors, set(outputs))
@@ -106,4 +105,4 @@ class ContractionImageComputer(ImageComputerBase):
             contract_fn=lambda a, b, s: self.executor.contract(
                 a, b, s, stats))
         stats.contractions += len(block_tdds)
-        yield rename_outputs_to_kets(self.qts.space, image_state, outputs)
+        return rename_outputs_to_kets(self.qts.space, image_state, outputs)

@@ -70,10 +70,10 @@ class ImageEngine:
 
     Built from a tdd :class:`~repro.mc.config.CheckerConfig`: the
     engine wires a :class:`~repro.image.sliced` executor into the
-    configured method's computer.  Reusing one engine across calls
-    reuses the computer's cached operator diagrams *and* the executor's
-    cofactor slices — the intended shape for reachability fixpoints and
-    sweeps.
+    configured method's computer.  The operator diagrams live in the
+    system's operator cache, so every engine on one system shares them;
+    reusing one engine across calls also reuses the executor's cofactor
+    slices — the intended shape for reachability fixpoints and sweeps.
 
     ``direction="backward"`` switches the engine to *preimage* mode:
     the computer is built against the adjoint system

@@ -17,7 +17,7 @@ by the two base schemes, and is differentially tested against them.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.network import (circuit_to_tdd_network,
@@ -50,15 +50,15 @@ class HybridImageComputer(ImageComputerBase):
         self.k = k
         self.k1 = k1
         self.k2 = k2
-        #: circuit id -> (per-slice block TDD lists, inputs, outputs)
-        self._slices: Dict[int, Tuple[List[List[TDD]], List[Index],
-                                      List[Index]]] = {}
+
+    def shape(self) -> tuple:
+        return (self.method, self.k, self.k1, self.k2)
 
     # ------------------------------------------------------------------
     def slices_for(self, circuit: QuantumCircuit, stats: StatsRecorder
                    ) -> Tuple[List[List[TDD]], List[Index], List[Index]]:
-        key = id(circuit)
-        if key not in self._slices:
+        """The cached ``(per-slice block TDD lists, inputs, outputs)``."""
+        def build(observer):
             manager = self.qts.manager
             register_circuit_indices(circuit, manager)
             # pick slice indices from the whole-circuit index graph
@@ -92,15 +92,14 @@ class HybridImageComputer(ImageComputerBase):
                                         & block_boundary)
                     block_network = TensorNetwork(tensors, open_set)
                     part_tdds.append(block_network.contract_all(
-                        observer=self.build_stats.observe_tdd))
+                        observer=observer))
                 all_parts.append(part_tdds)
-            self._slices[key] = (all_parts, inputs, outputs)
-        stats.merge(self.build_stats)
-        return self._slices[key]
+            return all_parts, inputs, outputs
+        return self._cached(circuit, build, stats)
 
     # ------------------------------------------------------------------
-    def _circuit_images(self, state: TDD, circuit: QuantumCircuit,
-                        stats: StatsRecorder) -> Iterator[TDD]:
+    def circuit_image(self, state: TDD, circuit: QuantumCircuit,
+                      stats: StatsRecorder) -> TDD:
         all_parts, inputs, outputs = self.slices_for(circuit, stats)
         total = None
         for part_tdds in all_parts:
@@ -115,4 +114,4 @@ class HybridImageComputer(ImageComputerBase):
             stats.observe_tdd(total)
         if len(all_parts) > 1:
             stats.additions += len(all_parts) - 1
-        yield rename_outputs_to_kets(self.qts.space, total, outputs)
+        return rename_outputs_to_kets(self.qts.space, total, outputs)

@@ -288,7 +288,7 @@ class ModelChecker:
             if witness_trace and needs_trace:
                 trace_obj = extract_witness_trace(
                     self.qts, kind, target, initial=start, tol=tol,
-                    bound=effective_bound)
+                    bound=effective_bound, config=self.config)
             return CheckResult(
                 spec=text, kind=kind, holds=holds,
                 model=self.qts.name, config=self.config,

@@ -79,10 +79,10 @@ def reachable_space(qts: QuantumTransitionSystem, config,
 
     ``config`` is a :class:`~repro.mc.config.CheckerConfig` for either
     backend.  Each round images only the directions the previous round
-    added (see :mod:`repro.mc.drivers`).  On the tdd backend the image
-    computer (and therefore its cached transition TDDs) is reused
-    across iterations, as is the cofactor-slice cache when
-    ``strategy="sliced"``.
+    added (see :mod:`repro.mc.drivers`).  On the tdd backend the
+    transition TDDs come from the system's operator cache, built once
+    per system, and the image computer's cofactor-slice cache is
+    reused across iterations when ``strategy="sliced"``.
 
     ``direction="backward"`` runs the same fixpoint against the
     *adjoint* transition relation (cached Kraus-dagger operator TDDs,
@@ -108,7 +108,7 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     On the tdd backend the manager's mark-and-sweep runs after each
     source state's images (see
     :meth:`~repro.image.base.ImageComputerBase.partial_image`): the
-    accumulated subspace, the frontier and the computer's cached
+    accumulated subspace, the frontier and the system's cached
     operator TDDs stay pinned (they are live handles), while the
     intermediate diagrams of the finished state are reclaimed — this is
     what keeps the live-node population flat over long fixpoints.  One
@@ -127,6 +127,11 @@ def reachable_space(qts: QuantumTransitionSystem, config,
                               dimensions=[current.dimension],
                               direction=config.direction,
                               bound=config.bound)
+    # the run holds its starting basis: observing it keeps max_nodes
+    # the largest TDD held even when a saturated warm start images
+    # nothing
+    for vector in current.basis:
+        trace.stats.observe_tdd(vector)
     extra = trace.stats.extra
     if config.backend != "tdd":
         extra["backend"] = config.backend

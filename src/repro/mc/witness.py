@@ -12,39 +12,46 @@ The construction is the standard symbolic-model-checking one, adapted
 to subspaces:
 
 1. **Layering.**  Re-run the forward fixpoint keeping every layer
-   ``S_0 <= S_1 <= ...`` and stop at the first layer ``S_k`` whose
-   basis exposes the violation (a direction escaping ``[[phi]]`` for
-   ``AG``, a component inside it for ``EF``).  That direction is the
-   *seed* state ``v_k``.
+   ``S_0 <= S_1 <= ...`` and every frontier image ``E u_j``, and stop
+   at the first layer ``S_k`` whose basis exposes the violation (a
+   direction escaping ``[[phi]]`` for ``AG``, a component inside it
+   for ``EF``).  That direction is the *seed* state ``v_k``.
 2. **Backward walk.**  For ``i = k .. 1`` find an operation ``sigma``
    and a Kraus circuit ``E`` with ``P_{S_{i-1}} E^dagger v_i != 0`` —
    by ``<v_i|E|u> = <E^dagger v_i|u>`` that projection *is* a
    predecessor state ``v_{i-1}`` in the previous layer whose image
-   under ``sigma`` overlaps ``v_i``.  The adjoint Kraus circuits come
-   from :meth:`~repro.systems.operations.QuantumOperation.adjoint`.
+   under ``sigma`` overlaps ``v_i``.  It is built from the stored
+   images as ``sum_j conj(<v_i|E u_j>) u_j`` over the basis ``u_j`` of
+   ``S_{i-1}``, so no adjoint circuit is ever built or applied (the
+   counterexample reuses the forward images, as in Clarke, Grumberg,
+   McMillan and Zhao, DAC 1995).
 3. **Forward replay.**  Starting from ``span{v_0} <= S_0``, apply the
    recorded operations in order and check the final subspace really
    exhibits the violation/overlap — the trace is only reported
    ``valid`` when the replay confirms it.
 
-Everything here runs on the shared TDD subspace machinery (both
-checker backends return the same TDD-backed subspaces), so the same
-spec yields the *same* trace — symbols, length, subspace dimensions —
-whichever backend produced the verdict.
+Every circuit is applied through a computer of the checker's own image
+method on the forward system, so its diagrams come from the system's
+operator cache: a forward check's witness builds no operator, and a
+backward check's builds the forward family once.  Both checker
+backends return TDD-backed subspaces and a dense check runs its
+witness through the default method, so the same spec yields the same
+trace — symbols, length, subspace dimensions — whichever backend
+produced the verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.network import circuit_to_tdd
-from repro.image.base import input_sum_indices, rename_outputs_to_kets
-from repro.indices.index import Index
+from repro.image.engine import ImageEngine
+from repro.mc.config import CheckerConfig
 from repro.subspace.subspace import Subspace
 from repro.systems.qts import QuantumTransitionSystem
+from repro.tdd import construction as tc
 from repro.tdd.tdd import TDD
+from repro.utils.stats import StatsRecorder
 
 
 @dataclass
@@ -83,29 +90,6 @@ class WitnessTrace:
         return f"WitnessTrace({self.kind}: {path}, {status})"
 
 
-class _CircuitApplier:
-    """Apply single Kraus circuits to ket states, caching operators.
-
-    The monolithic operator TDD of each circuit is built once per
-    extraction (witness traces live on small failing instances, where
-    the monolithic diagram is affordable) and shared between the
-    layering, the backward walk and the replay.
-    """
-
-    def __init__(self, qts: QuantumTransitionSystem) -> None:
-        self.qts = qts
-        self._operators: Dict[int, Tuple[TDD, List[Index], List[Index]]] = {}
-
-    def apply(self, circuit: QuantumCircuit, state: TDD) -> TDD:
-        key = id(circuit)
-        if key not in self._operators:
-            self._operators[key] = circuit_to_tdd(circuit, self.qts.manager)
-        operator, inputs, outputs = self._operators[key]
-        sum_over = input_sum_indices(inputs, outputs)
-        image_state = state.contract(operator, sum_over)
-        return rename_outputs_to_kets(self.qts.space, image_state, outputs)
-
-
 def _seed_in_vectors(vectors, target: Subspace, kind: str,
                      tol: float) -> Optional[TDD]:
     """The violating/overlapping direction exposed by basis vectors.
@@ -129,31 +113,51 @@ def _trace_condition(subspace: Subspace, target: Subspace, kind: str,
     return _seed_in_vectors(subspace.basis, target, kind, tol) is not None
 
 
+def _overlap(bra: TDD, state: TDD, kets) -> complex:
+    """``<v|state>`` given ``bra = conj(v)``."""
+    return bra.contract(state, kets).root.weight
+
+
 def extract_witness_trace(qts: QuantumTransitionSystem,
                           kind: str,
                           target: Subspace,
                           initial: Optional[Subspace] = None,
                           tol: float = 1e-7,
-                          bound: int = 0) -> Optional[WitnessTrace]:
+                          bound: int = 0,
+                          config: Optional[CheckerConfig] = None
+                          ) -> Optional[WitnessTrace]:
     """Build a counterexample trace for a violated ``AG`` / holding ``EF``.
 
     ``target`` is the denoted subspace ``[[phi]]`` of the spec body;
     ``kind`` selects what counts as the event ("AG": a reachable
     direction escapes the target, "EF": a reachable direction overlaps
     it).  ``bound`` limits the layering depth exactly like the bounded
-    operators (0 = saturation).  Returns ``None`` when no event is
-    reachable — i.e. when the corresponding verdict would not call for
-    a trace in the first place.
+    operators (0 = saturation).  ``config`` is the checker's
+    :class:`~repro.mc.config.CheckerConfig`: circuits are applied
+    through a computer of its method on the forward system, so they
+    come out of the system's operator cache in that method's shape (a
+    dense config, or none, selects the default ``CheckerConfig()``).
+    Returns ``None`` when no event is reachable — i.e. when the
+    corresponding verdict would not call for a trace in the first
+    place.
     """
-    applier = _CircuitApplier(qts)
+    if config is None or config.backend != "tdd":
+        config = CheckerConfig()
+    computer = ImageEngine(qts, config.replace(direction="forward")).computer
+    stats = StatsRecorder()
+    kets = qts.space.kets
+    circuits = [(op.symbol, circuit) for op in qts.operations
+                for circuit in op.kraus_circuits]
     start = initial if initial is not None else qts.initial
 
     # 1. forward layering up to the first event (or saturation) — only
     # the frontier (basis vectors added in the previous round) needs
-    # re-imaging, since layers are cumulative, Subspace.join keeps the
+    # re-imaging, since layers are cumulative, Subspace.copy keeps the
     # existing basis as an untouched prefix, and the image operator
-    # distributes over joins
+    # distributes over joins.  images[c][j] is E_c applied to basis
+    # vector j of the latest layer.
     layers: List[Subspace] = [start]
+    images: List[List[TDD]] = [[] for _ in circuits]
     seed = _seed_in_vectors(start.basis, target, kind, tol)
     limit = bound if bound > 0 else 2 ** qts.num_qubits
     frontier_start = 0
@@ -163,10 +167,11 @@ def extract_witness_trace(qts: QuantumTransitionSystem,
         current = layers[-1]
         grown = current.copy()
         frontier = current.basis[frontier_start:]
-        for op in qts.operations:
-            for circuit in op.kraus_circuits:
-                for vector in frontier:
-                    grown.add_state(applier.apply(circuit, vector))
+        for (_, circuit), imaged in zip(circuits, images):
+            for vector in frontier:
+                image = computer.circuit_image(vector, circuit, stats)
+                imaged.append(image)
+                grown.add_state(image)
         if grown.dimension == current.dimension:
             return None  # saturated without the event: nothing to show
         frontier_start = current.dimension
@@ -175,30 +180,34 @@ def extract_witness_trace(qts: QuantumTransitionSystem,
         seed = _seed_in_vectors(grown.basis[frontier_start:], target,
                                 kind, tol)
 
-    # 2. backward walk: predecessors through the adjoint Kraus family
+    # 2. backward walk over the stored images: the predecessor of v_i
+    # under E is P_{S_{i-1}} E^dagger v_i = sum_j conj(<v_i|E u_j>) u_j
+    # over the basis u_j of S_{i-1}, since <u|E^dagger v> = conj<v|E u>
     k = len(layers) - 1
     states: List[Optional[TDD]] = [None] * k + [seed]
     symbols: List[str] = [""] * k
     for i in range(k, 0, -1):
-        best: Optional[Tuple[float, TDD, str]] = None
-        for op in qts.operations:
-            for circuit in op.adjoint().kraus_circuits:
-                pulled = applier.apply(circuit, states[i])
-                if pulled.norm() <= tol:
-                    continue
-                predecessor = layers[i - 1].project_state(pulled)
-                norm = predecessor.norm()
-                if norm > tol and (best is None or norm > best[0]):
-                    best = (norm, predecessor.scaled(1.0 / norm),
-                            op.symbol)
+        bra = states[i].conj()
+        previous = layers[i - 1].basis
+        best: Optional[Tuple[float, List[complex], str]] = None
+        for (symbol, _), imaged in zip(circuits, images):
+            weights = [_overlap(bra, image, kets).conjugate()
+                       for image in imaged[:len(previous)]]
+            norm = sum(abs(w) ** 2 for w in weights) ** 0.5
+            if norm > tol and (best is None or norm > best[0]):
+                best = (norm, weights, symbol)
         if best is None:
             # no Kraus pull-back meets the previous layer: the event
             # first appeared at layer k, so this is only reachable
             # through tolerance corner cases — report "no trace"
             # rather than a path the replay would reject
             return None
-        states[i - 1] = best[1]
-        symbols[i - 1] = best[2]
+        norm, weights, symbols[i - 1] = best
+        predecessor = tc.zero(qts.manager, list(kets))
+        for weight, vector in zip(weights, previous):
+            if weight != 0:
+                predecessor = predecessor + vector.scaled(weight / norm)
+        states[i - 1] = predecessor
 
     # 3. forward replay validates the path
     replay = qts.space.span([states[0]])
@@ -206,7 +215,7 @@ def extract_witness_trace(qts: QuantumTransitionSystem,
     for symbol in symbols:
         op = qts.operation(symbol)
         step = qts.space.span(
-            [applier.apply(circuit, vector)
+            [computer.circuit_image(vector, circuit, stats)
              for circuit in op.kraus_circuits
              for vector in replay.basis])
         subspaces.append(step)

@@ -37,6 +37,11 @@ class StateSpace:
         self.bras = [Index(f"y{q}_0", qubit=q, time=0)
                      for q in range(num_qubits)]
 
+    @property
+    def dimension(self) -> int:
+        """``2^n``, the dimension of the whole space."""
+        return 2 ** self.num_qubits
+
     # ------------------------------------------------------------------
     def ket_of(self, qubit: int) -> Index:
         return self.kets[qubit]
@@ -136,6 +141,10 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
+    def is_full(self) -> bool:
+        """Does the basis span the whole space?"""
+        return len(self.basis) == self.space.dimension
+
     @property
     def projector(self) -> TDD:
         """The projector tensor ``P[bra, ket]`` (built on first use)."""
@@ -197,7 +206,8 @@ class Subspace:
         the screen gets the full modified Gram-Schmidt residual
         (:meth:`_residual`), which is normalised and appended to the
         basis unless the same rule rejects it.  Returns the new basis
-        vector, or ``None`` when the state was already contained.
+        vector, or ``None`` when the state was already contained, which
+        a full basis decides with no contraction at all.
 
         The estimate assumes an orthonormal basis, and a vector
         normalised from a residual much shorter than its state is off
@@ -207,6 +217,8 @@ class Subspace:
         non-empty basis takes the full path.
         """
         self._check_state(state)
+        if self.is_full():
+            return None
         conjugate = state.conj()
         norm2 = self._norm2(conjugate, state)
         floor = tol * tol * max(1.0, norm2)

@@ -11,7 +11,7 @@ canonical order.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import SystemError_
 from repro.indices.index import Index
@@ -19,6 +19,7 @@ from repro.subspace.subspace import StateSpace, Subspace
 from repro.systems.operations import QuantumOperation
 from repro.tdd.manager import TDDManager
 from repro.tdd.tdd import TDD
+from repro.utils.stats import StatsRecorder
 
 
 def _order_key(index: Index):
@@ -59,6 +60,9 @@ class QuantumTransitionSystem:
         self.named_subspaces: Dict[str, Subspace] = {}
         #: lazily built adjoint system (see :meth:`adjoint`)
         self._adjoint: Optional["QuantumTransitionSystem"] = None
+        #: (build shape, circuit) -> (built diagrams, build peak); shared
+        #: with the adjoint system (see :meth:`operator`)
+        self._operators: Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     def _register_indices(self) -> None:
@@ -135,6 +139,31 @@ class QuantumTransitionSystem:
                 f"available atoms: {available}") from None
 
     # ------------------------------------------------------------------
+    # the operator cache
+    # ------------------------------------------------------------------
+    def operator(self, shape: tuple, circuit,
+                 build: Callable[[Callable], Any]) -> tuple:
+        """The diagrams of ``circuit`` built in ``shape``, built once.
+
+        ``shape`` names how the image method cuts a Kraus circuit (the
+        method and its ``k``/``k1``/``k2``); ``build(observer)`` builds
+        the diagrams on a miss, calling ``observer`` with every
+        intermediate TDD.  Returns ``(diagrams, peak)``, where ``peak``
+        is the largest TDD the build produced.  The key holds the
+        circuit object itself (circuits hash by identity), so an entry
+        keeps its circuit alive and can never be served for another.
+        One cache serves every image computer, every check and every
+        witness of this system and of its adjoint.
+        """
+        key = (shape, circuit)
+        entry = self._operators.get(key)
+        if entry is None:
+            peak = StatsRecorder()
+            entry = (build(peak.observe_tdd), peak.max_nodes)
+            self._operators[key] = entry
+        return entry
+
+    # ------------------------------------------------------------------
     # the adjoint system (backward / preimage analysis)
     # ------------------------------------------------------------------
     def adjoint(self) -> "QuantumTransitionSystem":
@@ -142,8 +171,9 @@ class QuantumTransitionSystem:
 
         Every operation is replaced by its Kraus-dagger adjoint
         (:meth:`~repro.systems.operations.QuantumOperation.adjoint`);
-        the manager, the ambient state space, the initial subspace and
-        the named-subspace registry are *shared* with this system, so
+        the manager, the ambient state space, the initial subspace, the
+        named-subspace registry and the operator cache (see
+        :meth:`operator`) are *shared* with this system, so
         any subspace of this system is directly usable as an initial or
         target set of the adjoint one.  Computing images of the adjoint
         system is preimage computation for this one — the transition
@@ -162,6 +192,7 @@ class QuantumTransitionSystem:
             adj.space = self.space
             adj.named_subspaces = self.named_subspaces
             adj._initial_cell = self._initial_cell
+            adj._operators = self._operators
             adj._adjoint = self
             self._adjoint = adj
         return self._adjoint

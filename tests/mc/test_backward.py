@@ -52,6 +52,22 @@ class TestAdjointSystem:
         assert adj.named_subspace("marked") is qts.named_subspace("marked")
         assert adj.initial is qts.initial
 
+    def test_adjoint_shares_the_operator_cache(self):
+        qts = models.grover_qts(3)
+        circuit = qts.adjoint().all_kraus_circuits()[0]
+        built = []
+
+        def build(observer):
+            built.append(circuit)
+            return "diagrams"
+
+        assert qts.adjoint().operator(("basic",), circuit, build)[0] \
+            == "diagrams"
+        assert qts.operator(("basic",), circuit, build)[0] == "diagrams"
+        assert qts.operator(("addition", 1), circuit, build)[0] \
+            == "diagrams"
+        assert len(built) == 2
+
     def test_adjoint_tracks_initial_space_updates(self):
         qts = models.ghz_qts(3)
         qts.adjoint()

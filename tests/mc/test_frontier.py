@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.image.engine import make_engine
 from repro.mc.backends import DenseStatevectorBackend
 from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig
 from repro.mc.reachability import reachable_space
 from repro.systems import models
+from repro.utils.stats import StatsRecorder
 
 from tests.helpers import dense_reach_oracle, subspace_to_dense
 
@@ -34,14 +36,34 @@ class TestFrontier:
     def test_frontier_images_fewer_states(self):
         """Frontier mode images each reachable direction once, strictly
         fewer states than the full iteration, which re-images all of
-        ``S_k`` every round."""
+        ``S_k`` every round.  The two-step qrw5 walk stops at dimension
+        15 of 32, short of saturation, so every direction is imaged."""
+        qts = models.qrw_qts(5, 0.2, steps=2)
+        kraus = len(qts.all_kraus_circuits())
+        fast = reachable_space(qts, BASIC)
+        _, ladder = dense_reach_oracle(models.qrw_qts(5, 0.2, steps=2))
+        assert fast.dimensions == ladder
+        assert fast.dimension == 15
+        # the basic method runs one contraction per state and circuit
+        assert fast.stats.contractions == fast.dimension * kraus
+        assert fast.stats.contractions < sum(ladder[:-1]) * kraus
+
+    def test_saturated_walk_stops_imaging(self):
+        """The qrw3 walk spans all 8 dimensions: its ladder matches the
+        dense oracle, it images fewer states than it reached, and one
+        more round on the full result contracts nothing."""
         qts = models.qrw_qts(3, 0.2)
         kraus = len(qts.all_kraus_circuits())
         fast = reachable_space(qts, BASIC)
         _, ladder = dense_reach_oracle(models.qrw_qts(3, 0.2))
-        # the basic method runs one contraction per state and circuit
-        assert fast.stats.contractions == fast.dimension * kraus
-        assert fast.stats.contractions < sum(ladder[:-1]) * kraus
+        assert fast.dimensions == ladder
+        assert fast.subspace.is_full()
+        assert fast.stats.contractions < fast.dimension * kraus
+        engine = make_engine(qts, BASIC)
+        stats = StatsRecorder()
+        again = engine.extend(fast.subspace, fast.subspace, stats)
+        assert again.dimension == 8
+        assert stats.contractions == 0
 
     def test_frontier_with_contraction_method(self):
         expected, _ = dense_reach_oracle(models.qrw_qts(3, 0.3))

@@ -170,3 +170,25 @@ class TestMisc:
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         state = space.from_amplitudes(amps)
         assert np.allclose(state.to_numpy().reshape(-1), amps)
+
+
+class TestSaturation:
+    def test_full_basis_rejects_without_contracting(self, rng):
+        space = make_space(2)
+        full = space.span([space.basis_state(bits)
+                           for bits in ([0, 0], [0, 1], [1, 0], [1, 1])])
+        assert full.is_full()
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state = space.from_amplitudes(amps)
+        before = space.manager.cache_counters()
+        assert full.add_state(state) is None
+        assert space.manager.cache_counters() == before
+        assert full.dimension == 4
+
+    def test_is_full_only_at_two_to_the_n(self):
+        space = make_space(2)
+        sub = space.span([space.basis_state([0, 0]),
+                          space.basis_state([1, 1])])
+        assert space.dimension == 4
+        assert not sub.is_full()
+        assert not space.zero_subspace().is_full()
