@@ -113,11 +113,6 @@ def _trace_condition(subspace: Subspace, target: Subspace, kind: str,
     return _seed_in_vectors(subspace.basis, target, kind, tol) is not None
 
 
-def _overlap(bra: TDD, state: TDD, kets) -> complex:
-    """``<v|state>`` given ``bra = conj(v)``."""
-    return bra.contract(state, kets).root.weight
-
-
 def extract_witness_trace(qts: QuantumTransitionSystem,
                           kind: str,
                           target: Subspace,
@@ -187,11 +182,10 @@ def extract_witness_trace(qts: QuantumTransitionSystem,
     states: List[Optional[TDD]] = [None] * k + [seed]
     symbols: List[str] = [""] * k
     for i in range(k, 0, -1):
-        bra = states[i].conj()
         previous = layers[i - 1].basis
         best: Optional[Tuple[float, List[complex], str]] = None
         for (symbol, _), imaged in zip(circuits, images):
-            weights = [_overlap(bra, image, kets).conjugate()
+            weights = [states[i].inner(image).conjugate()
                        for image in imaged[:len(previous)]]
             norm = sum(abs(w) ** 2 for w in weights) ** 0.5
             if norm > tol and (best is None or norm > best[0]):

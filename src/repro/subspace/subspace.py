@@ -12,7 +12,7 @@ only when something asks for it.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from repro.config import CHECK_EPS, GS_EPS
 from repro.errors import SubspaceError
 from repro.indices.index import Index, wire
 from repro.tdd import construction as tc
+from repro.tdd.apply import inner_apply
 from repro.tdd.manager import TDDManager
 from repro.tdd.tdd import TDD
 
@@ -36,6 +37,7 @@ class StateSpace:
         self.kets = [wire(q, 0) for q in range(num_qubits)]
         self.bras = [Index(f"y{q}_0", qubit=q, time=0)
                      for q in range(num_qubits)]
+        self._ket_levels: Optional[Tuple[int, ...]] = None
 
     @property
     def dimension(self) -> int:
@@ -48,6 +50,15 @@ class StateSpace:
 
     def bra_of(self, qubit: int) -> Index:
         return self.bras[qubit]
+
+    @property
+    def ket_levels(self) -> Tuple[int, ...]:
+        """The sorted manager levels of the kets, the summed levels of
+        every inner product between states."""
+        if self._ket_levels is None:
+            self._ket_levels = tuple(sorted(self.manager.level(k)
+                                            for k in self.kets))
+        return self._ket_levels
 
     def bra_map(self) -> dict:
         """ket -> bra renaming map."""
@@ -99,19 +110,17 @@ class StateSpace:
 class Subspace:
     """A subspace as an orthonormal TDD basis; the projector is lazy.
 
-    Only the basis (and the conjugate of each basis vector, the bra
-    side of every inner product) is kept up to date.  The projector
-    ``P = sum_i |v_i><v_i|`` is built on first use and extended
-    incrementally when vectors were added since the last build, so
-    Gram-Schmidt-heavy work such as a reachability fixpoint never
-    materialises it.
+    Only the basis is kept up to date: every inner product reads it
+    directly through the scalar kernel walk, which conjugates the bra
+    side as it goes.  The projector ``P = sum_i |v_i><v_i|`` is built on
+    first use and extended incrementally when vectors were added since
+    the last build, so Gram-Schmidt-heavy work such as a reachability
+    fixpoint never materialises it.
     """
 
     def __init__(self, space: StateSpace) -> None:
         self.space = space
         self.basis: List[TDD] = []
-        #: ``conj(v_i)`` for every basis vector, in basis order
-        self._conjugates: List[TDD] = []
         #: estimated loss of orthogonality of the basis (see add_state)
         self._drift = 0.0
         #: the projector over the first ``_projected`` basis vectors,
@@ -121,11 +130,9 @@ class Subspace:
 
     @classmethod
     def _from_orthonormal(cls, space: StateSpace, basis: List[TDD],
-                          conjugates: List[TDD], drift: float
-                          ) -> "Subspace":
+                          drift: float) -> "Subspace":
         out = cls(space)
         out.basis = basis
-        out._conjugates = conjugates
         out._drift = drift
         return out
 
@@ -154,17 +161,17 @@ class Subspace:
         if self._projected < len(self.basis):
             to_bras = dict(zip(self.space.kets, self.space.bras))
             projector = self._projector
-            for i in range(self._projected, len(self.basis)):
-                projector = projector + self.basis[i].rename(
-                    to_bras).product(self._conjugates[i])
+            for vector in self.basis[self._projected:]:
+                projector = projector + vector.rename(
+                    to_bras).product(vector.conj())
             self._projector = projector
             self._projected = len(self.basis)
         return self._projector
 
     def _coefficient(self, i: int, state: TDD) -> complex:
         """``<v_i|state>``."""
-        return self._conjugates[i].contract(state,
-                                           self.space.kets).root.weight
+        return inner_apply(self.manager, self.basis[i].root, state.root,
+                           self.space.ket_levels)
 
     def _check_state(self, state: TDD) -> None:
         if set(state.indices) != set(self.space.kets):
@@ -181,9 +188,10 @@ class Subspace:
                 result = result + vector.scaled(coefficient)
         return result
 
-    def _norm2(self, conjugate: TDD, state: TDD) -> float:
-        """``<state|state>`` given ``conjugate = conj(state)``."""
-        return abs(conjugate.contract(state, self.space.kets).root.weight)
+    def _norm2(self, state: TDD) -> float:
+        """``<state|state>``."""
+        return abs(inner_apply(self.manager, state.root, state.root,
+                               self.space.ket_levels))
 
     def _residual(self, state: TDD) -> TDD:
         """Modified Gram-Schmidt: ``r <- r - <v_i|r> v_i`` over the basis."""
@@ -200,14 +208,14 @@ class Subspace:
         A state ``s`` is dependent when its residual against the basis
         has ``|r| <= tol * max(1, |s|)``: absolute for image states
         (``|s| <= 1``), relative for larger inputs.  The step first
-        screens with contractions alone: the Pythagorean estimate
+        screens with inner products alone: the Pythagorean estimate
         ``|s|^2 - sum_i |<v_i|s>|^2`` of ``|r|^2`` rejects a dependent
         state without building any residual TDD.  A state that passes
         the screen gets the full modified Gram-Schmidt residual
         (:meth:`_residual`), which is normalised and appended to the
         basis unless the same rule rejects it.  Returns the new basis
         vector, or ``None`` when the state was already contained, which
-        a full basis decides with no contraction at all.
+        a full basis decides with no inner product at all.
 
         The estimate assumes an orthonormal basis, and a vector
         normalised from a residual much shorter than its state is off
@@ -219,8 +227,7 @@ class Subspace:
         self._check_state(state)
         if self.is_full():
             return None
-        conjugate = state.conj()
-        norm2 = self._norm2(conjugate, state)
+        norm2 = self._norm2(state)
         floor = tol * tol * max(1.0, norm2)
         if not self.basis or self._drift <= tol * tol:
             estimate = norm2 - sum(abs(self._coefficient(i, state)) ** 2
@@ -230,15 +237,13 @@ class Subspace:
         residual, residual_norm2 = state, norm2
         if self.basis:
             residual = self._residual(state)
-            conjugate = residual.conj()
-            residual_norm2 = self._norm2(conjugate, residual)
+            residual_norm2 = self._norm2(residual)
             if residual_norm2 <= floor:
                 return None
         self._drift = max(self._drift, _EPS * (norm2 / residual_norm2) ** 0.5)
         norm = residual_norm2 ** 0.5
         vector = residual.scaled(1.0 / norm)
         self.basis.append(vector)
-        self._conjugates.append(conjugate.scaled(1.0 / norm))
         return vector
 
     # ------------------------------------------------------------------
@@ -253,9 +258,8 @@ class Subspace:
 
     def copy(self) -> "Subspace":
         """An independent copy sharing the projector built so far."""
-        out = Subspace._from_orthonormal(
-            self.space, list(self.basis), list(self._conjugates),
-            self._drift)
+        out = Subspace._from_orthonormal(self.space, list(self.basis),
+                                         self._drift)
         out._projector = self._projector
         out._projected = self._projected
         return out
@@ -263,9 +267,8 @@ class Subspace:
     def tail(self, start: int) -> "Subspace":
         """The span of ``basis[start:]`` (already orthonormal, so no
         Gram-Schmidt runs)."""
-        return Subspace._from_orthonormal(
-            self.space, self.basis[start:], self._conjugates[start:],
-            self._drift)
+        return Subspace._from_orthonormal(self.space, self.basis[start:],
+                                          self._drift)
 
     # ------------------------------------------------------------------
     def contains_state(self, state: TDD, tol: float = CHECK_EPS) -> bool:

@@ -12,8 +12,9 @@ package provides:
   pin their nodes across :meth:`TDDManager.collect`.
 * the iterative apply engine (:mod:`repro.tdd.apply`) behind arithmetic
   (:mod:`repro.tdd.arithmetic`), contraction
-  (:mod:`repro.tdd.contraction`) and slicing (:mod:`repro.tdd.slicing`)
-  — explicit work stacks, no interpreter recursion-limit games;
+  (:mod:`repro.tdd.contraction`), slicing (:mod:`repro.tdd.slicing`)
+  and inner products (``TDD.inner``) — explicit work stacks, no
+  interpreter recursion-limit games;
 * structured constructors (:mod:`repro.tdd.construction`) and
   instrumented memo tables (:mod:`repro.tdd.cache`).
 """

@@ -3,13 +3,15 @@
 Every structural TDD algorithm in this package used to be written as a
 level-deep recursion, which forced the manager to raise the interpreter
 recursion limit (benchmark circuits register thousands of levels).
-This module replaces that with two explicit-stack schemes, so the whole
+This module replaces that with explicit-stack schemes, so the whole
 kernel runs under the interpreter's *default* recursion limit:
 
 * a **binary apply** machine (:func:`add_apply`, :func:`contract_apply`)
   that simulates the recursion with ENTER/EXIT frames on a work stack
   and a value stack, memoised in the manager's instrumented
   :class:`~repro.tdd.cache.OperationCache` tables;
+* a **scalar walk** (:func:`inner_apply`) — the same frames over a node
+  pair, returning ``<a|b>`` as a ``complex`` without building a node;
 * a **unary rewrite** machine (:func:`unary_apply`) — a memoised
   postorder rebuild used by conjugation, renaming and slicing.
 
@@ -22,7 +24,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TYPE_CHECKING, Tuple
 
-from repro.tdd.node import Edge, Node
+from repro.errors import TDDError
+from repro.tdd.node import TERMINAL_LEVEL, Edge, Node
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tdd.manager import TDDManager
@@ -119,7 +122,7 @@ def contract_apply(manager: "TDDManager", a: Edge, b: Edge,
         tag = frame[0]
         if tag == _ENTER:
             _, a, b, levels = frame
-            if a.is_zero or b.is_zero:
+            if a.weight == 0 or b.weight == 0:
                 values.append(manager.zero_edge())
                 continue
             weight = a.weight * b.weight
@@ -134,23 +137,28 @@ def contract_apply(manager: "TDDManager", a: Edge, b: Edge,
             if cached is not None:
                 values.append(make_edge(cached.weight * weight, cached.node))
                 continue
-            unit_a = Edge(1 + 0j, na)
-            unit_b = Edge(1 + 0j, nb)
             top = min(na.level, nb.level)
             if levels and levels[0] < top:
                 # Neither operand depends on this summed index: factor 2.
                 stack.append((_COMBINE_FACTOR, key, weight))
-                stack.append((_ENTER, unit_a, unit_b, levels[1:]))
-            elif levels and levels[0] == top:
+                stack.append((_ENTER, Edge(1 + 0j, na), Edge(1 + 0j, nb),
+                              levels[1:]))
+                continue
+            # cofactors of the unit-weight operands on ``top``
+            if na.level == top:
+                a0, a1 = na.low, na.high
+            else:
+                a0 = a1 = Edge(1 + 0j, na)
+            if nb.level == top:
+                b0, b1 = nb.low, nb.high
+            else:
+                b0 = b1 = Edge(1 + 0j, nb)
+            if levels and levels[0] == top:
                 remaining = levels[1:]
-                a0, a1 = slice_pair(manager, unit_a, top)
-                b0, b1 = slice_pair(manager, unit_b, top)
                 stack.append((_COMBINE_SUM, key, weight))
                 stack.append((_ENTER, a1, b1, remaining))
                 stack.append((_ENTER, a0, b0, remaining))
             else:
-                a0, a1 = slice_pair(manager, unit_a, top)
-                b0, b1 = slice_pair(manager, unit_b, top)
                 stack.append((_COMBINE_NODE, key, weight, top))
                 stack.append((_ENTER, a1, b1, levels))
                 stack.append((_ENTER, a0, b0, levels))
@@ -174,6 +182,87 @@ def contract_apply(manager: "TDDManager", a: Edge, b: Edge,
             result = manager.make_node(top, low, high)
             cache.put(key, result)
             values.append(make_edge(result.weight * weight, result.node))
+    return values[0]
+
+
+# ----------------------------------------------------------------------
+# scalar walk: inner product
+# ----------------------------------------------------------------------
+def inner_apply(manager: "TDDManager", a: Edge, b: Edge,
+                levels: Tuple[int, ...]) -> complex:
+    """``sum conj(a) * b`` over the sorted ``levels`` (iterative).
+
+    Every level either operand branches on must be summed.  The walk
+    builds no node and no edge: ``a``'s weights are conjugated as they
+    are read, a summed level both operands skip contributes a factor 2,
+    and the result is a plain ``complex``.  Partial sums of unit-weight
+    node pairs are memoised in ``manager.inner_cache`` under
+    ``(id(node_a), id(node_b), remaining)``, ``remaining`` being the
+    number of summed levels still ahead.  Since every level the pair
+    branches on is among them, that count fixes the partial sum for any
+    summed set, so the memo is shared by every call.
+    """
+    if a.weight == 0 or b.weight == 0:
+        return 0j
+    cache = manager.inner_cache
+    count = len(levels)
+    position = {level: i for i, level in enumerate(levels)}
+    stack = [(_ENTER, a.weight.conjugate() * b.weight, a.node, b.node,
+              count)]
+    values = []
+    while stack:
+        frame = stack.pop()
+        if frame[0] == _ENTER:
+            _, weight, na, nb, remaining = frame
+            top = min(na.level, nb.level)
+            if top == TERMINAL_LEVEL:
+                values.append(weight * 2 ** remaining)
+                continue
+            key = (id(na), id(nb), remaining)
+            cached = cache.get(key)
+            if cached is not None:
+                values.append(weight * cached)
+                continue
+            at = position.get(top)
+            if at is None:
+                raise TDDError("inner product over a level that is not "
+                               "summed")
+            rest = count - at - 1
+            stack.append((_EXIT, key, weight,
+                          2 ** (remaining - rest - 1)))
+            if na.level == top:
+                a0, a1 = na.low, na.high
+                wa0, wa1 = a0.weight.conjugate(), a1.weight.conjugate()
+                na0, na1 = a0.node, a1.node
+            else:
+                wa0 = wa1 = 1
+                na0 = na1 = na
+            if nb.level == top:
+                b0, b1 = nb.low, nb.high
+                wb0, wb1 = b0.weight, b1.weight
+                nb0, nb1 = b0.node, b1.node
+            else:
+                wb0 = wb1 = 1
+                nb0 = nb1 = nb
+            # a zero cofactor pushes its 0 now; the EXIT sum is the
+            # same in either order
+            w1 = wa1 * wb1
+            if w1 == 0:
+                values.append(0j)
+            else:
+                stack.append((_ENTER, w1, na1, nb1, rest))
+            w0 = wa0 * wb0
+            if w0 == 0:
+                values.append(0j)
+            else:
+                stack.append((_ENTER, w0, na0, nb0, rest))
+        else:
+            _, key, weight, factor = frame
+            high = values.pop()
+            low = values.pop()
+            result = factor * (low + high)
+            cache.put(key, result)
+            values.append(weight * result)
     return values[0]
 
 

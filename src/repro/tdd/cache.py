@@ -1,10 +1,10 @@
 """Instrumented operation caches for the TDD kernel.
 
-Every memoised TDD operation (addition, contraction) stores its results
-in an :class:`OperationCache`: a dictionary with hit/miss/eviction
-counters, an optional size bound with FIFO eviction, and a ``purge``
-hook the manager's garbage collector uses to drop entries that mention
-reclaimed nodes.
+Every memoised TDD operation (addition, contraction, inner product)
+stores its results in an :class:`OperationCache`: a dictionary with
+hit/miss/eviction counters, an optional size bound with FIFO eviction,
+and a ``purge`` hook the manager's garbage collector uses to drop
+entries that mention reclaimed nodes.
 
 Cache keys embed raw ``id(node)`` values (interning makes object
 identity the node identity), so a cache entry is only valid while every
@@ -15,7 +15,7 @@ entries whose ids are all still live.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional, Set
 
 
 class OperationCache:
@@ -24,7 +24,8 @@ class OperationCache:
     Parameters
     ----------
     name:
-        Label used in stats dictionaries (``"add"``, ``"cont"``).
+        Label used in stats dictionaries (``"add"``, ``"cont"``,
+        ``"inner"``).
     max_size:
         When set, the table never holds more than this many entries;
         inserting into a full table evicts in insertion (FIFO) order.
@@ -97,8 +98,8 @@ class OperationCache:
         self.evictions = 0
 
     # ------------------------------------------------------------------
-    def purge(self, live_ids) -> int:
-        """Drop entries referencing node ids outside ``live_ids``.
+    def purge(self, live_ids: Set[int]) -> int:
+        """Drop entries referencing node ids outside the set ``live_ids``.
 
         Called after a mark-and-sweep: a reclaimed node's id may be
         reused by a future allocation, so any entry mentioning a dead id
@@ -109,8 +110,9 @@ class OperationCache:
             self._table.clear()
             return dropped
         key_ids = self._key_ids
+        live = live_ids.issuperset
         keep = {key: value for key, value in self._table.items()
-                if all(i in live_ids for i in key_ids(key, value))}
+                if live(key_ids(key, value))}
         dropped = len(self._table) - len(keep)
         self._table = keep
         return dropped

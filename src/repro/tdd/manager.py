@@ -10,8 +10,8 @@ manager owns
 * the :class:`~repro.tdd.weights.WeightTable` interning the normalised
   child weights those nodes are keyed by,
 * the instrumented :class:`~repro.tdd.cache.OperationCache` memo tables
-  for addition and contraction (hit/miss counters, optional bounded
-  size),
+  for addition, contraction and inner products (hit/miss counters,
+  optional bounded size),
 * a weak registry of live :class:`~repro.tdd.tdd.TDD` handles that
   drives root-based mark-and-sweep garbage collection
   (:meth:`collect`), and
@@ -52,6 +52,11 @@ def _cont_cache_ids(key: tuple, value: Edge) -> Tuple[int, int, int]:
     return (key[0], key[1], id(value.node))
 
 
+def _inner_cache_ids(key: tuple, value: complex) -> Tuple[int, int]:
+    # key = (id_a, id_b, remaining); the value is a plain complex
+    return (key[0], key[1])
+
+
 class TDDManager:
     """Owner of all nodes, caches and the index order for a family of TDDs.
 
@@ -71,6 +76,8 @@ class TDDManager:
                                         key_ids=_add_cache_ids)
         self.cont_cache = OperationCache("cont", max_size=cache_size,
                                          key_ids=_cont_cache_ids)
+        self.inner_cache = OperationCache("inner", max_size=cache_size,
+                                          key_ids=_inner_cache_ids)
         #: live TDD handles; their roots pin nodes during :meth:`collect`
         self._handles: "weakref.WeakSet" = weakref.WeakSet()
         #: total number of distinct non-terminal nodes ever interned
@@ -171,6 +178,7 @@ class TDDManager:
         """Drop the operation memo tables (keeps interned nodes)."""
         self.add_cache.clear()
         self.cont_cache.clear()
+        self.inner_cache.clear()
 
     def cache_counters(self) -> Dict[str, int]:
         """Cache counters, combined and per table, for instrumentation.
@@ -178,17 +186,22 @@ class TDDManager:
         The per-table ``add_*``/``cont_*`` counters feed the
         ``add_hit_rate``/``cont_hit_rate`` columns of the sweep CSV:
         addition and contraction caches behave very differently, and a
-        combined rate hides which one is earning its memory.
+        combined rate hides which one is earning its memory.  The
+        combined ``hits``/``misses``/``evictions`` also count the inner
+        product memo, so moving a lookup between tables leaves them
+        comparable.
         """
+        caches = (self.add_cache, self.cont_cache, self.inner_cache)
         return {
-            "hits": self.add_cache.hits + self.cont_cache.hits,
-            "misses": self.add_cache.misses + self.cont_cache.misses,
-            "evictions": (self.add_cache.evictions
-                          + self.cont_cache.evictions),
+            "hits": sum(cache.hits for cache in caches),
+            "misses": sum(cache.misses for cache in caches),
+            "evictions": sum(cache.evictions for cache in caches),
             "add_hits": self.add_cache.hits,
             "add_misses": self.add_cache.misses,
             "cont_hits": self.cont_cache.hits,
             "cont_misses": self.cont_cache.misses,
+            "inner_hits": self.inner_cache.hits,
+            "inner_misses": self.inner_cache.misses,
             "gc_runs": self.gc_runs,
             "nodes_reclaimed": self.nodes_reclaimed,
         }
@@ -251,6 +264,7 @@ class TDDManager:
         reclaimed = before - len(self._unique)
         self.add_cache.purge(marked)
         self.cont_cache.purge(marked)
+        self.inner_cache.purge(marked)
         self.gc_runs += 1
         self.nodes_reclaimed += reclaimed
         return reclaimed

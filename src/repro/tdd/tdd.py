@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import TDDError
 from repro.indices.index import Index
-from repro.tdd.apply import unary_apply
+from repro.tdd.apply import inner_apply, unary_apply
 from repro.tdd.arithmetic import (add_edges, conjugate_edge, negate_edge,
                                   scale_edge)
 from repro.tdd.contraction import contract_edges
@@ -249,13 +249,12 @@ class TDD:
         self._require_same_manager(other)
         if set(self._indices) != set(other._indices):
             raise TDDError("inner product requires identical index sets")
-        result = self.conj().contract(other, self._indices)
-        return result.scalar_value() if result.root.node.is_terminal else 0j
+        levels = tuple(self.manager.level(i) for i in self._indices)
+        return inner_apply(self.manager, self.root, other.root, levels)
 
     def norm(self) -> float:
         """Euclidean norm of the tensor viewed as a vector."""
-        value = self.inner(self)
-        return float(abs(value)) ** 0.5
+        return abs(self.inner(self)) ** 0.5
 
     def normalized(self) -> "TDD":
         n = self.norm()
@@ -278,7 +277,7 @@ class TDD:
         diff = self - other
         if diff.is_zero:
             return True
-        return diff.conj().contract(diff, diff.indices).scalar_value().real <= tol ** 2
+        return diff.inner(diff).real <= tol ** 2
 
     def __repr__(self) -> str:
         names = ",".join(self.index_names[:6])

@@ -31,13 +31,15 @@ class StatsRecorder:
     #: Operation-cache lookups answered from / missing the memo tables.
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Per-table breakdown of the same lookups: the addition and
-    #: contraction caches serve different operand streams, so the
-    #: combined rate hides which table earns its memory.
+    #: Per-table breakdown of the same lookups: the addition,
+    #: contraction and inner-product caches serve different operand
+    #: streams, so the combined rate hides which table earns its memory.
     add_hits: int = 0
     add_misses: int = 0
     cont_hits: int = 0
     cont_misses: int = 0
+    inner_hits: int = 0
+    inner_misses: int = 0
     #: Bounded-cache evictions during the run.
     cache_evictions: int = 0
     #: Cofactor subproblems executed by the sliced strategy.
@@ -100,6 +102,9 @@ class StatsRecorder:
         self.cont_hits = counters["cont_hits"] - base.get("cont_hits", 0)
         self.cont_misses = (counters["cont_misses"]
                             - base.get("cont_misses", 0))
+        self.inner_hits = counters["inner_hits"] - base.get("inner_hits", 0)
+        self.inner_misses = (counters["inner_misses"]
+                             - base.get("inner_misses", 0))
         self.cache_evictions = (counters["evictions"]
                                 - base.get("evictions", 0))
         self.gc_runs = counters["gc_runs"] - base.get("gc_runs", 0)
@@ -122,6 +127,8 @@ class StatsRecorder:
         self.add_misses += other.add_misses
         self.cont_hits += other.cont_hits
         self.cont_misses += other.cont_misses
+        self.inner_hits += other.inner_hits
+        self.inner_misses += other.inner_misses
         self.cache_evictions += other.cache_evictions
         self.slices += other.slices
         self.gc_runs += other.gc_runs
@@ -147,6 +154,8 @@ class StatsRecorder:
             "cont_hits": self.cont_hits,
             "cont_misses": self.cont_misses,
             "cont_hit_rate": self.cont_hit_rate,
+            "inner_hits": self.inner_hits,
+            "inner_misses": self.inner_misses,
             "cache_evictions": self.cache_evictions,
             "slices": self.slices,
             "gc_runs": self.gc_runs,

@@ -17,22 +17,24 @@ from tests.helpers import make_space
 
 
 def unscreened_add_state(sub, state, tol=GS_EPS):
-    """Modified Gram-Schmidt with no screen: always build ``r``."""
+    """Modified Gram-Schmidt with no screen: always build ``r``.
+
+    Every inner product is spelled as a conjugate diagram contracted
+    with the state, independent of the scalar kernel walk that
+    ``Subspace`` uses.
+    """
     kets = sub.space.kets
     norm2 = abs(state.conj().contract(state, kets).root.weight)
     residual = state
-    for i, vector in enumerate(sub.basis):
-        coefficient = sub._coefficient(i, residual)
+    for vector in sub.basis:
+        coefficient = vector.conj().contract(residual, kets).root.weight
         if coefficient != 0:
             residual = residual + vector.scaled(-coefficient)
-    conjugate = residual.conj()
-    residual_norm2 = abs(conjugate.contract(residual, kets).root.weight)
+    residual_norm2 = abs(residual.conj().contract(residual, kets).root.weight)
     if residual_norm2 <= tol * tol * max(1.0, norm2):
         return None
-    norm = residual_norm2 ** 0.5
-    vector = residual.scaled(1.0 / norm)
+    vector = residual.scaled(1.0 / residual_norm2 ** 0.5)
     sub.basis.append(vector)
-    sub._conjugates.append(conjugate.scaled(1.0 / norm))
     return vector
 
 

@@ -162,8 +162,7 @@ class TestNoiseFloor:
         residual = Subspace._residual
 
         def spy_add_state(self, state, tol=GS_EPS):
-            conjugate = state.conj()
-            norm2 = self._norm2(conjugate, state)
+            norm2 = self._norm2(state)
             estimate = norm2 - sum(abs(self._coefficient(i, state)) ** 2
                                    for i in range(self.dimension))
             record = {"norm2": norm2, "estimate": estimate, "full": False}

@@ -89,6 +89,20 @@ class TestDeepDiagrams:
         overlap = state.conj().contract(state, idx)
         assert overlap.scalar_value() == pytest.approx(1)
 
+    def test_deep_inner(self, default_recursion_limit):
+        m = _deep_manager()
+        idx = _deep_indices(m)
+        bits = [i % 2 for i in range(DEEP)]
+        state = tc.basis_state(m, idx, bits).scaled(1j)
+        other = tc.basis_state(m, idx, [1 - b for b in bits])
+        # the scalar walk descends every level of both diagrams
+        assert state.inner(state) == pytest.approx(1)
+        assert state.norm() == pytest.approx(1)
+        assert state.inner(other) == 0
+        mixed = state + other
+        assert mixed.inner(state) == pytest.approx(1)
+        assert state.inner(mixed) == pytest.approx(1)
+
     def test_deep_product_and_size(self, default_recursion_limit):
         m = _deep_manager()
         idx = _deep_indices(m)

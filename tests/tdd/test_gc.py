@@ -128,6 +128,40 @@ class TestCacheInvalidation:
         assert m.add_cache.hits > hits_before
 
 
+class TestInnerMemoInvalidation:
+    def test_no_entry_names_a_reclaimed_id(self, rng):
+        m = fresh_manager(IDX)
+        x, _ = _random_tdd(m, rng)
+        y, _ = _random_tdd(m, rng)
+        garbage, _ = _random_tdd(m, rng)
+        before = x.inner(y)
+        garbage.inner(x)
+        dead = {id(node) for node in m._unique.values()} - {
+            id(node) for node in _reachable(x) | _reachable(y)}
+        assert any(key[0] in dead for key in m.inner_cache._table)
+        del garbage
+        assert m.collect() > 0
+        live = {id(node) for node in m._unique.values()} | {id(m.terminal)}
+        assert m.inner_cache._table
+        for key in m.inner_cache._table:
+            assert key[0] in live and key[1] in live
+        assert x.inner(y) == before
+
+
+def _reachable(tdd):
+    """Every node under ``tdd``'s root, the terminal included."""
+    seen = {}
+    stack = [tdd.root.node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        if not node.is_terminal:
+            stack.extend(e.node for e in (node.low, node.high))
+    return set(seen.values())
+
+
 class TestGCInPipelines:
     def test_reachability_dimensions_unchanged_by_gc(self):
         # the tdd run collects after every source state; the dense
