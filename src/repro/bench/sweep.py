@@ -49,7 +49,8 @@ from repro.utils.tables import format_table
 #: It is a compatibility contract, so the columns of knobs that are gone
 #: stay and hold the one value the remaining code path has: ``jobs`` is
 #: 1, ``driver`` is ``frontier``, ``parallel_tasks`` and
-#: ``pool_fallbacks`` are 0.
+#: ``pool_fallbacks`` are 0, and so is ``cache_evictions`` (the TDD
+#: memo tables have no size bound).
 CSV_COLUMNS = (
     "run_id", "label", "model", "size", "method", "backend", "strategy",
     "jobs", "slice_depth", "driver", "direction", "bound", "spec",

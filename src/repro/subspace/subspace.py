@@ -219,10 +219,13 @@ class Subspace:
 
         The estimate assumes an orthonormal basis, and a vector
         normalised from a residual much shorter than its state is off
-        by about ``eps * |s| / |r|`` (Bjorck 1994).  The screen is
-        used only while that drift stays within ``tol**2``, the
-        resolution of the rule itself; after that, every step on a
-        non-empty basis takes the full path.
+        by about ``eps * |s| / |r|`` (Bjorck 1994).  When that drift
+        would exceed ``tol**2``, the resolution of the rule itself
+        (``|s| / |r| > tol**2 / eps``, about 45), the residual gets a
+        second modified Gram-Schmidt pass, which leaves it orthogonal
+        to the basis to about ``eps``.  The screen is used only while
+        the drift of the vectors kept so far stays within ``tol**2``;
+        after that, every step on a non-empty basis takes the full path.
         """
         self._check_state(state)
         if self.is_full():
@@ -234,13 +237,20 @@ class Subspace:
                                    for i in range(len(self.basis)))
             if estimate <= floor:
                 return None
-        residual, residual_norm2 = state, norm2
+        source_norm2, residual, residual_norm2 = norm2, state, norm2
         if self.basis:
             residual = self._residual(state)
             residual_norm2 = self._norm2(residual)
             if residual_norm2 <= floor:
                 return None
-        self._drift = max(self._drift, _EPS * (norm2 / residual_norm2) ** 0.5)
+            if _EPS * (norm2 / residual_norm2) ** 0.5 > tol * tol:
+                source_norm2 = residual_norm2
+                residual = self._residual(residual)
+                residual_norm2 = self._norm2(residual)
+                if residual_norm2 <= floor:
+                    return None
+        self._drift = max(self._drift,
+                          _EPS * (source_norm2 / residual_norm2) ** 0.5)
         norm = residual_norm2 ** 0.5
         vector = residual.scaled(1.0 / norm)
         self.basis.append(vector)

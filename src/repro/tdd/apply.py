@@ -1,23 +1,26 @@
 """The iterative apply engine: explicit-work-stack TDD traversals.
 
-Every structural TDD algorithm in this package used to be written as a
-level-deep recursion, which forced the manager to raise the interpreter
-recursion limit (benchmark circuits register thousands of levels).
-This module replaces that with explicit-stack schemes, so the whole
-kernel runs under the interpreter's *default* recursion limit:
+Every structural TDD algorithm runs on explicit heap-allocated stacks,
+so the whole kernel works on diagrams of any depth under the
+interpreter's *default* recursion limit (benchmark circuits register
+thousands of levels):
 
 * a **binary apply** machine (:func:`add_apply`, :func:`contract_apply`)
   that simulates the recursion with ENTER/EXIT frames on a work stack
-  and a value stack, memoised in the manager's instrumented
+  and a value stack, memoised in the manager's
   :class:`~repro.tdd.cache.OperationCache` tables;
 * a **scalar walk** (:func:`inner_apply`) — the same frames over a node
   pair, returning ``<a|b>`` as a ``complex`` without building a node;
 * a **unary rewrite** machine (:func:`unary_apply`) — a memoised
   postorder rebuild used by conjugation, renaming and slicing.
 
-The result edges are bit-for-bit the same as the old recursive code:
-the traversal order, normalisation and cache keys are unchanged; only
-the call stack moved to the heap.
+The three memoised kernels read and write their tables' ``table`` dicts
+directly and add their hit/miss counts once per call.  Memo keys are
+flat tuples of node ids and numbers: ``(id_lo, w_lo, id_hi, w_hi)`` for
+addition, ``(id_a, id_b, suffix_id)`` for contraction and
+``(id_a, id_b, remaining)`` for the inner product.  Entries are valid
+only while the nodes they name are interned, which is why
+:meth:`~repro.tdd.manager.TDDManager.collect` empties every table.
 """
 
 from __future__ import annotations
@@ -39,56 +42,64 @@ _COMBINE_SUM = 3
 _COMBINE_FACTOR = 4
 
 
-def slice_pair(manager: "TDDManager", edge: Edge,
-               level: int) -> Tuple[Edge, Edge]:
-    """The (x=0, x=1) cofactors of ``edge`` w.r.t. the index at ``level``.
-
-    Assumes ``level <= edge.node.level``: either the edge branches on
-    exactly this level, or it does not depend on it at all.
-    """
-    node = edge.node
-    if node.level != level:
-        return edge, edge
-    low = manager.make_edge(edge.weight * node.low.weight, node.low.node)
-    high = manager.make_edge(edge.weight * node.high.weight, node.high.node)
-    return low, high
-
-
 # ----------------------------------------------------------------------
 # binary apply: addition
 # ----------------------------------------------------------------------
 def add_apply(manager: "TDDManager", a: Edge, b: Edge) -> Edge:
-    """Pointwise sum of two edges (iterative, memoised)."""
+    """Pointwise sum of two edges (iterative, memoised).
+
+    The memo key is ``(id_lo, w_lo, id_hi, w_hi)``, the two operands
+    ordered by node id (addition commutes; equal nodes never reach the
+    memo).  Weights enter the key at full precision: rounding them
+    could alias two different sums onto one entry.
+    """
     cache = manager.add_cache
-    make_edge = manager.make_edge
+    memo = cache.table
+    make_node = manager.make_node
+    hits = misses = 0
     stack = [(_ENTER, a, b)]
     values = []
     while stack:
         frame = stack.pop()
         if frame[0] == _ENTER:
             _, a, b = frame
-            if a.is_zero:
-                values.append(make_edge(b.weight, b.node))
+            if a.weight == 0:
+                values.append(b)
                 continue
-            if b.is_zero:
-                values.append(make_edge(a.weight, a.node))
+            if b.weight == 0:
+                values.append(a)
                 continue
-            if a.node is b.node:
-                values.append(make_edge(a.weight + b.weight, a.node))
+            na, nb = a.node, b.node
+            if na is nb:
+                values.append(manager.make_edge(a.weight + b.weight, na))
                 continue
-            # Raw (full-precision) keys: rounding here could alias two
-            # different weights onto one cache entry and silently
-            # return a wrong sum.
-            ka = (a.weight.real, a.weight.imag, id(a.node))
-            kb = (b.weight.real, b.weight.imag, id(b.node))
-            key = (ka, kb) if ka <= kb else (kb, ka)
-            cached = cache.get(key)
+            ia, ib = id(na), id(nb)
+            if ia < ib:
+                key = (ia, a.weight, ib, b.weight)
+            else:
+                key = (ib, b.weight, ia, a.weight)
+            cached = memo.get(key)
             if cached is not None:
+                hits += 1
                 values.append(cached)
                 continue
-            level = min(a.node.level, b.node.level)
-            a0, a1 = slice_pair(manager, a, level)
-            b0, b1 = slice_pair(manager, b, level)
+            misses += 1
+            # the cofactors on the top level, built inline (a zero
+            # child has the terminal as its node, so its cofactor is a
+            # zero edge)
+            level = min(na.level, nb.level)
+            if na.level == level:
+                weight, low, high = a.weight, na.low, na.high
+                a0 = Edge(weight * low.weight, low.node)
+                a1 = Edge(weight * high.weight, high.node)
+            else:
+                a0 = a1 = a
+            if nb.level == level:
+                weight, low, high = b.weight, nb.low, nb.high
+                b0 = Edge(weight * low.weight, low.node)
+                b1 = Edge(weight * high.weight, high.node)
+            else:
+                b0 = b1 = b
             stack.append((_EXIT, key, level))
             stack.append((_ENTER, a1, b1))
             stack.append((_ENTER, a0, b0))
@@ -96,9 +107,11 @@ def add_apply(manager: "TDDManager", a: Edge, b: Edge) -> Edge:
             _, key, level = frame
             high = values.pop()
             low = values.pop()
-            result = manager.make_node(level, low, high)
-            cache.put(key, result)
+            result = make_node(level, low, high)
+            memo[key] = result
             values.append(result)
+    cache.hits += hits
+    cache.misses += misses
     return values[0]
 
 
@@ -109,40 +122,54 @@ def contract_apply(manager: "TDDManager", a: Edge, b: Edge,
                    levels: Tuple[int, ...]) -> Edge:
     """Contract two edges over the sorted ``levels`` (iterative).
 
-    Weights are factored out on entry so the memo key is
-    ``(node, node, remaining-sum-levels)``; the EXIT frame re-applies
-    the factored weight, exactly mirroring the recursive formulation.
+    Frames carry an offset into ``levels`` rather than the remaining
+    tuple.  Weights are factored out on entry so the memo key is
+    ``(id_a, id_b, suffix_id)``: the unit-weight node pair, ordered by
+    id, and the manager-wide id of the summed levels still ahead
+    (:meth:`~repro.tdd.manager.TDDManager.suffix_ids`).  The EXIT frame
+    re-applies the factored weight.
     """
     cache = manager.cont_cache
+    memo = cache.table
     make_edge = manager.make_edge
-    stack = [(_ENTER, a, b, levels)]
+    suffix = manager.suffix_ids(levels)
+    count = len(levels)
+    # the sentinel past the last summed level compares above every
+    # non-terminal level, so no frame needs a bounds check
+    levels = levels + (TERMINAL_LEVEL,)
+    hits = misses = 0
+    stack = [(_ENTER, a, b, 0)]
     values = []
     while stack:
         frame = stack.pop()
         tag = frame[0]
         if tag == _ENTER:
-            _, a, b, levels = frame
+            _, a, b, at = frame
             if a.weight == 0 or b.weight == 0:
                 values.append(manager.zero_edge())
                 continue
             weight = a.weight * b.weight
             na, nb = a.node, b.node
-            if na.is_terminal and nb.is_terminal:
+            top = min(na.level, nb.level)
+            if top == TERMINAL_LEVEL:
                 values.append(
-                    manager.scalar_edge(weight * (2 ** len(levels))))
+                    manager.scalar_edge(weight * (2 ** (count - at))))
                 continue
             ka, kb = id(na), id(nb)
-            key = (ka, kb, levels) if ka <= kb else (kb, ka, levels)
-            cached = cache.get(key)
+            key = ((ka, kb, suffix[at]) if ka <= kb
+                   else (kb, ka, suffix[at]))
+            cached = memo.get(key)
             if cached is not None:
+                hits += 1
                 values.append(make_edge(cached.weight * weight, cached.node))
                 continue
-            top = min(na.level, nb.level)
-            if levels and levels[0] < top:
+            misses += 1
+            summed = levels[at]
+            if summed < top:
                 # Neither operand depends on this summed index: factor 2.
                 stack.append((_COMBINE_FACTOR, key, weight))
                 stack.append((_ENTER, Edge(1 + 0j, na), Edge(1 + 0j, nb),
-                              levels[1:]))
+                              at + 1))
                 continue
             # cofactors of the unit-weight operands on ``top``
             if na.level == top:
@@ -153,35 +180,36 @@ def contract_apply(manager: "TDDManager", a: Edge, b: Edge,
                 b0, b1 = nb.low, nb.high
             else:
                 b0 = b1 = Edge(1 + 0j, nb)
-            if levels and levels[0] == top:
-                remaining = levels[1:]
+            if summed == top:
                 stack.append((_COMBINE_SUM, key, weight))
-                stack.append((_ENTER, a1, b1, remaining))
-                stack.append((_ENTER, a0, b0, remaining))
+                stack.append((_ENTER, a1, b1, at + 1))
+                stack.append((_ENTER, a0, b0, at + 1))
             else:
                 stack.append((_COMBINE_NODE, key, weight, top))
-                stack.append((_ENTER, a1, b1, levels))
-                stack.append((_ENTER, a0, b0, levels))
+                stack.append((_ENTER, a1, b1, at))
+                stack.append((_ENTER, a0, b0, at))
         elif tag == _COMBINE_FACTOR:
             _, key, weight = frame
             inner = values.pop()
             result = make_edge(2 * inner.weight, inner.node)
-            cache.put(key, result)
+            memo[key] = result
             values.append(make_edge(result.weight * weight, result.node))
         elif tag == _COMBINE_SUM:
             _, key, weight = frame
             high = values.pop()
             low = values.pop()
             result = add_apply(manager, low, high)
-            cache.put(key, result)
+            memo[key] = result
             values.append(make_edge(result.weight * weight, result.node))
         else:  # _COMBINE_NODE
             _, key, weight, top = frame
             high = values.pop()
             low = values.pop()
             result = manager.make_node(top, low, high)
-            cache.put(key, result)
+            memo[key] = result
             values.append(make_edge(result.weight * weight, result.node))
+    cache.hits += hits
+    cache.misses += misses
     return values[0]
 
 
@@ -205,6 +233,8 @@ def inner_apply(manager: "TDDManager", a: Edge, b: Edge,
     if a.weight == 0 or b.weight == 0:
         return 0j
     cache = manager.inner_cache
+    memo = cache.table
+    hits = misses = 0
     count = len(levels)
     position = {level: i for i, level in enumerate(levels)}
     stack = [(_ENTER, a.weight.conjugate() * b.weight, a.node, b.node,
@@ -219,10 +249,12 @@ def inner_apply(manager: "TDDManager", a: Edge, b: Edge,
                 values.append(weight * 2 ** remaining)
                 continue
             key = (id(na), id(nb), remaining)
-            cached = cache.get(key)
+            cached = memo.get(key)
             if cached is not None:
+                hits += 1
                 values.append(weight * cached)
                 continue
+            misses += 1
             at = position.get(top)
             if at is None:
                 raise TDDError("inner product over a level that is not "
@@ -261,8 +293,10 @@ def inner_apply(manager: "TDDManager", a: Edge, b: Edge,
             high = values.pop()
             low = values.pop()
             result = factor * (low + high)
-            cache.put(key, result)
+            memo[key] = result
             values.append(weight * result)
+    cache.hits += hits
+    cache.misses += misses
     return values[0]
 
 

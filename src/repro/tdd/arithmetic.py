@@ -10,12 +10,11 @@ manager's ``add_cache`` with a symmetric key, exploiting commutativity.
 
 from __future__ import annotations
 
-from repro.tdd.apply import add_apply, slice_pair, unary_apply
+from repro.tdd.apply import add_apply, unary_apply
 from repro.tdd.manager import TDDManager
 from repro.tdd.node import Edge
 
-__all__ = ["add_edges", "scale_edge", "negate_edge", "conjugate_edge",
-           "slice_pair"]
+__all__ = ["add_edges", "scale_edge", "negate_edge", "conjugate_edge"]
 
 
 def add_edges(manager: TDDManager, a: Edge, b: Edge) -> Edge:

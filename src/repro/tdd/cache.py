@@ -1,82 +1,43 @@
-"""Instrumented operation caches for the TDD kernel.
+"""Memo tables of the TDD kernel.
 
 Every memoised TDD operation (addition, contraction, inner product)
-stores its results in an :class:`OperationCache`: a dictionary with
-hit/miss/eviction counters, an optional size bound with FIFO eviction,
-and a ``purge`` hook the manager's garbage collector uses to drop
-entries that mention reclaimed nodes.
+keeps its results in an :class:`OperationCache`: a plain dictionary
+``table`` plus hit/miss counters.  The kernels in
+:mod:`repro.tdd.apply` read and write ``table`` directly and add their
+counts once per call, so a lookup costs one dictionary access.
 
 Cache keys embed raw ``id(node)`` values (interning makes object
-identity the node identity), so a cache entry is only valid while every
-node it references is still interned.  ``key_ids`` captures which ids a
-given ``(key, value)`` pair depends on; :meth:`purge` keeps exactly the
-entries whose ids are all still live.
+identity the node identity), so an entry is only valid while every
+node it names is still interned.  The manager's garbage collector
+therefore empties every table (:meth:`~repro.tdd.manager.TDDManager.collect`):
+a reclaimed node's id may be reused by a later allocation, and a memo
+table is a lossy cache, so dropping an entry costs a recomputation,
+never correctness (Brace, Rudell and Bryant, "Efficient Implementation
+of a BDD Package", DAC 1990).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Set
+from typing import Dict
 
 
 class OperationCache:
-    """A memo table with statistics and optional bounded size.
+    """A memo table with hit/miss statistics.
 
-    Parameters
-    ----------
-    name:
-        Label used in stats dictionaries (``"add"``, ``"cont"``,
-        ``"inner"``).
-    max_size:
-        When set, the table never holds more than this many entries;
-        inserting into a full table evicts in insertion (FIFO) order.
-        Correctness is unaffected — an evicted entry is simply
-        recomputed on the next miss.
-    key_ids:
-        ``(key, value) -> iterable of node ids`` the entry references;
-        required for :meth:`purge` to be usable.
+    ``name`` labels the table in stats dictionaries (``"add"``,
+    ``"cont"``, ``"inner"``).
     """
 
-    __slots__ = ("name", "max_size", "hits", "misses", "evictions",
-                 "_table", "_key_ids")
+    __slots__ = ("name", "hits", "misses", "table")
 
-    def __init__(self, name: str, max_size: Optional[int] = None,
-                 key_ids: Optional[Callable[[tuple, object],
-                                            Iterable[int]]] = None) -> None:
-        if max_size is not None and max_size <= 0:
-            raise ValueError("max_size must be positive (or None)")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.max_size = max_size
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self._table: Dict[tuple, object] = {}
-        self._key_ids = key_ids
+        self.table: Dict[tuple, object] = {}
 
-    # ------------------------------------------------------------------
-    def get(self, key: tuple):
-        """Look up ``key``, counting the hit or miss."""
-        value = self._table.get(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def put(self, key: tuple, value) -> None:
-        """Insert an entry, evicting the oldest one when full."""
-        table = self._table
-        if (self.max_size is not None and key not in table
-                and len(table) >= self.max_size):
-            table.pop(next(iter(table)))
-            self.evictions += 1
-        table[key] = value
-
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._table)
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._table
+        return len(self.table)
 
     @property
     def lookups(self) -> int:
@@ -90,44 +51,21 @@ class OperationCache:
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""
-        self._table.clear()
+        self.table.clear()
 
     def reset_stats(self) -> None:
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
-    # ------------------------------------------------------------------
-    def purge(self, live_ids: Set[int]) -> int:
-        """Drop entries referencing node ids outside the set ``live_ids``.
-
-        Called after a mark-and-sweep: a reclaimed node's id may be
-        reused by a future allocation, so any entry mentioning a dead id
-        must go.  Returns the number of entries dropped.
-        """
-        if self._key_ids is None:
-            dropped = len(self._table)
-            self._table.clear()
-            return dropped
-        key_ids = self._key_ids
-        live = live_ids.issuperset
-        keep = {key: value for key, value in self._table.items()
-                if live(key_ids(key, value))}
-        dropped = len(self._table) - len(keep)
-        self._table = keep
-        return dropped
-
-    # ------------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
         return {
             "name": self.name,
-            "size": len(self._table),
+            "size": len(self.table),
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }
 
     def __repr__(self) -> str:
-        return (f"OperationCache({self.name!r}, size={len(self._table)}, "
+        return (f"OperationCache({self.name!r}, size={len(self.table)}, "
                 f"hits={self.hits}, misses={self.misses})")

@@ -11,8 +11,8 @@ neither operand depends on contributes a factor 2 per the definition of
 summation over {0, 1}.
 
 The work-stack engine in :mod:`repro.tdd.apply` processes levels in the
-global order; weights are factored out so the memo key is
-``(node, node, remaining-sum-levels)``, which gives high hit rates
+global order; weights are factored out so the memo key is the node pair
+and the id of the summed levels still ahead, which gives high hit rates
 across repeated image computations.
 """
 

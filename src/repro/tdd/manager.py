@@ -6,15 +6,16 @@ manager owns
 * the global :class:`~repro.indices.order.IndexOrder` the diagrams are
   canonical against,
 * the *unique table* interning nodes (structural equality becomes
-  object identity),
-* the :class:`~repro.tdd.weights.WeightTable` interning the normalised
-  child weights those nodes are keyed by,
-* the instrumented :class:`~repro.tdd.cache.OperationCache` memo tables
-  for addition, contraction and inner products (hit/miss counters,
-  optional bounded size),
+  object identity), keyed by ``(level, w0, id(n0), w1, id(n1))`` with
+  the normalised child weights as plain ``complex`` values,
+* the :class:`~repro.tdd.weights.WeightTable` interning those child
+  weights,
+* the :class:`~repro.tdd.cache.OperationCache` memo tables for
+  addition, contraction and inner products (hit/miss counters), and the
+  table of summed-level suffix ids the contraction memo is keyed by,
 * a weak registry of live :class:`~repro.tdd.tdd.TDD` handles that
   drives root-based mark-and-sweep garbage collection
-  (:meth:`collect`), and
+  (:meth:`collect`), which also empties the memo tables, and
 * counters used by the benchmark harness (current/peak live nodes,
   total nodes made, nodes reclaimed).
 
@@ -24,10 +25,12 @@ manager never touches the interpreter recursion limit.
 Normalisation rule (DESIGN.md Section 3): when a node is created, its two
 outgoing edge weights are divided by the weight of largest magnitude
 (ties resolved toward the low edge), which becomes the weight of the
-incoming edge.  The normalised weights are then snapped to the weight
-table's representatives, so children equal up to float noise get
-identical keys.  Together with interning this makes the representation
-canonical for a fixed index order.
+incoming edge.  The dominant child so gets the weight exactly ``1+0j``
+and skips the weight table; the other normalised weight is snapped to
+the table's representatives (``1.0`` among them, permanently), so
+children equal up to float noise get identical keys.  Together with
+interning this makes the representation canonical for a fixed index
+order.
 """
 
 from __future__ import annotations
@@ -42,42 +45,24 @@ from repro.tdd.cache import OperationCache
 from repro.tdd.node import Edge, Node, TERMINAL_LEVEL
 
 
-def _add_cache_ids(key: tuple, value: Edge) -> Tuple[int, int, int]:
-    # key = ((re, im, id_a), (re, im, id_b))
-    return (key[0][2], key[1][2], id(value.node))
-
-
-def _cont_cache_ids(key: tuple, value: Edge) -> Tuple[int, int, int]:
-    # key = (id_a, id_b, sum_levels)
-    return (key[0], key[1], id(value.node))
-
-
-def _inner_cache_ids(key: tuple, value: complex) -> Tuple[int, int]:
-    # key = (id_a, id_b, remaining); the value is a plain complex
-    return (key[0], key[1])
-
-
 class TDDManager:
     """Owner of all nodes, caches and the index order for a family of TDDs.
 
-    ``cache_size`` bounds each operation cache (FIFO eviction); ``None``
-    means unbounded, the right default for one-shot computations.  Long
-    reachability runs combine a bound with periodic :meth:`collect`
-    calls to keep the working set flat.
+    Long reachability runs call :meth:`collect` between operations to
+    keep the working set, memo tables included, flat.
     """
 
-    def __init__(self, order: Optional[IndexOrder] = None,
-                 cache_size: Optional[int] = None) -> None:
+    def __init__(self, order: Optional[IndexOrder] = None) -> None:
         self.order = order if order is not None else IndexOrder()
         self.terminal = Node(TERMINAL_LEVEL, None, None)
         self._unique: Dict[tuple, Node] = {}
         self.weights = wt.WeightTable()
-        self.add_cache = OperationCache("add", max_size=cache_size,
-                                        key_ids=_add_cache_ids)
-        self.cont_cache = OperationCache("cont", max_size=cache_size,
-                                         key_ids=_cont_cache_ids)
-        self.inner_cache = OperationCache("inner", max_size=cache_size,
-                                          key_ids=_inner_cache_ids)
+        self.add_cache = OperationCache("add")
+        self.cont_cache = OperationCache("cont")
+        self.inner_cache = OperationCache("inner")
+        #: ``(level, id of the rest) -> id`` of every summed-level
+        #: suffix met so far (see :meth:`suffix_ids`)
+        self._suffixes: Dict[Tuple[int, int], int] = {}
         #: live TDD handles; their roots pin nodes during :meth:`collect`
         self._handles: "weakref.WeakSet" = weakref.WeakSet()
         #: total number of distinct non-terminal nodes ever interned
@@ -132,12 +117,12 @@ class TDDManager:
         Applies the two TDD reduction rules: edge weights are normalised
         by the largest-magnitude weight, and a node whose outgoing edges
         are identical is redundant (return the common edge).  The
-        normalised (relative) child weights are interned in the weight
-        table; children negligible *relative to their sibling* are
-        clamped to zero, which is what keeps float cancellation noise
-        out of the diagrams.  The redundancy test runs again on the
-        interned weights, so children that only become equal there are
-        not interned as a node either.
+        dominant child's normalised weight is exactly ``1+0j``; the
+        other (relative) weight is interned in the weight table, and
+        clamped to zero when negligible *relative to its sibling*, which
+        is what keeps float cancellation noise out of the diagrams.  The
+        redundancy test runs again on the interned weight, so children
+        that only become equal there are not interned as a node either.
         """
         w0 = complex(low.weight)
         w1 = complex(high.weight)
@@ -148,15 +133,21 @@ class TDDManager:
         # normalisation: divide by the larger-magnitude weight (tie: low)
         if abs(w0) >= abs(w1):
             norm = w0
+            nw0 = 1 + 0j
+            nw1 = self.weights.canonical(w1 / norm)
+            n0 = low.node
+            n1 = high.node if nw1 else self.terminal
+            if nw1 == 1 + 0j and n0 is n1:
+                return Edge(norm, n0)
         else:
             norm = w1
-        nw0 = self.weights.canonical(w0 / norm)
-        nw1 = self.weights.canonical(w1 / norm)
-        n0 = low.node if not wt.is_zero(nw0) else self.terminal
-        n1 = high.node if not wt.is_zero(nw1) else self.terminal
-        if nw0 == nw1 and n0 is n1:
-            return Edge(norm * nw0, n0)
-        key = (level, wt.key(nw0), id(n0), wt.key(nw1), id(n1))
+            nw0 = self.weights.canonical(w0 / norm)
+            nw1 = 1 + 0j
+            n0 = low.node if nw0 else self.terminal
+            n1 = high.node
+            if nw0 == 1 + 0j and n0 is n1:
+                return Edge(norm, n0)
+        key = (level, nw0, id(n0), nw1, id(n1))
         node = self._unique.get(key)
         if node is None:
             node = Node(level, Edge(nw0, n0), Edge(nw1, n1))
@@ -165,6 +156,26 @@ class TDDManager:
             if len(self._unique) > self.peak_live_nodes:
                 self.peak_live_nodes = len(self._unique)
         return Edge(norm, node)
+
+    def suffix_ids(self, levels: Tuple[int, ...]) -> list:
+        """Ids of the suffixes ``levels[i:]`` of a summed-level tuple.
+
+        Entry ``i`` is the id of ``levels[i:]`` and the last entry, 0,
+        that of the empty suffix.  Ids are small ints interned
+        manager-wide (one per distinct suffix, kept until
+        :meth:`reset`), so a contraction memo key names the levels
+        still to be summed without holding or hashing the tuple.
+        """
+        table = self._suffixes
+        ids = [0] * (len(levels) + 1)
+        current = 0
+        for i in range(len(levels) - 1, -1, -1):
+            key = (levels[i], current)
+            current = table.get(key)
+            if current is None:
+                current = table[key] = len(table) + 1
+            ids[i] = current
+        return ids
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -187,15 +198,13 @@ class TDDManager:
         ``add_hit_rate``/``cont_hit_rate`` columns of the sweep CSV:
         addition and contraction caches behave very differently, and a
         combined rate hides which one is earning its memory.  The
-        combined ``hits``/``misses``/``evictions`` also count the inner
-        product memo, so moving a lookup between tables leaves them
-        comparable.
+        combined ``hits``/``misses`` also count the inner product memo,
+        so moving a lookup between tables leaves them comparable.
         """
         caches = (self.add_cache, self.cont_cache, self.inner_cache)
         return {
             "hits": sum(cache.hits for cache in caches),
             "misses": sum(cache.misses for cache in caches),
-            "evictions": sum(cache.evictions for cache in caches),
             "add_hits": self.add_cache.hits,
             "add_misses": self.add_cache.misses,
             "cont_hits": self.cont_cache.hits,
@@ -207,11 +216,12 @@ class TDDManager:
         }
 
     def reset(self) -> None:
-        """Drop all nodes, weights and caches.  Outstanding TDDs become
-        invalid."""
+        """Drop all nodes, weights, caches and suffix ids.  Outstanding
+        TDDs become invalid."""
         self._unique.clear()
         self.weights.clear()
         self.clear_caches()
+        self._suffixes.clear()
         self.nodes_made = 0
         self.peak_live_nodes = 0
 
@@ -232,9 +242,10 @@ class TDDManager:
         Every live :class:`~repro.tdd.tdd.TDD` handle (tracked weakly)
         pins the nodes reachable from its root; ``extra_roots`` pins
         additional raw edges.  Everything else leaves the unique table,
-        and cache entries mentioning a reclaimed node are invalidated
-        (a freed node's ``id`` may be recycled, so stale entries would
-        be unsound, not just wasteful).
+        and the memo tables are emptied: a freed node's ``id`` may be
+        recycled, so an entry naming one would be unsound, and entries
+        that survive a collection are rarely hit again, so clearing
+        costs less than filtering by live id.
 
         Only call between operations: an apply in flight holds
         intermediate edges the registry cannot see, and sweeping those
@@ -262,9 +273,7 @@ class TDDManager:
         self._unique = {key: node for key, node in self._unique.items()
                         if id(node) in marked}
         reclaimed = before - len(self._unique)
-        self.add_cache.purge(marked)
-        self.cont_cache.purge(marked)
-        self.inner_cache.purge(marked)
+        self.clear_caches()
         self.gc_runs += 1
         self.nodes_reclaimed += reclaimed
         return reclaimed

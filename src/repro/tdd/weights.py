@@ -14,8 +14,12 @@ Computing", ICCAD 2019).  Each real component of a normalised weight is
 first clamped to zero if below :data:`~repro.config.WEIGHT_EPS`, then
 snapped to the representative already stored within
 :data:`~repro.config.WEIGHT_TOL`; a component with no representative
-that close becomes one.  All weight handling shared by the TDD
-algorithms lives here.
+that close becomes one.  ``1.0`` is a permanent representative, seeded
+at construction and again by :meth:`WeightTable.clear`: the manager
+gives the dominant child of every node the weight exactly ``1+0j``
+without consulting the table, and a near-1 sibling weight must snap to
+that same float.  All weight handling shared by the TDD algorithms
+lives here.
 """
 
 from __future__ import annotations
@@ -37,19 +41,23 @@ class WeightTable:
 
     Snapping is first-come: which float represents a cluster of nearby
     values depends on the order the manager met them, so the table is
-    per manager (see :meth:`repro.tdd.manager.TDDManager.reset`).
+    per manager (see :meth:`repro.tdd.manager.TDDManager.reset`).  The
+    one exception is ``1.0``, which every table holds from the start.
     """
 
     __slots__ = ("_reps",)
 
     def __init__(self) -> None:
         self._reps: Dict[float, float] = {}
+        self.clear()
 
     def __len__(self) -> int:
         return len(self._reps)
 
     def clear(self) -> None:
+        """Forget every representative except the permanent ``1.0``."""
         self._reps.clear()
+        self._reps[1.0 // WEIGHT_TOL] = 1.0
 
     def component(self, x: float) -> float:
         """The representative of one real component ``x``.

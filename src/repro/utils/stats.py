@@ -40,8 +40,6 @@ class StatsRecorder:
     cont_misses: int = 0
     inner_hits: int = 0
     inner_misses: int = 0
-    #: Bounded-cache evictions during the run.
-    cache_evictions: int = 0
     #: Cofactor subproblems executed by the sliced strategy.
     slices: int = 0
     #: Garbage collection: number of collect() runs and nodes freed.
@@ -105,8 +103,6 @@ class StatsRecorder:
         self.inner_hits = counters["inner_hits"] - base.get("inner_hits", 0)
         self.inner_misses = (counters["inner_misses"]
                              - base.get("inner_misses", 0))
-        self.cache_evictions = (counters["evictions"]
-                                - base.get("evictions", 0))
         self.gc_runs = counters["gc_runs"] - base.get("gc_runs", 0)
         self.nodes_reclaimed = (counters["nodes_reclaimed"]
                                 - base.get("nodes_reclaimed", 0))
@@ -129,7 +125,6 @@ class StatsRecorder:
         self.cont_misses += other.cont_misses
         self.inner_hits += other.inner_hits
         self.inner_misses += other.inner_misses
-        self.cache_evictions += other.cache_evictions
         self.slices += other.slices
         self.gc_runs += other.gc_runs
         self.nodes_reclaimed += other.nodes_reclaimed
@@ -156,7 +151,6 @@ class StatsRecorder:
             "cont_hit_rate": self.cont_hit_rate,
             "inner_hits": self.inner_hits,
             "inner_misses": self.inner_misses,
-            "cache_evictions": self.cache_evictions,
             "slices": self.slices,
             "gc_runs": self.gc_runs,
             "nodes_reclaimed": self.nodes_reclaimed,

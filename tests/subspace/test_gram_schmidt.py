@@ -59,7 +59,8 @@ class TestDependenceRule:
         assert added is not None
         assert sub.dimension == 2
         assert np.allclose(added.to_numpy().reshape(-1), E1, atol=1e-9)
-        assert full_steps == [1]
+        # |s| / |r| = 1e5 is above GS_EPS**2 / eps: a second pass
+        assert full_steps == [1, 1]
 
     def test_tiny_component_is_screened_out(self, full_steps):
         sub = e0_subspace()
@@ -73,7 +74,7 @@ class TestDependenceRule:
         added = sub.add_state(
             sub.space.from_amplitudes(1e3 * (E0 + 1e-6 * E1)))
         assert added is not None
-        assert full_steps == [1]
+        assert full_steps == [1, 1]
 
     def test_large_state_with_dependent_residual_is_screened_out(
             self, full_steps):
@@ -103,18 +104,31 @@ class TestDependenceRule:
         assert np.allclose(added.to_numpy().reshape(-1), E1, atol=1e-12)
         assert full_steps == []
 
-    def test_screen_is_off_after_a_near_dependent_vector(self, full_steps):
-        # e1 is kept from a residual 1e-6 of its state, so the basis is
-        # orthonormal only to ~1e-10 and the estimate is not trusted
+    def test_second_pass_keeps_the_screen_on(self, full_steps):
+        # e1 is kept from a residual 1e-6 of its state; one pass would
+        # leave the basis orthonormal only to ~1e-10, the second pass
+        # to ~eps, so the estimate is still trusted
         sub = e0_subspace()
         assert sub.add_state(
             sub.space.from_amplitudes(E0 + 1e-6 * E1)) is not None
+        assert full_steps == [1, 1]
         assert sub.add_state(sub.space.from_amplitudes(E0 + E1)) is None
-        assert full_steps == [1, 2]
         assert sub.copy().add_state(sub.space.from_amplitudes(E1)) is None
+        assert full_steps == [1, 1]
+
+    def test_screen_is_off_once_the_basis_drifts(self, full_steps):
+        # a basis known to be off by more than GS_EPS**2 takes the full
+        # step, and its copies inherit that
+        sub = e0_subspace()
+        sub.add_state(sub.space.from_amplitudes(E1))
+        drifted = Subspace._from_orthonormal(sub.space, sub.basis, 1e-13)
+        assert drifted.add_state(sub.space.from_amplitudes(E0 + E1)) is None
+        assert full_steps == [1, 2]
+        assert drifted.copy().add_state(
+            sub.space.from_amplitudes(E1)) is None
         assert full_steps == [1, 2, 2]
         # an empty tail has nothing to be off against
-        assert sub.tail(2).add_state(
+        assert drifted.tail(2).add_state(
             sub.space.from_amplitudes(np.zeros(4, dtype=complex))) is None
         assert full_steps == [1, 2, 2]
 

@@ -77,6 +77,41 @@ class TestMatrixSemantics:
         assert np.allclose(result.to_numpy(), a @ b @ c)
 
 
+
+class TestSummedSuffixMemo:
+    def test_sets_sharing_a_suffix_do_not_alias(self, manager, rng):
+        # one node pair contracted over summed sets whose tails agree:
+        # the memo is keyed by the id of the levels still ahead, so an
+        # entry made under one set is reused by another only where both
+        # have the same levels left
+        a = random_tensor(rng, 4)
+        b = random_tensor(rng, 4)
+        ta = tc.from_numpy(manager, a, idx("a0", "a1", "a2", "a3"))
+        tb = tc.from_numpy(manager, b, idx("a1", "a2", "a3", "a4"))
+        cases = [
+            (("a1", "a3"), "pqrs,qrsu->pru"),
+            (("a2", "a3"), "pqrs,qrsu->pqu"),
+            (("a3",), "pqrs,qrsu->pqru"),
+            (("a1", "a2", "a3"), "pqrs,qrsu->pu"),
+        ]
+        for _ in range(2):  # the second round runs on a warm memo
+            for summed, spec in cases:
+                result = ta.contract(tb, idx(*summed))
+                assert np.allclose(result.to_numpy(),
+                                   np.einsum(spec, a, b)), summed
+        assert manager.cont_cache.hits > 0
+
+    def test_suffix_ids_are_shared_and_reset(self, manager):
+        first = manager.suffix_ids((1, 3))
+        second = manager.suffix_ids((2, 3))
+        assert first[1] == second[1] != 0
+        assert first[0] != second[0]
+        assert first[2] == second[2] == 0
+        assert manager.suffix_ids((1, 3)) == first
+        manager.reset()
+        assert manager._suffixes == {}
+
+
 class TestEdgeCases:
     def test_zero_operand(self, manager, rng):
         a = random_tensor(rng, 2)

@@ -2,9 +2,8 @@
 
 The contract: live TDD handles pin every node reachable from their
 roots (all their evaluations are preserved bit-for-bit), everything
-else leaves the unique table, and operation-cache entries that mention
-a reclaimed node are invalidated so recycled ``id()`` values can never
-resurrect a stale memo.
+else leaves the unique table, and the operation caches are emptied so
+recycled ``id()`` values can never resurrect a stale memo.
 """
 
 import numpy as np
@@ -116,16 +115,22 @@ class TestCacheInvalidation:
         m.collect()
         assert len(m.add_cache) < populated
 
-    def test_live_entries_survive_collect(self, rng):
+    def test_collect_clears_every_memo_table(self, rng):
         m = fresh_manager(IDX)
         x, _ = _random_tdd(m, rng)
         y, _ = _random_tdd(m, rng)
-        result = x + y
-        m.collect()  # result still live: its memo entries may stay
-        hits_before = m.add_cache.hits
-        again = x + y
-        assert again.same_as(result)
-        assert m.add_cache.hits > hits_before
+        summed = [Index(n) for n in IDX[2:]]
+        total = x + y
+        contracted = x.contract(y, summed)
+        inner = x.inner(y)
+        assert len(m.add_cache) and len(m.cont_cache) and len(m.inner_cache)
+        m.collect()
+        assert (len(m.add_cache), len(m.cont_cache),
+                len(m.inner_cache)) == (0, 0, 0)
+        # recomputed from scratch, every result is the interned one
+        assert (x + y).same_as(total)
+        assert x.contract(y, summed).same_as(contracted)
+        assert x.inner(y) == inner
 
 
 class TestInnerMemoInvalidation:
@@ -138,14 +143,15 @@ class TestInnerMemoInvalidation:
         garbage.inner(x)
         dead = {id(node) for node in m._unique.values()} - {
             id(node) for node in _reachable(x) | _reachable(y)}
-        assert any(key[0] in dead for key in m.inner_cache._table)
+        assert any(key[0] in dead for key in m.inner_cache.table)
         del garbage
         assert m.collect() > 0
-        live = {id(node) for node in m._unique.values()} | {id(m.terminal)}
-        assert m.inner_cache._table
-        for key in m.inner_cache._table:
-            assert key[0] in live and key[1] in live
+        # the memo is repopulated after collect from live nodes only
         assert x.inner(y) == before
+        live = {id(node) for node in m._unique.values()} | {id(m.terminal)}
+        assert m.inner_cache.table
+        for key in m.inner_cache.table:
+            assert key[0] in live and key[1] in live
 
 
 def _reachable(tdd):

@@ -69,6 +69,18 @@ class TestMakeNode:
         assert edge.node.low.weight == 1.0
         assert edge.node.high.weight == -1.0
 
+    def test_dominant_child_weight_is_exactly_one(self):
+        # the larger child gets 1+0j without the weight table, whatever
+        # its phase; only the other child's ratio is interned
+        m = fresh_manager(["a"])
+        for low, high in [(0.3 - 0.4j, 0.1j), (1e-3, -7.25 + 2j),
+                          (0.6 + 0.8j, 0.8 - 0.6j)]:
+            node = m.make_node(0, m.scalar_edge(low),
+                               m.scalar_edge(high)).node
+            dominant = node.low if abs(low) >= abs(high) else node.high
+            assert type(dominant.weight) is complex
+            assert dominant.weight == 1 + 0j
+
     def test_interning_same_node(self):
         m = fresh_manager(["a"])
         e1 = m.make_node(0, m.scalar_edge(1), m.scalar_edge(2))
@@ -116,7 +128,8 @@ class TestBookkeeping:
         m.reset()
         assert m.live_nodes == 0
         assert m.nodes_made == 0
-        assert len(m.weights) == 0
+        # only the permanent 1.0 representative is left
+        assert len(m.weights) == 1
 
     def test_clear_caches_keeps_nodes(self):
         m = fresh_manager(["a"])

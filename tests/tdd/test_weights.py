@@ -75,7 +75,7 @@ class TestWeightTable:
         table = wt.WeightTable()
         assert table.component(exact) == exact
         assert table.component(noisy) == exact
-        assert len(table) == 1
+        assert len(table) == 2  # with the permanent 1.0
 
     def test_values_within_tolerance_share_a_representative(self):
         table = wt.WeightTable()
@@ -85,7 +85,7 @@ class TestWeightTable:
         assert table.component(base - 0.9 * WEIGHT_TOL) == base
         assert table.component(-base) == -base
         assert table.component(-base - 0.5 * WEIGHT_TOL) == -base
-        assert len(table) == 2
+        assert len(table) == 3  # with the permanent 1.0
 
     def test_values_farther_apart_do_not(self):
         table = wt.WeightTable()
@@ -94,7 +94,7 @@ class TestWeightTable:
         far = base + 3 * WEIGHT_TOL
         assert table.component(far) == far
         assert table.component(base - 3 * WEIGHT_TOL) != base
-        assert len(table) == 3
+        assert len(table) == 4  # with the permanent 1.0
 
     def test_snaps_across_a_bucket_boundary(self):
         # values in adjacent buckets still share a representative,
@@ -122,9 +122,20 @@ class TestWeightTable:
     def test_reset_clears_the_table(self):
         m = fresh_manager(["a"])
         m.make_node(0, m.scalar_edge(0.5), m.scalar_edge(0.75))
-        assert len(m.weights) > 0
+        assert len(m.weights) > 1
         m.reset()
-        assert len(m.weights) == 0
+        assert len(m.weights) == 1
+        # 1.0 is re-seeded, so a near-1 weight still snaps to it
+        assert m.weights.component(1.0 - WEIGHT_TOL / 2) == 1.0
+        assert m.weights.component(1.0 + WEIGHT_TOL / 2) == 1.0
+
+    def test_one_is_a_representative_from_the_start(self):
+        # met first, a value just below 1 would otherwise have become
+        # the representative of every later 1.0
+        table = wt.WeightTable()
+        assert table.component(math.nextafter(1.0, 0.0)) == 1.0
+        assert table.component(1.0) == 1.0
+        assert len(table) == 1
 
     def test_weights_one_ulp_apart_make_one_node(self):
         m = fresh_manager(["a"])
