@@ -17,7 +17,7 @@ from repro.errors import CircuitError
 from repro.gates import library as gl
 from repro.gates.gate import Gate
 from repro.indices.index import Index
-from repro.circuits.wires import GateWiring, wire_circuit
+from repro.circuits.wires import GateWiring, wire_circuit, wire_indices
 
 
 class QuantumCircuit:
@@ -153,14 +153,8 @@ class QuantumCircuit:
 
     def all_wire_indices(self) -> List[Index]:
         """Every index of the circuit's tensor network, qubit-major."""
-        wirings, inputs, outputs = self.wirings()
-        seen = {}
-        for idx in inputs:
-            seen[idx.name] = idx
-        for wiring in wirings:
-            for idx in wiring.indices:
-                seen[idx.name] = idx
-        return sorted(seen.values(), key=lambda i: (i.qubit, i.time))
+        wirings, inputs, _outputs = self.wirings()
+        return wire_indices(wirings, inputs)
 
     # ------------------------------------------------------------------
     # composition

@@ -9,9 +9,10 @@ inputs ``x_i^0`` and outputs) stay open.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.wires import GateWiring, wire_indices
 from repro.indices.index import Index
 from repro.tdd.manager import TDDManager
 from repro.tdd.tdd import TDD
@@ -20,21 +21,36 @@ from repro.tensor.dense import DenseTensor
 from repro.tensor.network import TensorNetwork
 
 
+#: ``circuit.wirings()``: the gate wirings, inputs and outputs
+Wired = Tuple[List[GateWiring], List[Index], List[Index]]
+
+
 def register_circuit_indices(circuit: QuantumCircuit,
-                             manager: TDDManager) -> None:
+                             manager: TDDManager,
+                             wired: Optional[Wired] = None) -> Wired:
     """Register every wire index of ``circuit``, qubit-major.
 
     Must be called before building any gate TDD of the circuit so the
-    global order is the (qubit, time) order DESIGN.md fixes.
+    global order is the (qubit, time) order.  ``wired`` is
+    ``circuit.wirings()`` when the caller has it already; the wiring
+    is returned, so one build wires its circuit once.
     """
-    manager.register_all(circuit.all_wire_indices())
+    if wired is None:
+        wired = circuit.wirings()
+    wirings, inputs, _outputs = wired
+    manager.register_all(wire_indices(wirings, inputs))
+    return wired
 
 
-def circuit_to_tdd_network(circuit: QuantumCircuit, manager: TDDManager
+def circuit_to_tdd_network(circuit: QuantumCircuit, manager: TDDManager,
+                           wired: Optional[Wired] = None
                            ) -> Tuple[TensorNetwork, List[Index], List[Index]]:
-    """One TDD per gate; open legs are the circuit inputs and outputs."""
-    register_circuit_indices(circuit, manager)
-    wirings, inputs, outputs = circuit.wirings()
+    """One TDD per gate; open legs are the circuit inputs and outputs.
+
+    ``wired`` is ``circuit.wirings()`` when the caller has it already.
+    """
+    wirings, inputs, outputs = register_circuit_indices(circuit, manager,
+                                                        wired)
     tensors = [w.gate.to_tdd(manager, w.control_indices, w.target_in,
                              w.target_out)
                for w in wirings]

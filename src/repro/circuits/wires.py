@@ -79,3 +79,16 @@ def wire_circuit(num_qubits: int, gates: List[Gate]
     wirings = [tracker.wire_gate(g) for g in gates]
     outputs = [tracker.current(q) for q in range(num_qubits)]
     return wirings, inputs, outputs
+
+
+def wire_indices(wirings: List[GateWiring],
+                 inputs: List[Index]) -> List[Index]:
+    """Every index of a wired gate list, qubit-major (see
+    :func:`wire_circuit` for ``wirings`` and ``inputs``)."""
+    seen = {}
+    for idx in inputs:
+        seen[idx.name] = idx
+    for wiring in wirings:
+        for idx in wiring.indices:
+            seen[idx.name] = idx
+    return sorted(seen.values(), key=lambda i: (i.qubit, i.time))

@@ -25,8 +25,8 @@ import numpy as np
 from repro.errors import CircuitError
 from repro.gates import matrices as gm
 from repro.indices.index import Index
-from repro.tdd import construction as tc
 from repro.tdd.manager import TDDManager
+from repro.tdd.node import Edge
 from repro.tdd.tdd import TDD
 from repro.tensor.dense import DenseTensor
 
@@ -152,52 +152,92 @@ class Gate:
         """Build the gate tensor as a TDD.
 
         For diagonal gates ``target_in`` must equal ``target_out`` (the
-        circuit layer reuses the wire index).  Controlled gates are
-        built with the dense-free decomposition
-        ``C(U) = Id + 1[controls] (x) (U - Id)`` so that wide
-        multi-controlled gates stay cheap.
+        circuit layer reuses the wire index).  The diagram is built
+        directly from the gate's entries by a bottom-up walk over its
+        sorted levels (see :meth:`_root_edge`): no dense tensor and no
+        intermediate diagram is made, so wide multi-controlled gates
+        stay linear in their control count.
+
+        The manager's gate table returns the same handle for a gate of
+        equal content on equal indices until the next
+        :meth:`~repro.tdd.manager.TDDManager.collect`.
         """
         self._check_wiring(control_indices, target_in, target_out)
+        control_indices = tuple(control_indices)
+        slots = (tuple(target_in) if self.diagonal
+                 else tuple(target_out) + tuple(target_in))
+        key = (self.matrix.tobytes(), self.matrix.shape,
+               self.control_states, self.diagonal,
+               tuple(idx.name for idx in control_indices),
+               tuple(idx.name for idx in target_in),
+               tuple(idx.name for idx in target_out))
+        table = manager.gate_table
+        tdd = table.get(key)
+        if tdd is None:
+            root = self._root_edge(manager, control_indices, slots)
+            tdd = table[key] = TDD(manager, root, control_indices + slots)
+        return tdd
+
+    def _root_edge(self, manager: TDDManager,
+                   control_indices: Tuple[Index, ...],
+                   slots: Tuple[Index, ...]) -> Edge:
+        """The gate diagram, built level by level from the bottom up.
+
+        ``slots`` are the target indices: outputs then inputs, or the
+        shared wire indices of a diagonal gate.  The state below a
+        level is ``(every control so far matched, target bits so
+        far)``; a leaf is ``U[out, in]`` when every control matched and
+        the identity entry otherwise.  Only states reachable from the
+        root are built, so every node made is part of the result.
+        """
+        # (level, control bit or None, target slot or None), top down
+        walk = sorted(
+            [(manager.register(idx), bit, None)
+             for idx, bit in zip(control_indices, self.control_states)]
+            + [(manager.register(idx), None, slot)
+               for slot, idx in enumerate(slots)],
+            key=lambda entry: entry[0])
         t = len(self.targets)
-        if t == 0:
-            base = tc.scalar(manager, complex(self.matrix[0, 0]))
-            if not self.controls:
-                return base
-            ctrl = tc.indicator_pattern(manager, control_indices,
-                                        self.control_states)
-            ones = tc.ones(manager, control_indices)
-            delta_part = ones
-            corr = ctrl.scaled(complex(self.matrix[0, 0]) - 1)
-            return delta_part + corr
-        if self.diagonal:
-            diag = np.diag(self.matrix).reshape((2,) * t)
-            diag_tdd = tc.from_numpy(manager, diag, list(target_in))
-            if not self.controls:
-                return diag_tdd
-            ones_all = tc.ones(manager,
-                               list(control_indices) + list(target_in))
-            ctrl = tc.indicator_pattern(manager, control_indices,
-                                        self.control_states)
-            corr_matrix = diag - np.ones_like(diag)
-            corr = ctrl.product(
-                tc.from_numpy(manager, corr_matrix, list(target_in)))
-            return ones_all + corr
-        tensor = self.matrix.reshape((2,) * (2 * t))
-        labels = list(target_out) + list(target_in)
-        if not self.controls:
-            return tc.from_numpy(manager, tensor, labels)
-        identity_part = tc.identity(manager, list(target_out),
-                                    list(target_in))
-        ctrl = tc.indicator_pattern(manager, control_indices,
-                                    self.control_states)
-        corr_matrix = (self.matrix - np.eye(2 ** t)).reshape((2,) * (2 * t))
-        corr = ctrl.product(tc.from_numpy(manager, corr_matrix, labels))
-        result = identity_part + corr
-        # Declare the control indices as free even though the identity
-        # part does not branch on them.
-        return TDD(manager, result.root,
-                   list(control_indices) + list(target_in)
-                   + list(target_out))
+        # what each walked target level adds to the row and the column
+        row_col = []
+        for _level, _bit, slot in walk:
+            if slot is not None:
+                weight = 1 << (t - 1 - slot % t)
+                row_col.append(
+                    (weight if self.diagonal or slot < t else 0,
+                     weight if self.diagonal or slot >= t else 0))
+        layer = {}
+        for matched in ((True, False) if self.controls else (True,)):
+            for bits in itertools.product((0, 1), repeat=len(row_col)):
+                row = sum(r for b, (r, _c) in zip(bits, row_col) if b)
+                col = sum(c for b, (_r, c) in zip(bits, row_col) if b)
+                if matched:
+                    value = self.matrix[row, col]
+                else:
+                    value = 1 if row == col else 0
+                layer[matched, bits] = manager.scalar_edge(value)
+        targets_above = len(row_col)
+        controls_above = len(self.controls)
+        for level, bit, _slot in reversed(walk):
+            if bit is None:
+                targets_above -= 1
+            else:
+                controls_above -= 1
+            below = layer
+            layer = {}
+            # a failed match is only reachable below some control
+            for matched in ((True, False) if controls_above else (True,)):
+                for bits in itertools.product((0, 1),
+                                              repeat=targets_above):
+                    if bit is None:
+                        low = below[matched, bits + (0,)]
+                        high = below[matched, bits + (1,)]
+                    else:
+                        low = below[matched and bit == 0, bits]
+                        high = below[matched and bit == 1, bits]
+                    layer[matched, bits] = manager.make_node(level, low,
+                                                             high)
+        return layer[True, ()]
 
     def to_dense(self, control_indices: Sequence[Index],
                  target_in: Sequence[Index],

@@ -11,7 +11,7 @@ the monolithic operator diagram of the basic algorithm is never built.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.network import circuit_to_tdd_network
@@ -26,10 +26,15 @@ from repro.tensor.network import TensorNetwork
 from repro.utils.stats import StatsRecorder
 
 
-def select_slice_indices(network: TensorNetwork, count: int) -> List[Index]:
-    """The ``count`` highest-degree internal indices of the network."""
-    graph = IndexGraph.from_tensors(network.tensors)
-    return graph.highest_degree(count, exclude=network.open_indices)
+def select_slice_indices(wirings: Iterable[object], count: int,
+                         open_indices: Iterable[Index]) -> List[Index]:
+    """The ``count`` highest-degree internal indices of a network.
+
+    ``wirings`` are the gate wirings (or tensors) of the network — only
+    their ``indices`` are read — and ``open_indices`` its external legs.
+    """
+    graph = IndexGraph.from_tensors(wirings)
+    return graph.highest_degree(count, exclude=open_indices)
 
 
 def slice_network(network: TensorNetwork, assignment: Dict[Index, int]
@@ -64,9 +69,11 @@ class AdditionImageComputer(ImageComputerBase):
         """The cached ``(parts, inputs, outputs)``: one operator part
         per assignment of the ``k`` sliced indices."""
         def build(observer):
+            wired = circuit.wirings()
             network, inputs, outputs = circuit_to_tdd_network(
-                circuit, self.qts.manager)
-            sliced = select_slice_indices(network, self.k)
+                circuit, self.qts.manager, wired)
+            sliced = select_slice_indices(wired[0], self.k,
+                                          network.open_indices)
             parts: List[TDD] = []
             for bits in itertools.product((0, 1), repeat=len(sliced)):
                 assignment = dict(zip(sliced, bits))

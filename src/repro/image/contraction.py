@@ -52,9 +52,9 @@ class ContractionImageComputer(ImageComputerBase):
                    ) -> Tuple[List[TDD], List[Index], List[Index]]:
         """Contract each block of the circuit into one TDD (cached)."""
         def build(observer):
-            register_circuit_indices(circuit, self.qts.manager)
-            wirings, inputs, outputs = circuit.wirings()
-            blocks = partition_circuit(circuit, self.k1, self.k2)
+            wirings, inputs, outputs = register_circuit_indices(
+                circuit, self.qts.manager)
+            blocks = partition_circuit(circuit, self.k1, self.k2, wirings)
             boundary = self._boundary_indices(blocks, inputs, outputs)
             block_tdds: List[TDD] = []
             for block in blocks:

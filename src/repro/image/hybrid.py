@@ -20,8 +20,7 @@ import itertools
 from typing import List, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.network import (circuit_to_tdd_network,
-                                    register_circuit_indices)
+from repro.circuits.network import register_circuit_indices
 from repro.config import (DEFAULT_ADDITION_K, DEFAULT_CONTRACTION_K1,
                           DEFAULT_CONTRACTION_K2)
 from repro.image.addition import select_slice_indices
@@ -60,12 +59,12 @@ class HybridImageComputer(ImageComputerBase):
         """The cached ``(per-slice block TDD lists, inputs, outputs)``."""
         def build(observer):
             manager = self.qts.manager
-            register_circuit_indices(circuit, manager)
+            wirings, inputs, outputs = register_circuit_indices(circuit,
+                                                                manager)
             # pick slice indices from the whole-circuit index graph
-            network, inputs, outputs = circuit_to_tdd_network(circuit,
-                                                              manager)
-            sliced_indices = select_slice_indices(network, self.k)
-            blocks = partition_circuit(circuit, self.k1, self.k2)
+            sliced_indices = select_slice_indices(
+                wirings, self.k, set(inputs) | set(outputs))
+            blocks = partition_circuit(circuit, self.k1, self.k2, wirings)
             boundary = ContractionImageComputer._boundary_indices(
                 blocks, inputs, outputs)
             all_parts: List[List[TDD]] = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.wires import GateWiring
@@ -36,18 +36,22 @@ class Block:
         return len(self.wirings)
 
 
-def partition_circuit(circuit: QuantumCircuit, k1: int, k2: int
+def partition_circuit(circuit: QuantumCircuit, k1: int, k2: int,
+                      wirings: Optional[List[GateWiring]] = None
                       ) -> List[Block]:
     """Cut ``circuit`` into blocks per the (k1, k2) rule.
 
     Returns blocks sorted by (column, band) — circuit time order, which
     is the fold order the contraction-partition image computation uses.
+    ``wirings`` are the circuit's gate wirings when the caller has them
+    already.
     """
     if k1 < 1:
         raise PartitionError("k1 must be >= 1")
     if k2 < 1:
         raise PartitionError("k2 must be >= 1")
-    wirings, _inputs, _outputs = circuit.wirings()
+    if wirings is None:
+        wirings, _inputs, _outputs = circuit.wirings()
 
     def band_of(qubit: int) -> int:
         return qubit // k1

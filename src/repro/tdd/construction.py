@@ -1,14 +1,18 @@
 """Structured TDD constructors.
 
 Besides the generic dense conversion (:func:`from_numpy`, used for
-small gate blocks), the constructors here build the structured diagrams
-the circuit layer needs *without* ever materialising a dense tensor:
+small tensors and as the canonical reference in tests), the
+constructors here build structured diagrams without ever materialising
+a dense tensor:
 
 * :func:`delta` — the rank-k "all indices equal" tensor (identity wires
   and hyper-edge merging),
-* :func:`indicator` — 1 iff all indices are 1 (the control chain of the
-  ``C^k(U) = Δ + 1[controls] ⊗ (U − I)`` decomposition, DESIGN.md §3),
+* :func:`indicator` / :func:`indicator_pattern` — 1 iff every index
+  carries a given bit,
 * :func:`basis_state` / :func:`computational_basis_projector`.
+
+Gate diagrams are not built here: :meth:`repro.gates.gate.Gate.to_tdd`
+walks a gate's levels directly.
 """
 
 from __future__ import annotations

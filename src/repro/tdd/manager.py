@@ -13,16 +13,18 @@ manager owns
 * the :class:`~repro.tdd.cache.OperationCache` memo tables for
   addition, contraction and inner products (hit/miss counters), and the
   table of summed-level suffix ids the contraction memo is keyed by,
+* the *gate table*, which hands out one diagram per gate content and
+  wiring between collections (see :meth:`repro.gates.gate.Gate.to_tdd`),
 * a weak registry of live :class:`~repro.tdd.tdd.TDD` handles that
   drives root-based mark-and-sweep garbage collection
-  (:meth:`collect`), which also empties the memo tables, and
+  (:meth:`collect`), which also empties the memo and gate tables, and
 * counters used by the benchmark harness (current/peak live nodes,
   total nodes made, nodes reclaimed).
 
 The kernel is fully iterative (see :mod:`repro.tdd.apply`), so the
 manager never touches the interpreter recursion limit.
 
-Normalisation rule (DESIGN.md Section 3): when a node is created, its two
+Normalisation rule: when a node is created, its two
 outgoing edge weights are divided by the weight of largest magnitude
 (ties resolved toward the low edge), which becomes the weight of the
 incoming edge.  The dominant child so gets the weight exactly ``1+0j``
@@ -63,6 +65,10 @@ class TDDManager:
         #: ``(level, id of the rest) -> id`` of every summed-level
         #: suffix met so far (see :meth:`suffix_ids`)
         self._suffixes: Dict[Tuple[int, int], int] = {}
+        #: gate content and wiring -> gate TDD handle (see
+        #: :meth:`repro.gates.gate.Gate.to_tdd`); emptied by
+        #: :meth:`clear_caches`, so it pins nothing across a collection
+        self.gate_table: Dict[tuple, object] = {}
         #: live TDD handles; their roots pin nodes during :meth:`collect`
         self._handles: "weakref.WeakSet" = weakref.WeakSet()
         #: total number of distinct non-terminal nodes ever interned
@@ -186,7 +192,9 @@ class TDDManager:
         return len(self._unique)
 
     def clear_caches(self) -> None:
-        """Drop the operation memo tables (keeps interned nodes)."""
+        """Drop the operation memo tables and the gate table (keeps
+        interned nodes)."""
+        self.gate_table.clear()
         self.add_cache.clear()
         self.cont_cache.clear()
         self.inner_cache.clear()
@@ -241,16 +249,19 @@ class TDDManager:
 
         Every live :class:`~repro.tdd.tdd.TDD` handle (tracked weakly)
         pins the nodes reachable from its root; ``extra_roots`` pins
-        additional raw edges.  Everything else leaves the unique table,
-        and the memo tables are emptied: a freed node's ``id`` may be
+        additional raw edges.  Everything else leaves the unique table.
+        The memo tables are emptied: a freed node's ``id`` may be
         recycled, so an entry naming one would be unsound, and entries
         that survive a collection are rarely hit again, so clearing
-        costs less than filtering by live id.
+        costs less than filtering by live id.  The gate table is
+        emptied *before* marking, so its handles pin no gate diagram
+        that nothing else holds.
 
         Only call between operations: an apply in flight holds
         intermediate edges the registry cannot see, and sweeping those
         would break interning canonicity mid-computation.
         """
+        self.clear_caches()
         marked = {id(self.terminal)}
         stack = []
         for root in self.live_roots():
@@ -273,7 +284,6 @@ class TDDManager:
         self._unique = {key: node for key, node in self._unique.items()
                         if id(node) in marked}
         reclaimed = before - len(self._unique)
-        self.clear_caches()
         self.gc_runs += 1
         self.nodes_reclaimed += reclaimed
         return reclaimed

@@ -20,7 +20,7 @@ from repro.tdd.arithmetic import (add_edges, conjugate_edge, negate_edge,
                                   scale_edge)
 from repro.tdd.contraction import contract_edges
 from repro.tdd.manager import TDDManager
-from repro.tdd.node import Edge, Node
+from repro.tdd.node import TERMINAL_LEVEL, Edge, Node
 from repro.tdd.slicing import slice_edge
 
 IndexLike = Union[Index, str]
@@ -77,20 +77,19 @@ class TDD:
         """Number of distinct nodes, including the terminal.
 
         This is the quantity the paper's Table I reports as ``#node``.
+        Every path ends at the terminal and a zero edge points at it
+        too, so the walk visits non-terminal nodes only and counts the
+        terminal once.
         """
         seen = set()
         stack = [self.root.node]
         while stack:
             node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if not node.is_terminal:
-                if not node.low.is_zero:
-                    stack.append(node.low.node)
-                if not node.high.is_zero:
-                    stack.append(node.high.node)
-        return len(seen)
+            if node.level != TERMINAL_LEVEL and node not in seen:
+                seen.add(node)
+                stack.append(node.low.node)
+                stack.append(node.high.node)
+        return len(seen) + 1
 
     # ------------------------------------------------------------------
     # evaluation

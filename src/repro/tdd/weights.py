@@ -28,8 +28,6 @@ from typing import Dict
 
 from repro.config import WEIGHT_EPS, WEIGHT_TOL
 
-WeightKey = tuple
-
 
 class WeightTable:
     """Representatives of the weight components one manager has seen.
@@ -93,11 +91,3 @@ class WeightTable:
         return complex(self.component(value.real),
                        self.component(value.imag))
 
-
-def key(value: complex) -> WeightKey:
-    """Hashable key of an (already canonical) weight."""
-    return (value.real, value.imag)
-
-
-def is_zero(value: complex) -> bool:
-    return value.real == 0.0 and value.imag == 0.0

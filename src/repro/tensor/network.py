@@ -96,25 +96,39 @@ class TensorNetwork:
         default the list order is used.  Disconnected tensors are
         combined with a tensor product, so the fold always succeeds.
         ``contract_fn`` is forwarded to every pairwise step (see
-        :meth:`contract_pair`).
+        :meth:`contract_pair`).  Each step sums what
+        :meth:`contract_pair` would; the index multiplicities are
+        counted once and then kept up to date step by step.
         """
         if not self.tensors:
             raise TDDError("cannot contract an empty network")
-        work = TensorNetwork(list(self.tensors), set(self.open_indices))
         sequence = list(order) if order is not None else list(
-            range(len(work.tensors)))
-        if sorted(sequence) != list(range(len(work.tensors))):
+            range(len(self.tensors)))
+        if sorted(sequence) != list(range(len(self.tensors))):
             raise ValueError("order must be a permutation of tensor positions")
-        # Walk the requested order, always folding the next tensor into
-        # the accumulator (which is kept at the end of the list).
-        remaining = [work.tensors[i] for i in sequence]
-        work.tensors = remaining
-        while len(work.tensors) > 1:
-            work.contract_pair(0, 1, observer=observer,
-                               contract_fn=contract_fn)
-            # contract_pair appends the result; rotate it to the front
-            work.tensors.insert(0, work.tensors.pop())
-        return work.tensors[0]
+        counts = self.index_multiplicity()
+        open_indices = self.open_indices
+        acc = self.tensors[sequence[0]]
+        for pos in sequence[1:]:
+            tensor = self.tensors[pos]
+            acc_indices = acc.indices
+            tensor_indices = tensor.indices
+            sum_over = {idx for idx in set(acc_indices) & set(tensor_indices)
+                        if counts[idx] == 2 and idx not in open_indices}
+            if contract_fn is not None:
+                result = contract_fn(acc, tensor, sum_over)
+            else:
+                result = acc.contract(tensor, sum_over)
+            if observer is not None:
+                observer(result)
+            for idx in acc_indices:
+                counts[idx] -= 1
+            for idx in tensor_indices:
+                counts[idx] -= 1
+            for idx in result.indices:
+                counts[idx] += 1
+            acc = result
+        return acc
 
     def __len__(self) -> int:
         return len(self.tensors)

@@ -10,6 +10,7 @@ from repro.gates import matrices as gm
 from repro.gates.gate import Gate
 from repro.indices.index import Index
 from repro.indices.order import IndexOrder
+from repro.systems import models
 from repro.tdd.manager import TDDManager
 
 
@@ -154,3 +155,54 @@ class TestWideControlEfficiency:
         diag = gl.cz(0, 1)
         with pytest.raises(CircuitError):
             diag.to_tdd(manager, [Index("c")], [Index("x")], [Index("y")])
+
+
+def build(manager, wiring):
+    return wiring.gate.to_tdd(manager, wiring.control_indices,
+                              wiring.target_in, wiring.target_out)
+
+
+class TestGateTable:
+    def test_same_handle_within_an_epoch(self):
+        manager = manager_for(["c", "x", "y"])
+        wiring = ([Index("c")], [Index("x")], [Index("y")])
+        first = gl.cx(0, 1).to_tdd(manager, *wiring)
+        # an equal gate on other qubits, wired to the same indices
+        assert gl.cx(3, 4).to_tdd(manager, *wiring) is first
+        assert gl.cx(0, 1).to_tdd(manager, *wiring) is first
+        # same indices and matrix, other control state: another diagram
+        anti = gl.cnx([0], 1, control_states=[0])
+        assert anti.to_tdd(manager, *wiring) is not first
+
+    def test_kraus_circuits_of_a_system_share_gates(self):
+        # T1's circuit and the noisy keep circuit of T2 run the same
+        # gates on the same wires; only T2's Kraus weight differs
+        qts = models.qrw_qts(4, 0.3)
+        plain = qts.operation("T1").kraus_circuits[0]
+        noisy = qts.operation("T2").kraus_circuits[0]
+        plain_wirings = plain.wirings()[0]
+        noisy_wirings = [w for w in noisy.wirings()[0]
+                         if not w.gate.is_scalar]
+        assert len(plain_wirings) == len(noisy_wirings)
+        for a, b in zip(plain_wirings, noisy_wirings):
+            assert build(qts.manager, a) is build(qts.manager, b)
+
+    def test_collect_empties_the_table_and_frees_gate_nodes(self):
+        manager = manager_for(["c1", "c2", "x", "y"])
+        held = gl.h(0).to_tdd(manager, [], [Index("x")], [Index("y")])
+        gl.ccx(0, 1, 2).to_tdd(manager, [Index("c1"), Index("c2")],
+                               [Index("x")], [Index("y")])
+        assert len(manager.gate_table) == 2
+        held_nodes = held.size() - 1
+        manager.collect()
+        assert manager.gate_table == {}
+        # only the handle still held pins its nodes
+        assert manager.live_nodes == held_nodes
+        again = gl.h(0).to_tdd(manager, [], [Index("x")], [Index("y")])
+        assert again is not held and again.same_as(held)
+
+    def test_reset_empties_the_table(self):
+        manager = manager_for(["x", "y"])
+        gl.h(0).to_tdd(manager, [], [Index("x")], [Index("y")])
+        manager.reset()
+        assert manager.gate_table == {}

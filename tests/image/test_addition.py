@@ -56,7 +56,8 @@ def test_sliced_indices_are_internal():
     manager = TDDManager()
     circuit = grover_iteration(4)
     network, inputs, outputs = circuit_to_tdd_network(circuit, manager)
-    chosen = select_slice_indices(network, 3)
+    chosen = select_slice_indices(network.tensors, 3,
+                                  network.open_indices)
     boundary = set(inputs) | set(outputs)
     assert len(chosen) == 3
     for idx in chosen:
@@ -67,7 +68,8 @@ def test_slice_network_removes_index():
     manager = TDDManager()
     circuit = grover_iteration(3)
     network, inputs, outputs = circuit_to_tdd_network(circuit, manager)
-    (target,) = select_slice_indices(network, 1)
+    (target,) = select_slice_indices(network.tensors, 1,
+                                     network.open_indices)
     sliced = slice_network(network, {target: 0})
     for tensor in sliced.tensors:
         assert target not in set(tensor.indices)
@@ -79,7 +81,8 @@ def test_parts_sum_to_whole():
     circuit = grover_iteration(3)
     network, inputs, outputs = circuit_to_tdd_network(circuit, manager)
     whole = network.contract_all()
-    (target,) = select_slice_indices(network, 1)
+    (target,) = select_slice_indices(network.tensors, 1,
+                                     network.open_indices)
     part0 = slice_network(network, {target: 0}).contract_all()
     part1 = slice_network(network, {target: 1}).contract_all()
     assert (part0 + part1).allclose(whole)

@@ -70,6 +70,18 @@ class TestSizeAndShape:
         t = tc.basis_state(manager, idx("a0", "a1", "a2"), [1, 1, 0])
         assert t.size() == 4  # three nodes + terminal
 
+    def test_zero_edges_point_at_the_counted_terminal(self, manager):
+        # the identity wire: two a1 nodes, each with one zero edge
+        t = tc.from_numpy(manager, np.eye(2), idx("a0", "a1"))
+        assert t.size() == 4
+
+    def test_shared_node_counted_once(self, manager):
+        # an outer product: both a0 edges reach the same a1 node
+        arr = np.outer([1.0, 3.0], [1.0, 2.0])
+        t = tc.from_numpy(manager, arr, idx("a0", "a1"))
+        assert t.root.node.low.node is t.root.node.high.node
+        assert t.size() == 3
+
     def test_rank_and_indices_sorted(self, manager, rng):
         t = tc.from_numpy(manager, random_tensor(rng, 2), idx("a1", "a0"))
         assert t.rank == 2

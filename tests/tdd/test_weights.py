@@ -36,13 +36,15 @@ class TestCanonical:
 
     def test_folds_negative_zero(self):
         value = canonical(complex(-0.0, -0.0))
-        assert wt.key(value) == (0.0, 0.0)
+        assert (value.real, value.imag) == (0.0, 0.0)
+        assert not np.signbit(value.real)
+        assert not np.signbit(value.imag)
 
     def test_folds_negative_zero_from_clamp(self):
         # a clamped negative component must not leave a -0.0 behind:
         # (re, im) keys distinguish 0.0 from -0.0 by their sign bit
         value = canonical(complex(-1e-14, 0.5))
-        assert wt.key(value) == (0.0, 0.5)
+        assert (value.real, value.imag) == (0.0, 0.5)
         assert not np.signbit(value.real)
 
     def test_clamp_runs_before_snap(self):
@@ -148,17 +150,6 @@ class TestWeightTable:
         assert m.live_nodes == 1
 
 
-class TestKeyAndZero:
-    def test_key_is_hashable_tuple(self):
-        key = wt.key(canonical(0.25 - 0.75j))
-        assert key == (0.25, -0.75)
-        hash(key)
-
-    def test_is_zero(self):
-        assert wt.is_zero(0j)
-        assert not wt.is_zero(1 + 0j)
-
-
 class TestRemovedApi:
     def test_approx_equal_is_gone(self):
         # removed dead API; kept here so a reintroduction is deliberate
@@ -168,3 +159,9 @@ class TestRemovedApi:
         # interning is per manager; a module-level entry point would
         # invite shared mutable state
         assert not hasattr(wt, "canonical")
+
+    def test_key_and_is_zero_are_gone(self):
+        # weights are plain complex values that key the unique table as
+        # they are; a tuple key or a zero test beside them is dead API
+        assert not hasattr(wt, "key")
+        assert not hasattr(wt, "is_zero")

@@ -5,10 +5,11 @@ import pytest
 
 from repro.errors import TDDError
 from repro.indices.index import Index
+from repro.tdd import construction as tc
 from repro.tensor.dense import DenseTensor
 from repro.tensor.network import TensorNetwork
 
-from tests.helpers import random_tensor
+from tests.helpers import fresh_manager, random_tensor
 
 
 def idx(name):
@@ -67,6 +68,30 @@ class TestContractAll:
         expect = a.array @ b.array @ c.array
         assert np.allclose(out.transpose_like(
             [idx("i"), idx("l")]).array, expect)
+
+    @pytest.mark.parametrize("backend", ["dense", "tdd"])
+    def test_custom_order_over_hyperedge(self, rng, backend):
+        # j is shared by three tensors; the order folds an unrelated
+        # tensor first, so j must stay open through two folds and be
+        # summed only when its last two holders meet
+        names = [["i", "j"], ["j"], ["j", "k"], ["k", "l"]]
+        arrays = [random_tensor(rng, len(n)) for n in names]
+        if backend == "dense":
+            tensors = [DenseTensor(a, [idx(x) for x in n])
+                       for a, n in zip(arrays, names)]
+        else:
+            manager = fresh_manager(["i", "j", "k", "l"])
+            tensors = [tc.from_numpy(manager, a, [idx(x) for x in n])
+                       for a, n in zip(arrays, names)]
+        net = TensorNetwork(tensors, {idx("i"), idx("l")})
+        out = net.contract_all(order=[3, 0, 2, 1])
+        if backend == "dense":
+            got = out.transpose_like([idx("i"), idx("l")]).array
+        else:
+            assert out.index_names == ("i", "l")
+            got = out.to_numpy()
+        expect = np.einsum("ij,j,jk,kl->il", *arrays)
+        assert np.allclose(got, expect)
 
     def test_bad_order_raises(self, rng):
         net = TensorNetwork([dense(rng, ["i"])], {idx("i")})
