@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the partition methods' design choices.
 
 Not part of the paper's tables; these quantify (a) the contraction
 fold-order policy, (b) the addition-partition slice count k, and

@@ -14,8 +14,7 @@ Reproduces the paper's Section III.A.1 case study end to end:
    flips) — and cross-validate a verdict on the dense backend,
 4. print the Fig. 1 projector TDD as Graphviz DOT.
 
-See examples/parallel_sweep.py for the parallel sliced execution
-strategy and the batch sweep runner.
+See examples/parallel_sweep.py for the batch sweep runner.
 
 Run:  python examples/quickstart.py
 """

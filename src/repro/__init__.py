@@ -13,7 +13,7 @@ The public API is organised around two first-class objects:
 
 * :class:`~repro.mc.config.CheckerConfig` — one validated, frozen,
   JSON-round-trippable description of the whole engine configuration
-  (backend, image method, execution strategy, per-method parameters,
+  (backend, image method, per-method parameters,
   analysis direction and depth bound), and
 * temporal **specifications** — Birkhoff-von Neumann propositions over
   named subspaces with ``AG``/``EF`` on top, written as text
@@ -41,11 +41,6 @@ Quickstart::
     assert dense.check(parse_spec("AG inv")).holds == result.holds
     assert checker.cross_validate(spec="AG inv").ok
 
-    # sliced execution: contractions decompose into cofactor
-    # subproblems along the top summed indices (identical results)
-    sliced = ModelChecker(qts, CheckerConfig(strategy="sliced"))
-    assert sliced.check("AG inv").holds == result.holds
-
 ``CheckerConfig`` is the only configuration spelling: every engine
 surface (``ModelChecker``, ``make_backend``, ``compute_image``,
 ``reachable_space``, the sweep ``RunSpec``) takes one, and one
@@ -58,8 +53,7 @@ from repro.gates.gate import Gate
 from repro.gates import library as gates
 from repro.image import (AdditionImageComputer, BasicImageComputer,
                          ContractionImageComputer, ImageEngine, ImageResult,
-                         MonolithicExecutor, SlicedExecutor, compute_image,
-                         make_computer)
+                         compute_image, make_computer)
 from repro.indices.index import Index, wire
 from repro.indices.order import IndexOrder
 from repro.mc.backends import (Backend, DenseStatevectorBackend, TDDBackend,
@@ -86,8 +80,7 @@ __all__ = [
     "QuantumCircuit", "Gate", "gates",
     "AdditionImageComputer", "BasicImageComputer",
     "ContractionImageComputer", "ImageEngine", "ImageResult",
-    "MonolithicExecutor", "SlicedExecutor", "compute_image",
-    "make_computer",
+    "compute_image", "make_computer",
     "Index", "wire", "IndexOrder",
     "Backend", "DenseStatevectorBackend", "TDDBackend",
     "cross_validate", "make_backend",

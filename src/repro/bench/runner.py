@@ -38,8 +38,6 @@ class BenchRow:
     peak_live_nodes: int = 0
     #: unique-table population after the post-run garbage collection
     live_nodes: int = 0
-    #: execution strategy the row ran under (see repro.image.sliced)
-    strategy: str = "monolithic"
 
     def metric_cells(self):
         """The per-method table columns: time, max#node, hit%, live/peak."""
@@ -62,16 +60,14 @@ class BenchRow:
         if record.get("failed"):
             return cls(benchmark=record["label"], method=record["method"],
                        seconds=0.0, max_nodes=0, dimension=0,
-                       timed_out=True,
-                       strategy=record.get("strategy", "monolithic"))
+                       timed_out=True)
         return cls(benchmark=record["label"], method=record["method"],
                    seconds=record["seconds"],
                    max_nodes=record["max_nodes"],
                    dimension=record["dimension"],
                    cache_hit_rate=record["cache_hit_rate"],
                    peak_live_nodes=record["peak_live_nodes"],
-                   live_nodes=record["live_nodes"],
-                   strategy=record.get("strategy", "monolithic"))
+                   live_nodes=record["live_nodes"])
 
 
 def run_image_benchmark(builder: Callable[[], QuantumTransitionSystem],
@@ -94,8 +90,7 @@ def run_image_benchmark(builder: Callable[[], QuantumTransitionSystem],
                    dimension=result.dimension,
                    cache_hit_rate=result.stats.cache_hit_rate,
                    peak_live_nodes=result.stats.peak_live_nodes,
-                   live_nodes=result.stats.live_nodes,
-                   strategy=config.strategy)
+                   live_nodes=result.stats.live_nodes)
     if timeout_seconds is not None and row.seconds > timeout_seconds:
         row.timed_out = True
     return row

@@ -37,7 +37,6 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence)
 
 from repro.errors import ReproError
-from repro.image.sliced import DEFAULT_SLICE_DEPTH
 from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig
 from repro.mc.reachability import ReachabilityCache
@@ -48,9 +47,10 @@ from repro.utils.tables import format_table
 #: the flat column schema of the CSV artifact (and of every record).
 #: It is a compatibility contract, so the columns of knobs that are gone
 #: stay and hold the one value the remaining code path has: ``jobs`` is
-#: 1, ``driver`` is ``frontier``, ``parallel_tasks`` and
-#: ``pool_fallbacks`` are 0, and so is ``cache_evictions`` (the TDD
-#: memo tables have no size bound).
+#: 1, ``driver`` is ``frontier``, ``strategy`` is ``monolithic`` with
+#: the ``slice_depth`` of 2 every monolithic record has carried,
+#: ``parallel_tasks``, ``pool_fallbacks`` and ``slices`` are 0, and so
+#: is ``cache_evictions`` (the TDD memo tables have no size bound).
 CSV_COLUMNS = (
     "run_id", "label", "model", "size", "method", "backend", "strategy",
     "jobs", "slice_depth", "driver", "direction", "bound", "spec",
@@ -98,17 +98,15 @@ class RunSpec:
     def run_id(self) -> str:
         """Deterministic identity of this configuration (resume key).
 
-        The format is stable, so existing artifacts resume: a sliced
-        run names ``jobs=1``, the id every inline sliced run has always
-        had, and no run names a fixpoint schedule.
+        The format is stable, so existing artifacts resume: every id
+        keeps the ``monolithic`` segment of the one contraction path,
+        and no run names a fixpoint schedule.
         """
         def fmt(params: Mapping) -> str:
             return ",".join(f"{k}={params[k]}" for k in sorted(params))
         config = self.config
         parts = [f"{self.model}{self.size}", config.method, config.backend,
-                 config.strategy]
-        if config.strategy != "monolithic":
-            parts.append(f"jobs=1,depth={config.slice_depth}")
+                 "monolithic"]
         if config.direction != "forward":
             parts.append(f"dir={config.direction}")
         if config.bound:
@@ -177,11 +175,9 @@ class SweepSpec:
                   sizes: Sequence[int],
                   methods: Sequence[str] = ("contraction",),
                   backends: Sequence[str] = ("tdd",),
-                  strategies: Sequence[str] = ("monolithic",),
                   specs: Sequence[Optional[str]] = (None,),
                   directions: Sequence[str] = ("forward",),
                   bounds: Sequence[int] = (0,),
-                  slice_depth: int = DEFAULT_SLICE_DEPTH,
                   method_params: Optional[Dict[str, dict]] = None,
                   model_params: Optional[dict] = None) -> "SweepSpec":
         """The cartesian product of the given axes.
@@ -192,16 +188,15 @@ class SweepSpec:
         property-check rows (``None`` = plain image benchmark);
         ``directions``/``bounds`` cross the grid with backward
         (preimage) analysis and depth-limited fixpoints.  The dense
-        backend ignores methods and strategies, so crossing it
-        with those axes would duplicate work — duplicate
-        configurations are dropped (by ``run_id``).
+        backend ignores methods, so crossing it with that axis would
+        duplicate work — duplicate configurations are dropped (by
+        ``run_id``).
         """
         method_params = method_params or {}
         runs: List[RunSpec] = []
-        seen = set()
         cells = itertools.product(model_names, sizes, specs, backends,
-                                  methods, strategies, directions, bounds)
-        for (model, size, spec_text, backend, method, strategy,
+                                  methods, directions, bounds)
+        for (model, size, spec_text, backend, method,
              direction, bound) in cells:
             if spec_text is None:
                 # a plain image benchmark is a single step — a fixpoint
@@ -214,19 +209,13 @@ class SweepSpec:
                                        direction=direction, bound=bound)
             else:
                 config = CheckerConfig(
-                    method=method, strategy=strategy,
-                    slice_depth=(slice_depth if strategy == "sliced"
-                                 else DEFAULT_SLICE_DEPTH),
+                    method=method,
                     method_params=dict(method_params.get(method, {})),
                     direction=direction, bound=bound)
-            run = RunSpec(model=model, size=size, config=config,
-                          spec=spec_text,
-                          model_params=dict(model_params or {}))
-            if run.run_id in seen:
-                continue
-            seen.add(run.run_id)
-            runs.append(run)
-        return cls(name=name, runs=runs)
+            runs.append(RunSpec(model=model, size=size, config=config,
+                                spec=spec_text,
+                                model_params=dict(model_params or {})))
+        return cls(name=name, runs=_unique(runs))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
@@ -240,14 +229,25 @@ class SweepSpec:
         or axes to take the product of::
 
             {"name": "tiny", "models": ["ghz", "bv"], "sizes": [3, 4],
-             "methods": ["basic"], "strategies": ["monolithic", "sliced"],
-             "specs": ["AG init"],
+             "methods": ["basic"], "specs": ["AG init"],
              "method_params": {"contraction": {"k1": 4, "k2": 4}}}
+
+        Older specs may carry a ``strategies`` axis and a
+        ``slice_depth``; they are accepted under the rule of
+        :meth:`CheckerConfig.from_dict
+        <repro.mc.config.CheckerConfig.from_dict>` and ignored, as
+        every strategy now runs the one contraction path.  Runs that
+        differ only in them collapse into one (by ``run_id``).
         """
         name = data.get("name", "sweep")
+        legacy = [{"strategy": s} for s in data.get("strategies", ())]
+        if "slice_depth" in data:
+            legacy.append({"slice_depth": data["slice_depth"]})
+        for keys in legacy:
+            CheckerConfig.from_dict(keys)  # raises on any other value
         if "runs" in data:
-            return cls(name=name,
-                       runs=[RunSpec.from_dict(r) for r in data["runs"]])
+            return cls(name=name, runs=_unique(
+                RunSpec.from_dict(r) for r in data["runs"]))
         try:
             model_names = data["models"]
             sizes = data["sizes"]
@@ -258,11 +258,9 @@ class SweepSpec:
             name, model_names, sizes,
             methods=data.get("methods", ("contraction",)),
             backends=data.get("backends", ("tdd",)),
-            strategies=data.get("strategies", ("monolithic",)),
             specs=data.get("specs", (None,)),
             directions=data.get("directions", ("forward",)),
             bounds=data.get("bounds", (0,)),
-            slice_depth=data.get("slice_depth", DEFAULT_SLICE_DEPTH),
             method_params=data.get("method_params"),
             model_params=data.get("model_params"))
 
@@ -274,6 +272,14 @@ class SweepSpec:
     def as_dict(self) -> dict:
         return {"name": self.name,
                 "runs": [run.as_dict() for run in self.runs]}
+
+
+def _unique(runs: Iterable[RunSpec]) -> List[RunSpec]:
+    """``runs`` in order, without repeats of a ``run_id``."""
+    by_id: Dict[str, RunSpec] = {}
+    for run in runs:
+        by_id.setdefault(run.run_id, run)
+    return list(by_id.values())
 
 
 # ----------------------------------------------------------------------
@@ -292,11 +298,10 @@ def execute_run(spec: RunSpec,
     ``reach_cache`` warm-starts the reachability fixpoint behind
     property-check rows: the reachable subspace depends only on the
     transition relation, the fixpoint seed, the direction and the
-    bound — not on the image method or execution strategy — so
-    a sweep crossing those axes pays the iteration ladder once per
-    (model, size, spec, direction) cell and replays it from the cache
-    for every other configuration.  Warm rows carry
-    ``cache_warm=True``; rows whose fixpoint was served by a
+    bound — not on the image method — so a sweep crossing that axis
+    pays the iteration ladder once per (model, size, spec, direction)
+    cell and replays it from the cache for every other configuration.
+    Warm rows carry ``cache_warm=True``; rows whose fixpoint was served by a
     *persistent* :class:`~repro.store.ResultStore` (``run_sweep``'s
     ``store_dir``) additionally carry ``store_hit=True`` — a re-run
     over an already-populated store recomputes no fixpoint at all.
@@ -304,8 +309,8 @@ def execute_run(spec: RunSpec,
     config = spec.config
     record = {"model": spec.model, "size": spec.size,
               "method": config.method, "backend": config.backend,
-              "strategy": config.strategy, "jobs": 1,
-              "slice_depth": config.slice_depth, "label": spec.label,
+              "strategy": "monolithic", "jobs": 1,
+              "slice_depth": 2, "label": spec.label,
               "driver": "frontier", "direction": config.direction,
               "bound": config.bound, "spec": spec.spec or "",
               "verdict": "", "cache_warm": False, "store_hit": False,
@@ -437,8 +442,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1,
     already present in it — a killed sweep continues where it stopped.
 
     ``warm_start=True`` (the default) shares reachability fixpoints
-    between property-check rows that differ only in image method or
-    execution strategy (see
+    between property-check rows that differ only in image method (see
     :class:`~repro.mc.reachability.ReachabilityCache`); warm rows carry
     ``cache_warm=True``.  Pass ``warm_start=False`` (CLI:
     ``--no-warm-start``) when the sweep's purpose is to *benchmark* the
@@ -498,9 +502,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1,
                     record_done(future.result())
     else:
         # one warm-start cache per sweep — or, with store_dir, the
-        # persistent store: runs differing only in method/strategy
-        # reuse each other's fixpoints, and with the store they also
-        # reuse every previous invocation's
+        # persistent store: runs differing only in method reuse each
+        # other's fixpoints, and with the store they also reuse every
+        # previous invocation's
         reach_cache = close_me = None
         if warm_start and store_dir is not None:
             reach_cache = close_me = ResultStore(store_dir)
@@ -525,20 +529,18 @@ def run_sweep(spec: SweepSpec, jobs: int = 1,
 # ----------------------------------------------------------------------
 def format_records(records: Sequence[dict]) -> str:
     headers = ["run", "dim", "verdict", "time [s]", "max#node",
-               "cache hit%", "live/peak", "slices"]
+               "cache hit%", "live/peak"]
     rows = []
     for record in records:
         if record.get("failed"):
-            rows.append([record["run_id"], "-", "-", "-", "-", "-", "-",
-                         "-"])
+            rows.append([record["run_id"], "-", "-", "-", "-", "-", "-"])
             continue
         rows.append([
             record["run_id"], str(record["dimension"]),
             record.get("verdict") or "-",
             f"{record['seconds']:.2f}", str(record["max_nodes"]),
             f"{100 * record['cache_hit_rate']:.0f}%",
-            f"{record['live_nodes']}/{record['peak_live_nodes']}",
-            str(record["slices"])])
+            f"{record['live_nodes']}/{record['peak_live_nodes']}"])
     return format_table(headers, rows)
 
 
@@ -555,7 +557,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro sweep",
         description="Batch experiment runner: fan a declarative sweep "
                     "spec (models x sizes x methods x backends x "
-                    "strategies x property specs) over a process pool "
+                    "property specs) over a process pool "
                     "with resumable JSON/CSV artifacts.")
     parser.add_argument("--spec", help="JSON sweep spec file (see "
                                        "SweepSpec.from_dict)")
@@ -568,8 +570,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--methods", type=_csv_names,
                         default=["contraction"])
     parser.add_argument("--backends", type=_csv_names, default=["tdd"])
-    parser.add_argument("--strategies", type=_csv_names,
-                        default=["monolithic"])
     parser.add_argument("--check", action="append", default=[],
                         dest="checks", metavar="SPEC",
                         help="property spec to check on every "
@@ -608,7 +608,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.models and args.sizes:
         spec = SweepSpec.from_axes(
             args.name, args.models, args.sizes, methods=args.methods,
-            backends=args.backends, strategies=args.strategies,
+            backends=args.backends,
             specs=(args.checks or [None]),
             directions=args.directions, bounds=args.bounds,
             method_params={"contraction": {"k1": 4, "k2": 4},

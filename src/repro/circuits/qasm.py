@@ -5,7 +5,7 @@ calls them): ``h x y z s sdg t tdg sx rx ry rz u1/p cx cz cu1/cp ccx
 swap`` plus ``barrier`` (ignored) and comments.  Enough to exchange
 circuits with Qiskit/MQT-style tooling; measurement and classical
 registers are intentionally out of scope (measurements live in Kraus
-circuits as projector gates, see DESIGN.md).
+circuits as projector gates, see :mod:`repro.systems.operations`).
 """
 
 from __future__ import annotations

@@ -18,12 +18,10 @@ Subcommands:
 
 Engine flags build one validated
 :class:`~repro.mc.config.CheckerConfig`: ``--backend {tdd,dense}``
-(the dense statevector reference is exponential — small sizes only),
-``--strategy {monolithic,sliced}`` with ``--slice-depth D`` (cofactor
-contraction, see ``repro.image.sliced``) and the per-method parameters.
-Mismatched combinations (tdd-only knobs with ``--backend dense``,
-``--slice-depth`` without the sliced strategy) are rejected with a
-clear error instead of being silently dropped.
+(the dense statevector reference is exponential — small sizes only)
+and the per-method parameters.  Mismatched combinations (tdd-only
+knobs with ``--backend dense``) are rejected with a clear error
+instead of being silently dropped.
 
 Specs (``check``/``crosscheck --spec``) use the text language of
 ``repro.mc.specs``: ``AG``/``EF`` — optionally bounded, ``AG[<=k]`` /
@@ -50,7 +48,6 @@ forward replay reproduces the event.
 Examples::
 
     python -m repro image grover --size 4 --method contraction
-    python -m repro image qrw --size 5 --strategy sliced --slice-depth 3
     python -m repro reach qrw --size 4
     python -m repro check grover --size 4 --spec "AG inv"
     python -m repro check grover --size 3 --spec "EF marked" --backend dense
@@ -78,7 +75,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.image.engine import DIRECTIONS
-from repro.image.sliced import DEFAULT_SLICE_DEPTH, STRATEGIES
 from repro.mc.backends import cross_validate, make_backend
 from repro.mc.checker import ModelChecker
 from repro.mc.config import BACKENDS, CheckerConfig
@@ -154,17 +150,6 @@ def _add_direction_arguments(parser: argparse.ArgumentParser) -> None:
                              "(0 = run to saturation)")
 
 
-def _add_strategy_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strategy", default="monolithic",
-                        choices=list(STRATEGIES),
-                        help="contraction execution strategy (sliced = "
-                             "cofactor decomposition)")
-    parser.add_argument("--slice-depth", type=int,
-                        default=DEFAULT_SLICE_DEPTH, dest="slice_depth",
-                        help="number of top summed index levels the "
-                             "sliced strategy fixes (2^depth cofactors)")
-
-
 def _method_params(args) -> dict:
     if args.method == "addition":
         return {"k": args.k}
@@ -195,8 +180,6 @@ def _print_kernel_stats(stats) -> None:
     print(f"live nodes = {stats.live_nodes} after GC "
           f"(peak {stats.peak_live_nodes}, "
           f"reclaimed {stats.nodes_reclaimed})")
-    if stats.slices:
-        print(f"slices     = {stats.slices} cofactors")
 
 
 def _store_line(stats) -> Optional[str]:
@@ -346,14 +329,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     image = sub.add_parser("image", help="one-step image computation")
     _add_model_arguments(image)
     _add_backend_argument(image)
-    _add_strategy_arguments(image)
     _add_direction_arguments(image)
     image.set_defaults(func=_cmd_image)
 
     reach = sub.add_parser("reach", help="reachability fixpoint")
     _add_model_arguments(reach)
     _add_backend_argument(reach)
-    _add_strategy_arguments(reach)
     _add_direction_arguments(reach)
     _add_store_argument(reach)
     reach.set_defaults(func=_cmd_reach)
@@ -364,7 +345,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       "EF[<=k], forward or backward)")
     _add_model_arguments(check)
     _add_backend_argument(check)
-    _add_strategy_arguments(check)
     _add_direction_arguments(check)
     _add_store_argument(check)
     check.add_argument("--spec", required=True,
@@ -380,7 +360,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     invariant = sub.add_parser("invariant", help="check T(S0) <= S0")
     _add_model_arguments(invariant)
     _add_backend_argument(invariant)
-    _add_strategy_arguments(invariant)
     invariant.add_argument("--strict", action="store_true")
     invariant.set_defaults(func=_cmd_invariant)
 
@@ -428,12 +407,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     smoke = sub.add_parser("smoke", help="run the <60s smoke benchmark")
     smoke.add_argument("--model", default="grover")
     smoke.add_argument("--size", type=int, default=6)
-    smoke.add_argument("--strategy", default="monolithic",
-                       choices=list(STRATEGIES))
     smoke.set_defaults(func=lambda args: __import__(
         "repro.bench.smoke", fromlist=["main"]).main(
-            ["--model", args.model, "--size", str(args.size),
-             "--strategy", args.strategy]))
+            ["--model", args.model, "--size", str(args.size)]))
 
     # ``sweep`` and ``cache`` forward their whole tails to their
     # modules' own parsers so the flags live in one place

@@ -15,15 +15,10 @@ Four interchangeable algorithms (the *method* axis):
 * :class:`~repro.image.hybrid.HybridImageComputer` — addition slicing
   over contraction-partitioned blocks (extension beyond the paper).
 
-Orthogonal to the method, the execution *strategy*
-(:mod:`repro.image.sliced`) decides how the underlying contractions
-run: ``monolithic`` (one kernel call) or ``sliced`` (cofactor
-decomposition along the top summed indices).
-
 Use :func:`~repro.image.engine.compute_image` for a one-shot entry
 point, or :class:`~repro.image.engine.ImageEngine` to hold the method
-computer and its executor across calls (operator diagrams are cached on
-the system itself).
+computer across calls (operator diagrams are cached on the system
+itself).
 :func:`~repro.image.engine.make_engine` picks between that engine and
 the dense reference (:class:`~repro.image.dense.DenseImageEngine`) by
 ``CheckerConfig.backend``.
@@ -37,13 +32,10 @@ from repro.image.hybrid import HybridImageComputer
 from repro.image.dense import DenseImageEngine
 from repro.image.engine import (ImageEngine, compute_image, make_computer,
                                 make_engine, METHODS)
-from repro.image.sliced import (MonolithicExecutor, SlicedExecutor,
-                                STRATEGIES, make_executor)
 
 __all__ = [
     "ImageResult", "BasicImageComputer", "AdditionImageComputer",
     "ContractionImageComputer", "HybridImageComputer",
     "ImageEngine", "compute_image", "make_computer",
     "make_engine", "DenseImageEngine", "METHODS",
-    "MonolithicExecutor", "SlicedExecutor", "STRATEGIES", "make_executor",
 ]

@@ -61,21 +61,14 @@ class ImageComputerBase:
     (:meth:`~repro.systems.qts.QuantumTransitionSystem.operator`),
     keyed by :meth:`shape`, so every computer, check and witness of one
     system — and of its adjoint — builds a circuit's diagrams once per
-    shape.  Every computer routes its transition-relation contractions
-    through ``self.executor`` (monolithic in-process by default; the
-    engine swaps in a :class:`~repro.image.sliced.SlicedExecutor` when
-    the sliced strategy is selected), so sliced execution composes
-    with each algorithm without touching its partitioning logic.  Every
-    Kraus circuit of a family runs through the method's own partition.
+    shape.  Every Kraus circuit of a family runs through the method's
+    own partition, and every contraction is one call of the TDD kernel.
     """
 
     method: str = "abstract"
 
     def __init__(self, qts: QuantumTransitionSystem) -> None:
-        from repro.image.sliced import MonolithicExecutor
         self.qts = qts
-        #: pluggable contraction executor (see :mod:`repro.image.sliced`)
-        self.executor = MonolithicExecutor()
 
     def shape(self) -> tuple:
         """How this computer cuts a circuit: the method and its sizes."""
@@ -121,10 +114,9 @@ class ImageComputerBase:
         image can add to it, so no further source state is imaged.
 
         The manager collects garbage after each source state's images:
-        what must survive — the accumulator, the sources, the cached
-        operators and the executor's slices — is held by live TDD
-        handles, and everything else that state's contractions built
-        is garbage by then.
+        what must survive — the accumulator, the sources and the cached
+        operators — is held by live TDD handles, and everything else
+        that state's contractions built is garbage by then.
         """
         if subspace is None:
             subspace = self.qts.initial

@@ -40,8 +40,7 @@ class BasicImageComputer(ImageComputerBase):
                       stats: StatsRecorder) -> TDD:
         operator, inputs, outputs = self.operator_for(circuit, stats)
         sum_over = input_sum_indices(inputs, outputs)
-        image_state = self.executor.contract(state, operator, sum_over,
-                                             stats)
+        image_state = state.contract(operator, sum_over)
         stats.contractions += 1
         stats.observe_tdd(image_state)
         return rename_outputs_to_kets(self.qts.space, image_state, outputs)

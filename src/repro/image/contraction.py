@@ -100,9 +100,7 @@ class ContractionImageComputer(ImageComputerBase):
         order = None
         if self.order_policy == "greedy":
             order = greedy_order(tensors, network.open_indices)
-        image_state = network.contract_all(
-            order=order, observer=stats.observe_tdd,
-            contract_fn=lambda a, b, s: self.executor.contract(
-                a, b, s, stats))
+        image_state = network.contract_all(order=order,
+                                           observer=stats.observe_tdd)
         stats.contractions += len(block_tdds)
         return rename_outputs_to_kets(self.qts.space, image_state, outputs)

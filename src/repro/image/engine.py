@@ -1,19 +1,14 @@
 """Uniform entry point for image computation.
 
-Two orthogonal choices select how an image ``T(S)`` is computed:
+The **method** selects which of the paper's four algorithms partitions
+the transition relation (``basic``, ``addition``, ``contraction``,
+``hybrid``); every resulting contraction is one call of the TDD
+kernel.
 
-* the **method** — which of the paper's four algorithms partitions the
-  transition relation (``basic``, ``addition``, ``contraction``,
-  ``hybrid``), and
-* the **strategy** — how the resulting contractions execute:
-  ``monolithic`` (one kernel call) or ``sliced`` (cofactor
-  decomposition along top summed index levels — see
-  :mod:`repro.image.sliced`).
-
-:class:`ImageEngine` bundles a method computer with an execution
-strategy.  Both choices
-come from one :class:`~repro.mc.config.CheckerConfig`; its ``backend``
-picks between this symbolic engine and the dense reference
+:class:`ImageEngine` binds a method computer to a system.  The method,
+its parameters and the direction come from one
+:class:`~repro.mc.config.CheckerConfig`; its ``backend`` picks between
+this symbolic engine and the dense reference
 (:class:`~repro.image.dense.DenseImageEngine`) in :func:`make_engine`.
 The module-level :func:`compute_image` is the one-shot convenience
 wrapper used throughout the benchmarks and the CLI.
@@ -30,7 +25,6 @@ from repro.image.basic import BasicImageComputer
 from repro.image.contraction import ContractionImageComputer
 from repro.image.dense import DenseImageEngine
 from repro.image.hybrid import HybridImageComputer
-from repro.image.sliced import make_executor
 from repro.subspace.subspace import Subspace
 from repro.systems.qts import QuantumTransitionSystem
 from repro.utils.stats import StatsRecorder
@@ -66,21 +60,19 @@ def make_computer(qts: QuantumTransitionSystem, method: str = "basic",
 
 
 class ImageEngine:
-    """An image computer bound to an execution strategy.
+    """An image computer bound to a system.
 
     Built from a tdd :class:`~repro.mc.config.CheckerConfig`: the
-    engine wires a :class:`~repro.image.sliced` executor into the
-    configured method's computer.  The operator diagrams live in the
-    system's operator cache, so every engine on one system shares them;
-    reusing one engine across calls also reuses the executor's cofactor
-    slices — the intended shape for reachability fixpoints and sweeps.
+    engine holds the configured method's computer.  The operator
+    diagrams live in the system's operator cache, so every engine on
+    one system shares them.
 
     ``direction="backward"`` switches the engine to *preimage* mode:
     the computer is built against the adjoint system
     (:meth:`~repro.systems.qts.QuantumTransitionSystem.adjoint`), so
-    every method partitions — and every strategy executes — the
-    Kraus-dagger transition relation, with the adjoint operator TDDs
-    cached across calls exactly like the forward ones.
+    every method partitions the Kraus-dagger transition relation, with
+    the adjoint operator TDDs cached across calls exactly like the
+    forward ones.
 
     The engine implements the fixpoint-engine protocol of
     :mod:`repro.mc.drivers` over TDD :class:`Subspace` values.
@@ -99,12 +91,6 @@ class ImageEngine:
                        else qts.adjoint())
         self.computer = make_computer(self.system, config.method,
                                       **config.method_params)
-        self.computer.executor = make_executor(
-            config.strategy, qts.manager, slice_depth=config.slice_depth)
-
-    @property
-    def executor(self):
-        return self.computer.executor
 
     # ------------------------------------------------------------------
     # the fixpoint-engine protocol (see repro.mc.drivers)
@@ -138,8 +124,6 @@ class ImageEngine:
                       ) -> ImageResult:
         """Compute ``T(S)`` and record the full kernel cost profile."""
         stats = StatsRecorder()
-        if self.config.strategy != "monolithic":
-            stats.extra["strategy"] = self.config.strategy
         manager = self.qts.manager
         baseline = manager.cache_counters()
         watch = Stopwatch().start()
@@ -185,8 +169,7 @@ def compute_image(qts: QuantumTransitionSystem,
 
     On the tdd backend the returned :class:`ImageResult` stats carry
     wall time, peak TDD node count, operation-cache hit/miss counts for
-    this run, the sliced strategy's cofactor count and — after the
-    post-run garbage collection — the peak and surviving live-node
-    populations of the manager.
+    this run and — after the post-run garbage collection — the peak and
+    surviving live-node populations of the manager.
     """
     return make_engine(qts, config).compute_image(subspace)

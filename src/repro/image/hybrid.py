@@ -104,9 +104,7 @@ class HybridImageComputer(ImageComputerBase):
         for part_tdds in all_parts:
             network = TensorNetwork([state] + part_tdds, set(outputs))
             contribution = network.contract_all(
-                observer=stats.observe_tdd,
-                contract_fn=lambda a, b, s: self.executor.contract(
-                    a, b, s, stats))
+                observer=stats.observe_tdd)
             stats.contractions += len(part_tdds)
             total = (contribution if total is None
                      else total + contribution)

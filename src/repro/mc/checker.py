@@ -2,8 +2,8 @@
 
 A checker bundles a QTS with one validated
 :class:`~repro.mc.config.CheckerConfig` — the single source of truth
-for engine configuration (backend, image method, execution strategy,
-per-method parameters) — and exposes **one verb for every
+for engine configuration (backend, image method, per-method
+parameters, direction, bound) — and exposes **one verb for every
 specification**: :meth:`ModelChecker.check` takes a temporal spec
 (text like ``"AG (inv & ~bad)"`` or an AST from
 :mod:`repro.mc.logic`) and returns a :class:`CheckResult` carrying the
@@ -69,7 +69,7 @@ class CheckResult:
       effective step bound (0 = unbounded; a spec-level ``AG[<=k]``
       bound wins over the config's);
     * ``stats`` — the kernel cost profile (wall time, peak nodes,
-      cache hit/miss, GC, sliced-strategy counters);
+      cache hit/miss, GC);
     * ``config`` — the exact engine configuration that produced this
       result, echoed back for artifacts and reproducibility.
     """
@@ -239,7 +239,7 @@ class ModelChecker:
         iteration, which then collapses to one confirming round; a
         miss stores the converged result for later runs.  The sweep
         runner uses this to share reachability across configurations
-        that differ only in image method or execution strategy; a hit
+        that differ only in image method; a hit
         is recorded as ``stats.extra["cache_warm"]``.
         """
         from repro.mc.specs import parse_spec, resolve, to_text

@@ -1,13 +1,13 @@
 """Engine configuration as a first-class value: :class:`CheckerConfig`.
 
 Before this module existed, every layer re-spelled the same knobs —
-``backend`` / ``method`` / ``strategy`` / ``slice_depth`` plus
-per-method parameters — as loose keyword arguments, and a knob
+``backend`` / ``method`` / ``direction`` plus per-method
+parameters — as loose keyword arguments, and a knob
 that did not apply to the chosen backend was *silently dropped* (the
 old ``make_backend`` filtered them away).  ``CheckerConfig`` is the
 single source of truth instead:
 
-* construction **validates**: unknown backends/methods/strategies,
+* construction **validates**: unknown backends/methods/directions,
   method parameters that do not belong to the chosen method, and
   tdd-only options combined with the dense backend all raise a
   :class:`~repro.errors.ConfigError` up front;
@@ -33,7 +33,6 @@ from typing import Mapping, Optional
 
 from repro.errors import ConfigError
 from repro.image.engine import DIRECTIONS, METHODS
-from repro.image.sliced import DEFAULT_SLICE_DEPTH, STRATEGIES
 
 #: the available computation engines (the dense statevector reference
 #: is exponential — small sizes only)
@@ -48,11 +47,14 @@ METHOD_PARAMS = {
 }
 
 #: settings that only the symbolic tdd backend interprets
-_TDD_ONLY_FIELDS = ("method", "strategy", "slice_depth", "method_params")
+_TDD_ONLY_FIELDS = ("method", "method_params")
 
 #: the fixpoint schedules a stored config may still name (see
 #: :meth:`CheckerConfig.from_dict`)
 _LEGACY_DRIVERS = ("sequential", "opsharded", "frontier")
+
+#: the execution strategies a stored config may still name
+_LEGACY_STRATEGIES = ("monolithic", "sliced")
 
 #: CLI defaults for the per-method parameters (Table I values)
 _CLI_METHOD_DEFAULTS = {
@@ -69,8 +71,8 @@ class CheckerConfig:
 
     ``method_params`` are the image-method parameters (``k`` for
     addition, ``k1``/``k2``/``order_policy`` for contraction, all of
-    them for hybrid); ``slice_depth`` configures the sliced execution
-    strategy; ``max_qubits`` raises the dense backend's size guard.
+    them for hybrid); ``max_qubits`` raises the dense backend's size
+    guard.
     ``direction`` selects forward (image) or backward (preimage,
     against the adjoint Kraus family) analysis and ``bound``
     depth-limits reachability fixpoints (0 = run to saturation) — both
@@ -80,8 +82,6 @@ class CheckerConfig:
 
     backend: str = "tdd"
     method: str = "contraction"
-    strategy: str = "monolithic"
-    slice_depth: int = DEFAULT_SLICE_DEPTH
     method_params: Mapping[str, object] = field(default_factory=dict)
     max_qubits: Optional[int] = None
     direction: str = "forward"
@@ -103,9 +103,6 @@ class CheckerConfig:
         if self.method not in METHODS:
             raise ConfigError(f"unknown image method {self.method!r}; "
                               f"choose from {METHODS}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}; "
-                              f"choose from {STRATEGIES}")
         if self.direction not in DIRECTIONS:
             raise ConfigError(f"unknown direction {self.direction!r}; "
                               f"choose from {DIRECTIONS}")
@@ -125,14 +122,6 @@ class CheckerConfig:
             raise ConfigError(
                 f"method {self.method!r} does not take {', '.join(hints)}; "
                 f"it accepts {sorted(allowed) if allowed else 'no parameters'}")
-        if not isinstance(self.slice_depth, int) or self.slice_depth < 0:
-            raise ConfigError(f"slice_depth must be a non-negative "
-                              f"integer, got {self.slice_depth!r}")
-        if (self.slice_depth != DEFAULT_SLICE_DEPTH
-                and self.strategy != "sliced"):
-            raise ConfigError(
-                f"slice_depth={self.slice_depth} only applies to the "
-                f"sliced strategy; got strategy={self.strategy!r}")
         if self.backend == "dense":
             offending = [name for name in _TDD_ONLY_FIELDS
                          if getattr(self, name) != _DEFAULTS[name]]
@@ -164,8 +153,6 @@ class CheckerConfig:
         """
         backend = getattr(args, "backend", "tdd")
         method = getattr(args, "method", "contraction")
-        strategy = getattr(args, "strategy", "monolithic")
-        slice_depth = getattr(args, "slice_depth", DEFAULT_SLICE_DEPTH)
         direction = getattr(args, "direction", "forward")
         bound = getattr(args, "bound", 0)
         method_params = {}
@@ -180,11 +167,10 @@ class CheckerConfig:
                 method = "contraction"
                 method_params = {}
             return cls(backend="dense", method=method,
-                       strategy=strategy, slice_depth=slice_depth,
                        method_params=method_params,
                        direction=direction, bound=bound)
-        return cls(backend=backend, method=method, strategy=strategy,
-                   slice_depth=slice_depth, method_params=method_params,
+        return cls(backend=backend, method=method,
+                   method_params=method_params,
                    direction=direction, bound=bound)
 
     def replace(self, **changes) -> "CheckerConfig":
@@ -197,8 +183,6 @@ class CheckerConfig:
     def as_dict(self) -> dict:
         """A JSON-able dict; defaults are included for explicitness."""
         return {"backend": self.backend, "method": self.method,
-                "strategy": self.strategy,
-                "slice_depth": self.slice_depth,
                 "method_params": dict(self.method_params),
                 "max_qubits": self.max_qubits,
                 "direction": self.direction, "bound": self.bound}
@@ -217,7 +201,11 @@ class CheckerConfig:
           reach the same space, and frontier is the one that remains);
         * a ``jobs`` that is ``null`` or a positive integer (the
           sliced strategy's worker pool; results were identical for
-          every width).
+          every width);
+        * a ``strategy`` of ``monolithic`` or ``sliced`` and a
+          non-negative integer ``slice_depth`` (cofactor-split
+          contraction; both strategies reach the same spaces, and every
+          contraction is now one kernel call).
 
         Any other value of these keys is still an unknown field.
         """
@@ -226,10 +214,15 @@ class CheckerConfig:
             del data["batched"]
         if data.get("driver") in _LEGACY_DRIVERS:
             del data["driver"]
+        if data.get("strategy") in _LEGACY_STRATEGIES:
+            del data["strategy"]
         jobs = data.get("jobs")
         if "jobs" in data and (jobs is None
                                or (type(jobs) is int and jobs > 0)):
             del data["jobs"]
+        depth = data.get("slice_depth")
+        if type(depth) is int and depth >= 0:
+            del data["slice_depth"]
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -258,10 +251,6 @@ class CheckerConfig:
             parts.append(f"bound={self.bound}")
         if self.backend == "tdd":
             parts.append(f"method={self.method}")
-            if self.strategy != "monolithic":
-                parts.append(f"strategy={self.strategy}")
-                if self.slice_depth != DEFAULT_SLICE_DEPTH:
-                    parts.append(f"slice_depth={self.slice_depth}")
             for name in sorted(self.method_params):
                 parts.append(f"{name}={self.method_params[name]}")
         elif self.max_qubits is not None:

@@ -14,12 +14,11 @@ make_engine`) and delegates the loop to the frontier schedule
 bookkeeping (trace, stopwatch, GC baseline) here.
 :class:`ReachabilityCache` lets batch runners warm-start a fixpoint
 from a previously computed reachable space when only the image method
-or execution strategy changed — the reachable subspace itself is
-method-independent.  :func:`fixpoint_key`,
-:func:`admissible` and :func:`cached_reachable` are the one key, the
-one admission rule and the one lookup-run-store sequence shared by
-that cache, the disk-backed :class:`~repro.store.ResultStore`, the
-checker and the CLI.
+changed — the reachable subspace itself is method-independent.
+:func:`fixpoint_key`, :func:`admissible` and :func:`cached_reachable`
+are the one key, the one admission rule and the one lookup-run-store
+sequence shared by that cache, the disk-backed
+:class:`~repro.store.ResultStore`, the checker and the CLI.
 """
 
 from __future__ import annotations
@@ -81,16 +80,14 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     backend.  Each round images only the directions the previous round
     added (see :mod:`repro.mc.drivers`).  On the tdd backend the
     transition TDDs come from the system's operator cache, built once
-    per system, and the image computer's cofactor-slice cache is
-    reused across iterations when ``strategy="sliced"``.
+    per system and reused across iterations.
 
     ``direction="backward"`` runs the same fixpoint against the
     *adjoint* transition relation (cached Kraus-dagger operator TDDs,
     see :meth:`~repro.systems.qts.QuantumTransitionSystem.adjoint`):
     the result is the space of states that can *reach* ``initial``,
     the standard symbolic-model-checking complement of forward
-    reachability.  All four methods and both execution strategies
-    apply unchanged.
+    reachability.  All four methods apply unchanged.
 
     ``bound`` is the depth limit of bounded analysis: a positive value
     stops after at most ``bound`` image steps (so the result is the
@@ -135,8 +132,6 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     extra = trace.stats.extra
     if config.backend != "tdd":
         extra["backend"] = config.backend
-    if config.strategy != "monolithic":
-        extra["strategy"] = config.strategy
     if config.direction != "forward":
         extra["direction"] = config.direction
     limit = max_iterations if max_iterations > 0 else 2 ** qts.num_qubits
@@ -209,8 +204,8 @@ def fixpoint_key(qts: QuantumTransitionSystem, initial: Subspace,
 
     The one key of every fixpoint cache: the fixpoint result depends on
     the transition relation, the initial subspace, the analysis
-    direction and the depth bound — not on the image method, the
-    execution strategy or the backend.
+    direction and the depth bound — not on the image method or the
+    backend.
     """
     system = system_fingerprint(qts)
     seed = subspace_fingerprint(initial)
@@ -265,7 +260,7 @@ class ReachabilityCache:
     """Reachable subspaces keyed by what actually determines them.
 
     Keyed by :func:`fixpoint_key`, so the result of one image method
-    or execution strategy warm-starts every other.  The cache
+    warm-starts every other.  The cache
     stores basis vectors through the :mod:`repro.tdd.io` dict codec, so
     an entry computed in one manager warm-starts a run whose QTS was
     rebuilt from scratch (the batch-sweep shape: every run constructs

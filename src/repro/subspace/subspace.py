@@ -1,6 +1,6 @@
 """The :class:`Subspace` type and its ambient :class:`StateSpace`.
 
-``StateSpace`` fixes the naming convention DESIGN.md describes: states
+``StateSpace`` fixes the package's index naming convention: states
 live on the *ket* indices ``x_i^0`` and projectors pair each ket with a
 *bra* index ``y_i^0`` that sorts immediately after it (the interleaved
 ``x1 y1 x2 y2 ...`` order of the paper's Fig. 1).

@@ -3,9 +3,9 @@
 A QTS bundles the ambient state space, the initial subspace and a
 family of quantum operations.  Constructing one also fixes the global
 TDD index order: all ket/bra state indices and every wire index of
-every Kraus circuit are registered up front in the qubit-major order
-DESIGN.md describes, so that all diagrams of one system share a single
-canonical order.
+every Kraus circuit are registered up front in qubit-major,
+time-minor order (each bra right after its ket), so that all diagrams
+of one system share a single canonical order.
 """
 
 from __future__ import annotations

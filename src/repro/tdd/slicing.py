@@ -57,9 +57,8 @@ def cofactor_assignments(levels: Sequence[int]
                          ) -> Iterator[Dict[int, int]]:
     """All ``2^k`` assignments of ``levels``, in lexicographic bit order.
 
-    The deterministic enumeration order matters: the sliced image
-    strategy adds cofactor results back together in this order, so the
-    recombined diagram is the same on every run.
+    The enumeration order is deterministic, so cofactors summed back
+    in this order give the same diagram on every run.
     """
     ordered = sorted(levels)
     for bits in itertools.product((0, 1), repeat=len(ordered)):
@@ -74,8 +73,8 @@ def enumerate_cofactors(manager: TDDManager, edge: Edge,
 
     The cofactors sum back to the original tensor over the sliced
     indices: ``T = sum_b T|_{levels=b}`` whenever the sliced indices
-    are summed away afterwards — the identity behind both the
-    addition-partition scheme and the sliced image strategy.
+    are summed away afterwards — the identity behind the
+    addition-partition scheme.
     """
     for assignment in cofactor_assignments(levels):
         yield assignment, slice_many(manager, edge, assignment)

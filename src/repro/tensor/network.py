@@ -57,14 +57,12 @@ class TensorNetwork:
 
     # ------------------------------------------------------------------
     def contract_pair(self, pos_a: int, pos_b: int,
-                      observer: Optional[Callable[[object], None]] = None,
-                      contract_fn: Optional[Callable] = None) -> None:
+                      observer: Optional[Callable[[object], None]] = None
+                      ) -> None:
         """Contract tensors at two positions in place.
 
         Sums every index shared by the pair that is closed and unused
-        elsewhere.  ``contract_fn(a, b, sum_over)`` overrides the plain
-        pairwise contraction — this is how the sliced execution
-        strategy injects itself into network folds.
+        elsewhere.
         """
         if pos_a == pos_b:
             raise ValueError("cannot contract a tensor with itself")
@@ -74,10 +72,7 @@ class TensorNetwork:
         shared = set(a.indices) & set(b.indices)
         sum_over = {idx for idx in shared
                     if idx not in self.open_indices and counts[idx] == 2}
-        if contract_fn is not None:
-            result = contract_fn(a, b, sum_over)
-        else:
-            result = a.contract(b, sum_over)
+        result = a.contract(b, sum_over)
         if observer is not None:
             observer(result)
         keep = [t for i, t in enumerate(self.tensors)
@@ -87,16 +82,15 @@ class TensorNetwork:
 
     def contract_all(self,
                      order: Optional[Sequence[int]] = None,
-                     observer: Optional[Callable[[object], None]] = None,
-                     contract_fn: Optional[Callable] = None) -> object:
+                     observer: Optional[Callable[[object], None]] = None
+                     ) -> object:
         """Fold the whole network into a single tensor.
 
         ``order`` names tensor positions (into the *original* list); the
         fold contracts them left to right into an accumulator.  By
         default the list order is used.  Disconnected tensors are
         combined with a tensor product, so the fold always succeeds.
-        ``contract_fn`` is forwarded to every pairwise step (see
-        :meth:`contract_pair`).  Each step sums what
+        Each step sums what
         :meth:`contract_pair` would; the index multiplicities are
         counted once and then kept up to date step by step.
         """
@@ -115,10 +109,7 @@ class TensorNetwork:
             tensor_indices = tensor.indices
             sum_over = {idx for idx in set(acc_indices) & set(tensor_indices)
                         if counts[idx] == 2 and idx not in open_indices}
-            if contract_fn is not None:
-                result = contract_fn(acc, tensor, sum_over)
-            else:
-                result = acc.contract(tensor, sum_over)
+            result = acc.contract(tensor, sum_over)
             if observer is not None:
                 observer(result)
             for idx in acc_indices:

@@ -40,8 +40,6 @@ class StatsRecorder:
     cont_misses: int = 0
     inner_hits: int = 0
     inner_misses: int = 0
-    #: Cofactor subproblems executed by the sliced strategy.
-    slices: int = 0
     #: Garbage collection: number of collect() runs and nodes freed.
     gc_runs: int = 0
     nodes_reclaimed: int = 0
@@ -125,7 +123,6 @@ class StatsRecorder:
         self.cont_misses += other.cont_misses
         self.inner_hits += other.inner_hits
         self.inner_misses += other.inner_misses
-        self.slices += other.slices
         self.gc_runs += other.gc_runs
         self.nodes_reclaimed += other.nodes_reclaimed
         self.peak_live_nodes = max(self.peak_live_nodes,
@@ -151,7 +148,6 @@ class StatsRecorder:
             "cont_hit_rate": self.cont_hit_rate,
             "inner_hits": self.inner_hits,
             "inner_misses": self.inner_misses,
-            "slices": self.slices,
             "gc_runs": self.gc_runs,
             "nodes_reclaimed": self.nodes_reclaimed,
             "peak_live_nodes": self.peak_live_nodes,

@@ -107,19 +107,6 @@ class TestBackwardReachability:
         assert subspace_to_dense(trace.subspace).equals(
             subspace_to_dense(base.subspace))
 
-    def test_sliced_strategy_matches_monolithic_backward(self):
-        mono = reachable_space(models.qrw_qts(3, 0.2),
-                               CheckerConfig(method="basic",
-                                             direction="backward"))
-        sliced = reachable_space(models.qrw_qts(3, 0.2),
-                                 CheckerConfig(method="basic",
-                                               direction="backward",
-                                               strategy="sliced"))
-        assert sliced.dimensions == mono.dimensions
-        d1 = subspace_to_dense(mono.subspace)
-        d2 = subspace_to_dense(sliced.subspace)
-        assert d1.equals(d2)
-
     def test_dense_backend_matches_tdd_backward(self):
         qts = models.qrw_qts(3, 0.2)
         start = qts.named_subspace("start")

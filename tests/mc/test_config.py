@@ -2,12 +2,12 @@
 
 import argparse
 import dataclasses
+import json
 import warnings
 
 import pytest
 
 from repro.errors import ConfigError, ReproError
-from repro.image.sliced import DEFAULT_SLICE_DEPTH
 from repro.mc.backends import make_backend
 from repro.mc.checker import ModelChecker
 from repro.mc.config import BACKENDS, CheckerConfig
@@ -19,14 +19,15 @@ class TestValidation:
         config = CheckerConfig()
         assert config.backend == "tdd"
         assert config.method == "contraction"
-        assert config.strategy == "monolithic"
 
     @pytest.mark.parametrize("field,value", [
         ("backend", "quantum-annealer"), ("method", "nonsense"),
         ("strategy", "nonsense")])
     def test_unknown_names_rejected(self, field, value):
+        # a strategy other than the two legacy names is still an
+        # unknown field
         with pytest.raises(ConfigError, match="unknown"):
-            CheckerConfig(**{field: value})
+            CheckerConfig.from_dict({field: value})
 
     def test_method_param_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="does not take"):
@@ -45,16 +46,18 @@ class TestValidation:
                                method_params={"k": 1, "k1": 2, "k2": 2})
         assert config.method_params == {"k": 1, "k1": 2, "k2": 2}
 
-    def test_eight_fields(self):
+    def test_six_fields(self):
         assert [f.name for f in dataclasses.fields(CheckerConfig)] == [
-            "backend", "method", "strategy", "slice_depth",
-            "method_params", "max_qubits", "direction", "bound"]
+            "backend", "method", "method_params", "max_qubits",
+            "direction", "bound"]
 
     @pytest.mark.parametrize("knob,value", [("driver", "sequential"),
-                                            ("jobs", 2)])
+                                            ("jobs", 2),
+                                            ("strategy", "sliced"),
+                                            ("slice_depth", 2)])
     def test_removed_knobs_are_not_fields(self, knob, value):
-        # one fixpoint schedule and in-process slicing: there is no
-        # schedule or worker-pool width left to configure
+        # one fixpoint schedule and one contraction path: there is no
+        # schedule, worker-pool width or slicing left to configure
         with pytest.raises(TypeError):
             CheckerConfig(**{knob: value})
 
@@ -63,13 +66,7 @@ class TestValidation:
         # once accepted (see TestRoundTrips for the accepted ones)
         for jobs in (0, -1, True, "2", 2.0):
             with pytest.raises(ConfigError, match="unknown"):
-                CheckerConfig.from_dict({"strategy": "sliced",
-                                         "jobs": jobs})
-
-    def test_slice_depth_requires_sliced_strategy(self):
-        with pytest.raises(ConfigError, match="sliced"):
-            CheckerConfig(slice_depth=1)
-        assert CheckerConfig(strategy="sliced", slice_depth=1).slice_depth == 1
+                CheckerConfig.from_dict({"jobs": jobs})
 
     def test_dense_rejects_tdd_only_options(self):
         # the regression for the old silent-drop behaviour: tdd knobs
@@ -79,8 +76,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="tdd-only"):
             CheckerConfig(backend="dense",
                           method_params={"k1": 4, "k2": 4})
-        with pytest.raises(ConfigError, match="tdd-only"):
-            CheckerConfig(backend="dense", strategy="sliced")
 
     def test_dense_accepts_max_qubits(self):
         assert CheckerConfig(backend="dense", max_qubits=8).max_qubits == 8
@@ -112,8 +107,8 @@ class TestRoundTrips:
     CONFIGS = [
         CheckerConfig(),
         CheckerConfig(method="addition", method_params={"k": 2}),
-        CheckerConfig(method="contraction", strategy="sliced",
-                      slice_depth=1, method_params={"k1": 2, "k2": 3}),
+        CheckerConfig(method="contraction",
+                      method_params={"k1": 2, "k2": 3}),
         CheckerConfig(backend="dense", max_qubits=10),
     ]
 
@@ -159,19 +154,36 @@ class TestRoundTrips:
     def test_from_dict_drops_legacy_jobs(self, jobs):
         # configs written while the sliced strategy had a worker pool;
         # its results were identical for every width
-        data = dict(CheckerConfig(strategy="sliced").as_dict(), jobs=jobs)
-        assert CheckerConfig.from_dict(data) == \
-            CheckerConfig(strategy="sliced")
+        data = dict(CheckerConfig().as_dict(), jobs=jobs)
+        assert CheckerConfig.from_dict(data) == CheckerConfig()
+
+    @pytest.mark.parametrize("strategy", ["monolithic", "sliced"])
+    @pytest.mark.parametrize("depth", [0, 2, 3])
+    def test_from_dict_drops_legacy_strategy(self, strategy, depth):
+        # configs written while contractions could be cofactor-split;
+        # every contraction is now one kernel call
+        text = json.dumps(dict(CheckerConfig(method="basic").as_dict(),
+                               strategy=strategy, slice_depth=depth))
+        assert CheckerConfig.from_json(text) == \
+            CheckerConfig(method="basic")
+
+    @pytest.mark.parametrize("data", [
+        {"strategy": "nonsense"}, {"strategy": None},
+        {"slice_depth": -1}, {"slice_depth": True},
+        {"slice_depth": "2"}, {"slice_depth": 2.0}])
+    def test_from_dict_rejects_other_strategy(self, data):
+        with pytest.raises(ConfigError, match="unknown"):
+            CheckerConfig.from_dict(data)
 
     def test_from_json_rejects_non_object(self):
         with pytest.raises(ConfigError):
             CheckerConfig.from_json("[1, 2]")
 
     def test_describe_mentions_the_knobs(self):
-        text = CheckerConfig(strategy="sliced", slice_depth=3,
+        text = CheckerConfig(direction="backward", bound=3,
                              method_params={"k1": 2, "k2": 2}).describe()
-        assert "strategy=sliced" in text
-        assert "slice_depth=3" in text
+        assert "direction=backward" in text
+        assert "bound=3" in text
         assert "k1=2" in text
         dense = CheckerConfig(backend="dense").describe()
         assert "backend=dense" in dense
@@ -180,9 +192,7 @@ class TestRoundTrips:
 
 def _cli_args(**overrides) -> argparse.Namespace:
     """A namespace mirroring the CLI defaults for engine flags."""
-    defaults = dict(backend="tdd", method="contraction", strategy="monolithic",
-                    slice_depth=DEFAULT_SLICE_DEPTH,
-                    k=1, k1=4, k2=4)
+    defaults = dict(backend="tdd", method="contraction", k=1, k1=4, k2=4)
     defaults.update(overrides)
     return argparse.Namespace(**defaults)
 
@@ -213,18 +223,6 @@ class TestFromCliArgs:
                 _cli_args(backend="dense", method="basic"))
         with pytest.raises(ConfigError, match="tdd-only"):
             CheckerConfig.from_cli_args(_cli_args(backend="dense", k1=6))
-        with pytest.raises(ConfigError):
-            CheckerConfig.from_cli_args(
-                _cli_args(backend="dense", strategy="sliced"))
-
-    def test_slice_depth_without_sliced_raises(self):
-        with pytest.raises(ConfigError, match="sliced"):
-            CheckerConfig.from_cli_args(_cli_args(slice_depth=3))
-
-    def test_sliced_flags_flow_through(self):
-        config = CheckerConfig.from_cli_args(
-            _cli_args(strategy="sliced", slice_depth=1))
-        assert (config.strategy, config.slice_depth) == ("sliced", 1)
 
 
 class TestLegacyShims:

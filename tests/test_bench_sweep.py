@@ -13,9 +13,8 @@ from repro.errors import ReproError
 from repro.mc.config import CheckerConfig
 
 
-def tiny_spec(name="tiny", strategies=("monolithic",)):
-    return SweepSpec.from_axes(name, ["ghz", "bv"], [3],
-                               methods=["basic"], strategies=strategies)
+def tiny_spec(name="tiny"):
+    return SweepSpec.from_axes(name, ["ghz", "bv"], [3], methods=["basic"])
 
 
 class TestRunSpec:
@@ -34,12 +33,6 @@ class TestRunSpec:
         assert spec.run_id == ("grover5/contraction/tdd/monolithic/"
                                "k1=2,k2=3/iterations=2")
 
-    def test_run_id_distinguishes_strategies(self):
-        mono = RunSpec(model="ghz", size=3)
-        sliced = RunSpec(model="ghz", size=3,
-                         config=CheckerConfig(strategy="sliced"))
-        assert mono.run_id != sliced.run_id
-
     def test_dict_round_trip(self):
         spec = RunSpec(model="qrw", size=5,
                        config=CheckerConfig(method="addition",
@@ -51,12 +44,14 @@ class TestRunSpec:
         ("model", "nonsense"), ("method", "nonsense"),
         ("backend", "nonsense"), ("strategy", "nonsense")])
     def test_validation(self, field, value):
+        # a strategy other than the two legacy names is still an
+        # unknown config field
         with pytest.raises(ReproError):
             if field == "model":
                 RunSpec(model=value, size=3)
             else:
-                RunSpec(model="ghz", size=3,
-                        config=CheckerConfig(**{field: value}))
+                RunSpec.from_dict({"model": "ghz", "size": 3,
+                                   "config": {field: value}})
 
 
 class TestRunSpecConfigForm:
@@ -79,16 +74,17 @@ class TestRunSpecConfigForm:
                     method="basic")
 
     def test_run_id_format_survives_the_api_change(self):
-        # resume keys must match pre-config artifacts; a sliced run
-        # keeps naming the inline width it always ran with
-        legacy_style = RunSpec(
-            model="grover", size=5,
-            config=CheckerConfig(method="contraction", strategy="sliced",
-                                 method_params={"k1": 2, "k2": 3}),
-            model_params={"iterations": 2})
+        # resume keys must match pre-config artifacts; a run stored
+        # with the sliced strategy loads as the one contraction path
+        # and takes the monolithic run's id
+        legacy_style = RunSpec.from_dict({
+            "model": "grover", "size": 5,
+            "config": {"method": "contraction", "strategy": "sliced",
+                       "slice_depth": 3,
+                       "method_params": {"k1": 2, "k2": 3}},
+            "model_params": {"iterations": 2}})
         assert legacy_style.run_id == (
-            "grover5/contraction/tdd/sliced/jobs=1,depth=2/"
-            "k1=2,k2=3/iterations=2")
+            "grover5/contraction/tdd/monolithic/k1=2,k2=3/iterations=2")
 
     def test_spec_run_id_and_round_trip(self):
         run = RunSpec(model="grover", size=3,
@@ -111,9 +107,8 @@ class TestRunSpecConfigForm:
 class TestSweepSpec:
     def test_axes_product(self):
         spec = SweepSpec.from_axes("s", ["ghz", "bv"], [3, 4],
-                                   methods=["basic", "contraction"],
-                                   strategies=["monolithic", "sliced"])
-        assert len(spec.runs) == 2 * 2 * 2 * 2
+                                   methods=["basic", "contraction"])
+        assert len(spec.runs) == 2 * 2 * 2
         assert len({run.run_id for run in spec.runs}) == len(spec.runs)
 
     def test_from_dict_axes(self):
@@ -150,8 +145,8 @@ class TestSweepSpec:
         assert spec.runs[1].spec == "AG inv"
 
     def test_dense_runs_deduplicated_across_methods(self):
-        # the dense backend ignores methods/strategies: crossing it
-        # with those axes must not duplicate work
+        # the dense backend ignores methods: crossing it with that
+        # axis must not duplicate work
         spec = SweepSpec.from_axes("s", ["ghz"], [3],
                                    methods=["basic", "contraction"],
                                    backends=["tdd", "dense"])
@@ -174,13 +169,6 @@ class TestExecuteRun:
         assert record["dimension"] == 1
         assert record["seconds"] > 0
         assert not record["failed"]
-
-    def test_sliced_strategy_record(self):
-        record = execute_run(RunSpec(
-            model="qrw", size=4,
-            config=CheckerConfig(method="basic", strategy="sliced"),
-            model_params={"steps": 2}))
-        assert record["slices"] > 0
 
     def test_failure_is_captured_not_raised(self):
         # the dense backend refuses large systems — a failed cell must
@@ -445,9 +433,11 @@ class TestDriverAxisAndWarmStart:
 
     def test_parent_artifact_resumes_without_recomputing(
             self, tmp_path, monkeypatch):
-        # an artifact written while the driver and jobs knobs existed:
-        # every config names driver "sequential" and jobs null, and the
-        # sliced rows' run_ids name jobs=1
+        # an artifact written while the driver, jobs and strategy knobs
+        # existed: every config names driver "sequential" and jobs
+        # null, and the sliced rows' run_ids name jobs=1.  The sliced
+        # runs collapse into the monolithic ones, which resume; the
+        # sliced records are left behind without an error
         def run(strategy, spec):
             return {"model": "grover", "size": 3, "label": "grover3",
                     "model_params": {}, "spec": spec,
@@ -477,10 +467,31 @@ class TestDriverAxisAndWarmStart:
 
         monkeypatch.setattr("repro.bench.sweep.execute_run", recompute)
         spec = SweepSpec.from_dict(artifact["spec"])
-        assert [r.run_id for r in spec.runs] == run_ids
+        monolithic = [0, 2]
+        assert [r.run_id for r in spec.runs] == \
+            [run_ids[i] for i in monolithic]
+        assert [r.run_id for r in SweepSpec.from_axes(
+            "parent", ["grover"], [3], methods=["basic"],
+            specs=[None, "AG inv"]).runs] == \
+            [run_ids[i] for i in monolithic]
         result = run_sweep(spec, out_dir=str(tmp_path))
-        assert result.skipped == len(runs)
-        assert result.records == records
+        assert result.skipped == len(monolithic)
+        assert result.records == [records[i] for i in monolithic]
+
+    def test_legacy_strategy_axes_collapse(self):
+        plain = SweepSpec.from_dict({"models": ["ghz"], "sizes": [3],
+                                     "methods": ["basic"]})
+        legacy = SweepSpec.from_dict({
+            "models": ["ghz"], "sizes": [3], "methods": ["basic"],
+            "strategies": ["monolithic", "sliced"], "slice_depth": 3})
+        assert legacy.runs == plain.runs
+
+    @pytest.mark.parametrize("axes", [{"strategies": ["nonsense"]},
+                                      {"slice_depth": -1},
+                                      {"slice_depth": "2"}])
+    def test_other_strategy_axes_rejected(self, axes):
+        with pytest.raises(ReproError, match="unknown"):
+            SweepSpec.from_dict(dict(models=["ghz"], sizes=[3], **axes))
 
     def test_execute_run_records_driver_and_cache_columns(self):
         # the columns of the removed knobs hold the one remaining path
@@ -490,13 +501,14 @@ class TestDriverAxisAndWarmStart:
         assert record["driver"] == "frontier"
         assert record["jobs"] == 1
         assert record["parallel_tasks"] == record["pool_fallbacks"] == 0
+        assert (record["strategy"], record["slice_depth"],
+                record["slices"]) == ("monolithic", 2, 0)
         assert record["cache_warm"] is False
         assert record["verdict"] == "holds"
 
     def test_image_record_driver_defaults(self):
         record = execute_run(RunSpec(
-            model="qrw", size=3,
-            config=CheckerConfig(method="basic", strategy="sliced")))
+            model="qrw", size=3, config=CheckerConfig(method="basic")))
         assert record["driver"] == "frontier"
         assert record["jobs"] == 1
         assert record["parallel_tasks"] == record["pool_fallbacks"] == 0

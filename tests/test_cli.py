@@ -66,10 +66,6 @@ class TestCheck:
             assert main(["check", "grover", "--size", "3",
                          "--spec", "EF marked", "--method", method]) == 0
 
-    def test_sliced_strategy(self, capsys):
-        assert main(["check", "grover", "--size", "3",
-                     "--spec", "AG inv", "--strategy", "sliced"]) == 0
-
     def test_frontier_flag_with_conflicting_driver_errors(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["reach", "qrw", "--size", "3", "--frontier",
@@ -135,16 +131,11 @@ class TestConfigValidation:
                      "--method", "basic"]) == 2
         assert "tdd-only" in capsys.readouterr().err
 
-    def test_dense_with_explicit_strategy_rejected(self, capsys):
-        assert main(["image", "ghz", "--size", "3", "--backend", "dense",
-                     "--strategy", "sliced"]) == 2
-        assert "tdd-only" in capsys.readouterr().err
-
     def test_dense_with_explicit_jobs_rejected(self, capsys):
         # contraction runs in-process: no worker pool width to set
         with pytest.raises(SystemExit) as excinfo:
             main(["image", "ghz", "--size", "3", "--backend", "dense",
-                  "--strategy", "sliced", "--jobs", "2"])
+                  "--jobs", "2"])
         assert excinfo.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
@@ -156,11 +147,6 @@ class TestConfigValidation:
                 main(command + ["--jobs", "2"])
             assert excinfo.value.code == 2
             assert "--jobs" in capsys.readouterr().err
-
-    def test_slice_depth_without_sliced_rejected(self, capsys):
-        assert main(["image", "ghz", "--size", "3",
-                     "--slice-depth", "3"]) == 2
-        assert "sliced" in capsys.readouterr().err
 
     def test_dense_with_default_flags_still_works(self, capsys):
         assert main(["image", "ghz", "--size", "3",
@@ -198,36 +184,21 @@ class TestInvariant:
 
 
 class TestStrategyFlags:
-    def test_image_sliced_inline(self, capsys):
-        assert main(["image", "qrw", "--size", "3",
-                     "--strategy", "sliced"]) == 0
-        out = capsys.readouterr().out
-        assert "strategy=sliced" in out
-        assert "cofactors" in out
-
-    def test_image_sliced_depth(self, capsys):
-        assert main(["image", "ghz", "--size", "3", "--method", "basic",
-                     "--strategy", "sliced", "--slice-depth", "3"]) == 0
-        assert "slice_depth=3" in capsys.readouterr().out
-
-    def test_reach_sliced_matches_monolithic(self, capsys):
-        assert main(["reach", "qrw", "--size", "3",
-                     "--strategy", "sliced"]) == 0
-        sliced_out = capsys.readouterr().out
-        assert main(["reach", "qrw", "--size", "3"]) == 0
-        mono_out = capsys.readouterr().out
-        def dims(text):
-            return [line for line in text.splitlines()
-                    if line.startswith("dimensions")]
-        assert dims(sliced_out) == dims(mono_out)
-
-    def test_slice_depth_flag(self, capsys):
-        assert main(["image", "qrw", "--size", "3", "--strategy",
-                     "sliced", "--slice-depth", "1"]) == 0
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["image", "ghz", "--strategy", "nonsense"])
+    def test_unknown_strategy_rejected(self, capsys):
+        # every contraction is one kernel call: no command takes a
+        # strategy or slice depth any more
+        for command in (["image", "ghz"], ["reach", "qrw"],
+                        ["check", "grover", "--spec", "AG inv"],
+                        ["invariant", "grover"], ["smoke"], ["sweep",
+                        "--models", "ghz", "--sizes", "3"]):
+            for flags in (["--strategy", "sliced"],
+                          ["--strategy", "monolithic"],
+                          ["--slice-depth", "2"], ["--strategies",
+                                                   "monolithic"]):
+                with pytest.raises(SystemExit) as excinfo:
+                    main(command + flags)
+                assert excinfo.value.code == 2
+                assert flags[0] in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -271,11 +242,10 @@ class TestSweepCommand:
 
 
 class TestBenchForwarders:
-    def test_smoke_strategy_forward(self, capsys):
-        # the smoke wrapper forwards strategy flags to the harness
-        assert main(["smoke", "--model", "ghz", "--size", "3",
-                     "--strategy", "monolithic"]) == 0
-        assert "strategy=monolithic" in capsys.readouterr().out
+    def test_smoke_forward(self, capsys):
+        # the smoke wrapper forwards model and size to the harness
+        assert main(["smoke", "--model", "ghz", "--size", "3"]) == 0
+        assert "ghz3" in capsys.readouterr().out
 
 
 class TestStoreFlag:

@@ -12,7 +12,6 @@ import pytest
 
 from repro.cli import main
 from repro.image.engine import METHODS
-from repro.image.sliced import STRATEGIES
 from repro.mc.config import BACKENDS
 from repro.systems import models
 
@@ -52,18 +51,21 @@ class TestCliReferenceInSync:
 
     def test_image_flags_documented(self, capsys, readme):
         text = help_text(capsys, ["image", "--help"])
-        for flag in ("--size", "--method", "--backend", "--strategy",
-                     "--slice-depth", "--k1", "--k2",
+        for flag in ("--size", "--method", "--backend", "--k1", "--k2",
                      "--direction", "--bound"):
             assert flag in text
             assert flag.lstrip("-").replace("-", "") in \
                 readme.replace("-", ""), \
                 f"flag {flag} missing from README"
+        # every contraction is one kernel call: no strategy flags
+        for gone in ("--strategy", "--slice-depth"):
+            assert gone not in text
+            assert gone not in readme
 
     def test_check_flags_documented(self, capsys, readme):
         text = help_text(capsys, ["check", "--help"])
         for flag in ("--spec", "--max-iterations", "--backend",
-                     "--strategy", "--direction", "--bound"):
+                     "--direction", "--bound"):
             assert flag in text
             assert flag.lstrip("-").replace("-", "") in \
                 readme.replace("-", ""), \
@@ -96,7 +98,7 @@ class TestCliReferenceInSync:
     def test_sweep_flags_documented(self, capsys, readme):
         text = help_text(capsys, ["sweep", "--help"])
         for flag in ("--spec", "--models", "--sizes", "--methods",
-                     "--backends", "--strategies", "--directions",
+                     "--backends", "--directions",
                      "--bounds", "--check", "--jobs",
                      "--out", "--no-resume", "--no-warm-start"):
             assert flag in text
@@ -106,8 +108,6 @@ class TestCliReferenceInSync:
         from repro.image.engine import DIRECTIONS
         for method in METHODS:
             assert method in readme
-        for strategy in STRATEGIES:
-            assert strategy in readme
         for backend in BACKENDS:
             assert backend in readme
         for direction in DIRECTIONS:

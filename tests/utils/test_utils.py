@@ -71,14 +71,14 @@ class TestStatsRecorder:
 
     def test_merge_keeps_extra(self):
         a = StatsRecorder()
-        a.extra.update(blocks=2, strategy="sliced", cache_warm=False)
+        a.extra.update(blocks=2, cache_source="disk", cache_warm=False)
         b = StatsRecorder()
-        b.extra.update(blocks=3, strategy="monolithic", cache_warm=True,
+        b.extra.update(blocks=3, cache_source="memory", cache_warm=True,
                        direction="backward")
         a.merge(b)
         # every key keeps the first value, numeric or not; new keys
         # are copied over
-        assert a.extra == {"blocks": 2, "strategy": "sliced",
+        assert a.extra == {"blocks": 2, "cache_source": "disk",
                            "cache_warm": False, "direction": "backward"}
         assert b.extra["blocks"] == 3
 
