@@ -1,25 +1,16 @@
-"""Shared benchmark plumbing.
+"""The table row shared by the benchmark harnesses.
 
-A benchmark run builds a *fresh* QTS (so transition-TDD construction is
-included in the measured time, matching the paper's methodology),
-computes one image, and reports wall seconds + peak TDD node count —
-the two columns of Table I — plus the kernel instrumentation: cache
-hit rate and the peak/post-GC live-node population.
-
-:class:`BenchRow` is the presentation type shared by the table
-harnesses; batch execution itself lives in :mod:`repro.bench.sweep`
-(the tables are thin wrappers over sweep specs) and
-:meth:`BenchRow.from_record` adapts a sweep record into a table row.
+A Table I cell reports wall seconds + peak TDD node count — the
+paper's two columns — plus the kernel instrumentation: cache hit rate
+and the peak/post-GC live-node population.  Execution lives in
+:mod:`repro.bench.sweep` (the harnesses are thin wrappers over sweep
+specs) and :meth:`BenchRow.from_record` adapts a sweep record into a
+table row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-from repro.image.engine import compute_image
-from repro.mc.config import CheckerConfig
-from repro.systems.qts import QuantumTransitionSystem
 
 
 @dataclass
@@ -69,28 +60,3 @@ class BenchRow:
                    peak_live_nodes=record["peak_live_nodes"],
                    live_nodes=record["live_nodes"])
 
-
-def run_image_benchmark(builder: Callable[[], QuantumTransitionSystem],
-                        label: str, config: CheckerConfig,
-                        timeout_seconds: Optional[float] = None
-                        ) -> BenchRow:
-    """Run one image computation and collect the Table I columns.
-
-    The escape hatch for ad-hoc builders (tests, custom systems);
-    named-model grids go through :mod:`repro.bench.sweep` instead.
-    ``timeout_seconds`` is a *soft* cap checked after the run (pure
-    Python cannot preempt a contraction); callers use generous caps and
-    pre-sized workloads instead of relying on it.
-    """
-    qts = builder()
-    result = compute_image(qts, config=config)
-    row = BenchRow(benchmark=label, method=config.method,
-                   seconds=result.stats.seconds,
-                   max_nodes=result.stats.max_nodes,
-                   dimension=result.dimension,
-                   cache_hit_rate=result.stats.cache_hit_rate,
-                   peak_live_nodes=result.stats.peak_live_nodes,
-                   live_nodes=result.stats.live_nodes)
-    if timeout_seconds is not None and row.seconds > timeout_seconds:
-        row.timed_out = True
-    return row

@@ -5,6 +5,7 @@ methods (basic / addition / contraction / hybrid) and prints the Table
 I columns plus the kernel instrumentation — cache hit rate and the
 post-GC/peak live-node population.  CI runs this to catch perf or
 instrumentation regressions without paying for the full Table I grid.
+The four runs are a :mod:`repro.bench.sweep` spec, like Table I's grid.
 
 Run:  ``python -m repro.bench.smoke [--model grover] [--size 6]``
 """
@@ -13,12 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.bench.runner import run_image_benchmark
+from repro.bench.runner import BenchRow
+from repro.bench.sweep import RunSpec, SweepSpec, run_sweep
+from repro.errors import ReproError
 from repro.mc.config import CheckerConfig
-from repro.systems import models
-
 from repro.utils.tables import format_table
 
 #: method name -> image parameters (Table I settings + the hybrid row)
@@ -29,27 +30,40 @@ SMOKE_METHODS: Dict[str, dict] = {
     "hybrid": {"k": 1, "k1": 4, "k2": 4},
 }
 
-_BUILDERS: Dict[str, Callable[[int], object]] = {
-    "ghz": models.ghz_qts,
-    "bv": models.bv_qts,
-    "qft": models.qft_qts,
-    "grover": lambda n: models.grover_qts(n, iterations=2),
-    "qrw": lambda n: models.qrw_qts(n, 0.1, steps=2),
+#: model name -> builder parameters
+SMOKE_MODELS: Dict[str, dict] = {
+    "ghz": {},
+    "bv": {},
+    "qft": {},
+    "grover": {"iterations": 2},
+    "qrw": {"noise_probability": 0.1, "steps": 2},
 }
 
-def smoke_rows(model: str = "grover", size: int = 6) -> List:
-    builder = _BUILDERS[model]
-    label = f"{model}{size}"
-    return [run_image_benchmark(
-                lambda: builder(size), label,
-                CheckerConfig(method=method, method_params=params))
-            for method, params in SMOKE_METHODS.items()]
+
+def smoke_spec(model: str = "grover", size: int = 6) -> SweepSpec:
+    """One run per image method on ``model`` at ``size``."""
+    return SweepSpec(name=f"smoke-{model}{size}", runs=[
+        RunSpec(model=model, size=size,
+                config=CheckerConfig(method=method,
+                                     method_params=dict(params)),
+                model_params=dict(SMOKE_MODELS[model]))
+        for method, params in SMOKE_METHODS.items()])
+
+
+def smoke_rows(model: str = "grover", size: int = 6) -> List[BenchRow]:
+    """Run :func:`smoke_spec`; a failed run raises instead of printing
+    as a dashed row."""
+    result = run_sweep(smoke_spec(model, size))
+    for record in result.failed:
+        raise ReproError(f"smoke run {record['run_id']} failed: "
+                         f"{record['error']}")
+    return [BenchRow.from_record(record) for record in result.records]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--model", default="grover",
-                        choices=sorted(_BUILDERS))
+                        choices=sorted(SMOKE_MODELS))
     parser.add_argument("--size", type=int, default=6)
     args = parser.parse_args(argv)
     rows = smoke_rows(args.model, args.size)

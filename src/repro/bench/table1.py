@@ -35,8 +35,8 @@ TABLE1_METHODS: Dict[str, dict] = {
 
 #: family -> ((model name, model params), sizes per scale, method skip)
 #: Grover runs two composed iterations — the regime where the
-#: monolithic operator TDD grows and the partition methods pay off
-#: (EXPERIMENTS.md); QRW runs four composed walk steps.
+#: monolithic operator TDD grows and the partition methods pay off;
+#: QRW runs four composed walk steps.
 FamilySpec = Tuple[Tuple[str, dict], Dict[str, List[int]],
                    Callable[[str, int], bool]]
 

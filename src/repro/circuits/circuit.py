@@ -65,9 +65,6 @@ class QuantumCircuit:
     def t(self, q: int) -> "QuantumCircuit":
         return self.append(gl.t(q))
 
-    def sx(self, q: int) -> "QuantumCircuit":
-        return self.append(gl.sx(q))
-
     def rx(self, theta: float, q: int) -> "QuantumCircuit":
         return self.append(gl.rx(theta, q))
 
@@ -96,9 +93,6 @@ class QuantumCircuit:
             control_states: Optional[Sequence[int]] = None
             ) -> "QuantumCircuit":
         return self.append(gl.cnx(controls, t, control_states))
-
-    def swap(self, a: int, b: int) -> "QuantumCircuit":
-        return self.append(gl.swap(a, b))
 
     def proj(self, q: int, outcome: int) -> "QuantumCircuit":
         return self.append(gl.proj(q, outcome))

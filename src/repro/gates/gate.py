@@ -98,10 +98,6 @@ class Gate:
         return self.controls + self.targets
 
     @property
-    def num_targets(self) -> int:
-        return len(self.targets)
-
-    @property
     def is_multi_qubit(self) -> bool:
         return len(self.qubits) > 1
 
@@ -109,15 +105,6 @@ class Gate:
     def is_scalar(self) -> bool:
         """True for the zero-qubit global-scalar gate (Kraus weights)."""
         return not self.targets and not self.controls
-
-    @property
-    def advances_wire(self) -> dict:
-        """Map qubit -> True when the gate consumes/produces distinct
-        indices on that wire (False for controls and diagonal wires)."""
-        out = {q: False for q in self.controls}
-        for q in self.targets:
-            out[q] = not self.diagonal
-        return out
 
     # ------------------------------------------------------------------
     def operator_matrix(self) -> np.ndarray:

@@ -35,16 +35,8 @@ def s(qubit: int) -> Gate:
     return Gate("s", (qubit,), gm.S)
 
 
-def sdg(qubit: int) -> Gate:
-    return Gate("sdg", (qubit,), gm.SDG)
-
-
 def t(qubit: int) -> Gate:
     return Gate("t", (qubit,), gm.T)
-
-
-def tdg(qubit: int) -> Gate:
-    return Gate("tdg", (qubit,), gm.TDG)
 
 
 def sx(qubit: int) -> Gate:
@@ -65,10 +57,6 @@ def rz(theta: float, qubit: int) -> Gate:
 
 def p(theta: float, qubit: int) -> Gate:
     return Gate("p", (qubit,), gm.phase(theta))
-
-
-def u3(theta: float, phi: float, lam: float, qubit: int) -> Gate:
-    return Gate("u3", (qubit,), gm.u3(theta, phi, lam))
 
 
 def cx(control: int, target: int) -> Gate:

@@ -20,9 +20,7 @@ Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV
 S = np.array([[1, 0], [0, 1j]], dtype=complex)
-SDG = S.conj().T
 T = np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)
-TDG = T.conj().T
 SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
 
 #: Measurement projectors onto |0><0| and |1><1|.
@@ -53,14 +51,6 @@ def rz(theta: float) -> np.ndarray:
 def phase(theta: float) -> np.ndarray:
     """The phase gate diag(1, e^{i theta}) (QFT's controlled rotation)."""
     return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
-
-
-def u3(theta: float, phi: float, lam: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array(
-        [[c, -np.exp(1j * lam) * s],
-         [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]],
-        dtype=complex)
 
 
 def is_diagonal(matrix: np.ndarray, tol: float = 1e-12) -> bool:

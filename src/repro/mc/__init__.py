@@ -14,7 +14,6 @@ cross-validation ride on the same machinery.
 from repro.mc.reachability import (ReachabilityCache, ReachabilityTrace,
                                    reachable_space)
 from repro.mc.drivers import FrontierDriver
-from repro.mc.invariants import (is_invariant, image_equals, image_contained_in)
 from repro.mc.config import BACKENDS, CheckerConfig
 from repro.mc.backends import (Backend, CrossValidation,
                                DenseStatevectorBackend, TDDBackend,
@@ -30,7 +29,6 @@ from repro.mc.witness import WitnessTrace, extract_witness_trace
 __all__ = [
     "reachable_space", "ReachabilityCache", "ReachabilityTrace",
     "FrontierDriver",
-    "is_invariant", "image_equals", "image_contained_in",
     "Backend", "BACKENDS", "CheckerConfig", "CrossValidation",
     "DenseStatevectorBackend", "TDDBackend",
     "cross_validate", "make_backend",

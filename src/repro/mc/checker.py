@@ -35,7 +35,6 @@ from repro.errors import SpecError
 from repro.image.base import ImageResult
 from repro.mc.backends import CrossValidation, cross_validate, make_backend
 from repro.mc.config import CheckerConfig
-from repro.mc.invariants import invariant_holds
 from repro.mc.logic import Always, Atomic, Proposition, TemporalSpec
 from repro.mc.reachability import (ReachabilityCache, ReachabilityTrace,
                                    cached_reachable)
@@ -380,7 +379,7 @@ class ModelChecker:
             # preimage here
             image = self.backend.compute_image(
                 self.qts, subspace, direction="forward").subspace
-            return invariant_holds(image, subspace, strict)
+            return image.equals(subspace)
         return self.check(Always(Atomic(subspace, "S")), initial=subspace,
                           max_iterations=1, direction="forward").holds
 

@@ -10,13 +10,6 @@ Gram-Schmidt join of subspaces (Section IV.B).
 from repro.subspace.subspace import Subspace, StateSpace
 from repro.subspace.projector import apply_projector, basis_decompose
 from repro.subspace.join import join, orthonormalize
-from repro.subspace.metrics import (chordal_distance, principal_angles,
-                                    projector_distance, subspace_fidelity)
-from repro.subspace.reduce import (reduced_density, reduced_density_matrix,
-                                   reduced_support)
 
 __all__ = ["Subspace", "StateSpace", "apply_projector", "basis_decompose",
-           "join", "orthonormalize",
-           "chordal_distance", "principal_angles", "projector_distance",
-           "subspace_fidelity",
-           "reduced_density", "reduced_density_matrix", "reduced_support"]
+           "join", "orthonormalize"]

@@ -44,13 +44,6 @@ class StateSpace:
         """``2^n``, the dimension of the whole space."""
         return 2 ** self.num_qubits
 
-    # ------------------------------------------------------------------
-    def ket_of(self, qubit: int) -> Index:
-        return self.kets[qubit]
-
-    def bra_of(self, qubit: int) -> Index:
-        return self.bras[qubit]
-
     @property
     def ket_levels(self) -> Tuple[int, ...]:
         """The sorted manager levels of the kets, the summed levels of
@@ -59,10 +52,6 @@ class StateSpace:
             self._ket_levels = tuple(sorted(self.manager.level(k)
                                             for k in self.kets))
         return self._ket_levels
-
-    def bra_map(self) -> dict:
-        """ket -> bra renaming map."""
-        return dict(zip(self.kets, self.bras))
 
     # ------------------------------------------------------------------
     # state constructors
@@ -87,10 +76,6 @@ class StateSpace:
         arr = np.asarray(amplitudes, dtype=complex).reshape(
             (2,) * self.num_qubits)
         return tc.from_numpy(self.manager, arr, self.kets)
-
-    def to_bra(self, state: TDD) -> TDD:
-        """The bra of a ket state: conjugate + ket->bra renaming."""
-        return state.conj().rename(self.bra_map())
 
     # ------------------------------------------------------------------
     def zero_subspace(self) -> "Subspace":

@@ -79,8 +79,7 @@ def grover_qts(num_qubits: int,
     transition circuit.  A single iteration's operator TDD happens to
     stay compact under the qubit-major order; composing iterations
     makes the monolithic operator genuinely mix, which is the regime
-    where the paper's basic-vs-contraction gap shows (see
-    EXPERIMENTS.md).
+    where the paper's basic-vs-contraction gap shows.
     """
     circuit = _repeat(grover_iteration(num_qubits), max(1, iterations))
     op = QuantumOperation.unitary("G", circuit)

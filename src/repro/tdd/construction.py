@@ -7,8 +7,7 @@ a dense tensor:
 
 * :func:`delta` — the rank-k "all indices equal" tensor (identity wires
   and hyper-edge merging),
-* :func:`indicator` / :func:`indicator_pattern` — 1 iff every index
-  carries a given bit,
+* :func:`indicator_pattern` — 1 iff every index carries its given bit,
 * :func:`basis_state` / :func:`computational_basis_projector`.
 
 Gate diagrams are not built here: :meth:`repro.gates.gate.Gate.to_tdd`
@@ -38,14 +37,6 @@ def zero(manager: TDDManager, indices: Iterable[Index] = ()) -> TDD:
 def scalar(manager: TDDManager, value: complex) -> TDD:
     """A rank-0 tensor."""
     return TDD(manager, manager.scalar_edge(value), ())
-
-
-def ones(manager: TDDManager, indices: Iterable[Index]) -> TDD:
-    """The all-ones tensor over ``indices``."""
-    indices = tuple(indices)
-    for idx in indices:
-        manager.register(idx)
-    return TDD(manager, manager.scalar_edge(1), indices)
 
 
 def from_numpy(manager: TDDManager, array: np.ndarray,
@@ -114,21 +105,6 @@ def delta(manager: TDDManager, indices: Iterable[Index]) -> TDD:
     return TDD(manager, root, indices)
 
 
-def indicator(manager: TDDManager, indices: Iterable[Index],
-              value: int = 1) -> TDD:
-    """1 iff every index equals ``value``, else 0."""
-    indices = tuple(indices)
-    for idx in indices:
-        manager.register(idx)
-    root = manager.scalar_edge(1)
-    for level in sorted((manager.level(i) for i in indices), reverse=True):
-        if value:
-            root = manager.make_node(level, manager.zero_edge(), root)
-        else:
-            root = manager.make_node(level, root, manager.zero_edge())
-    return TDD(manager, root, indices)
-
-
 def indicator_pattern(manager: TDDManager, indices: Sequence[Index],
                       bits: Sequence[int]) -> TDD:
     """1 iff index *i* equals ``bits[i]`` for all *i* (anti-controls)."""
@@ -165,22 +141,6 @@ def computational_basis_projector(manager: TDDManager,
     """The rank-1 projector |bits⟩⟨bits| as a matrix tensor."""
     ket = basis_state(manager, row_indices, bits)
     bra = basis_state(manager, col_indices, bits)
-    return ket.product(bra)
-
-
-def outer_product(ket: TDD, bra_source: TDD,
-                  bra_indices: Sequence[Index]) -> TDD:
-    """|ket⟩⟨bra_source| with the bra relabelled onto ``bra_indices``.
-
-    ``bra_source`` must have the same number of indices as
-    ``bra_indices``; it is conjugated and renamed index-by-index in
-    sorted order.
-    """
-    src = list(bra_source.indices)
-    if len(src) != len(bra_indices):
-        raise TDDError("bra index count mismatch")
-    mapping = dict(zip(src, bra_indices))
-    bra = bra_source.conj().rename(mapping)
     return ket.product(bra)
 
 

@@ -80,7 +80,7 @@ class TestOperatorMatrix:
 
     def test_adjoint(self):
         gate = gl.t(0)
-        assert np.allclose(gate.adjoint().matrix, gm.TDG)
+        assert np.allclose(gate.adjoint().matrix, gm.T.conj().T)
         cgate = gl.cp(0.7, 0, 1)
         assert np.allclose(cgate.adjoint().operator_matrix(),
                            cgate.operator_matrix().conj().T)

@@ -9,7 +9,7 @@ from repro.gates import matrices as gm
 
 class TestFactories:
     def test_single_qubit_names_and_targets(self):
-        for name in ("h", "x", "y", "z", "s", "t", "sx", "sdg", "tdg"):
+        for name in ("h", "x", "y", "z", "s", "t", "sx"):
             gate = getattr(gl, name)(3)
             assert gate.targets == (3,)
             assert gate.name == name
@@ -54,10 +54,6 @@ class TestFactories:
         gate = gl.matrix_gate("hx", (1, 2), mat)
         assert gate.targets == (1, 2)
         assert np.allclose(gate.matrix, mat)
-
-    def test_u3(self):
-        gate = gl.u3(0.1, 0.2, 0.3, 0)
-        assert gm.is_unitary(gate.matrix)
 
     def test_cnu(self):
         gate = gl.cnu([0, 1], 2, gm.H, name="cch")

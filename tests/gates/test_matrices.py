@@ -10,7 +10,7 @@ from repro.gates import matrices as gm
 
 UNITARIES = {
     "I": gm.I, "X": gm.X, "Y": gm.Y, "Z": gm.Z, "H": gm.H,
-    "S": gm.S, "SDG": gm.SDG, "T": gm.T, "TDG": gm.TDG, "SX": gm.SX,
+    "S": gm.S, "T": gm.T, "SX": gm.SX,
     "SWAP": gm.SWAP,
 }
 
@@ -24,9 +24,6 @@ class TestUnitarity:
     def test_rotations_unitary(self, theta):
         for factory in (gm.rx, gm.ry, gm.rz, gm.phase):
             assert gm.is_unitary(factory(theta))
-
-    def test_u3_unitary(self):
-        assert gm.is_unitary(gm.u3(0.3, 1.1, 2.2))
 
 
 class TestAlgebra:

@@ -1,27 +1,19 @@
 """Property tests across the circuit pipeline.
 
-Random circuits through: TDD operator vs dense simulator, QASM round
-trips, decomposition invariance, and network contraction-order
-invariance.
+Random circuits through: TDD operator vs dense simulator and network
+contraction-order invariance.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.decompose import decompose_circuit
 from repro.circuits.library import random_circuit
 from repro.circuits.network import circuit_to_tdd, circuit_to_tdd_network
 from repro.sim.statevector import circuit_unitary
 from repro.tdd.manager import TDDManager
 
 SEEDS = st.integers(min_value=0, max_value=10 ** 6)
-
-
-def _equal_up_to_phase(u, v, atol=1e-8):
-    ratio = u @ v.conj().T
-    return (np.allclose(ratio, ratio[0, 0] * np.eye(u.shape[0]), atol=atol)
-            and np.isclose(abs(ratio[0, 0]), 1.0, atol=atol))
 
 
 class TestOperatorConsistency:
@@ -48,30 +40,6 @@ class TestOperatorConsistency:
         u = circuit_unitary(circuit)
         v = circuit_unitary(circuit.inverse())
         assert np.allclose(u @ v, np.eye(8), atol=1e-8)
-
-
-class TestDecomposition:
-    @given(SEEDS)
-    @settings(max_examples=8)
-    def test_lowering_preserves_unitary(self, seed):
-        circuit = random_circuit(3, 10, seed=seed)
-        lowered = decompose_circuit(circuit, keep_ccx=False)
-        for gate in lowered.gates:
-            assert len(gate.qubits) <= 2
-        assert _equal_up_to_phase(circuit_unitary(lowered),
-                                  circuit_unitary(circuit))
-
-
-class TestQASM:
-    @given(SEEDS)
-    @settings(max_examples=8)
-    def test_round_trip(self, seed):
-        from repro.circuits.qasm import parse_qasm, to_qasm
-        circuit = random_circuit(3, 10, seed=seed, allow_ccx=True)
-        text = to_qasm(circuit)
-        parsed = parse_qasm(text)
-        assert _equal_up_to_phase(circuit_unitary(parsed),
-                                  circuit_unitary(circuit))
 
 
 class TestNetworkOrderInvariance:

@@ -78,18 +78,6 @@ class TestDelta:
 
 
 class TestIndicator:
-    def test_all_ones_indicator(self, manager):
-        t = tc.indicator(manager, idx("a0", "a1"))
-        expect = np.zeros((2, 2))
-        expect[1, 1] = 1
-        assert np.allclose(t.to_numpy(), expect)
-
-    def test_all_zeros_indicator(self, manager):
-        t = tc.indicator(manager, idx("a0", "a1"), value=0)
-        expect = np.zeros((2, 2))
-        expect[0, 0] = 1
-        assert np.allclose(t.to_numpy(), expect)
-
     def test_pattern(self, manager):
         t = tc.indicator_pattern(manager, idx("a0", "a1", "a2"), [1, 0, 1])
         arr = t.to_numpy()
@@ -105,10 +93,6 @@ class TestStates:
         t = tc.basis_state(manager, idx("a0", "a1", "a2"), [0, 1, 1])
         arr = t.to_numpy()
         assert arr[0, 1, 1] == 1 and np.abs(arr).sum() == 1
-
-    def test_ones(self, manager):
-        t = tc.ones(manager, idx("a0", "a1"))
-        assert np.allclose(t.to_numpy(), np.ones((2, 2)))
 
     def test_identity_matrix(self, manager):
         t = tc.identity(manager, idx("a0", "a2"), idx("a1", "a3"))
@@ -127,9 +111,3 @@ class TestStates:
         expect = np.zeros((2, 2))
         expect[1, 1] = 1
         assert np.allclose(arr, expect)
-
-    def test_outer_product(self, manager, rng):
-        v = random_tensor(rng, 1)
-        ket = tc.from_numpy(manager, v, idx("a0"))
-        outer = tc.outer_product(ket, ket, idx("a1"))
-        assert np.allclose(outer.to_numpy(), np.outer(v, v.conj()))

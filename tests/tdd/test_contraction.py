@@ -64,7 +64,7 @@ class TestMatrixSemantics:
         ta = tc.from_numpy(manager, a, idx("a0"))
         tb = tc.from_numpy(manager, b, idx("a0"))
         # a4 is a free index of neither operand -> declared via ones
-        ones = tc.ones(manager, idx("a4"))
+        ones = tc.from_numpy(manager, np.ones(2), idx("a4"))
         result = ta.product(ones).contract(tb, idx("a0", "a4"))
         assert np.isclose(result.scalar_value(), 2 * np.sum(a * b))
 

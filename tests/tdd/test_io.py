@@ -67,7 +67,7 @@ class TestToDict:
         m = fresh_manager(["a0", "a1"])
         # f = a0 XOR-like sharing: both branches point at same child
         inner = tc.basis_state(m, idx("a1"), [1])
-        t = tc.ones(m, idx("a0")).product(inner)
+        t = tc.from_numpy(m, np.ones(2), idx("a0")).product(inner)
         data = to_dict(t)
         labels = [n.get("index") for n in data["nodes"]]
         assert labels.count("a1") == 1

@@ -1,5 +1,6 @@
 """TDD serialisation round trips (to_dict / from_dict)."""
 
+import itertools
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import numpy as np
 from repro.indices.index import Index
 from repro.tdd import construction as tc
 from repro.tdd.io import from_dict, to_dict
+from repro.tdd.slicing import slice_many
 
 from tests.helpers import fresh_manager, random_tensor
 
@@ -105,16 +107,14 @@ class TestIPCRoundTripProperty:
 
     def test_cofactor_sum_equals_whole(self, rng):
         """slice -> ship -> recombine reproduces the original tensor."""
-        from repro.tdd.slicing import enumerate_cofactors
-
         names = ["a0", "a1", "a2", "a3"]
         parent = fresh_manager(names)
         arr = random_tensor(rng, 4)
         t = tc.from_numpy(parent, arr, idx(*names))
         worker = fresh_manager(names)
         total = None
-        for _assignment, edge in enumerate_cofactors(parent, t.root,
-                                                     [0, 1]):
+        for bits in itertools.product((0, 1), repeat=2):
+            edge = slice_many(parent, t.root, dict(zip((0, 1), bits)))
             part = from_dict(worker, to_dict(
                 type(t)(parent, edge, t.indices[2:])))
             total = part if total is None else total + part

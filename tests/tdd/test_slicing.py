@@ -54,7 +54,7 @@ class TestSlice:
         # slicing an index the diagram does not branch on: value keeps
         arr = random_tensor(rng, 1)
         t = tc.from_numpy(manager, arr, idx("a0"))
-        ones = tc.ones(manager, idx("a1"))
+        ones = tc.from_numpy(manager, np.ones(2), idx("a1"))
         combined = t.product(ones)
         sliced = combined.slice({Index("a1"): 1})
         assert np.allclose(sliced.to_numpy(), arr)
@@ -108,7 +108,7 @@ class TestFirstNonzero:
 
     def test_unconstrained_levels_omitted(self, manager):
         # tensor constant in a0: assignment may omit it
-        ones = tc.ones(manager, idx("a0"))
+        ones = tc.from_numpy(manager, np.ones(2), idx("a0"))
         level0 = manager.level(Index("a0"))
         assignment = first_nonzero_assignment(ones.root, frozenset([level0]))
         assert assignment == {}

@@ -1,34 +1,27 @@
 """Unit tests for the Table I / Table II harness plumbing."""
 
-from repro.bench.runner import BenchRow, run_image_benchmark
+import pytest
+
+from repro.bench.runner import BenchRow
+from repro.bench.smoke import smoke_rows
 from repro.bench.table1 import (FAMILIES, TABLE1_METHODS, format_rows,
                                 table1_rows)
 from repro.bench.table2 import format_grid, sweep
-from repro.mc.config import CheckerConfig
+from repro.errors import ReproError
 from repro.systems import models
-
-#: the basic image method (no partitioning)
-BASIC = CheckerConfig(method="basic")
-#: the contraction method with small partition blocks
-CONTRACTION_K2 = CheckerConfig(method="contraction",
-                               method_params={"k1": 2, "k2": 2})
 
 
 class TestRunner:
     def test_row_fields(self):
-        row = run_image_benchmark(lambda: models.ghz_qts(4), "GHZ4",
-                                  CONTRACTION_K2)
-        assert row.benchmark == "GHZ4"
-        assert row.dimension == 1
-        assert row.seconds > 0
-        assert row.max_nodes > 0
-        assert not row.timed_out
-
-    def test_soft_timeout_marks_row(self):
-        row = run_image_benchmark(lambda: models.ghz_qts(6), "GHZ6", BASIC,
-                                  timeout_seconds=0.0)
-        assert row.timed_out
-        assert row.cells() == ("GHZ6", "basic", "-", "-", "-", "-")
+        rows = smoke_rows("ghz", 4)
+        assert [row.method for row in rows] == [
+            "basic", "addition", "contraction", "hybrid"]
+        for row in rows:
+            assert row.benchmark == "ghz4"
+            assert row.dimension == 1
+            assert row.seconds > 0
+            assert row.max_nodes > 0
+            assert not row.timed_out
 
     def test_cells_format(self):
         row = BenchRow("X", "basic", 1.234, 42, 1,
@@ -37,10 +30,16 @@ class TestRunner:
         assert row.cells() == ("X", "basic", "1.23", "42", "50%", "10/100")
 
     def test_instrumentation_fields(self):
-        row = run_image_benchmark(lambda: models.ghz_qts(4), "GHZ4",
-                                  CONTRACTION_K2)
-        assert 0.0 <= row.cache_hit_rate <= 1.0
-        assert 0 < row.live_nodes <= row.peak_live_nodes
+        for row in smoke_rows("ghz", 4):
+            assert 0.0 <= row.cache_hit_rate <= 1.0
+            assert 0 < row.live_nodes <= row.peak_live_nodes
+
+    def test_failed_run_raises(self, monkeypatch):
+        def broken(name, size, **options):
+            raise ValueError("no such circuit")
+        monkeypatch.setattr(models, "build_model", broken)
+        with pytest.raises(ReproError, match="no such circuit"):
+            smoke_rows("ghz", 4)
 
 
 class TestTable1:

@@ -5,6 +5,7 @@ A snapshot-style test: the subcommands and key flags that
 documented in README.md, so the CLI reference cannot silently drift.
 """
 
+import importlib
 import os
 import re
 
@@ -140,3 +141,47 @@ class TestQuickstartCommands:
             with pytest.raises(SystemExit) as excinfo:
                 cli_main([argv[0], "--help"])
             assert excinfo.value.code == 0, argv
+
+
+class TestNamedPathsExist:
+    """Every backticked ``*.py`` path and ``repro.*`` name in the docs
+    must exist, so deleting a module cannot leave a dangling name."""
+
+    ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+    DOCS = ("README.md", "ARCHITECTURE.md",
+            os.path.join(".claude", "skills", "verify", "SKILL.md"))
+    #: where a relative path may be rooted: the repo, the package, or
+    #: the examples directory (the README lists examples by file name)
+    BASES = ("", os.path.join("src", "repro"), "examples")
+
+    @staticmethod
+    def _resolves(dotted: str) -> bool:
+        parts = dotted.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            for attr in parts[cut:]:
+                if not hasattr(obj, attr):
+                    return False
+                obj = getattr(obj, attr)
+            return True
+        return False
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_named_paths_and_modules_exist(self, doc):
+        with open(os.path.join(self.ROOT, doc), "r",
+                  encoding="utf-8") as handle:
+            spans = re.findall(r"`([^`\n]+)`", handle.read())
+        paths = {p for span in spans
+                 for p in re.findall(r"[\w./-]+\.py\b", span)}
+        names = {n for span in spans
+                 for n in re.findall(r"\brepro(?:\.\w+)+", span)}
+        assert paths or names, f"{doc} names no path"
+        missing = sorted(
+            p for p in paths
+            if not any(os.path.exists(os.path.join(self.ROOT, base, p))
+                       for base in self.BASES))
+        missing += sorted(n for n in names if not self._resolves(n))
+        assert not missing, f"{doc} names what does not exist: {missing}"
