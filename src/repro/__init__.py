@@ -7,7 +7,8 @@ operation caches, root-based garbage collection — see
 ``ARCHITECTURE.md``), quantum circuits as tensor networks, subspace
 algebra, quantum transition systems, four image computation algorithms
 (basic / addition partition / contraction partition / hybrid) and a
-model-checking layer with pluggable backends on top.
+model-checking layer on top that runs on the symbolic engine or a
+dense statevector reference.
 
 The public API is organised around two first-class objects:
 
@@ -42,10 +43,10 @@ Quickstart::
     assert checker.cross_validate(spec="AG inv").ok
 
 ``CheckerConfig`` is the only configuration spelling: every engine
-surface (``ModelChecker``, ``make_backend``, ``compute_image``,
-``reachable_space``, the sweep ``RunSpec``) takes one, and one
-fixpoint loop — the frontier schedule, which images only the
-directions each round adds — serves both backends.
+surface (``ModelChecker``, ``compute_image``, ``reachable_space``, the
+sweep ``RunSpec``) takes one, and one fixpoint loop —
+``reachable_space``, which images only the directions each round
+adds — serves both backends.
 """
 
 from repro.circuits.circuit import QuantumCircuit
@@ -56,11 +57,8 @@ from repro.image import (AdditionImageComputer, BasicImageComputer,
                          compute_image, make_computer)
 from repro.indices.index import Index, wire
 from repro.indices.order import IndexOrder
-from repro.mc.backends import (Backend, DenseStatevectorBackend, TDDBackend,
-                               cross_validate, make_backend)
-from repro.mc.checker import CheckResult, ModelChecker
+from repro.mc.checker import CheckResult, ModelChecker, cross_validate
 from repro.mc.config import CheckerConfig
-from repro.mc.drivers import FrontierDriver
 from repro.mc.logic import (Always, Atomic, Eventually, Join, Meet, Name,
                             Not, Proposition)
 from repro.mc.reachability import (ReachabilityCache, ReachabilityTrace,
@@ -82,10 +80,8 @@ __all__ = [
     "ContractionImageComputer", "ImageEngine", "ImageResult",
     "compute_image", "make_computer",
     "Index", "wire", "IndexOrder",
-    "Backend", "DenseStatevectorBackend", "TDDBackend",
-    "cross_validate", "make_backend",
+    "cross_validate",
     "CheckerConfig", "CheckResult", "ModelChecker", "reachable_space",
-    "FrontierDriver",
     "ReachabilityCache", "ReachabilityTrace",
     "Always", "Atomic", "Eventually", "Join", "Meet", "Name", "Not",
     "Proposition", "parse_spec", "to_text",

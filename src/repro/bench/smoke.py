@@ -19,16 +19,8 @@ from typing import Dict, List, Optional
 from repro.bench.runner import BenchRow
 from repro.bench.sweep import RunSpec, SweepSpec, run_sweep
 from repro.errors import ReproError
-from repro.mc.config import CheckerConfig
+from repro.mc.config import TABLE1_PARAMS, CheckerConfig
 from repro.utils.tables import format_table
-
-#: method name -> image parameters (Table I settings + the hybrid row)
-SMOKE_METHODS: Dict[str, dict] = {
-    "basic": {},
-    "addition": {"k": 1},
-    "contraction": {"k1": 4, "k2": 4},
-    "hybrid": {"k": 1, "k1": 4, "k2": 4},
-}
 
 #: model name -> builder parameters
 SMOKE_MODELS: Dict[str, dict] = {
@@ -47,7 +39,7 @@ def smoke_spec(model: str = "grover", size: int = 6) -> SweepSpec:
                 config=CheckerConfig(method=method,
                                      method_params=dict(params)),
                 model_params=dict(SMOKE_MODELS[model]))
-        for method, params in SMOKE_METHODS.items()])
+        for method, params in TABLE1_PARAMS.items()])
 
 
 def smoke_rows(model: str = "grover", size: int = 6) -> List[BenchRow]:

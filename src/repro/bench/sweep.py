@@ -38,7 +38,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 
 from repro.errors import ReproError
 from repro.mc.checker import ModelChecker
-from repro.mc.config import CheckerConfig
+from repro.mc.config import TABLE1_PARAMS, CheckerConfig
 from repro.mc.reachability import ReachabilityCache
 from repro.store import ResultStore
 from repro.systems import models
@@ -611,9 +611,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             backends=args.backends,
             specs=(args.checks or [None]),
             directions=args.directions, bounds=args.bounds,
-            method_params={"contraction": {"k1": 4, "k2": 4},
-                           "addition": {"k": 1},
-                           "hybrid": {"k": 1, "k1": 4, "k2": 4}})
+            method_params=TABLE1_PARAMS)
     else:
         parser.error("provide --spec FILE, or --models and --sizes")
 

@@ -23,15 +23,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.runner import BenchRow
 from repro.bench.sweep import RunSpec, SweepSpec, run_sweep
-from repro.mc.config import CheckerConfig
+from repro.mc.config import TABLE1_PARAMS, CheckerConfig
 from repro.utils.tables import format_table
 
-#: method name -> image-computation parameters (the Table I settings)
+#: the three methods of the paper's Table I and their parameters
 TABLE1_METHODS: Dict[str, dict] = {
-    "basic": {},
-    "addition": {"k": 1},
-    "contraction": {"k1": 4, "k2": 4},
-}
+    method: TABLE1_PARAMS[method]
+    for method in ("basic", "addition", "contraction")}
 
 #: family -> ((model name, model params), sizes per scale, method skip)
 #: Grover runs two composed iterations — the regime where the

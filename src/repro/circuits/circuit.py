@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import CircuitError
 from repro.gates import library as gl
 from repro.gates.gate import Gate
@@ -99,10 +97,6 @@ class QuantumCircuit:
 
     def scalar(self, value: complex) -> "QuantumCircuit":
         return self.append(gl.scalar(value))
-
-    def matrix_gate(self, name: str, targets: Sequence[int],
-                    matrix: np.ndarray) -> "QuantumCircuit":
-        return self.append(gl.matrix_gate(name, targets, matrix))
 
     # ------------------------------------------------------------------
     # queries

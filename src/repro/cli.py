@@ -39,11 +39,11 @@ run is warm-started from (and, on a miss, recorded into) the
 disk-backed content-addressed :class:`~repro.store.ResultStore` at
 ``DIR`` — only converged, unbounded fixpoints are admitted, so the
 store never changes a verdict, it only collapses repeat runs to one
-confirming iteration.  Every fixpoint runs the frontier schedule of
-``repro.mc.drivers`` (each round images only the directions the
-previous round added).  A failed ``AG`` / satisfied ``EF`` check also
-prints the counterexample witness trace — the operation path whose
-forward replay reproduces the event.
+confirming iteration.  Every fixpoint runs the one frontier loop,
+``repro.mc.reachability.reachable_space`` (each round images only the
+directions the previous round added).  A failed ``AG`` / satisfied
+``EF`` check also prints the counterexample witness trace — the
+operation path whose forward replay reproduces the event.
 
 Examples::
 
@@ -75,10 +75,9 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.image.engine import DIRECTIONS
-from repro.mc.backends import cross_validate, make_backend
-from repro.mc.checker import ModelChecker
-from repro.mc.config import BACKENDS, CheckerConfig
-from repro.mc.reachability import cached_reachable
+from repro.mc.checker import ModelChecker, cross_validate
+from repro.mc.config import BACKENDS, TABLE1_PARAMS, CheckerConfig
+from repro.mc.reachability import cached_reachable, reachable_space
 from repro.systems import models
 
 #: model name -> builder(size, args); argparse options map onto the
@@ -108,10 +107,13 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", default="contraction",
                         choices=["basic", "addition", "contraction",
                                  "hybrid"])
-    parser.add_argument("--k", type=int, default=1,
+    parser.add_argument("--k", type=int,
+                        default=TABLE1_PARAMS["addition"]["k"],
                         help="addition partition slice count")
-    parser.add_argument("--k1", type=int, default=4)
-    parser.add_argument("--k2", type=int, default=4)
+    parser.add_argument("--k1", type=int,
+                        default=TABLE1_PARAMS["contraction"]["k1"])
+    parser.add_argument("--k2", type=int,
+                        default=TABLE1_PARAMS["contraction"]["k2"])
     parser.add_argument("--initial", default="plus",
                         help="grover initial space (plus|invariant)")
     parser.add_argument("--iterations", type=int, default=1,
@@ -150,25 +152,8 @@ def _add_direction_arguments(parser: argparse.ArgumentParser) -> None:
                              "(0 = run to saturation)")
 
 
-def _method_params(args) -> dict:
-    if args.method == "addition":
-        return {"k": args.k}
-    if args.method == "contraction":
-        return {"k1": args.k1, "k2": args.k2}
-    if args.method == "hybrid":
-        return {"k": args.k, "k1": args.k1, "k2": args.k2}
-    return {}
-
-
 def _build(args):
     return _MODELS[args.model](args.size, args)
-
-
-def _config(args) -> CheckerConfig:
-    # the single validated source of truth for every engine knob;
-    # explicit tdd-only flags with --backend dense raise ConfigError
-    # here instead of being silently dropped
-    return CheckerConfig.from_cli_args(args)
 
 
 def _print_kernel_stats(stats) -> None:
@@ -194,9 +179,8 @@ def _store_line(stats) -> Optional[str]:
 
 
 def _cmd_image(args) -> int:
-    config = _config(args)
-    result = make_backend(config).compute_image(
-        _build(args), direction=config.direction)
+    config = CheckerConfig.from_cli_args(args)
+    result = ModelChecker(_build(args), config).image()
     print(f"model={args.model}{args.size} {config.describe()}")
     label = "T(S0)" if config.direction == "forward" else "T~(S0)"
     print(f"dim({label}) = {result.dimension}")
@@ -219,14 +203,13 @@ def _open_store(args):
 
 
 def _cmd_reach(args) -> int:
-    config = _config(args)
+    config = CheckerConfig.from_cli_args(args)
     qts = _build(args)
-    backend = make_backend(config)
     store = _open_store(args)
     try:
         trace = cached_reachable(
             store, qts, qts.initial, config.direction,
-            lambda warm: backend.reachable(qts, warm_start=warm),
+            lambda warm: reachable_space(qts, config, warm_start=warm),
             bound=config.bound)
     finally:
         if store is not None:
@@ -247,7 +230,7 @@ def _cmd_reach(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    config = _config(args)
+    config = CheckerConfig.from_cli_args(args)
     checker = ModelChecker(_build(args), config)
     store = _open_store(args)
     try:
@@ -286,8 +269,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    config = CheckerConfig(method=args.method,
-                           method_params=_method_params(args))
+    config = CheckerConfig.from_cli_args(args)
     report = cross_validate(_build(args), spec=args.spec or None,
                             config=config)
     print(f"model={args.model}{args.size} method={args.method}")
@@ -311,7 +293,7 @@ def _cmd_crosscheck(args) -> int:
 def _cmd_invariant(args) -> int:
     # implemented on the unified check verb: T(S0) <= S0 is AG S0 from
     # S0 (plus an image-equality comparison when --strict)
-    config = _config(args)
+    config = CheckerConfig.from_cli_args(args)
     checker = ModelChecker(_build(args), config)
     holds = checker.check_invariant(strict=args.strict)
     relation = "=" if args.strict else "<="

@@ -123,9 +123,3 @@ def scaled_x(qubit: int, factor: float) -> Gate:
 def scalar(value: complex) -> Gate:
     """A zero-qubit global scalar factor."""
     return Gate("scalar", (), np.array([[value]], dtype=complex))
-
-
-def matrix_gate(name: str, targets: Sequence[int],
-                matrix: np.ndarray) -> Gate:
-    """An arbitrary matrix on an ordered tuple of target qubits."""
-    return Gate(name, tuple(targets), matrix)

@@ -6,7 +6,8 @@ matrices applied to dense basis vectors
 (:class:`~repro.sim.subspace_dense.DenseSubspace`, closed by SVD), and
 results are lifted back into TDD subspaces so both backends return the
 same types.  It implements the same fixpoint-engine protocol
-(:mod:`repro.mc.drivers`), so one fixpoint loop serves both backends.
+(:mod:`repro.mc.reachability`), so one fixpoint loop serves both
+backends.
 Exponential in the qubit count — small instances only.
 """
 
@@ -48,7 +49,7 @@ class DenseImageEngine:
                       for matrix in op.kraus_matrices()]
 
     # ------------------------------------------------------------------
-    # the fixpoint-engine protocol (see repro.mc.drivers)
+    # the fixpoint-engine protocol (see repro.mc.reachability)
     # ------------------------------------------------------------------
     def lower(self, subspace: Subspace) -> DenseSubspace:
         vectors = [v.to_numpy().reshape(-1) for v in subspace.basis]

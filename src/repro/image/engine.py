@@ -75,7 +75,7 @@ class ImageEngine:
     forward ones.
 
     The engine implements the fixpoint-engine protocol of
-    :mod:`repro.mc.drivers` over TDD :class:`Subspace` values.
+    :mod:`repro.mc.reachability` over TDD :class:`Subspace` values.
     """
 
     def __init__(self, qts: QuantumTransitionSystem, config) -> None:
@@ -93,7 +93,7 @@ class ImageEngine:
                                       **config.method_params)
 
     # ------------------------------------------------------------------
-    # the fixpoint-engine protocol (see repro.mc.drivers)
+    # the fixpoint-engine protocol (see repro.mc.reachability)
     # ------------------------------------------------------------------
     def lower(self, subspace: Subspace) -> Subspace:
         """The engine's own representation of ``subspace`` (itself)."""
@@ -142,7 +142,7 @@ def make_engine(qts: QuantumTransitionSystem, config=None):
 
     ``config`` is a :class:`~repro.mc.config.CheckerConfig` (default:
     ``CheckerConfig()``).  Both engines implement the fixpoint-engine
-    protocol of :mod:`repro.mc.drivers` and a one-shot
+    protocol of :mod:`repro.mc.reachability` and a one-shot
     ``compute_image``.
     """
     # imported here: the config validates against this module's names

@@ -8,34 +8,28 @@ specifications (``"AG (inv & ~bad)"``, ``"EF target"`` — see
 algebra of :mod:`repro.mc.logic` and returns one uniform
 :class:`~repro.mc.checker.CheckResult` on either backend (symbolic TDD
 or dense statevector).  Reachability fixpoints, invariants and
-cross-validation ride on the same machinery.
+cross-validation call the same engine entry points
+(:func:`~repro.image.engine.compute_image` and
+:func:`~repro.mc.reachability.reachable_space`, the one fixpoint
+loop).
 """
 
 from repro.mc.reachability import (ReachabilityCache, ReachabilityTrace,
                                    reachable_space)
-from repro.mc.drivers import FrontierDriver
 from repro.mc.config import BACKENDS, CheckerConfig
-from repro.mc.backends import (Backend, CrossValidation,
-                               DenseStatevectorBackend, TDDBackend,
-                               cross_validate, make_backend)
-from repro.mc.checker import CheckResult, ModelChecker
+from repro.mc.checker import (CheckResult, CrossValidation, ModelChecker,
+                              cross_validate)
 from repro.mc.logic import (Always, Atomic, Eventually, Join, Meet, Name,
-                            Not, Proposition, TemporalSpec,
-                            check_always, check_eventually_overlaps,
-                            satisfies)
+                            Not, Proposition, TemporalSpec)
 from repro.mc.specs import parse_spec, resolve, to_text
 from repro.mc.witness import WitnessTrace, extract_witness_trace
 
 __all__ = [
     "reachable_space", "ReachabilityCache", "ReachabilityTrace",
-    "FrontierDriver",
-    "Backend", "BACKENDS", "CheckerConfig", "CrossValidation",
-    "DenseStatevectorBackend", "TDDBackend",
-    "cross_validate", "make_backend",
+    "BACKENDS", "CheckerConfig", "CrossValidation", "cross_validate",
     "CheckResult", "ModelChecker",
     "Always", "Atomic", "Eventually", "Join", "Meet", "Name", "Not",
     "Proposition", "TemporalSpec",
-    "check_always", "check_eventually_overlaps", "satisfies",
     "parse_spec", "resolve", "to_text",
     "WitnessTrace", "extract_witness_trace",
 ]

@@ -10,17 +10,20 @@ specification**: :meth:`ModelChecker.check` takes a temporal spec
 verdict, the violating/witness subspace and its dimension, the
 reachability trace, the kernel cost profile and the config echo — the
 same shape on the symbolic TDD backend and the dense statevector
-reference.
-
-The older fine-grained checks (:meth:`image`, :meth:`reachable`,
-:meth:`check_invariant`, :meth:`check_safety`,
-:meth:`cross_validate`) remain and are implemented on the same
-machinery::
+reference::
 
     config = CheckerConfig(method="contraction",
                            method_params={"k1": 4, "k2": 4})
     result = ModelChecker(qts, config).check("AG inv")
     assert result.holds
+
+The fine-grained entry points (:meth:`image`, :meth:`reachable`,
+:meth:`check_invariant`, :meth:`check_image_equals`) call the engine
+directly with the checker's config —
+:func:`~repro.image.engine.compute_image` for one image,
+:func:`~repro.mc.reachability.reachable_space` for a fixpoint — and
+:func:`cross_validate` runs one computation on both backends and
+compares the outcomes.
 
 See ``examples/quickstart.py`` and ``examples/reachability_grover.py``.
 """
@@ -31,13 +34,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.config import CHECK_EPS
-from repro.errors import SpecError
+from repro.errors import ConfigError, SpecError
 from repro.image.base import ImageResult
-from repro.mc.backends import CrossValidation, cross_validate, make_backend
+from repro.image.engine import compute_image
 from repro.mc.config import CheckerConfig
 from repro.mc.logic import Always, Atomic, Proposition, TemporalSpec
 from repro.mc.reachability import (ReachabilityCache, ReachabilityTrace,
-                                   cached_reachable)
+                                   cached_reachable, reachable_space)
 from repro.mc.witness import WitnessTrace, extract_witness_trace
 from repro.subspace.subspace import Subspace
 from repro.systems.qts import QuantumTransitionSystem
@@ -136,18 +139,30 @@ class ModelChecker:
 
     def __init__(self, qts: QuantumTransitionSystem,
                  config: Optional[CheckerConfig] = None) -> None:
+        if config is None:
+            config = CheckerConfig()
+        elif not isinstance(config, CheckerConfig):
+            raise ConfigError(f"ModelChecker takes a CheckerConfig, got "
+                              f"{type(config).__name__}")
         self.qts = qts
-        self.config = config if config is not None else CheckerConfig()
-        self.backend = make_backend(self.config)
+        self.config = config
+
+    def _resolve(self, direction: Optional[str] = None,
+                 bound: Optional[int] = None) -> CheckerConfig:
+        """The config with the given per-call overrides applied
+        (``None`` keeps the config's value)."""
+        changes = {name: value for name, value in
+                   (("direction", direction), ("bound", bound))
+                   if value is not None
+                   and value != getattr(self.config, name)}
+        return self.config.replace(**changes) if changes else self.config
 
     # ------------------------------------------------------------------
     def image(self, subspace: Optional[Subspace] = None,
               direction: Optional[str] = None) -> ImageResult:
         """One-step image ``T(S)`` — or preimage — with run statistics."""
-        return self.backend.compute_image(
-            self.qts, subspace,
-            direction=direction if direction is not None
-            else self.config.direction)
+        return compute_image(self.qts, subspace,
+                             config=self._resolve(direction))
 
     def reachable(self, max_iterations: int = 0,
                   direction: Optional[str] = None,
@@ -162,21 +177,24 @@ class ModelChecker:
         after that many image steps.  ``warm_start`` seeds the
         fixpoint with a subspace known to be reachable.
         """
-        return self.backend.reachable(
-            self.qts, max_iterations=max_iterations, direction=direction,
-            bound=bound, warm_start=warm_start)
+        return reachable_space(self.qts, self._resolve(direction, bound),
+                               max_iterations=max_iterations,
+                               warm_start=warm_start)
 
     def cross_validate(self, subspace: Optional[Subspace] = None,
                        tol: float = 1e-7, spec=None) -> CrossValidation:
         """Compare this checker's computation against the dense reference.
 
         Without ``spec``: one image per backend; with ``spec``: one
-        full :meth:`check` per backend (verdicts must agree).
+        full :meth:`check` per backend (verdicts must agree).  A dense
+        checker compares against the default tdd engine under its own
+        direction and bound.
         """
         if self.config.backend == "tdd":
             tdd_config = self.config
         else:
-            tdd_config = CheckerConfig()
+            tdd_config = CheckerConfig(direction=self.config.direction,
+                                       bound=self.config.bound)
         return cross_validate(self.qts, subspace, tol=tol, spec=spec,
                               config=tdd_config,
                               max_qubits=self.config.max_qubits or None)
@@ -321,10 +339,12 @@ class ModelChecker:
         (``initial``-or-``S0`` forward, the event set backward) — the
         cache key (see :func:`~repro.mc.reachability.cached_reachable`).
         """
+        config = self._resolve(direction, bound)
+
         def run(warm):
-            return self.backend.reachable(
-                self.qts, initial=initial, max_iterations=max_iterations,
-                direction=direction, bound=bound, warm_start=warm)
+            return reachable_space(self.qts, config, initial=initial,
+                                   max_iterations=max_iterations,
+                                   warm_start=warm)
         return cached_reachable(reach_cache, self.qts, seed, direction, run,
                                 bound=bound, max_iterations=max_iterations)
 
@@ -377,28 +397,123 @@ class ModelChecker:
             # invariance is a forward-image notion by definition, so a
             # backward-configured checker must not substitute the
             # preimage here
-            image = self.backend.compute_image(
-                self.qts, subspace, direction="forward").subspace
+            image = compute_image(self.qts, subspace,
+                                  config=self._resolve("forward")).subspace
             return image.equals(subspace)
         return self.check(Always(Atomic(subspace, "S")), initial=subspace,
                           max_iterations=1, direction="forward").holds
 
     def check_image_equals(self, expected: Subspace,
                            subspace: Optional[Subspace] = None) -> bool:
-        image = self.backend.compute_image(
-            self.qts, subspace, direction="forward").subspace
+        image = compute_image(self.qts, subspace,
+                              config=self._resolve("forward")).subspace
         return image.equals(expected)
-
-    def check_safety(self, bound: Subspace,
-                     max_iterations: int = 0) -> bool:
-        """Is every reachable state inside ``bound``?  (``AG bound``)"""
-        return self.check(Always(Atomic(bound, "bound")),
-                          max_iterations=max_iterations).holds
 
     def __repr__(self) -> str:
         return (f"ModelChecker({self.qts.name!r}, "
                 f"method={self.config.method!r}, "
-                f"backend={self.backend.name!r})")
+                f"backend={self.config.backend!r})")
+
+
+# ----------------------------------------------------------------------
+# cross-validation
+# ----------------------------------------------------------------------
+@dataclass
+class CrossValidation:
+    """Outcome of comparing the same computation on two backends.
+
+    For an image comparison the dimensions are ``dim T(S)`` per
+    backend; for a spec comparison (``cross_validate(..., spec=...)``)
+    they are the reachable-space dimensions and the verdicts are
+    recorded as well.
+    """
+
+    tdd_dimension: int
+    dense_dimension: int
+    agree: bool
+    tdd_seconds: float
+    dense_seconds: float
+    spec: Optional[str] = None
+    tdd_verdict: Optional[str] = None
+    dense_verdict: Optional[str] = None
+    tdd_trace_length: Optional[int] = None
+    dense_trace_length: Optional[int] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.agree
+
+    def __repr__(self) -> str:
+        status = "agree" if self.agree else "DISAGREE"
+        if self.spec is not None:
+            return (f"CrossValidation({status} on {self.spec!r}: "
+                    f"tdd={self.tdd_verdict}, dense={self.dense_verdict})")
+        return (f"CrossValidation({status}: tdd dim={self.tdd_dimension}, "
+                f"dense dim={self.dense_dimension})")
+
+
+def cross_validate(qts: QuantumTransitionSystem,
+                   subspace: Optional[Subspace] = None,
+                   tol: float = 1e-7,
+                   spec=None,
+                   config: Optional[CheckerConfig] = None,
+                   max_qubits: Optional[int] = None) -> CrossValidation:
+    """Run the same computation on both backends and compare.
+
+    The symbolic TDD engine against the dense statevector reference:
+    any divergence on a small instance pinpoints a kernel bug before
+    it ships at a scale where the dense oracle can no longer follow.
+
+    Without ``spec``: one image ``T(S)`` per backend; agreement means
+    equal dimension *and* mutual containment of the two subspaces
+    (projector equality up to ``tol``).
+
+    With ``spec`` (a spec string or AST, see :mod:`repro.mc.specs`):
+    one full :meth:`ModelChecker.check` per backend; agreement means
+    identical verdicts, reachable dimensions and witness-trace lengths.
+
+    ``config`` fixes the symbolic engine's configuration (default
+    ``CheckerConfig()``); the dense side mirrors its direction and
+    bound, with ``max_qubits`` raising the dense size guard.
+    """
+    tdd_config = config if config is not None else CheckerConfig()
+    if tdd_config.backend != "tdd":
+        raise ConfigError("cross_validate config must describe the "
+                          "tdd engine; the dense side is implicit")
+    dense_config = CheckerConfig(backend="dense",
+                                 max_qubits=max_qubits,
+                                 direction=tdd_config.direction,
+                                 bound=tdd_config.bound)
+
+    if spec is not None:
+        symbolic = ModelChecker(qts, tdd_config).check(spec)
+        dense = ModelChecker(qts, dense_config).check(spec)
+        agree = (symbolic.verdict == dense.verdict
+                 and symbolic.reachable_dimension
+                 == dense.reachable_dimension
+                 and symbolic.trace_length == dense.trace_length)
+        return CrossValidation(
+            tdd_dimension=symbolic.reachable_dimension,
+            dense_dimension=dense.reachable_dimension,
+            agree=agree,
+            tdd_seconds=symbolic.stats.seconds,
+            dense_seconds=dense.stats.seconds,
+            spec=symbolic.spec,
+            tdd_verdict=symbolic.verdict,
+            dense_verdict=dense.verdict,
+            tdd_trace_length=symbolic.trace_length,
+            dense_trace_length=dense.trace_length)
+
+    symbolic = compute_image(qts, subspace, config=tdd_config)
+    dense = compute_image(qts, subspace, config=dense_config)
+    agree = (symbolic.subspace.dimension == dense.subspace.dimension
+             and symbolic.subspace.equals(dense.subspace, tol))
+    return CrossValidation(
+        tdd_dimension=symbolic.subspace.dimension,
+        dense_dimension=dense.subspace.dimension,
+        agree=agree,
+        tdd_seconds=symbolic.stats.seconds,
+        dense_seconds=dense.stats.seconds)
 
 
 # ----------------------------------------------------------------------

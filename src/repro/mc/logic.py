@@ -17,22 +17,19 @@ specification language:
   space overlaps φ).
 
 A pure state ``|ψ⟩`` *satisfies* a proposition φ iff ``|ψ⟩`` lies in
-the denoted subspace — the standard BvN satisfaction relation.
+the denoted subspace — the standard BvN satisfaction relation,
+``prop.denote(space).contains_state(state)``.
 
 Specs are checked through the one front door,
 :meth:`repro.mc.checker.ModelChecker.check`, which works identically
-on the symbolic and dense backends; the module-level
-:func:`check_always` / :func:`check_eventually_overlaps` helpers are
-thin wrappers over it.  The text syntax (``"AG (inv & ~bad)"``) lives
-in :mod:`repro.mc.specs`.
+on the symbolic and dense backends.  The text syntax
+(``"AG (inv & ~bad)"``) lives in :mod:`repro.mc.specs`.
 """
 
 from __future__ import annotations
 
 from repro.errors import SpecError
 from repro.subspace.subspace import StateSpace, Subspace
-from repro.systems.qts import QuantumTransitionSystem
-from repro.tdd.tdd import TDD
 
 
 class Proposition:
@@ -229,49 +226,3 @@ class Eventually(TemporalSpec):
 
     keyword = "EF"
 
-
-# ----------------------------------------------------------------------
-# satisfaction and temporal checks
-# ----------------------------------------------------------------------
-def satisfies(state: TDD, prop: Proposition, space: StateSpace,
-              tol: float = 1e-7) -> bool:
-    """BvN satisfaction: ``|state>`` lies in the denoted subspace."""
-    return prop.denote(space).contains_state(state, tol)
-
-
-def _temporal_check(qts: QuantumTransitionSystem, spec, config,
-                    initial, max_iterations: int) -> bool:
-    from repro.mc.checker import ModelChecker
-    return ModelChecker(qts, config).check(
-        spec, initial=initial, max_iterations=max_iterations).holds
-
-
-def check_always(qts: QuantumTransitionSystem, prop: Proposition,
-                 config=None, initial=None,
-                 max_iterations: int = 0) -> bool:
-    """AG φ: the reachable space is contained in [[φ]].
-
-    A convenience wrapper over
-    :meth:`~repro.mc.checker.ModelChecker.check` with a
-    :class:`~repro.mc.config.CheckerConfig` (default
-    ``CheckerConfig()``) — use ``check`` directly for the full
-    :class:`~repro.mc.checker.CheckResult` (witness subspace, trace,
-    kernel stats).
-    """
-    return _temporal_check(qts, Always(prop), config, initial,
-                           max_iterations)
-
-
-def check_eventually_overlaps(qts: QuantumTransitionSystem,
-                              prop: Proposition, config=None,
-                              initial=None,
-                              max_iterations: int = 0) -> bool:
-    """Can the system ever produce a state with a component in [[φ]]?
-
-    True iff the reachable space is not orthogonal to the denoted
-    subspace.  A convenience wrapper over
-    :meth:`~repro.mc.checker.ModelChecker.check` with an
-    :class:`Eventually` spec; arguments as in :func:`check_always`.
-    """
-    return _temporal_check(qts, Eventually(prop), config, initial,
-                           max_iterations)

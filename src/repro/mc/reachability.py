@@ -7,11 +7,33 @@ and closed under every operation:  ``R = lub_k S_k`` with
 growing — the standard symbolic-model-checking fixpoint with joins in
 place of unions (paper, Sections I and III).
 
-:func:`reachable_space` is a thin façade over both backends: it
-builds the engine for ``config.backend`` (:func:`~repro.image.engine.
-make_engine`) and delegates the loop to the frontier schedule
-(:class:`~repro.mc.drivers.FrontierDriver`), keeping only the
-bookkeeping (trace, stopwatch, GC baseline) here.
+:func:`reachable_space` holds the one fixpoint loop for both backends.
+It runs the frontier-set refinement: each round images only the
+directions the previous round added.  That is sound because the image
+distributes over joins (Proposition 1): ``T(S_k) = T(S_{k-1}) v
+T(F_k)`` where ``F_k`` spans what round ``k`` added, and
+``T(S_{k-1})`` is already inside ``S_k``.
+
+The loop touches its engine (:func:`~repro.image.engine.make_engine`
+picks the symbolic :class:`~repro.image.engine.ImageEngine` or the
+dense :class:`~repro.image.dense.DenseImageEngine` from
+``config.backend``) only through this protocol, over the engine's own
+subspace type (anything with ``dimension``):
+
+* ``lower(subspace)`` / ``lift(subspace, stats)`` — into and out of
+  the engine's representation (the identity on the symbolic engine);
+* ``extend(current, source, stats)`` — ``current v T(source)``; the
+  symbolic engine adds every image state straight into a copy of
+  ``current`` (one Gram-Schmidt pass per image state, no image
+  subspace or projector in between);
+* ``new_directions(previous, grown)`` — the span of what a growing
+  round added beyond ``previous``.
+
+Garbage collection is not part of the protocol: the symbolic engine
+collects after each source state's images (see
+:meth:`~repro.image.base.ImageComputerBase.partial_image`), and the
+dense engine has nothing to reclaim.
+
 :class:`ReachabilityCache` lets batch runners warm-start a fixpoint
 from a previously computed reachable space when only the image method
 changed — the reachable subspace itself is method-independent.
@@ -32,7 +54,6 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.image.engine import make_engine
-from repro.mc.drivers import FrontierDriver
 from repro.subspace.subspace import Subspace
 from repro.systems.qts import QuantumTransitionSystem
 from repro.tdd.io import from_dict, payload_digest, to_dict
@@ -78,7 +99,7 @@ def reachable_space(qts: QuantumTransitionSystem, config,
 
     ``config`` is a :class:`~repro.mc.config.CheckerConfig` for either
     backend.  Each round images only the directions the previous round
-    added (see :mod:`repro.mc.drivers`).  On the tdd backend the
+    added (see the module docstring).  On the tdd backend the
     transition TDDs come from the system's operator cache, built once
     per system and reused across iterations.
 
@@ -114,20 +135,20 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     report the cache hit/miss deltas and GC activity of the whole run.
     """
     engine = make_engine(qts, config)
-    current = initial if initial is not None else qts.initial
-    if current.dimension == 0:
+    start = initial if initial is not None else qts.initial
+    if start.dimension == 0:
         raise ReproError("reachability from the zero subspace is trivial; "
                          "set an initial space first")
     if warm_start is not None:
-        current = current.join(warm_start)
-    trace = ReachabilityTrace(subspace=engine.lower(current),
-                              dimensions=[current.dimension],
+        start = start.join(warm_start)
+    trace = ReachabilityTrace(subspace=start,
+                              dimensions=[start.dimension],
                               direction=config.direction,
                               bound=config.bound)
     # the run holds its starting basis: observing it keeps max_nodes
     # the largest TDD held even when a saturated warm start images
     # nothing
-    for vector in current.basis:
+    for vector in start.basis:
         trace.stats.observe_tdd(vector)
     extra = trace.stats.extra
     if config.backend != "tdd":
@@ -137,11 +158,22 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     limit = max_iterations if max_iterations > 0 else 2 ** qts.num_qubits
     if config.bound > 0:
         limit = min(limit, config.bound)
+    # the loop runs in the engine's own representation
+    frontier = current = engine.lower(start)
     manager = qts.manager
     baseline = manager.cache_counters()
     watch = Stopwatch().start()
-    FrontierDriver().run(engine, trace, limit)
-    trace.subspace = engine.lift(trace.subspace, trace.stats)
+    for _ in range(limit):
+        grown = engine.extend(current, frontier, trace.stats)
+        trace.iterations += 1
+        trace.dimensions.append(grown.dimension)
+        if grown.dimension == current.dimension:
+            break
+        frontier = engine.new_directions(current, grown)
+        current = grown
+    else:
+        trace.converged = False
+    trace.subspace = engine.lift(grown, trace.stats)
     trace.stats.seconds = watch.stop()
     manager.collect()
     trace.stats.record_manager(manager, baseline)

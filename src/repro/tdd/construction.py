@@ -7,8 +7,9 @@ a dense tensor:
 
 * :func:`delta` — the rank-k "all indices equal" tensor (identity wires
   and hyper-edge merging),
-* :func:`indicator_pattern` — 1 iff every index carries its given bit,
-* :func:`basis_state` / :func:`computational_basis_projector`.
+* :func:`basis_state` — the computational basis state ``|bits⟩``
+  (1 iff every index carries its given bit),
+* :func:`identity` — the identity matrix as a product of wire deltas.
 
 Gate diagrams are not built here: :meth:`repro.gates.gate.Gate.to_tdd`
 walks a gate's levels directly.
@@ -105,9 +106,10 @@ def delta(manager: TDDManager, indices: Iterable[Index]) -> TDD:
     return TDD(manager, root, indices)
 
 
-def indicator_pattern(manager: TDDManager, indices: Sequence[Index],
-                      bits: Sequence[int]) -> TDD:
-    """1 iff index *i* equals ``bits[i]`` for all *i* (anti-controls)."""
+def basis_state(manager: TDDManager, indices: Sequence[Index],
+                bits: Sequence[int]) -> TDD:
+    """The computational basis state ``|bits⟩`` over ``indices``: 1 iff
+    index *i* equals ``bits[i]`` for all *i*."""
     indices = list(indices)
     if len(bits) != len(indices):
         raise TDDError("bits/indices length mismatch")
@@ -122,26 +124,6 @@ def indicator_pattern(manager: TDDManager, indices: Sequence[Index],
         else:
             root = manager.make_node(level, root, manager.zero_edge())
     return TDD(manager, root, indices)
-
-
-def basis_state(manager: TDDManager, indices: Sequence[Index],
-                bits: Sequence[int]) -> TDD:
-    """The computational basis state |bits⟩ over ``indices``.
-
-    Structurally identical to :func:`indicator_pattern`; kept as a
-    separate name because callers mean a *state*, not a predicate.
-    """
-    return indicator_pattern(manager, indices, bits)
-
-
-def computational_basis_projector(manager: TDDManager,
-                                  row_indices: Sequence[Index],
-                                  col_indices: Sequence[Index],
-                                  bits: Sequence[int]) -> TDD:
-    """The rank-1 projector |bits⟩⟨bits| as a matrix tensor."""
-    ket = basis_state(manager, row_indices, bits)
-    bra = basis_state(manager, col_indices, bits)
-    return ket.product(bra)
 
 
 def identity(manager: TDDManager, row_indices: Sequence[Index],

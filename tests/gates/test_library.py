@@ -49,12 +49,6 @@ class TestFactories:
         assert gate.is_scalar
         assert gate.qubits == ()
 
-    def test_matrix_gate(self):
-        mat = np.kron(gm.H, gm.X)
-        gate = gl.matrix_gate("hx", (1, 2), mat)
-        assert gate.targets == (1, 2)
-        assert np.allclose(gate.matrix, mat)
-
     def test_cnu(self):
         gate = gl.cnu([0, 1], 2, gm.H, name="cch")
         assert gate.name == "cch"

@@ -1,13 +1,18 @@
-"""The pluggable backend layer: tdd vs dense statevector."""
+"""The two backends: the symbolic tdd engine vs the dense statevector."""
 
 import pytest
 
 from repro.errors import ReproError
-from repro.mc.backends import (DenseStatevectorBackend, TDDBackend,
-                               cross_validate, make_backend)
-from repro.mc.checker import ModelChecker
+from repro.image.dense import DenseImageEngine
+from repro.image.engine import ImageEngine, compute_image, make_engine
+from repro.mc.checker import ModelChecker, cross_validate
 from repro.mc.config import BACKENDS, CheckerConfig
+from repro.mc.logic import Always, Atomic
+from repro.mc.reachability import reachable_space
 from repro.systems import models
+
+#: the dense statevector reference at its defaults
+DENSE = CheckerConfig(backend="dense")
 
 #: the contraction method with small partition blocks
 CONTRACTION_K2 = CheckerConfig(method="contraction",
@@ -20,16 +25,19 @@ CONTRACTION_K4 = CheckerConfig(method="contraction",
 class TestFactory:
     def test_names(self):
         assert set(BACKENDS) == {"tdd", "dense"}
-        assert make_backend(CheckerConfig()).name == "tdd"
-        assert make_backend(CheckerConfig(backend="dense")).name == "dense"
+        qts = models.ghz_qts(3)
+        assert type(make_engine(qts, CheckerConfig())) is ImageEngine
+        assert type(make_engine(qts, DENSE)) is DenseImageEngine
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ReproError):
-            make_backend(CheckerConfig(backend="quantum-annealer"))
+            ModelChecker(models.ghz_qts(3),
+                         CheckerConfig(backend="quantum-annealer"))
 
     def test_tdd_backend_validates_method(self):
         with pytest.raises(ReproError):
-            TDDBackend(CheckerConfig(method="nonsense"))
+            ModelChecker(models.ghz_qts(3),
+                         CheckerConfig(method="nonsense"))
 
 
 class TestDenseBackend:
@@ -37,30 +45,31 @@ class TestDenseBackend:
         for build in (lambda: models.ghz_qts(3),
                       lambda: models.grover_qts(3),
                       lambda: models.qrw_qts(3, 0.2)):
-            tdd_result = TDDBackend(CONTRACTION_K2).compute_image(build())
-            dense_result = DenseStatevectorBackend().compute_image(build())
+            tdd_result = ModelChecker(build(), CONTRACTION_K2).image()
+            dense_result = ModelChecker(build(), DENSE).image()
             assert (tdd_result.subspace.dimension
                     == dense_result.subspace.dimension)
 
     def test_image_subspace_is_tdd_backed(self):
         qts = models.ghz_qts(3)
-        result = DenseStatevectorBackend().compute_image(qts)
+        result = compute_image(qts, config=DENSE)
         # same result type as the symbolic backend: a TDD Subspace
         assert result.subspace.space is qts.space
         assert result.stats.extra["backend"] == "dense"
 
     def test_reachable_matches_tdd(self):
-        dense_trace = DenseStatevectorBackend().reachable(
-            models.qrw_qts(3, 0.2))
-        tdd_trace = TDDBackend(CONTRACTION_K2).reachable(models.qrw_qts(3, 0.2))
+        dense_trace = ModelChecker(models.qrw_qts(3, 0.2), DENSE).reachable()
+        tdd_trace = reachable_space(models.qrw_qts(3, 0.2), CONTRACTION_K2)
         assert dense_trace.dimensions == tdd_trace.dimensions
         assert dense_trace.converged
 
     def test_size_guard(self):
-        backend = DenseStatevectorBackend(
-            CheckerConfig(backend="dense", max_qubits=4))
+        checker = ModelChecker(models.ghz_qts(5),
+                               CheckerConfig(backend="dense", max_qubits=4))
         with pytest.raises(ReproError, match="dense backend refuses"):
-            backend.compute_image(models.ghz_qts(5))
+            checker.image()
+        with pytest.raises(ReproError, match="dense backend refuses"):
+            checker.reachable()
 
 
 class TestCrossValidation:
@@ -85,14 +94,32 @@ class TestCrossValidation:
                                CheckerConfig(backend="dense", max_qubits=8))
         assert checker.cross_validate().ok
 
+    def test_dense_checker_keeps_direction_and_bound(self):
+        # a dense checker's cross-validation compares its own bounded
+        # check on both sides: one step from the qrw start reaches dim 2
+        # (the unbounded walk spans all 16 dimensions)
+        checker = ModelChecker(models.qrw_qts(4, 0.2),
+                               CheckerConfig(backend="dense", bound=1))
+        assert checker.check("AG start").reachable_dimension == 2
+        report = checker.cross_validate(spec="AG start")
+        assert report.ok
+        assert report.tdd_dimension == report.dense_dimension == 2
+        backward = ModelChecker(
+            models.qrw_qts(4, 0.2),
+            CheckerConfig(backend="dense", direction="backward", bound=1))
+        expected = backward.check("AG start").reachable_dimension
+        report = backward.cross_validate(spec="AG start")
+        assert report.ok
+        assert report.tdd_dimension == report.dense_dimension == expected
+
 
 class TestCheckerBackendSelection:
     def test_dense_checker_end_to_end(self):
         qts = models.grover_qts(3, initial="invariant")
-        checker = ModelChecker(qts, CheckerConfig(backend="dense"))
-        assert checker.backend.name == "dense"
+        checker = ModelChecker(qts, DENSE)
+        assert checker.config.backend == "dense"
         assert checker.check_invariant(strict=True)
-        assert checker.check_safety(qts.initial)
+        assert checker.check(Always(Atomic(qts.initial, "S0"))).holds
 
     def test_dense_image_dimension(self):
         checker = ModelChecker(models.ghz_qts(3),

@@ -114,9 +114,10 @@ class TestBackwardReachability:
                                    CheckerConfig(method="basic",
                                                  direction="backward"),
                                    initial=start)
-        from repro.mc.backends import DenseStatevectorBackend
-        dense = DenseStatevectorBackend().reachable(
-            qts, initial=start, direction="backward")
+        dense = reachable_space(qts,
+                                CheckerConfig(backend="dense",
+                                              direction="backward"),
+                                initial=start)
         assert dense.dimensions == symbolic.dimensions
         assert subspace_to_dense(dense.subspace).equals(
             subspace_to_dense(symbolic.subspace))

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SpecError
 from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig
-from repro.mc.logic import Always, Atomic
+from repro.mc.logic import Always, Atomic, Eventually
 from repro.mc.specs import parse_spec
 from repro.systems import models
 
@@ -159,13 +159,6 @@ class TestChecksOnTopOfCheck:
         assert checker.check_invariant() == \
             checker.check(Always(Atomic(qts.initial, "S"))).holds
 
-    def test_safety_is_ag(self):
-        qts = models.grover_qts(3)
-        checker = ModelChecker(qts, CheckerConfig(method="basic"))
-        inv = qts.named_subspace("inv")
-        assert checker.check_safety(inv) == \
-            checker.check(Always(Atomic(inv, "inv"))).holds
-
     def test_cross_validate_spec_agreement(self):
         qts = models.grover_qts(3)
         checker = ModelChecker(qts, CONTRACTION_K2)
@@ -177,22 +170,23 @@ class TestChecksOnTopOfCheck:
         assert report.ok
         assert report.tdd_verdict == "violated"
 
-    def test_temporal_helpers_route_through_check(self):
+    def test_ast_specs_over_atomic_subspaces(self):
         qts = models.grover_qts(3)
-        from repro.mc.logic import check_always, check_eventually_overlaps
-        assert check_always(qts, Atomic(qts.named_subspace("inv"), "inv"),
-                            BASIC)
-        assert check_eventually_overlaps(
-            qts, Atomic(qts.named_subspace("marked"), "marked"), BASIC)
+        checker = ModelChecker(qts, BASIC)
+        assert checker.check(
+            Always(Atomic(qts.named_subspace("inv"), "inv"))).holds
+        assert checker.check(
+            Eventually(Atomic(qts.named_subspace("marked"), "marked"))).holds
 
-    def test_temporal_helpers_keep_reachability_kwargs(self):
-        # the helpers forward the reachability options to check()
+    def test_ast_specs_keep_max_iterations(self):
+        # an AST spec takes the fixpoint's round limit like a text one
         qts = models.qrw_qts(3, 0.2)
-        from repro.mc.logic import check_always, check_eventually_overlaps
+        checker = ModelChecker(qts, BASIC)
         start = Atomic(qts.named_subspace("start"), "start")
-        assert not check_always(qts, start, BASIC, max_iterations=2)
-        assert check_eventually_overlaps(
-            qts, start, BASIC)
+        truncated = checker.check(Always(start), max_iterations=2)
+        assert not truncated.holds
+        assert truncated.iterations == 2
+        assert checker.check(Eventually(start)).holds
 
     def test_invariant_uses_one_fixpoint_round(self):
         # T(S) <= S is decided by a single join step — a non-invariant

@@ -2,6 +2,7 @@
 
 from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig
+from repro.mc.logic import Always, Atomic
 from repro.systems import models
 
 BASIC = CheckerConfig(method="basic")
@@ -34,17 +35,17 @@ class TestChecker:
         expected = qts.space.span([qts.space.basis_state([0] * 6)])
         assert checker.check_image_equals(expected)
 
-    def test_check_safety_grover(self):
+    def test_always_initial_holds_grover(self):
         qts = models.grover_qts(4, initial="invariant")
-        checker = ModelChecker(
-            qts, CONTRACTION_K2)
-        assert checker.check_safety(qts.initial)
+        checker = ModelChecker(qts, CONTRACTION_K2)
+        assert checker.check(Always(Atomic(qts.initial, "S0"))).holds
 
-    def test_check_safety_violated(self):
+    def test_always_initial_violated(self):
         qts = models.qrw_qts(3, 0.2)
         checker = ModelChecker(qts, BASIC)
         # the walk escapes its initial 1-dim space immediately
-        assert not checker.check_safety(qts.initial, max_iterations=2)
+        assert not checker.check(Always(Atomic(qts.initial, "S0")),
+                                 max_iterations=2).holds
 
     def test_method_params_passed_through(self):
         checker = ModelChecker(

@@ -8,9 +8,8 @@ import warnings
 import pytest
 
 from repro.errors import ConfigError, ReproError
-from repro.mc.backends import make_backend
 from repro.mc.checker import ModelChecker
-from repro.mc.config import BACKENDS, CheckerConfig
+from repro.mc.config import CheckerConfig
 from repro.systems import models
 
 
@@ -246,35 +245,6 @@ class TestLegacyShims:
         with pytest.raises(TypeError):
             ModelChecker(models.ghz_qts(3), CheckerConfig(),
                          method="basic")
-
-    def test_make_backend_legacy_name_rejected(self):
-        with pytest.raises(ConfigError, match="CheckerConfig"):
-            make_backend("tdd")
-
-    def test_make_backend_config_path_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            backend = make_backend(CheckerConfig(method="basic"))
-        assert backend.config.method == "basic"
-
-    def test_make_backend_from_config(self):
-        assert set(BACKENDS) == {"tdd", "dense"}
-        assert make_backend(CheckerConfig()).name == "tdd"
-        dense = make_backend(CheckerConfig(backend="dense", max_qubits=9))
-        assert dense.name == "dense"
-        assert dense.config.max_qubits == 9
-
-    def test_make_backend_rejects_config_plus_kwargs(self):
-        with pytest.raises(TypeError):
-            make_backend(CheckerConfig(), method="basic")
-
-    def test_tdd_backend_rejects_config_plus_kwargs(self):
-        # a leftover legacy kwarg next to a config must not be
-        # silently discarded
-        from repro.mc.backends import TDDBackend
-        with pytest.raises(TypeError):
-            TDDBackend(CheckerConfig(method="basic"), jobs=4,
-                       strategy="sliced")
 
     def test_checker_config_is_repro_error(self):
         # callers catching the package base class keep working

@@ -1,16 +1,14 @@
-"""The fixpoint driver layer: the frontier schedule, warm-start cache."""
+"""The fixpoint loop: the frontier schedule, warm-start cache."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.image.engine import ImageEngine
-from repro.mc.backends import DenseStatevectorBackend, make_backend
+from repro.image.engine import ImageEngine, compute_image
 from repro.mc.checker import ModelChecker
 from repro.mc.config import BACKENDS, CheckerConfig
-from repro.mc.drivers import FrontierDriver
-from repro.mc.reachability import (ReachabilityCache, ReachabilityTrace,
-                                   reachable_space, subspace_fingerprint,
+from repro.mc.reachability import (ReachabilityCache, reachable_space,
+                                   subspace_fingerprint,
                                    system_fingerprint)
 from repro.systems import models
 
@@ -48,25 +46,23 @@ class TestImageTasks:
         assert equal_spaces(full, partial)
 
 
-class TestFrontierDriver:
-    def test_each_round_images_the_previous_rounds_directions(self):
+class TestFrontierLoop:
+    def test_each_round_images_the_previous_rounds_directions(
+            self, monkeypatch):
         # the first round images the seed, every later one exactly the
         # directions the round before it added, so each reachable
         # direction is imaged once
         qts = models.qrw_qts(3, 0.2)
         sources = []
+        extend = ImageEngine.extend
 
-        class Recording(FrontierDriver):
-            def advance(self, engine, current, frontier, stats):
-                sources.append(frontier.dimension)
-                return super().advance(engine, current, frontier, stats)
+        def recording(engine, current, source, stats=None):
+            sources.append(source.dimension)
+            return extend(engine, current, source, stats)
 
+        monkeypatch.setattr(ImageEngine, "extend", recording)
         trace = reachable_space(qts, BASIC)
-        engine = ImageEngine(qts, BASIC)
-        replay = ReachabilityTrace(subspace=qts.initial,
-                                   dimensions=[qts.initial.dimension])
-        Recording().run(engine, replay, limit=2 ** qts.num_qubits)
-        assert replay.dimensions == trace.dimensions
+        assert len(sources) == trace.iterations
         assert sources[0] == qts.initial.dimension
         assert sources[1:] == trace.dimensions_delta[:-1]
         assert sum(sources) == trace.dimension
@@ -128,10 +124,10 @@ class TestDriverEquality:
         traces, images = {}, {}
         for backend in BACKENDS:
             config = CheckerConfig(backend=backend, **settings)
-            traces[backend] = make_backend(config).reachable(
-                models.qrw_qts(3, 0.2))
-            images[backend] = make_backend(config).compute_image(
-                models.qrw_qts(3, 0.2))
+            traces[backend] = reachable_space(models.qrw_qts(3, 0.2),
+                                              config)
+            images[backend] = compute_image(models.qrw_qts(3, 0.2),
+                                            config=config)
         tdd, dense = traces["tdd"], traces["dense"]
         assert (dense.direction, dense.bound) == (tdd.direction, tdd.bound)
         assert dense.dimensions == tdd.dimensions
@@ -170,9 +166,10 @@ class TestDirectionValidationSinglePoint:
                             BASIC.replace(direction="sideways"))
 
     def test_dense_backend_same_message(self):
+        checker = ModelChecker(models.ghz_qts(2),
+                               CheckerConfig(backend="dense"))
         with pytest.raises(ReproError, match="unknown direction"):
-            DenseStatevectorBackend().reachable(models.ghz_qts(2),
-                                                direction="sideways")
+            checker.reachable(direction="sideways")
 
 
 class TestReachabilityTraceRepr:

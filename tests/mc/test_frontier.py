@@ -3,7 +3,6 @@
 import pytest
 
 from repro.image.engine import make_engine
-from repro.mc.backends import DenseStatevectorBackend
 from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig
 from repro.mc.reachability import reachable_space
@@ -86,9 +85,10 @@ class TestFrontierBackwardBounded:
 
     def _dense(self, bound):
         qts = models.qrw_qts(3, 0.2)
-        return DenseStatevectorBackend().reachable(
-            qts, initial=qts.named_subspace("start"),
-            direction="backward", bound=bound)
+        config = CheckerConfig(backend="dense", direction="backward",
+                               bound=bound)
+        return reachable_space(qts, config,
+                               initial=qts.named_subspace("start"))
 
     @pytest.mark.parametrize("bound", [1, 2, 3])
     def test_tdd_frontier_backward_bounded_matches_full(self, bound):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig
-from repro.mc.logic import (Atomic, check_always,
-                            check_eventually_overlaps, satisfies)
+from repro.mc.logic import Always, Atomic, Eventually
 from repro.systems import models
 
 from tests.helpers import MINUS, PLUS
@@ -60,25 +60,25 @@ class TestSatisfaction:
         qts, space, marked, plane = grover_props()
         one = np.array([0., 1.])
         state = space.product_state([one, one, MINUS])
-        assert satisfies(state, marked, space)
-        assert satisfies(state, plane, space)
-        assert not satisfies(state, ~marked, space)
+        assert marked.denote(space).contains_state(state)
+        assert plane.denote(space).contains_state(state)
+        assert not (~marked).denote(space).contains_state(state)
 
     def test_superposition_satisfies_join_not_atoms(self):
         qts, space, marked, plane = grover_props()
         psi = space.product_state([PLUS, PLUS, MINUS])
-        assert satisfies(psi, plane, space)
-        assert not satisfies(psi, marked, space)
+        assert plane.denote(space).contains_state(psi)
+        assert not marked.denote(space).contains_state(psi)
 
 
 class TestTemporal:
     def test_always_invariant_plane(self):
         qts, space, marked, plane = grover_props()
-        assert check_always(qts, plane, BASIC)
+        assert ModelChecker(qts, BASIC).check(Always(plane)).holds
 
     def test_always_marked_fails(self):
         qts, space, marked, plane = grover_props()
-        assert not check_always(qts, marked, BASIC)
+        assert not ModelChecker(qts, BASIC).check(Always(marked)).holds
 
     def test_eventually_overlaps_marked(self):
         # from |++->, Grover reaches the marked state
@@ -87,7 +87,7 @@ class TestTemporal:
         one = np.array([0., 1.])
         marked = Atomic(space.span([space.product_state(
             [one, one, MINUS])]), "marked")
-        assert check_eventually_overlaps(qts, marked, BASIC)
+        assert ModelChecker(qts, BASIC).check(Eventually(marked)).holds
 
     def test_eventually_orthogonal_fails(self):
         # the Grover dynamics never leaves the |-> ancilla sector:
@@ -97,4 +97,5 @@ class TestTemporal:
         one = np.array([0., 1.])
         unreachable = Atomic(space.span([space.product_state(
             [one, one, PLUS])]), "ancilla_plus")
-        assert not check_eventually_overlaps(qts, unreachable, BASIC)
+        assert not ModelChecker(qts, BASIC).check(
+            Eventually(unreachable)).holds

@@ -79,13 +79,13 @@ class TestDelta:
 
 class TestIndicator:
     def test_pattern(self, manager):
-        t = tc.indicator_pattern(manager, idx("a0", "a1", "a2"), [1, 0, 1])
+        t = tc.basis_state(manager, idx("a0", "a1", "a2"), [1, 0, 1])
         arr = t.to_numpy()
         assert arr[1, 0, 1] == 1 and arr.sum() == 1
 
     def test_pattern_length_mismatch_raises(self, manager):
         with pytest.raises(TDDError):
-            tc.indicator_pattern(manager, idx("a0"), [1, 0])
+            tc.basis_state(manager, idx("a0"), [1, 0])
 
 
 class TestStates:
@@ -103,11 +103,3 @@ class TestStates:
     def test_identity_shape_mismatch(self, manager):
         with pytest.raises(TDDError):
             tc.identity(manager, idx("a0"), idx("a1", "a2"))
-
-    def test_projector(self, manager):
-        t = tc.computational_basis_projector(manager, idx("a0"), idx("a1"),
-                                             [1])
-        arr = t.to_numpy()
-        expect = np.zeros((2, 2))
-        expect[1, 1] = 1
-        assert np.allclose(arr, expect)
