@@ -116,12 +116,14 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     over ``max_iterations`` (0 = until the dimension saturates, which
     needs at most ``2^n`` rounds).
 
-    ``warm_start`` seeds the fixpoint with an extra subspace joined
-    onto ``initial`` (default ``S0``) before the first round.  Seeding
-    with a previously computed reachable space of the *same* fixpoint
-    (see :func:`cached_reachable`) collapses the iteration ladder to a
-    single confirming round; soundness requires the seed to lie inside
-    the true reachable space, which the exact keying guarantees.
+    ``warm_start`` seeds the fixpoint with an extra subspace before the
+    first round: its basis is kept as the prefix of the seed, and only
+    the vectors of ``initial`` (default ``S0``) are screened against it
+    by Gram-Schmidt.  Seeding with a previously computed reachable
+    space of the *same* fixpoint (see :func:`cached_reachable`)
+    collapses the iteration ladder to a single confirming round;
+    soundness requires the seed to lie inside the true reachable space,
+    which the exact keying guarantees.
 
     On the tdd backend the manager's mark-and-sweep runs after each
     source state's images (see
@@ -140,7 +142,7 @@ def reachable_space(qts: QuantumTransitionSystem, config,
         raise ReproError("reachability from the zero subspace is trivial; "
                          "set an initial space first")
     if warm_start is not None:
-        start = start.join(warm_start)
+        start = warm_start.join(start)
     trace = ReachabilityTrace(subspace=start,
                               dimensions=[start.dimension],
                               direction=config.direction,
@@ -300,10 +302,12 @@ class ReachabilityCache:
 
     Entries are only stored when :func:`admissible` and served only on
     an exact key match (the key includes the bound, so a bounded query
-    never consumes an unbounded entry either).  A warm hit is a
-    subspace that the caller joins into the fixpoint seed (see
-    :func:`cached_reachable`), so a cold cache is merely slow, never
-    wrong.
+    never consumes an unbounded entry either).  A hit re-interns the
+    stored vectors and adopts them as the basis after a Gram-matrix
+    check (:meth:`~repro.subspace.subspace.StateSpace.adopt`), so a
+    healthy entry runs no Gram-Schmidt step.  The caller joins the
+    warm space into the fixpoint seed (see :func:`cached_reachable`),
+    so a cold cache is merely slow, never wrong.
 
     The disk-backed :class:`~repro.store.ResultStore` implements the
     same ``lookup``/``store`` protocol with the same key and admission
@@ -325,7 +329,8 @@ class ReachabilityCache:
     def lookup(self, qts: QuantumTransitionSystem, initial: Subspace,
                direction: str = "forward",
                bound: int = 0) -> Optional[Subspace]:
-        """The cached reachable space, re-interned into ``qts``'s manager."""
+        """The cached reachable space, re-interned into ``qts``'s manager
+        and adopted as is when its basis is still orthonormal."""
         key, _, _ = fixpoint_key(qts, initial, direction, bound)
         payloads = self._entries.get(key)
         if payloads is None:
@@ -333,7 +338,7 @@ class ReachabilityCache:
             return None
         self.hits += 1
         vectors = [from_dict(qts.manager, data) for data in payloads]
-        return qts.space.span(vectors)
+        return qts.space.adopt(vectors)
 
     def store(self, qts: QuantumTransitionSystem, initial: Subspace,
               direction: str, bound: int, trace: ReachabilityTrace) -> bool:

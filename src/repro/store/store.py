@@ -256,8 +256,12 @@ class ResultStore:
                bound: int = 0) -> Optional[Subspace]:
         """The stored reachable space, re-interned into ``qts``.
 
-        Never raises on damaged entries: any failure between the index
-        row and a verified, decoded basis quarantines the entry and
+        The decoded vectors are adopted as the basis after a Gram-matrix
+        check (:meth:`~repro.subspace.subspace.StateSpace.adopt`), so a
+        healthy entry runs no Gram-Schmidt step; a basis that fails the
+        check is spanned again instead.  Never raises on damaged
+        entries: any failure between the index row and a verified,
+        decoded basis of the recorded rank quarantines the entry and
         reports a miss.
         """
         key, system, seed = fixpoint_key(qts, initial, direction, bound)
@@ -297,7 +301,7 @@ class ResultStore:
                 raise StoreError("basis length disagrees with the "
                                  "recorded dimension")
             vectors = [from_dict(qts.manager, data) for data in basis]
-            result = qts.space.span(vectors)
+            result = qts.space.adopt(vectors)
             if result.dimension != dimension:
                 raise StoreError("re-interned basis lost rank")
         except Exception as exc:  # noqa: BLE001 — miss, never a wrong answer

@@ -7,11 +7,14 @@ live on the *ket* indices ``x_i^0`` and projectors pair each ket with a
 
 ``Subspace`` keeps an orthonormal basis of TDD states, maintained by
 the Gram-Schmidt procedure of Section IV.B; its projector TDD is built
-only when something asks for it.
+only when something asks for it.  Vectors that are already orthonormal
+(a decoded store entry, a Householder completion) are adopted after a
+Gram-matrix check instead of being orthogonalised again.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +25,7 @@ from repro.indices.index import Index, wire
 from repro.tdd import construction as tc
 from repro.tdd.apply import inner_apply
 from repro.tdd.manager import TDDManager
+from repro.tdd.slicing import largest_entry
 from repro.tdd.tdd import TDD
 
 #: machine epsilon of a double
@@ -87,6 +91,33 @@ class StateSpace:
         for state in states:
             out.add_state(state)
         return out
+
+    def adopt(self, vectors: Sequence[TDD]) -> "Subspace":
+        """The span of ``vectors``, taken as the basis when orthonormal.
+
+        The Gram matrix is read with the scalar inner walk.  When every
+        entry lies within ``GS_EPS**2`` of the identity, the vectors
+        become the basis as they are, in order, and the largest
+        deviation measured becomes the drift that
+        :meth:`Subspace.add_state` screens against.  Any other input
+        (a scaled, duplicated or non-orthogonal vector) is spanned by
+        Gram-Schmidt, as :meth:`span` does.
+        """
+        vectors = list(vectors)
+        if any(set(v.indices) != set(self.kets) for v in vectors):
+            return self.span(vectors)
+        levels = self.ket_levels
+        limit = GS_EPS * GS_EPS
+        deviation = 0.0
+        for i, left in enumerate(vectors):
+            for j in range(i, len(vectors)):
+                entry = inner_apply(self.manager, left.root,
+                                    vectors[j].root, levels)
+                deviation = max(deviation,
+                                abs(entry - 1 if i == j else entry))
+                if deviation > limit:
+                    return self.span(vectors)
+        return Subspace._from_orthonormal(self, vectors, deviation)
 
     def __repr__(self) -> str:
         return f"StateSpace(qubits={self.num_qubits})"
@@ -284,17 +315,54 @@ class Subspace:
     # quantum-logic operations (Birkhoff-von Neumann lattice)
     # ------------------------------------------------------------------
     def complement(self) -> "Subspace":
-        """The orthocomplement ``S^perp``.
+        """The orthocomplement ``S^perp``, by Householder completion.
 
-        Computed by basis-decomposing ``I - P`` (a projector whenever
-        ``P`` is one).  Note the result's dimension is ``2^n - dim``,
-        so this is only cheap on small systems or near-full subspaces.
+        Each basis vector ``v_i`` in turn is carried through the
+        reflections so far, ``x = H_{i-1}...H_1 v_i``, and picks as its
+        pivot ``p_i`` a computational basis index of largest ``|x[p]|``
+        (one memoised walk, :func:`~repro.tdd.slicing.largest_entry`).
+        The reflection ``H_i y = y - (2/|u_i|^2) <u_i|y> u_i`` with
+        ``u_i = x + e^{i arg x[p_i]} |x| |p_i>`` (no cancellation) maps
+        ``x`` onto ``|p_i>``, so ``H_1...H_d |k>`` for every ``k``
+        outside the pivots is an orthonormal basis of ``S^perp``
+        (Golub & Van Loan, *Matrix Computations*, Section 5.1).  A
+        reflection whose ``<u_i|y>`` is exactly 0 adds nothing, which
+        keeps a target aligned with the computational basis exact.
+        No projector is built; the completed vectors, in lexicographic
+        order of ``k``, go through :meth:`StateSpace.adopt`.
         """
-        from repro.subspace.projector import basis_decompose
-        from repro.tdd import construction as tc
-        identity = tc.identity(self.manager, list(self.space.bras),
-                               list(self.space.kets))
-        return basis_decompose(self.space, identity - self.projector)
+        space, manager = self.space, self.manager
+        levels = space.ket_levels
+        kets = sorted(space.kets, key=manager.level)
+        reflections: List[Tuple[TDD, float]] = []
+        pivots = set()
+
+        def reflect(state: TDD, order: Iterable[Tuple[TDD, float]]) -> TDD:
+            for u, scale in order:
+                overlap = inner_apply(manager, u.root, state.root, levels)
+                if overlap != 0:
+                    state = state + u.scaled(-scale * overlap)
+            return state
+
+        for vector in self.basis:
+            x = reflect(vector, reflections)
+            assignment, entry = largest_entry(x.root)
+            pivot = tuple(assignment.get(manager.level(k), 0) for k in kets)
+            if pivot in pivots:
+                raise SubspaceError("Householder pivot repeated: the "
+                                    "basis is not orthonormal")
+            pivots.add(pivot)
+            norm = self._norm2(x) ** 0.5
+            magnitude = abs(entry)
+            u = x + tc.basis_state(manager, kets, pivot).scaled(
+                entry / magnitude * norm)
+            # 2 / |u|^2, with |u|^2 = 2 |x| (|x| + |x[p]|)
+            reflections.append((u, 1.0 / (norm * (norm + magnitude))))
+        completed = [reflect(tc.basis_state(manager, kets, bits),
+                             reversed(reflections))
+                     for bits in itertools.product((0, 1), repeat=len(kets))
+                     if bits not in pivots]
+        return space.adopt(completed)
 
     def meet(self, other: "Subspace") -> "Subspace":
         """``S1 ^ S2`` — the lattice meet (subspace intersection).

@@ -4,6 +4,8 @@ Slicing fixes one index to a constant (paper, Section II.B); it is the
 workhorse of the addition-partition scheme and of the basis
 decomposition of projectors (Section IV.A), which locates the *leftmost
 non-zero path* of a projector TDD to extract its first non-zero column.
+The *largest-entry path* picks the pivots of the Householder completion
+behind :meth:`~repro.subspace.subspace.Subspace.complement`.
 
 Both operations run on the explicit-stack machinery from
 :mod:`repro.tdd.apply` — no Python recursion, so they work on diagrams
@@ -12,11 +14,11 @@ of arbitrary depth under the default interpreter recursion limit.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.tdd.apply import unary_apply
 from repro.tdd.manager import TDDManager
-from repro.tdd.node import Edge, Node
+from repro.tdd.node import TERMINAL_LEVEL, Edge, Node
 
 
 def slice_edge(manager: TDDManager, edge: Edge, level: int, value: int) -> Edge:
@@ -88,3 +90,47 @@ def first_nonzero_assignment(edge: Edge,
         else:
             frames.pop()
     return None
+
+
+def largest_entry(edge: Edge) -> Optional[Tuple[Dict[int, int], complex]]:
+    """An assignment of largest ``|entry|`` and the entry it reaches.
+
+    One memoised post-order walk records, per node, the largest
+    magnitude over its paths to the terminal; the descent then takes
+    the branch of larger weighted magnitude, ``low`` on ties.  Levels
+    the diagram skips are omitted (every bit reaches the same entry;
+    callers take 0).  Returns ``None`` iff the edge denotes zero.
+    """
+    if edge.is_zero:
+        return None
+    best: Dict[int, float] = {}
+    stack = [edge.node]
+    while stack:
+        node = stack[-1]
+        if id(node) in best:
+            stack.pop()
+            continue
+        if node.level == TERMINAL_LEVEL:
+            best[id(node)] = 1.0
+            stack.pop()
+            continue
+        low, high = node.low.node, node.high.node
+        pending = [child for child in (low, high) if id(child) not in best]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        best[id(node)] = max(abs(node.low.weight) * best[id(low)],
+                             abs(node.high.weight) * best[id(high)])
+    assignment: Dict[int, int] = {}
+    entry = edge.weight
+    node = edge.node
+    while node.level != TERMINAL_LEVEL:
+        low, high = node.low, node.high
+        bit = int(abs(high.weight) * best[id(high.node)]
+                  > abs(low.weight) * best[id(low.node)])
+        chosen = high if bit else low
+        assignment[node.level] = bit
+        entry *= chosen.weight
+        node = chosen.node
+    return assignment, entry

@@ -21,6 +21,7 @@ from repro.mc.config import CheckerConfig
 from repro.mc.reachability import reachable_space
 from repro.store import ResultStore
 from repro.systems import models
+from repro.tdd.io import from_dict, payload_digest, to_dict
 from tests.helpers import subspace_to_dense
 
 #: the basic image method (no partitioning)
@@ -116,6 +117,48 @@ class TestBlobDamage:
         conn.execute("UPDATE entries SET checksum=?", (checksum,))
         conn.commit()
         conn.close()
+        _assert_miss_quarantine_recover(root, key, trace, "decode")
+
+
+def _rewrite_basis(root, key, damage):
+    """Replace the blob's basis by ``damage(basis)`` under an honest
+    checksum, so only the decode checks stand between it and a hit."""
+    blob = _blob_path(root, key)
+    with open(blob, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload["basis"] = damage(payload["basis"])
+    with open(blob, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=1, sort_keys=True)
+    conn = sqlite3.connect(os.path.join(root, "index.sqlite"))
+    conn.execute("UPDATE entries SET checksum=? WHERE key=?",
+                 (payload_digest(payload), key))
+    conn.commit()
+    conn.close()
+
+
+class TestBasisDamage:
+    def test_scaled_vector_is_spanned_again(self, populated):
+        # not orthonormal, still the right span: the Gram check refuses
+        # to adopt it and Gram-Schmidt serves the stored space
+        root, key, trace = populated
+        scratch = models.qrw_qts(3, 0.2).manager
+
+        def scale_first(basis):
+            vector = from_dict(scratch, basis[0]).scaled(2)
+            return [to_dict(vector)] + basis[1:]
+
+        _rewrite_basis(root, key, scale_first)
+        with ResultStore(root) as st:
+            qts = models.qrw_qts(3, 0.2)
+            warm = st.lookup(qts, qts.initial)
+            assert warm is not None and st.hits == 1
+            assert st.quarantine_records() == []
+            assert subspace_to_dense(warm).equals(
+                subspace_to_dense(trace.subspace))
+
+    def test_duplicated_vector_is_quarantined(self, populated):
+        root, key, trace = populated
+        _rewrite_basis(root, key, lambda basis: [basis[0]] + basis[:-1])
         _assert_miss_quarantine_recover(root, key, trace, "decode")
 
 

@@ -17,9 +17,10 @@ import pytest
 from repro.errors import StoreError
 from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig
-from repro.mc.reachability import reachable_space
+from repro.mc.reachability import ReachabilityCache, reachable_space
 from repro.store import SCHEMA_VERSION, ResultStore
 from repro.store.migrate import ensure_schema
+from repro.subspace.subspace import Subspace
 from repro.systems import models
 from tests.helpers import subspace_to_dense
 
@@ -96,6 +97,26 @@ class TestStoreBasics:
         assert warm.iterations == 1
         assert warm.converged
         assert warm.dimension == cold.dimension
+
+    @pytest.mark.parametrize("kind", ["disk", "memory"])
+    def test_healthy_hit_adopts_the_stored_basis(self, kind, store,
+                                                 monkeypatch):
+        cache = store if kind == "disk" else ReachabilityCache()
+        qts, cold = _populated(cache)
+        rebuilt = models.qrw_qts(3, 0.2)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a healthy hit ran Gram-Schmidt")
+
+        monkeypatch.setattr(Subspace, "add_state", refuse)
+        warm_space = cache.lookup(rebuilt, rebuilt.initial)
+        assert warm_space.dimension == cold.dimension
+        monkeypatch.undo()
+        warm = reachable_space(rebuilt, BASIC, warm_start=warm_space)
+        # the stored basis is the seed's prefix; the initial state only
+        # gets screened against it
+        assert warm.subspace.basis[:cold.dimension] == warm_space.basis
+        assert warm.dimensions == [cold.dimension, cold.dimension]
 
     def test_checker_protocol_and_source_attribution(self, tmp_path):
         assert ResultStore.source == "disk"

@@ -5,6 +5,7 @@ import functools
 import numpy as np
 import pytest
 
+from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig
 from repro.mc.reachability import reachable_space
 from repro.subspace.subspace import Subspace
@@ -83,6 +84,21 @@ def test_fixpoint_never_builds_a_projector(monkeypatch, direction):
                                           direction=direction))
     assert trace.dimension > 1
     assert trace.subspace._projector is None
+
+
+def test_backward_always_check_never_builds_a_projector(monkeypatch):
+    # the event set of AG is the complement of the target; completing
+    # its basis by Householder reflections needs no I - P
+    def refuse(self):
+        raise AssertionError("the check materialised a projector")
+
+    monkeypatch.setattr(Subspace, "projector", property(refuse))
+    result = ModelChecker(models.qrw_qts(5),
+                          CheckerConfig(method="basic",
+                                        direction="backward")).check(
+        "AG start")
+    assert not result.holds
+    assert result.dimensions == [31, 32, 32]
 
 
 def random_states(space, rng, count):
