@@ -446,8 +446,10 @@ def run_sweep(spec: SweepSpec, jobs: int = 1,
     :class:`~repro.mc.reachability.ReachabilityCache`); warm rows carry
     ``cache_warm=True``.  Pass ``warm_start=False`` (CLI:
     ``--no-warm-start``) when the sweep's purpose is to *benchmark* the
-    fixpoint itself — a warm-started row measures one confirming round,
-    not the configured engine's full iteration ladder.
+    fixpoint itself — a warm-started row measures the closure
+    certificate (one image per Kraus circuit, or the loop from the
+    cached space when it fails), not the configured engine's full
+    iteration ladder.
 
     ``store_dir`` (CLI: ``--store DIR``) replaces the sweep-lifetime
     in-memory cache with a persistent
@@ -592,8 +594,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--no-warm-start", action="store_true",
                         help="disable fixpoint reuse between check rows "
                              "(use when benchmarking the fixpoint "
-                             "itself; warm rows measure one confirming "
-                             "round, not the full iteration ladder)")
+                             "itself; warm rows measure one closure "
+                             "certificate, not the full iteration "
+                             "ladder)")
     parser.add_argument("--store", default=None, metavar="DIR",
                         dest="store_dir",
                         help="persistent result-store directory: "

@@ -38,8 +38,12 @@ and ``--bound K`` (depth-limit the fixpoint to K image steps).
 run is warm-started from (and, on a miss, recorded into) the
 disk-backed content-addressed :class:`~repro.store.ResultStore` at
 ``DIR`` — only converged, unbounded fixpoints are admitted, so the
-store never changes a verdict, it only collapses repeat runs to one
-confirming iteration.  Every fixpoint runs the one frontier loop,
+store never changes a verdict.  A hit is certified closed with one
+image per Kraus circuit and prints ``store = hit (certified)``; when
+the certificate fails the fixpoint loop runs from the stored space and
+the line reads ``hit``.  A verdict served from the store that calls
+for a witness stands only when the witness replays from the initial
+space; otherwise the entry is quarantined and the run recomputed.  Every fixpoint runs the one frontier loop,
 ``repro.mc.reachability.reachable_space`` (each round images only the
 directions the previous round added).  A failed ``AG`` / satisfied
 ``EF`` check also prints the counterexample witness trace — the
@@ -173,7 +177,7 @@ def _store_line(stats) -> Optional[str]:
     if "cache_warm" not in extra:
         return None
     if extra["cache_warm"]:
-        return "hit"
+        return "hit (certified)" if extra.get("cache_certified") else "hit"
     return "miss (recorded)" if extra["cache_stored"] else \
         "miss (not recorded)"
 

@@ -82,6 +82,10 @@ class AdditionImageComputer(ImageComputerBase):
             return parts, inputs, outputs
         return self._cached(circuit, build, stats)
 
+    def prepare(self, circuit: QuantumCircuit,
+                stats: StatsRecorder) -> None:
+        self.parts_for(circuit, stats)
+
     # ------------------------------------------------------------------
     def circuit_image(self, state: TDD, circuit: QuantumCircuit,
                       stats: StatsRecorder) -> TDD:

@@ -138,6 +138,12 @@ class ImageComputerBase:
             self.qts.manager.collect()
         return ImageResult(result, stats)
 
+    def prepare(self, circuit, stats: StatsRecorder) -> None:
+        """Build ``circuit``'s diagrams into the operator cache (a no-op
+        once built), so that a caller can collect the build's garbage
+        before it images anything."""
+        raise NotImplementedError
+
     def circuit_image(self, state: TDD, circuit,
                       stats: StatsRecorder) -> TDD:
         """``E |state>`` for the Kraus circuit ``E``, over the kets.

@@ -35,6 +35,10 @@ class BasicImageComputer(ImageComputerBase):
             circuit, lambda observer: circuit_to_tdd(
                 circuit, self.qts.manager, observer=observer), stats)
 
+    def prepare(self, circuit: QuantumCircuit,
+                stats: StatsRecorder) -> None:
+        self.operator_for(circuit, stats)
+
     # ------------------------------------------------------------------
     def circuit_image(self, state: TDD, circuit: QuantumCircuit,
                       stats: StatsRecorder) -> TDD:

@@ -91,6 +91,10 @@ class ContractionImageComputer(ImageComputerBase):
                               if idx in external or len(usage[idx]) > 1}
         return out
 
+    def prepare(self, circuit: QuantumCircuit,
+                stats: StatsRecorder) -> None:
+        self.blocks_for(circuit, stats)
+
     # ------------------------------------------------------------------
     def circuit_image(self, state: TDD, circuit: QuantumCircuit,
                       stats: StatsRecorder) -> TDD:

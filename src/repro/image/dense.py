@@ -15,6 +15,9 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
+from repro.config import GS_EPS
 from repro.errors import ReproError
 from repro.image.base import ImageResult
 from repro.sim.subspace_dense import DenseSubspace
@@ -44,8 +47,11 @@ class DenseImageEngine:
                 f"backend, or raise max_qubits explicitly")
         self.qts = qts
         self.config = config
-        #: every Kraus matrix of every operation
-        self.kraus = [matrix for op in qts.operations
+        #: every Kraus matrix of every operation (their adjoints in
+        #: preimage mode)
+        self.kraus = [matrix if config.direction == "forward"
+                      else matrix.conj().T
+                      for op in qts.operations
                       for matrix in op.kraus_matrices()]
 
     # ------------------------------------------------------------------
@@ -59,14 +65,13 @@ class DenseImageEngine:
     def lift(self, dense: DenseSubspace,
              stats: StatsRecorder) -> Subspace:
         space = self.qts.space
-        result = space.span([space.from_amplitudes(dense.basis[:, column])
-                             for column in range(dense.dimension)])
+        # the SVD columns are orthonormal: adopted, not spanned again
+        result = space.adopt([space.from_amplitudes(dense.basis[:, column])
+                              for column in range(dense.dimension)])
         stats.observe_nodes(result.projector.size())
         return result
 
     def image(self, source: DenseSubspace) -> DenseSubspace:
-        if self.config.direction == "backward":
-            return source.preimage(self.kraus)
         return source.image(self.kraus)
 
     def extend(self, current: DenseSubspace, source: DenseSubspace,
@@ -79,6 +84,20 @@ class DenseImageEngine:
         # (rank = the growth)
         residual = grown.basis - previous.projector() @ grown.basis
         return DenseSubspace.from_vectors(residual.T, grown.dim)
+
+    def certify(self, current: DenseSubspace, phases: np.ndarray,
+                stats: Optional[StatsRecorder] = None) -> bool:
+        """The certificate of
+        :meth:`~repro.image.engine.ImageEngine.certify` on the Kraus
+        matrices: ``r`` is ``basis @ phases``."""
+        basis = current.basis
+        mixed = basis @ phases
+        for matrix in self.kraus:
+            image = matrix @ mixed
+            residual = image - basis @ (basis.conj().T @ image)
+            if np.linalg.norm(residual) > GS_EPS:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     def compute_image(self, subspace: Optional[Subspace] = None

@@ -16,8 +16,9 @@ wrapper used throughout the benchmarks and the CLI.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
+from repro.config import GS_EPS
 from repro.errors import ConfigError, ReproError
 from repro.image.addition import AdditionImageComputer
 from repro.image.base import ImageComputerBase, ImageResult
@@ -118,6 +119,39 @@ class ImageEngine:
         # space: extend() keeps the previous basis as the prefix, so
         # the tail is orthonormal and orthogonal to it already
         return grown.tail(previous.dimension)
+
+    def certify(self, current: Subspace, phases: Sequence[complex],
+                stats: StatsRecorder) -> bool:
+        """Does ``E r`` stay within ``GS_EPS`` of ``current`` for every
+        Kraus circuit ``E``, where ``r = sum_j phases[j] basis[j]``?
+
+        One image of ``r`` per circuit, through the configured method;
+        the residual is absolute, so a leak of one basis vector is not
+        diluted by ``|r|`` (see
+        :func:`~repro.mc.reachability.reachable_space`).  The operators
+        are built first, and the manager collects after the builds,
+        after forming ``r`` and after each image and each residual, so
+        the live-node peak stays that of the builds.
+        """
+        manager = self.qts.manager
+        circuits = self.system.all_kraus_circuits()
+        for circuit in circuits:
+            self.computer.prepare(circuit, stats)
+        manager.collect()
+        mixed = current.basis[0].scaled(complex(phases[0]))
+        for phase, vector in zip(phases[1:], current.basis[1:]):
+            mixed = mixed + vector.scaled(complex(phase))
+        stats.observe_tdd(mixed)
+        manager.collect()
+        for circuit in circuits:
+            image = self.computer.circuit_image(mixed, circuit, stats)
+            stats.observe_tdd(image)
+            manager.collect()
+            closed = current.distance(image) <= GS_EPS
+            manager.collect()
+            if not closed:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     def compute_image(self, subspace: Optional[Subspace] = None

@@ -96,6 +96,10 @@ class HybridImageComputer(ImageComputerBase):
             return all_parts, inputs, outputs
         return self._cached(circuit, build, stats)
 
+    def prepare(self, circuit: QuantumCircuit,
+                stats: StatsRecorder) -> None:
+        self.slices_for(circuit, stats)
+
     # ------------------------------------------------------------------
     def circuit_image(self, state: TDD, circuit: QuantumCircuit,
                       stats: StatsRecorder) -> TDD:

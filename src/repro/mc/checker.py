@@ -243,21 +243,30 @@ class ModelChecker:
         Runs on whichever backend this checker is configured for; the
         verdicts — and the witness traces, which are built on the
         shared subspace machinery — are backend-independent by
-        construction.  ``witness_trace=False`` skips counterexample
-        extraction.
+        construction.  ``witness_trace=False`` leaves the
+        counterexample out of the result (and skips extracting it,
+        except to vouch for a warm-served verdict, see below).
 
         ``reach_cache`` (an in-memory
         :class:`~repro.mc.reachability.ReachabilityCache` or a
         disk-backed :class:`~repro.store.ResultStore` — both speak the
-        same ``lookup``/``store`` protocol) warm-starts
+        same ``lookup``/``store``/``discard`` protocol) warm-starts
         the reachability fixpoint behind an unbounded temporal check:
         on an exact key hit — same transition relation, same fixpoint
         seed, same direction — the cached reachable space seeds the
-        iteration, which then collapses to one confirming round; a
-        miss stores the converged result for later runs.  The sweep
-        runner uses this to share reachability across configurations
-        that differ only in image method; a hit
-        is recorded as ``stats.extra["cache_warm"]``.
+        fixpoint, which certifies it closed with one image per Kraus
+        circuit (``stats.extra["cache_certified"]``) or, when the
+        certificate fails, runs the loop from it; a miss stores the
+        converged result for later runs.  The certificate cannot tell a
+        closed entry that is too large, so a warm-served verdict that
+        calls for a witness (a violated ``AG`` or a satisfied ``EF``,
+        either direction) always extracts one — from ``start``, reading
+        no entry — and stands only when it replays; otherwise the entry
+        is discarded (a store quarantines it as ``"witness"``) and the
+        check reruns cold.  The trace is attached only with
+        ``witness_trace=True``.  The sweep runner uses this to share
+        reachability across configurations that differ only in image
+        method; a hit is recorded as ``stats.extra["cache_warm"]``.
         """
         from repro.mc.specs import parse_spec, resolve, to_text
         if isinstance(spec, str):
@@ -281,31 +290,44 @@ class ModelChecker:
             target = spec.inner.denote(space)
             kind = spec.keyword
             start = initial if initial is not None else self.qts.initial
+
+            def decide(trace, replay):
+                """``(holds, witness, witness trace)`` of one fixpoint;
+                the trace is extracted only when ``replay`` is set and
+                the verdict calls for one."""
+                holds, witness = self._verdict(spec, target, start,
+                                               trace, tol)
+                found = None
+                if replay and (kind == Always.keyword) != holds:
+                    found = extract_witness_trace(
+                        self.qts, kind, target, initial=start, tol=tol,
+                        bound=effective_bound, config=self.config)
+                return holds, witness, found
+
+            served = []
+
+            def vouch(trace):
+                # a closed superspace of the reachable space passes the
+                # warm-start certificate, and can only flip a verdict to
+                # one that calls for a witness; the witness is built
+                # from ``start`` and replayed forward, reading no entry
+                outcome = decide(trace, replay=True)
+                served.append((trace, outcome))
+                holds, _, found = outcome
+                return ((kind == Always.keyword) == holds
+                        or (found is not None and found.valid))
+
             if direction == "backward":
-                trace, holds, witness = self._check_backward(
-                    spec, target, start, max_iterations,
-                    effective_bound, tol, reach_cache)
+                trace = self._backward_trace(spec, target, max_iterations,
+                                             effective_bound, reach_cache,
+                                             vouch)
             else:
                 trace = self._reachable_with_cache(
-                    start, initial, max_iterations,
-                    "forward", effective_bound, reach_cache)
-                reached = trace.subspace
-                if isinstance(spec, Always):
-                    holds = target.contains(reached, tol)
-                    witness = None if holds else _escaping_directions(
-                        reached, target, tol)
-                else:
-                    # verdict and witness from the same criterion: some
-                    # reachable basis vector has a component in the
-                    # target above tol
-                    witness = _overlap_witness(reached, target, tol)
-                    holds = witness is not None
-            trace_obj = None
-            needs_trace = (kind == Always.keyword) != holds
-            if witness_trace and needs_trace:
-                trace_obj = extract_witness_trace(
-                    self.qts, kind, target, initial=start, tol=tol,
-                    bound=effective_bound, config=self.config)
+                    start, initial, max_iterations, "forward",
+                    effective_bound, reach_cache, vouch)
+            holds, witness, trace_obj = (
+                next((o for t, o in served if t is trace), None)
+                or decide(trace, witness_trace))
             return CheckResult(
                 spec=text, kind=kind, holds=holds,
                 model=self.qts.name, config=self.config,
@@ -313,7 +335,8 @@ class ModelChecker:
                 dimensions=list(trace.dimensions),
                 iterations=trace.iterations,
                 converged=trace.converged,
-                witness=witness, witness_trace=trace_obj,
+                witness=witness,
+                witness_trace=trace_obj if witness_trace else None,
                 direction=direction, bound=effective_bound,
                 stats=trace.stats)
 
@@ -332,12 +355,14 @@ class ModelChecker:
     def _reachable_with_cache(self, seed: Subspace,
                               initial: Optional[Subspace],
                               max_iterations: int, direction: str,
-                              bound: int, reach_cache) -> ReachabilityTrace:
+                              bound: int, reach_cache,
+                              vouch=None) -> ReachabilityTrace:
         """The fixpoint behind a temporal check, warm-started if possible.
 
         ``seed`` is the subspace the fixpoint actually starts from
         (``initial``-or-``S0`` forward, the event set backward) — the
-        cache key (see :func:`~repro.mc.reachability.cached_reachable`).
+        cache key (see :func:`~repro.mc.reachability.cached_reachable`,
+        which also takes ``vouch``).
         """
         config = self._resolve(direction, bound)
 
@@ -346,20 +371,20 @@ class ModelChecker:
                                    max_iterations=max_iterations,
                                    warm_start=warm)
         return cached_reachable(reach_cache, self.qts, seed, direction, run,
-                                bound=bound, max_iterations=max_iterations)
+                                bound=bound, max_iterations=max_iterations,
+                                vouch=vouch)
 
-    def _check_backward(self, spec: TemporalSpec, target: Subspace,
-                        start: Subspace, max_iterations: int,
-                        bound: int, tol: float, reach_cache=None):
-        """Temporal verdict by backward (preimage) reachability.
+    def _backward_trace(self, spec: TemporalSpec, target: Subspace,
+                        max_iterations: int, bound: int, reach_cache,
+                        vouch) -> ReachabilityTrace:
+        """The backward (preimage) fixpoint from the event set.
 
         The event set is ``[[φ]]^perp`` for ``AG`` (a state escapes φ
         iff it has a component in the orthocomplement) and ``[[φ]]``
-        for ``EF``; the verdict is decided by whether the backward-
-        reachable space from the event set — under the adjoint Kraus
-        family — meets the initial space (``<v|E u> = <E^dagger v|u>``
-        makes the two formulations equivalent).  The witness is the
-        span of the initial directions that can reach the event.
+        for ``EF``; :meth:`_verdict` then asks whether the
+        backward-reachable space — under the adjoint Kraus family —
+        meets the initial space (``<v|E u> = <E^dagger v|u>`` makes the
+        two formulations equivalent).
         """
         event = (target.complement() if isinstance(spec, Always)
                  else target)
@@ -369,13 +394,36 @@ class ModelChecker:
             trace = ReachabilityTrace(subspace=event, dimensions=[0],
                                       direction="backward", bound=bound)
             trace.stats.extra["direction"] = "backward"
-            return trace, isinstance(spec, Always), None
-        trace = self._reachable_with_cache(
-            event, event, max_iterations, "backward", bound, reach_cache)
-        witness = _overlap_witness(trace.subspace, start, tol)
-        overlaps = witness is not None
-        holds = not overlaps if isinstance(spec, Always) else overlaps
-        return trace, holds, witness
+            return trace
+        return self._reachable_with_cache(
+            event, event, max_iterations, "backward", bound, reach_cache,
+            vouch)
+
+    @staticmethod
+    def _verdict(spec: TemporalSpec, target: Subspace, start: Subspace,
+                 trace: ReachabilityTrace, tol: float):
+        """``(holds, witness)`` from a fixpoint of either direction.
+
+        Forward, ``AG`` holds when the reachable space lies in the
+        target (the witness is the escaping directions) and ``EF`` when
+        some reachable direction overlaps it.  Backward, the witness is
+        the span of the initial directions that can reach the event,
+        and the event is reachable iff there is one.
+        """
+        reached = trace.subspace
+        if trace.direction == "backward":
+            witness = _overlap_witness(reached, start, tol)
+            overlaps = witness is not None
+            return (not overlaps if isinstance(spec, Always)
+                    else overlaps), witness
+        if isinstance(spec, Always):
+            holds = target.contains(reached, tol)
+            return holds, (None if holds else
+                           _escaping_directions(reached, target, tol))
+        # verdict and witness from the same criterion: some reachable
+        # basis vector has a component in the target above tol
+        witness = _overlap_witness(reached, target, tol)
+        return witness is not None, witness
 
     # ------------------------------------------------------------------
     # subspace-level checks, reimplemented on top of check()

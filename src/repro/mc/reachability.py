@@ -27,7 +27,10 @@ subspace type (anything with ``dimension``):
   ``current`` (one Gram-Schmidt pass per image state, no image
   subspace or projector in between);
 * ``new_directions(previous, grown)`` — the span of what a growing
-  round added beyond ``previous``.
+  round added beyond ``previous``;
+* ``certify(current, phases, stats)`` — does ``E r`` lie in
+  ``current`` for every Kraus circuit ``E``, where ``r`` is the
+  combination of ``current``'s basis with the given unit phases?
 
 Garbage collection is not part of the protocol: the symbolic engine
 collects after each source state's images (see
@@ -46,6 +49,7 @@ sequence shared by that cache, the disk-backed
 from __future__ import annotations
 
 import hashlib
+import random
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -119,11 +123,26 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     ``warm_start`` seeds the fixpoint with an extra subspace before the
     first round: its basis is kept as the prefix of the seed, and only
     the vectors of ``initial`` (default ``S0``) are screened against it
-    by Gram-Schmidt.  Seeding with a previously computed reachable
-    space of the *same* fixpoint (see :func:`cached_reachable`)
-    collapses the iteration ladder to a single confirming round;
-    soundness requires the seed to lie inside the true reachable space,
-    which the exact keying guarantees.
+    by Gram-Schmidt.  When that adds no dimension and the seed ``W`` is
+    not the whole space, a *certificate* replaces the loop.  For each
+    Kraus circuit ``E`` the set ``{x in W : E x in W}`` is a subspace
+    of ``W``, so one random combination ``r = sum_j c_j w_j`` of the
+    basis with ``E r`` in ``W`` shows ``E W <= W`` with probability 1
+    (Freivalds' product check, IFIP 1977).  The ``c_j`` are unit
+    phases from a fixed-seed generator (:func:`certificate_phases`),
+    so runs stay deterministic and a single leaking basis vector is
+    not diluted; ``r`` is imaged once per circuit, and every image's
+    residual against ``W`` must be at most ``GS_EPS`` in absolute
+    terms.  A certified seed is returned as is, reading
+    ``dimensions=[d, d]`` and one iteration, with
+    ``stats.extra["cache_certified"]`` True; a rejected one (recorded
+    as False) runs the loop, which is slower and never wrong.  Seeding
+    with a previously computed reachable space of the *same* fixpoint
+    (see :func:`cached_reachable`) is how a cache hit costs one image
+    per circuit.  The certificate guards closure only: soundness also
+    requires the seed to lie inside the true reachable space, which
+    the exact keying provides and the checker's witness replay backs
+    up (see :meth:`~repro.mc.checker.ModelChecker.check`).
 
     On the tdd backend the manager's mark-and-sweep runs after each
     source state's images (see
@@ -141,8 +160,11 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     if start.dimension == 0:
         raise ReproError("reachability from the zero subspace is trivial; "
                          "set an initial space first")
+    certifiable = False
     if warm_start is not None:
         start = warm_start.join(start)
+        certifiable = (start.dimension == warm_start.dimension
+                       and not start.is_full())
     trace = ReachabilityTrace(subspace=start,
                               dimensions=[start.dimension],
                               direction=config.direction,
@@ -165,21 +187,45 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     manager = qts.manager
     baseline = manager.cache_counters()
     watch = Stopwatch().start()
-    for _ in range(limit):
-        grown = engine.extend(current, frontier, trace.stats)
-        trace.iterations += 1
+    if certifiable:
+        extra["cache_certified"] = engine.certify(
+            current, certificate_phases(current.dimension), trace.stats)
+    if extra.get("cache_certified"):
+        grown = current
+        trace.iterations = 1
         trace.dimensions.append(grown.dimension)
-        if grown.dimension == current.dimension:
-            break
-        frontier = engine.new_directions(current, grown)
-        current = grown
     else:
-        trace.converged = False
+        for _ in range(limit):
+            grown = engine.extend(current, frontier, trace.stats)
+            trace.iterations += 1
+            trace.dimensions.append(grown.dimension)
+            if grown.dimension == current.dimension:
+                break
+            frontier = engine.new_directions(current, grown)
+            current = grown
+        else:
+            trace.converged = False
     trace.subspace = engine.lift(grown, trace.stats)
     trace.stats.seconds = watch.stop()
     manager.collect()
     trace.stats.record_manager(manager, baseline)
     return trace
+
+
+#: the seed of :func:`certificate_phases`
+CERTIFICATE_SEED = 1977
+
+
+def certificate_phases(count: int) -> np.ndarray:
+    """``count`` random unit phases ``e^{i theta_j}``, the same on
+    every call: the coefficients of the warm-start certificate.
+
+    Drawn from the standard library's seeded Mersenne Twister, which
+    every process has loaded already; ``numpy.random`` would add about
+    2 MB of resident memory to a run that uses nothing else of it.
+    """
+    draw = random.Random(CERTIFICATE_SEED).random
+    return np.exp(2j * np.pi * np.array([draw() for _ in range(count)]))
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +310,9 @@ def cached_reachable(cache, qts: QuantumTransitionSystem, seed: Subspace,
                      direction: str,
                      run: Callable[[Optional[Subspace]], ReachabilityTrace],
                      *, bound: int = 0,
-                     max_iterations: int = 0) -> ReachabilityTrace:
+                     max_iterations: int = 0,
+                     vouch: Optional[Callable[[ReachabilityTrace], bool]]
+                     = None) -> ReachabilityTrace:
     """One fixpoint from ``seed``, warm-started through ``cache``.
 
     ``run(warm)`` computes the fixpoint, joining ``warm`` (a cached
@@ -272,13 +320,21 @@ def cached_reachable(cache, qts: QuantumTransitionSystem, seed: Subspace,
     :class:`ReachabilityCache`, a :class:`~repro.store.ResultStore` or
     ``None``.  Only unbounded, untruncated fixpoints consult it: a
     bounded query must never be served the saturated space (it would
-    overshoot).  The trace records ``cache_warm``, plus
-    ``cache_source`` on a hit or ``cache_stored`` on a miss.
+    overshoot).  ``vouch(trace)``, when given, judges a warm-served
+    trace: False discards the entry (``cache.discard``), records
+    ``cache_discarded`` and runs the fixpoint cold, as on a miss.  The
+    trace records ``cache_warm``, plus ``cache_source`` on a hit or
+    ``cache_stored`` on a miss.
     """
     if cache is None or bound != 0 or max_iterations != 0:
         return run(None)
     warm = cache.lookup(qts, seed, direction, 0)
     trace = run(warm)
+    if warm is not None and vouch is not None and not vouch(trace):
+        cache.discard(qts, seed, direction, 0)
+        warm = None
+        trace = run(None)
+        trace.stats.extra["cache_discarded"] = True
     extra = trace.stats.extra
     extra["cache_warm"] = warm is not None
     if warm is not None:
@@ -306,11 +362,16 @@ class ReachabilityCache:
     stored vectors and adopts them as the basis after a Gram-matrix
     check (:meth:`~repro.subspace.subspace.StateSpace.adopt`), so a
     healthy entry runs no Gram-Schmidt step.  The caller joins the
-    warm space into the fixpoint seed (see :func:`cached_reachable`),
-    so a cold cache is merely slow, never wrong.
+    warm space into the fixpoint seed (see :func:`cached_reachable`);
+    :func:`reachable_space` then certifies the seed closed with one
+    image per Kraus circuit, or runs the fixpoint loop from it when the
+    certificate fails, so a cold cache is merely slow.  An entry that
+    is closed but too large passes the certificate; the checker catches
+    it when a verdict's witness does not replay from ``S0`` and calls
+    :meth:`discard` before rerunning cold.
 
     The disk-backed :class:`~repro.store.ResultStore` implements the
-    same ``lookup``/``store`` protocol with the same key and admission
+    same ``lookup``/``store``/``discard`` protocol with the same key and admission
     rule; ``source`` tells warm rows apart (``"memory"`` vs
     ``"disk"``).
     """
@@ -349,6 +410,12 @@ class ReachabilityCache:
         self._entries[key] = [to_dict(vector)
                               for vector in trace.subspace.basis]
         return True
+
+    def discard(self, qts: QuantumTransitionSystem, initial: Subspace,
+                direction: str = "forward", bound: int = 0) -> None:
+        """Forget the entry under this key (a no-op when absent)."""
+        key, _, _ = fixpoint_key(qts, initial, direction, bound)
+        self._entries.pop(key, None)
 
     def __repr__(self) -> str:
         return (f"ReachabilityCache(entries={len(self._entries)}, "

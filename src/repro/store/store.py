@@ -321,6 +321,14 @@ class ResultStore:
         self.hits += 1
         return result
 
+    def discard(self, qts: QuantumTransitionSystem, initial: Subspace,
+                direction: str = "forward", bound: int = 0) -> None:
+        """Quarantine the entry under this key with reason
+        ``"witness"``: a verdict it served had no witness replaying
+        from the initial space."""
+        key, _, _ = fixpoint_key(qts, initial, direction, bound)
+        self._quarantine(key, "witness", "witness did not replay")
+
     def store(self, qts: QuantumTransitionSystem, initial: Subspace,
               direction: str, bound: int, trace) -> bool:
         """Persist a finished fixpoint; returns True when written.

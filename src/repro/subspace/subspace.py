@@ -218,6 +218,12 @@ class Subspace:
                 residual = residual + vector.scaled(-coefficient)
         return residual
 
+    def distance(self, state: TDD) -> float:
+        """``|state - P state|``, the norm of the modified Gram-Schmidt
+        residual (absolute: not scaled by ``|state|``)."""
+        self._check_state(state)
+        return self._norm2(self._residual(state)) ** 0.5
+
     def add_state(self, state: TDD, tol: float = GS_EPS) -> Optional[TDD]:
         """One Gram-Schmidt step (paper, Section IV.B).
 

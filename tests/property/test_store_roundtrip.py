@@ -9,7 +9,7 @@ Three layers, from codec to fixpoint:
 * random small subspaces written to a :class:`ResultStore` come back
   dense-identical from a fresh instance with a fresh manager;
 * a warm start loaded from disk reproduces the cold fixpoint — same
-  subspace, one confirming iteration — on the multi-Kraus table-1
+  subspace, one iteration — on the multi-Kraus table-1
   families (bitflip syndrome extraction, depolarizing-noise GHZ).
 """
 

@@ -570,7 +570,7 @@ class TestResultStoreSweep:
     def test_populated_store_recomputes_no_fixpoints(self, tmp_path):
         # the acceptance scenario: a sweep re-run over a populated
         # store performs zero fixpoint recomputations — every check
-        # row is a disk hit that collapses to one confirming iteration
+        # row is a disk hit that answers in one iteration
         store_dir = str(tmp_path / "store")
         run_sweep(self._spec("first"), out_dir=str(tmp_path / "a"),
                   store_dir=store_dir)
