@@ -52,9 +52,8 @@ adds — serves both backends.
 from repro.circuits.circuit import QuantumCircuit
 from repro.gates.gate import Gate
 from repro.gates import library as gates
-from repro.image import (AdditionImageComputer, BasicImageComputer,
-                         ContractionImageComputer, ImageEngine, ImageResult,
-                         compute_image, make_computer)
+from repro.image import (ImageEngine, ImageResult, compute_image,
+                         make_computer)
 from repro.indices.index import Index, wire
 from repro.indices.order import IndexOrder
 from repro.mc.checker import CheckResult, ModelChecker, cross_validate
@@ -76,8 +75,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "QuantumCircuit", "Gate", "gates",
-    "AdditionImageComputer", "BasicImageComputer",
-    "ContractionImageComputer", "ImageEngine", "ImageResult",
+    "ImageEngine", "ImageResult",
     "compute_image", "make_computer",
     "Index", "wire", "IndexOrder",
     "cross_validate",

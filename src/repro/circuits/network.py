@@ -1,10 +1,13 @@
-"""Circuit → tensor network conversion (TDD or dense backends).
+"""Circuit → tensor network conversion.
 
 The functions here realise the paper's "quantum circuits are tensor
 networks" view (Section II.B, Fig. 2): each gate becomes one tensor
 whose legs are wire indices assigned by
 :mod:`repro.circuits.wires`, and the circuit's external legs (qubit
-inputs ``x_i^0`` and outputs) stay open.
+inputs ``x_i^0`` and outputs) stay open.  The TDD build registers the
+wire indices here (:func:`register_circuit_indices`) and cuts the
+network in :func:`repro.image.base.circuit_diagrams`; the dense
+network is its reference oracle.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.wires import GateWiring, wire_indices
 from repro.indices.index import Index
 from repro.tdd.manager import TDDManager
-from repro.tdd.tdd import TDD
-from repro.tdd import construction as tc
 from repro.tensor.dense import DenseTensor
 from repro.tensor.network import TensorNetwork
 
@@ -42,28 +43,11 @@ def register_circuit_indices(circuit: QuantumCircuit,
     return wired
 
 
-def circuit_to_tdd_network(circuit: QuantumCircuit, manager: TDDManager,
-                           wired: Optional[Wired] = None
-                           ) -> Tuple[TensorNetwork, List[Index], List[Index]]:
-    """One TDD per gate; open legs are the circuit inputs and outputs.
-
-    ``wired`` is ``circuit.wirings()`` when the caller has it already.
-    """
-    wirings, inputs, outputs = register_circuit_indices(circuit, manager,
-                                                        wired)
-    tensors = [w.gate.to_tdd(manager, w.control_indices, w.target_in,
-                             w.target_out)
-               for w in wirings]
-    if not tensors:
-        tensors = [tc.scalar(manager, 1)]
-    network = TensorNetwork(tensors, set(inputs) | set(outputs))
-    return network, inputs, outputs
-
-
 def circuit_to_dense_network(circuit: QuantumCircuit
                              ) -> Tuple[TensorNetwork, List[Index],
                                         List[Index]]:
-    """Dense twin of :func:`circuit_to_tdd_network` (reference oracle)."""
+    """One dense tensor per gate; open legs are the circuit inputs and
+    outputs (reference oracle of the TDD build)."""
     import numpy as np
 
     wirings, inputs, outputs = circuit.wirings()
@@ -75,26 +59,10 @@ def circuit_to_dense_network(circuit: QuantumCircuit
     return network, inputs, outputs
 
 
-def circuit_to_tdd(circuit: QuantumCircuit, manager: TDDManager,
-                   observer=None
-                   ) -> Tuple[TDD, List[Index], List[Index]]:
-    """Contract the whole circuit into one (monolithic) operator TDD.
-
-    This is what the *basic* image computation algorithm does first; the
-    partition schemes exist to avoid it.  ``observer`` (if given) is
-    called with every intermediate TDD, letting the caller track the
-    peak node count.
-    """
-    network, inputs, outputs = circuit_to_tdd_network(circuit, manager)
-    operator = network.contract_all(observer=observer)
-    if not isinstance(operator, TDD):  # pragma: no cover - type guard
-        raise TypeError("expected a TDD from the network contraction")
-    return operator, inputs, outputs
-
-
 def circuit_to_dense(circuit: QuantumCircuit
                      ) -> Tuple[DenseTensor, List[Index], List[Index]]:
-    """Dense twin of :func:`circuit_to_tdd` (small circuits only)."""
+    """The whole circuit as one dense operator tensor (small circuits
+    only; reference oracle of the one-block TDD build)."""
     network, inputs, outputs = circuit_to_dense_network(circuit)
     operator = network.contract_all()
     return operator, inputs, outputs

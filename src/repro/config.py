@@ -34,9 +34,3 @@ GS_EPS: float = 1e-7
 
 #: Tolerance for comparing subspace projectors / amplitudes in checks.
 CHECK_EPS: float = 1e-7
-
-#: Default parameters for the partition-based image computation schemes,
-#: matching the values used for Table I of the paper.
-DEFAULT_ADDITION_K: int = 1
-DEFAULT_CONTRACTION_K1: int = 4
-DEFAULT_CONTRACTION_K2: int = 4

@@ -1,15 +1,53 @@
-"""Shared plumbing for the image computation algorithms."""
+"""The image computer: one slice x block partition of each Kraus circuit.
+
+The paper's image-computation methods are partitions of one circuit
+tensor network, so one class runs them all.  It slices the ``k``
+highest-degree internal indices of the circuit's index graph (addition
+partition, Section V.A) and cuts each of the ``2^k`` sliced circuits
+into blocks of at most ``k1`` qubits, starting a new column of blocks
+after ``k2`` multi-qubit gates cross a band cut (contraction partition,
+Section V.B).  Every block contracts once into a small operator TDD,
+and the image of a state is the sum over the slices of the state
+folded through that slice's blocks.
+
+:func:`~repro.image.engine.make_computer` maps each method to a shape
+(``n`` is the qubit count):
+
+* ``basic`` — ``k = 0``, ``k1 = n`` (Algorithm 1);
+* ``addition`` — ``k``, ``k1 = n``;
+* ``contraction`` — ``k = 0``, ``k1``, ``k2``;
+* ``hybrid`` — ``k``, ``k1``, ``k2`` (an extension beyond the paper).
+
+With ``k1 >= n`` every gate lands in one block, so ``k2`` has no
+effect: that block is the monolithic operator of the basic algorithm,
+or of one addition slice.
+"""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.network import register_circuit_indices
+from repro.image.partition import partition_circuit
 from repro.indices.index import Index
 from repro.subspace.subspace import StateSpace, Subspace
 from repro.systems.qts import QuantumTransitionSystem
+from repro.tdd.manager import TDDManager
 from repro.tdd.tdd import TDD
+from repro.tensor.graph import IndexGraph
+from repro.tensor.network import TensorNetwork
+from repro.tensor.ordering import greedy_order
 from repro.utils.stats import StatsRecorder
+
+#: the fold orders of a state through a slice's blocks
+ORDER_POLICIES = ("sequential", "greedy")
+
+#: per slice, the operator TDD of each block, then the circuit's inputs
+#: and outputs
+Diagrams = Tuple[List[List[TDD]], List[Index], List[Index]]
 
 
 @dataclass
@@ -42,45 +80,108 @@ def rename_outputs_to_kets(space: StateSpace, state: TDD,
     return state.rename(mapping)
 
 
-def input_sum_indices(inputs: Sequence[Index],
-                      outputs: Sequence[Index]) -> List[Index]:
-    """The circuit-input indices consumed by applying the operator.
+def select_slice_indices(wirings: Iterable[object], count: int,
+                         open_indices: Iterable[Index]) -> List[Index]:
+    """The ``count`` highest-degree internal indices of a circuit.
 
-    Fused wires (diagonal-only qubits) keep a single shared index that
-    serves as both input and output and therefore must stay free.
+    ``wirings`` are the gate wirings (only their ``indices`` are read)
+    and ``open_indices`` the circuit's external legs, which are never
+    sliced.
     """
-    output_set = set(outputs)
-    return [idx for idx in inputs if idx not in output_set]
+    graph = IndexGraph.from_tensors(wirings)
+    return graph.highest_degree(count, exclude=open_indices)
+
+
+def block_boundary(blocks: Sequence[Sequence[object]],
+                   inputs: Sequence[Index],
+                   outputs: Sequence[Index]) -> Set[Index]:
+    """The indices a block leaves open: the circuit's inputs and
+    outputs, and every index that more than one block uses."""
+    boundary = set(inputs) | set(outputs)
+    owner: Dict[Index, int] = {}
+    for number, wirings in enumerate(blocks):
+        for wiring in wirings:
+            for idx in wiring.indices:
+                if owner.setdefault(idx, number) != number:
+                    boundary.add(idx)
+    return boundary
+
+
+def circuit_diagrams(circuit: QuantumCircuit, manager: TDDManager,
+                     k: int, k1: int, k2: Optional[int],
+                     observer=None) -> Diagrams:
+    """Cut ``circuit`` in the shape ``(k, k1, k2)`` and contract the pieces.
+
+    Returns ``(slices, inputs, outputs)``: one list of block operator
+    TDDs per assignment of the ``k`` sliced indices (in
+    ``itertools.product`` order), each list in circuit time order.  With
+    ``k = 0`` no index graph is built, and with ``k1 >= n`` the circuit
+    is one block and is not partitioned; a circuit without gates has no
+    block at all.  ``observer`` is called with every intermediate TDD.
+    """
+    wirings, inputs, outputs = register_circuit_indices(circuit, manager)
+    sliced = (select_slice_indices(wirings, k, set(inputs) | set(outputs))
+              if k else [])
+    if k1 >= circuit.num_qubits:
+        blocks = [wirings] if wirings else []
+    else:
+        blocks = [block.wirings
+                  for block in partition_circuit(circuit, k1, k2, wirings)]
+    boundary = block_boundary(blocks, inputs, outputs)
+    slices: List[List[TDD]] = []
+    for bits in itertools.product((0, 1), repeat=len(sliced)):
+        assignment = dict(zip(sliced, bits))
+        operators: List[TDD] = []
+        for block in blocks:
+            tensors = []
+            for wiring in block:
+                tensor = wiring.gate.to_tdd(manager, wiring.control_indices,
+                                            wiring.target_in,
+                                            wiring.target_out)
+                local = {idx: bit for idx, bit in assignment.items()
+                         if idx in tensor.indices}
+                tensors.append(tensor.slice(local) if local else tensor)
+            operators.append(TensorNetwork(tensors, boundary)
+                             .contract_all(observer=observer))
+        slices.append(operators)
+    return slices, inputs, outputs
 
 
 class ImageComputerBase:
-    """Common state for the four algorithms: the system and its operators.
+    """The image computer of one system in one slice x block shape.
 
-    Every computer keeps the diagrams it cuts from a Kraus circuit in
-    the system's one operator cache
-    (:meth:`~repro.systems.qts.QuantumTransitionSystem.operator`),
-    keyed by :meth:`shape`, so every computer, check and witness of one
-    system — and of its adjoint — builds a circuit's diagrams once per
-    shape.  Every Kraus circuit of a family runs through the method's
-    own partition, and every contraction is one call of the TDD kernel.
+    ``k`` indices are sliced; ``k1`` and ``k2`` cut the blocks (``k2``
+    is unused, and may be ``None``, when ``k1`` is at least the qubit
+    count); ``order_policy`` picks the order in which a state folds
+    through a slice's blocks (``"greedy"``:
+    :func:`~repro.tensor.ordering.greedy_order`).  The diagrams of a
+    Kraus circuit live in the system's one operator cache
+    (:meth:`~repro.systems.qts.QuantumTransitionSystem.operator`), keyed
+    by :meth:`shape`, so every computer, check and witness of one system
+    — and of its adjoint — builds a circuit's diagrams once per shape,
+    whichever method asked for it.
     """
 
-    method: str = "abstract"
-
-    def __init__(self, qts: QuantumTransitionSystem) -> None:
+    def __init__(self, qts: QuantumTransitionSystem, k: int, k1: int,
+                 k2: Optional[int],
+                 order_policy: str = "sequential") -> None:
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        if order_policy not in ORDER_POLICIES:
+            raise ValueError("order_policy must be 'sequential' or 'greedy'")
         self.qts = qts
+        n = qts.num_qubits
+        self.k = k
+        self.k1 = min(k1, n)
+        self.k2 = k2 if self.k1 < n else None
+        self.order_policy = order_policy
 
     def shape(self) -> tuple:
-        """How this computer cuts a circuit: the method and its sizes."""
-        return (self.method,)
-
-    def _cached(self, circuit, build, stats: StatsRecorder):
-        """``circuit``'s diagrams in this computer's shape (built once
-        per system); the build's peak node count is folded into
-        ``stats``, whichever computer built it."""
-        diagrams, peak = self.qts.operator(self.shape(), circuit, build)
-        stats.observe_nodes(peak)
-        return diagrams
+        """How this computer cuts a circuit: ``(k, k1, k2)``, with ``k1``
+        capped at the qubit count and ``k2 = None`` once one block holds
+        every gate.  The fold order leaves the diagrams alone, so it is
+        not part of the shape."""
+        return (self.k, self.k1, self.k2)
 
     def image(self, subspace: Optional[Subspace] = None,
               stats: Optional[StatsRecorder] = None) -> ImageResult:
@@ -138,18 +239,47 @@ class ImageComputerBase:
             self.qts.manager.collect()
         return ImageResult(result, stats)
 
-    def prepare(self, circuit, stats: StatsRecorder) -> None:
-        """Build ``circuit``'s diagrams into the operator cache (a no-op
-        once built), so that a caller can collect the build's garbage
-        before it images anything."""
-        raise NotImplementedError
+    def prepare(self, circuit: QuantumCircuit,
+                stats: StatsRecorder) -> Diagrams:
+        """``circuit``'s diagrams in this computer's shape, built into the
+        operator cache on first use (so that a caller can collect the
+        build's garbage before it images anything).
 
-    def circuit_image(self, state: TDD, circuit,
+        The build's peak node count is folded into ``stats``, whichever
+        computer built it, and ``stats.extra["blocks"]`` records the
+        block count of a slice.
+        """
+        diagrams, peak = self.qts.operator(
+            self.shape(), circuit,
+            lambda observer: circuit_diagrams(circuit, self.qts.manager,
+                                              *self.shape(), observer))
+        stats.observe_nodes(peak)
+        slices = diagrams[0]
+        stats.extra.setdefault("blocks", len(slices[0]))
+        return diagrams
+
+    def circuit_image(self, state: TDD, circuit: QuantumCircuit,
                       stats: StatsRecorder) -> TDD:
         """``E |state>`` for the Kraus circuit ``E``, over the kets.
 
-        Subclasses implement it through their own partition of the
-        circuit; the witness extractor applies single circuits through
-        it too.
+        ``state`` folds through each slice's blocks, and the slices'
+        contributions add up to the image.  The witness extractor and
+        the warm-start certificate apply single circuits through it too.
         """
-        raise NotImplementedError
+        slices, _inputs, outputs = self.prepare(circuit, stats)
+        open_indices = set(outputs)
+        total = None
+        for blocks in slices:
+            tensors = [state] + blocks
+            order = (greedy_order(tensors, open_indices)
+                     if self.order_policy == "greedy" else None)
+            contribution = TensorNetwork(tensors, open_indices).contract_all(
+                order=order, observer=stats.observe_tdd)
+            stats.contractions += len(blocks)
+            if total is None:
+                total = contribution
+            else:
+                total = total + contribution
+                stats.observe_tdd(total)
+        stats.additions += len(slices) - 1
+        return rename_outputs_to_kets(self.qts.space, total, outputs)

@@ -2,8 +2,9 @@
 
 The **method** selects which of the paper's four algorithms partitions
 the transition relation (``basic``, ``addition``, ``contraction``,
-``hybrid``); every resulting contraction is one call of the TDD
-kernel.
+``hybrid``); each is one shape of the one slice x block computer
+(:class:`~repro.image.base.ImageComputerBase`), and every resulting
+contraction is one call of the TDD kernel.
 
 :class:`ImageEngine` binds a method computer to a system.  The method,
 its parameters and the direction come from one
@@ -20,18 +21,33 @@ from typing import Optional, Sequence
 
 from repro.config import GS_EPS
 from repro.errors import ConfigError, ReproError
-from repro.image.addition import AdditionImageComputer
 from repro.image.base import ImageComputerBase, ImageResult
-from repro.image.basic import BasicImageComputer
-from repro.image.contraction import ContractionImageComputer
 from repro.image.dense import DenseImageEngine
-from repro.image.hybrid import HybridImageComputer
 from repro.subspace.subspace import Subspace
 from repro.systems.qts import QuantumTransitionSystem
 from repro.utils.stats import StatsRecorder
 from repro.utils.timing import Stopwatch
 
 METHODS = ("basic", "addition", "contraction", "hybrid")
+
+#: method name -> the parameter names that method understands
+METHOD_PARAMS = {
+    "basic": frozenset(),
+    "addition": frozenset({"k"}),
+    "contraction": frozenset({"k1", "k2", "order_policy"}),
+    "hybrid": frozenset({"k", "k1", "k2", "order_policy"}),
+}
+
+#: the paper's Table I parameters per image method (addition k = 1,
+#: contraction k1 = k2 = 4; hybrid takes both): the values of a
+#: method's unset parameters, and the CLI flag defaults, the sweep's
+#: axes mode, the smoke benchmark and Table I read these
+TABLE1_PARAMS = {
+    "basic": {},
+    "addition": {"k": 1},
+    "contraction": {"k1": 4, "k2": 4},
+    "hybrid": {"k": 1, "k1": 4, "k2": 4},
+}
 
 #: image orientations: forward computes ``T(S)``, backward the
 #: preimage ``T^dagger(S)`` (images of the adjoint system)
@@ -40,24 +56,31 @@ DIRECTIONS = ("forward", "backward")
 
 def make_computer(qts: QuantumTransitionSystem, method: str = "basic",
                   **params) -> ImageComputerBase:
-    """Instantiate an image computer by method name.
+    """The image computer of ``method``: one shape of the slice x block
+    computer (``n`` is the qubit count).
 
-    ``params``: ``k`` for addition, ``k1``/``k2``/``order_policy`` for
-    contraction, all of them for hybrid.
+    * ``basic`` slices nothing and keeps one block (``k = 0, k1 = n``);
+    * ``addition`` slices ``k`` indices of one block (``k1 = n``);
+    * ``contraction`` cuts ``k1`` x ``k2`` blocks without slicing;
+    * ``hybrid`` does both.
+
+    ``params`` are the method's names in :data:`METHOD_PARAMS`; an
+    unset one takes its :data:`TABLE1_PARAMS` value.
+    ``order_policy`` (``"sequential"`` or ``"greedy"``) is the fold
+    order through the blocks, for contraction and hybrid.
     """
-    if method == "basic":
-        if params:
-            raise ReproError(f"basic method takes no parameters, got "
-                             f"{sorted(params)}")
-        return BasicImageComputer(qts)
-    if method == "addition":
-        return AdditionImageComputer(qts, **params)
-    if method == "contraction":
-        return ContractionImageComputer(qts, **params)
-    if method == "hybrid":
-        return HybridImageComputer(qts, **params)
-    raise ReproError(f"unknown image method {method!r}; "
-                     f"choose from {METHODS}")
+    if method not in METHODS:
+        raise ReproError(f"unknown image method {method!r}; "
+                         f"choose from {METHODS}")
+    allowed = METHOD_PARAMS[method]
+    unknown = set(params) - allowed
+    if unknown:
+        raise ReproError(f"method {method!r} does not take "
+                         f"{sorted(unknown)}; it accepts "
+                         f"{sorted(allowed) or 'no parameters'}")
+    shape = {"k": 0, "k1": qts.num_qubits, "k2": None,
+             **TABLE1_PARAMS[method], **params}
+    return ImageComputerBase(qts, **shape)
 
 
 class ImageEngine:

@@ -11,7 +11,6 @@ the circuit tensor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -77,17 +76,3 @@ def partition_circuit(circuit: QuantumCircuit, k1: int, k2: int,
                 column += 1
                 crossing = 0
     return sorted(blocks.values(), key=lambda b: b.key)
-
-
-def num_bands(circuit: QuantumCircuit, k1: int) -> int:
-    return math.ceil(circuit.num_qubits / k1)
-
-
-def partition_summary(blocks: List[Block]) -> dict:
-    """Shape statistics used by the benchmark harness."""
-    columns = 1 + max((b.column for b in blocks), default=0)
-    return {
-        "blocks": len(blocks),
-        "columns": columns,
-        "gates_per_block": [len(b) for b in blocks],
-    }

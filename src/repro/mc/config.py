@@ -29,19 +29,12 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Mapping, Optional
 
 from repro.errors import ConfigError
-from repro.image.engine import DIRECTIONS, METHODS
+from repro.image.engine import (DIRECTIONS, METHOD_PARAMS, METHODS,
+                                TABLE1_PARAMS)
 
 #: the available computation engines (the dense statevector reference
 #: is exponential — small sizes only)
 BACKENDS = ("tdd", "dense")
-
-#: method name -> the parameter names that method understands
-METHOD_PARAMS = {
-    "basic": frozenset(),
-    "addition": frozenset({"k"}),
-    "contraction": frozenset({"k1", "k2", "order_policy"}),
-    "hybrid": frozenset({"k", "k1", "k2", "order_policy"}),
-}
 
 #: settings that only the symbolic tdd backend interprets
 _TDD_ONLY_FIELDS = ("method", "method_params")
@@ -53,24 +46,16 @@ _LEGACY_DRIVERS = ("sequential", "opsharded", "frontier")
 #: the execution strategies a stored config may still name
 _LEGACY_STRATEGIES = ("monolithic", "sliced")
 
-#: the paper's Table I parameters per image method (addition k = 1,
-#: contraction k1 = k2 = 4; hybrid takes both): the CLI flag defaults,
-#: the sweep's axes mode, the smoke benchmark and Table I read these
-TABLE1_PARAMS = {
-    "basic": {},
-    "addition": {"k": 1},
-    "contraction": {"k1": 4, "k2": 4},
-    "hybrid": {"k": 1, "k1": 4, "k2": 4},
-}
-
 
 @dataclass(frozen=True)
 class CheckerConfig:
     """One validated, immutable engine configuration.
 
-    ``method_params`` are the image-method parameters (``k`` for
-    addition, ``k1``/``k2``/``order_policy`` for contraction, all of
-    them for hybrid); ``max_qubits`` raises the dense backend's size
+    ``method_params`` are the image-method parameters, the names in
+    :data:`METHOD_PARAMS`: ``k`` for addition, ``k1``/``k2``/
+    ``order_policy`` for contraction, all four for hybrid (see
+    :func:`~repro.image.engine.make_computer` for the shape each
+    method cuts); ``max_qubits`` raises the dense backend's size
     guard.
     ``direction`` selects forward (image) or backward (preimage,
     against the adjoint Kraus family) analysis and ``bound``

@@ -145,8 +145,9 @@ class QuantumTransitionSystem:
                  build: Callable[[Callable], Any]) -> tuple:
         """The diagrams of ``circuit`` built in ``shape``, built once.
 
-        ``shape`` names how the image method cuts a Kraus circuit (the
-        method and its ``k``/``k1``/``k2``); ``build(observer)`` builds
+        ``shape`` names how the image computer cuts a Kraus circuit (its
+        ``(k, k1, k2)``, see :meth:`~repro.image.base.ImageComputerBase.
+        shape`); ``build(observer)`` builds
         the diagrams on a miss, calling ``observer`` with every
         intermediate TDD.  Returns ``(diagrams, peak)``, where ``peak``
         is the largest TDD the build produced.  The key holds the

@@ -30,14 +30,6 @@ class IndexGraph:
             graph.add_clique(tensor.indices)
         return graph
 
-    @staticmethod
-    def from_index_groups(groups: Iterable[Sequence[Index]]) -> "IndexGraph":
-        """Build the graph from pre-extracted per-gate index groups."""
-        graph = IndexGraph()
-        for group in groups:
-            graph.add_clique(group)
-        return graph
-
     # ------------------------------------------------------------------
     def add_vertex(self, index: Index) -> None:
         self._adj.setdefault(index, set())

@@ -22,9 +22,11 @@ class StatsRecorder:
     #: Maximum size (number of nodes, including the terminal) over all
     #: TDDs produced during the run.
     max_nodes: int = 0
-    #: Number of top-level TDD contractions performed.
+    #: State-by-diagram kernel contractions: per image of one state
+    #: through one Kraus circuit, 1 for basic, ``2^k`` for addition,
+    #: the block count for contraction and ``2^k`` x blocks for hybrid.
     contractions: int = 0
-    #: Number of top-level TDD additions performed.
+    #: Additions of slice contributions (``2^k - 1`` per such image).
     additions: int = 0
     #: Wall-clock seconds (filled in by the caller).
     seconds: float = 0.0
@@ -47,7 +49,8 @@ class StatsRecorder:
     peak_live_nodes: int = 0
     #: Unique-table population after the final (post-run) collection.
     live_nodes: int = 0
-    #: Free-form counters (e.g. number of partition blocks).
+    #: Free-form counters; every tdd image records ``"blocks"``, the
+    #: block count of a slice (1 for basic and addition).
     extra: dict = field(default_factory=dict)
 
     def observe_tdd(self, tdd) -> None:

@@ -5,12 +5,19 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import random_circuit
-from repro.circuits.network import (circuit_to_dense, circuit_to_tdd,
-                                    circuit_to_tdd_network)
+from repro.circuits.network import circuit_to_dense
+from repro.image.base import circuit_diagrams
 from repro.sim.statevector import basis_state_from_int, circuit_unitary
 from repro.tdd import construction as tc
 from repro.tdd.manager import TDDManager
 from repro.utils.bitops import int_to_bits
+
+
+def one_block(circuit, manager, observer=None):
+    """The basic method's monolithic operator: the circuit as one block."""
+    ((operator,),), inputs, outputs = circuit_diagrams(
+        circuit, manager, 0, circuit.num_qubits, None, observer)
+    return operator, inputs, outputs
 
 
 def apply_operator_tdd(manager, operator, inputs, outputs, basis_int, n):
@@ -28,7 +35,7 @@ def test_random_circuit_tdd_matches_simulator(seed):
     circuit = random_circuit(n, 12, seed=seed)
     u = circuit_unitary(circuit)
     manager = TDDManager()
-    operator, inputs, outputs = circuit_to_tdd(circuit, manager)
+    operator, inputs, outputs = one_block(circuit, manager)
     for basis in (0, 3, 7, 15):
         got = apply_operator_tdd(manager, operator, inputs, outputs,
                                  basis, n)
@@ -41,28 +48,11 @@ def test_dense_network_matches_tdd_network(seed):
     circuit = random_circuit(3, 10, seed=seed)
     dense_op, d_in, d_out = circuit_to_dense(circuit)
     manager = TDDManager()
-    tdd_op, t_in, t_out = circuit_to_tdd(circuit, manager)
+    tdd_op, t_in, t_out = one_block(circuit, manager)
     aligned = dense_op.transpose_like(
         sorted(dense_op.indices, key=manager.order.level))
     assert tuple(i.name for i in aligned.indices) == tdd_op.index_names
     assert np.allclose(aligned.array, tdd_op.to_numpy(), atol=1e-9)
-
-
-def test_network_open_indices_are_boundary():
-    circuit = QuantumCircuit(3).h(0).cx(0, 1).z(2)
-    manager = TDDManager()
-    network, inputs, outputs = circuit_to_tdd_network(circuit, manager)
-    assert network.open_indices == set(inputs) | set(outputs)
-    network.validate()
-
-
-def test_empty_circuit_contracts_to_scalar_one():
-    circuit = QuantumCircuit(2)
-    manager = TDDManager()
-    operator, inputs, outputs = circuit_to_tdd(circuit, manager)
-    assert operator.is_scalar
-    assert operator.scalar_value() == 1
-    assert inputs == outputs
 
 
 def test_projector_circuit_norm_drops():
@@ -77,5 +67,5 @@ def test_observer_reports_intermediates():
     circuit = QuantumCircuit(2).h(0).cx(0, 1).h(1)
     manager = TDDManager()
     sizes = []
-    circuit_to_tdd(circuit, manager, observer=lambda t: sizes.append(t.size()))
+    one_block(circuit, manager, observer=lambda t: sizes.append(t.size()))
     assert len(sizes) == circuit.num_gates - 1  # pairwise folds

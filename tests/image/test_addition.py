@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.image.addition import (AdditionImageComputer,
-                                  select_slice_indices, slice_network)
-from repro.image.engine import compute_image
-from repro.circuits.network import circuit_to_tdd_network
+from repro.image.base import circuit_diagrams, select_slice_indices
+from repro.image.engine import compute_image, make_computer
 from repro.circuits.library import grover_iteration
 from repro.mc.config import CheckerConfig
 from repro.systems import models
@@ -45,49 +43,33 @@ def test_k0_equals_basic():
 
 def test_number_of_parts_is_two_to_k():
     qts = models.grover_qts(4)
-    computer = AdditionImageComputer(qts, k=2)
+    computer = make_computer(qts, "addition", k=2)
     from repro.utils.stats import StatsRecorder
-    parts, inputs, outputs = computer.parts_for(
+    parts, inputs, outputs = computer.prepare(
         qts.all_kraus_circuits()[0], StatsRecorder())
     assert len(parts) == 4
 
 
 def test_sliced_indices_are_internal():
-    manager = TDDManager()
     circuit = grover_iteration(4)
-    network, inputs, outputs = circuit_to_tdd_network(circuit, manager)
-    chosen = select_slice_indices(network.tensors, 3,
-                                  network.open_indices)
+    wirings, inputs, outputs = circuit.wirings()
     boundary = set(inputs) | set(outputs)
+    chosen = select_slice_indices(wirings, 3, boundary)
     assert len(chosen) == 3
     for idx in chosen:
         assert idx not in boundary
-
-
-def test_slice_network_removes_index():
-    manager = TDDManager()
-    circuit = grover_iteration(3)
-    network, inputs, outputs = circuit_to_tdd_network(circuit, manager)
-    (target,) = select_slice_indices(network.tensors, 1,
-                                     network.open_indices)
-    sliced = slice_network(network, {target: 0})
-    for tensor in sliced.tensors:
-        assert target not in set(tensor.indices)
 
 
 def test_parts_sum_to_whole():
     """sum_i phi_i must equal the full circuit tensor."""
     manager = TDDManager()
     circuit = grover_iteration(3)
-    network, inputs, outputs = circuit_to_tdd_network(circuit, manager)
-    whole = network.contract_all()
-    (target,) = select_slice_indices(network.tensors, 1,
-                                     network.open_indices)
-    part0 = slice_network(network, {target: 0}).contract_all()
-    part1 = slice_network(network, {target: 1}).contract_all()
+    (whole,), = circuit_diagrams(circuit, manager, 0, 3, None)[0]
+    (part0,), (part1,) = circuit_diagrams(circuit, manager, 1, 3, None)[0]
+    assert not part0.allclose(whole)
     assert (part0 + part1).allclose(whole)
 
 
 def test_negative_k_rejected():
     with pytest.raises(ValueError):
-        AdditionImageComputer(models.ghz_qts(3), k=-1)
+        make_computer(models.ghz_qts(3), "addition", k=-1)

@@ -1,30 +1,11 @@
 """Shared image-computation plumbing."""
 
-import pytest
-
-from repro.image.base import input_sum_indices, rename_outputs_to_kets
-from repro.indices.index import wire
+from repro.image.base import rename_outputs_to_kets
 from repro.mc.config import CheckerConfig
 from repro.systems import models
 
 #: the basic image method (no partitioning)
 BASIC = CheckerConfig(method="basic")
-
-
-class TestInputSumIndices:
-    def test_all_advanced(self):
-        inputs = [wire(0, 0), wire(1, 0)]
-        outputs = [wire(0, 3), wire(1, 2)]
-        assert input_sum_indices(inputs, outputs) == inputs
-
-    def test_fused_wire_excluded(self):
-        inputs = [wire(0, 0), wire(1, 0)]
-        outputs = [wire(0, 3), wire(1, 0)]  # qubit 1 diagonal-only
-        assert input_sum_indices(inputs, outputs) == [wire(0, 0)]
-
-    def test_identity_circuit(self):
-        inputs = [wire(0, 0)]
-        assert input_sum_indices(inputs, inputs) == []
 
 
 class TestRenameOutputs:
@@ -45,12 +26,6 @@ class TestRenameOutputs:
 
 
 class TestImageComputerContract:
-    def test_base_class_abstract(self):
-        from repro.image.base import ImageComputerBase
-        computer = ImageComputerBase(models.ghz_qts(2))
-        with pytest.raises(NotImplementedError):
-            computer.image()
-
     def test_result_dimension_property(self):
         from repro.image.engine import compute_image
         result = compute_image(models.ghz_qts(3), config=BASIC)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.image.basic import BasicImageComputer
-from repro.image.engine import compute_image
+from repro.image.engine import compute_image, make_computer
 from repro.mc.config import CheckerConfig
 from repro.systems import models
 
@@ -35,7 +34,7 @@ def test_matches_dense_oracle(name):
 
 def test_operator_cache_reused():
     qts = models.ghz_qts(3)
-    computer = BasicImageComputer(qts)
+    computer = make_computer(qts, "basic")
     from repro.utils.stats import StatsRecorder
     stats = StatsRecorder()
     computer.image(None, stats)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.image.contraction import ContractionImageComputer
-from repro.image.engine import compute_image
+from repro.image.engine import compute_image, make_computer
 from repro.mc.config import CheckerConfig
 from repro.systems import models
 
@@ -54,12 +53,12 @@ def test_greedy_order_agrees(name):
 
 def test_bad_order_policy():
     with pytest.raises(ValueError):
-        ContractionImageComputer(models.ghz_qts(3), order_policy="magic")
+        make_computer(models.ghz_qts(3), "contraction", order_policy="magic")
 
 
 def test_blocks_cached_across_calls():
     qts = models.ghz_qts(4)
-    computer = ContractionImageComputer(qts, k1=2, k2=2)
+    computer = make_computer(qts, "contraction", k1=2, k2=2)
     from repro.utils.stats import StatsRecorder
     stats = StatsRecorder()
     computer.image(None, stats)

@@ -18,10 +18,10 @@ class TestRegistry:
 
     def test_make_computer_each_method(self):
         qts = models.ghz_qts(3)
-        assert make_computer(qts, "basic").method == "basic"
-        assert make_computer(qts, "addition", k=2).method == "addition"
+        assert make_computer(qts, "basic").shape() == (0, 3, None)
+        assert make_computer(qts, "addition", k=2).shape() == (2, 3, None)
         assert make_computer(qts, "contraction", k1=2,
-                             k2=3).method == "contraction"
+                             k2=3).shape() == (0, 2, 3)
 
     def test_unknown_method(self):
         with pytest.raises(ReproError):

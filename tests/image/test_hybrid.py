@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.image.engine import compute_image
-from repro.image.hybrid import HybridImageComputer
+from repro.image.base import ImageComputerBase
+from repro.image.engine import compute_image, make_computer
 from repro.mc.config import CheckerConfig
 from repro.systems import models
 
@@ -49,20 +49,21 @@ def test_k0_equals_contraction():
 
 
 def test_registered_in_engine():
-    from repro.image.engine import METHODS, make_computer
+    from repro.image.engine import METHODS
     assert "hybrid" in METHODS
     computer = make_computer(models.ghz_qts(3), "hybrid", k=1, k1=2, k2=2)
-    assert isinstance(computer, HybridImageComputer)
+    assert isinstance(computer, ImageComputerBase)
+    assert computer.shape() == (1, 2, 2)
 
 
 def test_negative_k_rejected():
     with pytest.raises(ValueError):
-        HybridImageComputer(models.ghz_qts(3), k=-1)
+        make_computer(models.ghz_qts(3), "hybrid", k=-1)
 
 
 def test_slice_cache_reused():
     qts = models.grover_qts(4)
-    computer = HybridImageComputer(qts, k=1, k1=2, k2=2)
+    computer = make_computer(qts, "hybrid", k=1, k1=2, k2=2)
     from repro.utils.stats import StatsRecorder
     computer.image(None, StatsRecorder())
     made = qts.manager.nodes_made

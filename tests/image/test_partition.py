@@ -6,8 +6,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import (bitflip_syndrome_circuit, ghz_circuit,
                                     grover_iteration)
 from repro.errors import PartitionError
-from repro.image.partition import (Block, num_bands, partition_circuit,
-                                   partition_summary)
+from repro.image.partition import partition_circuit
 
 
 class TestCutRule:
@@ -61,8 +60,7 @@ class TestCutRule:
         columns (the six CX gates all cross the horizontal cut)."""
         circuit = bitflip_syndrome_circuit()
         blocks = partition_circuit(circuit, 3, 2)
-        summary = partition_summary(blocks)
-        assert summary["columns"] == 3
+        assert 1 + max(b.column for b in blocks) == 3
         bands = {b.band for b in blocks}
         assert bands == {0}  # all CX homes are data qubits (band 0)
         assert sum(len(b) for b in blocks) == 6
@@ -80,14 +78,3 @@ class TestCutRule:
                          if any(w.gate.is_scalar for w in b.wirings)]
         assert scalar_blocks[0].band == 0
 
-
-class TestHelpers:
-    def test_num_bands(self):
-        assert num_bands(ghz_circuit(10), 4) == 3
-        assert num_bands(ghz_circuit(8), 4) == 2
-
-    def test_summary(self):
-        blocks = [Block(0, 0, []), Block(1, 0, []), Block(0, 1, [])]
-        summary = partition_summary(blocks)
-        assert summary["blocks"] == 3
-        assert summary["columns"] == 2

@@ -9,11 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.library import random_circuit
-from repro.circuits.network import circuit_to_tdd, circuit_to_tdd_network
+from repro.circuits.network import register_circuit_indices
+from repro.image.base import circuit_diagrams
 from repro.sim.statevector import circuit_unitary
 from repro.tdd.manager import TDDManager
+from repro.tensor.network import TensorNetwork
 
 SEEDS = st.integers(min_value=0, max_value=10 ** 6)
+
+
+def gate_network(circuit, manager):
+    """One TDD per gate; the circuit's inputs and outputs stay open."""
+    wirings, inputs, outputs = register_circuit_indices(circuit, manager)
+    tensors = [w.gate.to_tdd(manager, w.control_indices, w.target_in,
+                             w.target_out) for w in wirings]
+    return TensorNetwork(tensors, set(inputs) | set(outputs))
 
 
 class TestOperatorConsistency:
@@ -26,7 +36,8 @@ class TestOperatorConsistency:
         from repro.utils.bitops import int_to_bits
         circuit = random_circuit(3, 8, seed=seed)
         manager = TDDManager()
-        operator, inputs, outputs = circuit_to_tdd(circuit, manager)
+        ((operator,),), inputs, outputs = circuit_diagrams(
+            circuit, manager, 0, 3, None)
         for basis in (0, 5, 7):
             psi = tc.basis_state(manager, inputs, int_to_bits(basis, 3))
             out = psi.contract(operator,
@@ -51,10 +62,10 @@ class TestNetworkOrderInvariance:
         indices alive exactly as long as needed)."""
         circuit = random_circuit(3, 8, seed=seed)
         manager = TDDManager()
-        network, inputs, outputs = circuit_to_tdd_network(circuit, manager)
+        network = gate_network(circuit, manager)
         reference = network.contract_all()
         rng = np.random.default_rng(seed)
         order = list(rng.permutation(len(network.tensors)))
-        network2, _, _ = circuit_to_tdd_network(circuit, manager)
+        network2 = gate_network(circuit, manager)
         shuffled = network2.contract_all(order=[int(i) for i in order])
         assert reference.allclose(shuffled)

@@ -6,16 +6,24 @@ from repro.indices.index import Index
 from repro.tensor.graph import IndexGraph
 
 
+def cliques(groups):
+    """The graph with one clique per index group."""
+    graph = IndexGraph()
+    for group in groups:
+        graph.add_clique(group)
+    return graph
+
+
 class TestBasicGraph:
     def test_clique_per_tensor(self):
-        g = IndexGraph.from_index_groups([
+        g = cliques([
             [Index("a"), Index("b"), Index("c")],
         ])
         assert g.degree(Index("a")) == 2
         assert g.edge_count() == 3
 
     def test_shared_index_accumulates_degree(self):
-        g = IndexGraph.from_index_groups([
+        g = cliques([
             [Index("a"), Index("b")],
             [Index("b"), Index("c")],
         ])
@@ -28,7 +36,7 @@ class TestBasicGraph:
         assert g.degree(Index("a")) == 0
 
     def test_highest_degree_excludes(self):
-        g = IndexGraph.from_index_groups([
+        g = cliques([
             [Index("a"), Index("b")],
             [Index("b"), Index("c")],
             [Index("b"), Index("d")],
@@ -39,7 +47,7 @@ class TestBasicGraph:
         assert top[0] != Index("b")
 
     def test_highest_degree_tie_break_by_name(self):
-        g = IndexGraph.from_index_groups([
+        g = cliques([
             [Index("z"), Index("a")],
         ])
         assert g.highest_degree(2) == [Index("a"), Index("z")]
