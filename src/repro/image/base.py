@@ -214,8 +214,10 @@ class ImageComputerBase:
         is formed.  Once ``into`` spans the whole space no further
         image can add to it, so no further source state is imaged.
 
-        The manager collects garbage after each source state's images:
-        what must survive — the accumulator, the sources and the cached
+        The circuits' diagrams are built first (:meth:`prepare_family`,
+        skipped when there is nothing to image), and the manager
+        collects garbage after each source state's images: what must
+        survive — the accumulator, the sources and the cached
         operators — is held by live TDD handles, and everything else
         that state's contractions built is garbage by then.
         """
@@ -225,6 +227,8 @@ class ImageComputerBase:
             stats = StatsRecorder()
         circuits = list(circuits)
         result = into if into is not None else Subspace(self.qts.space)
+        if subspace.basis and not result.is_full():
+            self.prepare_family(circuits, stats)
         for state in list(subspace.basis):
             if result.is_full():
                 break
@@ -239,11 +243,31 @@ class ImageComputerBase:
             self.qts.manager.collect()
         return ImageResult(result, stats)
 
+    def prepare_family(self, circuits: Sequence[QuantumCircuit],
+                       stats: StatsRecorder) -> None:
+        """Build the diagrams of every circuit of a Kraus family that the
+        operator cache lacks, then collect the builds' garbage.
+
+        The circuits build in order, so a later one reuses the memo
+        entries of an earlier one; the one collection after the last
+        build (none when everything was cached) clears their garbage
+        before any image runs, so the live-node peak is the larger of
+        the build's and the image's, not their sum.  Every path that
+        images through a computer calls this before its first image.
+        """
+        shape = self.shape()
+        missing = [circuit for circuit in circuits
+                   if not self.qts.has_operator(shape, circuit)]
+        for circuit in missing:
+            self.prepare(circuit, stats)
+        if missing:
+            self.qts.manager.collect()
+
     def prepare(self, circuit: QuantumCircuit,
                 stats: StatsRecorder) -> Diagrams:
         """``circuit``'s diagrams in this computer's shape, built into the
-        operator cache on first use (so that a caller can collect the
-        build's garbage before it images anything).
+        operator cache on first use (:meth:`prepare_family` builds a
+        whole family and then collects the builds' garbage).
 
         The build's peak node count is folded into ``stats``, whichever
         computer built it, and ``stats.extra["blocks"]`` records the

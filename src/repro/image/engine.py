@@ -152,15 +152,14 @@ class ImageEngine:
         the residual is absolute, so a leak of one basis vector is not
         diluted by ``|r|`` (see
         :func:`~repro.mc.reachability.reachable_space`).  The operators
-        are built first, and the manager collects after the builds,
-        after forming ``r`` and after each image and each residual, so
-        the live-node peak stays that of the builds.
+        are built first (:meth:`~repro.image.base.ImageComputerBase.
+        prepare_family`, which collects after any build), and the
+        manager collects after forming ``r`` and after each image and
+        each residual, so the live-node peak stays that of the builds.
         """
         manager = self.qts.manager
         circuits = self.system.all_kraus_circuits()
-        for circuit in circuits:
-            self.computer.prepare(circuit, stats)
-        manager.collect()
+        self.computer.prepare_family(circuits, stats)
         mixed = current.basis[0].scaled(complex(phases[0]))
         for phase, vector in zip(phases[1:], current.basis[1:]):
             mixed = mixed + vector.scaled(complex(phase))

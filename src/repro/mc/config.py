@@ -5,9 +5,10 @@
 parameters):
 
 * construction **validates**: unknown backends/methods/directions,
-  method parameters that do not belong to the chosen method, and
-  tdd-only options combined with the dense backend all raise a
-  :class:`~repro.errors.ConfigError` up front;
+  method parameters that do not belong to the chosen method or hold a
+  value it cannot cut with, and tdd-only options combined with the
+  dense backend all raise a :class:`~repro.errors.ConfigError` up
+  front;
 * it is **frozen** — a config can be shared between a checker, a sweep
   spec and an artifact without defensive copying;
 * it **round-trips**: :meth:`to_json` / :meth:`from_json` and
@@ -29,6 +30,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Mapping, Optional
 
 from repro.errors import ConfigError
+from repro.image.base import ORDER_POLICIES
 from repro.image.engine import (DIRECTIONS, METHOD_PARAMS, METHODS,
                                 TABLE1_PARAMS)
 
@@ -55,8 +57,10 @@ class CheckerConfig:
     :data:`METHOD_PARAMS`: ``k`` for addition, ``k1``/``k2``/
     ``order_policy`` for contraction, all four for hybrid (see
     :func:`~repro.image.engine.make_computer` for the shape each
-    method cuts); ``max_qubits`` raises the dense backend's size
-    guard.
+    method cuts).  ``k`` is an integer ``>= 0``, ``k1`` and ``k2``
+    integers ``>= 1`` and ``order_policy`` one of
+    :data:`~repro.image.base.ORDER_POLICIES`.  ``max_qubits`` raises
+    the dense backend's size guard.
     ``direction`` selects forward (image) or backward (preimage,
     against the adjoint Kraus family) analysis and ``bound``
     depth-limits reachability fixpoints (0 = run to saturation) — both
@@ -106,6 +110,16 @@ class CheckerConfig:
             raise ConfigError(
                 f"method {self.method!r} does not take {', '.join(hints)}; "
                 f"it accepts {sorted(allowed) if allowed else 'no parameters'}")
+        for name, low in (("k", 0), ("k1", 1), ("k2", 1)):
+            value = self.method_params.get(name, low)
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < low):
+                raise ConfigError(f"{name} must be an integer >= {low}, "
+                                  f"got {value!r}")
+        policy = self.method_params.get("order_policy", ORDER_POLICIES[0])
+        if policy not in ORDER_POLICIES:
+            raise ConfigError(f"unknown order_policy {policy!r}; "
+                              f"choose from {ORDER_POLICIES}")
         if self.backend == "dense":
             offending = [name for name in _TDD_ONLY_FIELDS
                          if getattr(self, name) != _DEFAULTS[name]]

@@ -33,7 +33,8 @@ subspace type (anything with ``dimension``):
   combination of ``current``'s basis with the given unit phases?
 
 Garbage collection is not part of the protocol: the symbolic engine
-collects after each source state's images (see
+collects after building a Kraus family's operators and after each
+source state's images (see
 :meth:`~repro.image.base.ImageComputerBase.partial_image`), and the
 dense engine has nothing to reclaim.
 
@@ -144,7 +145,8 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     the exact keying provides and the checker's witness replay backs
     up (see :meth:`~repro.mc.checker.ModelChecker.check`).
 
-    On the tdd backend the manager's mark-and-sweep runs after each
+    On the tdd backend the manager's mark-and-sweep runs once the
+    operators are built (when the cache lacked them) and after each
     source state's images (see
     :meth:`~repro.image.base.ImageComputerBase.partial_image`): the
     accumulated subspace, the frontier and the system's cached

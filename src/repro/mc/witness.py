@@ -33,10 +33,12 @@ to subspaces:
 Every circuit is applied through a computer of the checker's own image
 method on the forward system, so its diagrams come from the system's
 operator cache: a forward check's witness builds no operator, and a
-backward check's builds the forward family once.  Both checker
-backends return TDD-backed subspaces and a dense check runs its
-witness through the default method, so the same spec yields the same
-trace — symbols, length, subspace dimensions — whichever backend
+backward check's builds the forward family once, before the layering,
+and collects the build's garbage before its first image (see
+:meth:`~repro.image.base.ImageComputerBase.prepare_family`).  Both
+checker backends return TDD-backed subspaces and a dense check runs
+its witness through the default method, so the same spec yields the
+same trace — symbols, length, subspace dimensions — whichever backend
 produced the verdict.
 """
 
@@ -156,6 +158,9 @@ def extract_witness_trace(qts: QuantumTransitionSystem,
     seed = _seed_in_vectors(start.basis, target, kind, tol)
     limit = bound if bound > 0 else 2 ** qts.num_qubits
     frontier_start = 0
+    if seed is None:
+        computer.prepare_family([circuit for _, circuit in circuits],
+                                stats)
     while seed is None:
         if len(layers) > limit:
             return None

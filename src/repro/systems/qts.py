@@ -141,6 +141,10 @@ class QuantumTransitionSystem:
     # ------------------------------------------------------------------
     # the operator cache
     # ------------------------------------------------------------------
+    def has_operator(self, shape: tuple, circuit) -> bool:
+        """Are ``circuit``'s diagrams in ``shape`` built already?"""
+        return (shape, circuit) in self._operators
+
     def operator(self, shape: tuple, circuit,
                  build: Callable[[Callable], Any]) -> tuple:
         """The diagrams of ``circuit`` built in ``shape``, built once.

@@ -45,6 +45,31 @@ class TestValidation:
                                method_params={"k": 1, "k1": 2, "k2": 2})
         assert config.method_params == {"k": 1, "k1": 2, "k2": 2}
 
+    @pytest.mark.parametrize("method,params,match", [
+        ("contraction", {"k1": 0, "k2": 4}, "k1 must be an integer >= 1"),
+        ("contraction", {"k1": 4, "k2": 0}, "k2 must be an integer >= 1"),
+        ("hybrid", {"k2": 2.5}, "k2 must be an integer >= 1"),
+        ("hybrid", {"k1": None}, "k1 must be an integer >= 1"),
+        ("addition", {"k": "two"}, "k must be an integer >= 0"),
+        ("addition", {"k": -1}, "k must be an integer >= 0"),
+        ("addition", {"k": True}, "k must be an integer >= 0"),
+        ("contraction", {"order_policy": "fast"}, "order_policy"),
+        ("hybrid", {"order_policy": None}, "order_policy")])
+    def test_bad_method_param_values_rejected(self, method, params,
+                                              match):
+        # rejected at construction, not at the first image
+        with pytest.raises(ConfigError, match=match):
+            CheckerConfig(method=method, method_params=params)
+
+    @pytest.mark.parametrize("method,params", [
+        ("addition", {"k": 0}),
+        ("contraction", {"k1": 1, "k2": 1, "order_policy": "greedy"}),
+        ("hybrid", {"k": 2, "k1": 3, "k2": 5,
+                    "order_policy": "sequential"})])
+    def test_boundary_method_param_values_accepted(self, method, params):
+        assert CheckerConfig(method=method,
+                             method_params=params).method_params == params
+
     def test_six_fields(self):
         assert [f.name for f in dataclasses.fields(CheckerConfig)] == [
             "backend", "method", "method_params", "max_qubits",
@@ -174,6 +199,14 @@ class TestRoundTrips:
         with pytest.raises(ConfigError, match="unknown"):
             CheckerConfig.from_dict(data)
 
+    def test_from_dict_rejects_bad_method_param_values(self):
+        with pytest.raises(ConfigError, match="k1 must be"):
+            CheckerConfig.from_dict({"method": "contraction",
+                                     "method_params": {"k1": 0, "k2": 4}})
+        with pytest.raises(ConfigError, match="order_policy"):
+            CheckerConfig.from_dict({"method": "hybrid", "method_params":
+                                     {"order_policy": "fast"}})
+
     def test_from_json_rejects_non_object(self):
         with pytest.raises(ConfigError):
             CheckerConfig.from_json("[1, 2]")
@@ -206,6 +239,14 @@ class TestFromCliArgs:
         config = CheckerConfig.from_cli_args(
             _cli_args(method="addition", k=3))
         assert config.method_params == {"k": 3}
+
+    def test_bad_flag_values_rejected(self):
+        with pytest.raises(ConfigError, match="k must be"):
+            CheckerConfig.from_cli_args(_cli_args(method="addition", k=-1))
+        with pytest.raises(ConfigError, match="k1 must be"):
+            CheckerConfig.from_cli_args(_cli_args(k1=0))
+        with pytest.raises(ConfigError, match="k2 must be"):
+            CheckerConfig.from_cli_args(_cli_args(method="hybrid", k2=0))
 
     def test_dense_with_default_flags_is_clean(self):
         # `image ghz --backend dense` must keep working: flags still at

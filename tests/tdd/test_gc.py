@@ -192,10 +192,15 @@ class TestGCInPipelines:
                                                         method_params=params))
             stats = result.stats
             assert stats.cache_hits + stats.cache_misses > 0
-            # one collection per source state, one after the run
-            assert stats.gc_runs == qts.initial.dimension + 1
+            # one collection after the operator build, one per source
+            # state, one after the run
+            assert stats.gc_runs == qts.initial.dimension + 2
             assert 0 < stats.live_nodes <= stats.peak_live_nodes
             data = stats.as_dict()
             for field in ("cache_hits", "cache_misses", "cache_hit_rate",
                           "peak_live_nodes", "live_nodes"):
                 assert field in data
+            # with the operators cached there is no build to collect
+            again = compute_image(qts, config=CheckerConfig(
+                method=method, method_params=params)).stats
+            assert again.gc_runs == qts.initial.dimension + 1
