@@ -447,7 +447,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1,
     ``cache_warm=True``.  Pass ``warm_start=False`` (CLI:
     ``--no-warm-start``) when the sweep's purpose is to *benchmark* the
     fixpoint itself — a warm-started row measures the closure
-    certificate (one image per Kraus circuit, or the loop from the
+    certificate (one image per image circuit, or the loop from the
     cached space when it fails), not the configured engine's full
     iteration ladder.
 

@@ -39,11 +39,12 @@ run is warm-started from (and, on a miss, recorded into) the
 disk-backed content-addressed :class:`~repro.store.ResultStore` at
 ``DIR`` — only converged, unbounded fixpoints are admitted, so the
 store never changes a verdict.  A hit is certified closed with one
-image per Kraus circuit and prints ``store = hit (certified)``; when
-the certificate fails the fixpoint loop runs from the stored space and
-the line reads ``hit``.  A verdict served from the store that calls
-for a witness stands only when the witness replays from the initial
-space; otherwise the entry is quarantined and the run recomputed.  Every fixpoint runs the one frontier loop,
+image per class of proportional Kraus circuits and prints ``store =
+hit (certified)``; when the certificate fails the fixpoint loop runs
+from the stored space and the line reads ``hit``.  A verdict served
+from the store that calls for a witness stands only when the witness
+replays from the initial space; otherwise the entry is quarantined
+and the run recomputed.  Every fixpoint runs the one frontier loop,
 ``repro.mc.reachability.reachable_space`` (each round images only the
 directions the previous round added).  A failed ``AG`` / satisfied
 ``EF`` check also prints the counterexample witness trace — the
@@ -161,7 +162,11 @@ def _build(args):
 
 
 def _print_kernel_stats(stats) -> None:
-    if stats.extra.get("backend") == "dense":
+    extra = stats.extra
+    if "kraus_imaged" in extra:
+        print(f"kraus      = {extra['kraus_imaged']} of "
+              f"{extra['kraus_circuits']} circuits imaged")
+    if extra.get("backend") == "dense":
         return  # no symbolic kernel involved
     lookups = stats.cache_hits + stats.cache_misses
     print(f"cache      = {stats.cache_hits}/{lookups} hits "

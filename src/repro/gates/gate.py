@@ -106,6 +106,26 @@ class Gate:
         """True for the zero-qubit global-scalar gate (Kraus weights)."""
         return not self.targets and not self.controls
 
+    def scalar_value(self) -> Optional[complex]:
+        """``c`` when this gate is the operator ``c·I``, else ``None``.
+
+        That is the zero-qubit scalar gate, or an uncontrolled gate whose
+        matrix is exactly ``c·I`` (a controlled one applies ``c`` only on
+        its active branch, so it is not a scalar).
+        """
+        if self.controls:
+            return None
+        entries = self.matrix.ravel()
+        value = entries.item(0)
+        # the corner and first off-diagonal entries turn most gates away
+        # before the full compare
+        if (entries.item(-1) != value
+                or (len(entries) > 1 and entries.item(1) != 0)
+                or not np.array_equal(self.matrix,
+                                      value * np.eye(len(self.matrix)))):
+            return None
+        return complex(value)
+
     # ------------------------------------------------------------------
     def operator_matrix(self) -> np.ndarray:
         """The full matrix on ``self.qubits`` (controls expanded)."""

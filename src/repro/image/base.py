@@ -187,12 +187,15 @@ class ImageComputerBase:
               stats: Optional[StatsRecorder] = None) -> ImageResult:
         """Compute ``T(S)`` (defaults: ``S`` = the system's initial space).
 
-        The size of the image projector is observed into ``max_nodes``,
-        as Table I counts it.
+        Only the system's :meth:`~repro.systems.qts.
+        QuantumTransitionSystem.image_circuits` are imaged, one per class
+        of proportional Kraus circuits; the dropped ones add nothing to
+        the span.  The size of the image projector is observed into
+        ``max_nodes``, as Table I counts it.
         """
         if stats is None:
             stats = StatsRecorder()
-        result = self.partial_image(subspace, self.qts.all_kraus_circuits(),
+        result = self.partial_image(subspace, self.qts.image_circuits(),
                                     stats)
         stats.observe_nodes(result.subspace.projector.size())
         return result
@@ -253,8 +256,14 @@ class ImageComputerBase:
         build (none when everything was cached) clears their garbage
         before any image runs, so the live-node peak is the larger of
         the build's and the image's, not their sum.  Every path that
-        images through a computer calls this before its first image.
+        images through a computer calls this before its first image, so
+        it also records ``stats.extra["kraus_imaged"]``, the number of
+        circuits about to be imaged, next to
+        ``stats.extra["kraus_circuits"]``, the system's Kraus circuit
+        count.
         """
+        stats.extra["kraus_imaged"] = len(circuits)
+        stats.extra["kraus_circuits"] = len(self.qts.all_kraus_circuits())
         shape = self.shape()
         missing = [circuit for circuit in circuits
                    if not self.qts.has_operator(shape, circuit)]

@@ -48,7 +48,9 @@ class DenseImageEngine:
         self.qts = qts
         self.config = config
         #: every Kraus matrix of every operation (their adjoints in
-        #: preimage mode)
+        #: preimage mode); unlike the symbolic engine, which images one
+        #: circuit per class of proportional ones, the oracle keeps them
+        #: all, so it checks that reduction instead of sharing it
         self.kraus = [matrix if config.direction == "forward"
                       else matrix.conj().T
                       for op in qts.operations
@@ -71,12 +73,21 @@ class DenseImageEngine:
         stats.observe_nodes(result.projector.size())
         return result
 
-    def image(self, source: DenseSubspace) -> DenseSubspace:
+    def image(self, source: DenseSubspace,
+              stats: Optional[StatsRecorder] = None) -> DenseSubspace:
+        self._record(stats)
         return source.image(self.kraus)
+
+    def _record(self, stats: Optional[StatsRecorder]) -> None:
+        # every Kraus matrix is imaged: the counts of the symbolic
+        # engine's prepare_family, with nothing dropped
+        if stats is not None:
+            stats.extra["kraus_imaged"] = len(self.kraus)
+            stats.extra["kraus_circuits"] = len(self.kraus)
 
     def extend(self, current: DenseSubspace, source: DenseSubspace,
                stats: Optional[StatsRecorder] = None) -> DenseSubspace:
-        return current.join(self.image(source))
+        return current.join(self.image(source, stats))
 
     def new_directions(self, previous: DenseSubspace,
                        grown: DenseSubspace) -> DenseSubspace:
@@ -90,6 +101,7 @@ class DenseImageEngine:
         """The certificate of
         :meth:`~repro.image.engine.ImageEngine.certify` on the Kraus
         matrices: ``r`` is ``basis @ phases``."""
+        self._record(stats)
         basis = current.basis
         mixed = basis @ phases
         for matrix in self.kraus:
@@ -108,7 +120,7 @@ class DenseImageEngine:
         watch = Stopwatch().start()
         source = self.lower(subspace if subspace is not None
                             else self.qts.initial)
-        result = self.lift(self.image(source), stats)
+        result = self.lift(self.image(source, stats), stats)
         stats.seconds = watch.stop()
         return ImageResult(result, stats)
 

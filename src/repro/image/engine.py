@@ -129,11 +129,13 @@ class ImageEngine:
 
     def extend(self, current: Subspace, source: Subspace,
                stats: Optional[StatsRecorder] = None) -> Subspace:
-        """``current v T(source)``: the image states of ``source`` go
-        straight into a copy of ``current``, one Gram-Schmidt pass
-        each, with no intermediate image subspace or projector."""
+        """``current v T(source)``: the image states of ``source`` under
+        the system's image circuits (one per class of proportional Kraus
+        circuits) go straight into a copy of ``current``, one
+        Gram-Schmidt pass each, with no intermediate image subspace or
+        projector."""
         return self.computer.partial_image(
-            source, self.system.all_kraus_circuits(), stats,
+            source, self.system.image_circuits(), stats,
             into=current.copy()).subspace
 
     def new_directions(self, previous: Subspace,
@@ -148,9 +150,12 @@ class ImageEngine:
         """Does ``E r`` stay within ``GS_EPS`` of ``current`` for every
         Kraus circuit ``E``, where ``r = sum_j phases[j] basis[j]``?
 
-        One image of ``r`` per circuit, through the configured method;
-        the residual is absolute, so a leak of one basis vector is not
-        diluted by ``|r|`` (see
+        One image of ``r`` per image circuit (:meth:`~repro.systems.qts.
+        QuantumTransitionSystem.image_circuits`), through the configured
+        method: a dropped circuit is ``f·E_rep`` with ``|f| <= 1``, so
+        its residual is at most its representative's.  The residual is
+        absolute, so a leak of one basis vector is not diluted by
+        ``|r|`` (see
         :func:`~repro.mc.reachability.reachable_space`).  The operators
         are built first (:meth:`~repro.image.base.ImageComputerBase.
         prepare_family`, which collects after any build), and the
@@ -158,7 +163,7 @@ class ImageEngine:
         each residual, so the live-node peak stays that of the builds.
         """
         manager = self.qts.manager
-        circuits = self.system.all_kraus_circuits()
+        circuits = self.system.image_circuits()
         self.computer.prepare_family(circuits, stats)
         mixed = current.basis[0].scaled(complex(phases[0]))
         for phase, vector in zip(phases[1:], current.basis[1:]):

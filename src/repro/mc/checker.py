@@ -254,19 +254,19 @@ class ModelChecker:
         the reachability fixpoint behind an unbounded temporal check:
         on an exact key hit — same transition relation, same fixpoint
         seed, same direction — the cached reachable space seeds the
-        fixpoint, which certifies it closed with one image per Kraus
-        circuit (``stats.extra["cache_certified"]``) or, when the
-        certificate fails, runs the loop from it; a miss stores the
-        converged result for later runs.  The certificate cannot tell a
-        closed entry that is too large, so a warm-served verdict that
-        calls for a witness (a violated ``AG`` or a satisfied ``EF``,
-        either direction) always extracts one — from ``start``, reading
-        no entry — and stands only when it replays; otherwise the entry
-        is discarded (a store quarantines it as ``"witness"``) and the
-        check reruns cold.  The trace is attached only with
-        ``witness_trace=True``.  The sweep runner uses this to share
-        reachability across configurations that differ only in image
-        method; a hit is recorded as ``stats.extra["cache_warm"]``.
+        fixpoint, which certifies it closed with one image per class of
+        proportional Kraus circuits (``stats.extra["cache_certified"]``)
+        or, when the certificate fails, runs the loop from it; a miss
+        stores the converged result for later runs.  The certificate
+        cannot tell a closed entry that is too large, so a warm-served
+        verdict that calls for a witness (a violated ``AG`` or a
+        satisfied ``EF``, either direction) always extracts one — from
+        ``start``, reading no entry — and stands only when it replays;
+        otherwise the entry is discarded (a store quarantines it as
+        ``"witness"``) and the check reruns cold.  The trace is attached
+        only with ``witness_trace=True``.  The sweep runner uses this to
+        share reachability across configurations that differ only in
+        image method; a hit is recorded as ``stats.extra["cache_warm"]``.
         """
         from repro.mc.specs import parse_spec, resolve, to_text
         if isinstance(spec, str):

@@ -32,6 +32,15 @@ subspace type (anything with ``dimension``):
   ``current`` for every Kraus circuit ``E``, where ``r`` is the
   combination of ``current``'s basis with the given unit phases?
 
+The symbolic engine images one Kraus circuit per proportionality
+class (:meth:`~repro.systems.qts.QuantumTransitionSystem.
+image_circuits`): a circuit that is ``f·E_rep`` with ``|f| <= 1``
+spans nothing ``E_rep`` does not, its image is one Gram-Schmidt would
+reject, and it leaks out of a space only if ``E_rep`` does, so
+ladders, spaces and certificates are those of imaging every circuit.
+The dense engine images every Kraus matrix, so it stays an
+independent oracle of that reduction.
+
 Garbage collection is not part of the protocol: the symbolic engine
 collects after building a Kraus family's operators and after each
 source state's images (see
@@ -104,9 +113,14 @@ def reachable_space(qts: QuantumTransitionSystem, config,
 
     ``config`` is a :class:`~repro.mc.config.CheckerConfig` for either
     backend.  Each round images only the directions the previous round
-    added (see the module docstring).  On the tdd backend the
-    transition TDDs come from the system's operator cache, built once
-    per system and reused across iterations.
+    added (see the module docstring).  On the tdd backend each round
+    images them through one Kraus circuit per class of proportional
+    circuits (:meth:`~repro.systems.qts.QuantumTransitionSystem.
+    image_circuits`), whose transition TDDs come from the system's
+    operator cache, built once per system and reused across
+    iterations; ``stats.extra["kraus_imaged"]`` and
+    ``["kraus_circuits"]`` record how many of the system's circuits
+    that is.
 
     ``direction="backward"`` runs the same fixpoint against the
     *adjoint* transition relation (cached Kraus-dagger operator TDDs,
@@ -132,7 +146,8 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     (Freivalds' product check, IFIP 1977).  The ``c_j`` are unit
     phases from a fixed-seed generator (:func:`certificate_phases`),
     so runs stay deterministic and a single leaking basis vector is
-    not diluted; ``r`` is imaged once per circuit, and every image's
+    not diluted; ``r`` is imaged once per image circuit (a dropped
+    ``f·E_rep`` leaks only if ``E_rep`` does), and every image's
     residual against ``W`` must be at most ``GS_EPS`` in absolute
     terms.  A certified seed is returned as is, reading
     ``dimensions=[d, d]`` and one iteration, with
@@ -140,7 +155,7 @@ def reachable_space(qts: QuantumTransitionSystem, config,
     as False) runs the loop, which is slower and never wrong.  Seeding
     with a previously computed reachable space of the *same* fixpoint
     (see :func:`cached_reachable`) is how a cache hit costs one image
-    per circuit.  The certificate guards closure only: soundness also
+    per image circuit.  The certificate guards closure only: soundness also
     requires the seed to lie inside the true reachable space, which
     the exact keying provides and the checker's witness replay backs
     up (see :meth:`~repro.mc.checker.ModelChecker.check`).
@@ -366,7 +381,7 @@ class ReachabilityCache:
     healthy entry runs no Gram-Schmidt step.  The caller joins the
     warm space into the fixpoint seed (see :func:`cached_reachable`);
     :func:`reachable_space` then certifies the seed closed with one
-    image per Kraus circuit, or runs the fixpoint loop from it when the
+    image per image circuit, or runs the fixpoint loop from it when the
     certificate fails, so a cold cache is merely slow.  An entry that
     is closed but too large passes the certificate; the checker catches
     it when a verdict's witness does not replay from ``S0`` and calls

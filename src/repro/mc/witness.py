@@ -30,6 +30,15 @@ to subspaces:
    exhibits the violation/overlap — the trace is only reported
    ``valid`` when the replay confirms it.
 
+The layering and the walk run over the system's image circuits, one
+Kraus circuit per class of proportional ones (:meth:`~repro.systems.
+qts.QuantumTransitionSystem.image_circuits`), each under its owning
+operation's symbol: a dropped circuit ``f·E_rep`` with ``|f| <= 1``
+adds no direction to a layer and pulls a seed back with at most its
+representative's norm, so the symbols are those of walking every
+circuit.  The replay images each of an operation's circuits as its
+representative's images times ``f``.
+
 Every circuit is applied through a computer of the checker's own image
 method on the forward system, so its diagrams come from the system's
 operator cache: a forward check's witness builds no operator, and a
@@ -143,8 +152,13 @@ def extract_witness_trace(qts: QuantumTransitionSystem,
     computer = ImageEngine(qts, config.replace(direction="forward")).computer
     stats = StatsRecorder()
     kets = qts.space.kets
-    circuits = [(op.symbol, circuit) for op in qts.operations
-                for circuit in op.kraus_circuits]
+    # the image circuits, each under its owning operation's symbol
+    owners = {}
+    for op in qts.operations:
+        for circuit in op.kraus_circuits:
+            owners.setdefault(circuit, op.symbol)
+    circuits = [(owners[circuit], circuit)
+                for circuit in qts.image_circuits()]
     start = initial if initial is not None else qts.initial
 
     # 1. forward layering up to the first event (or saturation) — only
@@ -208,15 +222,25 @@ def extract_witness_trace(qts: QuantumTransitionSystem,
                 predecessor = predecessor + vector.scaled(weight / norm)
         states[i - 1] = predecessor
 
-    # 3. forward replay validates the path
+    # 3. forward replay validates the path: each Kraus circuit of the
+    # operation is its representative's images times its ratio, and a
+    # zero circuit images to nothing
     replay = qts.space.span([states[0]])
     subspaces = [replay]
     for symbol in symbols:
-        op = qts.operation(symbol)
-        step = qts.space.span(
-            [computer.circuit_image(vector, circuit, stats)
-             for circuit in op.kraus_circuits
-             for vector in replay.basis])
+        imaged = {}
+        step_states = []
+        for circuit in qts.operation(symbol).kraus_circuits:
+            found = qts.representative(circuit)
+            if found is None:
+                continue
+            rep, ratio = found
+            if rep not in imaged:
+                imaged[rep] = [computer.circuit_image(vector, rep, stats)
+                               for vector in replay.basis]
+            step_states.extend(image if ratio == 1 else image.scaled(ratio)
+                               for image in imaged[rep])
+        step = qts.space.span(step_states)
         subspaces.append(step)
         replay = step
     valid = _trace_condition(replay, target, kind, tol)

@@ -11,7 +11,8 @@ of one system share a single canonical order.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.errors import SystemError_
 from repro.indices.index import Index
@@ -20,6 +21,30 @@ from repro.systems.operations import QuantumOperation
 from repro.tdd.manager import TDDManager
 from repro.tdd.tdd import TDD
 from repro.utils.stats import StatsRecorder
+
+
+def kraus_class(circuit) -> Tuple[tuple, complex]:
+    """``(key, factor)``: the proportionality class of a Kraus circuit.
+
+    Dropping the scalar-valued gates (:meth:`~repro.gates.gate.Gate.
+    scalar_value`) leaves a gate list whose operator ``K`` satisfies
+    ``E = factor·K``, ``factor`` being the product of the dropped
+    values.  The key lists the kept gates by targets, controls, control
+    states and matrix bytes (not by name), so two circuits with equal
+    keys are exact scalar multiples of each other.  The comparison is
+    conservative: a ``c·X`` gate, a controlled ``c·I`` or a ``-0.0``
+    where the other has ``0.0`` keeps two circuits apart.
+    """
+    key = []
+    factor = 1 + 0j
+    for gate in circuit.gates:
+        value = gate.scalar_value()
+        if value is None:
+            key.append((gate.targets, gate.controls, gate.control_states,
+                        gate.matrix.tobytes()))
+        else:
+            factor *= value
+    return tuple(key), factor
 
 
 def _order_key(index: Index):
@@ -63,6 +88,9 @@ class QuantumTransitionSystem:
         #: (build shape, circuit) -> (built diagrams, build peak); shared
         #: with the adjoint system (see :meth:`operator`)
         self._operators: Dict[tuple, tuple] = {}
+        #: the memo of :meth:`image_circuits` and :meth:`representative`
+        self._image_circuits: Optional[List] = None
+        self._representatives: Dict[Any, Tuple[Any, complex]] = {}
 
     # ------------------------------------------------------------------
     def _register_indices(self) -> None:
@@ -219,6 +247,49 @@ class QuantumTransitionSystem:
         for op in self.operations:
             out.extend(op.kraus_circuits)
         return out
+
+    def image_circuits(self) -> List:
+        """One Kraus circuit per proportionality class: what is imaged.
+
+        Circuits with equal :func:`kraus_class` keys are scalar multiples
+        of one operator ``K`` (on the noisy walk, T2's ``sqrt(p) I``
+        branch is T1's circuit times ``sqrt(p)``).  Each class is
+        represented by its member of largest ``|factor|`` (the first in
+        :meth:`all_kraus_circuits` order on ties), and a class of factor
+        0 is dropped.  The list keeps the representatives in
+        :meth:`all_kraus_circuits` order.  Imaging only these is exact:
+        every dropped ``E_c`` is ``f·E_rep`` with ``|f| <= 1``, so it
+        adds nothing to a span or to a closure certificate, and its
+        image is one Gram-Schmidt would reject after the
+        representative's.  Computed once per system (the adjoint
+        computes its own).
+        """
+        if self._image_circuits is None:
+            classes: Dict[tuple, list] = {}
+            circuits = self.all_kraus_circuits()
+            for circuit in circuits:
+                key, factor = kraus_class(circuit)
+                classes.setdefault(key, []).append((circuit, factor))
+            for members in classes.values():
+                top, top_factor = max(members, key=lambda m: abs(m[1]))
+                if top_factor == 0:
+                    continue
+                for circuit, factor in members:
+                    self._representatives.setdefault(
+                        circuit, (top, factor / top_factor))
+            # circuits hash by identity, so a circuit shared by two
+            # operations is listed once
+            reps = {rep for rep, _ in self._representatives.values()}
+            self._image_circuits = list(dict.fromkeys(
+                circuit for circuit in circuits if circuit in reps))
+        return self._image_circuits
+
+    def representative(self, circuit) -> Optional[Tuple[Any, complex]]:
+        """``(rep, ratio)`` with ``circuit = ratio·rep`` for the
+        :meth:`image_circuits` member ``rep`` of ``circuit``'s class
+        (``|ratio| <= 1``), or ``None`` when ``circuit`` is zero."""
+        self.image_circuits()
+        return self._representatives.get(circuit)
 
     def __repr__(self) -> str:
         return (f"QuantumTransitionSystem({self.name!r}, "

@@ -50,7 +50,10 @@ class StatsRecorder:
     #: Unique-table population after the final (post-run) collection.
     live_nodes: int = 0
     #: Free-form counters; every tdd image records ``"blocks"``, the
-    #: block count of a slice (1 for basic and addition).
+    #: block count of a slice (1 for basic and addition), and every
+    #: path that images records ``"kraus_imaged"`` (the Kraus circuits
+    #: it images, one per proportionality class on the tdd backend)
+    #: next to ``"kraus_circuits"`` (the system's Kraus circuit count).
     extra: dict = field(default_factory=dict)
 
     def observe_tdd(self, tdd) -> None:

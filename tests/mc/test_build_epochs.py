@@ -85,7 +85,7 @@ def test_reachable_space_collects_after_the_build(events, method):
     qts = qrw5()
     trace = reachable_space(qts, CheckerConfig(method=method))
     assert trace.dimension == 32
-    assert_family_epochs(events, qts.all_kraus_circuits())
+    assert_family_epochs(events, qts.image_circuits())
 
 
 def test_cached_family_builds_nothing_and_collects_no_extra(events):
@@ -106,10 +106,10 @@ def test_certify_collects_after_the_build(events):
     warm = cache.lookup(qts, qts.initial)
     trace = reachable_space(qts, config, warm_start=warm)
     assert trace.stats.extra["cache_certified"] is True
-    assert_family_epochs(events, qts.all_kraus_circuits())
+    assert_family_epochs(events, qts.image_circuits())
     # one image per Kraus circuit, and nothing else
     assert [c for kind, c in events if kind == "image"] == \
-        qts.all_kraus_circuits()
+        qts.image_circuits()
 
 
 def test_backward_check_witness_collects_after_its_forward_build(events):
@@ -119,8 +119,8 @@ def test_backward_check_witness_collects_after_its_forward_build(events):
     assert not result.holds and result.witness_trace.valid
     # the adjoint family for the fixpoint, then the forward family for
     # the witness, each in its own epoch
-    assert_family_epochs(events, qts.adjoint().all_kraus_circuits(),
-                         qts.all_kraus_circuits())
+    assert_family_epochs(events, qts.adjoint().image_circuits(),
+                         qts.image_circuits())
 
 
 def test_full_space_backward_hit_builds_no_adjoint_diagram(events):
@@ -137,4 +137,4 @@ def test_full_space_backward_hit_builds_no_adjoint_diagram(events):
     assert not [c for kind, c in events
                 if kind == "build" and c in adjoint]
     # the witness still builds the forward family in its own epoch
-    assert_family_epochs(events, qts.all_kraus_circuits())
+    assert_family_epochs(events, qts.image_circuits())

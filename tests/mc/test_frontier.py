@@ -38,7 +38,7 @@ class TestFrontier:
         ``S_k`` every round.  The two-step qrw5 walk stops at dimension
         15 of 32, short of saturation, so every direction is imaged."""
         qts = models.qrw_qts(5, 0.2, steps=2)
-        kraus = len(qts.all_kraus_circuits())
+        kraus = len(qts.image_circuits())
         fast = reachable_space(qts, BASIC)
         _, ladder = dense_reach_oracle(models.qrw_qts(5, 0.2, steps=2))
         assert fast.dimensions == ladder

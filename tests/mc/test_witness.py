@@ -112,7 +112,7 @@ def test_forward_witness_builds_nothing(monkeypatch, builds, method):
     checker = ModelChecker(qts, CheckerConfig(method=method))
     checker.check("EF far", witness_trace=False)
     fixpoint_builds = len(builds)
-    assert fixpoint_builds == len(qts.all_kraus_circuits())
+    assert fixpoint_builds == len(qts.image_circuits())
     forbid_adjoints(monkeypatch)
     result = checker.check("EF far")
     assert result.witness_trace.symbols == ["T1", "T1"]
@@ -126,8 +126,8 @@ def test_backward_witness_builds_the_forward_family_once(builds, method):
     result = ModelChecker(qts, config).check("EF far")
     assert result.witness_trace.valid
     shape = make_computer(qts, method).shape()
-    forward = set(qts.all_kraus_circuits())
-    adjoint = set(qts.adjoint().all_kraus_circuits())
+    forward = set(qts.image_circuits())
+    adjoint = set(qts.adjoint().image_circuits())
     assert {s for s, _ in builds} == {shape}
     built = [circuit for _, circuit in builds]
     assert len(built) == len(set(built))
@@ -146,3 +146,23 @@ def test_dense_witness_runs_the_default_method(builds):
     shape = make_computer(qts, default.method,
                           **default.method_params).shape()
     assert builds and {s for s, _ in builds} == {shape}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_replay_images_a_folded_circuit_through_its_representative(method):
+    """``B``'s first branch is ``0.6·A``, so only ``A``'s circuit is
+    imaged; replaying ``B`` still spans both of its branches."""
+    a = QuantumCircuit(2).h(0)
+    keep = QuantumCircuit(2).h(0).scalar(0.6)
+    flip = QuantumCircuit(2).h(0).scalar(0.8).x(1)
+    qts = QuantumTransitionSystem(2, [QuantumOperation.unitary("A", a),
+                                      QuantumOperation("B", [keep, flip])])
+    qts.set_initial_basis_states([[0, 0]])
+    qts.register_subspace("far", qts.space.span(
+        [qts.space.basis_state([0, 1])]))
+    assert qts.image_circuits() == [a, flip]
+    trace = ModelChecker(qts, CheckerConfig(method=method)).check(
+        "EF far").witness_trace
+    assert trace.symbols == ["B"]
+    assert [s.dimension for s in trace.subspaces] == [1, 2]
+    assert trace.valid

@@ -27,6 +27,16 @@ class TestReach:
         out = capsys.readouterr().out
         assert "converged  = True" in out
 
+    def test_kraus_line_counts_the_imaged_circuits(self, capsys):
+        # T2's sqrt(p) I branch is a multiple of T1: 2 of 3 are imaged
+        assert main(["reach", "qrw", "--size", "3"]) == 0
+        assert "kraus      = 2 of 3 circuits imaged" in \
+            capsys.readouterr().out
+        assert main(["reach", "qrw", "--size", "3", "--backend",
+                     "dense"]) == 0
+        assert "kraus      = 3 of 3 circuits imaged" in \
+            capsys.readouterr().out
+
     def test_frontier_flag(self, capsys):
         # there is one fixpoint schedule, so there is nothing to pick
         for flags in (["--driver", "frontier"], ["--driver", "sequential"],
@@ -44,6 +54,12 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "verdict    = holds" in out
         assert "spec       = AG inv" in out
+
+    def test_kraus_line(self, capsys):
+        assert main(["check", "grover", "--size", "4",
+                     "--spec", "AG inv"]) == 0
+        assert "kraus      = 1 of 1 circuits imaged" in \
+            capsys.readouterr().out
 
     def test_n_alias_for_size(self, capsys):
         assert main(["check", "grover", "--n", "4",
