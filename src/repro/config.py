@@ -29,7 +29,12 @@ WEIGHT_EPS: float = 1e-10
 #: Pythagorean estimate ``|s|^2 - sum_i |<v_i|s>|^2`` of a dependent
 #: state reads at most 5.6e-16 * |s|^2, and every independent one at
 #: least 0.25 * |s|^2, so ``GS_EPS**2`` = 1e-14 screens every dependent
-#: state before any residual TDD is built.
+#: state before any residual TDD is built.  A state that passes the
+#: screen gets the classical Gram-Schmidt residual ``s - sum_i c_i v_i``
+#: from the same coefficients, and a second pass when its loss bound
+#: ``(eps + drift) * |s| / |r|`` exceeds ``GS_EPS**2``, the resolution
+#: of the rule itself (see :meth:`repro.subspace.subspace.Subspace.
+#: add_state`).
 GS_EPS: float = 1e-7
 
 #: Tolerance for comparing subspace projectors / amplitudes in checks.

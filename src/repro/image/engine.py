@@ -165,9 +165,7 @@ class ImageEngine:
         manager = self.qts.manager
         circuits = self.system.image_circuits()
         self.computer.prepare_family(circuits, stats)
-        mixed = current.basis[0].scaled(complex(phases[0]))
-        for phase, vector in zip(phases[1:], current.basis[1:]):
-            mixed = mixed + vector.scaled(complex(phase))
+        mixed = current.combine([complex(phase) for phase in phases])
         stats.observe_tdd(mixed)
         manager.collect()
         for circuit in circuits:

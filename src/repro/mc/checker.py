@@ -579,8 +579,8 @@ def _witness_span(reached: Subspace, target: Subspace, tol: float,
     """
     components = []
     for vector in reached.basis:
-        projected = target.project_state(vector)
-        component = projected if inside else vector - projected
+        component = (target.project_state(vector) if inside
+                     else target.residual(vector))
         norm = component.norm()
         if norm > tol:
             components.append(component.scaled(1.0 / norm))

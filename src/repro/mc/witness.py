@@ -22,9 +22,9 @@ to subspaces:
    predecessor state ``v_{i-1}`` in the previous layer whose image
    under ``sigma`` overlaps ``v_i``.  It is built from the stored
    images as ``sum_j conj(<v_i|E u_j>) u_j`` over the basis ``u_j`` of
-   ``S_{i-1}``, so no adjoint circuit is ever built or applied (the
-   counterexample reuses the forward images, as in Clarke, Grumberg,
-   McMillan and Zhao, DAC 1995).
+   ``S_{i-1}``, in one linear-combination walk, so no adjoint circuit
+   is ever built or applied (the counterexample reuses the forward
+   images, as in Clarke, Grumberg, McMillan and Zhao, DAC 1995).
 3. **Forward replay.**  Starting from ``span{v_0} <= S_0``, apply the
    recorded operations in order and check the final subspace really
    exhibits the violation/overlap — the trace is only reported
@@ -60,7 +60,6 @@ from repro.image.engine import ImageEngine
 from repro.mc.config import CheckerConfig
 from repro.subspace.subspace import Subspace
 from repro.systems.qts import QuantumTransitionSystem
-from repro.tdd import construction as tc
 from repro.tdd.tdd import TDD
 from repro.utils.stats import StatsRecorder
 
@@ -110,8 +109,8 @@ def _seed_in_vectors(vectors, target: Subspace, kind: str,
     ``None`` when no vector exposes anything above ``tol``.
     """
     for vector in vectors:
-        projected = target.project_state(vector)
-        component = projected if kind == "EF" else vector - projected
+        component = (target.project_state(vector) if kind == "EF"
+                     else target.residual(vector))
         norm = component.norm()
         if norm > tol:
             return component.scaled(1.0 / norm)
@@ -151,7 +150,6 @@ def extract_witness_trace(qts: QuantumTransitionSystem,
         config = CheckerConfig()
     computer = ImageEngine(qts, config.replace(direction="forward")).computer
     stats = StatsRecorder()
-    kets = qts.space.kets
     # the image circuits, each under its owning operation's symbol
     owners = {}
     for op in qts.operations:
@@ -216,11 +214,8 @@ def extract_witness_trace(qts: QuantumTransitionSystem,
             # rather than a path the replay would reject
             return None
         norm, weights, symbols[i - 1] = best
-        predecessor = tc.zero(qts.manager, list(kets))
-        for weight, vector in zip(weights, previous):
-            if weight != 0:
-                predecessor = predecessor + vector.scaled(weight / norm)
-        states[i - 1] = predecessor
+        states[i - 1] = layers[i - 1].combine([weight / norm
+                                               for weight in weights])
 
     # 3. forward replay validates the path: each Kraus circuit of the
     # operation is its representative's images times its ratio, and a

@@ -6,10 +6,15 @@ live on the *ket* indices ``x_i^0`` and projectors pair each ket with a
 ``x1 y1 x2 y2 ...`` order of the paper's Fig. 1).
 
 ``Subspace`` keeps an orthonormal basis of TDD states, maintained by
-the Gram-Schmidt procedure of Section IV.B; its projector TDD is built
-only when something asks for it.  Vectors that are already orthonormal
-(a decoded store entry, a Householder completion) are adopted after a
-Gram-matrix check instead of being orthogonalised again.
+the Gram-Schmidt procedure of Section IV.B in its classical form with
+re-orthogonalisation: every coefficient of a residual is read from the
+state itself, the residual ``s - sum_i c_i v_i`` is one n-ary
+linear-combination walk, and a second pass runs only when the loss
+bound of :meth:`Subspace.add_state` asks for it.  The projector TDD
+is built only when something asks for it.  Vectors that are already
+orthonormal (a decoded store entry, a Householder completion) are
+adopted after a Gram-matrix check instead of being orthogonalised
+again.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from repro.tdd import construction as tc
 from repro.tdd.apply import inner_apply
 from repro.tdd.manager import TDDManager
 from repro.tdd.slicing import largest_entry
-from repro.tdd.tdd import TDD
+from repro.tdd.tdd import TDD, linear_combination
 
 #: machine epsilon of a double
 _EPS = float(np.finfo(float).eps)
@@ -176,18 +181,25 @@ class Subspace:
                 self.manager, list(self.space.bras) + list(self.space.kets))
         if self._projected < len(self.basis):
             to_bras = dict(zip(self.space.kets, self.space.bras))
-            projector = self._projector
-            for vector in self.basis[self._projected:]:
-                projector = projector + vector.rename(
-                    to_bras).product(vector.conj())
-            self._projector = projector
+            terms = [(1, self._projector)]
+            terms.extend((1, vector.rename(to_bras).product(vector.conj()))
+                         for vector in self.basis[self._projected:])
+            self._projector = linear_combination(self.manager, terms)
             self._projected = len(self.basis)
         return self._projector
 
-    def _coefficient(self, i: int, state: TDD) -> complex:
-        """``<v_i|state>``."""
-        return inner_apply(self.manager, self.basis[i].root, state.root,
-                           self.space.ket_levels)
+    def coefficients(self, state: TDD) -> List[complex]:
+        """``[<v_i|state>]``, one scalar walk per basis vector."""
+        manager, levels = self.manager, self.space.ket_levels
+        return [inner_apply(manager, vector.root, state.root, levels)
+                for vector in self.basis]
+
+    def combine(self, coefficients: Sequence[complex]) -> TDD:
+        """``sum_i c_i v_i`` over the first ``len(coefficients)`` basis
+        vectors, in one linear-combination walk."""
+        return linear_combination(self.manager,
+                                  list(zip(coefficients, self.basis)),
+                                  self.space.kets)
 
     def _check_state(self, state: TDD) -> None:
         if set(state.indices) != set(self.space.kets):
@@ -195,86 +207,101 @@ class Subspace:
 
     # ------------------------------------------------------------------
     def project_state(self, state: TDD) -> TDD:
-        """``P |state>`` as ``sum_i <v_i|state> v_i``."""
+        """``P |state>`` as ``sum_i <v_i|state> v_i``, in one walk."""
         self._check_state(state)
-        result = tc.zero(self.manager, list(self.space.kets))
-        for i, vector in enumerate(self.basis):
-            coefficient = self._coefficient(i, state)
-            if coefficient != 0:
-                result = result + vector.scaled(coefficient)
-        return result
+        return self.combine(self.coefficients(state))
 
     def _norm2(self, state: TDD) -> float:
         """``<state|state>``."""
         return abs(inner_apply(self.manager, state.root, state.root,
                                self.space.ket_levels))
 
-    def _residual(self, state: TDD) -> TDD:
-        """Modified Gram-Schmidt: ``r <- r - <v_i|r> v_i`` over the basis."""
-        residual = state
-        for i, vector in enumerate(self.basis):
-            coefficient = self._coefficient(i, residual)
-            if coefficient != 0:
-                residual = residual + vector.scaled(-coefficient)
-        return residual
+    def residual(self, state: TDD,
+                 coefficients: Optional[Sequence[complex]] = None) -> TDD:
+        """``state - sum_i c_i v_i``, one classical Gram-Schmidt pass.
+
+        ``c_i = <v_i|state>`` unless the caller has them already.  All
+        coefficients are read from ``state`` and the sum is formed in
+        one linear-combination walk.
+        """
+        self._check_state(state)
+        if coefficients is None:
+            coefficients = self.coefficients(state)
+        terms = [(1, state)]
+        terms.extend((-coefficient, vector)
+                     for coefficient, vector in zip(coefficients,
+                                                    self.basis))
+        return linear_combination(self.manager, terms, self.space.kets)
 
     def distance(self, state: TDD) -> float:
-        """``|state - P state|``, the norm of the modified Gram-Schmidt
-        residual (absolute: not scaled by ``|state|``)."""
-        self._check_state(state)
-        return self._norm2(self._residual(state)) ** 0.5
+        """``|state - P state|``, the norm of one classical Gram-Schmidt
+        residual (:meth:`residual`; absolute: not scaled by
+        ``|state|``)."""
+        return self._norm2(self.residual(state)) ** 0.5
 
     def add_state(self, state: TDD, tol: float = GS_EPS) -> Optional[TDD]:
         """One Gram-Schmidt step (paper, Section IV.B).
 
         A state ``s`` is dependent when its residual against the basis
         has ``|r| <= tol * max(1, |s|)``: absolute for image states
-        (``|s| <= 1``), relative for larger inputs.  The step first
-        screens with inner products alone: the Pythagorean estimate
-        ``|s|^2 - sum_i |<v_i|s>|^2`` of ``|r|^2`` rejects a dependent
-        state without building any residual TDD.  A state that passes
-        the screen gets the full modified Gram-Schmidt residual
-        (:meth:`_residual`), which is normalised and appended to the
-        basis unless the same rule rejects it.  Returns the new basis
-        vector, or ``None`` when the state was already contained, which
-        a full basis decides with no inner product at all.
+        (``|s| <= 1``), relative for larger inputs.  The step reads the
+        coefficients ``c_i = <v_i|s>`` and first screens with them
+        alone: the Pythagorean estimate ``|s|^2 - sum_i |c_i|^2`` of
+        ``|r|^2`` rejects a dependent state without building any
+        residual TDD.  A state that passes the screen gets the classical
+        Gram-Schmidt residual ``r = s - sum_i c_i v_i`` from the same
+        coefficients, in one walk (:meth:`residual`); it is normalised
+        and appended to the basis unless the same rule rejects it.
+        Returns the new basis vector, or ``None`` when the state was
+        already contained, which a full basis decides with no inner
+        product at all.
 
-        The estimate assumes an orthonormal basis, and a vector
-        normalised from a residual much shorter than its state is off
-        by about ``eps * |s| / |r|`` (Bjorck 1994).  When that drift
-        would exceed ``tol**2``, the resolution of the rule itself
-        (``|s| / |r| > tol**2 / eps``, about 45), the residual gets a
-        second modified Gram-Schmidt pass, which leaves it orthogonal
-        to the basis to about ``eps``.  The screen is used only while
-        the drift of the vectors kept so far stays within ``tol**2``;
-        after that, every step on a non-empty basis takes the full path.
+        One pass leaves the kept vector ``r / |r|`` off the basis by
+        about ``(eps + drift) * |s| / |r|``: ``eps`` from rounding
+        (Bjorck 1994), and ``drift``, the basis's own loss of
+        orthogonality, carried in by coefficients all read from ``s``.
+        When that bound exceeds ``tol**2``, the resolution of the rule
+        itself (``|s| / |r|`` above about 22 on a basis off by
+        ``eps``), the residual gets a second pass, which leaves it
+        orthogonal to the basis to about ``eps`` ("twice is enough":
+        Giraud, Langou and Rozloznik, Comput. Math. Appl. 2005), as far
+        as the weight table resolves it: a correction below
+        ``WEIGHT_TOL`` relative to a node's weights snaps back onto the
+        first pass's weights.  The
+        drift records each kept vector's rounding loss ``eps * |r_0| /
+        |r|`` of its last pass from ``r_0``.  The screen is used only
+        while the drift stays within ``tol**2``; after that, every
+        step on a non-empty basis builds the residual.
         """
         self._check_state(state)
         if self.is_full():
             return None
         norm2 = self._norm2(state)
         floor = tol * tol * max(1.0, norm2)
-        if not self.basis or self._drift <= tol * tol:
-            estimate = norm2 - sum(abs(self._coefficient(i, state)) ** 2
-                                   for i in range(len(self.basis)))
-            if estimate <= floor:
-                return None
         source_norm2, residual, residual_norm2 = norm2, state, norm2
-        if self.basis:
-            residual = self._residual(state)
+        if not self.basis:
+            if norm2 <= floor:
+                return None
+        else:
+            coefficients = self.coefficients(state)
+            if (self._drift <= tol * tol
+                    and norm2 - sum(abs(c) ** 2 for c in coefficients)
+                    <= floor):
+                return None
+            residual = self.residual(state, coefficients)
             residual_norm2 = self._norm2(residual)
             if residual_norm2 <= floor:
                 return None
-            if _EPS * (norm2 / residual_norm2) ** 0.5 > tol * tol:
+            loss = (_EPS + self._drift) * (norm2 / residual_norm2) ** 0.5
+            if loss > tol * tol:
                 source_norm2 = residual_norm2
-                residual = self._residual(residual)
+                residual = self.residual(residual)
                 residual_norm2 = self._norm2(residual)
                 if residual_norm2 <= floor:
                     return None
         self._drift = max(self._drift,
                           _EPS * (source_norm2 / residual_norm2) ** 0.5)
-        norm = residual_norm2 ** 0.5
-        vector = residual.scaled(1.0 / norm)
+        vector = residual.scaled(1.0 / residual_norm2 ** 0.5)
         self.basis.append(vector)
         return vector
 
@@ -304,11 +331,11 @@ class Subspace:
 
     # ------------------------------------------------------------------
     def contains_state(self, state: TDD, tol: float = CHECK_EPS) -> bool:
+        """Is ``|state - P state| <= tol * |state|`` (one residual walk)?"""
         norm = state.norm()
         if norm <= tol:
             return True
-        residual = state - self.project_state(state)
-        return residual.norm() <= tol * norm
+        return self.residual(state).norm() <= tol * norm
 
     def contains(self, other: "Subspace", tol: float = CHECK_EPS) -> bool:
         return all(self.contains_state(v, tol) for v in other.basis)
@@ -393,10 +420,6 @@ class Subspace:
         value = self.projector.inner(other.projector)
         return float(value.real)
 
-    def is_orthogonal_to(self, other: "Subspace",
-                         tol: float = 1e-9) -> bool:
-        return self.overlap(other) <= tol
-
     # ------------------------------------------------------------------
     def to_dense(self) -> "np.ndarray":
         """The projector as a dense 2^n x 2^n matrix (tests only)."""
@@ -410,12 +433,6 @@ class Subspace:
         perm = bra_axes + ket_axes
         matrix = np.transpose(tensor, perm).reshape(2 ** n, 2 ** n)
         return matrix
-
-    def max_basis_nodes(self) -> int:
-        """The largest TDD size over basis vectors and the projector."""
-        sizes = [v.size() for v in self.basis]
-        sizes.append(self.projector.size())
-        return max(sizes)
 
     def __repr__(self) -> str:
         return (f"Subspace(dim={self.dimension}, "

@@ -9,18 +9,23 @@ thousands of levels):
   that simulates the recursion with ENTER/EXIT frames on a work stack
   and a value stack, memoised in the manager's
   :class:`~repro.tdd.cache.OperationCache` tables;
+* an **n-ary apply** (:func:`combine_apply`) — the same frames over a
+  tuple of operands, forming a linear combination ``sum_i c_i e_i`` in
+  one walk;
 * a **scalar walk** (:func:`inner_apply`) — the same frames over a node
   pair, returning ``<a|b>`` as a ``complex`` without building a node;
 * a **unary rewrite** machine (:func:`unary_apply`) — a memoised
   postorder rebuild used by conjugation, renaming and slicing.
 
-The three memoised kernels read and write their tables' ``table`` dicts
+The memoised kernels read and write their tables' ``table`` dicts
 directly and add their hit/miss counts once per call.  Memo keys are
 flat tuples of node ids and numbers: ``(id_lo, w_lo, id_hi, w_hi)`` for
 addition, ``(id_a, id_b, suffix_id)`` for contraction and
-``(id_a, id_b, remaining)`` for the inner product.  Entries are valid
-only while the nodes they name are interned, which is why
-:meth:`~repro.tdd.manager.TDDManager.collect` empties every table.
+``(id_a, id_b, remaining)`` for the inner product; the n-ary walk keys
+a frame by its ``(weight, node)`` operands and empties its table when
+the call ends.  Entries are valid only while the nodes they name are
+interned, which is why :meth:`~repro.tdd.manager.TDDManager.collect`
+empties every table.
 """
 
 from __future__ import annotations
@@ -110,6 +115,84 @@ def add_apply(manager: "TDDManager", a: Edge, b: Edge) -> Edge:
             result = make_node(level, low, high)
             memo[key] = result
             values.append(result)
+    cache.hits += hits
+    cache.misses += misses
+    return values[0]
+
+
+# ----------------------------------------------------------------------
+# n-ary apply: linear combination
+# ----------------------------------------------------------------------
+def _operands(merged: dict) -> tuple:
+    """The ``(weight, node)`` operands of a frame from ``node -> weight``,
+    in insertion order, without the weights that summed to zero."""
+    return tuple((weight, node) for node, weight in merged.items()
+                 if weight != 0)
+
+
+def combine_apply(manager: "TDDManager", terms) -> Edge:
+    """``sum_i c_i e_i`` for ``(c_i, e_i)`` terms, in one walk.
+
+    The walk descends every operand one level at a time, merges the
+    operands that meet on one node and builds each result node once,
+    with one :meth:`~repro.tdd.manager.TDDManager.make_node`, where a
+    chain of binary :func:`add_apply` calls builds every partial sum.
+    A frame is the tuple of its ``(weight, node)`` operands in term
+    order, and it is its own memo key: node identity and weights at
+    full precision, as in :func:`add_apply`.  Those keys rarely recur
+    across calls, so ``manager.combine_cache`` is emptied at the end of
+    each call and keeps only the hit/miss counts.
+    """
+    cache = manager.combine_cache
+    memo = cache.table
+    make_node = manager.make_node
+    hits = misses = 0
+    merged = {}
+    for coefficient, edge in terms:
+        weight = coefficient * edge.weight
+        if weight != 0:
+            merged[edge.node] = merged.get(edge.node, 0) + weight
+    stack = [(_ENTER, _operands(merged))]
+    values = []
+    while stack:
+        frame = stack.pop()
+        if frame[0] == _ENTER:
+            operands = frame[1]
+            if len(operands) < 2:
+                values.append(manager.make_edge(*operands[0]) if operands
+                              else manager.zero_edge())
+                continue
+            cached = memo.get(operands)
+            if cached is not None:
+                hits += 1
+                values.append(cached)
+                continue
+            misses += 1
+            level = min(node.level for _, node in operands)
+            lows, highs = {}, {}
+            for weight, node in operands:
+                if node.level == level:
+                    low, high = node.low, node.high
+                    if low.weight != 0:
+                        lows[low.node] = (lows.get(low.node, 0)
+                                          + weight * low.weight)
+                    if high.weight != 0:
+                        highs[high.node] = (highs.get(high.node, 0)
+                                            + weight * high.weight)
+                else:
+                    lows[node] = lows.get(node, 0) + weight
+                    highs[node] = highs.get(node, 0) + weight
+            stack.append((_EXIT, operands, level))
+            stack.append((_ENTER, _operands(highs)))
+            stack.append((_ENTER, _operands(lows)))
+        else:
+            _, key, level = frame
+            high = values.pop()
+            low = values.pop()
+            result = make_node(level, low, high)
+            memo[key] = result
+            values.append(result)
+    memo.clear()
     cache.hits += hits
     cache.misses += misses
     return values[0]

@@ -1,8 +1,8 @@
 """Memo tables of the TDD kernel.
 
-Every memoised TDD operation (addition, contraction, inner product)
-keeps its results in an :class:`OperationCache`: a plain dictionary
-``table`` plus hit/miss counters.  The kernels in
+Every memoised TDD operation (addition, contraction, inner product,
+linear combination) keeps its results in an :class:`OperationCache`:
+a plain dictionary ``table`` plus hit/miss counters.  The kernels in
 :mod:`repro.tdd.apply` read and write ``table`` directly and add their
 counts once per call, so a lookup costs one dictionary access.
 
@@ -25,7 +25,7 @@ class OperationCache:
     """A memo table with hit/miss statistics.
 
     ``name`` labels the table in stats dictionaries (``"add"``,
-    ``"cont"``, ``"inner"``).
+    ``"cont"``, ``"inner"``, ``"combine"``).
     """
 
     __slots__ = ("name", "hits", "misses", "table")

@@ -11,8 +11,9 @@ manager owns
 * the :class:`~repro.tdd.weights.WeightTable` interning those child
   weights,
 * the :class:`~repro.tdd.cache.OperationCache` memo tables for
-  addition, contraction and inner products (hit/miss counters), and the
-  table of summed-level suffix ids the contraction memo is keyed by,
+  addition, contraction, inner products and linear combinations
+  (hit/miss counters), and the table of summed-level suffix ids the
+  contraction memo is keyed by,
 * the *gate table*, which hands out one diagram per gate content and
   wiring between collections (see :meth:`repro.gates.gate.Gate.to_tdd`),
 * a weak registry of live :class:`~repro.tdd.tdd.TDD` handles that
@@ -62,6 +63,8 @@ class TDDManager:
         self.add_cache = OperationCache("add")
         self.cont_cache = OperationCache("cont")
         self.inner_cache = OperationCache("inner")
+        #: counts of the n-ary walk, whose memo lives for one call
+        self.combine_cache = OperationCache("combine")
         #: ``(level, id of the rest) -> id`` of every summed-level
         #: suffix met so far (see :meth:`suffix_ids`)
         self._suffixes: Dict[Tuple[int, int], int] = {}
@@ -198,6 +201,7 @@ class TDDManager:
         self.add_cache.clear()
         self.cont_cache.clear()
         self.inner_cache.clear()
+        self.combine_cache.clear()
 
     def cache_counters(self) -> Dict[str, int]:
         """Cache counters, combined and per table, for instrumentation.
@@ -206,10 +210,13 @@ class TDDManager:
         ``add_hit_rate``/``cont_hit_rate`` columns of the sweep CSV:
         addition and contraction caches behave very differently, and a
         combined rate hides which one is earning its memory.  The
-        combined ``hits``/``misses`` also count the inner product memo,
-        so moving a lookup between tables leaves them comparable.
+        ``add_*`` counters count binary additions only.  The combined
+        ``hits``/``misses`` also count the inner product memo and the
+        per-call memo of the n-ary linear-combination walk, so moving
+        a lookup between tables leaves them comparable.
         """
-        caches = (self.add_cache, self.cont_cache, self.inner_cache)
+        caches = (self.add_cache, self.cont_cache, self.inner_cache,
+                  self.combine_cache)
         return {
             "hits": sum(cache.hits for cache in caches),
             "misses": sum(cache.misses for cache in caches),

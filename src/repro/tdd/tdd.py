@@ -9,13 +9,13 @@ depend on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import TDDError
 from repro.indices.index import Index
-from repro.tdd.apply import inner_apply, unary_apply
+from repro.tdd.apply import combine_apply, inner_apply, unary_apply
 from repro.tdd.arithmetic import (add_edges, conjugate_edge, negate_edge,
                                   scale_edge)
 from repro.tdd.contraction import contract_edges
@@ -282,3 +282,22 @@ class TDD:
         names = ",".join(self.index_names[:6])
         more = ",..." if self.rank > 6 else ""
         return f"TDD(rank={self.rank}, indices=[{names}{more}], size={self.size()})"
+
+
+def linear_combination(manager: TDDManager,
+                       terms: Sequence[Tuple[complex, TDD]],
+                       indices: Iterable[Index] = ()) -> TDD:
+    """``sum_i c_i t_i`` over ``indices`` and every term's indices.
+
+    One n-ary walk (:func:`~repro.tdd.apply.combine_apply`) builds the
+    sum, where a chain of ``acc + t.scaled(c)`` would build and intern
+    every partial sum.  Terms are summed in the order given.
+    """
+    free = set(indices)
+    for _, term in terms:
+        if term.manager is not manager:
+            raise TDDError("operands belong to different managers")
+        free.update(term.indices)
+    root = combine_apply(manager, [(coefficient, term.root)
+                                   for coefficient, term in terms])
+    return TDD(manager, root, free)

@@ -1,6 +1,12 @@
-"""Pytest configuration: hypothesis profiles and common fixtures."""
+"""Pytest configuration: hypothesis profiles and common fixtures.
+
+``HYPOTHESIS_PROFILE=ci`` selects the ``ci`` profile, which draws more
+examples for every test that does not fix its own ``max_examples``.
+"""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -12,7 +18,12 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("default")
+settings.register_profile(
+    "ci",
+    parent=settings.get_profile("default"),
+    max_examples=200,
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

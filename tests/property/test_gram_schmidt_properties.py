@@ -1,10 +1,11 @@
 """The screened Gram-Schmidt step against the unscreened one.
 
-``Subspace.add_state`` rejects a dependent state from contractions
-alone and builds a residual only for states it keeps.  Whatever the
-screen decides must be what plain modified Gram-Schmidt decides under
-the same rule ``|r| <= GS_EPS * max(1, |s|)``, and a kept state must
-become the same basis vector.
+``Subspace.add_state`` rejects a dependent state from its coefficients
+alone and builds a classical Gram-Schmidt residual, re-orthogonalised
+under its loss bound, only for states it keeps.  Whatever the screen
+decides must be what plain modified Gram-Schmidt decides under the same
+rule ``|r| <= GS_EPS * max(1, |s|)``, and a kept state must become the
+same basis vector.
 """
 
 import numpy as np

@@ -1,16 +1,18 @@
 """The Gram-Schmidt dependence rule of ``Subspace.add_state``.
 
 A state ``s`` is dependent when its residual against the basis has
-``|r| <= GS_EPS * max(1, |s|)``.  ``add_state`` decides that first from
-contractions alone (the Pythagorean estimate ``|s|^2 - sum |<v_i|s>|^2``)
-and builds the modified Gram-Schmidt residual (``Subspace._residual``)
-only for states that pass that screen.
+``|r| <= GS_EPS * max(1, |s|)``.  ``add_state`` reads the coefficients
+``c_i = <v_i|s>`` and decides that first from them alone (the
+Pythagorean estimate ``|s|^2 - sum |c_i|^2``).  Only a state that passes
+that screen gets the classical Gram-Schmidt residual ``s - sum c_i v_i``
+(``Subspace.residual``, from the same coefficients), and a second pass
+when ``(eps + drift) * |s| / |r|`` exceeds ``GS_EPS**2``.
 """
 
 import numpy as np
 import pytest
 
-from repro.config import GS_EPS
+from repro.config import GS_EPS, WEIGHT_TOL
 from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig
 from repro.subspace.subspace import Subspace
@@ -20,6 +22,7 @@ from tests.helpers import make_space
 
 E0 = np.array([1, 0, 0, 0], dtype=complex)
 E1 = np.array([0, 1, 0, 0], dtype=complex)
+E2 = np.array([0, 0, 1, 0], dtype=complex)
 
 #: (amplitudes, kept?) against the basis ``{e0}``
 PROBES = [
@@ -37,13 +40,13 @@ PROBES = [
 def full_steps(monkeypatch):
     """The basis dimension at each full (residual-building) step."""
     calls = []
-    residual = Subspace._residual
+    residual = Subspace.residual
 
-    def spy(self, state):
+    def spy(self, state, coefficients=None):
         calls.append(self.dimension)
-        return residual(self, state)
+        return residual(self, state, coefficients)
 
-    monkeypatch.setattr(Subspace, "_residual", spy)
+    monkeypatch.setattr(Subspace, "residual", spy)
     return calls
 
 
@@ -132,6 +135,21 @@ class TestDependenceRule:
             sub.space.from_amplitudes(np.zeros(4, dtype=complex))) is None
         assert full_steps == [1, 2, 2]
 
+    def test_second_pass_bound_counts_the_drift(self, full_steps):
+        # |s| / |r| = 14: eps alone stays under GS_EPS**2, a basis
+        # declared off by 1e-15 does not
+        sub = e0_subspace()
+        sub.add_state(sub.space.from_amplitudes(E1))
+        state = sub.space.from_amplitudes(E0 + E1 + 0.1 * E2)
+        fresh = Subspace._from_orthonormal(sub.space, list(sub.basis), 0.0)
+        drifted = Subspace._from_orthonormal(sub.space, list(sub.basis),
+                                             1e-15)
+        full_steps.clear()
+        assert fresh.add_state(state) is not None
+        assert full_steps == [2]
+        assert drifted.add_state(state) is not None
+        assert full_steps == [2, 2, 2]
+
     @pytest.mark.parametrize("amplitudes,kept", PROBES)
     def test_probe_decisions(self, amplitudes, kept):
         sub = e0_subspace()
@@ -147,18 +165,72 @@ class TestDependenceRule:
         assert (sub.add_state(probe) is None) == contained
 
 
+class TestNearDependentStates:
+    """States at ``|s| / |r|`` from 10 to 1e5 against a dense basis.
+
+    One pass leaves the kept vector off the basis by about ``(eps +
+    drift) * |s| / |r|``; past ``GS_EPS**2`` a second pass runs.  On
+    dense random vectors the diagrams resolve normalised weights only
+    to ``WEIGHT_TOL``: a second-pass correction below that snaps back
+    onto the first pass's weights, so the kept vector is checked
+    against ``WEIGHT_TOL``, which one pass misses from ``|s| / |r|``
+    of about 1e4 on.
+    """
+
+    @pytest.mark.parametrize("ratio,passes", [(10, 1), (50, 2), (1e3, 2),
+                                              (1e5, 2)])
+    def test_kept_vector_is_orthonormal(self, full_steps, ratio, passes):
+        rng = np.random.default_rng(11)
+        space = make_space(3)
+        sub = space.span([space.from_amplitudes(
+            rng.normal(size=8) + 1j * rng.normal(size=8))
+            for _ in range(3)])
+        q = np.array([v.to_numpy().reshape(-1) for v in sub.basis]).T
+        inside = q @ (rng.normal(size=3) + 1j * rng.normal(size=3))
+        outside = rng.normal(size=8) + 1j * rng.normal(size=8)
+        outside -= q @ (q.conj().T @ outside)
+        outside *= np.linalg.norm(inside) / (ratio * np.linalg.norm(outside))
+        amplitudes = inside + outside
+        amplitudes /= np.linalg.norm(amplitudes)
+        bound = ((np.finfo(float).eps + sub._drift)
+                 * np.linalg.norm(amplitudes) / np.linalg.norm(outside))
+        assert (bound > GS_EPS ** 2) == (passes == 2)
+        full_steps.clear()
+        added = sub.add_state(space.from_amplitudes(amplitudes))
+        assert added is not None
+        assert full_steps == [3] * passes
+        vector = added.to_numpy().reshape(-1)
+        assert np.max(np.abs(q.conj().T @ vector)) <= WEIGHT_TOL
+        assert abs(np.linalg.norm(vector) - 1) <= GS_EPS ** 2
+        direction = outside / np.linalg.norm(outside)
+        assert np.allclose(vector, direction, atol=1e-9)
+
+
 def qrw5():
     return build_model("qrw", 5, noise_probability=0.1, steps=2)
+
+
+def gram_deviation(subspace):
+    vectors = np.array([v.to_numpy().reshape(-1)
+                        for v in subspace.basis]).T
+    gram = vectors.conj().T @ vectors
+    return np.max(np.abs(gram - np.eye(len(gram))))
 
 
 class TestFixpointBases:
     def test_forward_fixpoint_basis_is_orthonormal(self):
         trace = ModelChecker(qrw5(), CheckerConfig()).reachable()
-        vectors = np.array([v.to_numpy().reshape(-1)
-                            for v in trace.subspace.basis]).T
-        gram = vectors.conj().T @ vectors
         assert trace.subspace.dimension > 1
-        assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-12
+        assert gram_deviation(trace.subspace) <= 1e-12
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_qrw6_reach_basis_is_orthonormal(self, steps):
+        # steps=2 is the benchmark's dim-31 walk, steps=1 the CLI's
+        # default, whose 64 vectors fill the space
+        qts = build_model("qrw", 6, noise_probability=0.1, steps=steps)
+        trace = ModelChecker(qts, CheckerConfig()).reachable()
+        assert trace.subspace.dimension > 1
+        assert gram_deviation(trace.subspace) <= GS_EPS ** 2
 
 
 class TestNoiseFloor:
@@ -173,24 +245,24 @@ class TestNoiseFloor:
     def test_rejections_are_screened(self, monkeypatch, direction):
         records = []
         add_state = Subspace.add_state
-        residual = Subspace._residual
+        residual = Subspace.residual
 
         def spy_add_state(self, state, tol=GS_EPS):
             norm2 = self._norm2(state)
-            estimate = norm2 - sum(abs(self._coefficient(i, state)) ** 2
-                                   for i in range(self.dimension))
+            estimate = norm2 - sum(abs(c) ** 2
+                                   for c in self.coefficients(state))
             record = {"norm2": norm2, "estimate": estimate, "full": False}
             records.append(record)
             added = add_state(self, state, tol)
             record["added"] = added is not None
             return added
 
-        def spy_residual(self, state):
+        def spy_residual(self, state, coefficients=None):
             records[-1]["full"] = True
-            return residual(self, state)
+            return residual(self, state, coefficients)
 
         monkeypatch.setattr(Subspace, "add_state", spy_add_state)
-        monkeypatch.setattr(Subspace, "_residual", spy_residual)
+        monkeypatch.setattr(Subspace, "residual", spy_residual)
         trace = ModelChecker(
             qrw5(), CheckerConfig(direction=direction)).reachable()
         assert trace.converged

@@ -160,11 +160,6 @@ class TestContainment:
 
 
 class TestMisc:
-    def test_max_basis_nodes(self):
-        space = make_space(2)
-        sub = space.span([space.basis_state([0, 1])])
-        assert sub.max_basis_nodes() >= 3
-
     def test_from_amplitudes_round_trip(self, rng):
         space = make_space(3)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
