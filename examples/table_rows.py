@@ -1,7 +1,7 @@
 """Regenerate a slice of the paper's Table I and Table II from code.
 
-This is the programmatic twin of the pytest benchmarks: it prints rows
-in the paper's layout (time + max TDD nodes per method) for a quick
+It prints the rows whose shapes ``tests/integration/test_scaling_trends.py``
+checks, in the paper's layout (time + max TDD nodes per method) for a quick
 visual comparison.  Use the module CLIs for the full grids:
 
     python -m repro.bench.table1 --scale medium

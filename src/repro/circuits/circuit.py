@@ -105,9 +105,6 @@ class QuantumCircuit:
     def num_gates(self) -> int:
         return len(self.gates)
 
-    def multi_qubit_gates(self) -> List[Gate]:
-        return [g for g in self.gates if g.is_multi_qubit]
-
     def depth(self) -> int:
         """Circuit depth under the usual as-soon-as-possible schedule."""
         level = [0] * self.num_qubits

@@ -98,10 +98,6 @@ class Gate:
         return self.controls + self.targets
 
     @property
-    def is_multi_qubit(self) -> bool:
-        return len(self.qubits) > 1
-
-    @property
     def is_scalar(self) -> bool:
         """True for the zero-qubit global-scalar gate (Kraus weights)."""
         return not self.targets and not self.controls

@@ -15,7 +15,7 @@ the GHZ and Bernstein-Vazirani TDDs linear in the number of qubits.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 from repro.errors import IndexError_
 from repro.indices.index import Index
@@ -64,44 +64,7 @@ class IndexOrder:
         """Return ``indices`` sorted by level."""
         return sorted(indices, key=self.level)
 
-    def levels_of(self, indices: Iterable[Index]) -> List[int]:
-        return sorted(self.level(i) for i in indices)
-
-    @staticmethod
-    def qubit_major(indices: Iterable[Index]) -> "IndexOrder":
-        """Build an order sorting wire indices by ``(qubit, time)``.
-
-        Indices lacking circuit coordinates sort after all wire indices,
-        alphabetically.
-        """
-        def key(idx: Index):
-            if idx.qubit is None:
-                return (1, 0, 0, idx.name)
-            return (0, idx.qubit, idx.time if idx.time is not None else 0,
-                    idx.name)
-
-        return IndexOrder(sorted(set(indices), key=key))
-
-    @staticmethod
-    def time_major(indices: Iterable[Index]) -> "IndexOrder":
-        """Build an order sorting wire indices by ``(time, qubit)``."""
-        def key(idx: Index):
-            if idx.qubit is None:
-                return (1, 0, 0, idx.name)
-            return (0, idx.time if idx.time is not None else 0, idx.qubit,
-                    idx.name)
-
-        return IndexOrder(sorted(set(indices), key=key))
-
     def __repr__(self) -> str:
         names = ", ".join(i.name for i in self._indices[:8])
         more = "..." if len(self._indices) > 8 else ""
         return f"IndexOrder([{names}{more}], n={len(self._indices)})"
-
-
-def require_same_order(*orders: Sequence[IndexOrder]) -> None:
-    """Raise unless all operands share one IndexOrder object."""
-    first = orders[0]
-    for other in orders[1:]:
-        if other is not first:
-            raise IndexError_("operands belong to different index orders")

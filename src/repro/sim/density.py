@@ -32,16 +32,6 @@ def apply_kraus(rho: np.ndarray,
     return out
 
 
-def density_from_states(states: Sequence[np.ndarray]) -> np.ndarray:
-    """The (unnormalised) mixture ``sum_i |v_i><v_i|`` of flat vectors."""
-    dim = states[0].reshape(-1).shape[0]
-    rho = np.zeros((dim, dim), dtype=complex)
-    for state in states:
-        v = state.reshape(-1)
-        rho += np.outer(v, v.conj())
-    return rho
-
-
 def support_basis(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis (columns) of ``supp(rho)``.
 

@@ -21,11 +21,3 @@ def orthonormalize(space: StateSpace, states: Iterable[TDD],
 def join(first: Subspace, second: Subspace) -> Subspace:
     """``S1 v S2`` — convenience wrapper over :meth:`Subspace.join`."""
     return first.join(second)
-
-
-def join_all(space: StateSpace, subspaces: Iterable[Subspace]) -> Subspace:
-    out = Subspace(space)
-    for subspace in subspaces:
-        for vector in subspace.basis:
-            out.add_state(vector)
-    return out

@@ -142,7 +142,8 @@ class Subspace:
     def __init__(self, space: StateSpace) -> None:
         self.space = space
         self.basis: List[TDD] = []
-        #: estimated loss of orthogonality of the basis (see add_state)
+        #: loss of orthogonality of the basis, estimated or measured
+        #: (see add_state)
         self._drift = 0.0
         #: the projector over the first ``_projected`` basis vectors,
         #: or ``None`` before the first use of :attr:`projector`
@@ -267,9 +268,11 @@ class Subspace:
         Giraud, Langou and Rozloznik, Comput. Math. Appl. 2005), as far
         as the weight table resolves it: a correction below
         ``WEIGHT_TOL`` relative to a node's weights snaps back onto the
-        first pass's weights.  The
+        first pass's weights.  So the
         drift records each kept vector's rounding loss ``eps * |r_0| /
-        |r|`` of its last pass from ``r_0``.  The screen is used only
+        |r|`` of its last pass from ``r_0`` and, after a second pass,
+        the measured ``max_i |<v_i|v>|`` of the kept vector ``v`` (``d``
+        more inner walks) when that is larger.  The screen is used only
         while the drift stays within ``tol**2``; after that, every
         step on a non-empty basis builds the residual.
         """
@@ -299,9 +302,12 @@ class Subspace:
                 residual_norm2 = self._norm2(residual)
                 if residual_norm2 <= floor:
                     return None
-        self._drift = max(self._drift,
-                          _EPS * (source_norm2 / residual_norm2) ** 0.5)
+        drift = _EPS * (source_norm2 / residual_norm2) ** 0.5
         vector = residual.scaled(1.0 / residual_norm2 ** 0.5)
+        if source_norm2 != norm2:
+            # a second pass ran: measure the kept vector against the basis
+            drift = max([drift] + [abs(c) for c in self.coefficients(vector)])
+        self._drift = max(self._drift, drift)
         self.basis.append(vector)
         return vector
 

@@ -53,10 +53,6 @@ class OperationCache:
         """Drop every entry (statistics are kept)."""
         self.table.clear()
 
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
     def stats(self) -> Dict[str, float]:
         return {
             "name": self.name,

@@ -40,10 +40,6 @@ class TestQueries:
         circuit = QuantumCircuit(1).scalar(0.5).h(0)
         assert circuit.depth() == 1
 
-    def test_multi_qubit_gates(self):
-        circuit = QuantumCircuit(3).h(0).cx(0, 1).ccx(0, 1, 2)
-        assert len(circuit.multi_qubit_gates()) == 2
-
     def test_count_ops(self):
         circuit = QuantumCircuit(2).h(0).h(1).cx(0, 1)
         assert circuit.count_ops() == {"h": 2, "cx": 1}

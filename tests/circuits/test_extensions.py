@@ -119,15 +119,21 @@ class TestModels:
         expected = qts.space.basis_state([1, 0, 1, 1])  # |5>|1>
         assert image.contains_state(expected)
 
-    def test_w_state_image_methods_agree(self):
+    @pytest.mark.parametrize("model,size,options", [
+        ("wstate", 4, {}),
+        ("qpe", 3, {"phase": 5 / 8}),
+        ("hiddenshift", 4, {}),
+    ])
+    def test_image_methods_agree(self, model, size, options):
         from repro.systems import models
         from tests.helpers import (assert_subspace_matches_dense,
                                    dense_image_oracle)
         from repro.image.engine import compute_image
-        expected = dense_image_oracle(models.w_state_qts(4))
+        expected = dense_image_oracle(
+            models.build_model(model, size, **options))
         for method, params in (("basic", {}),
                                ("contraction", {"k1": 2, "k2": 2})):
-            result = compute_image(models.w_state_qts(4),
+            result = compute_image(models.build_model(model, size, **options),
                                    config=CheckerConfig(method=method,
                                                         method_params=params))
             assert_subspace_matches_dense(result.subspace, expected)

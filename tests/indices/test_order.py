@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import IndexError_
-from repro.indices.index import Index, wire
-from repro.indices.order import IndexOrder, require_same_order
+from repro.indices.index import Index
+from repro.indices.order import IndexOrder
 
 
 class TestRegistration:
@@ -30,36 +30,8 @@ class TestRegistration:
         assert Index("z") not in order
         assert order.index_at(1) == Index("b")
 
-    def test_sorted_and_levels_of(self):
+    def test_sorted(self):
         order = IndexOrder([Index("a"), Index("b"), Index("c")])
         assert order.sorted([Index("c"), Index("a")]) == [Index("a"),
                                                           Index("c")]
-        assert order.levels_of([Index("c"), Index("a")]) == [0, 2]
 
-
-class TestPolicies:
-    def test_qubit_major(self):
-        indices = [wire(1, 0), wire(0, 1), wire(0, 0), wire(1, 2)]
-        order = IndexOrder.qubit_major(indices)
-        names = [order.index_at(i).name for i in range(4)]
-        assert names == ["x0_0", "x0_1", "x1_0", "x1_2"]
-
-    def test_time_major(self):
-        indices = [wire(1, 0), wire(0, 1), wire(0, 0), wire(1, 2)]
-        order = IndexOrder.time_major(indices)
-        names = [order.index_at(i).name for i in range(4)]
-        assert names == ["x0_0", "x1_0", "x0_1", "x1_2"]
-
-    def test_coordinate_free_indices_sort_last(self):
-        order = IndexOrder.qubit_major([Index("zz"), wire(0, 0)])
-        assert order.index_at(0).name == "x0_0"
-
-
-class TestRequireSameOrder:
-    def test_same_object_ok(self):
-        order = IndexOrder()
-        require_same_order(order, order)
-
-    def test_different_objects_rejected(self):
-        with pytest.raises(IndexError_):
-            require_same_order(IndexOrder(), IndexOrder())

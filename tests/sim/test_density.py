@@ -3,9 +3,7 @@
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.sim.density import (apply_kraus, channel_matrices,
-                               density_from_states, support_basis)
-from repro.sim.statevector import basis_state_vector
+from repro.sim.density import apply_kraus, channel_matrices, support_basis
 
 
 class TestApplyKraus:
@@ -30,14 +28,6 @@ class TestApplyKraus:
         rho = 0.5 * np.eye(2, dtype=complex)
         out = apply_kraus(rho, [p0])
         assert np.isclose(np.trace(out), 0.5)
-
-
-class TestDensityFromStates:
-    def test_mixture(self):
-        v0 = basis_state_vector(1, [0])
-        v1 = basis_state_vector(1, [1])
-        rho = density_from_states([v0, v1])
-        assert np.allclose(rho, np.eye(2))
 
 
 class TestSupport:

@@ -233,6 +233,61 @@ class TestFixpointBases:
         assert gram_deviation(trace.subspace) <= GS_EPS ** 2
 
 
+def random_amplitudes(rng, size):
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def off_span(q, rng):
+    """A random unit vector orthogonal to the columns of ``q``."""
+    w = random_amplitudes(rng, q.shape[0])
+    for _ in range(2):
+        w -= q @ (q.conj().T @ w)
+    return w / np.linalg.norm(w)
+
+
+class TestMeasuredDrift:
+    """A basis grown by near-dependent steps is off by about 1e-13.
+
+    Each such step runs a second pass, whose kept vector is only as
+    orthogonal as the weight table resolves, above the ``GS_EPS**2`` the
+    Pythagorean screen assumes.  The drift must record that deviation,
+    so the screen switches off and states just outside ``GS_EPS`` of the
+    span are kept, not rejected on a stale estimate.
+    """
+
+    @pytest.mark.parametrize("num_qubits,vectors,seed",
+                             [(4, 4, 12), (5, 6, 13)])
+    def test_states_near_the_threshold_are_judged_right(
+            self, num_qubits, vectors, seed):
+        rng = np.random.default_rng(seed)
+        space = make_space(num_qubits)
+        size = 2 ** num_qubits
+        sub = space.span([space.from_amplitudes(random_amplitudes(rng, size))
+                          for _ in range(vectors)])
+        for ratio in (1e3, 1e4, 1e5, 3e4, 1e5, 1e4):
+            q = np.array([v.to_numpy().reshape(-1) for v in sub.basis]).T
+            inside = q @ random_amplitudes(rng, q.shape[1])
+            inside /= np.linalg.norm(inside)
+            assert sub.add_state(space.from_amplitudes(
+                inside + off_span(q, rng) / ratio)) is not None
+        assert gram_deviation(sub) > GS_EPS ** 2
+        assert gram_deviation(sub) <= 2 * sub._drift
+
+        q, _ = np.linalg.qr(
+            np.array([v.to_numpy().reshape(-1) for v in sub.basis]).T)
+        misjudged = []
+        for multiple in (0.5, 0.8, 1.3, 2, 5):
+            for _ in range(8):
+                inside = q @ random_amplitudes(rng, q.shape[1])
+                amplitudes = (inside / np.linalg.norm(inside)
+                              + multiple * GS_EPS * off_span(q, rng))
+                kept = sub.copy().add_state(
+                    space.from_amplitudes(amplitudes)) is not None
+                if kept != (multiple > 1):
+                    misjudged.append(multiple)
+        assert misjudged == []
+
+
 class TestNoiseFloor:
     """Every dependent image state must be caught by the screen.
 

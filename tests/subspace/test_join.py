@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.subspace.join import join, join_all, orthonormalize
+from repro.subspace.join import join, orthonormalize
 
 from tests.helpers import make_space
 
@@ -31,14 +31,3 @@ class TestJoin:
         a = space.span([space.basis_state([0, 0])])
         b = space.span([space.basis_state([0, 1])])
         assert join(a, b).dimension == 2
-
-    def test_join_all(self):
-        space = make_space(2)
-        subs = [space.span([space.basis_state([i >> 1, i & 1])])
-                for i in range(3)]
-        combined = join_all(space, subs)
-        assert combined.dimension == 3
-
-    def test_join_all_empty(self):
-        space = make_space(2)
-        assert join_all(space, []).dimension == 0

@@ -35,8 +35,6 @@ class TestCounters:
         cache.clear()
         assert len(cache) == 0
         assert cache.hits == 1
-        cache.reset_stats()
-        assert cache.hits == cache.misses == 0
 
     def test_stats_dict(self):
         cache = OperationCache("add")
