@@ -26,7 +26,7 @@ from repro.errors import CircuitError
 from repro.gates import matrices as gm
 from repro.indices.index import Index
 from repro.tdd.manager import TDDManager
-from repro.tdd.node import Edge
+from repro.tdd.node import Pair
 from repro.tdd.tdd import TDD
 from repro.tensor.dense import DenseTensor
 
@@ -183,7 +183,7 @@ class Gate:
 
     def _root_edge(self, manager: TDDManager,
                    control_indices: Tuple[Index, ...],
-                   slots: Tuple[Index, ...]) -> Edge:
+                   slots: Tuple[Index, ...]) -> Pair:
         """The gate diagram, built level by level from the bottom up.
 
         ``slots`` are the target indices: outputs then inputs, or the
@@ -191,8 +191,10 @@ class Gate:
         level is ``(every control so far matched, target bits so
         far)``; a leaf is ``U[out, in]`` when every control matched and
         the identity entry otherwise.  Only states reachable from the
-        root are built, so every node made is part of the result.
+        root are built, so every node made is part of the result.  The
+        walk works on ``(weight, node)`` pairs, as the kernels do.
         """
+        terminal = manager.terminal
         # (level, control bit or None, target slot or None), top down
         walk = sorted(
             [(manager.register(idx), bit, None)
@@ -218,7 +220,8 @@ class Gate:
                     value = self.matrix[row, col]
                 else:
                     value = 1 if row == col else 0
-                layer[matched, bits] = manager.scalar_edge(value)
+                # any zero entry is the zero edge, weight 0j
+                layer[matched, bits] = (complex(value) or 0j, terminal)
         targets_above = len(row_col)
         controls_above = len(self.controls)
         for level, bit, _slot in reversed(walk):
@@ -238,7 +241,7 @@ class Gate:
                     else:
                         low = below[matched and bit == 0, bits]
                         high = below[matched and bit == 1, bits]
-                    layer[matched, bits] = manager.make_node(level, low,
+                    layer[matched, bits] = manager.make_pair(level, low,
                                                              high)
         return layer[True, ()]
 

@@ -17,6 +17,15 @@ thousands of levels):
 * a **unary rewrite** machine (:func:`unary_apply`) — a memoised
   postorder rebuild used by conjugation, renaming and slicing.
 
+Every edge the kernels handle is a plain ``(weight, node)`` tuple:
+node children, stack frames, cofactors, memo values and results (see
+:mod:`repro.tdd.node`).  An :class:`~repro.tdd.node.Edge` argument,
+such as a handle's root, is a tuple too and is read the same way.
+Nodes are made by :meth:`~repro.tdd.manager.TDDManager.make_pair`, and
+a zero result is ``(0j, terminal)``, built inline: the exact-zero
+weight always points at the terminal, also when a product of nonzero
+weights underflows.
+
 The memoised kernels read and write their tables' ``table`` dicts
 directly and add their hit/miss counts once per call.  Memo keys are
 flat tuples of node ids and numbers: ``(id_lo, w_lo, id_hi, w_hi)`` for
@@ -33,7 +42,7 @@ from __future__ import annotations
 from typing import Callable, Optional, TYPE_CHECKING, Tuple
 
 from repro.errors import TDDError
-from repro.tdd.node import TERMINAL_LEVEL, Edge, Node
+from repro.tdd.node import TERMINAL_LEVEL, Node, Pair
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tdd.manager import TDDManager
@@ -50,69 +59,73 @@ _COMBINE_FACTOR = 4
 # ----------------------------------------------------------------------
 # binary apply: addition
 # ----------------------------------------------------------------------
-def add_apply(manager: "TDDManager", a: Edge, b: Edge) -> Edge:
+def add_apply(manager: "TDDManager", a: Pair, b: Pair) -> Pair:
     """Pointwise sum of two edges (iterative, memoised).
 
     The memo key is ``(id_lo, w_lo, id_hi, w_hi)``, the two operands
     ordered by node id (addition commutes; equal nodes never reach the
     memo).  Weights enter the key at full precision: rounding them
-    could alias two different sums onto one entry.
+    could alias two different sums onto one entry.  A frame carries
+    both operands flat, ``(tag, wa, na, wb, nb)``, so a cofactor is
+    two stack slots rather than a pair of its own.
     """
     cache = manager.add_cache
     memo = cache.table
-    make_node = manager.make_node
+    make_pair = manager.make_pair
+    zero = (0j, manager.terminal)
     hits = misses = 0
-    stack = [(_ENTER, a, b)]
+    (wa, na), (wb, nb) = a, b
+    stack = [(_ENTER, wa, na, wb, nb)]
     values = []
     while stack:
         frame = stack.pop()
         if frame[0] == _ENTER:
-            _, a, b = frame
-            if a.weight == 0:
-                values.append(b)
+            _, wa, na, wb, nb = frame
+            if wa == 0:
+                values.append((wb, nb))
                 continue
-            if b.weight == 0:
-                values.append(a)
+            if wb == 0:
+                values.append((wa, na))
                 continue
-            na, nb = a.node, b.node
             if na is nb:
-                values.append(manager.make_edge(a.weight + b.weight, na))
+                weight = wa + wb
+                values.append((weight, na) if weight != 0 else zero)
                 continue
             ia, ib = id(na), id(nb)
             if ia < ib:
-                key = (ia, a.weight, ib, b.weight)
+                key = (ia, wa, ib, wb)
             else:
-                key = (ib, b.weight, ia, a.weight)
+                key = (ib, wb, ia, wa)
             cached = memo.get(key)
             if cached is not None:
                 hits += 1
                 values.append(cached)
                 continue
             misses += 1
-            # the cofactors on the top level, built inline (a zero
-            # child has the terminal as its node, so its cofactor is a
-            # zero edge)
-            level = min(na.level, nb.level)
-            if na.level == level:
-                weight, low, high = a.weight, na.low, na.high
-                a0 = Edge(weight * low.weight, low.node)
-                a1 = Edge(weight * high.weight, high.node)
+            # the cofactors on the top level (a zero child has the
+            # terminal as its node, so its cofactor is a zero edge)
+            la, lb = na.level, nb.level
+            level = la if la < lb else lb
+            if la == level:
+                (wa0, na0), (wa1, na1) = na.low, na.high
+                wa0, wa1 = wa * wa0, wa * wa1
             else:
-                a0 = a1 = a
-            if nb.level == level:
-                weight, low, high = b.weight, nb.low, nb.high
-                b0 = Edge(weight * low.weight, low.node)
-                b1 = Edge(weight * high.weight, high.node)
+                wa0 = wa1 = wa
+                na0 = na1 = na
+            if lb == level:
+                (wb0, nb0), (wb1, nb1) = nb.low, nb.high
+                wb0, wb1 = wb * wb0, wb * wb1
             else:
-                b0 = b1 = b
+                wb0 = wb1 = wb
+                nb0 = nb1 = nb
             stack.append((_EXIT, key, level))
-            stack.append((_ENTER, a1, b1))
-            stack.append((_ENTER, a0, b0))
+            stack.append((_ENTER, wa1, na1, wb1, nb1))
+            stack.append((_ENTER, wa0, na0, wb0, nb0))
         else:
             _, key, level = frame
             high = values.pop()
             low = values.pop()
-            result = make_node(level, low, high)
+            result = make_pair(level, low, high)
             memo[key] = result
             values.append(result)
     cache.hits += hits
@@ -130,28 +143,30 @@ def _operands(merged: dict) -> tuple:
                  if weight != 0)
 
 
-def combine_apply(manager: "TDDManager", terms) -> Edge:
+def combine_apply(manager: "TDDManager", terms) -> Pair:
     """``sum_i c_i e_i`` for ``(c_i, e_i)`` terms, in one walk.
 
     The walk descends every operand one level at a time, merges the
     operands that meet on one node and builds each result node once,
-    with one :meth:`~repro.tdd.manager.TDDManager.make_node`, where a
+    with one :meth:`~repro.tdd.manager.TDDManager.make_pair`, where a
     chain of binary :func:`add_apply` calls builds every partial sum.
     A frame is the tuple of its ``(weight, node)`` operands in term
     order, and it is its own memo key: node identity and weights at
-    full precision, as in :func:`add_apply`.  Those keys rarely recur
-    across calls, so ``manager.combine_cache`` is emptied at the end of
-    each call and keeps only the hit/miss counts.
+    full precision, as in :func:`add_apply`.  A frame of one operand
+    is its own result.  Those keys rarely recur across calls, so
+    ``manager.combine_cache`` is emptied at the end of each call and
+    keeps only the hit/miss counts.
     """
     cache = manager.combine_cache
     memo = cache.table
-    make_node = manager.make_node
+    make_pair = manager.make_pair
+    zero = (0j, manager.terminal)
     hits = misses = 0
     merged = {}
-    for coefficient, edge in terms:
-        weight = coefficient * edge.weight
+    for coefficient, (weight, node) in terms:
+        weight = coefficient * weight
         if weight != 0:
-            merged[edge.node] = merged.get(edge.node, 0) + weight
+            merged[node] = merged.get(node, 0) + weight
     stack = [(_ENTER, _operands(merged))]
     values = []
     while stack:
@@ -159,8 +174,7 @@ def combine_apply(manager: "TDDManager", terms) -> Edge:
         if frame[0] == _ENTER:
             operands = frame[1]
             if len(operands) < 2:
-                values.append(manager.make_edge(*operands[0]) if operands
-                              else manager.zero_edge())
+                values.append(operands[0] if operands else zero)
                 continue
             cached = memo.get(operands)
             if cached is not None:
@@ -172,13 +186,13 @@ def combine_apply(manager: "TDDManager", terms) -> Edge:
             lows, highs = {}, {}
             for weight, node in operands:
                 if node.level == level:
-                    low, high = node.low, node.high
-                    if low.weight != 0:
-                        lows[low.node] = (lows.get(low.node, 0)
-                                          + weight * low.weight)
-                    if high.weight != 0:
-                        highs[high.node] = (highs.get(high.node, 0)
-                                            + weight * high.weight)
+                    (low, low_node), (high, high_node) = node.low, node.high
+                    if low != 0:
+                        lows[low_node] = (lows.get(low_node, 0)
+                                          + weight * low)
+                    if high != 0:
+                        highs[high_node] = (highs.get(high_node, 0)
+                                            + weight * high)
                 else:
                     lows[node] = lows.get(node, 0) + weight
                     highs[node] = highs.get(node, 0) + weight
@@ -189,7 +203,7 @@ def combine_apply(manager: "TDDManager", terms) -> Edge:
             _, key, level = frame
             high = values.pop()
             low = values.pop()
-            result = make_node(level, low, high)
+            result = make_pair(level, low, high)
             memo[key] = result
             values.append(result)
     memo.clear()
@@ -201,20 +215,23 @@ def combine_apply(manager: "TDDManager", terms) -> Edge:
 # ----------------------------------------------------------------------
 # binary apply: contraction
 # ----------------------------------------------------------------------
-def contract_apply(manager: "TDDManager", a: Edge, b: Edge,
-                   levels: Tuple[int, ...]) -> Edge:
+def contract_apply(manager: "TDDManager", a: Pair, b: Pair,
+                   levels: Tuple[int, ...]) -> Pair:
     """Contract two edges over the sorted ``levels`` (iterative).
 
     Frames carry an offset into ``levels`` rather than the remaining
     tuple.  Weights are factored out on entry so the memo key is
     ``(id_a, id_b, suffix_id)``: the unit-weight node pair, ordered by
     id, and the manager-wide id of the summed levels still ahead
-    (:meth:`~repro.tdd.manager.TDDManager.suffix_ids`).  The EXIT frame
-    re-applies the factored weight.
+    (:meth:`~repro.tdd.manager.TDDManager.suffix_ids`).  The combine
+    frame re-applies the factored weight.  A product of nonzero
+    weights that underflows to 0 gives the zero edge.
     """
     cache = manager.cont_cache
     memo = cache.table
-    make_edge = manager.make_edge
+    make_pair = manager.make_pair
+    terminal = manager.terminal
+    zero = (0j, terminal)
     suffix = manager.suffix_ids(levels)
     count = len(levels)
     # the sentinel past the last summed level compares above every
@@ -227,16 +244,16 @@ def contract_apply(manager: "TDDManager", a: Edge, b: Edge,
         frame = stack.pop()
         tag = frame[0]
         if tag == _ENTER:
-            _, a, b, at = frame
-            if a.weight == 0 or b.weight == 0:
-                values.append(manager.zero_edge())
+            _, (wa, na), (wb, nb), at = frame
+            if wa == 0 or wb == 0:
+                values.append(zero)
                 continue
-            weight = a.weight * b.weight
-            na, nb = a.node, b.node
-            top = min(na.level, nb.level)
+            weight = wa * wb
+            la, lb = na.level, nb.level
+            top = la if la < lb else lb
             if top == TERMINAL_LEVEL:
-                values.append(
-                    manager.scalar_edge(weight * (2 ** (count - at))))
+                weight = weight * (2 ** (count - at))
+                values.append((weight, terminal) if weight != 0 else zero)
                 continue
             ka, kb = id(na), id(nb)
             key = ((ka, kb, suffix[at]) if ka <= kb
@@ -244,53 +261,51 @@ def contract_apply(manager: "TDDManager", a: Edge, b: Edge,
             cached = memo.get(key)
             if cached is not None:
                 hits += 1
-                values.append(make_edge(cached.weight * weight, cached.node))
+                cached_weight, node = cached
+                weight = cached_weight * weight
+                values.append((weight, node) if weight != 0 else zero)
                 continue
             misses += 1
             summed = levels[at]
             if summed < top:
                 # Neither operand depends on this summed index: factor 2.
-                stack.append((_COMBINE_FACTOR, key, weight))
-                stack.append((_ENTER, Edge(1 + 0j, na), Edge(1 + 0j, nb),
-                              at + 1))
+                stack.append((_COMBINE_FACTOR, key, weight, top))
+                stack.append((_ENTER, (1 + 0j, na), (1 + 0j, nb), at + 1))
                 continue
             # cofactors of the unit-weight operands on ``top``
-            if na.level == top:
+            if la == top:
                 a0, a1 = na.low, na.high
             else:
-                a0 = a1 = Edge(1 + 0j, na)
-            if nb.level == top:
+                a0 = a1 = (1 + 0j, na)
+            if lb == top:
                 b0, b1 = nb.low, nb.high
             else:
-                b0 = b1 = Edge(1 + 0j, nb)
+                b0 = b1 = (1 + 0j, nb)
             if summed == top:
-                stack.append((_COMBINE_SUM, key, weight))
+                stack.append((_COMBINE_SUM, key, weight, top))
                 stack.append((_ENTER, a1, b1, at + 1))
                 stack.append((_ENTER, a0, b0, at + 1))
             else:
                 stack.append((_COMBINE_NODE, key, weight, top))
                 stack.append((_ENTER, a1, b1, at))
                 stack.append((_ENTER, a0, b0, at))
-        elif tag == _COMBINE_FACTOR:
-            _, key, weight = frame
-            inner = values.pop()
-            result = make_edge(2 * inner.weight, inner.node)
-            memo[key] = result
-            values.append(make_edge(result.weight * weight, result.node))
-        elif tag == _COMBINE_SUM:
-            _, key, weight = frame
-            high = values.pop()
-            low = values.pop()
-            result = add_apply(manager, low, high)
-            memo[key] = result
-            values.append(make_edge(result.weight * weight, result.node))
-        else:  # _COMBINE_NODE
+        else:
             _, key, weight, top = frame
-            high = values.pop()
-            low = values.pop()
-            result = manager.make_node(top, low, high)
+            if tag == _COMBINE_FACTOR:
+                inner, node = values.pop()
+                inner = 2 * inner
+                result = (inner, node) if inner != 0 else zero
+            else:
+                high = values.pop()
+                low = values.pop()
+                if tag == _COMBINE_SUM:
+                    result = add_apply(manager, low, high)
+                else:
+                    result = make_pair(top, low, high)
             memo[key] = result
-            values.append(make_edge(result.weight * weight, result.node))
+            inner, node = result
+            weight = inner * weight
+            values.append((weight, node) if weight != 0 else zero)
     cache.hits += hits
     cache.misses += misses
     return values[0]
@@ -299,7 +314,7 @@ def contract_apply(manager: "TDDManager", a: Edge, b: Edge,
 # ----------------------------------------------------------------------
 # scalar walk: inner product
 # ----------------------------------------------------------------------
-def inner_apply(manager: "TDDManager", a: Edge, b: Edge,
+def inner_apply(manager: "TDDManager", a: Pair, b: Pair,
                 levels: Tuple[int, ...]) -> complex:
     """``sum conj(a) * b`` over the sorted ``levels`` (iterative).
 
@@ -313,21 +328,22 @@ def inner_apply(manager: "TDDManager", a: Edge, b: Edge,
     branches on is among them, that count fixes the partial sum for any
     summed set, so the memo is shared by every call.
     """
-    if a.weight == 0 or b.weight == 0:
+    (wa, na), (wb, nb) = a, b
+    if wa == 0 or wb == 0:
         return 0j
     cache = manager.inner_cache
     memo = cache.table
     hits = misses = 0
     count = len(levels)
     position = {level: i for i, level in enumerate(levels)}
-    stack = [(_ENTER, a.weight.conjugate() * b.weight, a.node, b.node,
-              count)]
+    stack = [(_ENTER, wa.conjugate() * wb, na, nb, count)]
     values = []
     while stack:
         frame = stack.pop()
         if frame[0] == _ENTER:
             _, weight, na, nb, remaining = frame
-            top = min(na.level, nb.level)
+            la, lb = na.level, nb.level
+            top = la if la < lb else lb
             if top == TERMINAL_LEVEL:
                 values.append(weight * 2 ** remaining)
                 continue
@@ -345,17 +361,14 @@ def inner_apply(manager: "TDDManager", a: Edge, b: Edge,
             rest = count - at - 1
             stack.append((_EXIT, key, weight,
                           2 ** (remaining - rest - 1)))
-            if na.level == top:
-                a0, a1 = na.low, na.high
-                wa0, wa1 = a0.weight.conjugate(), a1.weight.conjugate()
-                na0, na1 = a0.node, a1.node
+            if la == top:
+                (wa0, na0), (wa1, na1) = na.low, na.high
+                wa0, wa1 = wa0.conjugate(), wa1.conjugate()
             else:
                 wa0 = wa1 = 1
                 na0 = na1 = na
-            if nb.level == top:
-                b0, b1 = nb.low, nb.high
-                wb0, wb1 = b0.weight, b1.weight
-                nb0, nb1 = b0.node, b1.node
+            if lb == top:
+                (wb0, nb0), (wb1, nb1) = nb.low, nb.high
             else:
                 wb0 = wb1 = 1
                 nb0 = nb1 = nb
@@ -386,39 +399,40 @@ def inner_apply(manager: "TDDManager", a: Edge, b: Edge,
 # ----------------------------------------------------------------------
 # unary rewrite: memoised postorder rebuild
 # ----------------------------------------------------------------------
-def unary_apply(manager: "TDDManager", edge: Edge,
-                rebuild: Callable[[Node, Edge, Edge], Edge],
-                shortcut: Optional[Callable[[Node], Optional[Edge]]] = None,
+def unary_apply(manager: "TDDManager", edge: Pair,
+                rebuild: Callable[[Node, Pair, Pair], Pair],
+                shortcut: Optional[Callable[[Node], Optional[Pair]]] = None,
                 weight_map: Callable[[complex], complex] = lambda w: w
-                ) -> Edge:
+                ) -> Pair:
     """Rebuild the diagram under ``edge`` bottom-up without recursion.
 
     ``rebuild(node, low, high)`` combines the already-rewritten child
-    edges of an inner node into its replacement edge; ``shortcut(node)``
+    pairs of an inner node into its replacement pair; ``shortcut(node)``
     may return a replacement immediately (terminal nodes always
     short-circuit to the unit edge); ``weight_map`` transforms every
     edge weight on the way down (e.g. complex conjugation).
     """
-    if edge.is_zero:
-        return manager.zero_edge()
+    zero = (0j, manager.terminal)
+    weight, root = edge
+    if weight == 0:
+        return zero
     memo = {}
-    zero = manager.zero_edge()
-    make_edge = manager.make_edge
 
-    def rewritten_child(e: Edge) -> Edge:
-        if e.is_zero:
+    def rewritten(weight: complex, node: Node) -> Pair:
+        if weight == 0:
             return zero
-        inner = memo[id(e.node)]
-        return make_edge(weight_map(e.weight) * inner.weight, inner.node)
+        inner, replacement = memo[id(node)]
+        weight = weight_map(weight) * inner
+        return (weight, replacement) if weight != 0 else zero
 
-    stack = [(_ENTER, edge.node)]
+    stack = [(_ENTER, root)]
     while stack:
         tag, node = stack.pop()
         if tag == _ENTER:
             if id(node) in memo:
                 continue
             if node.is_terminal:
-                memo[id(node)] = Edge(1 + 0j, node)
+                memo[id(node)] = (1 + 0j, node)
                 continue
             if shortcut is not None:
                 replacement = shortcut(node)
@@ -426,11 +440,10 @@ def unary_apply(manager: "TDDManager", edge: Edge,
                     memo[id(node)] = replacement
                     continue
             stack.append((_EXIT, node))
-            for child in (node.high, node.low):
-                if not child.is_zero and id(child.node) not in memo:
-                    stack.append((_ENTER, child.node))
+            for child_weight, child in (node.high, node.low):
+                if child_weight != 0 and id(child) not in memo:
+                    stack.append((_ENTER, child))
         else:
-            memo[id(node)] = rebuild(node, rewritten_child(node.low),
-                                     rewritten_child(node.high))
-    inner = memo[id(edge.node)]
-    return make_edge(weight_map(edge.weight) * inner.weight, inner.node)
+            memo[id(node)] = rebuild(node, rewritten(*node.low),
+                                     rewritten(*node.high))
+    return rewritten(weight, root)

@@ -23,8 +23,9 @@ import numpy as np
 
 from repro.errors import TDDError
 from repro.indices.index import Index
+from repro.tdd.apply import add_apply
 from repro.tdd.manager import TDDManager
-from repro.tdd.node import Edge
+from repro.tdd.node import Pair
 from repro.tdd.tdd import TDD
 
 
@@ -64,19 +65,20 @@ def from_numpy(manager: TDDManager, array: np.ndarray,
     sorted_indices = [indices[ax] for ax in perm]
     levels = [manager.level(i) for i in sorted_indices]
 
-    cache: Dict[bytes, Edge] = {}
+    cache: Dict[bytes, Pair] = {}
 
-    def build(sub: np.ndarray, depth: int) -> Edge:
+    def build(sub: np.ndarray, depth: int) -> Pair:
         key = sub.tobytes()
         cached = cache.get(key)
         if cached is not None:
             return cached
         if depth == len(levels):
-            result = manager.scalar_edge(complex(sub))
+            # any zero leaf is the zero edge, weight 0j
+            result = (complex(sub) or 0j, manager.terminal)
         else:
             low = build(sub[0], depth + 1)
             high = build(sub[1], depth + 1)
-            result = manager.make_node(levels[depth], low, high)
+            result = manager.make_pair(levels[depth], low, high)
         cache[key] = result
         return result
 
@@ -97,12 +99,12 @@ def delta(manager: TDDManager, indices: Iterable[Index]) -> TDD:
     if not indices:
         return scalar(manager, 1)
     levels = sorted(manager.level(i) for i in indices)
-    all0 = manager.scalar_edge(1)
-    all1 = manager.scalar_edge(1)
+    zero_pair = (0j, manager.terminal)
+    all0 = all1 = (1 + 0j, manager.terminal)
     for level in reversed(levels):
-        all0 = manager.make_node(level, all0, manager.zero_edge())
-        all1 = manager.make_node(level, manager.zero_edge(), all1)
-    root = manager.add(all0, all1)
+        all0 = manager.make_pair(level, all0, zero_pair)
+        all1 = manager.make_pair(level, zero_pair, all1)
+    root = add_apply(manager, all0, all1)
     return TDD(manager, root, indices)
 
 
@@ -116,13 +118,14 @@ def basis_state(manager: TDDManager, indices: Sequence[Index],
     for idx in indices:
         manager.register(idx)
     pairs = sorted(zip(indices, bits), key=lambda p: manager.level(p[0]))
-    root = manager.scalar_edge(1)
+    zero_pair = (0j, manager.terminal)
+    root = (1 + 0j, manager.terminal)
     for idx, bit in reversed(pairs):
         level = manager.level(idx)
         if bit:
-            root = manager.make_node(level, manager.zero_edge(), root)
+            root = manager.make_pair(level, zero_pair, root)
         else:
-            root = manager.make_node(level, root, manager.zero_edge())
+            root = manager.make_pair(level, root, zero_pair)
     return TDD(manager, root, indices)
 
 

@@ -22,11 +22,11 @@ from typing import Tuple
 
 from repro.tdd.apply import contract_apply
 from repro.tdd.manager import TDDManager
-from repro.tdd.node import Edge
+from repro.tdd.node import Pair
 
 
-def contract_edges(manager: TDDManager, a: Edge, b: Edge,
-                   sum_levels: Tuple[int, ...]) -> Edge:
+def contract_edges(manager: TDDManager, a: Pair, b: Pair,
+                   sum_levels: Tuple[int, ...]) -> Pair:
     """Contract two edges over the (sorted) levels in ``sum_levels``."""
     sum_levels = tuple(sorted(sum_levels))
     return contract_apply(manager, a, b, sum_levels)

@@ -21,7 +21,7 @@ from typing import Dict, List
 
 from repro.errors import TDDError
 from repro.indices.index import Index
-from repro.tdd.node import Edge, Node
+from repro.tdd.node import Node, Pair
 from repro.tdd.tdd import TDD
 
 
@@ -103,11 +103,11 @@ def to_dot(tdd: TDD, name: str = "tdd") -> str:
         while stack:
             action, payload = stack.pop()
             if action == "edge":
-                nid, edge, style, colour = payload
+                nid, (weight, child), style, colour = payload
                 attrs = [f"style={style}", f"color={colour}"]
-                if edge.weight != 1:
-                    attrs.append(f'label="{_format_weight(edge.weight)}"')
-                lines.append(f"  {nid} -> {node_id(edge.node)} "
+                if weight != 1:
+                    attrs.append(f'label="{_format_weight(weight)}"')
+                lines.append(f"  {nid} -> {node_id(child)} "
                              f"[{', '.join(attrs)}];")
                 continue
             node = payload
@@ -124,9 +124,9 @@ def to_dot(tdd: TDD, name: str = "tdd") -> str:
             pending = []
             for edge, style, colour in ((node.low, "solid", "blue"),
                                         (node.high, "dashed", "red")):
-                if edge.is_zero:
+                if edge[0] == 0:
                     continue
-                pending.append(("visit", edge.node))
+                pending.append(("visit", edge[1]))
                 pending.append(("edge", (nid, edge, style, colour)))
             stack.extend(reversed(pending))
         return
@@ -158,9 +158,9 @@ def to_dict(tdd: TDD) -> dict:
         while stack:
             action, payload = stack.pop()
             if action == "fill":
-                entry, tag, edge = payload
-                entry[tag] = {"weight": _encode_weight(edge.weight),
-                              "node": ids[id(edge.node)]}
+                entry, tag, (weight, child) = payload
+                entry[tag] = {"weight": _encode_weight(weight),
+                              "node": ids[id(child)]}
                 continue
             node = payload
             key = id(node)
@@ -176,15 +176,15 @@ def to_dict(tdd: TDD) -> dict:
             nodes.append(entry)
             pending = []
             for tag, edge in (("low", node.low), ("high", node.high)):
-                if edge.is_zero:
+                if edge[0] == 0:
                     entry[tag] = None
                 else:
-                    pending.append(("visit", edge.node))
+                    pending.append(("visit", edge[1]))
                     pending.append(("fill", (entry, tag, edge)))
             stack.extend(reversed(pending))
         return ids[id(start)]
 
-    root: Edge = tdd.root
+    root = tdd.root
     out = {"indices": list(tdd.index_names),
            "root_weight": _encode_weight(root.weight)}
     out["root_node"] = None if root.is_zero else visit(root.node)
@@ -203,9 +203,10 @@ def from_dict(manager, data: dict) -> TDD:
     for idx in indices:
         manager.register(idx)
     by_id = {entry["id"]: entry for entry in data["nodes"]}
-    cache: Dict[int, "Edge"] = {}
+    cache: Dict[int, Pair] = {}
+    zero = (0j, manager.terminal)
 
-    def build(start_id: int) -> Edge:
+    def build(start_id: int) -> Pair:
         # iterative postorder: children rebuilt before their parent
         stack = [("enter", start_id)]
         while stack:
@@ -214,7 +215,7 @@ def from_dict(manager, data: dict) -> TDD:
                 continue
             entry = by_id[node_id]
             if entry.get("terminal"):
-                cache[node_id] = Edge(1 + 0j, manager.terminal)
+                cache[node_id] = (1 + 0j, manager.terminal)
                 continue
             if action == "enter":
                 stack.append(("exit", node_id))
@@ -224,15 +225,15 @@ def from_dict(manager, data: dict) -> TDD:
                         stack.append(("enter", sub["node"]))
                 continue
 
-            def child(tag: str) -> Edge:
+            def child(tag: str) -> Pair:
                 sub = entry.get(tag)
                 if sub is None:
-                    return manager.zero_edge()
-                inner = cache[sub["node"]]
-                weight = _decode_weight(sub["weight"])
-                return manager.make_edge(weight * inner.weight, inner.node)
+                    return zero
+                inner, node = cache[sub["node"]]
+                weight = _decode_weight(sub["weight"]) * inner
+                return (weight, node) if weight != 0 else zero
 
-            cache[node_id] = manager.make_node(
+            cache[node_id] = manager.make_pair(
                 manager.level(Index(entry["index"])),
                 child("low"), child("high"))
         return cache[start_id]
@@ -241,6 +242,6 @@ def from_dict(manager, data: dict) -> TDD:
     if data["root_node"] is None or weight == 0:
         root = manager.zero_edge()
     else:
-        inner = build(data["root_node"])
-        root = manager.make_edge(weight * inner.weight, inner.node)
+        inner, node = build(data["root_node"])
+        root = manager.make_edge(weight * inner, node)
     return TDD(manager, root, indices)

@@ -23,7 +23,13 @@ manager owns
   total nodes made, nodes reclaimed).
 
 The kernel is fully iterative (see :mod:`repro.tdd.apply`), so the
-manager never touches the interpreter recursion limit.
+manager never touches the interpreter recursion limit.  It works on
+plain ``(weight, node)`` pairs and builds nodes with
+:meth:`~TDDManager.make_pair`; nodes keep their children as such
+pairs.  The public edge constructors (:meth:`~TDDManager.zero_edge`,
+:meth:`~TDDManager.scalar_edge`, :meth:`~TDDManager.make_edge`,
+:meth:`~TDDManager.make_node`) return :class:`~repro.tdd.node.Edge`
+named tuples for code outside the kernel.
 
 Normalisation rule: when a node is created, its two
 outgoing edge weights are divided by the weight of largest magnitude
@@ -45,7 +51,7 @@ from repro.indices.index import Index
 from repro.indices.order import IndexOrder
 from repro.tdd import weights as wt
 from repro.tdd.cache import OperationCache
-from repro.tdd.node import Edge, Node, TERMINAL_LEVEL
+from repro.tdd.node import Edge, Node, Pair, TERMINAL_LEVEL
 
 
 class TDDManager:
@@ -114,14 +120,23 @@ class TDDManager:
         here would be scale-dependent and destroy small amplitudes
         (e.g. 2^-n/2 root weights of wide superpositions).  Interning
         happens only on the normalised child weights in
-        :meth:`make_node`.
+        :meth:`make_pair`.
         """
         if weight == 0:
             return self.zero_edge()
         return Edge(complex(weight), node)
 
-    def make_node(self, level: int, low: Edge, high: Edge) -> Edge:
-        """Intern a node branching on ``level``; returns a normalised edge.
+    def make_node(self, level: int, low: Pair, high: Pair) -> Edge:
+        """:meth:`make_pair` for callers outside the kernel: the
+        weights are made ``complex`` first and the result is an
+        :class:`Edge`."""
+        (w0, n0), (w1, n1) = low, high
+        return Edge(*self.make_pair(level, (complex(w0), n0),
+                                    (complex(w1), n1)))
+
+    def make_pair(self, level: int, low: Pair, high: Pair) -> Pair:
+        """Intern a node branching on ``level``; returns a normalised
+        ``(weight, node)`` pair.
 
         Applies the two TDD reduction rules: edge weights are normalised
         by the largest-magnitude weight, and a node whose outgoing edges
@@ -132,39 +147,43 @@ class TDDManager:
         is what keeps float cancellation noise out of the diagrams.  The
         redundancy test runs again on the interned weight, so children
         that only become equal there are not interned as a node either.
+
+        This is the kernels' entry point: ``low`` and ``high`` are
+        ``(weight, node)`` pairs with ``complex`` weights, and a zero
+        result is ``(0j, terminal)``.
         """
-        w0 = complex(low.weight)
-        w1 = complex(high.weight)
+        w0, n0 = low
+        w1, n1 = high
         if w0 == 0 and w1 == 0:
-            return self.zero_edge()
-        if w0 == w1 and low.node is high.node:
-            return Edge(w0, low.node)
+            return (0j, self.terminal)
+        if w0 == w1 and n0 is n1:
+            return (w0, n0)
         # normalisation: divide by the larger-magnitude weight (tie: low)
         if abs(w0) >= abs(w1):
             norm = w0
             nw0 = 1 + 0j
             nw1 = self.weights.canonical(w1 / norm)
-            n0 = low.node
-            n1 = high.node if nw1 else self.terminal
+            if not nw1:
+                n1 = self.terminal
             if nw1 == 1 + 0j and n0 is n1:
-                return Edge(norm, n0)
+                return (norm, n0)
         else:
             norm = w1
             nw0 = self.weights.canonical(w0 / norm)
             nw1 = 1 + 0j
-            n0 = low.node if nw0 else self.terminal
-            n1 = high.node
+            if not nw0:
+                n0 = self.terminal
             if nw0 == 1 + 0j and n0 is n1:
-                return Edge(norm, n0)
+                return (norm, n0)
         key = (level, nw0, id(n0), nw1, id(n1))
         node = self._unique.get(key)
         if node is None:
-            node = Node(level, Edge(nw0, n0), Edge(nw1, n1))
+            node = Node(level, (nw0, n0), (nw1, n1))
             self._unique[key] = node
             self.nodes_made += 1
             if len(self._unique) > self.peak_live_nodes:
                 self.peak_live_nodes = len(self._unique)
-        return Edge(norm, node)
+        return (norm, node)
 
     def suffix_ids(self, levels: Tuple[int, ...]) -> list:
         """Ids of the suffixes ``levels[i:]`` of a summed-level tuple.
@@ -251,12 +270,12 @@ class TDDManager:
         """Root edges of every TDD handle still alive in Python."""
         return [handle.root for handle in self._handles]
 
-    def collect(self, extra_roots: Iterable[Edge] = ()) -> int:
+    def collect(self, extra_roots: Iterable[Pair] = ()) -> int:
         """Root-based mark-and-sweep; returns the number of nodes freed.
 
         Every live :class:`~repro.tdd.tdd.TDD` handle (tracked weakly)
         pins the nodes reachable from its root; ``extra_roots`` pins
-        additional raw edges.  Everything else leaves the unique table.
+        additional ``(weight, node)`` pairs.  Everything else leaves the unique table.
         The memo tables are emptied: a freed node's ``id`` may be
         recycled, so an entry naming one would be unsound, and entries
         that survive a collection are rarely hit again, so clearing
@@ -270,13 +289,8 @@ class TDDManager:
         """
         self.clear_caches()
         marked = {id(self.terminal)}
-        stack = []
-        for root in self.live_roots():
-            if not root.is_zero:
-                stack.append(root.node)
-        for root in extra_roots:
-            if not root.is_zero:
-                stack.append(root.node)
+        stack = [node for roots in (self.live_roots(), extra_roots)
+                 for weight, node in roots if weight != 0]
         while stack:
             node = stack.pop()
             if id(node) in marked:
@@ -284,9 +298,9 @@ class TDDManager:
             marked.add(id(node))
             if node.is_terminal:
                 continue
-            for child in (node.low, node.high):
-                if not child.is_zero and id(child.node) not in marked:
-                    stack.append(child.node)
+            for weight, child in (node.low, node.high):
+                if weight != 0 and id(child) not in marked:
+                    stack.append(child)
         before = len(self._unique)
         self._unique = {key: node for key, node in self._unique.items()
                         if id(node) in marked}
@@ -298,13 +312,13 @@ class TDDManager:
     # ------------------------------------------------------------------
     # operations (thin wrappers; implementations live in sibling modules)
     # ------------------------------------------------------------------
-    def add(self, a: Edge, b: Edge) -> Edge:
+    def add(self, a: Pair, b: Pair) -> Edge:
         from repro.tdd.arithmetic import add_edges
-        return add_edges(self, a, b)
+        return Edge(*add_edges(self, a, b))
 
-    def contract(self, a: Edge, b: Edge, sum_levels: Tuple[int, ...]) -> Edge:
+    def contract(self, a: Pair, b: Pair, sum_levels: Tuple[int, ...]) -> Edge:
         from repro.tdd.contraction import contract_edges
-        return contract_edges(self, a, b, sum_levels)
+        return Edge(*contract_edges(self, a, b, sum_levels))
 
     def __repr__(self) -> str:
         return (f"TDDManager(indices={len(self.order)}, "

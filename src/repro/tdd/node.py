@@ -7,6 +7,16 @@ paper's figures) and ``high`` for index value 1 (red).  The unique
 terminal node carries the sentinel level :data:`TERMINAL_LEVEL` and
 represents the constant tensor 1.
 
+An edge is a plain ``(weight, node)`` pair.  Node children are exact
+tuples, and so are the frames, cofactors, memo values and results of
+the kernels in :mod:`repro.tdd.apply`: a tuple costs a fraction of an
+object with attributes, and the kernels make one per frame.
+:class:`Edge` is the same pair as a named tuple.  It is what a
+:class:`~repro.tdd.tdd.TDD` handle holds as its root and what the
+manager's public edge constructors return, so callers outside the
+kernel read ``edge.weight`` and ``edge.node``.  Being a tuple, it
+feeds every kernel as it is, and it compares by value.
+
 Nodes are interned by the manager's unique table: structural equality
 implies object identity, so all TDD algorithms compare nodes with
 ``is``.
@@ -15,19 +25,23 @@ implies object identity, so all TDD algorithms compare nodes with
 from __future__ import annotations
 
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 #: Sentinel level of the terminal node; larger than any index level.
 TERMINAL_LEVEL: int = sys.maxsize
 
 
 class Node:
-    """An interned TDD node.  Do not construct directly; use the manager."""
+    """An interned TDD node.  Do not construct directly; use the manager.
+
+    ``low`` and ``high`` are ``(weight, node)`` pairs; a zero child is
+    ``(0j, terminal)``.
+    """
 
     __slots__ = ("level", "low", "high")
 
-    def __init__(self, level: int, low: Optional["Edge"],
-                 high: Optional["Edge"]) -> None:
+    def __init__(self, level: int, low: Optional[Tuple[complex, "Node"]],
+                 high: Optional[Tuple[complex, "Node"]]) -> None:
         self.level = level
         self.low = low
         self.high = high
@@ -42,26 +56,27 @@ class Node:
         return f"Node(level={self.level})"
 
 
-class Edge:
+#: an edge as the kernels pass it: an :class:`Edge` or a plain tuple
+Pair = Tuple[complex, Node]
+
+
+class Edge(NamedTuple):
     """A weighted edge pointing at an interned node.
 
     The tensor denoted by an edge is ``weight`` times the tensor denoted
     by its node.  A weight of exactly 0 always points at the terminal.
+    Equality is the tuple's: equal weights and the same (interned)
+    node.
     """
 
-    __slots__ = ("weight", "node")
-
-    def __init__(self, weight: complex, node: Node) -> None:
-        self.weight = weight
-        self.node = node
+    weight: complex
+    node: Node
 
     @property
     def is_zero(self) -> bool:
         return self.weight == 0
 
-    def same_as(self, other: "Edge") -> bool:
+    def same_as(self, other: Tuple[complex, Node]) -> bool:
         """Structural equality (valid because nodes are interned)."""
-        return self.node is other.node and self.weight == other.weight
-
-    def __repr__(self) -> str:
-        return f"Edge({self.weight!r}, {self.node!r})"
+        weight, node = other
+        return self.node is node and self.weight == weight

@@ -18,10 +18,10 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.tdd.apply import unary_apply
 from repro.tdd.manager import TDDManager
-from repro.tdd.node import TERMINAL_LEVEL, Edge, Node
+from repro.tdd.node import TERMINAL_LEVEL, Node, Pair
 
 
-def slice_edge(manager: TDDManager, edge: Edge, level: int, value: int) -> Edge:
+def slice_edge(manager: TDDManager, edge: Pair, level: int, value: int) -> Pair:
     """The tensor of ``edge`` with the index at ``level`` fixed to ``value``.
 
     The resulting edge no longer depends on that index.
@@ -29,32 +29,24 @@ def slice_edge(manager: TDDManager, edge: Edge, level: int, value: int) -> Edge:
     if value not in (0, 1):
         raise ValueError(f"slice value must be 0 or 1, got {value!r}")
 
-    def shortcut(node: Node) -> Optional[Edge]:
+    def shortcut(node: Node) -> Optional[Pair]:
         if node.level > level:
             # below the sliced index: subtree unchanged
-            return Edge(1 + 0j, node)
+            return (1 + 0j, node)
         if node.level == level:
-            chosen = node.high if value else node.low
-            return manager.make_edge(chosen.weight, chosen.node)
+            # a child pair is already an edge (a zero child is the
+            # zero edge)
+            return node.high if value else node.low
         return None
 
     return unary_apply(
         manager, edge,
-        rebuild=lambda node, low, high: manager.make_node(node.level,
+        rebuild=lambda node, low, high: manager.make_pair(node.level,
                                                           low, high),
         shortcut=shortcut)
 
 
-def slice_many(manager: TDDManager, edge: Edge,
-               assignment: Dict[int, int]) -> Edge:
-    """Slice several levels at once (applied top-down)."""
-    result = edge
-    for level in sorted(assignment):
-        result = slice_edge(manager, result, level, assignment[level])
-    return result
-
-
-def first_nonzero_assignment(edge: Edge,
+def first_nonzero_assignment(edge: Pair,
                              target_levels: FrozenSet[int]
                              ) -> Optional[Dict[int, int]]:
     """Leftmost assignment of ``target_levels`` with a non-zero slice.
@@ -66,13 +58,14 @@ def first_nonzero_assignment(edge: Edge,
     unconstrained and omitted (callers treat them as 0).  Returns
     ``None`` iff the edge denotes the zero tensor.
     """
-    if edge.is_zero:
+    weight, root = edge
+    if weight == 0:
         return None
     # Backtracking DFS with an explicit frame stack.  Each frame is
     # ``[node, tried]`` where ``tried`` is 0 (nothing yet), 1 (descended
     # low) or 2 (descended high); the successful path is read off the
     # frames when the terminal is reached.
-    frames = [[edge.node, 0]]
+    frames = [[root, 0]]
     while frames:
         node, tried = frames[-1]
         if node.is_terminal:
@@ -81,18 +74,19 @@ def first_nonzero_assignment(edge: Edge,
                 if frame_node.level in target_levels:
                     assignment[frame_node.level] = frame_tried - 1
             return assignment
-        if tried == 0 and not node.low.is_zero:
+        (low_weight, low), (high_weight, high) = node.low, node.high
+        if tried == 0 and low_weight != 0:
             frames[-1][1] = 1
-            frames.append([node.low.node, 0])
-        elif tried <= 1 and not node.high.is_zero:
+            frames.append([low, 0])
+        elif tried <= 1 and high_weight != 0:
             frames[-1][1] = 2
-            frames.append([node.high.node, 0])
+            frames.append([high, 0])
         else:
             frames.pop()
     return None
 
 
-def largest_entry(edge: Edge) -> Optional[Tuple[Dict[int, int], complex]]:
+def largest_entry(edge: Pair) -> Optional[Tuple[Dict[int, int], complex]]:
     """An assignment of largest ``|entry|`` and the entry it reaches.
 
     One memoised post-order walk records, per node, the largest
@@ -101,10 +95,11 @@ def largest_entry(edge: Edge) -> Optional[Tuple[Dict[int, int], complex]]:
     the diagram skips are omitted (every bit reaches the same entry;
     callers take 0).  Returns ``None`` iff the edge denotes zero.
     """
-    if edge.is_zero:
+    entry, root = edge
+    if entry == 0:
         return None
     best: Dict[int, float] = {}
-    stack = [edge.node]
+    stack = [root]
     while stack:
         node = stack[-1]
         if id(node) in best:
@@ -114,23 +109,25 @@ def largest_entry(edge: Edge) -> Optional[Tuple[Dict[int, int], complex]]:
             best[id(node)] = 1.0
             stack.pop()
             continue
-        low, high = node.low.node, node.high.node
+        (low_weight, low), (high_weight, high) = node.low, node.high
         pending = [child for child in (low, high) if id(child) not in best]
         if pending:
             stack.extend(pending)
             continue
         stack.pop()
-        best[id(node)] = max(abs(node.low.weight) * best[id(low)],
-                             abs(node.high.weight) * best[id(high)])
+        best[id(node)] = max(abs(low_weight) * best[id(low)],
+                             abs(high_weight) * best[id(high)])
     assignment: Dict[int, int] = {}
-    entry = edge.weight
-    node = edge.node
+    node = root
     while node.level != TERMINAL_LEVEL:
-        low, high = node.low, node.high
-        bit = int(abs(high.weight) * best[id(high.node)]
-                  > abs(low.weight) * best[id(low.node)])
-        chosen = high if bit else low
+        (low_weight, low), (high_weight, high) = node.low, node.high
+        bit = int(abs(high_weight) * best[id(high)]
+                  > abs(low_weight) * best[id(low)])
         assignment[node.level] = bit
-        entry *= chosen.weight
-        node = chosen.node
+        if bit:
+            entry *= high_weight
+            node = high
+        else:
+            entry *= low_weight
+            node = low
     return assignment, entry

@@ -4,7 +4,9 @@ A :class:`TDD` is an immutable view of a tensor over named binary
 indices.  The node structure lives in a :class:`TDDManager`; the handle
 records which indices the tensor is *over* (its free indices), which
 matters because a canonical diagram omits indices the tensor does not
-depend on.
+depend on.  The kernels return plain ``(weight, node)`` pairs; the
+handle keeps its root as an :class:`~repro.tdd.node.Edge`, so callers
+read ``root.weight`` and ``root.node``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.tdd.arithmetic import (add_edges, conjugate_edge, negate_edge,
                                   scale_edge)
 from repro.tdd.contraction import contract_edges
 from repro.tdd.manager import TDDManager
-from repro.tdd.node import TERMINAL_LEVEL, Edge, Node
+from repro.tdd.node import TERMINAL_LEVEL, Edge, Node, Pair
 from repro.tdd.slicing import slice_edge
 
 IndexLike = Union[Index, str]
@@ -35,11 +37,11 @@ class TDD:
 
     __slots__ = ("manager", "root", "_indices", "__weakref__")
 
-    def __init__(self, manager: TDDManager, root: Edge,
+    def __init__(self, manager: TDDManager, root: Pair,
                  indices: Iterable[Index]) -> None:
         idx = tuple(sorted(set(indices), key=manager.order.level))
         self.manager = manager
-        self.root = root
+        self.root = root if isinstance(root, Edge) else Edge(*root)
         self._indices = idx
         # live handles pin their nodes across TDDManager.collect()
         manager._register_handle(self)
@@ -87,8 +89,8 @@ class TDD:
             node = stack.pop()
             if node.level != TERMINAL_LEVEL and node not in seen:
                 seen.add(node)
-                stack.append(node.low.node)
-                stack.append(node.high.node)
+                stack.append(node.low[1])
+                stack.append(node.high[1])
         return len(seen) + 1
 
     # ------------------------------------------------------------------
@@ -109,9 +111,8 @@ class TDD:
             if bit is None:
                 raise TDDError("diagram branches on an index outside the "
                                "declared free set")
-            edge = node.high if bit else node.low
-            out *= edge.weight
-            node = edge.node
+            weight, node = node.high if bit else node.low
+            out *= weight
             if out == 0:
                 return 0j
         return out
@@ -139,9 +140,10 @@ class TDD:
             if node.level < level:
                 raise TDDError("diagram branches on an index outside the "
                                "declared free set")
-            for bit, edge in ((0, node.low), (1, node.high)):
+            for bit, (child_weight, child) in ((0, node.low),
+                                               (1, node.high)):
                 prefix.append(bit)
-                rec(edge.node, weight * edge.weight, prefix, depth + 1)
+                rec(child, weight * child_weight, prefix, depth + 1)
                 prefix.pop()
 
         rec(self.root.node, self.root.weight, [], 0)
@@ -236,7 +238,7 @@ class TDD:
 
         root = unary_apply(
             self.manager, self.root,
-            rebuild=lambda node, low, high: self.manager.make_node(
+            rebuild=lambda node, low, high: self.manager.make_pair(
                 level_map[node.level], low, high))
         return TDD(self.manager, root, new_indices)
 
@@ -254,12 +256,6 @@ class TDD:
     def norm(self) -> float:
         """Euclidean norm of the tensor viewed as a vector."""
         return abs(self.inner(self)) ** 0.5
-
-    def normalized(self) -> "TDD":
-        n = self.norm()
-        if n == 0:
-            raise TDDError("cannot normalise the zero tensor")
-        return self.scaled(1.0 / n)
 
     # ------------------------------------------------------------------
     # comparison

@@ -23,6 +23,11 @@ def random_subspace(space, rng, dimension):
                        for _ in range(dimension)])
 
 
+def normalized(state):
+    """``state`` scaled to unit norm."""
+    return state.scaled(1.0 / state.norm())
+
+
 def dense_projector(matrix):
     """The projector onto the column span of ``matrix`` (SVD-closed)."""
     if matrix.shape[1] == 0:
@@ -144,7 +149,7 @@ class TestAdopt:
         elif damage == "duplicated":
             basis[2] = basis[0]
         else:
-            basis[1] = (basis[1] + basis[0].scaled(1e-6)).normalized()
+            basis[1] = normalized(basis[1] + basis[0].scaled(1e-6))
         adopted = space.adopt(basis)
         assert adopted.equals(space.span(basis))
         assert adopted.dimension == (2 if damage == "duplicated" else 3)

@@ -1,9 +1,12 @@
-"""The iterative apply kernel: depth stress and recursive-free guarantees.
+"""The iterative apply kernel: depth stress, recursion-free guarantees
+and the ``(weight, node)`` pair boundary.
 
 The seed implementation recursed one Python frame per TDD level and
 bumped ``sys.setrecursionlimit`` to 100k from ``TDDManager.__init__``;
 the iterative engine must handle benchmark-scale diagrams under the
 interpreter's *default* limit of 1000, with no global side effects.
+The kernels take and return plain ``(weight, node)`` pairs, and an
+:class:`~repro.tdd.node.Edge` (a named tuple) feeds them as well.
 """
 
 import sys
@@ -15,8 +18,12 @@ from repro.indices.index import Index
 from repro.mc.config import CheckerConfig
 from repro.systems import models
 from repro.tdd import construction as tc
+from repro.tdd.apply import (add_apply, combine_apply, contract_apply,
+                             inner_apply)
 from repro.tdd.manager import TDDManager
+from repro.tdd.node import Edge
 from repro.tdd.slicing import first_nonzero_assignment, slice_edge
+from repro.tdd.tdd import TDD
 
 from tests.helpers import fresh_manager
 
@@ -130,9 +137,9 @@ class TestDeepDiagrams:
         bits = [1] * DEEP
         state = tc.basis_state(m, idx, bits)
         target = DEEP // 2
-        sliced = slice_edge(m, state.root, target, 1)
-        assert not sliced.is_zero
-        assert slice_edge(m, state.root, target, 0).is_zero
+        sliced, _ = slice_edge(m, state.root, target, 1)
+        assert sliced != 0
+        assert slice_edge(m, state.root, target, 0) == (0j, m.terminal)
         found = first_nonzero_assignment(
             state.root, frozenset(range(DEEP)))
         assert found == {level: 1 for level in range(DEEP)}
@@ -190,3 +197,96 @@ class TestEquivalenceWithDense:
         out = tx.contract(ty, [c])
         expect = np.einsum("abc,cde->abde", x, y)
         np.testing.assert_allclose(out.to_numpy(), expect, atol=1e-8)
+
+
+class TestPairBoundary:
+    """Kernels on raw pairs and on handle roots; zero and underflow
+    results; what :class:`Edge` keeps meaning."""
+
+    NAMES = ("a", "b", "c")
+
+    def _operands(self, rng):
+        m = fresh_manager(self.NAMES)
+        idx = [Index(n) for n in self.NAMES]
+        x = tc.from_numpy(m, rng.normal(size=(2,) * 3)
+                          + 1j * rng.normal(size=(2,) * 3), idx)
+        y = tc.from_numpy(m, rng.normal(size=(2,) * 3), idx)
+        return m, x, y
+
+    def test_kernels_agree_on_pairs_and_roots(self, rng):
+        m, x, y = self._operands(rng)
+        levels = (0, 1, 2)
+        assert isinstance(x.root, Edge)
+        raw_x, raw_y = tuple(x.root), tuple(y.root)
+        assert type(raw_x) is tuple
+        calls = [
+            lambda a, b: add_apply(m, a, b),
+            lambda a, b: contract_apply(m, a, b, (1,)),
+            lambda a, b: combine_apply(m, [(0.5, a), (2j, b), (1, a)]),
+        ]
+        for call in calls:
+            from_roots = call(x.root, y.root)
+            from_pairs = call(raw_x, raw_y)
+            assert type(from_pairs) is tuple
+            assert from_pairs[1] is from_roots[1]
+            assert from_pairs[0] == from_roots[0]
+        assert (inner_apply(m, raw_x, raw_y, levels)
+                == inner_apply(m, x.root, y.root, levels))
+
+    def test_zero_results_point_at_the_terminal(self, rng):
+        m, x, _ = self._operands(rng)
+        zero = (0j, m.terminal)
+        minus_x = (-x.root.weight, x.root.node)
+        assert add_apply(m, x.root, minus_x) == zero
+        assert combine_apply(m, [(1, x.root), (-1, x.root)]) == zero
+        assert combine_apply(m, []) == zero
+        assert contract_apply(m, x.root, m.zero_edge(), (0,)) == zero
+        for result in (add_apply(m, x.root, minus_x),
+                       contract_apply(m, m.zero_edge(), x.root, ())):
+            assert result[1] is m.terminal
+
+    def test_contract_underflow_is_the_zero_edge(self, rng):
+        m, x, _ = self._operands(rng)
+        tiny = (1e-200 + 0j, m.terminal)
+        assert 1e-200 * 1e-200 == 0
+        assert contract_apply(m, tiny, tiny, ()) == tuple(
+            m.scalar_edge(1e-200 * 1e-200))
+        assert contract_apply(m, tiny, tiny, ()) == (0j, m.terminal)
+        # the same underflow below a node: the factored weight is 0
+        tiny_x = (1e-200 + 0j, x.root.node)
+        assert contract_apply(m, tiny_x, tiny, ()) == (0j, m.terminal)
+        assert contract_apply(m, tiny_x, tiny_x, (0, 1, 2)) == (
+            0j, m.terminal)
+
+    def test_edge_keeps_its_meaning(self):
+        m = fresh_manager(["a"])
+        node = m.make_node(0, Edge(1.0, m.terminal),
+                           Edge(0.5, m.terminal)).node
+        edge = Edge(0.5, node)
+        assert edge.weight == 0.5 and edge.node is node
+        assert edge.same_as(Edge(0.5, node))
+        assert edge.same_as((0.5, node))
+        assert not edge.same_as(Edge(0.5, m.terminal))
+        assert not edge.same_as(Edge(0.25, node))
+        assert Edge(0j, m.terminal).is_zero and not edge.is_zero
+        # a named tuple compares and hashes by value, as same_as does
+        assert edge == Edge(0.5, node) == (0.5, node)
+        assert hash(edge) == hash((0.5, node))
+
+    def test_hand_built_edges_feed_make_node_and_kernels(self):
+        m = fresh_manager(["a"])
+        made = m.make_node(0, Edge(1.0, m.terminal), Edge(2.0, m.terminal))
+        assert isinstance(made, Edge)
+        assert type(made.weight) is complex
+        assert made.same_as(m.make_pair(0, (1 + 0j, m.terminal),
+                                        (2 + 0j, m.terminal)))
+        total = add_apply(m, Edge(1.0, m.terminal), Edge(2.0, m.terminal))
+        assert total == (3, m.terminal)
+
+    def test_handles_hold_an_edge_root(self, rng):
+        m, x, _ = self._operands(rng)
+        wrapped = TDD(m, tuple(x.root), x.indices)
+        assert isinstance(wrapped.root, Edge)
+        assert wrapped.same_as(x)
+        assert isinstance((x + x).root, Edge)
+        assert isinstance(x.contract(x, [Index("a")]).root, Edge)

@@ -164,7 +164,7 @@ def _reachable(tdd):
             continue
         seen[id(node)] = node
         if not node.is_terminal:
-            stack.extend(e.node for e in (node.low, node.high))
+            stack.extend(child for _, child in (node.low, node.high))
     return set(seen.values())
 
 

@@ -8,7 +8,6 @@ import numpy as np
 from repro.indices.index import Index
 from repro.tdd import construction as tc
 from repro.tdd.io import from_dict, to_dict
-from repro.tdd.slicing import slice_many
 
 from tests.helpers import fresh_manager, random_tensor
 
@@ -114,9 +113,7 @@ class TestIPCRoundTripProperty:
         worker = fresh_manager(names)
         total = None
         for bits in itertools.product((0, 1), repeat=2):
-            edge = slice_many(parent, t.root, dict(zip((0, 1), bits)))
-            part = from_dict(worker, to_dict(
-                type(t)(parent, edge, t.indices[2:])))
+            part = from_dict(worker, to_dict(t.slice(dict(zip(names, bits)))))
             total = part if total is None else total + part
         # summing the four cofactors marginalises indices a0, a1
         assert np.allclose(total.to_numpy(), arr.sum(axis=(0, 1)))

@@ -59,15 +59,15 @@ class TestMakeNode:
         m = fresh_manager(["a"])
         edge = m.make_node(0, m.scalar_edge(0.5), m.scalar_edge(-1.0))
         assert edge.weight == -1.0
-        assert edge.node.low.weight == -0.5
-        assert edge.node.high.weight == 1.0
+        assert edge.node.low[0] == -0.5
+        assert edge.node.high[0] == 1.0
 
     def test_normalisation_tie_prefers_low(self):
         m = fresh_manager(["a"])
         edge = m.make_node(0, m.scalar_edge(1.0), m.scalar_edge(-1.0))
         assert edge.weight == 1.0
-        assert edge.node.low.weight == 1.0
-        assert edge.node.high.weight == -1.0
+        assert edge.node.low[0] == 1.0
+        assert edge.node.high[0] == -1.0
 
     def test_dominant_child_weight_is_exactly_one(self):
         # the larger child gets 1+0j without the weight table, whatever
@@ -77,9 +77,9 @@ class TestMakeNode:
                           (0.6 + 0.8j, 0.8 - 0.6j)]:
             node = m.make_node(0, m.scalar_edge(low),
                                m.scalar_edge(high)).node
-            dominant = node.low if abs(low) >= abs(high) else node.high
-            assert type(dominant.weight) is complex
-            assert dominant.weight == 1 + 0j
+            dominant, _ = node.low if abs(low) >= abs(high) else node.high
+            assert type(dominant) is complex
+            assert dominant == 1 + 0j
 
     def test_interning_same_node(self):
         m = fresh_manager(["a"])
