@@ -79,8 +79,3 @@ def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
     for gate in circuit.gates:
         out = apply_gate(out, gate, n)
     return out.reshape(dim, dim)
-
-
-def state_to_vector(state: np.ndarray) -> np.ndarray:
-    """Flatten a ``(2,)*n`` state to a length ``2^n`` vector."""
-    return state.reshape(-1)

@@ -8,7 +8,10 @@ thousands of levels):
 * a **binary apply** machine (:func:`add_apply`, :func:`contract_apply`)
   that simulates the recursion with ENTER/EXIT frames on a work stack
   and a value stack, memoised in the manager's
-  :class:`~repro.tdd.cache.OperationCache` tables;
+  :class:`~repro.tdd.cache.OperationCache` tables.  It is one loop:
+  a contraction's sum over a summed level runs as addition frames on
+  the contraction's own stack, and :func:`add_apply` starts the same
+  loop on an addition frame;
 * an **n-ary apply** (:func:`combine_apply`) — the same frames over a
   tuple of operands, forming a linear combination ``sum_i c_i e_i`` in
   one walk;
@@ -28,13 +31,14 @@ weights underflows.
 
 The memoised kernels read and write their tables' ``table`` dicts
 directly and add their hit/miss counts once per call.  Memo keys are
-flat tuples of node ids and numbers: ``(id_lo, w_lo, id_hi, w_hi)`` for
-addition, ``(id_a, id_b, suffix_id)`` for contraction and
-``(id_a, id_b, remaining)`` for the inner product; the n-ary walk keys
-a frame by its ``(weight, node)`` operands and empties its table when
-the call ends.  Entries are valid only while the nodes they name are
-interned, which is why :meth:`~repro.tdd.manager.TDDManager.collect`
-empties every table.
+flat tuples of integer node keys (:class:`~repro.tdd.node.Node`) and
+numbers: ``(key_lo, w_lo, key_hi, w_hi)`` for addition,
+``(key_a, key_b, suffix_id)`` for contraction and
+``(key_a, key_b, remaining)`` for the inner product; the n-ary walk
+keys a frame by its ``(weight, node)`` operands and empties its table
+when the call ends.  A node key is never reused, but a memo value can
+name a node that a collection reclaimed, which is why
+:meth:`~repro.tdd.manager.TDDManager.collect` empties every table.
 """
 
 from __future__ import annotations
@@ -47,39 +51,131 @@ from repro.tdd.node import TERMINAL_LEVEL, Node, Pair
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tdd.manager import TDDManager
 
-#: work-stack frame tags
+#: work-stack frame tags of the walks with one frame kind
 _ENTER = 0
 _EXIT = 1
-#: contraction EXIT variants (which combine step to run)
-_COMBINE_NODE = 2
-_COMBINE_SUM = 3
-_COMBINE_FACTOR = 4
+#: frame tags of the binary apply machine (see :func:`_binary_apply`)
+_ADD = 0
+_ADD_NODE = 1
+_CONTRACT = 2
+_COMBINE_NODE = 3
+_COMBINE_SUM = 4
+_COMBINE_FACTOR = 5
+_SUMMED = 6
 
 
 # ----------------------------------------------------------------------
-# binary apply: addition
+# binary apply: addition and contraction
 # ----------------------------------------------------------------------
 def add_apply(manager: "TDDManager", a: Pair, b: Pair) -> Pair:
     """Pointwise sum of two edges (iterative, memoised).
 
-    The memo key is ``(id_lo, w_lo, id_hi, w_hi)``, the two operands
-    ordered by node id (addition commutes; equal nodes never reach the
-    memo).  Weights enter the key at full precision: rounding them
-    could alias two different sums onto one entry.  A frame carries
-    both operands flat, ``(tag, wa, na, wb, nb)``, so a cofactor is
-    two stack slots rather than a pair of its own.
+    The memo key is ``(key_lo, w_lo, key_hi, w_hi)``, the two operands
+    ordered by node key (addition commutes; equal nodes never reach
+    the memo).  Weights enter the key at full precision: rounding them
+    could alias two different sums onto one entry.
     """
-    cache = manager.add_cache
-    memo = cache.table
-    make_pair = manager.make_pair
-    zero = (0j, manager.terminal)
-    hits = misses = 0
     (wa, na), (wb, nb) = a, b
-    stack = [(_ENTER, wa, na, wb, nb)]
+    return _binary_apply(manager, (_ADD, wa, na, wb, nb), ())
+
+
+def contract_apply(manager: "TDDManager", a: Pair, b: Pair,
+                   levels: Tuple[int, ...]) -> Pair:
+    """Contract two edges over the sorted ``levels`` (iterative).
+
+    Frames carry an offset into ``levels`` rather than the remaining
+    tuple.  Weights are factored out on entry so the memo key is
+    ``(key_a, key_b, suffix_id)``: the unit-weight node pair, ordered
+    by node key, and the manager-wide id of the summed levels still
+    ahead (:meth:`~repro.tdd.manager.TDDManager.suffix_ids`).  The
+    combine frame re-applies the factored weight.  A product of
+    nonzero weights that underflows to 0 gives the zero edge.  The sum
+    over a summed level is an addition run on the same work stack, so
+    it shares :func:`add_apply`'s memo and counters.
+    """
+    return _binary_apply(manager, (_CONTRACT, a, b, 0), levels)
+
+
+def _binary_apply(manager: "TDDManager", frame: tuple,
+                  levels: Tuple[int, ...]) -> Pair:
+    """Run the binary apply machine from ``frame`` to its one result.
+
+    An addition frame carries both operands flat,
+    ``(_ADD, wa, na, wb, nb)``, so a cofactor is two stack slots rather
+    than a pair of its own; a contraction frame is
+    ``(_CONTRACT, a, b, at)``, ``at`` being the offset of the next
+    summed level in ``levels``.  A contraction that sums a level pushes
+    the addition of its two halves as an addition frame under a
+    ``_SUMMED`` frame that stores the sum as the contraction's memo
+    entry, so every addition, whether started by :func:`add_apply` or
+    inside a contraction, runs the one addition frame body and counts
+    into ``manager.add_cache``.
+    """
+    add_cache = manager.add_cache
+    add_memo = add_cache.table
+    cont_cache = manager.cont_cache
+    cont_memo = cont_cache.table
+    make_pair = manager.make_pair
+    terminal = manager.terminal
+    zero = (0j, terminal)
+    suffix = manager.suffix_ids(levels)
+    count = len(levels)
+    # the sentinel past the last summed level compares above every
+    # non-terminal level, so no frame needs a bounds check
+    levels = levels + (TERMINAL_LEVEL,)
+    add_hits = add_misses = cont_hits = cont_misses = 0
+    stack = [frame]
     values = []
     while stack:
         frame = stack.pop()
-        if frame[0] == _ENTER:
+        tag = frame[0]
+        if tag == _CONTRACT:
+            _, (wa, na), (wb, nb), at = frame
+            if wa == 0 or wb == 0:
+                values.append(zero)
+                continue
+            weight = wa * wb
+            la, lb = na.level, nb.level
+            top = la if la < lb else lb
+            if top == TERMINAL_LEVEL:
+                weight = weight * (2 ** (count - at))
+                values.append((weight, terminal) if weight != 0 else zero)
+                continue
+            ka, kb = na.key, nb.key
+            key = ((ka, kb, suffix[at]) if ka <= kb
+                   else (kb, ka, suffix[at]))
+            cached = cont_memo.get(key)
+            if cached is not None:
+                cont_hits += 1
+                cached_weight, node = cached
+                weight = cached_weight * weight
+                values.append((weight, node) if weight != 0 else zero)
+                continue
+            cont_misses += 1
+            summed = levels[at]
+            if summed < top:
+                # Neither operand depends on this summed index: factor 2.
+                stack.append((_COMBINE_FACTOR, key, weight, top))
+                stack.append((_CONTRACT, (1 + 0j, na), (1 + 0j, nb), at + 1))
+                continue
+            # cofactors of the unit-weight operands on ``top``
+            if la == top:
+                a0, a1 = na.low, na.high
+            else:
+                a0 = a1 = (1 + 0j, na)
+            if lb == top:
+                b0, b1 = nb.low, nb.high
+            else:
+                b0 = b1 = (1 + 0j, nb)
+            if summed == top:
+                stack.append((_COMBINE_SUM, key, weight, top))
+                stack.append((_CONTRACT, a1, b1, at + 1))
+                stack.append((_CONTRACT, a0, b0, at + 1))
+            else:
+                stack.append((_COMBINE_NODE, key, weight, top))
+                stack.append((_CONTRACT, a1, b1, at))
+                stack.append((_CONTRACT, a0, b0, at))
+        elif tag == _ADD:
             _, wa, na, wb, nb = frame
             if wa == 0:
                 values.append((wb, nb))
@@ -91,17 +187,17 @@ def add_apply(manager: "TDDManager", a: Pair, b: Pair) -> Pair:
                 weight = wa + wb
                 values.append((weight, na) if weight != 0 else zero)
                 continue
-            ia, ib = id(na), id(nb)
-            if ia < ib:
-                key = (ia, wa, ib, wb)
+            ka, kb = na.key, nb.key
+            if ka < kb:
+                key = (ka, wa, kb, wb)
             else:
-                key = (ib, wb, ia, wa)
-            cached = memo.get(key)
+                key = (kb, wb, ka, wa)
+            cached = add_memo.get(key)
             if cached is not None:
-                hits += 1
+                add_hits += 1
                 values.append(cached)
                 continue
-            misses += 1
+            add_misses += 1
             # the cofactors on the top level (a zero child has the
             # terminal as its node, so its cofactor is a zero edge)
             la, lb = na.level, nb.level
@@ -118,18 +214,42 @@ def add_apply(manager: "TDDManager", a: Pair, b: Pair) -> Pair:
             else:
                 wb0 = wb1 = wb
                 nb0 = nb1 = nb
-            stack.append((_EXIT, key, level))
-            stack.append((_ENTER, wa1, na1, wb1, nb1))
-            stack.append((_ENTER, wa0, na0, wb0, nb0))
-        else:
+            stack.append((_ADD_NODE, key, level))
+            stack.append((_ADD, wa1, na1, wb1, nb1))
+            stack.append((_ADD, wa0, na0, wb0, nb0))
+        elif tag == _ADD_NODE:
             _, key, level = frame
             high = values.pop()
             low = values.pop()
             result = make_pair(level, low, high)
-            memo[key] = result
+            add_memo[key] = result
             values.append(result)
-    cache.hits += hits
-    cache.misses += misses
+        else:
+            _, key, weight, top = frame
+            if tag == _COMBINE_NODE:
+                high = values.pop()
+                low = values.pop()
+                result = make_pair(top, low, high)
+            elif tag == _COMBINE_SUM:
+                (wb, nb) = values.pop()
+                (wa, na) = values.pop()
+                stack.append((_SUMMED, key, weight, top))
+                stack.append((_ADD, wa, na, wb, nb))
+                continue
+            elif tag == _SUMMED:
+                result = values.pop()
+            else:
+                inner, node = values.pop()
+                inner = 2 * inner
+                result = (inner, node) if inner != 0 else zero
+            cont_memo[key] = result
+            inner, node = result
+            weight = inner * weight
+            values.append((weight, node) if weight != 0 else zero)
+    add_cache.hits += add_hits
+    add_cache.misses += add_misses
+    cont_cache.hits += cont_hits
+    cont_cache.misses += cont_misses
     return values[0]
 
 
@@ -213,105 +333,6 @@ def combine_apply(manager: "TDDManager", terms) -> Pair:
 
 
 # ----------------------------------------------------------------------
-# binary apply: contraction
-# ----------------------------------------------------------------------
-def contract_apply(manager: "TDDManager", a: Pair, b: Pair,
-                   levels: Tuple[int, ...]) -> Pair:
-    """Contract two edges over the sorted ``levels`` (iterative).
-
-    Frames carry an offset into ``levels`` rather than the remaining
-    tuple.  Weights are factored out on entry so the memo key is
-    ``(id_a, id_b, suffix_id)``: the unit-weight node pair, ordered by
-    id, and the manager-wide id of the summed levels still ahead
-    (:meth:`~repro.tdd.manager.TDDManager.suffix_ids`).  The combine
-    frame re-applies the factored weight.  A product of nonzero
-    weights that underflows to 0 gives the zero edge.
-    """
-    cache = manager.cont_cache
-    memo = cache.table
-    make_pair = manager.make_pair
-    terminal = manager.terminal
-    zero = (0j, terminal)
-    suffix = manager.suffix_ids(levels)
-    count = len(levels)
-    # the sentinel past the last summed level compares above every
-    # non-terminal level, so no frame needs a bounds check
-    levels = levels + (TERMINAL_LEVEL,)
-    hits = misses = 0
-    stack = [(_ENTER, a, b, 0)]
-    values = []
-    while stack:
-        frame = stack.pop()
-        tag = frame[0]
-        if tag == _ENTER:
-            _, (wa, na), (wb, nb), at = frame
-            if wa == 0 or wb == 0:
-                values.append(zero)
-                continue
-            weight = wa * wb
-            la, lb = na.level, nb.level
-            top = la if la < lb else lb
-            if top == TERMINAL_LEVEL:
-                weight = weight * (2 ** (count - at))
-                values.append((weight, terminal) if weight != 0 else zero)
-                continue
-            ka, kb = id(na), id(nb)
-            key = ((ka, kb, suffix[at]) if ka <= kb
-                   else (kb, ka, suffix[at]))
-            cached = memo.get(key)
-            if cached is not None:
-                hits += 1
-                cached_weight, node = cached
-                weight = cached_weight * weight
-                values.append((weight, node) if weight != 0 else zero)
-                continue
-            misses += 1
-            summed = levels[at]
-            if summed < top:
-                # Neither operand depends on this summed index: factor 2.
-                stack.append((_COMBINE_FACTOR, key, weight, top))
-                stack.append((_ENTER, (1 + 0j, na), (1 + 0j, nb), at + 1))
-                continue
-            # cofactors of the unit-weight operands on ``top``
-            if la == top:
-                a0, a1 = na.low, na.high
-            else:
-                a0 = a1 = (1 + 0j, na)
-            if lb == top:
-                b0, b1 = nb.low, nb.high
-            else:
-                b0 = b1 = (1 + 0j, nb)
-            if summed == top:
-                stack.append((_COMBINE_SUM, key, weight, top))
-                stack.append((_ENTER, a1, b1, at + 1))
-                stack.append((_ENTER, a0, b0, at + 1))
-            else:
-                stack.append((_COMBINE_NODE, key, weight, top))
-                stack.append((_ENTER, a1, b1, at))
-                stack.append((_ENTER, a0, b0, at))
-        else:
-            _, key, weight, top = frame
-            if tag == _COMBINE_FACTOR:
-                inner, node = values.pop()
-                inner = 2 * inner
-                result = (inner, node) if inner != 0 else zero
-            else:
-                high = values.pop()
-                low = values.pop()
-                if tag == _COMBINE_SUM:
-                    result = add_apply(manager, low, high)
-                else:
-                    result = make_pair(top, low, high)
-            memo[key] = result
-            inner, node = result
-            weight = inner * weight
-            values.append((weight, node) if weight != 0 else zero)
-    cache.hits += hits
-    cache.misses += misses
-    return values[0]
-
-
-# ----------------------------------------------------------------------
 # scalar walk: inner product
 # ----------------------------------------------------------------------
 def inner_apply(manager: "TDDManager", a: Pair, b: Pair,
@@ -323,7 +344,7 @@ def inner_apply(manager: "TDDManager", a: Pair, b: Pair,
     are read, a summed level both operands skip contributes a factor 2,
     and the result is a plain ``complex``.  Partial sums of unit-weight
     node pairs are memoised in ``manager.inner_cache`` under
-    ``(id(node_a), id(node_b), remaining)``, ``remaining`` being the
+    ``(node_a.key, node_b.key, remaining)``, ``remaining`` being the
     number of summed levels still ahead.  Since every level the pair
     branches on is among them, that count fixes the partial sum for any
     summed set, so the memo is shared by every call.
@@ -347,7 +368,7 @@ def inner_apply(manager: "TDDManager", a: Pair, b: Pair,
             if top == TERMINAL_LEVEL:
                 values.append(weight * 2 ** remaining)
                 continue
-            key = (id(na), id(nb), remaining)
+            key = (na.key, nb.key, remaining)
             cached = memo.get(key)
             if cached is not None:
                 hits += 1
@@ -421,7 +442,7 @@ def unary_apply(manager: "TDDManager", edge: Pair,
     def rewritten(weight: complex, node: Node) -> Pair:
         if weight == 0:
             return zero
-        inner, replacement = memo[id(node)]
+        inner, replacement = memo[node.key]
         weight = weight_map(weight) * inner
         return (weight, replacement) if weight != 0 else zero
 
@@ -429,21 +450,21 @@ def unary_apply(manager: "TDDManager", edge: Pair,
     while stack:
         tag, node = stack.pop()
         if tag == _ENTER:
-            if id(node) in memo:
+            if node.key in memo:
                 continue
             if node.is_terminal:
-                memo[id(node)] = (1 + 0j, node)
+                memo[node.key] = (1 + 0j, node)
                 continue
             if shortcut is not None:
                 replacement = shortcut(node)
                 if replacement is not None:
-                    memo[id(node)] = replacement
+                    memo[node.key] = replacement
                     continue
             stack.append((_EXIT, node))
             for child_weight, child in (node.high, node.low):
-                if child_weight != 0 and id(child) not in memo:
+                if child_weight != 0 and child.key not in memo:
                     stack.append((_ENTER, child))
         else:
-            memo[id(node)] = rebuild(node, rewritten(*node.low),
+            memo[node.key] = rebuild(node, rewritten(*node.low),
                                      rewritten(*node.high))
     return rewritten(weight, root)

@@ -6,14 +6,15 @@ a plain dictionary ``table`` plus hit/miss counters.  The kernels in
 :mod:`repro.tdd.apply` read and write ``table`` directly and add their
 counts once per call, so a lookup costs one dictionary access.
 
-Cache keys embed raw ``id(node)`` values (interning makes object
-identity the node identity), so an entry is only valid while every
-node it names is still interned.  The manager's garbage collector
-therefore empties every table (:meth:`~repro.tdd.manager.TDDManager.collect`):
-a reclaimed node's id may be reused by a later allocation, and a memo
-table is a lossy cache, so dropping an entry costs a recomputation,
-never correctness (Brace, Rudell and Bryant, "Efficient Implementation
-of a BDD Package", DAC 1990).
+Cache keys embed integer node keys (:class:`~repro.tdd.node.Node`):
+the manager hands each node a key no later node reuses, so a key
+names one node for the manager's whole life.  A cached *value* can
+still name a node that garbage collection reclaimed, so the manager's
+collector empties every table
+(:meth:`~repro.tdd.manager.TDDManager.collect`); a memo table is a
+lossy cache, so dropping an entry costs a recomputation, never
+correctness (Brace, Rudell and Bryant, "Efficient Implementation of a
+BDD Package", DAC 1990).
 """
 
 from __future__ import annotations

@@ -84,8 +84,8 @@ def to_dot(tdd: TDD, name: str = "tdd") -> str:
     ids: Dict[int, str] = {}
     counter = [0]
 
-    def node_id(node: Node) -> str:
-        key = id(node)
+    def dot_name(node: Node) -> str:
+        key = node.key
         if key not in ids:
             ids[key] = f"n{counter[0]}"
             counter[0] += 1
@@ -107,15 +107,15 @@ def to_dot(tdd: TDD, name: str = "tdd") -> str:
                 attrs = [f"style={style}", f"color={colour}"]
                 if weight != 1:
                     attrs.append(f'label="{_format_weight(weight)}"')
-                lines.append(f"  {nid} -> {node_id(child)} "
+                lines.append(f"  {nid} -> {dot_name(child)} "
                              f"[{', '.join(attrs)}];")
                 continue
             node = payload
-            key = id(node)
+            key = node.key
             if key in emitted:
                 continue
             emitted.add(key)
-            nid = node_id(node)
+            nid = dot_name(node)
             if node.is_terminal:
                 lines.append(f'  {nid} [shape=box, label="1"];')
                 continue
@@ -139,7 +139,7 @@ def to_dot(tdd: TDD, name: str = "tdd") -> str:
         if root.weight != 1:
             attrs.append(f'label="{_format_weight(root.weight)}"')
         attr_text = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  root -> {node_id(root.node)}{attr_text};")
+        lines.append(f"  root -> {dot_name(root.node)}{attr_text};")
     lines.append("}")
     return "\n".join(lines)
 
@@ -160,10 +160,10 @@ def to_dict(tdd: TDD) -> dict:
             if action == "fill":
                 entry, tag, (weight, child) = payload
                 entry[tag] = {"weight": _encode_weight(weight),
-                              "node": ids[id(child)]}
+                              "node": ids[child.key]}
                 continue
             node = payload
-            key = id(node)
+            key = node.key
             if key in ids:
                 continue
             my_id = len(nodes)
@@ -182,7 +182,7 @@ def to_dict(tdd: TDD) -> dict:
                     pending.append(("visit", edge[1]))
                     pending.append(("fill", (entry, tag, edge)))
             stack.extend(reversed(pending))
-        return ids[id(start)]
+        return ids[start.key]
 
     root = tdd.root
     out = {"indices": list(tdd.index_names),

@@ -6,8 +6,12 @@ manager owns
 * the global :class:`~repro.indices.order.IndexOrder` the diagrams are
   canonical against,
 * the *unique table* interning nodes (structural equality becomes
-  object identity), keyed by ``(level, w0, id(n0), w1, id(n1))`` with
-  the normalised child weights as plain ``complex`` values,
+  object identity), keyed by ``(level, w0, n0.key, w1, n1.key)`` with
+  the normalised child weights as plain ``complex`` values and the
+  children's integer node keys (see :class:`~repro.tdd.node.Node`):
+  :meth:`~TDDManager.make_pair` hands each new node the next key of a
+  counter that never restarts, not even in :meth:`~TDDManager.reset`,
+  so a key names one node for the manager's whole life,
 * the :class:`~repro.tdd.weights.WeightTable` interning those child
   weights,
 * the :class:`~repro.tdd.cache.OperationCache` memo tables for
@@ -63,7 +67,10 @@ class TDDManager:
 
     def __init__(self, order: Optional[IndexOrder] = None) -> None:
         self.order = order if order is not None else IndexOrder()
-        self.terminal = Node(TERMINAL_LEVEL, None, None)
+        self.terminal = Node(TERMINAL_LEVEL, None, None, 0)
+        #: key of the last node interned (the terminal's is 0); never
+        #: restarts, so no two nodes of this manager share a key
+        self._last_key = 0
         self._unique: Dict[tuple, Node] = {}
         self.weights = wt.WeightTable()
         self.add_cache = OperationCache("add")
@@ -175,10 +182,11 @@ class TDDManager:
                 n0 = self.terminal
             if nw0 == 1 + 0j and n0 is n1:
                 return (norm, n0)
-        key = (level, nw0, id(n0), nw1, id(n1))
+        key = (level, nw0, n0.key, nw1, n1.key)
         node = self._unique.get(key)
         if node is None:
-            node = Node(level, (nw0, n0), (nw1, n1))
+            self._last_key += 1
+            node = Node(level, (nw0, n0), (nw1, n1), self._last_key)
             self._unique[key] = node
             self.nodes_made += 1
             if len(self._unique) > self.peak_live_nodes:
@@ -251,7 +259,8 @@ class TDDManager:
 
     def reset(self) -> None:
         """Drop all nodes, weights, caches and suffix ids.  Outstanding
-        TDDs become invalid."""
+        TDDs become invalid.  Node keys go on from where they were, so
+        no later node reuses the key of a dropped one."""
         self._unique.clear()
         self.weights.clear()
         self.clear_caches()
@@ -275,35 +284,36 @@ class TDDManager:
 
         Every live :class:`~repro.tdd.tdd.TDD` handle (tracked weakly)
         pins the nodes reachable from its root; ``extra_roots`` pins
-        additional ``(weight, node)`` pairs.  Everything else leaves the unique table.
-        The memo tables are emptied: a freed node's ``id`` may be
-        recycled, so an entry naming one would be unsound, and entries
-        that survive a collection are rarely hit again, so clearing
-        costs less than filtering by live id.  The gate table is
-        emptied *before* marking, so its handles pin no gate diagram
-        that nothing else holds.
+        additional ``(weight, node)`` pairs.  Everything else leaves the
+        unique table.  The memo tables are emptied: keys are never
+        reused, but a memo *value* can name a reclaimed node, which
+        must not come back as a result, and entries that survive a
+        collection are rarely hit again, so clearing costs less than
+        filtering by live key.  The gate table is emptied *before*
+        marking, so its handles pin no gate diagram that nothing else
+        holds.
 
         Only call between operations: an apply in flight holds
         intermediate edges the registry cannot see, and sweeping those
         would break interning canonicity mid-computation.
         """
         self.clear_caches()
-        marked = {id(self.terminal)}
+        marked = {self.terminal.key}
         stack = [node for roots in (self.live_roots(), extra_roots)
                  for weight, node in roots if weight != 0]
         while stack:
             node = stack.pop()
-            if id(node) in marked:
+            if node.key in marked:
                 continue
-            marked.add(id(node))
+            marked.add(node.key)
             if node.is_terminal:
                 continue
             for weight, child in (node.low, node.high):
-                if weight != 0 and id(child) not in marked:
+                if weight != 0 and child.key not in marked:
                     stack.append(child)
         before = len(self._unique)
         self._unique = {key: node for key, node in self._unique.items()
-                        if id(node) in marked}
+                        if node.key in marked}
         reclaimed = before - len(self._unique)
         self.gc_runs += 1
         self.nodes_reclaimed += reclaimed

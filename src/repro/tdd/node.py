@@ -19,7 +19,12 @@ feeds every kernel as it is, and it compares by value.
 
 Nodes are interned by the manager's unique table: structural equality
 implies object identity, so all TDD algorithms compare nodes with
-``is``.
+``is``.  Each node also carries an integer ``key`` that names it for
+the manager's whole life: the terminal's key is 0, and
+:meth:`~repro.tdd.manager.TDDManager.make_pair` hands every new node
+the next key of a counter that never restarts.  Unique-table and memo
+keys embed node keys, which, unlike object ids, are never reused by a
+later node, and which read as a slot rather than a builtin call.
 """
 
 from __future__ import annotations
@@ -35,16 +40,18 @@ class Node:
     """An interned TDD node.  Do not construct directly; use the manager.
 
     ``low`` and ``high`` are ``(weight, node)`` pairs; a zero child is
-    ``(0j, terminal)``.
+    ``(0j, terminal)``.  ``key`` is the node's manager-wide integer
+    name (0 for the terminal).
     """
 
-    __slots__ = ("level", "low", "high")
+    __slots__ = ("level", "low", "high", "key")
 
     def __init__(self, level: int, low: Optional[Tuple[complex, "Node"]],
-                 high: Optional[Tuple[complex, "Node"]]) -> None:
+                 high: Optional[Tuple[complex, "Node"]], key: int) -> None:
         self.level = level
         self.low = low
         self.high = high
+        self.key = key
 
     @property
     def is_terminal(self) -> bool:

@@ -102,27 +102,27 @@ def largest_entry(edge: Pair) -> Optional[Tuple[Dict[int, int], complex]]:
     stack = [root]
     while stack:
         node = stack[-1]
-        if id(node) in best:
+        if node.key in best:
             stack.pop()
             continue
         if node.level == TERMINAL_LEVEL:
-            best[id(node)] = 1.0
+            best[node.key] = 1.0
             stack.pop()
             continue
         (low_weight, low), (high_weight, high) = node.low, node.high
-        pending = [child for child in (low, high) if id(child) not in best]
+        pending = [child for child in (low, high) if child.key not in best]
         if pending:
             stack.extend(pending)
             continue
         stack.pop()
-        best[id(node)] = max(abs(low_weight) * best[id(low)],
-                             abs(high_weight) * best[id(high)])
+        best[node.key] = max(abs(low_weight) * best[low.key],
+                             abs(high_weight) * best[high.key])
     assignment: Dict[int, int] = {}
     node = root
     while node.level != TERMINAL_LEVEL:
         (low_weight, low), (high_weight, high) = node.low, node.high
-        bit = int(abs(high_weight) * best[id(high)]
-                  > abs(low_weight) * best[id(low)])
+        bit = int(abs(high_weight) * best[high.key]
+                  > abs(low_weight) * best[low.key])
         assignment[node.level] = bit
         if bit:
             entry *= high_weight

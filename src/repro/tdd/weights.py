@@ -41,12 +41,21 @@ class WeightTable:
     values depends on the order the manager met them, so the table is
     per manager (see :meth:`repro.tdd.manager.TDDManager.reset`).  The
     one exception is ``1.0``, which every table holds from the start.
+
+    A representative never leaves its bucket (until :meth:`clear`), so
+    a component that was clamped, or that its own bucket answered, gets
+    the same answer for good.  A component snapped to a neighbouring
+    bucket's representative does not: a later value can still become
+    the representative of its own bucket.  ``_settled`` remembers the
+    answer for every weight whose components were all of the first
+    kind, so most calls cost one dictionary lookup.
     """
 
-    __slots__ = ("_reps",)
+    __slots__ = ("_reps", "_settled")
 
     def __init__(self) -> None:
         self._reps: Dict[float, float] = {}
+        self._settled: Dict[complex, complex] = {}
         self.clear()
 
     def __len__(self) -> int:
@@ -55,39 +64,49 @@ class WeightTable:
     def clear(self) -> None:
         """Forget every representative except the permanent ``1.0``."""
         self._reps.clear()
+        self._settled.clear()
         self._reps[1.0 // WEIGHT_TOL] = 1.0
 
-    def component(self, x: float) -> float:
-        """The representative of one real component ``x``.
+    def canonical(self, value: complex) -> complex:
+        """Intern both components of a normalised weight.
 
-        Only valid for components of *normalised* weights (magnitude
+        Only valid for *normalised* weights (components of magnitude
         <= 1, i.e. the child weights stored inside nodes): the clamp
         threshold is absolute, so applying it to unnormalised outer
         weights would destroy genuinely tiny amplitudes such as the
         2^-n/2 of a wide uniform superposition.
 
-        The clamp runs *before* the snap, and returns ``+0.0`` for
-        ``-0.0`` too, so zero has one key.
-        """
-        if -WEIGHT_EPS < x < WEIGHT_EPS:
-            return 0.0
-        reps = self._reps
-        bucket = x // WEIGHT_TOL
-        rep = reps.get(bucket)
-        if rep is not None:
-            return rep
-        for neighbour in (reps.get(bucket - 1), reps.get(bucket + 1)):
-            if neighbour is not None and abs(neighbour - x) <= WEIGHT_TOL:
-                return neighbour
-        reps[bucket] = x
-        return x
-
-    def canonical(self, value: complex) -> complex:
-        """Intern both components of a normalised weight.
+        This method is the one definition of the clamp-and-snap rule.
+        Each component is clamped *before* it is snapped, and a clamped
+        component is ``+0.0`` also for ``-0.0``, so zero has one key.
 
         >>> WeightTable().canonical(1e-14 + 1j * (0.5 + 1e-15))
         0.5j
         """
-        return complex(self.component(value.real),
-                       self.component(value.imag))
-
+        settled = self._settled.get(value)
+        if settled is not None:
+            return settled
+        reps = self._reps
+        parts = []
+        settles = True
+        for x in (value.real, value.imag):
+            if -WEIGHT_EPS < x < WEIGHT_EPS:
+                parts.append(0.0)
+                continue
+            bucket = x // WEIGHT_TOL
+            rep = reps.get(bucket)
+            if rep is None:
+                for neighbour in (reps.get(bucket - 1),
+                                  reps.get(bucket + 1)):
+                    if (neighbour is not None
+                            and abs(neighbour - x) <= WEIGHT_TOL):
+                        rep = neighbour
+                        settles = False
+                        break
+                else:
+                    rep = reps[bucket] = x
+            parts.append(rep)
+        result = complex(*parts)
+        if settles:
+            self._settled[value] = result
+        return result

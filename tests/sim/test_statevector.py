@@ -7,8 +7,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.gates import library as gl
 from repro.sim.statevector import (apply_gate, basis_state_from_int,
                                    basis_state_vector, circuit_unitary,
-                                   run_circuit, state_to_vector,
-                                   uniform_state)
+                                   run_circuit, uniform_state)
 
 
 class TestStates:
@@ -26,7 +25,7 @@ class TestStates:
 
     def test_uniform(self):
         state = uniform_state(3)
-        assert np.allclose(state_to_vector(state),
+        assert np.allclose(state.reshape(-1),
                            np.full(8, 8 ** -0.5))
 
 
@@ -67,7 +66,7 @@ class TestCircuits:
     def test_run_circuit_bell(self):
         circuit = QuantumCircuit(2).h(0).cx(0, 1)
         out = run_circuit(circuit, basis_state_vector(2, [0, 0]))
-        vec = state_to_vector(out)
+        vec = out.reshape(-1)
         assert np.allclose(vec, [2 ** -0.5, 0, 0, 2 ** -0.5])
 
     def test_circuit_unitary_identity(self):

@@ -290,3 +290,36 @@ class TestPairBoundary:
         assert wrapped.same_as(x)
         assert isinstance((x + x).root, Edge)
         assert isinstance(x.contract(x, [Index("a")]).root, Edge)
+
+
+class TestSummedAddition:
+    """A contraction's sum over a summed level is the memoised addition
+    of :func:`add_apply`, run on the contraction's own work stack."""
+
+    COUNTERS = ("add_hits", "add_misses", "cont_hits", "cont_misses")
+
+    def _moved(self, before, after):
+        return tuple(after[key] - before[key] for key in self.COUNTERS)
+
+    def test_sum_inside_a_contraction_is_an_add_cache_entry(self):
+        m = fresh_manager(list("abcd"))
+        idx = [Index(n) for n in "abcd"]
+        shape = (2, 2, 2, 2)
+        arr = (np.arange(16.0).reshape(shape) + 1
+               + 0.5j * np.cos(np.arange(16.0)).reshape(shape))
+        x = tc.from_numpy(m, arr, idx)
+        node = x.root.node
+        low, high = node.low, node.high
+        assert node.level == 0 and low[1] is not high[1]
+        start = m.cache_counters()
+        summed = contract_apply(m, x.root, (1 + 0j, m.terminal), (0,))
+        after_contract = m.cache_counters()
+        # counts recorded when the sum was still a nested add_apply call
+        assert self._moved(start, after_contract) == (0, 7, 0, 15)
+        added = add_apply(m, low, high)
+        assert self._moved(after_contract, m.cache_counters()) == (
+            1, 0, 0, 0)
+        assert summed == (x.root.weight * added[0], added[1])
+        np.testing.assert_allclose(
+            TDD(m, summed, idx[1:]).to_numpy(), arr.sum(axis=0),
+            atol=1e-12)

@@ -3,7 +3,9 @@
 The contract: live TDD handles pin every node reachable from their
 roots (all their evaluations are preserved bit-for-bit), everything
 else leaves the unique table, and the operation caches are emptied so
-recycled ``id()`` values can never resurrect a stale memo.
+a memo entry can never hand back a reclaimed node.  Memo and
+unique-table keys name nodes by their integer ``key``, which no later
+node of the same manager reuses, not even after :meth:`TDDManager.reset`.
 """
 
 import numpy as np
@@ -141,17 +143,38 @@ class TestInnerMemoInvalidation:
         garbage, _ = _random_tdd(m, rng)
         before = x.inner(y)
         garbage.inner(x)
-        dead = {id(node) for node in m._unique.values()} - {
-            id(node) for node in _reachable(x) | _reachable(y)}
+        dead = {node.key for node in m._unique.values()} - {
+            node.key for node in _reachable(x) | _reachable(y)}
         assert any(key[0] in dead for key in m.inner_cache.table)
         del garbage
         assert m.collect() > 0
         # the memo is repopulated after collect from live nodes only
         assert x.inner(y) == before
-        live = {id(node) for node in m._unique.values()} | {id(m.terminal)}
+        live = {node.key for node in m._unique.values()} | {m.terminal.key}
         assert m.inner_cache.table
         for key in m.inner_cache.table:
             assert key[0] in live and key[1] in live
+
+
+class TestNodeKeys:
+    def test_keys_are_never_reused(self, rng):
+        m = fresh_manager(IDX)
+        assert m.terminal.key == 0
+        kept, _ = _random_tdd(m, rng)
+        garbage, _ = _random_tdd(m, rng)
+        keys = {node.key for node in m._unique.values()}
+        assert 0 not in keys and len(keys) == m.live_nodes
+        del garbage
+        assert m.collect() > 0
+        after_collect, _ = _random_tdd(m, rng)
+        fresh = {node.key for node in _reachable(after_collect)} - keys - {0}
+        assert fresh and min(fresh) > max(keys)
+        keys |= fresh
+        m.reset()
+        after_reset, _ = _random_tdd(m, rng)
+        fresh = {node.key for node in m._unique.values()}
+        assert fresh and min(fresh) > max(keys)
+        assert m.terminal.key == 0
 
 
 def _reachable(tdd):
@@ -160,9 +183,9 @@ def _reachable(tdd):
     stack = [tdd.root.node]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node.key in seen:
             continue
-        seen[id(node)] = node
+        seen[node.key] = node
         if not node.is_terminal:
             stack.extend(child for _, child in (node.low, node.high))
     return set(seen.values())

@@ -17,6 +17,12 @@ def canonical(value: complex) -> complex:
     return wt.WeightTable().canonical(value)
 
 
+def component(table: wt.WeightTable, x: float) -> float:
+    """The representative ``table`` gives the real component ``x``
+    (the zero imaginary part is clamped and stores nothing)."""
+    return table.canonical(complex(x, 0.0)).real
+
+
 class TestCanonical:
     def test_snaps_real_and_imag_separately(self):
         table = wt.WeightTable()
@@ -54,9 +60,9 @@ class TestCanonical:
         table = wt.WeightTable()
         above = WEIGHT_EPS + WEIGHT_TOL / 4
         below = WEIGHT_EPS - WEIGHT_TOL / 4
-        assert table.component(above) == above
+        assert component(table, above) == above
         assert abs(above - below) <= WEIGHT_TOL
-        assert table.component(below) == 0.0
+        assert component(table, below) == 0.0
         assert table.canonical(complex(below, 1.0)) == 1j
 
     def test_keeps_values_above_eps(self):
@@ -75,27 +81,27 @@ class TestWeightTable:
         noisy = math.nextafter(exact, 1.0)
         assert round(exact, 12) != round(noisy, 12)
         table = wt.WeightTable()
-        assert table.component(exact) == exact
-        assert table.component(noisy) == exact
+        assert component(table, exact) == exact
+        assert component(table, noisy) == exact
         assert len(table) == 2  # with the permanent 1.0
 
     def test_values_within_tolerance_share_a_representative(self):
         table = wt.WeightTable()
         base = 0.3
-        assert table.component(base) == base
-        assert table.component(base + 0.9 * WEIGHT_TOL) == base
-        assert table.component(base - 0.9 * WEIGHT_TOL) == base
-        assert table.component(-base) == -base
-        assert table.component(-base - 0.5 * WEIGHT_TOL) == -base
+        assert component(table, base) == base
+        assert component(table, base + 0.9 * WEIGHT_TOL) == base
+        assert component(table, base - 0.9 * WEIGHT_TOL) == base
+        assert component(table, -base) == -base
+        assert component(table, -base - 0.5 * WEIGHT_TOL) == -base
         assert len(table) == 3  # with the permanent 1.0
 
     def test_values_farther_apart_do_not(self):
         table = wt.WeightTable()
         base = 0.3
-        table.component(base)
+        component(table, base)
         far = base + 3 * WEIGHT_TOL
-        assert table.component(far) == far
-        assert table.component(base - 3 * WEIGHT_TOL) != base
+        assert component(table, far) == far
+        assert component(table, base - 3 * WEIGHT_TOL) != base
         assert len(table) == 4  # with the permanent 1.0
 
     def test_snaps_across_a_bucket_boundary(self):
@@ -106,20 +112,40 @@ class TestWeightTable:
         above = edge + WEIGHT_TOL / 10
         assert below // WEIGHT_TOL != above // WEIGHT_TOL
         lower_first = wt.WeightTable()
-        assert lower_first.component(below) == below
-        assert lower_first.component(above) == below
+        assert component(lower_first, below) == below
+        assert component(lower_first, above) == below
         upper_first = wt.WeightTable()
-        assert upper_first.component(above) == above
-        assert upper_first.component(below) == above
+        assert component(upper_first, above) == above
+        assert component(upper_first, below) == above
+
+    def test_neighbour_snap_yields_to_a_later_own_representative(self):
+        # a value snapped to a neighbouring bucket's representative is
+        # not settled: once its own bucket gains a representative, the
+        # same value snaps to that one
+        edge = 7 * WEIGHT_TOL * 1e6
+        first = edge - WEIGHT_TOL / 10
+        value = edge + WEIGHT_TOL / 2
+        later = edge + 0.95 * WEIGHT_TOL
+        assert first // WEIGHT_TOL + 1 == value // WEIGHT_TOL
+        assert value // WEIGHT_TOL == later // WEIGHT_TOL
+        assert abs(later - first) > WEIGHT_TOL
+        table = wt.WeightTable()
+        assert component(table, first) == first
+        assert component(table, value) == first
+        assert component(table, value) == first
+        assert component(table, later) == later
+        assert component(table, value) == later
+        # a value its own bucket answered keeps its representative
+        assert component(table, later) == later
 
     def test_managers_do_not_share_table_state(self):
         first = TDDManager()
         second = TDDManager()
         assert first.weights is not second.weights
         nearly = 0.25 - 2.5e-16
-        assert first.weights.component(nearly) == nearly
-        assert second.weights.component(0.25) == 0.25
-        assert first.weights.component(0.25) == nearly
+        assert component(first.weights, nearly) == nearly
+        assert component(second.weights, 0.25) == 0.25
+        assert component(first.weights, 0.25) == nearly
 
     def test_reset_clears_the_table(self):
         m = fresh_manager(["a"])
@@ -128,15 +154,15 @@ class TestWeightTable:
         m.reset()
         assert len(m.weights) == 1
         # 1.0 is re-seeded, so a near-1 weight still snaps to it
-        assert m.weights.component(1.0 - WEIGHT_TOL / 2) == 1.0
-        assert m.weights.component(1.0 + WEIGHT_TOL / 2) == 1.0
+        assert component(m.weights, 1.0 - WEIGHT_TOL / 2) == 1.0
+        assert component(m.weights, 1.0 + WEIGHT_TOL / 2) == 1.0
 
     def test_one_is_a_representative_from_the_start(self):
         # met first, a value just below 1 would otherwise have become
         # the representative of every later 1.0
         table = wt.WeightTable()
-        assert table.component(math.nextafter(1.0, 0.0)) == 1.0
-        assert table.component(1.0) == 1.0
+        assert component(table, math.nextafter(1.0, 0.0)) == 1.0
+        assert component(table, 1.0) == 1.0
         assert len(table) == 1
 
     def test_weights_one_ulp_apart_make_one_node(self):
@@ -159,6 +185,11 @@ class TestRemovedApi:
         # interning is per manager; a module-level entry point would
         # invite shared mutable state
         assert not hasattr(wt, "canonical")
+
+    def test_component_is_gone(self):
+        # the clamp-and-snap rule has one definition, canonical(), which
+        # handles both components in one call
+        assert not hasattr(wt.WeightTable, "component")
 
     def test_key_and_is_zero_are_gone(self):
         # weights are plain complex values that key the unique table as
