@@ -2,12 +2,10 @@
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.wires import GateWiring, WireTracker, wire_circuit
-from repro.circuits.network import (circuit_to_dense_network,
-                                    register_circuit_indices)
+from repro.circuits.network import register_circuit_indices
 from repro.circuits import library
 
 __all__ = [
     "QuantumCircuit", "GateWiring", "WireTracker", "wire_circuit",
-    "circuit_to_dense_network",
     "register_circuit_indices", "library",
 ]

@@ -19,7 +19,7 @@ from repro.circuits.wires import GateWiring, wire_indices
 from repro.indices.index import Index
 from repro.tdd.manager import TDDManager
 from repro.tensor.dense import DenseTensor
-from repro.tensor.network import TensorNetwork
+from repro.tensor.network import contract_network
 
 
 #: ``circuit.wirings()``: the gate wirings, inputs and outputs
@@ -43,11 +43,11 @@ def register_circuit_indices(circuit: QuantumCircuit,
     return wired
 
 
-def circuit_to_dense_network(circuit: QuantumCircuit
-                             ) -> Tuple[TensorNetwork, List[Index],
-                                        List[Index]]:
-    """One dense tensor per gate; open legs are the circuit inputs and
-    outputs (reference oracle of the TDD build)."""
+def circuit_to_dense(circuit: QuantumCircuit
+                     ) -> Tuple[DenseTensor, List[Index], List[Index]]:
+    """The whole circuit as one dense operator tensor: one dense tensor
+    per gate, folded with the circuit inputs and outputs open (small
+    circuits only; reference oracle of the TDD build)."""
     import numpy as np
 
     wirings, inputs, outputs = circuit.wirings()
@@ -55,14 +55,5 @@ def circuit_to_dense_network(circuit: QuantumCircuit
                for w in wirings]
     if not tensors:
         tensors = [DenseTensor(np.array(1 + 0j), ())]
-    network = TensorNetwork(tensors, set(inputs) | set(outputs))
-    return network, inputs, outputs
-
-
-def circuit_to_dense(circuit: QuantumCircuit
-                     ) -> Tuple[DenseTensor, List[Index], List[Index]]:
-    """The whole circuit as one dense operator tensor (small circuits
-    only; reference oracle of the one-block TDD build)."""
-    network, inputs, outputs = circuit_to_dense_network(circuit)
-    operator = network.contract_all()
+    operator = contract_network(tensors, set(inputs) | set(outputs))
     return operator, inputs, outputs

@@ -37,16 +37,12 @@ from repro.subspace.subspace import StateSpace, Subspace
 from repro.systems.qts import QuantumTransitionSystem
 from repro.tdd.manager import TDDManager
 from repro.tdd.tdd import TDD
-from repro.tensor.graph import IndexGraph
-from repro.tensor.network import TensorNetwork
+from repro.tensor.network import contract_network
 from repro.tensor.ordering import greedy_order
 from repro.utils.stats import StatsRecorder
 
-#: the fold orders of a state through a slice's blocks
-ORDER_POLICIES = ("sequential", "greedy")
-
-#: per slice, the operator TDD of each block, then the circuit's inputs
-#: and outputs
+#: per slice, the operator TDD of each block in fold order, then the
+#: circuit's inputs and outputs
 Diagrams = Tuple[List[List[TDD]], List[Index], List[Index]]
 
 
@@ -84,12 +80,21 @@ def select_slice_indices(wirings: Iterable[object], count: int,
                          open_indices: Iterable[Index]) -> List[Index]:
     """The ``count`` highest-degree internal indices of a circuit.
 
-    ``wirings`` are the gate wirings (only their ``indices`` are read)
-    and ``open_indices`` the circuit's external legs, which are never
-    sliced.
+    In the circuit's index graph every gate is a clique over its legs,
+    so an index's degree is the number of other indices it shares a
+    gate with; ties go by name.  ``wirings`` are the gate wirings (only
+    their ``indices`` are read) and ``open_indices`` the circuit's
+    external legs, which are never sliced.
     """
-    graph = IndexGraph.from_tensors(wirings)
-    return graph.highest_degree(count, exclude=open_indices)
+    # each set holds its own index too: every degree reads one higher
+    neighbours: Dict[Index, Set[Index]] = {}
+    for wiring in wirings:
+        for idx in wiring.indices:
+            neighbours.setdefault(idx, set()).update(wiring.indices)
+    banned = set(open_indices)
+    ranked = sorted((idx for idx in neighbours if idx not in banned),
+                    key=lambda idx: (-len(neighbours[idx]), idx.name))
+    return ranked[:count]
 
 
 def block_boundary(blocks: Sequence[Sequence[object]],
@@ -114,10 +119,14 @@ def circuit_diagrams(circuit: QuantumCircuit, manager: TDDManager,
 
     Returns ``(slices, inputs, outputs)``: one list of block operator
     TDDs per assignment of the ``k`` sliced indices (in
-    ``itertools.product`` order), each list in circuit time order.  With
-    ``k = 0`` no index graph is built, and with ``k1 >= n`` the circuit
-    is one block and is not partitioned; a circuit without gates has no
-    block at all.  ``observer`` is called with every intermediate TDD.
+    ``itertools.product`` order).  Each list is in the order a state
+    over the circuit inputs folds through it: the
+    :func:`~repro.tensor.ordering.greedy_order` of the inputs and the
+    slice's blocks, worked out here once so no image pays for it.  The
+    gates inside a block fold in time order.  With ``k = 0`` nothing is
+    sliced, and with ``k1 >= n`` the circuit is one block and is not
+    partitioned; a circuit without gates has no block at all.
+    ``observer`` is called with every intermediate TDD.
     """
     wirings, inputs, outputs = register_circuit_indices(circuit, manager)
     sliced = (select_slice_indices(wirings, k, set(inputs) | set(outputs))
@@ -141,9 +150,10 @@ def circuit_diagrams(circuit: QuantumCircuit, manager: TDDManager,
                 local = {idx: bit for idx, bit in assignment.items()
                          if idx in tensor.indices}
                 tensors.append(tensor.slice(local) if local else tensor)
-            operators.append(TensorNetwork(tensors, boundary)
-                             .contract_all(observer=observer))
-        slices.append(operators)
+            operators.append(contract_network(tensors, boundary, observer))
+        order = greedy_order([inputs] + [op.indices for op in operators],
+                             set(outputs))
+        slices.append([operators[pos - 1] for pos in order[1:]])
     return slices, inputs, outputs
 
 
@@ -152,9 +162,9 @@ class ImageComputerBase:
 
     ``k`` indices are sliced; ``k1`` and ``k2`` cut the blocks (``k2``
     is unused, and may be ``None``, when ``k1`` is at least the qubit
-    count); ``order_policy`` picks the order in which a state folds
-    through a slice's blocks (``"greedy"``:
-    :func:`~repro.tensor.ordering.greedy_order`).  The diagrams of a
+    count).  The parameters are validated by
+    :class:`~repro.mc.config.CheckerConfig`, through
+    :func:`~repro.image.engine.make_computer`.  The diagrams of a
     Kraus circuit live in the system's one operator cache
     (:meth:`~repro.systems.qts.QuantumTransitionSystem.operator`), keyed
     by :meth:`shape`, so every computer, check and witness of one system
@@ -163,24 +173,17 @@ class ImageComputerBase:
     """
 
     def __init__(self, qts: QuantumTransitionSystem, k: int, k1: int,
-                 k2: Optional[int],
-                 order_policy: str = "sequential") -> None:
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        if order_policy not in ORDER_POLICIES:
-            raise ValueError("order_policy must be 'sequential' or 'greedy'")
+                 k2: Optional[int]) -> None:
         self.qts = qts
         n = qts.num_qubits
         self.k = k
         self.k1 = min(k1, n)
         self.k2 = k2 if self.k1 < n else None
-        self.order_policy = order_policy
 
     def shape(self) -> tuple:
         """How this computer cuts a circuit: ``(k, k1, k2)``, with ``k1``
         capped at the qubit count and ``k2 = None`` once one block holds
-        every gate.  The fold order leaves the diagrams alone, so it is
-        not part of the shape."""
+        every gate."""
         return (self.k, self.k1, self.k2)
 
     def image(self, subspace: Optional[Subspace] = None,
@@ -295,19 +298,16 @@ class ImageComputerBase:
                       stats: StatsRecorder) -> TDD:
         """``E |state>`` for the Kraus circuit ``E``, over the kets.
 
-        ``state`` folds through each slice's blocks, and the slices'
-        contributions add up to the image.  The witness extractor and
-        the warm-start certificate apply single circuits through it too.
+        ``state`` folds through each slice's blocks in their stored
+        order, and the slices' contributions add up to the image.  The
+        witness extractor and the warm-start certificate apply single
+        circuits through it too.
         """
         slices, _inputs, outputs = self.prepare(circuit, stats)
-        open_indices = set(outputs)
         total = None
         for blocks in slices:
-            tensors = [state] + blocks
-            order = (greedy_order(tensors, open_indices)
-                     if self.order_policy == "greedy" else None)
-            contribution = TensorNetwork(tensors, open_indices).contract_all(
-                order=order, observer=stats.observe_tdd)
+            contribution = contract_network([state] + blocks, outputs,
+                                            stats.observe_tdd)
             stats.contractions += len(blocks)
             if total is None:
                 total = contribution

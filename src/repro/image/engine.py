@@ -34,8 +34,8 @@ METHODS = ("basic", "addition", "contraction", "hybrid")
 METHOD_PARAMS = {
     "basic": frozenset(),
     "addition": frozenset({"k"}),
-    "contraction": frozenset({"k1", "k2", "order_policy"}),
-    "hybrid": frozenset({"k", "k1", "k2", "order_policy"}),
+    "contraction": frozenset({"k1", "k2"}),
+    "hybrid": frozenset({"k", "k1", "k2"}),
 }
 
 #: the paper's Table I parameters per image method (addition k = 1,
@@ -65,19 +65,13 @@ def make_computer(qts: QuantumTransitionSystem, method: str = "basic",
     * ``hybrid`` does both.
 
     ``params`` are the method's names in :data:`METHOD_PARAMS`; an
-    unset one takes its :data:`TABLE1_PARAMS` value.
-    ``order_policy`` (``"sequential"`` or ``"greedy"``) is the fold
-    order through the blocks, for contraction and hybrid.
+    unset one takes its :data:`TABLE1_PARAMS` value.  The method and
+    its parameters are checked by :class:`~repro.mc.config.
+    CheckerConfig`, which raises a :class:`~repro.errors.ConfigError`.
     """
-    if method not in METHODS:
-        raise ReproError(f"unknown image method {method!r}; "
-                         f"choose from {METHODS}")
-    allowed = METHOD_PARAMS[method]
-    unknown = set(params) - allowed
-    if unknown:
-        raise ReproError(f"method {method!r} does not take "
-                         f"{sorted(unknown)}; it accepts "
-                         f"{sorted(allowed) or 'no parameters'}")
+    # imported here: the config validates against this module's names
+    from repro.mc.config import CheckerConfig
+    CheckerConfig(method=method, method_params=params)
     shape = {"k": 0, "k1": qts.num_qubits, "k2": None,
              **TABLE1_PARAMS[method], **params}
     return ImageComputerBase(qts, **shape)

@@ -40,10 +40,10 @@ def partition_circuit(circuit: QuantumCircuit, k1: int, k2: int,
                       ) -> List[Block]:
     """Cut ``circuit`` into blocks per the (k1, k2) rule.
 
-    Returns blocks sorted by (column, band) — circuit time order, which
-    is the fold order the contraction-partition image computation uses.
-    ``wirings`` are the circuit's gate wirings when the caller has them
-    already.
+    Returns blocks sorted by (column, band) — circuit time order;
+    :func:`~repro.image.base.circuit_diagrams` stores their operators
+    in the order a state folds through them.  ``wirings`` are the
+    circuit's gate wirings when the caller has them already.
     """
     if k1 < 1:
         raise PartitionError("k1 must be >= 1")

@@ -30,7 +30,6 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Mapping, Optional
 
 from repro.errors import ConfigError
-from repro.image.base import ORDER_POLICIES
 from repro.image.engine import (DIRECTIONS, METHOD_PARAMS, METHODS,
                                 TABLE1_PARAMS)
 
@@ -54,13 +53,12 @@ class CheckerConfig:
     """One validated, immutable engine configuration.
 
     ``method_params`` are the image-method parameters, the names in
-    :data:`METHOD_PARAMS`: ``k`` for addition, ``k1``/``k2``/
-    ``order_policy`` for contraction, all four for hybrid (see
+    :data:`METHOD_PARAMS`: ``k`` for addition, ``k1``/``k2`` for
+    contraction, all three for hybrid (see
     :func:`~repro.image.engine.make_computer` for the shape each
     method cuts).  ``k`` is an integer ``>= 0``, ``k1`` and ``k2``
-    integers ``>= 1`` and ``order_policy`` one of
-    :data:`~repro.image.base.ORDER_POLICIES`.  ``max_qubits`` raises
-    the dense backend's size guard.
+    integers ``>= 1``.  ``max_qubits`` raises the dense backend's size
+    guard.
     ``direction`` selects forward (image) or backward (preimage,
     against the adjoint Kraus family) analysis and ``bound``
     depth-limits reachability fixpoints (0 = run to saturation) — both
@@ -116,10 +114,6 @@ class CheckerConfig:
                     or value < low):
                 raise ConfigError(f"{name} must be an integer >= {low}, "
                                   f"got {value!r}")
-        policy = self.method_params.get("order_policy", ORDER_POLICIES[0])
-        if policy not in ORDER_POLICIES:
-            raise ConfigError(f"unknown order_policy {policy!r}; "
-                              f"choose from {ORDER_POLICIES}")
         if self.backend == "dense":
             offending = [name for name in _TDD_ONLY_FIELDS
                          if getattr(self, name) != _DEFAULTS[name]]

@@ -1,79 +1,56 @@
-"""Contraction-order heuristics for tensor networks.
+"""The greedy fold order of a tensor network.
 
-The contraction-partition image computation contracts a network made of
-the state tensor plus one small TDD per circuit block.  The order in
-which blocks are folded in determines the peak intermediate rank; two
-simple policies are provided:
-
-* :func:`sequential_order` — fold in list order (blocks are generated
-  column-by-column, so this follows circuit time; it is the order the
-  paper's description implies).
-* :func:`greedy_order` — repeatedly fold the tensor that minimises the
-  resulting accumulator rank; a classic cheap heuristic.
+The contraction-partition image computation folds a state through one
+small TDD per circuit block (:func:`~repro.tensor.network.
+contract_network` folds in list order).  The order of the blocks sets
+the rank of the intermediate results; :func:`greedy_order` picks it
+from the tensors' legs alone, so it is worked out once per circuit and
+stored with the blocks (:func:`~repro.image.base.circuit_diagrams`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Sequence, Set
+from typing import Iterable, List, Sequence, Set
 
 from repro.indices.index import Index
 
 
-def sequential_order(tensors: Sequence[object],
-                     open_indices: Set[Index]) -> List[int]:
-    """The identity order."""
-    return list(range(len(tensors)))
-
-
-def greedy_order(tensors: Sequence[object],
+def greedy_order(legs: Sequence[Iterable[Index]],
                  open_indices: Set[Index]) -> List[int]:
-    """Greedy min-resulting-rank fold order.
+    """Greedy min-resulting-rank fold order of a network.
 
-    Simulates the fold symbolically on index sets only: starting from
-    tensor 0, repeatedly pick the unused tensor whose fold yields the
-    smallest accumulator index set (preferring tensors that share
-    indices with the accumulator).
+    ``legs[i]`` are the indices of tensor ``i``.  The fold is simulated
+    on index sets only: starting from tensor 0, it repeatedly takes the
+    unused tensor that shares an index with the accumulator and leaves
+    the fewest accumulator indices (a disconnected tensor only when no
+    connected one is left; ties go to the earlier tensor).  An index is
+    summed where :func:`~repro.tensor.network.contract_network` sums
+    it: when it is not open and no other remaining tensor holds it.
     """
-    if not tensors:
+    sets = [set(indices) for indices in legs]
+    if not sets:
         return []
-    counts: Counter = Counter()
-    for tensor in tensors:
-        for idx in tensor.indices:
-            counts[idx] += 1
+    counts = Counter(idx for indices in sets for idx in indices)
 
-    used = [False] * len(tensors)
+    def summed(acc: Set[Index], pos: int) -> Set[Index]:
+        return {idx for idx in acc & sets[pos]
+                if counts[idx] == 2 and idx not in open_indices}
+
     order = [0]
-    used[0] = True
-    acc: Set[Index] = set(tensors[0].indices)
-    remaining_counts = counts.copy()
-
-    for _ in range(len(tensors) - 1):
+    acc = sets[0]
+    rest = list(range(1, len(sets)))
+    while rest:
         best = None
         best_key = None
-        for pos, tensor in enumerate(tensors):
-            if used[pos]:
-                continue
-            t_idx = set(tensor.indices)
-            shared = acc & t_idx
-            summable = {idx for idx in shared
-                        if idx not in open_indices
-                        and remaining_counts[idx] == 2}
-            result_rank = len(acc | t_idx) - len(summable)
-            connected = 1 if shared else 0
-            key = (-connected, result_rank, pos)
+        for pos in rest:
+            key = (acc.isdisjoint(sets[pos]),
+                   len(acc | sets[pos]) - len(summed(acc, pos)))
             if best_key is None or key < best_key:
-                best_key = key
-                best = pos
-        assert best is not None
+                best, best_key = pos, key
+        gone = summed(acc, best)
+        counts.subtract(acc & sets[best])
+        acc = (acc | sets[best]) - gone
+        rest.remove(best)
         order.append(best)
-        used[best] = True
-        t_idx = set(tensors[best].indices)
-        shared = acc & t_idx
-        summable = {idx for idx in shared
-                    if idx not in open_indices
-                    and remaining_counts[idx] == 2}
-        for idx in shared:
-            remaining_counts[idx] -= 1
-        acc = (acc | t_idx) - summable
     return order

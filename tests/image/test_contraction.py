@@ -2,9 +2,14 @@
 
 import pytest
 
+import repro.image.base as image_base
+from repro.image.base import circuit_diagrams
 from repro.image.engine import compute_image, make_computer
 from repro.mc.config import CheckerConfig
 from repro.systems import models
+from repro.tdd.manager import TDDManager
+from repro.tensor.ordering import greedy_order
+from repro.utils.stats import StatsRecorder
 
 from tests.helpers import assert_subspace_matches_dense, dense_image_oracle
 
@@ -40,26 +45,46 @@ def test_matches_dense_oracle(name, k1, k2):
     assert_subspace_matches_dense(result.subspace, expected)
 
 
-@pytest.mark.parametrize("name", ["grover4", "qft4", "qrw4"])
-def test_greedy_order_agrees(name):
-    build = MODELS[name]
-    expected = dense_image_oracle(build())
-    config = CheckerConfig(method="contraction",
-                           method_params={"k1": 2, "k2": 2,
-                                          "order_policy": "greedy"})
-    result = compute_image(build(), config=config)
-    assert_subspace_matches_dense(result.subspace, expected)
+@pytest.mark.parametrize("k", [0, 1])
+def test_blocks_are_stored_in_greedy_fold_order(k):
+    """Each slice's blocks come out of the build in the order a greedy
+    fold from the circuit inputs takes them, so folding them in list
+    order is that fold (greedy order is then the identity)."""
+    qts = models.grover_qts(6)
+    (circuit,) = qts.all_kraus_circuits()
+    manager = TDDManager()
+    slices, inputs, outputs = circuit_diagrams(circuit, manager, k, 2, 2)
+    assert len(slices) == 2 ** k
+    for blocks in slices:
+        legs = [inputs] + [block.indices for block in blocks]
+        assert greedy_order(legs, set(outputs)) == list(range(len(legs)))
 
 
-def test_bad_order_policy():
-    with pytest.raises(ValueError):
-        make_computer(models.ghz_qts(3), "contraction", order_policy="magic")
+def test_greedy_order_runs_once_per_slice_build(monkeypatch):
+    """The fold order is worked out when a circuit's diagrams are
+    built, once per slice, and never for an image served from the
+    operator cache."""
+    calls = []
+
+    def counting(legs, open_indices):
+        calls.append(len(legs))
+        return greedy_order(legs, open_indices)
+
+    monkeypatch.setattr(image_base, "greedy_order", counting)
+    qts = models.grover_qts(4)
+    computer = make_computer(qts, "hybrid", k=1, k1=2, k2=2)
+    computer.image(None, StatsRecorder())
+    assert len(calls) == 2 * len(qts.image_circuits())
+    built = len(calls)
+    computer.image(None, StatsRecorder())
+    make_computer(qts, "hybrid", k=1, k1=2, k2=2).image(None,
+                                                         StatsRecorder())
+    assert len(calls) == built
 
 
 def test_blocks_cached_across_calls():
     qts = models.ghz_qts(4)
     computer = make_computer(qts, "contraction", k1=2, k2=2)
-    from repro.utils.stats import StatsRecorder
     stats = StatsRecorder()
     computer.image(None, stats)
     made = qts.manager.nodes_made

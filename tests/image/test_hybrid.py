@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.image.base import ImageComputerBase
 from repro.image.engine import compute_image, make_computer
 from repro.mc.config import CheckerConfig
@@ -57,7 +58,7 @@ def test_registered_in_engine():
 
 
 def test_negative_k_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         make_computer(models.ghz_qts(3), "hybrid", k=-1)
 
 

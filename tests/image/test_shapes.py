@@ -5,7 +5,6 @@ import pytest
 from repro.image.base import ImageComputerBase, circuit_diagrams
 from repro.image.engine import (METHOD_PARAMS, METHODS, compute_image,
                                 make_computer)
-from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig
 from repro.systems import models
 from repro.utils.stats import StatsRecorder
@@ -13,7 +12,7 @@ from repro.utils.stats import StatsRecorder
 from tests.helpers import subspace_to_dense
 
 #: a value for every method parameter, each one off its default
-PARAM_VALUES = {"k": 1, "k1": 2, "k2": 2, "order_policy": "greedy"}
+PARAM_VALUES = {"k": 1, "k1": 2, "k2": 2}
 
 MODELS = {
     "grover6": lambda: models.grover_qts(6),
@@ -41,15 +40,6 @@ def test_every_method_parameter_is_accepted(method):
         qts = models.grover_qts(3)
         computer = make_computer(qts, method, **{name: PARAM_VALUES[name]})
         assert computer.image().dimension == 1
-
-
-def test_hybrid_check_takes_order_policy():
-    config = CheckerConfig(method="hybrid",
-                           method_params={"k": 1, "k1": 4, "k2": 4,
-                                          "order_policy": "greedy"})
-    result = ModelChecker(models.grover_qts(4, "invariant"),
-                          config).check("AG inv")
-    assert result.holds
 
 
 def test_methods_map_to_shapes():

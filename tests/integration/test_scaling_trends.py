@@ -39,8 +39,6 @@ METHODS.update({
     **{f"addition k={k}": config("addition", k=k) for k in (0, 2, 3)},
     **{f"hybrid k={k}": config("hybrid", k=k, k1=4, k2=4)
        for k in (0, 1, 2)},
-    "contraction greedy": config("contraction", k1=4, k2=4,
-                                 order_policy="greedy"),
 })
 
 #: instances outside the Table I families or their parameters:
@@ -148,11 +146,10 @@ ROWS = [
     ("HiddenShift12", "contraction", *DIM1),
     *[(label, method, *DIM1) for label in ("W12", "Adder4")
       for method in ("basic", "contraction")],
-    # ablations on Grover8: hybrid slicing, addition k, fold order
+    # ablations on Grover8: hybrid slicing, addition k
     *[("Grover8", f"hybrid k={k}", *DIM1) for k in (0, 1, 2)],
     ("Grover8", "hybrid k=1", *within(2, "Grover8", "contraction")),
     *[("Grover8", f"addition k={k}", *SOME) for k in (0, 2, 3)],
-    ("Grover8", "contraction greedy", *SOME),
 ]
 
 

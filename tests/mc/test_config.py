@@ -52,9 +52,7 @@ class TestValidation:
         ("hybrid", {"k1": None}, "k1 must be an integer >= 1"),
         ("addition", {"k": "two"}, "k must be an integer >= 0"),
         ("addition", {"k": -1}, "k must be an integer >= 0"),
-        ("addition", {"k": True}, "k must be an integer >= 0"),
-        ("contraction", {"order_policy": "fast"}, "order_policy"),
-        ("hybrid", {"order_policy": None}, "order_policy")])
+        ("addition", {"k": True}, "k must be an integer >= 0")])
     def test_bad_method_param_values_rejected(self, method, params,
                                               match):
         # rejected at construction, not at the first image
@@ -63,12 +61,22 @@ class TestValidation:
 
     @pytest.mark.parametrize("method,params", [
         ("addition", {"k": 0}),
-        ("contraction", {"k1": 1, "k2": 1, "order_policy": "greedy"}),
-        ("hybrid", {"k": 2, "k1": 3, "k2": 5,
-                    "order_policy": "sequential"})])
+        ("contraction", {"k1": 1, "k2": 1}),
+        ("hybrid", {"k": 2, "k1": 3, "k2": 5})])
     def test_boundary_method_param_values_accepted(self, method, params):
         assert CheckerConfig(method=method,
                              method_params=params).method_params == params
+
+    @pytest.mark.parametrize("method", ["contraction", "hybrid"])
+    def test_fold_order_is_not_a_parameter(self, method):
+        # the block fold order is worked out from the circuit, so no
+        # method takes it, whatever an older config says
+        params = {"order_policy": "greedy"}
+        with pytest.raises(ConfigError, match="order_policy"):
+            CheckerConfig(method=method, method_params=params)
+        with pytest.raises(ConfigError, match="order_policy"):
+            CheckerConfig.from_dict({"method": method,
+                                     "method_params": params})
 
     def test_six_fields(self):
         assert [f.name for f in dataclasses.fields(CheckerConfig)] == [
@@ -203,9 +211,6 @@ class TestRoundTrips:
         with pytest.raises(ConfigError, match="k1 must be"):
             CheckerConfig.from_dict({"method": "contraction",
                                      "method_params": {"k1": 0, "k2": 4}})
-        with pytest.raises(ConfigError, match="order_policy"):
-            CheckerConfig.from_dict({"method": "hybrid", "method_params":
-                                     {"order_policy": "fast"}})
 
     def test_from_json_rejects_non_object(self):
         with pytest.raises(ConfigError):

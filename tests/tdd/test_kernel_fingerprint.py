@@ -53,14 +53,14 @@ RUNS = [
      (5, 79, 272, 330, 24, 40, 301, 455, 4, 259)),
     ("grover4", "addition", "backward", [1, 2, 2], 17, 170, 217,
      (3, 62, 180, 256, 24, 40, 207, 364, 4, 179)),
-    ("grover4", "contraction", "forward", [1, 2, 2], 27, 124, 216,
-     (2, 65, 134, 202, 24, 40, 160, 313, 4, 170)),
-    ("grover4", "contraction", "backward", [1, 2, 2], 26, 154, 245,
-     (11, 122, 148, 230, 24, 40, 183, 398, 4, 204)),
-    ("grover4", "hybrid", "forward", [1, 2, 2], 21, 118, 204,
-     (2, 61, 143, 195, 24, 40, 169, 302, 4, 160)),
-    ("grover4", "hybrid", "backward", [1, 2, 2], 24, 143, 263,
-     (10, 102, 160, 260, 24, 40, 194, 408, 4, 218)),
+    ("grover4", "contraction", "forward", [1, 2, 2], 27, 124, 199,
+     (3, 70, 125, 203, 24, 40, 152, 319, 4, 153)),
+    ("grover4", "contraction", "backward", [1, 2, 2], 26, 154, 211,
+     (7, 85, 142, 218, 24, 40, 173, 349, 4, 170)),
+    ("grover4", "hybrid", "forward", [1, 2, 2], 21, 118, 200,
+     (2, 59, 141, 193, 24, 40, 167, 298, 4, 156)),
+    ("grover4", "hybrid", "backward", [1, 2, 2], 19, 143, 205,
+     (11, 65, 160, 246, 24, 40, 195, 357, 4, 160)),
     ("qrw4", "basic", "forward", [1, 2, 4, 7, 7], 39, 476, 730,
      (33, 208, 460, 731, 336, 411, 829, 1385, 9, 671)),
     ("qrw4", "basic", "backward", [1, 3, 7, 7], 37, 384, 542,
@@ -87,12 +87,12 @@ RUNS = [
      (17, 589, 306, 696, 416, 2727, 739, 4275, 18, 1116)),
     ("ghz5", "contraction", "forward", GHZ5_LADDER, 32, 459, 1681,
      (14, 669, 427, 1295, 374, 2777, 815, 5004, 18, 1392)),
-    ("ghz5", "contraction", "backward", GHZ5_LADDER, 39, 446, 1616,
-     (17, 589, 411, 1345, 416, 2727, 844, 4924, 18, 1337)),
+    ("ghz5", "contraction", "backward", GHZ5_LADDER, 32, 438, 1522,
+     (17, 589, 462, 1048, 416, 2727, 895, 4627, 18, 1243)),
     ("ghz5", "hybrid", "forward", GHZ5_LADDER, 32, 459, 1681,
      (14, 669, 427, 1295, 374, 2777, 815, 5004, 18, 1392)),
-    ("ghz5", "hybrid", "backward", GHZ5_LADDER, 39, 446, 1616,
-     (17, 589, 411, 1345, 416, 2727, 844, 4924, 18, 1337)),
+    ("ghz5", "hybrid", "backward", GHZ5_LADDER, 32, 438, 1522,
+     (17, 589, 462, 1048, 416, 2727, 895, 4627, 18, 1243)),
     ("bitflip", "basic", "forward", [3, 4, 4], 36, 500, 520,
      (0, 0, 257, 711, 9, 64, 266, 775, 6, 404)),
     ("bitflip", "basic", "backward", [3, 15, 15], 44, 549, 643,
@@ -103,12 +103,12 @@ RUNS = [
      (0, 0, 230, 1219, 34, 228, 264, 1447, 17, 444)),
     ("bitflip", "contraction", "forward", [3, 4, 4], 8, 96, 220,
      (0, 0, 105, 307, 9, 64, 114, 371, 6, 162)),
-    ("bitflip", "contraction", "backward", [3, 15, 15], 12, 254, 868,
-     (0, 0, 189, 1288, 34, 228, 223, 1516, 17, 739)),
+    ("bitflip", "contraction", "backward", [3, 15, 15], 12, 228, 484,
+     (0, 0, 105, 803, 34, 228, 139, 1031, 17, 355)),
     ("bitflip", "hybrid", "forward", [3, 4, 4], 10, 101, 231,
      (0, 0, 131, 322, 9, 64, 140, 386, 6, 168)),
-    ("bitflip", "hybrid", "backward", [3, 15, 15], 12, 267, 894,
-     (0, 0, 383, 1337, 34, 228, 417, 1565, 17, 752)),
+    ("bitflip", "hybrid", "backward", [3, 15, 15], 12, 241, 510,
+     (0, 0, 235, 852, 34, 228, 269, 1080, 17, 368)),
 ]
 
 
