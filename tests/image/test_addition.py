@@ -1,14 +1,11 @@
 """Addition-partition image computation (Section V.A)."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.errors import ConfigError
 from repro.image.base import circuit_diagrams, select_slice_indices
 from repro.image.engine import compute_image, make_computer
 from repro.circuits.library import grover_iteration
-from repro.indices.index import Index
 from repro.mc.config import CheckerConfig
 from repro.systems import models
 from repro.tdd.manager import TDDManager
@@ -62,28 +59,6 @@ def test_sliced_indices_are_internal():
     assert len(chosen) == 3
     for idx in chosen:
         assert idx not in boundary
-
-
-def gates(*groups):
-    """Stand-in wirings: one gate per group of index names."""
-    return [SimpleNamespace(indices=[Index(name) for name in group])
-            for group in groups]
-
-
-@pytest.mark.parametrize("groups,count,banned,expected", [
-    # b shares a gate with a, c and d
-    (["ab", "bc", "bd"], 1, "", "b"),
-    (["ab", "bc", "bd"], 1, "b", "a"),
-    # ties go by name
-    (["za"], 2, "", "az"),
-    # the degree counts distinct neighbours, not shared gates: a and b
-    # meet twice but each has one neighbour, c, d and e have two
-    (["ab", "ab", "cde"], 3, "", "cde")])
-def test_slice_indices_rank_by_neighbour_count(groups, count, banned,
-                                               expected):
-    chosen = select_slice_indices(gates(*groups), count,
-                                  [Index(name) for name in banned])
-    assert [idx.name for idx in chosen] == list(expected)
 
 
 def test_parts_sum_to_whole():

@@ -3,11 +3,13 @@
 import pytest
 
 import repro.image.base as image_base
+from repro.errors import ConfigError
 from repro.image.base import circuit_diagrams
 from repro.image.engine import compute_image, make_computer
 from repro.mc.config import CheckerConfig
 from repro.systems import models
 from repro.tdd.manager import TDDManager
+from repro.tensor.network import contract_network
 from repro.tensor.ordering import greedy_order
 from repro.utils.stats import StatsRecorder
 
@@ -58,6 +60,27 @@ def test_blocks_are_stored_in_greedy_fold_order(k):
     for blocks in slices:
         legs = [inputs] + [block.indices for block in blocks]
         assert greedy_order(legs, set(outputs)) == list(range(len(legs)))
+
+
+@pytest.mark.parametrize("name", ["grover4", "qft4", "qrw4"])
+def test_greedy_order_agrees(name):
+    """The stored blocks folded in greedy (list) order give the same
+    circuit tensor as the reverse fold."""
+    for circuit in MODELS[name]().all_kraus_circuits():
+        manager = TDDManager()
+        (blocks,), inputs, outputs = circuit_diagrams(circuit, manager,
+                                                      0, 2, 2)
+        assert len(blocks) > 1
+        open_indices = set(inputs) | set(outputs)
+        greedy = contract_network(blocks, open_indices)
+        assert greedy.allclose(contract_network(blocks[::-1],
+                                                open_indices))
+
+
+def test_bad_order_policy():
+    # the fold order is not a parameter, whatever its value
+    with pytest.raises(ConfigError, match="order_policy"):
+        make_computer(models.ghz_qts(3), "contraction", order_policy="magic")
 
 
 def test_greedy_order_runs_once_per_slice_build(monkeypatch):

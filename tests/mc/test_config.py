@@ -52,7 +52,9 @@ class TestValidation:
         ("hybrid", {"k1": None}, "k1 must be an integer >= 1"),
         ("addition", {"k": "two"}, "k must be an integer >= 0"),
         ("addition", {"k": -1}, "k must be an integer >= 0"),
-        ("addition", {"k": True}, "k must be an integer >= 0")])
+        ("addition", {"k": True}, "k must be an integer >= 0"),
+        ("contraction", {"order_policy": "fast"}, "order_policy"),
+        ("hybrid", {"order_policy": None}, "order_policy")])
     def test_bad_method_param_values_rejected(self, method, params,
                                               match):
         # rejected at construction, not at the first image

@@ -1,56 +1,62 @@
-"""The index graph of Section V.A, including the paper's Fig. 5."""
+"""The index graph of Section V.A, including the paper's Fig. 5.
+
+Every gate is a clique over its legs, and ``select_slice_indices``
+ranks a circuit's indices by their degree in that graph: the number of
+distinct other indices they share a gate with.
+"""
+
+from types import SimpleNamespace
 
 from repro.circuits.library import grover_iteration
-from repro.circuits.network import circuit_to_dense_network
+from repro.image.base import select_slice_indices
 from repro.indices.index import Index
-from repro.tensor.graph import IndexGraph
 
 
-def cliques(groups):
-    """The graph with one clique per index group."""
-    graph = IndexGraph()
-    for group in groups:
-        graph.add_clique(group)
-    return graph
+def gates(*groups):
+    """Stand-in wirings: one gate per group of index names."""
+    return [SimpleNamespace(indices=[Index(name) for name in group])
+            for group in groups]
+
+
+def ranked(wirings, count=100, exclude=""):
+    return "".join(idx.name for idx in select_slice_indices(
+        wirings, count, [Index(name) for name in exclude]))
+
+
+def degrees(wirings):
+    """Each index's degree, counted from the wirings directly."""
+    neighbours = {}
+    for wiring in wirings:
+        for idx in wiring.indices:
+            neighbours.setdefault(idx, set()).update(
+                other for other in wiring.indices if other != idx)
+    return {idx: len(others) for idx, others in neighbours.items()}
 
 
 class TestBasicGraph:
     def test_clique_per_tensor(self):
-        g = cliques([
-            [Index("a"), Index("b"), Index("c")],
-        ])
-        assert g.degree(Index("a")) == 2
-        assert g.edge_count() == 3
+        # a and b meet c and each other in one gate, d meets only c
+        assert ranked(gates("abc", "cd")) == "cabd"
 
     def test_shared_index_accumulates_degree(self):
-        g = cliques([
-            [Index("a"), Index("b")],
-            [Index("b"), Index("c")],
-        ])
-        assert g.degree(Index("b")) == 2
-        assert g.degree(Index("a")) == 1
+        assert ranked(gates("ab", "bc")) == "bac"
 
     def test_self_loop_ignored(self):
-        g = IndexGraph()
-        g.add_edge(Index("a"), Index("a"))
-        assert g.degree(Index("a")) == 0
+        # a gate that wires a to itself gives a no neighbour
+        assert ranked(gates("aa", "bc")) == "bca"
 
     def test_highest_degree_excludes(self):
-        g = cliques([
-            [Index("a"), Index("b")],
-            [Index("b"), Index("c")],
-            [Index("b"), Index("d")],
-        ])
-        top = g.highest_degree(1)
-        assert top == [Index("b")]
-        top = g.highest_degree(1, exclude=[Index("b")])
-        assert top[0] != Index("b")
+        wirings = gates("ab", "bc", "bd")
+        assert ranked(wirings, 1) == "b"
+        assert ranked(wirings, 1, exclude="b") == "a"
 
     def test_highest_degree_tie_break_by_name(self):
-        g = cliques([
-            [Index("z"), Index("a")],
-        ])
-        assert g.highest_degree(2) == [Index("a"), Index("z")]
+        assert ranked(gates("za"), 2) == "az"
+
+    def test_repeated_gate_counts_neighbours_once(self):
+        # a and b meet twice but each has one neighbour; c, d and e
+        # have two
+        assert ranked(gates("ab", "ab", "cde"), 3) == "cde"
 
 
 class TestGroverFig5:
@@ -58,38 +64,31 @@ class TestGroverFig5:
 
     def test_grover3_highest_degree_indices(self):
         # Fig. 5 (for the 3-qubit iteration of Fig. 2): the highest
-        # degree vertices are x1^1, x2^1 and x1^3 (1-based). In our
-        # 0-based naming these are x0_1, x1_1 and x0_3... the precise
-        # winners depend on the diffusion decomposition; what must hold
-        # is that the top vertices are *internal* oracle/diffusion
-        # indices, not circuit inputs/outputs.
-        circuit = grover_iteration(3)
-        network, inputs, outputs = circuit_to_dense_network(circuit)
-        graph = IndexGraph.from_tensors(network.tensors)
+        # degree vertices are internal oracle/diffusion indices, not
+        # circuit inputs or outputs; the precise winners depend on the
+        # diffusion decomposition
+        wirings, inputs, outputs = grover_iteration(3).wirings()
         boundary = set(inputs) | set(outputs)
-        top = graph.highest_degree(3, exclude=boundary)
+        top = select_slice_indices(wirings, 3, boundary)
+        degree = degrees(wirings)
         assert len(top) == 3
         for index in top:
             assert index not in boundary
             # every sliced candidate is well-connected
-            assert graph.degree(index) >= 3
+            assert degree[index] >= 3
 
     def test_grover_graph_covers_all_indices(self):
-        circuit = grover_iteration(4)
-        network, inputs, outputs = circuit_to_dense_network(circuit)
-        graph = IndexGraph.from_tensors(network.tensors)
-        all_indices = set()
-        for tensor in network.tensors:
-            all_indices.update(tensor.indices)
-        assert set(graph.vertices) == all_indices
+        wirings, _, _ = grover_iteration(4).wirings()
+        every = {idx for wiring in wirings for idx in wiring.indices}
+        top = select_slice_indices(wirings, len(every) + 1, [])
+        assert len(top) == len(every)
+        assert set(top) == every
 
     def test_control_reuse_concentrates_degree(self):
         # The CCX oracle control wires keep one index across the gate,
         # so oracle control indices touch both the oracle clique and
-        # the neighbouring Hadamard tensors.
-        circuit = grover_iteration(3)
-        network, inputs, outputs = circuit_to_dense_network(circuit)
-        graph = IndexGraph.from_tensors(network.tensors)
-        degrees = graph.degrees()
-        max_degree = max(degrees.values())
-        assert max_degree >= 4
+        # the neighbouring Hadamard tensors; the first pick is one
+        wirings, _, _ = grover_iteration(3).wirings()
+        degree = degrees(wirings)
+        (first,) = select_slice_indices(wirings, 1, [])
+        assert degree[first] == max(degree.values()) >= 4

@@ -100,3 +100,13 @@ class TestContractAll:
         contract_network([a, b, c], {idx("i"), idx("l")}, seen.append)
         assert len(seen) == 2  # two pairwise folds
 
+
+class TestBookkeeping:
+    def test_multiplicity(self, rng):
+        # j has two holders and is summed; i has one and stays, though
+        # it is not declared open
+        a = dense(rng, ["i", "j"])
+        b = dense(rng, ["j"])
+        out = contract_network([a, b], set())
+        assert out.index_names == ("i",)
+        assert np.allclose(out.array, a.array @ b.array)

@@ -16,6 +16,19 @@ def indices(*names):
     return {Index(name) for name in names}
 
 
+class TestSequential:
+    def test_identity_order(self, rng):
+        # contract_network folds in list order: greedy order would
+        # fold b-c into a-b first, the list order folds c-d first
+        tensors = [DenseTensor(random_tensor(rng, len(names)),
+                               [Index(name) for name in names])
+                   for names in ("ab", "cd", "bc")]
+        seen = []
+        contract_network(tensors, indices("a", "d"), seen.append)
+        assert [set(t.indices) for t in seen] == [
+            indices("a", "b", "c", "d"), indices("a", "d")]
+
+
 class TestGreedy:
     def test_is_permutation(self):
         order = greedy_order(legs("ab", "bc", "xy", "cd"),
