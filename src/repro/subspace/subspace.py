@@ -174,6 +174,16 @@ class Subspace:
         """Does the basis span the whole space?"""
         return len(self.basis) == self.space.dimension
 
+    def screens(self, tol: float = GS_EPS) -> bool:
+        """Does :meth:`add_state` reject on coefficients alone?
+
+        Only while the basis is within ``tol**2`` of orthonormal: its
+        drift plus the rounding of the inner walks that measured it,
+        ``2 * n * eps`` on ``n`` qubits (a product and a sum a level).
+        """
+        return (self._drift + 2 * self.space.num_qubits * _EPS
+                <= tol * tol)
+
     @property
     def projector(self) -> TDD:
         """The projector tensor ``P[bra, ket]`` (built on first use)."""
@@ -270,10 +280,15 @@ class Subspace:
         ``WEIGHT_TOL`` relative to a node's weights snaps back onto the
         first pass's weights.  So the
         drift records each kept vector's rounding loss ``eps * |r_0| /
-        |r|`` of its last pass from ``r_0`` and, after a second pass,
-        the measured ``max_i |<v_i|v>|`` of the kept vector ``v`` (``d``
-        more inner walks) when that is larger.  The screen is used only
-        while the drift stays within ``tol**2``; after that, every
+        |r|`` of its last pass from ``r_0``, or the measured ``max_i
+        |<v_i|v>|`` of the kept vector ``v`` (``d`` more inner walks)
+        when that is larger.  The measurement is what keeps the drift
+        honest: a single-pass vector also inherits ``drift * |s| /
+        |r|`` from the basis, and states kept from residuals a quarter
+        of their norms compound that to past ``tol**2`` in five steps,
+        while recording the inherited bound instead would compound it
+        on every kept vector.  The screen is used only while the drift
+        stays within ``tol**2`` (:meth:`screens`); after that, every
         step on a non-empty basis builds the residual.
         """
         self._check_state(state)
@@ -287,7 +302,7 @@ class Subspace:
                 return None
         else:
             coefficients = self.coefficients(state)
-            if (self._drift <= tol * tol
+            if (self.screens(tol)
                     and norm2 - sum(abs(c) ** 2 for c in coefficients)
                     <= floor):
                 return None
@@ -304,8 +319,7 @@ class Subspace:
                     return None
         drift = _EPS * (source_norm2 / residual_norm2) ** 0.5
         vector = residual.scaled(1.0 / residual_norm2 ** 0.5)
-        if source_norm2 != norm2:
-            # a second pass ran: measure the kept vector against the basis
+        if self.basis:
             drift = max([drift] + [abs(c) for c in self.coefficients(vector)])
         self._drift = max(self._drift, drift)
         self.basis.append(vector)

@@ -11,15 +11,17 @@ The unscreened oracle also grows a basis of its own, and its decisions
 must match step by step.  Its vectors are not compared with the
 screened ones: bases that differ by ``d`` keep a state with residual
 ``|r|`` as vectors about ``d * |s| / |r|`` apart, so a near-dependent
-state amplifies the oracle's own rounding.  The screened basis is held
-to the identity instead, through its dense Gram matrix ``G``.  A kept
-vector may be off the basis by what one classical pass leaves,
-``(eps + d) * |s| / |r|`` with ``d = max |G - I|`` of the basis it was
-kept against, times ``2 * 2**n`` for the rounding of a length-``2**n``
-inner product and the normalisation; a second pass only lowers it.
-``d`` is measured densely, not read from the drift the subspace
-records, which leaves out the part a kept vector inherits from the
-basis.
+state amplifies the oracle's own rounding, and its span can move off
+the screened one by far more than the threshold.  Its decisions are
+compared while the two spans agree to ``GS_EPS / 10``, and after that
+only the same-basis step is.  The screened basis is held to the identity
+instead, through its dense Gram matrix ``G``: while the subspace
+screens (its drift, with the rounding of the walks that measured it,
+within ``GS_EPS**2``), ``max |G - I|`` must be within ``GS_EPS**2``
+too.  A basis may end up further off, since a
+second pass cannot move a weight by less than ``WEIGHT_TOL`` of the
+first pass's; the drift must then say so, and ``max |G - I|`` may be
+at most twice the drift.
 """
 
 import numpy as np
@@ -84,6 +86,16 @@ def gram_deviation(subspace):
     return np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])))
 
 
+def span_gap(subspace, other):
+    """The largest distance of a unit vector in the span of ``subspace``
+    from the span of ``other``, computed densely."""
+    if not subspace.basis:
+        return 0.0
+    q = np.array([dense(v) for v in subspace.basis]).T
+    p = np.array([dense(v) for v in other.basis]).T.reshape(len(q), -1)
+    return np.linalg.norm(q - p @ (p.conj().T @ q), 2)
+
+
 def true_residual(basis, amplitudes):
     """``|s - Q Q^H s|`` computed densely."""
     if not basis:
@@ -99,7 +111,9 @@ def true_residual(basis, amplitudes):
                           st.floats(min_value=-1, max_value=2)),
                 min_size=1, max_size=5))
 # a basis vector kept from a residual 1e-5 of its state is off by ~1e-11;
-# the Pythagorean estimate on that basis reads a kept state as dependent
+# the Pythagorean estimate on that basis reads a kept state as dependent.
+# Its second pass leaves it 4.5e-14 off, as close as the weight table
+# lets it get, so the screen must switch off
 @example(num_qubits=3, seed=0, steps=[(0.0, 0.0), (-5.0, 0.0), (0.0, 0.0),
                                       (0.0, 0.0), (-5.0, 0.0)])
 # two vectors kept from residuals ~1e-5 and ~1e-4 of their states fill
@@ -116,10 +130,22 @@ def true_residual(basis, amplitudes):
                                       (-5.0, 0.0), (-4.5, 0.5)])
 # five states kept from residuals about a quarter of their norms: each
 # inherits the basis's deviation times |s| / |r|, and the basis ends
-# 1.1e-14 off the identity while the recorded drift reads 9.2e-16
+# 1.1e-14 off the identity; a drift of rounding losses alone read 9.2e-16
 @example(num_qubits=4, seed=0, steps=[(-1.6676811721162572e-06, 0.0),
                                       (0.0, 0.0), (0.0, 0.0), (0.0, 0.0),
                                       (0.0, 0.0)])
+# the oracle's own basis, grown from residuals 1e-4 and 1e-5 of their
+# states, leaves the last state 3.4e-7 off its span, against a threshold
+# of 2.4e-7, while the state is 1e-8 off the screened basis; from
+# residuals 1e-5 and 1e-5 its span moves 1.3e-6 off the screened one,
+# and the last state is 2.5e-6 off it
+@example(num_qubits=3, seed=0, steps=[(0.0, 0.0), (0.0, 0.0), (-4.0, 0.0),
+                                      (-5.0, 0.0), (-8.0, 0.0)])
+@example(num_qubits=3, seed=0, steps=[(0.0, 0.0), (0.0, 0.0), (-5.0, 0.0),
+                                      (-5.0, 0.0), (-8.0, 0.0)])
+# a second pass leaves the basis 1.004e-14 off the identity where the
+# inner walks measure 9.97e-15: the screen allows for their rounding
+@example(num_qubits=1, seed=294, steps=[(0.0, 0.0), (-8.0, 0.0), (0.0, 2.0)])
 def test_screen_matches_unscreened_step(num_qubits, seed, steps):
     space = make_space(num_qubits)
     screened = space.zero_subspace()
@@ -139,22 +165,32 @@ def test_screen_matches_unscreened_step(num_qubits, seed, steps):
         threshold = GS_EPS * max(1.0, np.linalg.norm(stored))
         residual = true_residual(basis, stored)
         assume(not threshold / 10 < residual < threshold * 10)
+        # a span within GS_EPS / 10 of the screened one puts every state
+        # on the same side of the threshold as the screened basis does
+        if (reference is not None
+                and span_gap(screened, reference) > GS_EPS / 10):
+            event("oracle span diverged")
+            assert screened.dimension == reference.dimension
+            reference = None
 
         event("kept" if residual > threshold else "dependent")
         if threshold > GS_EPS:
             event("relative rule")
-        deviation = gram_deviation(screened)
         oracle = screened.copy()
         got = screened.add_state(state)
-        want = unscreened_add_state(reference, state)
         step = unscreened_add_state(oracle, state)
-        assert (got is None) == (want is None)
+        if reference is not None:
+            want = unscreened_add_state(reference, state)
+            assert (got is None) == (want is None)
         assert (got is None) == (step is None)
         assert (got is None) == (residual <= threshold)
         if got is not None:
             assert np.allclose(dense(got), dense(step), atol=1e-9)
-            one_pass_loss = (EPS + deviation) * np.linalg.norm(
-                stored) / residual
-            assert gram_deviation(screened) <= max(deviation,
-                                                   2 * dim * one_pass_loss)
-    assert screened.dimension == reference.dimension
+        deviation = gram_deviation(screened)
+        if screened.screens():
+            assert deviation <= GS_EPS ** 2
+        else:
+            event("screen off")
+            assert deviation <= 2 * screened._drift
+    if reference is not None:
+        assert screened.dimension == reference.dimension

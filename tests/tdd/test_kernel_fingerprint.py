@@ -46,69 +46,69 @@ GHZ5_LADDER = list(range(1, 17)) + [16]
 
 RUNS = [
 ("grover4", "basic", "forward", [1, 2, 2], 27, 253, 285,
-     (11, 80, 250, 304, 24, 40, 285, 430, 4, 256)),
+     (11, 80, 250, 304, 32, 46, 293, 436, 4, 256)),
     ("grover4", "basic", "backward", [1, 2, 2], 22, 182, 220,
-     (7, 70, 166, 231, 24, 40, 197, 347, 4, 189)),
+     (7, 70, 166, 231, 32, 46, 205, 353, 4, 189)),
     ("grover4", "addition", "forward", [1, 2, 2], 19, 253, 297,
-     (5, 79, 272, 330, 24, 40, 301, 455, 4, 259)),
+     (5, 79, 272, 330, 32, 46, 309, 461, 4, 259)),
     ("grover4", "addition", "backward", [1, 2, 2], 17, 170, 217,
-     (3, 62, 180, 256, 24, 40, 207, 364, 4, 179)),
+     (3, 62, 180, 256, 32, 46, 215, 370, 4, 179)),
     ("grover4", "contraction", "forward", [1, 2, 2], 27, 124, 199,
-     (3, 70, 125, 203, 24, 40, 152, 319, 4, 153)),
+     (3, 70, 125, 203, 32, 46, 160, 325, 4, 153)),
     ("grover4", "contraction", "backward", [1, 2, 2], 26, 154, 211,
-     (7, 85, 142, 218, 24, 40, 173, 349, 4, 170)),
+     (7, 85, 142, 218, 32, 46, 181, 355, 4, 170)),
     ("grover4", "hybrid", "forward", [1, 2, 2], 21, 118, 200,
-     (2, 59, 141, 193, 24, 40, 167, 298, 4, 156)),
+     (2, 59, 141, 193, 32, 46, 175, 304, 4, 156)),
     ("grover4", "hybrid", "backward", [1, 2, 2], 19, 143, 205,
-     (11, 65, 160, 246, 24, 40, 195, 357, 4, 160)),
+     (11, 65, 160, 246, 32, 46, 203, 363, 4, 160)),
     ("qrw4", "basic", "forward", [1, 2, 4, 7, 7], 39, 476, 730,
-     (33, 208, 460, 731, 336, 411, 829, 1385, 9, 671)),
+     (33, 208, 460, 731, 390, 491, 883, 1465, 9, 671)),
     ("qrw4", "basic", "backward", [1, 3, 7, 7], 37, 384, 542,
-     (23, 151, 336, 585, 209, 220, 568, 984, 9, 494)),
+     (23, 151, 336, 585, 243, 255, 602, 1019, 9, 494)),
     ("qrw4", "addition", "forward", [1, 2, 4, 7, 7], 23, 389, 728,
-     (27, 241, 400, 671, 333, 408, 760, 1355, 9, 679)),
+     (27, 241, 400, 671, 387, 488, 814, 1435, 9, 679)),
     ("qrw4", "addition", "backward", [1, 3, 7, 7], 21, 356, 537,
-     (23, 181, 346, 592, 205, 215, 574, 1016, 9, 497)),
+     (23, 181, 346, 592, 238, 247, 607, 1048, 9, 497)),
     ("qrw4", "contraction", "forward", [1, 2, 4, 7, 7], 20, 273, 949,
-     (52, 311, 629, 1286, 336, 411, 1017, 2043, 9, 821)),
+     (52, 311, 629, 1286, 390, 491, 1071, 2123, 9, 821)),
     ("qrw4", "contraction", "backward", [1, 3, 7, 7], 18, 179, 574,
-     (13, 152, 316, 797, 210, 225, 539, 1202, 9, 465)),
+     (13, 152, 316, 797, 243, 263, 572, 1240, 9, 465)),
     ("qrw4", "hybrid", "forward", [1, 2, 4, 7, 7], 18, 283, 989,
-     (65, 319, 759, 1373, 333, 408, 1157, 2135, 9, 872)),
+     (65, 319, 759, 1373, 387, 488, 1211, 2215, 9, 872)),
     ("qrw4", "hybrid", "backward", [1, 3, 7, 7], 18, 166, 534,
-     (5, 163, 387, 755, 205, 215, 597, 1161, 9, 433)),
+     (5, 163, 387, 755, 238, 247, 630, 1193, 9, 433)),
     ("ghz5", "basic", "forward", GHZ5_LADDER, 32, 493, 1934,
-     (21, 814, 570, 1314, 374, 2773, 965, 5164, 18, 1648)),
+     (21, 814, 570, 1314, 676, 4526, 1267, 6917, 18, 1648)),
     ("ghz5", "basic", "backward", GHZ5_LADDER, 32, 430, 1397,
-     (17, 589, 306, 696, 416, 2727, 739, 4275, 18, 1116)),
+     (17, 589, 306, 696, 736, 4470, 1059, 6018, 18, 1116)),
     ("ghz5", "addition", "forward", GHZ5_LADDER, 32, 493, 1934,
-     (21, 814, 570, 1314, 374, 2773, 965, 5164, 18, 1648)),
+     (21, 814, 570, 1314, 676, 4526, 1267, 6917, 18, 1648)),
     ("ghz5", "addition", "backward", GHZ5_LADDER, 32, 430, 1397,
-     (17, 589, 306, 696, 416, 2727, 739, 4275, 18, 1116)),
+     (17, 589, 306, 696, 736, 4470, 1059, 6018, 18, 1116)),
     ("ghz5", "contraction", "forward", GHZ5_LADDER, 32, 459, 1681,
-     (14, 669, 427, 1295, 374, 2777, 815, 5004, 18, 1392)),
+     (14, 669, 427, 1295, 676, 4534, 1117, 6761, 18, 1392)),
     ("ghz5", "contraction", "backward", GHZ5_LADDER, 32, 438, 1522,
-     (17, 589, 462, 1048, 416, 2727, 895, 4627, 18, 1243)),
+     (17, 589, 462, 1048, 736, 4470, 1215, 6370, 18, 1243)),
     ("ghz5", "hybrid", "forward", GHZ5_LADDER, 32, 459, 1681,
-     (14, 669, 427, 1295, 374, 2777, 815, 5004, 18, 1392)),
+     (14, 669, 427, 1295, 676, 4534, 1117, 6761, 18, 1392)),
     ("ghz5", "hybrid", "backward", GHZ5_LADDER, 32, 438, 1522,
-     (17, 589, 462, 1048, 416, 2727, 895, 4627, 18, 1243)),
+     (17, 589, 462, 1048, 736, 4470, 1215, 6370, 18, 1243)),
     ("bitflip", "basic", "forward", [3, 4, 4], 36, 500, 520,
-     (0, 0, 257, 711, 9, 64, 266, 775, 6, 404)),
+     (0, 0, 257, 711, 15, 64, 272, 775, 6, 404)),
     ("bitflip", "basic", "backward", [3, 15, 15], 44, 549, 643,
-     (0, 0, 181, 1108, 34, 228, 215, 1336, 17, 483)),
+     (0, 0, 181, 1108, 139, 228, 320, 1336, 17, 483)),
     ("bitflip", "addition", "forward", [3, 4, 4], 36, 600, 620,
-     (0, 0, 282, 877, 9, 64, 291, 941, 6, 490)),
+     (0, 0, 282, 877, 15, 64, 297, 941, 6, 490)),
     ("bitflip", "addition", "backward", [3, 15, 15], 32, 524, 618,
-     (0, 0, 230, 1219, 34, 228, 264, 1447, 17, 444)),
+     (0, 0, 230, 1219, 139, 228, 369, 1447, 17, 444)),
     ("bitflip", "contraction", "forward", [3, 4, 4], 8, 96, 220,
-     (0, 0, 105, 307, 9, 64, 114, 371, 6, 162)),
+     (0, 0, 105, 307, 15, 64, 120, 371, 6, 162)),
     ("bitflip", "contraction", "backward", [3, 15, 15], 12, 228, 484,
-     (0, 0, 105, 803, 34, 228, 139, 1031, 17, 355)),
+     (0, 0, 105, 803, 139, 228, 244, 1031, 17, 355)),
     ("bitflip", "hybrid", "forward", [3, 4, 4], 10, 101, 231,
-     (0, 0, 131, 322, 9, 64, 140, 386, 6, 168)),
+     (0, 0, 131, 322, 15, 64, 146, 386, 6, 168)),
     ("bitflip", "hybrid", "backward", [3, 15, 15], 12, 241, 510,
-     (0, 0, 235, 852, 34, 228, 269, 1080, 17, 368)),
+     (0, 0, 235, 852, 139, 228, 374, 1080, 17, 368)),
 ]
 
 
