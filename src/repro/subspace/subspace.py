@@ -178,11 +178,12 @@ class Subspace:
         """Does :meth:`add_state` reject on coefficients alone?
 
         Only while the basis is within ``tol**2`` of orthonormal: its
-        drift plus the rounding of the inner walks that measured it,
-        ``2 * n * eps`` on ``n`` qubits (a product and a sum a level).
+        drift plus ``2 * eps`` for the rounding of the inner walks that
+        measured it.  Like the rounding losses in :meth:`add_state`, the
+        allowance is per walk, not scaled by the qubit count: that
+        worst case would pass ``tol**2`` itself from 22 qubits on.
         """
-        return (self._drift + 2 * self.space.num_qubits * _EPS
-                <= tol * tol)
+        return self._drift + 2 * _EPS <= tol * tol
 
     @property
     def projector(self) -> TDD:
